@@ -29,6 +29,7 @@ import json
 import zipfile
 import zlib
 from bisect import bisect_right
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -231,7 +232,8 @@ class ShardBatchSequence(Sequence):
                 )
             self._verified.add(shard_index)
         try:
-            with np.load(path, allow_pickle=False) as archive:
+            # An own handle, for the reason given in _load_npz.
+            with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
                 batches = [
                     archive[f"batch_{i:06d}"] for i in range(int(shard["count"]))
                 ]
@@ -261,13 +263,17 @@ class ShardBatchSequence(Sequence):
         return list(self)
 
 
+@contextmanager
 def _load_npz(path: Path, description: str):
-    try:
-        return np.load(path, allow_pickle=False)
-    except FileNotFoundError:
-        raise
-    except (zipfile.BadZipFile, OSError, ValueError) as exc:
-        raise RuntimeError(f"{description} {path} is corrupt: {exc}") from exc
+    # The handle is opened here, not by np.load: numpy leaks the one it
+    # opens itself when the file turns out not to be a zip archive.
+    with open(path, "rb") as handle:
+        try:
+            archive = np.load(handle, allow_pickle=False)
+        except (zipfile.BadZipFile, OSError, ValueError) as exc:
+            raise RuntimeError(f"{description} {path} is corrupt: {exc}") from exc
+        with archive:
+            yield archive
 
 
 def _load_sharded(directory: Path) -> tuple[FAEDataset, dict[str, HotEmbeddingBagSpec], float]:
@@ -353,9 +359,8 @@ def load_fae_dataset(
         return _load_sharded(path)
     if path.name == FAE_MANIFEST:
         return _load_sharded(path.parent)
-    archive_cm = _load_npz(path, "packed FAE dataset")
     try:
-        with archive_cm as archive:
+        with _load_npz(path, "packed FAE dataset") as archive:
             if "format_version" not in archive.files:
                 raise RuntimeError(
                     f"packed FAE dataset {path} is missing its format header — "
@@ -378,6 +383,8 @@ def load_fae_dataset(
                 for i in range(int(archive["num_cold_batches"]))
             ]
             bags = _bags_from_archive(archive)
+    except FileNotFoundError:
+        raise
     except KeyError as exc:
         raise RuntimeError(
             f"packed FAE dataset {path} is truncated: missing entry {exc}"

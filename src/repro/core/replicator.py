@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.classifier import HotEmbeddingBagSpec
-from repro.nn.embedding import EmbeddingTable
+from repro.nn.embedding import EmbeddingTable, PooledLookup
 from repro.nn.parameter import Parameter
 from repro.obs import get_registry, span
 
@@ -48,6 +48,14 @@ class HotBag:
     def nbytes(self) -> int:
         return self.weight.nbytes
 
+    def _locate(self, global_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bag-local positions of global row ids, and which of them are hot."""
+        local = np.searchsorted(self.spec.hot_ids, global_ids)
+        in_range = local < self.spec.num_hot
+        found = in_range.copy()
+        found[in_range] = self.spec.hot_ids[local[in_range]] == global_ids[in_range]
+        return local, found
+
     def to_local(self, global_ids: np.ndarray) -> np.ndarray:
         """Map global row ids to bag-local positions.
 
@@ -57,12 +65,9 @@ class HotBag:
                 indicates a misclassified input.
         """
         global_ids = np.asarray(global_ids, dtype=np.int64)
-        local = np.searchsorted(self.spec.hot_ids, global_ids)
-        in_range = local < self.spec.num_hot
-        ok = in_range.copy()
-        ok[in_range] = self.spec.hot_ids[local[in_range]] == global_ids[in_range]
-        if not ok.all():
-            missing = np.unique(global_ids[~ok])[:5]
+        local, found = self._locate(global_ids)
+        if not found.all():
+            missing = np.unique(global_ids[~found])[:5]
             raise KeyError(
                 f"{self.spec.table_name}: ids {missing.tolist()} are not hot — "
                 "a cold input leaked into a hot mini-batch"
@@ -71,12 +76,7 @@ class HotBag:
 
     def contains(self, global_ids: np.ndarray) -> np.ndarray:
         """Vectorized hot-membership test (no exception)."""
-        global_ids = np.asarray(global_ids, dtype=np.int64)
-        local = np.searchsorted(self.spec.hot_ids, global_ids)
-        in_range = local < self.spec.num_hot
-        result = in_range.copy()
-        result[in_range] = self.spec.hot_ids[local[in_range]] == global_ids[in_range]
-        return result
+        return self._locate(np.asarray(global_ids, dtype=np.int64))[1]
 
 
 class HotEmbeddingBag:
@@ -87,51 +87,27 @@ class HotEmbeddingBag:
     """
 
     def __init__(self, bag: HotBag, mode: str = "mean") -> None:
-        if mode not in ("mean", "sum"):
-            raise ValueError(f"mode must be 'mean' or 'sum', got {mode!r}")
         self.bag = bag
-        self.mode = mode
-        self._local_ids: np.ndarray | None = None
+        self._lookup = PooledLookup(bag.weight, mode)
 
     def parameters(self) -> list[Parameter]:
         return [self.bag.weight]
 
-    def forward(self, ids: np.ndarray) -> np.ndarray:
+    def _local(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim == 1:
-            ids = ids[:, None]
-        local = self.bag.to_local(ids.ravel()).reshape(ids.shape)
-        self._local_ids = local
-        gathered = self.bag.weight.value[local]
-        if self.mode == "mean":
-            return gathered.mean(axis=1)
-        return gathered.sum(axis=1)
+        return self.bag.to_local(ids.ravel()).reshape(ids.shape)
+
+    def forward(self, ids: np.ndarray) -> np.ndarray:
+        return self._lookup.forward(self._local(ids))
 
     def backward(self, grad_out: np.ndarray) -> None:
-        if self._local_ids is None:
-            raise RuntimeError("backward called before forward")
-        local = self._local_ids
-        _, multiplicity = local.shape
-        scale = 1.0 / multiplicity if self.mode == "mean" else 1.0
-        row_grads = np.repeat(grad_out * scale, multiplicity, axis=0).astype(np.float32)
-        self.bag.weight.accumulate_sparse(local.ravel(), row_grads)
-        self._local_ids = None
+        self._lookup.backward(grad_out)
 
     def sequence_forward(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 2:
-            raise ValueError("sequence_forward expects (B, m) ids")
-        local = self.bag.to_local(ids.ravel()).reshape(ids.shape)
-        self._local_ids = local
-        return self.bag.weight.value[local]
+        return self._lookup.sequence_forward(self._local(ids))
 
     def sequence_backward(self, grad_out: np.ndarray) -> None:
-        if self._local_ids is None:
-            raise RuntimeError("backward called before forward")
-        local = self._local_ids
-        flat = grad_out.reshape(-1, self.bag.spec.dim).astype(np.float32)
-        self.bag.weight.accumulate_sparse(local.ravel(), flat)
-        self._local_ids = None
+        self._lookup.sequence_backward(grad_out)
 
 
 class EmbeddingReplicator:
@@ -173,13 +149,13 @@ class EmbeddingReplicator:
         with span(
             "replicate.build", num_replicas=self.num_replicas, num_tables=len(self.bag_specs)
         ):
-            self.replicas = [
-                {
-                    name: HotBag(spec, self.tables[name].subset(spec.hot_ids), replica_id=r)
-                    for name, spec in self.bag_specs.items()
-                }
-                for r in range(self.num_replicas)
-            ]
+            self.replicas = [self._build_replica(r) for r in range(self.num_replicas)]
+
+    def _build_replica(self, replica_id: int) -> dict[str, HotBag]:
+        return {
+            name: HotBag(spec, self.tables[name].subset(spec.hot_ids), replica_id=replica_id)
+            for name, spec in self.bag_specs.items()
+        }
 
     def bags_for_replica(self, replica_id: int) -> dict[str, HotEmbeddingBag]:
         """Model-facing pooled bags for one GPU's replica."""
@@ -208,12 +184,7 @@ class EmbeddingReplicator:
         if self.evicted:
             raise RuntimeError("hot replicas were evicted; a degraded run stays cold")
         replica_id = len(self.replicas)
-        self.replicas.append(
-            {
-                name: HotBag(spec, self.tables[name].subset(spec.hot_ids), replica_id=replica_id)
-                for name, spec in self.bag_specs.items()
-            }
-        )
+        self.replicas.append(self._build_replica(replica_id))
         self.num_replicas = len(self.replicas)
         get_registry().counter("fae.replica.added").inc()
         return replica_id
@@ -314,9 +285,9 @@ class EmbeddingReplicator:
             for replica in self.replicas:
                 combined.extend(replica[name].weight.sparse_grads)
             for replica in self.replicas:
-                replica[name].weight.sparse_grads = [
-                    type(g)(ids=g.ids.copy(), values=g.values.copy()) for g in combined
-                ]
+                # Shared, not copied: optimizers coalesce records into new
+                # arrays and never write the records themselves.
+                replica[name].weight.sparse_grads = list(combined)
 
     def sync_to_master(self) -> int:
         """Write replica-0 hot rows into the CPU master tables.

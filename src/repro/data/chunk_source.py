@@ -306,7 +306,9 @@ class ShardChunkSource(ChunkSource):
     def _load_shard(self, name: str, count: int) -> ClickLog:
         path = self.directory / name
         try:
-            with np.load(path, allow_pickle=False) as archive:
+            # Opened here, not by np.load: numpy leaks the handle it opens
+            # itself when the archive turns out not to be a zip.
+            with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
                 dense = archive["dense"]
                 labels = archive["labels"]
                 sparse = {

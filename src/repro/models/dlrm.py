@@ -140,7 +140,7 @@ class DLRM(RecModel):
         """Backprop from ``(B,)`` logit grads; accumulates all param grads."""
         if self._active_bags is None:
             raise RuntimeError("backward called before forward")
-        grad_top = self.top_mlp.backward(grad_logits[:, None].astype(np.float32))
+        grad_top = self.top_mlp.backward(grad_logits[:, None].astype(np.float32, copy=False))
         grad_dense, grad_embeddings = self.interaction.backward(grad_top)
         for bag, grad in zip(self._active_bags, grad_embeddings):
             bag.backward(grad)

@@ -174,7 +174,7 @@ class TBSM(RecModel):
             raise RuntimeError("backward called before forward")
         batch_size = self._cache["batch_size"]
 
-        grad_top_in = self.top_mlp.backward(grad_logits[:, None].astype(np.float32))
+        grad_top_in = self.top_mlp.backward(grad_logits[:, None].astype(np.float32, copy=False))
         grad_context = grad_top_in[:, : self.context_dim]
         grad_dense_vec = grad_top_in[:, self.context_dim :]
 
@@ -190,7 +190,7 @@ class TBSM(RecModel):
         for name in self.static_tables:
             # Broadcasting a static embedding to T steps sums its grads.
             grad_static = grad_per_step[:, :, offset : offset + d].sum(axis=1)
-            self._bags[name].backward(grad_static.astype(np.float32))
+            self._bags[name].backward(grad_static)
             offset += d
 
         self.bottom_mlp.backward(grad_dense_vec)

@@ -18,7 +18,7 @@ import numpy as np
 from repro.nn.initializers import normal_init
 from repro.nn.parameter import Parameter
 
-__all__ = ["EmbeddingTable", "EmbeddingBag"]
+__all__ = ["EmbeddingTable", "EmbeddingBag", "PooledLookup"]
 
 
 class EmbeddingTable:
@@ -44,10 +44,6 @@ class EmbeddingTable:
     def nbytes(self) -> int:
         return self.weight.nbytes
 
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        """Raw row gather (no pooling, no caching)."""
-        return self.weight.value[ids]
-
     def subset(self, ids: np.ndarray) -> np.ndarray:
         """Copy of the rows ``ids`` (the replicator ships these to GPUs)."""
         return self.weight.value[np.asarray(ids, dtype=np.int64)].copy()
@@ -62,6 +58,59 @@ class EmbeddingTable:
         self.weight.value[ids] = values
 
 
+class PooledLookup:
+    """The gather/scatter behind :class:`EmbeddingBag` (rows are table ids)
+    and ``core.replicator.HotEmbeddingBag`` (rows are bag-local positions);
+    both validate and translate their ids first."""
+
+    def __init__(self, weight: Parameter, mode: str) -> None:
+        if mode not in ("mean", "sum"):
+            raise ValueError(f"mode must be 'mean' or 'sum', got {mode!r}")
+        self.weight = weight
+        self.mode = mode
+        self._rows: np.ndarray | None = None
+
+    def forward(self, rows: np.ndarray) -> np.ndarray:
+        """Gather int64 ``(B, m)`` rows (``(B,)`` is ``m = 1``), pool over ``m``."""
+        if rows.ndim == 1:
+            rows = rows[:, None]
+        self._rows = rows
+        if rows.shape[1] == 1:
+            # One lookup per sample: the gather already is the pooled result.
+            return self.weight.value[rows[:, 0]]
+        gathered = self.weight.value[rows]  # (B, m, dim)
+        return gathered.mean(axis=1) if self.mode == "mean" else gathered.sum(axis=1)
+
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Record :meth:`forward`'s sparse gradient; with ``m = 1`` that is
+        ``grad_out`` itself, held (never written) until the optimizer step."""
+        rows = self._pop_rows()
+        multiplicity = rows.shape[1]
+        if multiplicity > 1:
+            # Each of the m looked-up rows receives the (scaled) pooled grad.
+            scale = 1.0 / multiplicity if self.mode == "mean" else 1.0
+            grad_out = np.repeat(grad_out * scale, multiplicity, axis=0)
+        self.weight.accumulate_sparse(rows.ravel(), grad_out.astype(np.float32, copy=False))
+
+    def sequence_forward(self, rows: np.ndarray) -> np.ndarray:
+        """Unpooled gather for sequence models: ``(B, m)`` -> ``(B, m, dim)``."""
+        if rows.ndim != 2:
+            raise ValueError("sequence_forward expects (B, m) ids")
+        self._rows = rows
+        return self.weight.value[rows]
+
+    def sequence_backward(self, grad_out: np.ndarray) -> None:
+        """Sparse grads for an unpooled gather: grad_out is ``(B, m, dim)``."""
+        flat = grad_out.reshape(-1, self.weight.shape[1])
+        self.weight.accumulate_sparse(self._pop_rows().ravel(), flat.astype(np.float32, copy=False))
+
+    def _pop_rows(self) -> np.ndarray:
+        if self._rows is None:
+            raise RuntimeError("backward called before forward")
+        rows, self._rows = self._rows, None
+        return rows
+
+
 class EmbeddingBag:
     """Pooled lookup over one embedding table.
 
@@ -71,69 +120,28 @@ class EmbeddingBag:
     """
 
     def __init__(self, table: EmbeddingTable, mode: str = "mean") -> None:
-        if mode not in ("mean", "sum"):
-            raise ValueError(f"mode must be 'mean' or 'sum', got {mode!r}")
         self.table = table
-        self.mode = mode
-        self._ids: np.ndarray | None = None
+        self._lookup = PooledLookup(table.weight, mode)
 
     def parameters(self) -> list[Parameter]:
         return [self.table.weight]
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
-        """Pooled lookup.
-
-        Args:
-            ids: int64 ``(B, m)`` row ids, ``m`` the feature multiplicity.
-
-        Returns:
-            float32 ``(B, dim)`` pooled embeddings.
-        """
+        """Pool int64 ``(B, m)`` row ids (``m`` lookups per sample) to float32 ``(B, dim)``."""
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim == 1:
-            ids = ids[:, None]
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= self.table.num_rows:
             raise IndexError(
                 f"{self.table.name}: lookup ids out of range [0, {self.table.num_rows})"
             )
-        self._ids = ids
-        gathered = self.table.weight.value[ids]  # (B, m, dim)
-        if self.mode == "mean":
-            return gathered.mean(axis=1)
-        return gathered.sum(axis=1)
+        return self._lookup.forward(ids)
 
     def backward(self, grad_out: np.ndarray) -> None:
-        """Record sparse gradients for the rows this lookup touched.
-
-        Args:
-            grad_out: float32 ``(B, dim)`` gradient of the pooled output.
-        """
-        if self._ids is None:
-            raise RuntimeError("backward called before forward")
-        ids = self._ids
-        batch, multiplicity = ids.shape
-        scale = 1.0 / multiplicity if self.mode == "mean" else 1.0
-        # Each of the m looked-up rows receives the (scaled) pooled grad.
-        row_grads = np.repeat(grad_out * scale, multiplicity, axis=0).astype(np.float32)
-        self.table.weight.accumulate_sparse(ids.ravel(), row_grads)
-        self._ids = None
+        """Record sparse gradients for the rows the last lookup touched."""
+        self._lookup.backward(grad_out)
 
     def sequence_forward(self, ids: np.ndarray) -> np.ndarray:
-        """Unpooled gather for sequence models: ``(B, m)`` -> ``(B, m, dim)``.
-
-        TBSM consumes per-timestep embeddings rather than a pooled bag.
-        """
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 2:
-            raise ValueError("sequence_forward expects (B, m) ids")
-        self._ids = ids
-        return self.table.weight.value[ids]
+        """Unpooled ``(B, m, dim)`` gather: TBSM consumes per-timestep rows."""
+        return self._lookup.sequence_forward(np.asarray(ids, dtype=np.int64))
 
     def sequence_backward(self, grad_out: np.ndarray) -> None:
-        """Sparse grads for an unpooled gather: grad_out is ``(B, m, dim)``."""
-        if self._ids is None:
-            raise RuntimeError("backward called before forward")
-        ids = self._ids
-        flat = grad_out.reshape(-1, self.table.dim).astype(np.float32)
-        self.table.weight.accumulate_sparse(ids.ravel(), flat)
-        self._ids = None
+        self._lookup.sequence_backward(grad_out)

@@ -19,15 +19,13 @@ class DotInteraction:
 
     def __init__(self) -> None:
         self._stacked: np.ndarray | None = None
-        self._tri: tuple[np.ndarray, np.ndarray] | None = None
+        # Strictly-lower-triangle (rows, cols) per feature count seen.
+        self._tril: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @staticmethod
     def output_dim(num_features: int, feature_dim: int) -> int:
         """Width of the interaction output: d + C(num_features, 2)."""
         return feature_dim + num_features * (num_features - 1) // 2
-
-    def parameters(self) -> list:
-        return []
 
     def forward(self, dense_vec: np.ndarray, embedding_vecs: list[np.ndarray]) -> np.ndarray:
         """Compute ``concat(dense_vec, pairwise_dots)``.
@@ -44,13 +42,16 @@ class DotInteraction:
         if len(widths) != 1:
             raise ValueError(f"all interacted features must share width, got {sorted(widths)}")
         stacked = np.stack(features, axis=1)  # (B, F, d)
+        batch, num_features, dim = stacked.shape
         gram = stacked @ stacked.transpose(0, 2, 1)  # (B, F, F)
-        num_features = stacked.shape[1]
-        tri_rows, tri_cols = np.tril_indices(num_features, k=-1)
+        if num_features not in self._tril:
+            self._tril[num_features] = np.tril_indices(num_features, k=-1)
+        tri_rows, tri_cols = self._tril[num_features]
         self._stacked = stacked
-        self._tri = (tri_rows, tri_cols)
-        dots = gram[:, tri_rows, tri_cols]  # (B, C(F,2))
-        return np.concatenate([dense_vec, dots], axis=1).astype(np.float32)
+        out = np.empty((batch, dim + tri_rows.shape[0]), dtype=np.float32)
+        out[:, :dim] = dense_vec
+        out[:, dim:] = gram[:, tri_rows, tri_cols]  # (B, C(F,2))
+        return out
 
     def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Split the output gradient back into dense and embedding grads.
@@ -58,13 +59,11 @@ class DotInteraction:
         Returns:
             ``(grad_dense, [grad_e1, ..., grad_eT])``.
         """
-        if self._stacked is None or self._tri is None:
+        if self._stacked is None:
             raise RuntimeError("backward called before forward")
         stacked = self._stacked
-        tri_rows, tri_cols = self._tri
         batch, num_features, dim = stacked.shape
-
-        grad_dense_direct = grad_out[:, :dim]
+        tri_rows, tri_cols = self._tril[num_features]
         grad_dots = grad_out[:, dim:]  # (B, P)
 
         # Scatter pair gradients into a symmetric (B, F, F) matrix; each
@@ -72,10 +71,9 @@ class DotInteraction:
         grad_gram = np.zeros((batch, num_features, num_features), dtype=grad_out.dtype)
         grad_gram[:, tri_rows, tri_cols] = grad_dots
         grad_gram[:, tri_cols, tri_rows] = grad_dots
-        grad_stacked = grad_gram @ stacked  # (B, F, d)
-
-        grad_dense = grad_stacked[:, 0, :] + grad_dense_direct
-        grad_embeddings = [grad_stacked[:, i, :] for i in range(1, num_features)]
+        # Rows of this one buffer are handed out as views: (B, F, d).
+        grad_stacked = grad_gram @ stacked
+        grad_stacked[:, 0, :] += grad_out[:, :dim]
+        grad_stacked = grad_stacked.astype(np.float32, copy=False)
         self._stacked = None
-        self._tri = None
-        return grad_dense.astype(np.float32), [g.astype(np.float32) for g in grad_embeddings]
+        return grad_stacked[:, 0, :], [grad_stacked[:, i, :] for i in range(1, num_features)]

@@ -33,11 +33,13 @@ class Linear:
         return [self.weight, self.bias]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Compute the affine map; caches the input for backward."""
+        """Affine map into a new buffer; ``x`` is kept (never written) for backward."""
         if x.shape[-1] != self.in_features:
             raise ValueError(f"expected input width {self.in_features}, got {x.shape[-1]}")
         self._input = x
-        return x @ self.weight.value.T + self.bias.value
+        out = x @ self.weight.value.T
+        out += self.bias.value
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Accumulate weight/bias grads; return gradient w.r.t. the input."""
@@ -47,7 +49,7 @@ class Linear:
         # Support leading batch-like dims by flattening them for the GEMMs.
         flat_x = x.reshape(-1, self.in_features)
         flat_g = grad_out.reshape(-1, self.out_features)
-        self.weight.accumulate_dense(flat_g.T @ flat_x)
+        self.weight.accumulate_product(flat_g.T, flat_x)
         self.bias.accumulate_dense(flat_g.sum(axis=0))
         grad_in = grad_out @ self.weight.value
         self._input = None

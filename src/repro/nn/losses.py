@@ -27,15 +27,20 @@ class BCEWithLogits:
             logits: ``(B,)`` raw scores.
             labels: ``(B,)`` targets in {0, 1}.
         """
+        loss = self.per_sample(logits, labels)
+        self._probs = sigmoid(np.asarray(logits, dtype=np.float64).ravel())
+        self._labels = np.asarray(labels, dtype=np.float64).ravel()
+        return float(loss.mean())
+
+    @staticmethod
+    def per_sample(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Unreduced BCE of each sample: float64 ``(B,)``."""
         logits = np.asarray(logits, dtype=np.float64).ravel()
         labels = np.asarray(labels, dtype=np.float64).ravel()
         if logits.shape != labels.shape:
             raise ValueError(f"logits {logits.shape} vs labels {labels.shape} mismatch")
         # log(1 + exp(-|x|)) formulation: stable for large |logits|.
-        loss = np.maximum(logits, 0) - logits * labels + np.log1p(np.exp(-np.abs(logits)))
-        self._probs = sigmoid(logits)
-        self._labels = labels
-        return float(loss.mean())
+        return np.maximum(logits, 0) - logits * labels + np.log1p(np.exp(-np.abs(logits)))
 
     def backward(self) -> np.ndarray:
         """Gradient of the mean loss w.r.t. the logits: ``(B,)`` float32."""

@@ -156,8 +156,8 @@ class MomentumSGD:
                 velocity *= self.momentum
                 velocity += param.grad
                 param.value -= lr * velocity
-            for record in param.sparse_grads:
-                merged = record.coalesced()
+            merged = param.coalesced_sparse_grad()
+            if merged is not None:
                 param.value[merged.ids] -= lr * merged.values
             param.zero_grad()
         self.step_count += 1

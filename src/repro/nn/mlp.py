@@ -84,14 +84,19 @@ class MLP:
         return params
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Run the stack; ``x`` is read, never written."""
+        # A ReLU's input is the buffer the Linear before it allocated: ours to rectify.
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, out=x) if isinstance(layer, ReLU) else layer.forward(x)
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
-        return grad_out
+        """Backpropagate; the caller's ``grad_out`` is read, never written."""
+        *rest, last = self.layers
+        grad = last.backward(grad_out)  # a new array: ours to overwrite from here on
+        for layer in reversed(rest):
+            grad = layer.backward(grad, out=grad) if isinstance(layer, ReLU) else layer.backward(grad)
+        return grad
 
     def flops_per_sample(self) -> int:
         """Forward multiply-accumulate count per sample (cost model input)."""

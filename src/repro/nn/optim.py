@@ -41,13 +41,19 @@ class SGD:
         sparse_rows = 0
         for param in self.parameters:
             if param.grad is not None:
-                param.value -= self.lr * param.grad
-            for record in param.sparse_grads:
-                coalesced = record.coalesced()
-                param.value[coalesced.ids] -= self.lr * coalesced.values
+                self._update(param, ..., param.grad)
+            coalesced = param.coalesced_sparse_grad()
+            if coalesced is not None:
+                self._update(param, coalesced.ids, coalesced.values)
                 sparse_rows += coalesced.ids.shape[0]
             param.zero_grad()
         self.last_sparse_rows = sparse_rows
+
+    def _update(self, param: Parameter, rows, grad: np.ndarray) -> None:
+        """Apply ``grad`` (the parameter's own buffer or a new coalesced record,
+        dropped right after, so scaled in place) to ``param.value[rows]``."""
+        grad *= self.lr
+        param.value[rows] -= grad
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """SGD is stateless; nothing to checkpoint."""
@@ -59,8 +65,8 @@ class SGD:
             raise ValueError(f"SGD has no state; got keys {sorted(state)}")
 
 
-class Adagrad:
-    """Adagrad with per-row state for sparse parameters.
+class Adagrad(SGD):
+    """Adagrad with per-row state for sparse parameters (SGD's step loop).
 
     DLRM commonly trains embeddings with (rowwise) Adagrad; keeping the
     accumulator sparse-aware means only touched rows pay state updates,
@@ -73,37 +79,16 @@ class Adagrad:
     """
 
     def __init__(self, parameters: list[Parameter], lr: float, eps: float = 1e-10) -> None:
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        self.parameters = list(parameters)
-        self.lr = lr
+        super().__init__(parameters, lr)
         self.eps = eps
         self._state: dict[int, np.ndarray] = {
             id(p): np.zeros_like(p.value) for p in self.parameters
         }
-        self.last_sparse_rows = 0
 
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
-
-    def step(self) -> None:
-        sparse_rows = 0
-        for param in self.parameters:
-            state = self._state[id(param)]
-            if param.grad is not None:
-                state += param.grad**2
-                param.value -= self.lr * param.grad / (np.sqrt(state) + self.eps)
-            for record in param.sparse_grads:
-                coalesced = record.coalesced()
-                rows = coalesced.ids
-                state[rows] += coalesced.values**2
-                param.value[rows] -= self.lr * coalesced.values / (
-                    np.sqrt(state[rows]) + self.eps
-                )
-                sparse_rows += rows.shape[0]
-            param.zero_grad()
-        self.last_sparse_rows = sparse_rows
+    def _update(self, param: Parameter, rows, grad: np.ndarray) -> None:
+        state = self._state[id(param)]
+        state[rows] += grad**2
+        param.value[rows] -= self.lr * grad / (np.sqrt(state[rows]) + self.eps)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Accumulators keyed by parameter index (checkpointable)."""

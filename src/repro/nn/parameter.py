@@ -37,9 +37,10 @@ class SparseGrad:
 
     def coalesced(self) -> "SparseGrad":
         """Return an equivalent record with unique, sorted ids."""
-        unique_ids, inverse = np.unique(self.ids, return_inverse=True)
-        summed = np.zeros((unique_ids.shape[0], self.values.shape[1]), dtype=self.values.dtype)
-        np.add.at(summed, inverse, self.values)
+        # Stable: the segmented sum adds a row's contributions in record order.
+        order = np.argsort(self.ids, kind="stable")
+        unique_ids, starts = np.unique(self.ids[order], return_index=True)
+        summed = np.add.reduceat(self.values[order], starts, axis=0)
         return SparseGrad(ids=unique_ids, values=summed)
 
 
@@ -78,8 +79,18 @@ class Parameter:
                 f"{self.name}: gradient shape {grad.shape} != parameter shape {self.value.shape}"
             )
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += grad
+            # A copy: optimizers and fault injection write the gradient in place.
+            self.grad = np.array(grad, dtype=self.value.dtype)
+        else:
+            self.grad += grad
+
+    def accumulate_product(self, left: np.ndarray, right: np.ndarray) -> None:
+        """``grad += left @ right``; a step's first product is the GEMM itself,
+        written into a new buffer the parameter owns (no zero fill, no add)."""
+        if self.grad is None:
+            self.grad = np.matmul(left, right, out=np.empty_like(self.value))
+        else:
+            self.grad += left @ right
 
     def accumulate_sparse(self, ids: np.ndarray, values: np.ndarray) -> None:
         """Record a sparse gradient touching rows ``ids``."""
@@ -90,6 +101,16 @@ class Parameter:
         self.sparse_grads.append(
             SparseGrad(ids=np.asarray(ids, dtype=np.int64).ravel(), values=values)
         )
+
+    def coalesced_sparse_grad(self) -> SparseGrad | None:
+        """Every pending sparse record as one, or None when none is pending."""
+        if not self.sparse_grads:
+            return None
+        if len(self.sparse_grads) == 1:  # the single-device case: nothing to merge
+            return self.sparse_grads[0].coalesced()
+        ids = np.concatenate([record.ids for record in self.sparse_grads])
+        values = np.concatenate([record.values for record in self.sparse_grads])
+        return SparseGrad(ids=ids, values=values).coalesced()
 
     def zero_grad(self) -> None:
         """Clear all accumulated gradient state."""
@@ -102,12 +123,6 @@ class Parameter:
         for record in self.sparse_grads:
             np.add.at(total, record.ids, record.values)
         return total
-
-    def touched_rows(self) -> np.ndarray:
-        """Unique row ids with pending sparse gradients."""
-        if not self.sparse_grads:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate([r.ids for r in self.sparse_grads]))
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.value.shape})"

@@ -77,9 +77,6 @@ class _QuantizedTableBase:
     dim: int
     weight: Parameter
 
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        return self.weight.value[ids]
-
     def subset(self, ids: np.ndarray) -> np.ndarray:
         return self.weight.value[np.asarray(ids, dtype=np.int64)].copy()
 

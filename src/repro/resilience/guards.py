@@ -433,8 +433,8 @@ class NumericGuardConfig:
         max_skipped_steps: discarded optimizer steps tolerated between
             rollbacks before the guard concludes the *parameters* are
             poisoned and escalates to a rollback.  (A NaN weight row can
-            hide from the loss check — ``np.where``-style ReLUs map NaN
-            activations to 0 in the forward pass — but it keeps
+            hide from the loss check — ReLU maps NaN activations to 0 in
+            the forward pass (DESIGN.md §15) — but it keeps
             producing non-finite gradients.)
     """
 
@@ -510,7 +510,7 @@ class NumericGuard:
       the step (``guards.step.skipped``) — the parameters stay good; but
       more than ``max_skipped_steps`` of them between rollbacks means
       the parameters themselves are producing the poison (a NaN weight
-      row can hide from the loss check behind a ``np.where`` ReLU), and
+      row can hide from the loss check behind a NaN -> 0 ReLU), and
       the guard escalates to a rollback;
     - a non-finite or spiking loss from a clean batch means the
       *parameters* are already poisoned (e.g. a corrupted hot-replica

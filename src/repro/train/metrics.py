@@ -8,6 +8,7 @@ from repro.data.loader import batch_from_log
 from repro.data.synthetic import SyntheticClickLog
 from repro.models.base import RecModel
 from repro.nn.activations import sigmoid
+from repro.nn.losses import BCEWithLogits
 
 __all__ = ["binary_accuracy", "roc_auc", "evaluate_model"]
 
@@ -80,10 +81,6 @@ def evaluate_model(
         indices = np.arange(start, min(start + batch_size, n))
         batch = batch_from_log(log, indices)
         logits = np.asarray(model.forward(batch), dtype=np.float64)
-        labels = batch.labels.astype(np.float64)
-        loss = (
-            np.maximum(logits, 0) - logits * labels + np.log1p(np.exp(-np.abs(logits)))
-        ).sum()
-        total_loss += float(loss)
-        total_correct += float(((sigmoid(logits) >= 0.5) == labels.astype(bool)).sum())
+        total_loss += float(BCEWithLogits.per_sample(logits, batch.labels).sum())
+        total_correct += float(((sigmoid(logits) >= 0.5) == batch.labels.astype(bool)).sum())
     return total_loss / n, total_correct / n

@@ -591,6 +591,13 @@ def clean_loss(guard_setup):
     return result.history.points[-1].test_loss
 
 
+def overflowing_matmul():
+    """A bit-flipped weight (~1e38) overflows float32 in every GEMM it
+    reaches until the guard trips: that RuntimeWarning is expected here
+    (and asserted), while warnings are errors everywhere else."""
+    return pytest.warns(RuntimeWarning, match="encountered in matmul")
+
+
 class TestGuardedTraining:
     def _guards(self):
         return NumericGuard(
@@ -603,7 +610,8 @@ class TestGuardedTraining:
         trainer = FAETrainer(
             small_dlrm(schema, seed=21), plan, fault_plan=fault_plan, guards=self._guards()
         )
-        result = trainer.train(train, test, epochs=1)
+        with overflowing_matmul():
+            result = trainer.train(train, test, epochs=1)
         assert result.rollbacks >= 1
         final = result.history.points[-1].test_loss
         assert math.isfinite(final)
@@ -652,7 +660,7 @@ class TestGuardedTraining:
         trainer = FAETrainer(
             small_dlrm(schema, seed=21), plan, fault_plan=fault_plan, guards=guards
         )
-        with pytest.raises(GuardAbort):
+        with overflowing_matmul(), pytest.raises(GuardAbort):
             trainer.train(train, test, epochs=1)
 
     def test_lr_backs_off_on_rollback(self, guard_setup):
@@ -665,7 +673,8 @@ class TestGuardedTraining:
             fault_plan=fault_plan,
             guards=self._guards(),
         )
-        result = trainer.train(train, test, epochs=1)
+        with overflowing_matmul():
+            result = trainer.train(train, test, epochs=1)
         assert result.rollbacks >= 1
         assert trainer.lr == pytest.approx(0.2 * 0.5**result.rollbacks)
 
@@ -682,7 +691,8 @@ class TestGuardedTraining:
             fault_plan=fault_plan,
             guards=self._guards(),
         )
-        result = trainer.train(train, test, epochs=1)
+        with overflowing_matmul():
+            result = trainer.train(train, test, epochs=1)
         assert result.rollbacks >= 1
         assert trainer.max_hot_divergence() == 0.0
         final = result.history.points[-1].test_loss

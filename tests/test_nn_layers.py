@@ -45,13 +45,15 @@ class TestParameter:
         p.zero_grad()
         assert p.grad is None
         assert p.sparse_grads == []
-        assert p.touched_rows().size == 0
+        assert p.coalesced_sparse_grad() is None
 
-    def test_touched_rows_unique_sorted(self):
+    def test_coalesced_sparse_grad_merges_records(self):
         p = Parameter("e", np.zeros((10, 2)))
-        p.accumulate_sparse(np.array([7, 2, 7]), np.zeros((3, 2), dtype=np.float32))
-        p.accumulate_sparse(np.array([2, 9]), np.zeros((2, 2), dtype=np.float32))
-        np.testing.assert_array_equal(p.touched_rows(), [2, 7, 9])
+        p.accumulate_sparse(np.array([7, 2, 7]), np.ones((3, 2), dtype=np.float32))
+        p.accumulate_sparse(np.array([2, 9]), np.ones((2, 2), dtype=np.float32))
+        merged = p.coalesced_sparse_grad()
+        np.testing.assert_array_equal(merged.ids, [2, 7, 9])
+        np.testing.assert_array_equal(merged.values, [[2, 2], [2, 2], [1, 1]])
 
     def test_nbytes(self):
         p = Parameter("e", np.zeros((10, 4), dtype=np.float32))

@@ -1,0 +1,198 @@
+"""Trajectory pin: 20 seeded training steps against a committed golden.
+
+``tests/golden/nn_trajectory.json`` holds the per-step train loss of the
+first 20 steps of a small DLRM and a small TBSM under ``FAETrainer`` and
+``BaselineTrainer``, recorded at the commit *before* the nn kernels were
+rewritten (PR 12) by ``python tests/test_trajectory_pin.py --record``.
+
+The rewritten ReLU, bias add and dense SGD update leave the arithmetic
+alone (same operations on the same operands, only fewer passes over the
+buffers), so on their own they reproduce the golden bit for bit.  Only
+``SparseGrad.coalesced`` may reorder a reduction (a segmented sum over
+stably sorted rows in place of ``np.add.at``), hence the ``rtol=1e-5``
+here rather than equality.
+
+Placement must never change the math (ROADMAP 4a): an FAE run and a
+``BaselineTrainer`` run fed the same batch order are compared *exactly*,
+losses and every trained parameter, for DLRM and TBSM.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro.data.loader as loader
+import repro.train.trainer as trainer_module
+from repro.core import FAEConfig, fae_preprocess
+from repro.data import SyntheticClickLog, SyntheticConfig
+from repro.data.loader import batch_from_log, train_test_split
+from repro.data.schema import DatasetSchema, EmbeddingTableSpec
+from repro.models import DLRM, TBSM, DLRMConfig, TBSMConfig
+from repro.nn import BCEWithLogits
+from repro.train import BaselineTrainer, FAETrainer
+
+GOLDEN = Path(__file__).parent / "golden" / "nn_trajectory.json"
+STEPS = 20
+BATCH = 64
+LR = 0.1
+
+DLRM_SCHEMA = DatasetSchema(
+    name="pin-dlrm",
+    num_dense=4,
+    tables=(
+        EmbeddingTableSpec("table_00", num_rows=600, dim=8, zipf_exponent=1.2),
+        EmbeddingTableSpec("table_01", num_rows=400, dim=8, zipf_exponent=1.1, multiplicity=3),
+        EmbeddingTableSpec("table_02", num_rows=12, dim=8, zipf_exponent=0.5),
+    ),
+    num_samples=1600,
+)
+
+TBSM_SCHEMA = DatasetSchema(
+    name="pin-tbsm",
+    num_dense=3,
+    tables=(
+        EmbeddingTableSpec("user", num_rows=300, dim=8, zipf_exponent=1.1),
+        EmbeddingTableSpec("item", num_rows=500, dim=8, zipf_exponent=1.4, multiplicity=4),
+        EmbeddingTableSpec("cat", num_rows=20, dim=8, zipf_exponent=0.8, multiplicity=4),
+    ),
+    num_samples=1600,
+)
+
+CASES = {
+    "dlrm": (DLRM_SCHEMA, lambda: DLRM(DLRM_SCHEMA, DLRMConfig("4-16-8", "16-8-1", seed=5))),
+    "tbsm": (TBSM_SCHEMA, lambda: TBSM(TBSM_SCHEMA, TBSMConfig("3-8", "22-12-10", "30-12-1", seed=5))),
+}
+
+
+def _data(schema):
+    log = SyntheticClickLog(schema, SyntheticConfig(num_samples=STEPS * BATCH + 320, seed=21))
+    train, test = train_test_split(log, 320 / len(log), seed=4)
+    config = FAEConfig(
+        gpu_memory_budget=12 * 1024,
+        sample_rate=0.2,
+        large_table_min_bytes=1024,
+        chunk_size=32,
+        scheduler_initial_rate=25,
+        seed=3,
+    )
+    return train, test, fae_preprocess(train, config, batch_size=BATCH)
+
+
+@contextmanager
+def recorded_training():
+    """Record each training step's loss and batch indices.
+
+    A step is a loss forward followed by a loss backward (evaluation
+    never calls backward); batches are noted where both trainers fetch
+    them, ``repro.data.loader.fetch_batch``.
+    """
+    losses: list[float] = []
+    batches: list[np.ndarray] = []
+    forward, backward, fetch = BCEWithLogits.forward, BCEWithLogits.backward, loader.fetch_batch
+    last = {}
+
+    def traced_forward(self, logits, labels):
+        last["loss"] = forward(self, logits, labels)
+        return last["loss"]
+
+    def traced_backward(self):
+        losses.append(last["loss"])
+        return backward(self)
+
+    def traced_fetch(log, indices, *args, **kwargs):
+        batches.append(np.array(indices))
+        return fetch(log, indices, *args, **kwargs)
+
+    BCEWithLogits.forward, BCEWithLogits.backward = traced_forward, traced_backward
+    loader.fetch_batch = traced_fetch
+    try:
+        yield losses, batches
+    finally:
+        BCEWithLogits.forward, BCEWithLogits.backward = forward, backward
+        loader.fetch_batch = fetch
+
+
+def run_fae(case: str):
+    schema, build = CASES[case]
+    train, test, plan = _data(schema)
+    model = build()
+    with recorded_training() as (losses, batches):
+        FAETrainer(model, plan, lr=LR).train(train, test, epochs=1, eval_samples=128)
+    return model, losses, batches
+
+
+def run_baseline(case: str, order: list[np.ndarray] | None = None):
+    """A ``BaselineTrainer`` epoch: its own seeded shuffle, or ``order``."""
+    schema, build = CASES[case]
+    train, test, _plan = _data(schema)
+    model = build()
+
+    class Replay:
+        def __init__(self, log, *_args, **_kwargs):
+            self.log = log
+
+        def __iter__(self):
+            return (batch_from_log(self.log, indices) for indices in order)
+
+    original = trainer_module.BatchIterator
+    if order is not None:
+        trainer_module.BatchIterator = Replay
+    try:
+        with recorded_training() as (losses, _batches):
+            BaselineTrainer(model, lr=LR, seed=9).train(
+                train, test, epochs=1, batch_size=BATCH, eval_every=7, eval_samples=128
+            )
+    finally:
+        trainer_module.BatchIterator = original
+    return model, losses
+
+
+def _trajectories() -> dict[str, dict[str, list[float]]]:
+    return {
+        case: {"fae": run_fae(case)[1][:STEPS], "baseline": run_baseline(case)[1][:STEPS]}
+        for case in CASES
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_plan_exercises_both_pools(case):
+    _train, _test, plan = _data(CASES[case][0])
+    assert plan.dataset.hot_batches and plan.dataset.cold_batches
+    assert len(plan.dataset.hot_batches) + len(plan.dataset.cold_batches) >= STEPS
+
+
+@pytest.mark.parametrize("trainer", ["fae", "baseline"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_reproduces_parent_trajectory(case, trainer):
+    golden = json.loads(GOLDEN.read_text())[case][trainer]
+    losses = run_fae(case)[1] if trainer == "fae" else run_baseline(case)[1]
+    assert len(golden) == STEPS
+    np.testing.assert_allclose(losses[:STEPS], golden, rtol=1e-5, atol=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_fae_equals_baseline_on_same_batch_order(case):
+    fae_model, fae_losses, order = run_fae(case)
+    base_model, base_losses = run_baseline(case, order=order)
+    assert len(order) >= STEPS
+    assert fae_losses == base_losses
+    for mine, theirs in zip(fae_model.dense_parameters(), base_model.dense_parameters()):
+        np.testing.assert_array_equal(mine.value, theirs.value, err_msg=mine.name)
+    for name, table in fae_model.tables.items():
+        np.testing.assert_array_equal(
+            table.weight.value, base_model.tables[name].weight.value, err_msg=name
+        )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: python tests/test_trajectory_pin.py --record")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(_trajectories(), indent=1) + "\n")
+    print(f"wrote {GOLDEN}")
