@@ -358,107 +358,84 @@ class EmbeddingHotCache:
         byte-identical plans, which is what lets crash recovery re-derive
         an interrupted refresh instead of persisting row payloads.
         """
-        names = sorted(self._members)
-        name_code = {name: i for i, name in enumerate(names)}
+        plan = RebalancePlan(delta=CacheDelta(), tick=self.tick)
+        with span("hotcache.plan", tick=self.tick) as sp:
+            names = sorted(self._members)
+            row_bytes = [self._dims[name] * 4 for name in names]
 
-        # Flatten current members into parallel arrays for victim search.
-        m_code_parts, m_id_parts, m_freq_parts, m_tick_parts = [], [], [], []
-        for name in names:
-            members = self._members[name]
-            m_code_parts.append(np.full(members.size, name_code[name], dtype=np.int64))
-            m_id_parts.append(members)
-            m_freq_parts.append(self._freq[name])
-            m_tick_parts.append(self._last_tick[name])
-        m_code = np.concatenate(m_code_parts) if m_code_parts else np.zeros(0, np.int64)
-        m_id = np.concatenate(m_id_parts) if m_id_parts else np.zeros(0, np.int64)
-        m_freq = (
-            np.concatenate(m_freq_parts) if m_freq_parts else np.zeros(0, np.float64)
-        )
-        m_tick = np.concatenate(m_tick_parts) if m_tick_parts else np.zeros(0, np.int64)
-        m_bytes = np.array(
-            [self._dims[names[int(c)]] * 4 for c in m_code], dtype=np.int64
-        )
-        alive = np.ones(m_id.size, dtype=bool)
+            # Window candidates: unique missed ids, scored by the sketch.
+            c_code_parts, c_id_parts, c_est_parts = [], [], []
+            for code, name in enumerate(names):
+                pending = self._pending[name]
+                if not pending:
+                    continue
+                cand = np.unique(np.concatenate(pending))
+                if cand.size == 0:
+                    continue
+                c_code_parts.append(np.full(cand.size, code, dtype=np.int64))
+                c_id_parts.append(cand)
+                c_est_parts.append(self._sketch[name].query(cand).astype(np.float64))
+            if not c_id_parts:
+                sp.set(candidates=0, admitted=0, victims=0)
+                return plan
+            cheapest = min(row_bytes[int(codes[0])] for codes in c_code_parts)
+            c_code = np.concatenate(c_code_parts)
+            c_id = np.concatenate(c_id_parts)
+            c_est = np.concatenate(c_est_parts)
+            # Admission order: best estimate first, ties by (table, id).
+            order = np.lexsort((c_id, c_code, -c_est))
+            c_code, c_id, c_est = c_code[order], c_id[order], c_est[order]
 
-        # Window candidates: unique missed ids, scored by the sketch.
-        c_code_parts, c_id_parts, c_est_parts = [], [], []
-        for name in names:
-            pending = self._pending[name]
-            if not pending:
-                continue
-            cand = np.unique(np.concatenate(pending))
-            if cand.size == 0:
-                continue
-            est = self._sketch[name].query(cand).astype(np.float64)
-            c_code_parts.append(np.full(cand.size, name_code[name], dtype=np.int64))
-            c_id_parts.append(cand)
-            c_est_parts.append(est)
-        if not c_id_parts:
-            return RebalancePlan(delta=CacheDelta(), tick=self.tick)
-        c_code = np.concatenate(c_code_parts)
-        c_id = np.concatenate(c_id_parts)
-        c_est = np.concatenate(c_est_parts)
-        # Admission order: best estimate first, ties by (table, id).
-        order = np.lexsort((c_id, c_code, -c_est))
+            # Members flattened in table order.  Victim priority is the exact
+            # counter under LFU, the last tick under LRU.  Taking the first
+            # minimum of what is left, over and over, visits members in
+            # (priority, index) order, so one stable sort is the whole
+            # eviction sequence and a pointer walks it (DESIGN.md section 13).
+            sizes = [self._members[name].size for name in names]
+            m_code = np.repeat(np.arange(len(names)), sizes)
+            m_id = np.concatenate([self._members[name] for name in names])
+            m_freq = np.concatenate([self._freq[name] for name in names])
+            priority = (
+                m_freq
+                if self.config.eviction == "lfu"
+                else np.concatenate([self._last_tick[name] for name in names])
+            )
+            victims = np.argsort(priority, kind="stable")
+            v_freq = m_freq[victims]
+            v_bytes = np.repeat(row_bytes, sizes)[victims]
+            spare = self._tracked_budget - int(v_bytes.sum())
 
-        used = int(np.sum(m_bytes[alive])) if m_id.size else 0
-        spare = self._tracked_budget - used
-
-        # Victim priority: exact counter under LFU, last tick under LRU.
-        priority = m_freq if self.config.eviction == "lfu" else m_tick.astype(np.float64)
-
-        admitted: list[tuple[int, int, float]] = []  # (code, id, est)
-        evicted_idx: list[int] = []
-        for pos in order:
-            code = int(c_code[pos])
-            row_bytes = self._dims[names[code]] * 4
-            est = float(c_est[pos])
-            while spare < row_bytes and alive.any():
-                masked = np.where(alive, priority, np.inf)
-                victim = int(np.argmin(masked))
-                # LFU admission test: the candidate must strictly
-                # out-count the victim's exact counter, or it stays out.
-                if est <= float(m_freq[victim]):
+            admitted: list[int] = []  # positions in admission order
+            evicted = 0  # victims[:evicted] are out
+            for pos, (code, est) in enumerate(zip(c_code.tolist(), c_est.tolist())):
+                need = row_bytes[code]
+                # LFU admission test: the candidate must strictly out-count
+                # the victim's exact counter, or it stays out.
+                while spare < need and evicted < victims.size and est > v_freq[evicted]:
+                    spare += int(v_bytes[evicted])
+                    evicted += 1
+                if spare >= need:
+                    admitted.append(pos)
+                    spare -= need
+                elif spare < cheapest:
+                    # Full, and the best estimate left lost to the next victim
+                    # (or none is left): no later candidate can evict or fit.
                     break
-                alive[victim] = False
-                evicted_idx.append(victim)
-                spare += int(m_bytes[victim])
-            if spare >= row_bytes:
-                admitted.append((code, int(c_id[pos]), est))
-                spare -= row_bytes
+            sp.set(candidates=int(c_id.size), admitted=len(admitted), victims=evicted)
 
-        promoted: dict[str, np.ndarray] = {}
-        demoted: dict[str, np.ndarray] = {}
-        promoted_order: dict[str, np.ndarray] = {}
-        promoted_est: dict[str, np.ndarray] = {}
-        demoted_order: dict[str, np.ndarray] = {}
-        for i, name in enumerate(names):
-            promo = np.array(
-                sorted(cid for code, cid, _ in admitted if code == i), dtype=np.int64
-            )
-            demo_idx = [j for j in evicted_idx if int(m_code[j]) == i]
-            demo = np.sort(m_id[demo_idx].astype(np.int64)) if demo_idx else np.zeros(
-                0, dtype=np.int64
-            )
-            if promo.size:
-                promoted[name] = promo
-                promoted_order[name] = np.array(
-                    [cid for code, cid, _ in admitted if code == i], dtype=np.int64
-                )
-                promoted_est[name] = np.array(
-                    [e for code, cid, e in admitted if code == i], dtype=np.float64
-                )
-            if demo.size:
-                demoted[name] = demo
-                demoted_order[name] = m_id[demo_idx].astype(np.int64)
-
-        return RebalancePlan(
-            delta=CacheDelta(promoted=promoted, demoted=demoted),
-            tick=self.tick,
-            promoted_order=promoted_order,
-            promoted_est=promoted_est,
-            demoted_order=demoted_order,
-        )
+            a_code, a_id, a_est = c_code[admitted], c_id[admitted], c_est[admitted]
+            e_code, e_id = m_code[victims[:evicted]], m_id[victims[:evicted]]
+            for code, name in enumerate(names):
+                mine = a_code == code
+                if mine.any():
+                    plan.promoted_order[name] = a_id[mine]
+                    plan.promoted_est[name] = a_est[mine]
+                    plan.delta.promoted[name] = np.sort(a_id[mine])
+                mine = e_code == code
+                if mine.any():
+                    plan.demoted_order[name] = e_id[mine]
+                    plan.delta.demoted[name] = np.sort(e_id[mine])
+        return plan
 
     def apply_rebalance(self, plan: RebalancePlan) -> CacheDelta:
         """Apply a :meth:`plan_rebalance` decision to the cache state.

@@ -62,12 +62,11 @@ class CountMinSketch:
         depth = int(np.ceil(np.log(1.0 / delta)))
         return cls(width=width, depth=max(1, depth), seed=seed)
 
-    def _buckets(self, ids: np.ndarray) -> np.ndarray:
-        """(depth, n) bucket indices via universal hashing."""
-        ids = np.asarray(ids, dtype=np.int64)
-        # ((a*x + b) mod p) mod width, row-wise.
+    def _cells(self, ids: np.ndarray) -> np.ndarray:
+        """(depth, n) indices into the flattened table via universal hashing."""
+        # row * width + ((a*x + b) mod p) mod width, row-wise.
         hashed = (self._a[:, None] * ids[None, :] + self._b[:, None]) % self._PRIME
-        return (hashed % self.width).astype(np.int64)
+        return hashed % self.width + np.arange(self.depth)[:, None] * self.width
 
     def add(self, ids: np.ndarray, counts: np.ndarray | None = None) -> None:
         """Count accesses for every id in ``ids`` (duplicates counted).
@@ -94,9 +93,12 @@ class CountMinSketch:
             if weights.size and int(weights.min()) < 0:
                 raise ValueError("counts must be non-negative")
             added = int(weights.sum())
-        buckets = self._buckets(ids)
-        for row in range(self.depth):
-            np.add.at(self.table[row], buckets[row], weights)
+            # One copy per hash row, spelled out: handing ufunc.at a 2-D
+            # index with 1-D values reads out of bounds (numpy 2.4).
+            weights = np.concatenate([weights] * self.depth)
+        # One exact integer scatter over all rows; it touches n * depth
+        # cells, where a bincount would sweep the whole table per add.
+        np.add.at(self.table.reshape(-1), self._cells(ids).ravel(), weights)
         self.total += added
 
     def decay(self, factor: float) -> None:
@@ -123,12 +125,7 @@ class CountMinSketch:
         ids = np.asarray(ids, dtype=np.int64).ravel()
         if ids.size == 0:
             return np.zeros(0, dtype=np.int64)
-        buckets = self._buckets(ids)
-        estimates = np.min(
-            np.stack([self.table[row, buckets[row]] for row in range(self.depth)]),
-            axis=0,
-        )
-        return estimates.astype(np.int64)
+        return self.table.ravel()[self._cells(ids)].min(axis=0)
 
     @property
     def nbytes(self) -> int:

@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
-__all__ = ["atomic_write", "atomic_write_text"]
+__all__ = ["atomic_write", "atomic_write_text", "remove_orphaned_temps"]
 
 
 @contextmanager
@@ -57,6 +57,20 @@ def atomic_write(path: str | Path) -> Iterator[Path]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def remove_orphaned_temps(directory: str | Path, name: str) -> None:
+    """Delete the temp files :func:`atomic_write` left for ``name``.
+
+    ``name`` is a destination file name in ``directory`` (glob wildcards
+    allowed); only temp files of writes to such destinations match, so
+    other writers sharing the directory are never touched.  A clean exit
+    renames its temp file and an exception removes it, so one that is
+    still there belongs to a writer that was killed.  Only call this
+    where no write to ``name`` can be in flight.
+    """
+    for orphan in Path(directory).glob(f".{name}.*.tmp*"):
+        orphan.unlink(missing_ok=True)
 
 
 def _fsync_path(path: Path) -> None:

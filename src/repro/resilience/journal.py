@@ -29,9 +29,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from repro.obs.metrics import get_registry
+from repro.obs.trace import span
 from repro.resilience.atomic import atomic_write_text
 
 __all__ = ["JOURNAL_VERSION", "JournalError", "RefreshJournal"]
@@ -47,16 +46,8 @@ class JournalError(RuntimeError):
 def _delta_to_json(delta) -> dict:
     """CacheDelta -> JSON-safe sorted id lists (deterministic bytes)."""
     return {
-        "promoted": {
-            name: [int(i) for i in ids]
-            for name, ids in sorted(delta.promoted.items())
-            if ids.size
-        },
-        "demoted": {
-            name: [int(i) for i in ids]
-            for name, ids in sorted(delta.demoted.items())
-            if ids.size
-        },
+        side: {name: ids.tolist() for name, ids in sorted(mapping.items()) if ids.size}
+        for side, mapping in (("promoted", delta.promoted), ("demoted", delta.demoted))
     }
 
 
@@ -72,6 +63,10 @@ class RefreshJournal:
 
     def __init__(self, directory: str | Path) -> None:
         self.path = Path(directory) / self.FILENAME
+        self._intent: dict | None = None  # what begin() wrote, until committed
+
+    def _write(self, record: dict) -> None:
+        atomic_write_text(self.path, json.dumps(record, sort_keys=True) + "\n")
 
     # ------------------------------------------------------------------
     # Transaction protocol
@@ -81,31 +76,37 @@ class RefreshJournal:
         """Durably record the intent to apply ``delta`` — call *before*
         any cache/replica/scheduler mutation.
         """
-        record = {
-            "version": JOURNAL_VERSION,
-            "status": "intent",
-            "refresh_index": int(refresh_index),
-            "tick": int(tick),
-            "generation": int(generation),
-            "delta": _delta_to_json(delta),
-        }
-        atomic_write_text(self.path, json.dumps(record, sort_keys=True) + "\n")
+        with span("resilience.journal.begin", tick=int(tick)):
+            record = {
+                "version": JOURNAL_VERSION,
+                "status": "intent",
+                "refresh_index": int(refresh_index),
+                "tick": int(tick),
+                "generation": int(generation),
+                "delta": _delta_to_json(delta),
+            }
+            self._write(record)
+        self._intent = dict(record)  # the caller's copy cannot alter the commit
         get_registry().counter("resilience.journal.begins").inc()
         return record
 
     def commit(self) -> None:
         """Mark the in-flight refresh complete — call after ``repack_pools``.
 
+        Commits the intent this object's :meth:`begin` wrote, from memory.
+        An intent left on disk by a crashed process is never committed
+        as is: the resumed run re-plans, verifies and begins it again.
+
         Raises:
-            JournalError: if there is no intent record to commit.
+            JournalError: if this journal has no begun, uncommitted intent.
         """
-        record = self.read()
-        if record is None or record.get("status") != "intent":
+        if self._intent is None:
             raise JournalError(
                 f"journal {self.path} has no pending intent to commit"
             )
-        record["status"] = "committed"
-        atomic_write_text(self.path, json.dumps(record, sort_keys=True) + "\n")
+        with span("resilience.journal.commit"):
+            self._write({**self._intent, "status": "committed"})
+        self._intent = None
         get_registry().counter("resilience.journal.commits").inc()
 
     # ------------------------------------------------------------------
@@ -168,10 +169,3 @@ class RefreshJournal:
                 "nondeterministic refresh"
             )
         get_registry().counter("resilience.journal.rollforwards").inc()
-
-
-def _as_delta_arrays(mapping: dict) -> dict[str, np.ndarray]:
-    """JSON id lists -> sorted int64 arrays (for tests/tools)."""
-    return {
-        name: np.asarray(ids, dtype=np.int64) for name, ids in mapping.items()
-    }

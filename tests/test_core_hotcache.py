@@ -1,7 +1,10 @@
 """Tests for the online frequency-aware embedding cache (repro.core.hotcache)."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import fae_preprocess
 from repro.core.classifier import HotEmbeddingBagSpec
@@ -9,6 +12,7 @@ from repro.core.hotcache import (
     CacheDelta,
     EmbeddingHotCache,
     HotCacheConfig,
+    RebalancePlan,
     repack_remaining,
 )
 from repro.core.sketch import CountMinSketch
@@ -168,6 +172,233 @@ class TestRebalance:
             cache.rebalance()
             outcomes.append(cache.bags()["t"].hot_ids.tolist())
         assert outcomes[0] == outcomes[1]
+
+
+def _reference_plan(cache: EmbeddingHotCache) -> RebalancePlan:
+    """The admission loop ``plan_rebalance`` had before PR 13, kept as the
+    oracle: a masked ``argmin`` over every member per eviction, outputs
+    gathered by per-member Python comprehensions."""
+    names = sorted(cache._members)
+    name_code = {name: i for i, name in enumerate(names)}
+
+    m_code_parts, m_id_parts, m_freq_parts, m_tick_parts = [], [], [], []
+    for name in names:
+        members = cache._members[name]
+        m_code_parts.append(np.full(members.size, name_code[name], dtype=np.int64))
+        m_id_parts.append(members)
+        m_freq_parts.append(cache._freq[name])
+        m_tick_parts.append(cache._last_tick[name])
+    m_code = np.concatenate(m_code_parts) if m_code_parts else np.zeros(0, np.int64)
+    m_id = np.concatenate(m_id_parts) if m_id_parts else np.zeros(0, np.int64)
+    m_freq = np.concatenate(m_freq_parts) if m_freq_parts else np.zeros(0, np.float64)
+    m_tick = np.concatenate(m_tick_parts) if m_tick_parts else np.zeros(0, np.int64)
+    m_bytes = np.array([cache._dims[names[int(c)]] * 4 for c in m_code], dtype=np.int64)
+    alive = np.ones(m_id.size, dtype=bool)
+
+    c_code_parts, c_id_parts, c_est_parts = [], [], []
+    for name in names:
+        pending = cache._pending[name]
+        if not pending:
+            continue
+        cand = np.unique(np.concatenate(pending))
+        if cand.size == 0:
+            continue
+        est = cache._sketch[name].query(cand).astype(np.float64)
+        c_code_parts.append(np.full(cand.size, name_code[name], dtype=np.int64))
+        c_id_parts.append(cand)
+        c_est_parts.append(est)
+    if not c_id_parts:
+        return RebalancePlan(delta=CacheDelta(), tick=cache.tick)
+    c_code = np.concatenate(c_code_parts)
+    c_id = np.concatenate(c_id_parts)
+    c_est = np.concatenate(c_est_parts)
+    order = np.lexsort((c_id, c_code, -c_est))
+
+    used = int(np.sum(m_bytes[alive])) if m_id.size else 0
+    spare = cache._tracked_budget - used
+    priority = m_freq if cache.config.eviction == "lfu" else m_tick.astype(np.float64)
+
+    admitted: list[tuple[int, int, float]] = []
+    evicted_idx: list[int] = []
+    for pos in order:
+        code = int(c_code[pos])
+        row_bytes = cache._dims[names[code]] * 4
+        est = float(c_est[pos])
+        while spare < row_bytes and alive.any():
+            masked = np.where(alive, priority, np.inf)
+            victim = int(np.argmin(masked))
+            if est <= float(m_freq[victim]):
+                break
+            alive[victim] = False
+            evicted_idx.append(victim)
+            spare += int(m_bytes[victim])
+        if spare >= row_bytes:
+            admitted.append((code, int(c_id[pos]), est))
+            spare -= row_bytes
+
+    promoted, demoted = {}, {}
+    promoted_order, promoted_est, demoted_order = {}, {}, {}
+    for i, name in enumerate(names):
+        promo = np.array(sorted(cid for code, cid, _ in admitted if code == i), dtype=np.int64)
+        demo_idx = [j for j in evicted_idx if int(m_code[j]) == i]
+        demo = (
+            np.sort(m_id[demo_idx].astype(np.int64))
+            if demo_idx
+            else np.zeros(0, dtype=np.int64)
+        )
+        if promo.size:
+            promoted[name] = promo
+            promoted_order[name] = np.array(
+                [cid for code, cid, _ in admitted if code == i], dtype=np.int64
+            )
+            promoted_est[name] = np.array(
+                [e for code, cid, e in admitted if code == i], dtype=np.float64
+            )
+        if demo.size:
+            demoted[name] = demo
+            demoted_order[name] = m_id[demo_idx].astype(np.int64)
+    return RebalancePlan(
+        delta=CacheDelta(promoted=promoted, demoted=demoted),
+        tick=cache.tick,
+        promoted_order=promoted_order,
+        promoted_est=promoted_est,
+        demoted_order=demoted_order,
+    )
+
+
+def _assert_arrays_identical(got: dict, want: dict, what: str) -> None:
+    assert list(got) == list(want), what
+    for name in want:
+        assert got[name].dtype == want[name].dtype, f"{what}[{name}] dtype"
+        np.testing.assert_array_equal(got[name], want[name], err_msg=f"{what}[{name}]")
+
+
+def _assert_same_plan(got: RebalancePlan, want: RebalancePlan) -> None:
+    assert got.tick == want.tick
+    _assert_arrays_identical(got.delta.promoted, want.delta.promoted, "promoted")
+    _assert_arrays_identical(got.delta.demoted, want.delta.demoted, "demoted")
+    _assert_arrays_identical(got.promoted_order, want.promoted_order, "promoted_order")
+    _assert_arrays_identical(got.promoted_est, want.promoted_est, "promoted_est")
+    _assert_arrays_identical(got.demoted_order, want.demoted_order, "demoted_order")
+
+
+_NUM_ROWS = 24
+
+# Few distinct counters and estimates, so ties (the argmin/stable-sort
+# tie-break) and exact est == counter standoffs are the common case.
+_table_state = st.fixed_dictionaries(
+    {
+        "dim": st.sampled_from([2, 4, 8]),
+        "member": st.lists(st.booleans(), min_size=_NUM_ROWS, max_size=_NUM_ROWS),
+        "freq": st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 7.0]),
+            min_size=_NUM_ROWS,
+            max_size=_NUM_ROWS,
+        ),
+        "tick": st.lists(st.integers(0, 3), min_size=_NUM_ROWS, max_size=_NUM_ROWS),
+        # Missed-id windows: (row, sketch weight) pairs; rows that turn out
+        # to be members are dropped, as observe() never queues a member.
+        "windows": st.lists(
+            st.lists(
+                st.tuples(st.integers(0, _NUM_ROWS - 1), st.sampled_from([0, 1, 2, 3, 8])),
+                max_size=12,
+            ),
+            max_size=3,
+        ),
+    }
+)
+
+
+def _build_cache(tables, eviction, spare_rows, sketch_width):
+    """A cache in an arbitrary reachable-looking state, without traffic."""
+    bags, used = {}, 0
+    for index, table in enumerate(tables):
+        ids = np.flatnonzero(table["member"])
+        bags[f"t{index}"] = _bag(f"t{index}", ids, num_rows=_NUM_ROWS, dim=table["dim"])
+        used += ids.size * table["dim"] * 4
+    # spare_rows counts dim-2 rows: 0 is "exactly full", negative is
+    # over budget (more than one eviction per admission), large is "free".
+    config = HotCacheConfig(
+        budget_bytes=max(0, used + spare_rows * 8),
+        eviction=eviction,
+        sketch_width=sketch_width,
+        sketch_depth=2,
+    )
+    cache = EmbeddingHotCache(bags, config)
+    for index, table in enumerate(tables):
+        name = f"t{index}"
+        members = cache._members[name]
+        cache._freq[name] = np.asarray(table["freq"], dtype=np.float64)[members]
+        cache._last_tick[name] = np.asarray(table["tick"], dtype=np.int64)[members]
+        for window in table["windows"]:
+            missed = [(row, w) for row, w in window if not table["member"][row]]
+            if not missed:
+                continue
+            rows, weights = (np.asarray(x, dtype=np.int64) for x in zip(*missed))
+            cache._sketch[name].add(rows, counts=weights)
+            cache._pending[name].append(rows)
+    cache.tick = 5
+    return cache
+
+
+class TestPlanIdentity:
+    """ROADMAP 4b: plans are journaled and re-derived after a crash, so the
+    sort-once planner must reproduce the argmin loop exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tables=st.lists(_table_state, min_size=1, max_size=3),
+        eviction=st.sampled_from(["lfu", "lru"]),
+        spare_rows=st.sampled_from([-6, -1, 0, 0, 1, 3, 200]),
+        sketch_width=st.sampled_from([4, 64]),
+    )
+    def test_matches_argmin_reference(self, tables, eviction, spare_rows, sketch_width):
+        cache = _build_cache(tables, eviction, spare_rows, sketch_width)
+        before = pickle.dumps(cache.state_dict())
+        want = _reference_plan(cache)
+        got = cache.plan_rebalance()
+        _assert_same_plan(got, want)
+        assert pickle.dumps(cache.state_dict()) == before  # planning is pure
+        # The plan owns its arrays: applying it must not be able to alias
+        # (and so corrupt) the state it was drawn from.
+        for arrays in (got.delta.promoted, got.delta.demoted, got.promoted_order):
+            for name, ids in arrays.items():
+                assert not np.shares_memory(ids, cache._members[name])
+        cache.apply_rebalance(got)
+
+    @pytest.mark.parametrize("eviction", ["lfu", "lru"])
+    def test_empty_window(self, eviction):
+        cache = _cache(eviction=eviction)
+        cache.observe({"t": np.array([[0, 1, 2, 3]])})  # hits only
+        _assert_same_plan(cache.plan_rebalance(), _reference_plan(cache))
+        assert cache.plan_rebalance().delta.is_empty
+
+    @pytest.mark.parametrize("eviction", ["lfu", "lru"])
+    def test_every_member_evicted(self, eviction):
+        cache = _cache(hot_ids=(0, 1, 2, 3), budget_rows=4, eviction=eviction)
+        for _ in range(9):
+            cache.observe({"t": np.array([[40, 41, 42, 43, 44, 45]])})
+        plan = cache.plan_rebalance()
+        _assert_same_plan(plan, _reference_plan(cache))
+        assert plan.delta.demoted["t"].tolist() == [0, 1, 2, 3]
+        assert plan.delta.promoted["t"].tolist() == [40, 41, 42, 43]
+
+    def test_partial_eviction_without_admission(self):
+        # A wide candidate evicts a narrow victim, then loses to the next
+        # one: the first eviction stands although nothing was admitted
+        # (the loop's behaviour, kept because plans are journaled).
+        bags = {
+            "narrow": _bag("narrow", (0, 1), dim=2),
+            "wide": _bag("wide", (), dim=8),
+        }
+        cache = EmbeddingHotCache(bags, HotCacheConfig(budget_bytes=2 * 2 * 4))
+        cache._freq["narrow"] = np.array([1.0, 9.0])
+        cache._sketch["wide"].add(np.array([7]), counts=np.array([5]))
+        cache._pending["wide"].append(np.array([7], dtype=np.int64))
+        plan = cache.plan_rebalance()
+        _assert_same_plan(plan, _reference_plan(cache))
+        assert plan.delta.demoted["narrow"].tolist() == [0]
+        assert not plan.delta.promoted
 
 
 class TestBagsAndStats:

@@ -89,6 +89,71 @@ class TestCountMinSketch:
         assert estimates.sum() >= truth.sum()
 
 
+def _reference_add(sketch: CountMinSketch, ids, counts=None) -> None:
+    """``CountMinSketch.add`` as it was before PR 13: one ``np.add.at``
+    per hash row."""
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    weights = 1 if counts is None else np.asarray(counts, dtype=np.int64).ravel()
+    hashed = (sketch._a[:, None] * ids[None, :] + sketch._b[:, None]) % sketch._PRIME
+    buckets = hashed % sketch.width
+    for row in range(sketch.depth):
+        np.add.at(sketch.table[row], buckets[row], weights)
+    sketch.total += int(ids.size if counts is None else weights.sum())
+
+
+def _reference_query(sketch: CountMinSketch, ids) -> np.ndarray:
+    """``CountMinSketch.query`` as it was before PR 13: stack rows, take min."""
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    hashed = (sketch._a[:, None] * ids[None, :] + sketch._b[:, None]) % sketch._PRIME
+    buckets = hashed % sketch.width
+    rows = [sketch.table[row, buckets[row]] for row in range(sketch.depth)]
+    return np.min(np.stack(rows), axis=0).astype(np.int64)
+
+
+class TestFlatAddMatchesRowLoop:
+    @given(
+        batches=st.lists(
+            st.lists(
+                # Weights past 2**53 would round in a float64 bincount.
+                st.tuples(st.integers(0, 10**9), st.integers(0, 2**55)),
+                min_size=1,
+                max_size=40,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        weighted=st.booleans(),
+        width=st.sampled_from([1, 7, 64]),
+        depth=st.integers(1, 4),
+        seed=st.integers(0, 5),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_table_and_total_bit_identical(self, batches, weighted, width, depth, seed):
+        new = CountMinSketch(width=width, depth=depth, seed=seed)
+        old = CountMinSketch(width=width, depth=depth, seed=seed)
+        for batch in batches:
+            ids, counts = (np.array(x, dtype=np.int64) for x in zip(*batch))
+            new.add(ids, counts=counts if weighted else None)
+            _reference_add(old, ids, counts if weighted else None)
+            new.decay(0.75)
+            old.decay(0.75)
+            assert new.table.dtype == old.table.dtype == np.int64
+            np.testing.assert_array_equal(new.table, old.table)
+            assert new.total == old.total
+        probe = np.arange(50, dtype=np.int64)
+        assert new.query(probe).dtype == np.int64
+        np.testing.assert_array_equal(new.query(probe), _reference_query(old, probe))
+
+    def test_two_dimensional_ids_are_flattened(self):
+        new = CountMinSketch(width=16, depth=3, seed=2)
+        old = CountMinSketch(width=16, depth=3, seed=2)
+        ids = np.array([[3, 3, 9], [9, 9, 1]])
+        new.add(ids)
+        _reference_add(old, ids)
+        np.testing.assert_array_equal(new.table, old.table)
+        assert new.total == old.total == 6
+
+
 class TestSketchLogger:
     def test_profile_matches_exact_on_hot_rows(self, tiny_log, tiny_fae_config):
         exact = EmbeddingLogger(tiny_fae_config).profile(

@@ -2,7 +2,10 @@
 refresh, phase-targeted kill/resume exactness for both trainers, and the
 certification fingerprint + checkpoint CLI."""
 
+import hashlib
+import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ from repro.core.sketch import CountMinSketch
 from repro.data import train_test_split
 from repro.dist import DistributedFAETrainer
 from repro.models.dlrm import DLRM, DLRMConfig
-from repro.obs import get_registry
+from repro.obs import get_registry, get_tracer, tracing
+from repro.obs.analyze import analyze_records
 from repro.resilience import (
     CheckpointManager,
     FaultPlan,
@@ -28,6 +32,7 @@ from repro.resilience import (
     load_checkpoint,
     read_checkpoint_meta,
     save_checkpoint,
+    verify_checkpoint,
 )
 from repro.resilience.certify import CertifyConfig, write_final_state
 from repro.resilience.faults import REFRESH_PHASES
@@ -351,6 +356,102 @@ class TestCheckpointV2:
         assert meta["size_bytes"] == path.stat().st_size
 
 
+def _rewrite_deflated(path):
+    """Re-encode an archive the way the parent of PR 13 wrote it:
+    ``np.savez_compressed`` members plus a sidecar over those bytes."""
+    with np.load(path, allow_pickle=False) as archive:
+        payload = {key: archive[key] for key in archive.files}
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **payload)
+    blob = buffer.getvalue()
+    path.write_bytes(blob)
+    path.with_name(path.name + ".sha256").write_text(
+        f"{hashlib.sha256(blob).hexdigest()}  {path.name}\n", encoding="utf-8"
+    )
+
+
+class TestArchiveFormat:
+    def test_members_are_stored_not_deflated(self, tmp_path, tiny_schema):
+        _cache, ckpt = _cache_checkpoint(tiny_schema)
+        path = save_checkpoint(tmp_path, ckpt)
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+        assert infos
+        assert all(info.compress_type == zipfile.ZIP_STORED for info in infos)
+        assert all(info.compress_size == info.file_size for info in infos)
+
+    def test_size_bytes_and_counter_equal_file_size(self, tmp_path, tiny_schema):
+        _cache, ckpt = _cache_checkpoint(tiny_schema)
+        counter = get_registry().counter("resilience.checkpoint.bytes")
+        before = counter.value
+        path = save_checkpoint(tmp_path, ckpt)
+        assert read_checkpoint_meta(path)["size_bytes"] == path.stat().st_size
+        assert counter.value - before == path.stat().st_size
+        sidecar = path.with_name(path.name + ".sha256").read_text(encoding="utf-8")
+        assert sidecar.split()[0] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_deflated_archive_from_parent_still_loads(self, tmp_path, tiny_schema):
+        _cache, ckpt = _cache_checkpoint(tiny_schema, step=11)
+        path = save_checkpoint(tmp_path, ckpt)
+        stored_size = path.stat().st_size
+        _rewrite_deflated(path)
+        with zipfile.ZipFile(path) as archive:
+            assert all(
+                info.compress_type == zipfile.ZIP_DEFLATED for info in archive.infolist()
+            )
+        assert path.stat().st_size < stored_size
+        assert verify_checkpoint(path)
+        assert latest_checkpoint(tmp_path) == path
+        meta = read_checkpoint_meta(path)
+        assert (meta["step"], meta["version"]) == (11, 2)
+        assert meta["size_bytes"] == path.stat().st_size
+        loaded = load_checkpoint(path)
+        _assert_tree_equal(loaded.cache_state, ckpt.cache_state)
+        _assert_tree_equal(loaded.dataset_state, ckpt.dataset_state)
+        _assert_tree_equal(loaded.params, ckpt.params)
+
+
+class TestOrphanedTempFiles:
+    def test_prune_removes_killed_writers_temp_files(self, tmp_path, tiny_schema):
+        manager = CheckpointManager(tmp_path, keep=2)
+        _cache, first = _cache_checkpoint(tiny_schema, step=1)
+        kept = manager.save(first)
+        journal = RefreshJournal(tmp_path)
+        journal.begin(refresh_index=0, tick=1, generation=1, delta=_tiny_delta())
+        # What a SIGKILL between mkstemp and os.replace leaves behind.
+        orphans = [
+            tmp_path / ".ckpt-00000002.npz.k1ll3d.tmp.npz",
+            tmp_path / ".ckpt-00000002.npz.sha256.k1ll3d.tmp.sha256",
+            tmp_path / ".refresh.journal.k1ll3d.tmp.journal",
+        ]
+        # Another writer's in-flight temp file is not this manager's to delete.
+        foreign = tmp_path / ".metrics.jsonl.1nfl1ght.tmp.jsonl"
+        for orphan in [*orphans, foreign]:
+            orphan.write_bytes(b"half a write")
+        _cache, second = _cache_checkpoint(tiny_schema, step=2)
+        newest = manager.save(second)
+        assert not any(orphan.exists() for orphan in orphans)
+        assert foreign.read_bytes() == b"half a write"
+        foreign.unlink()
+        assert verify_checkpoint(kept) and verify_checkpoint(newest)
+        assert journal.pending()["tick"] == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ckpt-00000001.npz",
+            "ckpt-00000001.npz.sha256",
+            "ckpt-00000002.npz",
+            "ckpt-00000002.npz.sha256",
+            "refresh.journal",
+        ]
+
+    def test_unbounded_retention_still_sweeps(self, tmp_path, tiny_schema):
+        manager = CheckpointManager(tmp_path, keep=None)
+        orphan = tmp_path / ".ckpt-00000009.npz.k1ll3d.tmp.npz"
+        orphan.write_bytes(b"half a write")
+        _cache, ckpt = _cache_checkpoint(tiny_schema, step=3)
+        manager.save(ckpt)
+        assert not orphan.exists()
+
+
 class TestAtomicFsync:
     def test_temp_file_is_fsynced_before_rename(self, tmp_path, monkeypatch):
         import os as os_mod
@@ -409,6 +510,68 @@ class TestRefreshJournal:
         journal.commit()
         with pytest.raises(JournalError):
             journal.commit()  # already committed
+
+    def test_bytes_match_the_per_id_int_encoding(self, tmp_path):
+        # The parent of PR 13 wrote [int(i) for i in ids]; tolist() must
+        # produce the same file, byte for byte, for intent and commit.
+        from repro.core.hotcache import CacheDelta
+
+        delta = CacheDelta(
+            promoted={
+                "b": np.array([2, 2**40], dtype=np.int64),
+                "a": np.array([7], dtype=np.int64),
+                "empty": np.zeros(0, dtype=np.int64),
+            },
+            demoted={"a": np.array([0, 3], dtype=np.int64)},
+        )
+        record = {
+            "version": 1,
+            "status": "intent",
+            "refresh_index": 4,
+            "tick": 77,
+            "generation": 9,
+            "delta": {
+                side: {
+                    name: [int(i) for i in ids]
+                    for name, ids in sorted(mapping.items())
+                    if ids.size
+                }
+                for side, mapping in (("promoted", delta.promoted), ("demoted", delta.demoted))
+            },
+        }
+        journal = RefreshJournal(tmp_path)
+        returned = journal.begin(refresh_index=4, tick=77, generation=9, delta=delta)
+        assert returned == record
+        assert journal.path.read_text() == json.dumps(record, sort_keys=True) + "\n"
+        returned["tick"] = -1  # the caller's copy is not what gets committed
+        journal.commit()
+        assert returned["status"] == "intent"  # nor is it rewritten
+        record["status"] = "committed"
+        assert journal.path.read_text() == json.dumps(record, sort_keys=True) + "\n"
+
+    def test_commit_does_not_reread_its_own_intent(self, tmp_path, monkeypatch):
+        journal = RefreshJournal(tmp_path)
+        journal.begin(refresh_index=0, tick=3, generation=1, delta=_tiny_delta())
+
+        def no_read():
+            raise AssertionError("commit() re-read the journal")
+
+        monkeypatch.setattr(journal, "read", no_read)
+        journal.commit()
+        monkeypatch.undo()
+        assert journal.read()["status"] == "committed"
+        assert journal.read()["tick"] == 3
+
+    def test_only_the_beginning_object_commits(self, tmp_path):
+        # A crashed run's intent is re-begun by the resumed run, never
+        # committed as found: commit() has one path, the begun record.
+        RefreshJournal(tmp_path).begin(
+            refresh_index=0, tick=3, generation=1, delta=_tiny_delta()
+        )
+        bystander = RefreshJournal(tmp_path)
+        with pytest.raises(JournalError):
+            bystander.commit()
+        assert bystander.pending()["tick"] == 3
 
     def test_unreadable_record_raises(self, tmp_path):
         journal = RefreshJournal(tmp_path)
@@ -525,13 +688,22 @@ def simulated_sigkill(monkeypatch):
     )
 
 
-def _kill_and_resume(make_trainer, schema, train, test, plan, tmp_path, faults):
-    """Crash a run at ``faults``, resume it, return (trainer, result)."""
+def _kill_and_resume(
+    make_trainer, schema, train, test, plan, tmp_path, faults, rewrite=None
+):
+    """Crash a run at ``faults``, resume it, return (trainer, result).
+
+    ``rewrite`` (optional) re-encodes every surviving checkpoint before
+    the resume reads any of them."""
     crash_dir = tmp_path / "crash"
     manager = CheckpointManager(crash_dir, every=1, keep=None)
     killed = make_trainer(schema, plan, fault_plan=FaultPlan.parse(faults))
     with pytest.raises(_SimulatedKill):
         killed.train(train, test, epochs=1, checkpoint=manager)
+    if rewrite is not None:
+        for archive in sorted(crash_dir.glob("ckpt-*.npz")):
+            if verify_checkpoint(archive):
+                rewrite(archive)
 
     resume_from = latest_checkpoint(crash_dir)
     assert resume_from is not None, "kill fired before any checkpoint was saved"
@@ -596,6 +768,32 @@ class TestKillResumeExactness:
         # forward and committed by the resumed run.
         assert RefreshJournal(crash_dir).read()["status"] == "committed"
 
+    def test_resumes_exactly_from_a_deflated_parent_archive(
+        self, tmp_path, cache_fae_setup, simulated_sigkill, make_trainer
+    ):
+        # Checkpoints written before PR 13 were deflated; a run must pick
+        # one up mid-refresh and still land on the reference, bit for bit.
+        schema, train, test, plan = cache_fae_setup
+        reference = make_trainer(schema, plan)
+        ref_result = reference.train(
+            train,
+            test,
+            epochs=1,
+            checkpoint=CheckpointManager(tmp_path / "ref", every=1, keep=None),
+        )
+        resumed, result, crash_dir = _kill_and_resume(
+            make_trainer, schema, train, test, plan, tmp_path,
+            "crash_refresh=0@apply", rewrite=_rewrite_deflated,
+        )
+        _assert_same_final_state(reference, resumed, ref_result, result)
+        assert RefreshJournal(crash_dir).read()["status"] == "committed"
+        # The archive it resumed from is still there, and still deflated.
+        kinds = set()
+        for archive in crash_dir.glob("ckpt-*.npz"):
+            with zipfile.ZipFile(archive) as members:
+                kinds |= {info.compress_type for info in members.infolist()}
+        assert kinds == {zipfile.ZIP_DEFLATED, zipfile.ZIP_STORED}
+
     def test_checkpoint_boundary_kill_resumes_exactly(
         self, tmp_path, cache_fae_setup, simulated_sigkill, make_trainer
     ):
@@ -611,6 +809,62 @@ class TestKillResumeExactness:
             make_trainer, schema, train, test, plan, tmp_path, "crash_checkpoint=1"
         )
         _assert_same_final_state(reference, resumed, ref_result, result)
+
+
+class TestRefreshTransactionSpans:
+    """ROADMAP 1a: the refresh transaction is legible phase by phase."""
+
+    PHASES = (
+        "hotcache.plan",
+        "resilience.journal.begin",
+        "hotcache.rebalance",
+        "resilience.journal.commit",
+    )
+
+    def _train(self, tmp_path, cache_fae_setup):
+        schema, train, test, plan = cache_fae_setup
+        trainer = _single_trainer(schema, plan)
+        trainer.train(
+            train, test, epochs=1,
+            checkpoint=CheckpointManager(tmp_path, every=1, keep=None),
+        )
+        return trainer
+
+    def test_phases_are_spans_in_protocol_order(self, tmp_path, cache_fae_setup):
+        tracer = get_tracer()
+        tracer.reset()
+        with tracing():
+            trainer = self._train(tmp_path, cache_fae_setup)
+        records = tracer.records()
+        tracer.reset()
+        by_name = {}
+        for record in records:
+            by_name.setdefault(record.name, []).append(record)
+        refreshes = trainer.cache.rebalances
+        assert refreshes >= 1
+        for phase in self.PHASES:
+            assert len(by_name[phase]) == refreshes, phase
+        for plan, begin, apply, commit in zip(*(by_name[p] for p in self.PHASES)):
+            assert plan.end <= begin.start <= begin.end <= apply.start
+            assert apply.end <= commit.start
+            assert set(plan.attributes) >= {"tick", "candidates", "admitted", "victims"}
+            assert begin.attributes["tick"] == plan.attributes["tick"]
+        stats = trainer.cache.stats()
+        assert sum(r.attributes["admitted"] for r in by_name["hotcache.plan"]) == stats["promotions"]
+        assert sum(r.attributes["victims"] for r in by_name["hotcache.plan"]) == stats["demotions"]
+        saves = by_name["resilience.checkpoint.save"]
+        sizes = sorted(p.stat().st_size for p in tmp_path.glob("ckpt-*.npz"))
+        assert sorted(r.attributes["bytes"] for r in saves) == sizes
+        # Self times still add up with the new spans in the tree.
+        analysis = analyze_records([r.to_dict() for r in records])
+        assert analysis.coverage() == pytest.approx(1.0)
+
+    def test_tracer_off_records_nothing(self, tmp_path, cache_fae_setup):
+        tracer = get_tracer()
+        tracer.reset()
+        with tracing(False):
+            self._train(tmp_path, cache_fae_setup)
+        assert len(tracer) == 0
 
 
 # ----------------------------------------------------------------------
