@@ -843,50 +843,31 @@ def cmd_train(args) -> int:
                         ),
                         profile=plan.calibration.profile,
                     )
-                if args.gpus > 1:
-                    replicas = [
-                        build_model(spec, schema=log.schema, seed=args.seed + 1)
-                        for _ in range(args.gpus)
-                    ]
-                    trainer = DistributedFAETrainer(
-                        replicas,
-                        plan,
-                        lr=args.lr,
-                        fault_plan=fault_plan,
-                        guards=guards,
-                        rejoin=args.rejoin,
-                        event_log=event_log,
-                        cache=cache,
-                    )
-                    if ledger is not None:
-                        trainer.guard_ledger_path = str(ledger.path)
-                    result = trainer.train(
-                        train,
-                        test,
-                        epochs=args.epochs,
-                        checkpoint=manager,
-                        resume=resume_path,
-                    )
-                    model = trainer.replicas[0]
-                else:
-                    model = build_model(spec, schema=log.schema, seed=args.seed + 1)
-                    trainer = FAETrainer(
-                        model,
-                        plan,
-                        lr=args.lr,
-                        fault_plan=fault_plan,
-                        guards=guards,
-                        cache=cache,
-                    )
-                    if ledger is not None:
-                        trainer.guard_ledger_path = str(ledger.path)
-                    result = trainer.train(
-                        train,
-                        test,
-                        epochs=args.epochs,
-                        checkpoint=manager,
-                        resume=resume_path,
-                    )
+                # One engine at every world size: --gpus 1 is a world of one.
+                replicas = [
+                    build_model(spec, schema=log.schema, seed=args.seed + 1)
+                    for _ in range(args.gpus)
+                ]
+                trainer = DistributedFAETrainer(
+                    replicas,
+                    plan,
+                    lr=args.lr,
+                    fault_plan=fault_plan,
+                    guards=guards,
+                    rejoin=args.rejoin,
+                    event_log=event_log,
+                    cache=cache,
+                )
+                if ledger is not None:
+                    trainer.guard_ledger_path = str(ledger.path)
+                result = trainer.train(
+                    train,
+                    test,
+                    epochs=args.epochs,
+                    checkpoint=manager,
+                    resume=resume_path,
+                )
+                model = replicas[0]
                 print(f"FAE syncs: {result.sync_events}, rate trace: {result.schedule_rates}")
                 if guards is not None:
                     print(

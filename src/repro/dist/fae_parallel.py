@@ -11,10 +11,13 @@ shard.  The embedding path depends on the batch's temperature:
   all-reduce covers MLP and hot-embedding gradients, and identical
   optimizer steps keep the replicas bit-equal (paper SS II-B(3)).
 
-Hot<->cold transitions synchronize the hot rows through the
-:class:`~repro.core.replicator.EmbeddingReplicator`, exactly like the
-single-device :class:`~repro.train.trainer.FAETrainer` — which this
-trainer is provably equivalent to (see tests/test_dist.py).
+Segments, hot<->cold transitions, guards, checkpoints and cache
+turnover are the shared :class:`~repro.train.engine.SegmentEngine` —
+the same code the single-device
+:class:`~repro.train.trainer.FAETrainer` runs, which this trainer is
+provably equivalent to (see tests/test_dist.py).  What lives here is
+only what ``k > 1`` adds: sharding, the dense all-reduce, rank death
+and rejoin.
 
 Resilience: when constructed with a
 :class:`~repro.resilience.faults.FaultPlan`, the trainer survives the
@@ -37,43 +40,26 @@ Deaths and rejoins are visible in the supervisor event log
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import replace
-
 import numpy as np
 
-from repro.core.hotcache import EmbeddingHotCache, repack_remaining
-from repro.core.input_processor import FAEDataset
+from repro.core.hotcache import EmbeddingHotCache
 from repro.core.pipeline import FAEPlan
-from repro.core.replicator import EmbeddingReplicator
-from repro.core.scheduler import ShuffleScheduler
-from repro.data.loader import fetch_batch
 from repro.data.synthetic import SyntheticClickLog
 from repro.dist.collectives import ProcessGroup, ReduceOp
 from repro.dist.parallel import shard_batch
 from repro.models.base import RecModel
-from repro.nn.embedding import EmbeddingBag
-from repro.nn.losses import BCEWithLogits
-from repro.nn.optim import SGD
 from repro.obs import get_registry, span
-from repro.resilience.checkpoint import (
-    CheckpointManager,
-    TrainerCheckpoint,
-    capture_training_state,
-    load_checkpoint,
-    restore_training_state,
-)
-from repro.resilience.faults import FaultPlan, PermanentRankFailure, popular_local_row
-from repro.resilience.guards import LossSpikeError, NumericGuard
-from repro.resilience.journal import RefreshJournal
+from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.faults import FaultPlan
+from repro.resilience.guards import NumericGuard
 from repro.resilience.retry import RetryPolicy
-from repro.train.history import HistoryPoint, TrainingHistory
-from repro.train.trainer import TrainResult, evaluate_with_master_bags
+from repro.train.engine import SegmentEngine, TrainResult
+from repro.train.metrics import binary_accuracy
 
 __all__ = ["DistributedFAETrainer"]
 
 
-class DistributedFAETrainer:
+class DistributedFAETrainer(SegmentEngine):
     """FAE training across ``k`` simulated GPUs.
 
     Args:
@@ -119,482 +105,22 @@ class DistributedFAETrainer:
         event_log=None,
         cache: EmbeddingHotCache | None = None,
     ) -> None:
-        if not replicas:
-            raise ValueError("need at least one replica")
-        self.replicas = replicas
-        self.plan = plan
-        self.lr = lr
-        self.pooling = pooling
-        self.fault_plan = fault_plan
-        self.retry = retry
-        self.guards = guards
-        self.cache = cache
-        #: Optional drift detector whose check history rides along in
-        #: checkpoints (set by callers that monitor the run).
-        self.drift = None
-        # Set by the CLI so GuardAbort can point at the quarantine ledger.
-        self.guard_ledger_path: str | None = None
+        super().__init__(
+            replicas,
+            plan,
+            lr=lr,
+            pooling=pooling,
+            fault_plan=fault_plan,
+            retry=retry,
+            guards=guards,
+            cache=cache,
+        )
         self.group = ProcessGroup(
             world_size=len(replicas), fault_plan=fault_plan, retry=retry
         )
-
-        self.master_tables = replicas[0].tables
-        self.replicator = EmbeddingReplicator(
-            tables=self.master_tables,
-            bag_specs=plan.bags,
-            num_replicas=len(replicas),
-            pooling=pooling,
-        )
-        # Cold-path bags: one EmbeddingBag per (replica, table), all backed
-        # by the shared master tables ("CPU memory").
-        self._cold_bags = [
-            {name: EmbeddingBag(table, mode=pooling) for name, table in self.master_tables.items()}
-            for _ in replicas
-        ]
-        self._loss = BCEWithLogits()
-        #: Inputs dropped to keep shards equal (trailing short batches).
-        self.skipped_inputs = 0
-        #: Permanent rank deaths absorbed by shrinking the world.
-        self.world_shrinks = 0
         self.rejoin = rejoin
         self.event_log = event_log
-        #: Parked ranks re-admitted at a segment boundary.
-        self.rejoins = 0
         self._parked: list[RecModel] = []
-
-    @property
-    def world_size(self) -> int:
-        return self.group.world_size
-
-    # ------------------------------------------------------------------
-    # Mode switching
-    # ------------------------------------------------------------------
-
-    def _install_cold(self) -> int:
-        moved = self.replicator.sync_to_master()
-        for model, bags in zip(self.replicas, self._cold_bags):
-            for name, bag in bags.items():
-                model.set_bag(name, bag)
-        return moved
-
-    def _install_hot(self) -> int:
-        moved = self.replicator.sync_from_master()
-        for rank, model in enumerate(self.replicas):
-            for name, bag in self.replicator.bags_for_replica(rank).items():
-                model.set_bag(name, bag)
-        return moved
-
-    # ------------------------------------------------------------------
-    # Steps
-    # ------------------------------------------------------------------
-
-    def _dense_all_reduce(self) -> None:
-        """Sum-all-reduce the MLP/attention gradients across replicas."""
-        all_dense = [m.dense_parameters() for m in self.replicas]
-        for index in range(len(all_dense[0])):
-            rank_params = [params[index] for params in all_dense]
-            buffers = [
-                p.grad if p.grad is not None else np.zeros_like(p.value)
-                for p in rank_params
-            ]
-            combined = self.group.all_reduce(buffers, ReduceOp.SUM)
-            for p, g in zip(rank_params, combined):
-                p.grad = g
-
-    def _guard_step(self, losses: list[float], iteration: int, step_params) -> bool:
-        """Shared pre-step guard: loss check, grad poison, grad check.
-
-        Returns False when the step must be discarded (non-finite
-        gradients); pending gradients are already cleared in that case.
-
-        Raises:
-            LossSpikeError: via the guard, on a non-finite/spiking loss.
-        """
-        loss = float(np.mean(losses))
-        if self.guards is not None:
-            # A bad loss from a clean batch means the parameters are
-            # poisoned: raises LossSpikeError, answered by rollback.
-            self.guards.check_loss(loss, iteration)
-        if (
-            self.fault_plan is not None
-            and self.fault_plan.should_corrupt_gradient(iteration)
-        ):
-            target = self.replicas[0].dense_parameters()[0]
-            if target.grad is not None:
-                self.fault_plan.corrupt_array(target.grad)
-        if self.guards is not None and not self.guards.grads_ok(step_params, iteration):
-            # Poisoned *gradients*: discard the step on every replica
-            # before any collective shares them.
-            self._clear_pending_grads()
-            return False
-        return True
-
-    def _step_cold(self, batch, dense_optimizers, master_optimizer, iteration=0):
-        shards = shard_batch(batch, self.world_size)
-        losses = []
-        for model, shard in zip(self.replicas, shards):
-            logits = model.forward(shard)
-            losses.append(self._loss.forward(logits, shard.labels))
-            model.backward(self._loss.backward() / self.world_size)
-        step_params = [p for m in self.replicas for p in m.dense_parameters()] + [
-            t.weight for t in self.master_tables.values()
-        ]
-        if not self._guard_step(losses, iteration, step_params):
-            return None
-        self._dense_all_reduce()
-        for optimizer in dense_optimizers:
-            optimizer.step()
-        # Sparse grads from every replica accumulated on the shared
-        # masters; one "CPU" step applies them (the hybrid path).
-        master_optimizer.step()
-        return float(np.mean(losses))
-
-    def _step_hot(self, batch, dense_optimizers, replica_optimizers, iteration=0):
-        shards = shard_batch(batch, self.world_size)
-        losses = []
-        for model, shard in zip(self.replicas, shards):
-            logits = model.forward(shard)
-            losses.append(self._loss.forward(logits, shard.labels))
-            model.backward(self._loss.backward() / self.world_size)
-        step_params = [p for m in self.replicas for p in m.dense_parameters()] + [
-            bag.weight for replica in self.replicator.replicas for bag in replica.values()
-        ]
-        if not self._guard_step(losses, iteration, step_params):
-            return None
-        # Fused all-reduce: dense buffers + hot-bag sparse grads.
-        self._dense_all_reduce()
-        self.replicator.all_reduce_gradients()
-        for optimizer in dense_optimizers:
-            optimizer.step()
-        for optimizer in replica_optimizers:
-            optimizer.step()
-        return float(np.mean(losses))
-
-    # ------------------------------------------------------------------
-    # Recovery policies
-    # ------------------------------------------------------------------
-
-    def _clear_pending_grads(self) -> None:
-        """Discard every half-accumulated gradient after a failed step."""
-        for model in self.replicas:
-            for param in model.dense_parameters():
-                param.zero_grad()
-        for replica in self.replicator.replicas:
-            for bag in replica.values():
-                bag.weight.zero_grad()
-        for table in self.master_tables.values():
-            table.weight.zero_grad()
-
-    def _handle_rank_death(self, rank: int) -> list[SGD]:
-        """Shrink the world after a permanent rank failure.
-
-        Drops the dead replica (model, cold bags, hot-bag copy), rebuilds
-        the process group on the survivors (communication accounting
-        carries over), and returns fresh dense optimizers for the new
-        replica list.  The failed mini-batch is retried by the caller —
-        pending gradients are discarded here, so the retry recomputes the
-        step from clean state and the survivors stay bit-equal.
-        """
-        rank = min(max(rank, 0), len(self.replicas) - 1)
-        with span("resilience.rank_death", rank=rank, world_size=self.world_size):
-            self._clear_pending_grads()
-            dead = self.replicas[rank]
-            del self.replicas[rank]
-            del self._cold_bags[rank]
-            if self.replicator.replicas:
-                self.replicator.drop_replica(rank)
-            old = self.group
-            self.group = ProcessGroup(
-                world_size=len(self.replicas),
-                bytes_communicated=old.bytes_communicated,
-                collective_calls=old.collective_calls,
-                fault_plan=old.fault_plan,
-                retry=old.retry,
-            )
-            self.world_shrinks += 1
-            if self.rejoin:
-                # Park the dead rank's model; a segment boundary will
-                # re-admit it with state resynced from the masters.
-                self._parked.append(dead)
-            registry = get_registry()
-            registry.counter("resilience.world_shrinks").inc()
-            registry.gauge("dist.world_size").set(self.world_size)
-            self._emit("death", rank=rank, world_size=self.world_size, parked=self.rejoin)
-        return [SGD(m.dense_parameters(), lr=self.lr) for m in self.replicas]
-
-    def _emit(self, event: str, **fields) -> None:
-        if self.event_log is not None:
-            self.event_log.emit(event, **fields)
-
-    def _rejoin_parked(self, mode: str) -> list[SGD]:
-        """Re-admit every parked rank at a segment boundary.
-
-        Called right after the boundary sync, where the CPU masters are
-        authoritative in either mode: a hot segment has just written
-        replica rows back via ``sync_to_master``, and a cold segment
-        trains the masters directly.  Each parked model gets rank 0's
-        dense parameters (survivors are bit-equal, so any rank would
-        do), a cold-bag set over the shared masters, and — unless the
-        run degraded — a fresh hot replica built from the masters.  The
-        process group is rebuilt at the restored world size with
-        communication accounting carried over.
-
-        Returns fresh dense optimizers for the grown replica list (same
-        contract as :meth:`_handle_rank_death`).
-        """
-        registry = get_registry()
-        reference = self.replicas[0].dense_parameters()
-        while self._parked:
-            model = self._parked.pop(0)
-            with span("resilience.rank_rejoin", world_size=self.world_size + 1, mode=mode):
-                for p, q in zip(reference, model.dense_parameters()):
-                    q.value[...] = p.value
-                    q.zero_grad()
-                self.replicas.append(model)
-                self._cold_bags.append(
-                    {
-                        name: EmbeddingBag(table, mode=self.pooling)
-                        for name, table in self.master_tables.items()
-                    }
-                )
-                replicated = bool(self.replicator.replicas) and not self.replicator.evicted
-                if replicated:
-                    self.replicator.add_replica()
-                bags = (
-                    self.replicator.bags_for_replica(len(self.replicas) - 1)
-                    if replicated and mode == "hot"
-                    else self._cold_bags[-1]
-                )
-                for name, bag in bags.items():
-                    model.set_bag(name, bag)
-                old = self.group
-                self.group = ProcessGroup(
-                    world_size=len(self.replicas),
-                    bytes_communicated=old.bytes_communicated,
-                    collective_calls=old.collective_calls,
-                    fault_plan=old.fault_plan,
-                    retry=old.retry,
-                )
-                self.rejoins += 1
-                registry.counter("resilience.elastic.rejoins").inc()
-                registry.gauge("dist.world_size").set(self.world_size)
-                self._emit(
-                    "rejoin",
-                    rank=len(self.replicas) - 1,
-                    world_size=self.world_size,
-                    mode=mode,
-                )
-        return [SGD(m.dense_parameters(), lr=self.lr) for m in self.replicas]
-
-    def _degrade_to_cold(self, scheduler: ShuffleScheduler) -> int:
-        """Hot replicas evicted: salvage their rows, go cold for good."""
-        with span("resilience.degrade", world_size=self.world_size):
-            moved = self.replicator.sync_to_master()
-            self.replicator.evict()
-            scheduler.degrade()
-            for model, bags in zip(self.replicas, self._cold_bags):
-                for name, bag in bags.items():
-                    model.set_bag(name, bag)
-        return moved
-
-    # ------------------------------------------------------------------
-    # Checkpoint capture / restore
-    # ------------------------------------------------------------------
-
-    def _capture_checkpoint(
-        self,
-        step: int,
-        epoch: int,
-        cursors: dict[str, int],
-        scheduler: ShuffleScheduler,
-        last_loss: float,
-        last_acc: float,
-        dataset: FAEDataset | None = None,
-        repacked: bool = False,
-    ) -> TrainerCheckpoint:
-        """Snapshot at a segment boundary (masters are authoritative).
-
-        When a cache turnover has re-packed the batch streams, the
-        repacked dataset geometry rides along (``dataset_state``) so
-        resume rebuilds the exact pools the cursors refer to.
-        """
-        return TrainerCheckpoint(
-            step=step,
-            epoch=epoch,
-            cursors=dict(cursors),
-            scheduler_state=scheduler.state_dict(),
-            params=capture_training_state(
-                self.replicas[0].dense_parameters(), self.master_tables
-            ),
-            rng_state=self.fault_plan.state_dict() if self.fault_plan else None,
-            degraded=scheduler.degraded,
-            last_train_loss=last_loss,
-            last_train_accuracy=last_acc,
-            metadata={"world_size": self.world_size},
-            cache_state=self.cache.state_dict() if self.cache is not None else None,
-            dataset_state=(
-                dataset.state_dict() if repacked and dataset is not None else None
-            ),
-            drift_state=self.drift.state_dict() if self.drift is not None else None,
-        )
-
-    def _restore_cache_state(self, ckpt: TrainerCheckpoint) -> None:
-        """Restore the online cache (and rebuild replica bags to match).
-
-        A pre-v2 checkpoint carries no cache state: warn and cold-start
-        (the cache keeps the fresh membership it was constructed with —
-        the same state :meth:`EmbeddingHotCache.from_schema` cold-starts
-        from when no calibration exists).
-        """
-        if self.cache is None:
-            return
-        if ckpt.cache_state is None:
-            warnings.warn(
-                "checkpoint predates cache durability (no cache state): the "
-                "online cache cold-starts from its initial membership instead "
-                "of resuming exactly",
-                stacklevel=2,
-            )
-            return
-        self.cache.load_state_dict(ckpt.cache_state)
-        # Replica bags were built from the constructor-time membership;
-        # rebuild them (from the restored masters) to match the restored
-        # membership.
-        self.replicator = EmbeddingReplicator(
-            tables=self.master_tables,
-            bag_specs=self.cache.bags(),
-            num_replicas=self.replicator.num_replicas,
-            pooling=self.replicator.pooling,
-        )
-
-    def _restore_checkpoint(
-        self, resume, scheduler: ShuffleScheduler
-    ) -> TrainerCheckpoint:
-        """Restore parameters, scheduler, cache, and fault state."""
-        ckpt = resume if isinstance(resume, TrainerCheckpoint) else load_checkpoint(resume)
-        reference = self.replicas[0].dense_parameters()
-        restore_training_state(reference, self.master_tables, ckpt.params)
-        for model in self.replicas[1:]:
-            for p, q in zip(reference, model.dense_parameters()):
-                q.value[...] = p.value
-        scheduler.load_state_dict(ckpt.scheduler_state)
-        self._restore_cache_state(ckpt)
-        if self.drift is not None and ckpt.drift_state is not None:
-            self.drift.load_state_dict(ckpt.drift_state)
-        if ckpt.degraded:
-            # The run had already lost its hot replicas; stay cold.
-            self.replicator.evict()
-        else:
-            self.replicator.sync_from_master()
-        if ckpt.rng_state is not None and self.fault_plan is not None:
-            self.fault_plan.load_state_dict(ckpt.rng_state)
-        return ckpt
-
-    def _refresh_cache(
-        self,
-        train_log: SyntheticClickLog,
-        dataset: FAEDataset,
-        cursors: dict[str, int],
-        scheduler: ShuffleScheduler,
-        mode: str,
-        journal: RefreshJournal | None,
-    ) -> tuple[FAEDataset, dict[str, int], str, bool]:
-        """One journaled cache turnover (the refresh transaction).
-
-        Same phase order and crash-fault kill points as the single-device
-        :meth:`~repro.train.trainer.FAETrainer._refresh_cache`: plan ->
-        intent (journal write-ahead) -> apply (membership swap) ->
-        replicas (delta shipped to every rank) -> repack (remaining
-        batches) -> pools (scheduler swap) -> commit (journal).  A crash
-        anywhere is recovered by re-planning from the pre-refresh
-        checkpoint, which :meth:`RefreshJournal.verify_rollforward`
-        checks against the journaled intent.
-
-        Returns:
-            ``(dataset, cursors, mode, repacked)``.
-        """
-        fault_plan = self.fault_plan
-        refresh_index = self.cache.rebalances
-        plan = self.cache.plan_rebalance()
-        delta = plan.delta
-        if fault_plan is not None:
-            fault_plan.maybe_crash_refresh(refresh_index, "plan")
-        if journal is not None:
-            journal.verify_rollforward(tick=plan.tick, delta=delta)
-            journal.begin(
-                refresh_index=refresh_index,
-                tick=plan.tick,
-                generation=self.cache.version + (0 if delta.is_empty else 1),
-                delta=delta,
-            )
-            if fault_plan is not None:
-                fault_plan.maybe_crash_refresh(refresh_index, "intent")
-        self.cache.apply_rebalance(plan)
-        if fault_plan is not None:
-            fault_plan.maybe_crash_refresh(refresh_index, "apply")
-        repacked = False
-        if not delta.is_empty:
-            if mode == "hot":
-                # Old hot bags are about to be rebuilt; fall back to the
-                # (current) masters on every rank.
-                for model, bags in zip(self.replicas, self._cold_bags):
-                    for name, bag in bags.items():
-                        model.set_bag(name, bag)
-                mode = "cold"
-            new_bags = self.cache.bags()
-            self.replicator.apply_delta(new_bags, delta)
-            if fault_plan is not None:
-                fault_plan.maybe_crash_refresh(refresh_index, "replicas")
-            dataset, cursors = repack_remaining(
-                train_log, dataset, cursors, delta, new_bags
-            )
-            if fault_plan is not None:
-                fault_plan.maybe_crash_refresh(refresh_index, "repack")
-            scheduler.repack_pools(
-                len(dataset.hot_batches), len(dataset.cold_batches)
-            )
-            if fault_plan is not None:
-                fault_plan.maybe_crash_refresh(refresh_index, "pools")
-            get_registry().gauge("train.batch.hot_fraction").set(
-                dataset.hot_input_fraction
-            )
-            repacked = True
-        if journal is not None:
-            journal.commit()
-        if fault_plan is not None:
-            fault_plan.maybe_crash_refresh(refresh_index, "commit")
-        return dataset, cursors, mode, repacked
-
-    # ------------------------------------------------------------------
-    # Training loop
-    # ------------------------------------------------------------------
-
-    def _rollback(
-        self,
-        exc: LossSpikeError,
-        checkpoint: CheckpointManager | None,
-        initial: TrainerCheckpoint,
-    ) -> TrainerCheckpoint:
-        """Answer a loss spike: back off the LR, return the resume point.
-
-        Raises:
-            GuardAbort: when the guard's rollback budget is exhausted.
-        """
-        guards = self.guards
-        guards.note_rollback(
-            str(exc),
-            checkpoint_dir=checkpoint.directory if checkpoint is not None else None,
-            ledger_path=self.guard_ledger_path,
-        )
-        with span("guards.rollback", iteration=exc.iteration, loss=exc.loss):
-            self.lr *= guards.config.lr_backoff
-            self._clear_pending_grads()
-            target = checkpoint.latest() if checkpoint is not None else None
-            ckpt = load_checkpoint(target) if target is not None else initial
-        # Never restore the fault plan's RNG on rollback: fired-once
-        # faults stay fired, so the replay does not re-inject the same
-        # corruption and loop forever.
-        return replace(ckpt, rng_state=None)
 
     def train(
         self,
@@ -605,13 +131,8 @@ class DistributedFAETrainer:
         checkpoint: CheckpointManager | None = None,
         resume=None,
     ) -> TrainResult:
-        """Train over the plan's hot/cold batches; mirrors FAETrainer.
-
-        With ``guards`` set, a :class:`LossSpikeError` (poisoned
-        parameters) rolls the run back to the newest good checkpoint (or
-        the captured initial state) with learning-rate backoff, bounded
-        by the guard's rollback budget — same recovery as the
-        single-device :class:`~repro.train.trainer.FAETrainer`.
+        """Train over the plan's hot/cold batches; same contract as
+        :meth:`repro.train.trainer.FAETrainer.train`.
 
         Args:
             checkpoint: optional manager; a snapshot is taken at each
@@ -619,333 +140,135 @@ class DistributedFAETrainer:
             resume: checkpoint path or :class:`TrainerCheckpoint` to
                 continue from, or None for a fresh run.
         """
-        if self.guards is None:
-            return self._train(train_log, test_log, epochs, eval_samples, checkpoint, resume)
-        if epochs <= 0:
-            raise ValueError("epochs must be positive")
-        dataset = self.plan.dataset
-        if resume is None:
-            # Snapshot the starting state against a pristine scheduler:
-            # resuming from it is equivalent to restarting the run.
-            pristine = ShuffleScheduler(
-                num_hot_batches=len(dataset.hot_batches),
-                num_cold_batches=len(dataset.cold_batches),
-                initial_rate=self.plan.config.scheduler_initial_rate,
-                strip_length=self.plan.config.scheduler_strip_length,
-            )
-            initial = self._capture_checkpoint(0, 0, {"hot": 0, "cold": 0}, pristine, 0.0, 0.0)
-        else:
-            initial = resume if isinstance(resume, TrainerCheckpoint) else load_checkpoint(resume)
-        attempt = resume
-        while True:
-            try:
-                result = self._train(
-                    train_log, test_log, epochs, eval_samples, checkpoint, attempt
+        # Defined here, not inherited: perfbench wraps each trainer's own
+        # ``train`` attribute.
+        return self._run(train_log, test_log, epochs, eval_samples, checkpoint, resume)
+
+    # ------------------------------------------------------------------
+    # The data-parallel step
+    # ------------------------------------------------------------------
+
+    def _exchanges(self) -> bool:
+        """Whether a step goes through the process group.
+
+        Over one rank a collective moves nothing, so the engine's own
+        step is the same math without the shard slices and gradient
+        copies.  Only an armed fault plan can tell the difference — a
+        rank death injected at world size 1 has to stay fatal — so with
+        one the collectives still run.
+        """
+        return self.world_size > 1 or self.fault_plan is not None
+
+    def _forward_backward(self, batch) -> tuple[float, float]:
+        if not self._exchanges():
+            return super()._forward_backward(batch)
+        losses, accuracies = [], []
+        for model, shard in zip(self.replicas, shard_batch(batch, self.world_size)):
+            logits = model.forward(shard)
+            losses.append(self._loss.forward(logits, shard.labels))
+            # Shard losses are means: 1/k makes the summed gradients the
+            # full-batch gradient.
+            model.backward(self._loss.backward() / self.world_size)
+            accuracies.append(binary_accuracy(logits, shard.labels))
+        return float(np.mean(losses)), float(np.mean(accuracies))
+
+    def _all_reduce(self, run_hot: bool) -> None:
+        """The fused all-reduce: dense buffers, then hot-bag sparse grads."""
+        if self._exchanges():
+            all_dense = [m.dense_parameters() for m in self.replicas]
+            for rank_params in zip(*all_dense):
+                buffers = [
+                    p.grad if p.grad is not None else np.zeros_like(p.value)
+                    for p in rank_params
+                ]
+                combined = self.group.all_reduce(buffers, ReduceOp.SUM)
+                for p, g in zip(rank_params, combined):
+                    p.grad = g
+        super()._all_reduce(run_hot)
+
+    # ------------------------------------------------------------------
+    # Rank death and rejoin
+    # ------------------------------------------------------------------
+
+    def _emit(self, event: str, **fields) -> None:
+        if self.event_log is not None:
+            self.event_log.emit(event, **fields)
+
+    def _regroup(self) -> None:
+        """Rebuild the process group over the current replicas
+        (communication accounting carries over)."""
+        old = self.group
+        self.group = ProcessGroup(
+            world_size=len(self.replicas),
+            bytes_communicated=old.bytes_communicated,
+            collective_calls=old.collective_calls,
+            fault_plan=old.fault_plan,
+            retry=old.retry,
+        )
+        get_registry().gauge("dist.world_size").set(self.world_size)
+
+    def _handle_rank_death(self, rank: int) -> None:
+        """Shrink the world after a permanent rank failure.
+
+        Drops the dead replica (model, cold bags, hot-bag copy) and
+        rebuilds the process group on the survivors.  The engine retries
+        the failed mini-batch — pending gradients are discarded here, so
+        the retry recomputes the step from clean state and the survivors
+        stay bit-equal.
+        """
+        rank = min(max(rank, 0), len(self.replicas) - 1)
+        with span("resilience.rank_death", rank=rank, world_size=self.world_size):
+            self._clear_pending_grads()
+            dead = self.replicas[rank]
+            del self.replicas[rank]
+            del self._cold_bags[rank]
+            if self.replicator.replicas:
+                self.replicator.drop_replica(rank)
+            self.world_shrinks += 1
+            if self.rejoin:
+                # Park the dead rank's model; a segment boundary will
+                # re-admit it with state resynced from the masters.
+                self._parked.append(dead)
+            get_registry().counter("resilience.world_shrinks").inc()
+            self._regroup()
+            self._emit("death", rank=rank, world_size=self.world_size, parked=self.rejoin)
+
+    def _at_boundary(self, mode: str) -> None:
+        """Re-admit every parked rank at a segment boundary.
+
+        The CPU masters are authoritative here in either mode: a hot
+        segment has just written replica rows back via
+        ``sync_to_master``, and a cold segment trains the masters
+        directly.  Each parked model gets rank 0's dense parameters
+        (survivors are bit-equal, so any rank would do), a cold-bag set
+        over the shared masters, and — unless the run degraded — a fresh
+        hot replica built from the masters.
+        """
+        reference = self.replicas[0].dense_parameters()
+        while self._parked:
+            model = self._parked.pop(0)
+            with span("resilience.rank_rejoin", world_size=self.world_size + 1, mode=mode):
+                for p, q in zip(reference, model.dense_parameters()):
+                    q.value[...] = p.value
+                    q.zero_grad()
+                self.replicas.append(model)
+                self._cold_bags.append(self._new_cold_bags())
+                replicated = bool(self.replicator.replicas) and not self.replicator.evicted
+                if replicated:
+                    self.replicator.add_replica()
+                bags = (
+                    self.replicator.bags_for_replica(len(self.replicas) - 1)
+                    if replicated and mode == "hot"
+                    else self._cold_bags[-1]
                 )
-                result.rollbacks = self.guards.rollbacks
-                result.skipped_batches = self.guards.skipped_batches
-                result.skipped_steps = self.guards.skipped_steps
-                return result
-            except LossSpikeError as exc:
-                attempt = self._rollback(exc, checkpoint, initial)
-
-    def _train(
-        self,
-        train_log: SyntheticClickLog,
-        test_log: SyntheticClickLog,
-        epochs: int = 1,
-        eval_samples: int = 4096,
-        checkpoint: CheckpointManager | None = None,
-        resume=None,
-    ) -> TrainResult:
-        """One training attempt (the guarded :meth:`train` may retry it)."""
-        if epochs <= 0:
-            raise ValueError("epochs must be positive")
-        dataset = self.plan.dataset
-        repacked = False
-        if resume is not None:
-            resume = (
-                resume
-                if isinstance(resume, TrainerCheckpoint)
-                else load_checkpoint(resume)
-            )
-            if resume.dataset_state is not None:
-                # The run had re-packed its batches before this snapshot:
-                # cursors and scheduler pools refer to that geometry, not
-                # the plan's original packing.
-                dataset = FAEDataset.from_state_dict(resume.dataset_state)
-                repacked = True
-        scheduler = ShuffleScheduler(
-            num_hot_batches=len(dataset.hot_batches),
-            num_cold_batches=len(dataset.cold_batches),
-            initial_rate=self.plan.config.scheduler_initial_rate,
-            strip_length=self.plan.config.scheduler_strip_length,
-        )
-        journal = (
-            RefreshJournal(checkpoint.directory)
-            if checkpoint is not None and self.cache is not None
-            else None
-        )
-        dense_optimizers = [SGD(m.dense_parameters(), lr=self.lr) for m in self.replicas]
-        master_optimizer = SGD(
-            [t.weight for t in self.master_tables.values()], lr=self.lr
-        )
-        history = TrainingHistory()
-        master_bags = self._cold_bags[0]
-
-        for model, bags in zip(self.replicas, self._cold_bags):
-            for name, bag in bags.items():
-                model.set_bag(name, bag)
-
-        mode = "cold"
-        iteration = 0
-        sync_bytes = 0
-        rates: list[int] = []
-        last_loss = 0.0
-        last_acc = 0.0
-        start_epoch = 0
-        resume_cursors: dict[str, int] | None = None
-        segments_done = 0
-
-        if resume is not None:
-            ckpt = self._restore_checkpoint(resume, scheduler)
-            iteration = ckpt.step
-            start_epoch = ckpt.epoch
-            resume_cursors = dict(ckpt.cursors)
-            last_loss = ckpt.last_train_loss
-            last_acc = ckpt.last_train_accuracy
-            if (
-                self.cache is not None
-                and not scheduler.degraded
-                and self.cache.should_rebalance()
-            ):
-                # Checkpoints are captured *before* the boundary refresh,
-                # so a restored full observation window means the crashed
-                # run was refreshing (or about to): roll the refresh
-                # forward now, deterministically — plan_rebalance is pure
-                # in the restored state, and the journal's pending intent
-                # (if the crash landed mid-refresh) verifies the re-plan.
-                dataset, resume_cursors, mode, did_repack = self._refresh_cache(
-                    train_log, dataset, resume_cursors, scheduler, mode, journal
+                for name, bag in bags.items():
+                    model.set_bag(name, bag)
+                self.rejoins += 1
+                get_registry().counter("resilience.elastic.rejoins").inc()
+                self._regroup()
+                self._emit(
+                    "rejoin", rank=len(self.replicas) - 1, world_size=self.world_size, mode=mode
                 )
-                repacked = repacked or did_repack
-
-        for epoch in range(start_epoch, epochs):
-            if resume_cursors is not None:
-                # Mid-epoch resume: the scheduler already holds this
-                # epoch's remaining pools; do not refill them.
-                cursors = resume_cursors
-                resume_cursors = None
-            else:
-                scheduler.reset_epoch()
-                cursors = {"hot": 0, "cold": 0}
-            for segment in scheduler.segments():
-                if (
-                    self.fault_plan is not None
-                    and not scheduler.degraded
-                    and self.fault_plan.should_evict_hot(iteration)
-                ):
-                    sync_bytes += self._degrade_to_cold(scheduler)
-                    mode = "cold"
-                # In degraded mode the segment still drains its planned
-                # pool, but executes on the cold (master-table) path.
-                run_hot = segment.kind == "hot" and not scheduler.degraded
-
-                wanted = "hot" if run_hot else "cold"
-                if wanted != mode:
-                    sync_bytes += (
-                        self._install_hot() if wanted == "hot" else self._install_cold()
-                    )
-                    mode = wanted
-
-                if (
-                    self.fault_plan is not None
-                    and run_hot
-                    and self.fault_plan.should_corrupt_hot_row(iteration)
-                ):
-                    # Poison the same row of every replica (replicas must
-                    # stay bit-equal); the damage spreads to the masters
-                    # at the next sync unless the guard trips first.
-                    # Target the most-accessed row of the upcoming hot
-                    # batch so the fault is guaranteed to be exercised.
-                    name = next(iter(self.replicator.replicas[0]))
-                    bag = self.replicator.replicas[0][name]
-                    cursor = cursors.get("hot", 0)
-                    upcoming = (
-                        train_log.sparse[name][dataset.hot_batches[cursor]]
-                        if cursor < len(dataset.hot_batches)
-                        else np.empty(0, dtype=np.int64)
-                    )
-                    row = popular_local_row(bag, upcoming)
-                    for replica in self.replicator.replicas:
-                        self.fault_plan.corrupt_row(
-                            replica[name].weight.value, row=row
-                        )
-
-                replica_optimizers: list[SGD] = []
-                if run_hot:
-                    replica_optimizers = [
-                        SGD([bag.weight for bag in replica.values()], lr=self.lr)
-                        for replica in self.replicator.replicas
-                    ]
-                pool_name = segment.drain_pool
-                pool = dataset.hot_batches if pool_name == "hot" else dataset.cold_batches
-
-                losses = []
-                start = cursors[pool_name]
-                for index_array in pool[start : start + segment.num_batches]:
-                    if self.cache is not None:
-                        # Observe the untrimmed, uncorrupted lookups once
-                        # per mini-batch (rank-death retries must not
-                        # double-count).
-                        self.cache.observe(
-                            {
-                                name: ids[index_array]
-                                for name, ids in train_log.sparse.items()
-                            }
-                        )
-                    loss = None
-                    while True:
-                        # Data parallelism needs equal shards: trim trailing
-                        # short batches to a world-size multiple (real DDP
-                        # runs drop the remainder the same way).
-                        usable = (len(index_array) // self.world_size) * self.world_size
-                        if usable == 0:
-                            self.skipped_inputs += len(index_array)
-                            break
-                        batch = fetch_batch(
-                            train_log,
-                            index_array[:usable],
-                            hot=run_hot,
-                            fault_plan=self.fault_plan,
-                            retry=self.retry,
-                        )
-                        if self.fault_plan is not None:
-                            batch = self.fault_plan.maybe_corrupt_batch(batch)
-                        if self.guards is not None and not self.guards.batch_ok(batch):
-                            # Poisoned *inputs*: dropping the batch costs
-                            # one update and nothing else.
-                            self.skipped_inputs += len(index_array)
-                            break
-                        try:
-                            if run_hot:
-                                loss = self._step_hot(
-                                    batch, dense_optimizers, replica_optimizers, iteration
-                                )
-                            else:
-                                loss = self._step_cold(
-                                    batch, dense_optimizers, master_optimizer, iteration
-                                )
-                        except PermanentRankFailure as exc:
-                            if self.world_size <= 1:
-                                raise
-                            dense_optimizers = self._handle_rank_death(exc.rank)
-                            master_bags = self._cold_bags[0]
-                            if run_hot:
-                                replica_optimizers = [
-                                    SGD([bag.weight for bag in replica.values()], lr=self.lr)
-                                    for replica in self.replicator.replicas
-                                ]
-                            continue  # retry the same mini-batch, re-trimmed
-                        self.skipped_inputs += len(index_array) - usable
-                        break
-                    if loss is not None:
-                        iteration += 1
-                        losses.append(loss)
-                        if self.fault_plan is not None:
-                            self.fault_plan.maybe_crash_step(iteration)
-                cursors[pool_name] = start + segment.num_batches
-
-                if mode == "hot":
-                    sync_bytes += self.replicator.sync_to_master()
-                if self._parked:
-                    # Segment boundary: masters are authoritative (just
-                    # synced when hot; trained directly when cold), so a
-                    # parked rank can re-admit bit-exactly.
-                    dense_optimizers = self._rejoin_parked(mode)
-                    master_bags = self._cold_bags[0]
-                test_loss, test_acc = evaluate_with_master_bags(
-                    self.replicas[0], master_bags, test_log, eval_samples
-                )
-                if self.guards is not None:
-                    # Catch poisoned state before it contaminates the
-                    # scheduler's loss feedback: raises LossSpikeError.
-                    self.guards.check_eval_loss(test_loss, iteration)
-                scheduler.record_test_loss(test_loss)
-                rates.append(scheduler.rate)
-                last_loss = float(np.mean(losses)) if losses else last_loss
-                history.record(
-                    HistoryPoint(
-                        iteration=iteration,
-                        train_loss=last_loss,
-                        test_loss=test_loss,
-                        test_accuracy=test_acc,
-                        train_accuracy=last_acc,
-                        segment_kind=segment.kind,
-                    )
-                )
-                segments_done += 1
-                if checkpoint is not None and checkpoint.should_save(segments_done):
-                    snapshot = self._capture_checkpoint(
-                        iteration,
-                        epoch,
-                        cursors,
-                        scheduler,
-                        last_loss,
-                        last_acc,
-                        dataset=dataset,
-                        repacked=repacked,
-                    )
-                    # Checkpoint hygiene: never persist a snapshot
-                    # carrying NaN/Inf — rollback must not restore poison.
-                    if self.guards is None or self.guards.state_ok(snapshot.params):
-                        checkpoint.save(snapshot)
-                        if self.fault_plan is not None:
-                            self.fault_plan.maybe_crash_checkpoint()
-
-                # Cache turnover at the segment boundary: the masters are
-                # authoritative here (hot rows flushed before evaluation),
-                # so promotions pull fresh values and demotions are free.
-                # The turnover runs *after* the checkpoint on purpose:
-                # crash recovery re-derives an interrupted refresh from
-                # the pre-refresh snapshot (see _refresh_cache).
-                if (
-                    self.cache is not None
-                    and not scheduler.degraded
-                    and self.cache.should_rebalance()
-                ):
-                    dataset, cursors, mode, did_repack = self._refresh_cache(
-                        train_log, dataset, cursors, scheduler, mode, journal
-                    )
-                    repacked = repacked or did_repack
-
-        if mode == "hot":
-            sync_bytes += self._install_cold()
-        from repro.train.metrics import evaluate_model
-
-        final_loss, final_acc = evaluate_model(self.replicas[0], test_log)
-        _l, train_acc = evaluate_model(self.replicas[0], train_log, max_samples=4 * eval_samples)
-        history.record(
-            HistoryPoint(
-                iteration=iteration,
-                train_loss=last_loss,
-                test_loss=final_loss,
-                test_accuracy=final_acc,
-                train_accuracy=train_acc,
-                segment_kind="final",
-            )
-        )
-        return TrainResult(
-            history=history,
-            final_train_accuracy=train_acc,
-            final_test_accuracy=final_acc,
-            sync_events=self.replicator.sync_events,
-            sync_bytes=sync_bytes,
-            schedule_rates=rates,
-            world_shrinks=self.world_shrinks,
-            rejoins=self.rejoins,
-            degraded=scheduler.degraded,
-        )
 
     # ------------------------------------------------------------------
     # Invariants

@@ -19,81 +19,34 @@ math concern — both executions apply identical updates).
 Because syncs run at *every* transition, the FAE execution is
 mathematically a reordering of the baseline's mini-batches — which is why
 the paper (and our Table III bench) sees matching final accuracy.
+
+The runtime itself lives in :mod:`repro.train.engine`; ``FAETrainer`` is
+its world-size-1 face.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.hotcache import EmbeddingHotCache, repack_remaining
-from repro.core.input_processor import FAEDataset
+from repro.core.hotcache import EmbeddingHotCache
 from repro.core.pipeline import FAEPlan
-from repro.core.replicator import EmbeddingReplicator
-from repro.core.scheduler import ShuffleScheduler
-from repro.data.loader import BatchIterator, iter_fae_batches
+from repro.data.loader import BatchIterator
 from repro.data.synthetic import SyntheticClickLog
 from repro.models.base import RecModel
 from repro.nn.losses import BCEWithLogits
 from repro.nn.optim import SGD
 from repro.obs import get_registry, span, timed
-from repro.resilience.checkpoint import (
-    CheckpointManager,
-    TrainerCheckpoint,
-    capture_training_state,
-    load_checkpoint,
-    restore_training_state,
-)
-from repro.resilience.faults import FaultPlan, popular_local_row
-from repro.resilience.guards import LossSpikeError, NumericGuard
-from repro.resilience.journal import RefreshJournal
+from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.faults import FaultPlan
+from repro.resilience.guards import NumericGuard
 from repro.resilience.retry import RetryPolicy
+from repro.train.engine import SegmentEngine, TrainResult, evaluate_with_master_bags
 from repro.train.history import HistoryPoint, TrainingHistory
 from repro.train.metrics import binary_accuracy, evaluate_model
 
-__all__ = ["TrainResult", "BaselineTrainer", "FAETrainer"]
-
-
-@dataclass
-class TrainResult:
-    """Outcome of a training run.
-
-    Attributes:
-        history: evaluation snapshots over the run.
-        final_train_accuracy: accuracy over the last training segment.
-        final_test_accuracy: accuracy on the held-out log at the end.
-        sync_events: hot-bag synchronizations performed during this run
-            (FAE only; the delta of the ``fae.sync.events`` counter).
-        sync_bytes: total bytes moved by those synchronizations (the
-            delta of the ``fae.sync.bytes`` counter).
-        schedule_rates: the scheduler's rate after each recorded segment
-            (FAE only; shows Eq. 7 adapting).
-        world_shrinks: permanent rank deaths absorbed by continuing on a
-            smaller world (distributed chaos runs only).
-        rejoins: dead ranks re-admitted at a segment boundary with state
-            resynced from the CPU masters (elastic distributed runs).
-        degraded: whether the run lost its hot replicas and finished on
-            the cold/baseline path.
-        rollbacks: loss-spike rollbacks performed by the numeric guard.
-        skipped_batches: corrupt batches the guard dropped pre-forward.
-        skipped_steps: optimizer steps discarded over non-finite grads.
-    """
-
-    history: TrainingHistory
-    final_train_accuracy: float
-    final_test_accuracy: float
-    sync_events: int = 0
-    sync_bytes: int = 0
-    schedule_rates: list[int] = field(default_factory=list)
-    world_shrinks: int = 0
-    rejoins: int = 0
-    degraded: bool = False
-    rollbacks: int = 0
-    skipped_batches: int = 0
-    skipped_steps: int = 0
+__all__ = ["TrainResult", "BaselineTrainer", "FAETrainer", "evaluate_with_master_bags"]
 
 
 class BaselineTrainer:
@@ -185,14 +138,16 @@ class BaselineTrainer:
         )
 
 
-class FAETrainer:
+class FAETrainer(SegmentEngine):
     """The FAE runtime: hot/cold segments, replicas, adaptive scheduling.
+
+    The world-size-1 case of :class:`~repro.train.engine.SegmentEngine`:
+    one model, one hot-bag replica, no sharding and no collectives.
 
     Args:
         model: the recommender model (its tables are the CPU masters).
         plan: FAE preprocessing output for the training log.
         lr: SGD learning rate.
-        num_replicas: GPU replica count for the hot bags.
         pooling: bag pooling mode; must match the model's bags.
         fault_plan: optional fault-injection schedule (loader hiccups,
             hot-replica eviction, and data corruption apply to this
@@ -215,261 +170,26 @@ class FAETrainer:
         model: RecModel,
         plan: FAEPlan,
         lr: float = 0.1,
-        num_replicas: int = 1,
         pooling: str = "mean",
         fault_plan: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
         guards: NumericGuard | None = None,
         cache: EmbeddingHotCache | None = None,
     ) -> None:
-        self.model = model
-        self.plan = plan
-        self.lr = lr
-        self.fault_plan = fault_plan
-        self.retry = retry
-        self.guards = guards
-        self.cache = cache
-        # Optional drift detector whose check history rides along in
-        # checkpoints (attach before calling train()).
-        self.drift = None
-        # Set by the CLI so GuardAbort can point at the quarantine ledger.
-        self.guard_ledger_path: str | None = None
-        self.replicator = EmbeddingReplicator(
-            tables=model.tables,
-            bag_specs=plan.bags,
-            num_replicas=num_replicas,
+        super().__init__(
+            [model],
+            plan,
+            lr=lr,
             pooling=pooling,
-        )
-        self._master_bags = {
-            name: model.get_bag(name) for name in model.tables
-        }
-
-    def _enter_hot(self) -> int:
-        """Refresh replicas from the masters and swap hot bags in."""
-        moved = self.replicator.sync_from_master()
-        for name, bag in self.replicator.bags_for_replica(0).items():
-            self.model.set_bag(name, bag)
-        return moved
-
-    def _enter_cold(self) -> int:
-        """Write hot rows back to the masters and swap master bags in."""
-        moved = self.replicator.sync_to_master()
-        for name, bag in self._master_bags.items():
-            self.model.set_bag(name, bag)
-        return moved
-
-    def _degrade_to_cold(self, scheduler: ShuffleScheduler) -> int:
-        """Hot replicas evicted: salvage their rows, go cold for good."""
-        with span("resilience.degrade", num_replicas=self.replicator.num_replicas):
-            moved = self.replicator.sync_to_master()
-            self.replicator.evict()
-            scheduler.degrade()
-            for name, bag in self._master_bags.items():
-                self.model.set_bag(name, bag)
-        return moved
-
-    def _capture_checkpoint(
-        self,
-        step: int,
-        epoch: int,
-        cursors: dict[str, int],
-        scheduler: ShuffleScheduler,
-        last_loss: float,
-        last_acc: float,
-        dataset: FAEDataset | None = None,
-        repacked: bool = False,
-    ) -> TrainerCheckpoint:
-        """Snapshot at a segment boundary (masters are authoritative).
-
-        When a cache turnover has re-packed the batch streams, the
-        repacked dataset geometry rides along (``dataset_state``) so
-        resume rebuilds the exact pools the cursors refer to.
-        """
-        return TrainerCheckpoint(
-            step=step,
-            epoch=epoch,
-            cursors=dict(cursors),
-            scheduler_state=scheduler.state_dict(),
-            params=capture_training_state(
-                self.model.dense_parameters(), self.model.tables
-            ),
-            rng_state=self.fault_plan.state_dict() if self.fault_plan else None,
-            degraded=scheduler.degraded,
-            last_train_loss=last_loss,
-            last_train_accuracy=last_acc,
-            cache_state=self.cache.state_dict() if self.cache is not None else None,
-            dataset_state=(
-                dataset.state_dict() if repacked and dataset is not None else None
-            ),
-            drift_state=self.drift.state_dict() if self.drift is not None else None,
+            fault_plan=fault_plan,
+            retry=retry,
+            guards=guards,
+            cache=cache,
         )
 
-    def _restore_cache_state(self, ckpt: TrainerCheckpoint) -> None:
-        """Restore the online cache (and rebuild replicas to match).
-
-        A pre-v2 checkpoint carries no cache state: warn and cold-start
-        (the cache keeps the fresh membership it was constructed with —
-        the same state :meth:`EmbeddingHotCache.from_schema` cold-starts
-        from when no calibration exists).
-        """
-        if self.cache is None:
-            return
-        if ckpt.cache_state is None:
-            warnings.warn(
-                "checkpoint predates cache durability (no cache state): the "
-                "online cache cold-starts from its initial membership instead "
-                "of resuming exactly",
-                stacklevel=2,
-            )
-            return
-        self.cache.load_state_dict(ckpt.cache_state)
-        # Replica bags were built from the constructor-time membership;
-        # rebuild them (from the restored masters) to match the restored
-        # membership.
-        self.replicator = EmbeddingReplicator(
-            tables=self.model.tables,
-            bag_specs=self.cache.bags(),
-            num_replicas=self.replicator.num_replicas,
-            pooling=self.replicator.pooling,
-        )
-
-    def _restore_checkpoint(self, resume, scheduler: ShuffleScheduler) -> TrainerCheckpoint:
-        """Restore parameters, scheduler, cache, and fault state."""
-        ckpt = resume if isinstance(resume, TrainerCheckpoint) else load_checkpoint(resume)
-        restore_training_state(self.model.dense_parameters(), self.model.tables, ckpt.params)
-        scheduler.load_state_dict(ckpt.scheduler_state)
-        self._restore_cache_state(ckpt)
-        if self.drift is not None and ckpt.drift_state is not None:
-            self.drift.load_state_dict(ckpt.drift_state)
-        if ckpt.degraded:
-            # The run had already lost its hot replicas; stay cold.
-            self.replicator.evict()
-        else:
-            self.replicator.sync_from_master()
-        if ckpt.rng_state is not None and self.fault_plan is not None:
-            self.fault_plan.load_state_dict(ckpt.rng_state)
-        return ckpt
-
-    def _refresh_cache(
-        self,
-        train_log,
-        dataset: FAEDataset,
-        cursors: dict[str, int],
-        scheduler: ShuffleScheduler,
-        mode: str,
-        journal: RefreshJournal | None,
-        transition_counters: dict | None,
-    ) -> tuple[FAEDataset, dict[str, int], str, bool]:
-        """One journaled cache turnover (the refresh transaction).
-
-        Phase order (each a :meth:`FaultPlan.maybe_crash_refresh` kill
-        point): plan -> intent (journal write-ahead) -> apply (membership
-        swap) -> replicas (delta shipped) -> repack (remaining batches) ->
-        pools (scheduler swap) -> commit (journal).  A crash anywhere is
-        recovered by re-planning from the pre-refresh checkpoint, which
-        :meth:`RefreshJournal.verify_rollforward` checks against the
-        journaled intent.
-
-        Returns:
-            ``(dataset, cursors, mode, repacked)``.
-        """
-        fault_plan = self.fault_plan
-        refresh_index = self.cache.rebalances
-        plan = self.cache.plan_rebalance()
-        delta = plan.delta
-        if fault_plan is not None:
-            fault_plan.maybe_crash_refresh(refresh_index, "plan")
-        if journal is not None:
-            journal.verify_rollforward(tick=plan.tick, delta=delta)
-            journal.begin(
-                refresh_index=refresh_index,
-                tick=plan.tick,
-                generation=self.cache.version + (0 if delta.is_empty else 1),
-                delta=delta,
-            )
-            if fault_plan is not None:
-                fault_plan.maybe_crash_refresh(refresh_index, "intent")
-        self.cache.apply_rebalance(plan)
-        if fault_plan is not None:
-            fault_plan.maybe_crash_refresh(refresh_index, "apply")
-        repacked = False
-        if not delta.is_empty:
-            if mode == "hot":
-                # Old hot bags are about to be rebuilt; fall back to the
-                # (current) masters.
-                for name, bag in self._master_bags.items():
-                    self.model.set_bag(name, bag)
-                mode = "cold"
-                if transition_counters is not None:
-                    transition_counters["cold"].inc()
-            new_bags = self.cache.bags()
-            self.replicator.apply_delta(new_bags, delta)
-            if fault_plan is not None:
-                fault_plan.maybe_crash_refresh(refresh_index, "replicas")
-            dataset, cursors = repack_remaining(
-                train_log, dataset, cursors, delta, new_bags
-            )
-            if fault_plan is not None:
-                fault_plan.maybe_crash_refresh(refresh_index, "repack")
-            scheduler.repack_pools(
-                len(dataset.hot_batches), len(dataset.cold_batches)
-            )
-            if fault_plan is not None:
-                fault_plan.maybe_crash_refresh(refresh_index, "pools")
-            get_registry().gauge("train.batch.hot_fraction").set(
-                dataset.hot_input_fraction
-            )
-            repacked = True
-        if journal is not None:
-            journal.commit()
-        if fault_plan is not None:
-            fault_plan.maybe_crash_refresh(refresh_index, "commit")
-        return dataset, cursors, mode, repacked
-
-    @staticmethod
-    def _clear_pending_grads(parameters) -> None:
-        """Drop accumulated gradients so a skipped step applies nothing."""
-        for param in parameters:
-            param.zero_grad()
-
-    def _rollback(
-        self,
-        exc: LossSpikeError,
-        checkpoint: CheckpointManager | None,
-        initial: TrainerCheckpoint,
-    ) -> TrainerCheckpoint:
-        """Answer a loss spike: back off the LR, return the resume point.
-
-        Raises:
-            GuardAbort: when the guard's rollback budget is exhausted.
-        """
-        guards = self.guards
-        guards.note_rollback(
-            str(exc),
-            checkpoint_dir=checkpoint.directory if checkpoint is not None else None,
-            ledger_path=self.guard_ledger_path,
-        )
-        with span("guards.rollback", iteration=exc.iteration, loss=exc.loss):
-            self.lr *= guards.config.lr_backoff
-            # Drop half-applied gradients and reinstall the master bags:
-            # the next attempt must start from the canonical cold state.
-            self._clear_pending_grads(
-                self.model.dense_parameters()
-                + [t.weight for t in self.model.tables.values()]
-                + [
-                    bag.weight
-                    for replica in self.replicator.replicas
-                    for bag in replica.values()
-                ]
-            )
-            for name, bag in self._master_bags.items():
-                self.model.set_bag(name, bag)
-            target = checkpoint.latest() if checkpoint is not None else None
-            ckpt = load_checkpoint(target) if target is not None else initial
-        # Never restore the fault plan's RNG on rollback: fired-once
-        # faults stay fired, so the replay does not re-inject the same
-        # corruption and loop forever.
-        return replace(ckpt, rng_state=None)
+    @property
+    def model(self) -> RecModel:
+        return self.replicas[0]
 
     def train(
         self,
@@ -487,11 +207,9 @@ class FAETrainer:
         every synchronization, and :class:`TrainResult` reports this
         run's deltas of those counters.
 
-        With ``guards`` set, a :class:`LossSpikeError` (non-finite or
-        spiking loss from clean inputs — i.e. poisoned parameters) rolls
-        the run back to the newest good checkpoint (or the captured
-        initial state) with learning-rate backoff, bounded by the
-        guard's rollback budget.
+        With ``guards`` set, a loss spike rolls the run back to the
+        newest good checkpoint (or the captured initial state) with
+        learning-rate backoff, bounded by the guard's rollback budget.
 
         Args:
             checkpoint: optional manager; a snapshot is taken at each due
@@ -501,385 +219,6 @@ class FAETrainer:
             resume: checkpoint path or :class:`TrainerCheckpoint` to
                 continue from, or None for a fresh run.
         """
-        if self.guards is None:
-            return self._train(train_log, test_log, epochs, eval_samples, checkpoint, resume)
-        if epochs <= 0:
-            raise ValueError("epochs must be positive")
-        dataset = self.plan.dataset
-        if resume is None:
-            # Snapshot the starting state against a pristine scheduler:
-            # full pools, zero cursors, epoch 0 — resuming from it is
-            # equivalent to restarting the run.
-            pristine = ShuffleScheduler(
-                num_hot_batches=len(dataset.hot_batches),
-                num_cold_batches=len(dataset.cold_batches),
-                initial_rate=self.plan.config.scheduler_initial_rate,
-                strip_length=self.plan.config.scheduler_strip_length,
-            )
-            initial = self._capture_checkpoint(0, 0, {"hot": 0, "cold": 0}, pristine, 0.0, 0.0)
-        else:
-            initial = resume if isinstance(resume, TrainerCheckpoint) else load_checkpoint(resume)
-        attempt = resume
-        while True:
-            try:
-                result = self._train(
-                    train_log, test_log, epochs, eval_samples, checkpoint, attempt
-                )
-                result.rollbacks = self.guards.rollbacks
-                result.skipped_batches = self.guards.skipped_batches
-                result.skipped_steps = self.guards.skipped_steps
-                return result
-            except LossSpikeError as exc:
-                attempt = self._rollback(exc, checkpoint, initial)
-
-    def _train(
-        self,
-        train_log: SyntheticClickLog,
-        test_log: SyntheticClickLog,
-        epochs: int = 1,
-        eval_samples: int = 4096,
-        checkpoint: CheckpointManager | None = None,
-        resume=None,
-    ) -> TrainResult:
-        """One training attempt (the guarded :meth:`train` may retry it)."""
-        if epochs <= 0:
-            raise ValueError("epochs must be positive")
-        dataset = self.plan.dataset
-        repacked = False
-        if resume is not None:
-            resume = (
-                resume
-                if isinstance(resume, TrainerCheckpoint)
-                else load_checkpoint(resume)
-            )
-            if resume.dataset_state is not None:
-                # The run had re-packed its batches before this snapshot:
-                # cursors and scheduler pools refer to that geometry, not
-                # the plan's original packing.
-                dataset = FAEDataset.from_state_dict(resume.dataset_state)
-                repacked = True
-        scheduler = ShuffleScheduler(
-            num_hot_batches=len(dataset.hot_batches),
-            num_cold_batches=len(dataset.cold_batches),
-            initial_rate=self.plan.config.scheduler_initial_rate,
-            strip_length=self.plan.config.scheduler_strip_length,
-        )
-        journal = (
-            RefreshJournal(checkpoint.directory)
-            if checkpoint is not None and self.cache is not None
-            else None
-        )
-        optimizer_params = {
-            "cold": self.model.dense_parameters()
-            + [t.weight for t in self.model.tables.values()],
-        }
-        loss_fn = BCEWithLogits()
-        history = TrainingHistory()
-
-        registry = get_registry()
-        sync_events_counter = registry.counter("fae.sync.events")
-        sync_bytes_counter = registry.counter("fae.sync.bytes")
-        sync_events_start = sync_events_counter.value
-        sync_bytes_start = sync_bytes_counter.value
-        transition_counters = {
-            "hot": registry.counter("train.transitions.to_hot"),
-            "cold": registry.counter("train.transitions.to_cold"),
-        }
-        batch_counters = {
-            "hot": registry.counter("train.batches.hot"),
-            "cold": registry.counter("train.batches.cold"),
-        }
-        step_hist = registry.histogram("train.step.latency")
-        registry.gauge("train.batch.hot_fraction").set(dataset.hot_input_fraction)
-
-        iteration = 0
-        rates: list[int] = []
-        mode = "cold"  # the model starts with master bags installed
-        last_train_loss = 0.0
-        last_train_acc = 0.0
-        start_epoch = 0
-        resume_cursors: dict[str, int] | None = None
-        segments_done = 0
-
-        if resume is not None:
-            ckpt = self._restore_checkpoint(resume, scheduler)
-            iteration = ckpt.step
-            start_epoch = ckpt.epoch
-            resume_cursors = dict(ckpt.cursors)
-            last_train_loss = ckpt.last_train_loss
-            last_train_acc = ckpt.last_train_accuracy
-            if (
-                self.cache is not None
-                and not scheduler.degraded
-                and self.cache.should_rebalance()
-            ):
-                # Checkpoints are captured *before* the boundary refresh,
-                # so a restored full observation window means the crashed
-                # run was refreshing (or about to): roll the refresh
-                # forward now, deterministically — plan_rebalance is pure
-                # in the restored state, and the journal's pending intent
-                # (if the crash landed mid-refresh) verifies the re-plan.
-                dataset, resume_cursors, mode, did_repack = self._refresh_cache(
-                    train_log,
-                    dataset,
-                    resume_cursors,
-                    scheduler,
-                    mode,
-                    journal,
-                    transition_counters,
-                )
-                repacked = repacked or did_repack
-
-        for _epoch in range(start_epoch, epochs):
-            if resume_cursors is not None:
-                # Mid-epoch resume: the scheduler already holds this
-                # epoch's remaining pools; do not refill them.
-                cursors = resume_cursors
-                resume_cursors = None
-            else:
-                scheduler.reset_epoch()
-                cursors = {"hot": 0, "cold": 0}
-            for segment in scheduler.segments():
-                with span(
-                    f"train.segment.{segment.kind}",
-                    num_batches=segment.num_batches,
-                    rate=segment.rate,
-                ):
-                    if (
-                        self.fault_plan is not None
-                        and not scheduler.degraded
-                        and self.fault_plan.should_evict_hot(iteration)
-                    ):
-                        self._degrade_to_cold(scheduler)
-                        mode = "cold"
-                    # In degraded mode the segment still drains its planned
-                    # pool, but executes on the cold (master-table) path.
-                    run_hot = segment.kind == "hot" and not scheduler.degraded
-
-                    if run_hot and mode != "hot":
-                        self._enter_hot()
-                        mode = "hot"
-                        transition_counters["hot"].inc()
-                    elif not run_hot and mode != "cold":
-                        self._enter_cold()
-                        mode = "cold"
-                        transition_counters["cold"].inc()
-
-                    if (
-                        self.fault_plan is not None
-                        and run_hot
-                        and self.fault_plan.should_corrupt_hot_row(iteration)
-                    ):
-                        # Poison the same row on every replica (replicas
-                        # must stay bit-identical); the damage spreads to
-                        # the masters at the next sync unless the guard
-                        # trips first.  Target the most-accessed row of
-                        # the upcoming hot batch so the fault is
-                        # guaranteed to be exercised.
-                        name = next(iter(self.replicator.replicas[0]))
-                        bag = self.replicator.replicas[0][name]
-                        cursor = cursors.get("hot", 0)
-                        upcoming = (
-                            train_log.sparse[name][dataset.hot_batches[cursor]]
-                            if cursor < len(dataset.hot_batches)
-                            else np.empty(0, dtype=np.int64)
-                        )
-                        row = popular_local_row(bag, upcoming)
-                        for replica in self.replicator.replicas:
-                            self.fault_plan.corrupt_row(
-                                replica[name].weight.value, row=row
-                            )
-
-                    if run_hot:
-                        dense_optimizer = SGD(self.model.dense_parameters(), lr=self.lr)
-                        replica_optimizers = [
-                            SGD([bag.weight for bag in replica.values()], lr=self.lr)
-                            for replica in self.replicator.replicas
-                        ]
-                        step_params = self.model.dense_parameters() + [
-                            bag.weight
-                            for replica in self.replicator.replicas
-                            for bag in replica.values()
-                        ]
-                    else:
-                        optimizer = SGD(optimizer_params["cold"], lr=self.lr)
-                        step_params = optimizer_params["cold"]
-                    pool_name = segment.drain_pool
-
-                    losses = []
-                    accs = []
-                    start = cursors[pool_name]
-                    for batch in iter_fae_batches(
-                        train_log,
-                        dataset,
-                        pool_name,
-                        start=start,
-                        count=segment.num_batches,
-                        hot=run_hot,
-                        fault_plan=self.fault_plan,
-                        retry=self.retry,
-                    ):
-                        if self.cache is not None:
-                            # Feed the cache the *clean* lookups before any
-                            # injected corruption touches the batch.
-                            self.cache.observe(batch.sparse)
-                        if self.fault_plan is not None:
-                            batch = self.fault_plan.maybe_corrupt_batch(batch)
-                        if self.guards is not None and not self.guards.batch_ok(batch):
-                            # Poisoned *inputs*: dropping the batch costs
-                            # one update and nothing else.
-                            iteration += 1
-                            continue
-                        step_start = time.perf_counter()
-                        logits = self.model.forward(batch)
-                        loss = loss_fn.forward(logits, batch.labels)
-                        if self.guards is not None:
-                            # A bad loss from a clean batch means the
-                            # parameters are poisoned: raises LossSpikeError.
-                            self.guards.check_loss(loss, iteration)
-                        self.model.backward(loss_fn.backward())
-                        if (
-                            self.fault_plan is not None
-                            and self.fault_plan.should_corrupt_gradient(iteration)
-                        ):
-                            target = self.model.dense_parameters()[0]
-                            if target.grad is not None:
-                                self.fault_plan.corrupt_array(target.grad)
-                        if self.guards is not None and not self.guards.grads_ok(
-                            step_params, iteration
-                        ):
-                            # Poisoned *gradients*: discard the step, the
-                            # parameters stay good.
-                            self._clear_pending_grads(step_params)
-                            iteration += 1
-                            continue
-                        if run_hot:
-                            # Data-parallel step: share the hot-bag gradients
-                            # with every replica, then apply identical updates.
-                            self.replicator.all_reduce_gradients()
-                            dense_optimizer.step()
-                            for replica_optimizer in replica_optimizers:
-                                replica_optimizer.step()
-                        else:
-                            optimizer.step()
-                        step_hist.observe(time.perf_counter() - step_start)
-                        iteration += 1
-                        losses.append(loss)
-                        accs.append(binary_accuracy(logits, batch.labels))
-                        if self.fault_plan is not None:
-                            self.fault_plan.maybe_crash_step(iteration)
-                    batch_counters[segment.kind].inc(segment.num_batches)
-                    cursors[pool_name] = start + segment.num_batches
-
-                    # Evaluation must see the freshest parameters: flush hot
-                    # rows to the masters (without leaving hot mode) first.
-                    if mode == "hot":
-                        self.replicator.sync_to_master()
-                    with timed("train.eval"):
-                        test_loss, test_acc = evaluate_with_master_bags(
-                            self.model, self._master_bags, test_log, eval_samples
-                        )
-                    if self.guards is not None:
-                        # Catch poisoned state before it contaminates the
-                        # scheduler's loss feedback: raises LossSpikeError.
-                        self.guards.check_eval_loss(test_loss, iteration)
-                    scheduler.record_test_loss(test_loss)
-                    rates.append(scheduler.rate)
-                    last_train_loss = float(np.mean(losses)) if losses else last_train_loss
-                    last_train_acc = float(np.mean(accs)) if accs else last_train_acc
-                    history.record(
-                        HistoryPoint(
-                            iteration=iteration,
-                            train_loss=last_train_loss,
-                            test_loss=test_loss,
-                            test_accuracy=test_acc,
-                            train_accuracy=last_train_acc,
-                            segment_kind=segment.kind,
-                        )
-                    )
-                    segments_done += 1
-                    if checkpoint is not None and checkpoint.should_save(segments_done):
-                        snapshot = self._capture_checkpoint(
-                            iteration,
-                            _epoch,
-                            cursors,
-                            scheduler,
-                            last_train_loss,
-                            last_train_acc,
-                            dataset=dataset,
-                            repacked=repacked,
-                        )
-                        # Checkpoint hygiene: never persist a snapshot
-                        # carrying NaN/Inf — rollback must not restore poison.
-                        if self.guards is None or self.guards.state_ok(snapshot.params):
-                            checkpoint.save(snapshot)
-                            if self.fault_plan is not None:
-                                self.fault_plan.maybe_crash_checkpoint()
-
-                    # Cache turnover at the segment boundary: the masters
-                    # are authoritative here (hot rows were flushed before
-                    # the evaluation above), so promotion can pull fresh
-                    # values and demoted rows lose nothing.  The turnover
-                    # runs *after* the checkpoint on purpose: crash
-                    # recovery re-derives an interrupted refresh from the
-                    # pre-refresh snapshot (see _refresh_cache).
-                    if (
-                        self.cache is not None
-                        and not scheduler.degraded
-                        and self.cache.should_rebalance()
-                    ):
-                        dataset, cursors, mode, did_repack = self._refresh_cache(
-                            train_log,
-                            dataset,
-                            cursors,
-                            scheduler,
-                            mode,
-                            journal,
-                            transition_counters,
-                        )
-                        repacked = repacked or did_repack
-
-        if mode == "hot":
-            self._enter_cold()
-            transition_counters["cold"].inc()
-        with timed("train.eval", final=True):
-            final_loss, final_acc = evaluate_model(self.model, test_log)
-            _loss, train_acc = evaluate_model(
-                self.model, train_log, max_samples=4 * eval_samples
-            )
-        history.record(
-            HistoryPoint(
-                iteration=iteration,
-                train_loss=last_train_loss,
-                test_loss=final_loss,
-                test_accuracy=final_acc,
-                train_accuracy=train_acc,
-                segment_kind="final",
-            )
-        )
-        return TrainResult(
-            history=history,
-            final_train_accuracy=train_acc,
-            final_test_accuracy=final_acc,
-            sync_events=int(sync_events_counter.value - sync_events_start),
-            sync_bytes=int(sync_bytes_counter.value - sync_bytes_start),
-            schedule_rates=rates,
-            degraded=scheduler.degraded,
-        )
-
-
-def evaluate_with_master_bags(model: RecModel, master_bags: dict, test_log, eval_samples: int):
-    """Evaluate using the master tables regardless of the installed bags.
-
-    Test inputs are arbitrary (they may touch cold rows), so evaluation
-    always runs against the full CPU tables; the caller is responsible
-    for flushing hot-row updates to the masters first.
-    """
-    installed = {name: model.get_bag(name) for name in master_bags}
-    for name, bag in master_bags.items():
-        model.set_bag(name, bag)
-    try:
-        return evaluate_model(model, test_log, max_samples=eval_samples)
-    finally:
-        for name, bag in installed.items():
-            model.set_bag(name, bag)
+        # Defined here, not inherited: perfbench wraps each trainer's own
+        # ``train`` attribute.
+        return self._run(train_log, test_log, epochs, eval_samples, checkpoint, resume)

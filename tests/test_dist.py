@@ -185,6 +185,20 @@ class TestDistributedFAETrainer:
         result = trainer.train(train, test, epochs=1)
         assert result.sync_events > 0
         assert np.isfinite(result.final_test_accuracy)
+        # Per-segment batch accuracy is measured, not left at its 0.0 default.
+        assert any(p.train_accuracy > 0 for p in result.history.points[:-1])
+
+    def test_sync_accounting_is_per_run(self, fae_setup):
+        """TrainResult.sync_* are this run's counter deltas, not the
+        replicator's lifetime tally."""
+        schema, train, test, plan = fae_setup
+        trainer = DistributedFAETrainer(
+            [small_dlrm(schema, seed=7) for _ in range(2)], plan, lr=0.15
+        )
+        first = trainer.train(train, test, epochs=1)
+        second = trainer.train(train, test, epochs=1)
+        assert second.sync_events > 0
+        assert first.sync_events + second.sync_events == trainer.replicator.sync_events
 
     def test_dense_replicas_converge_identically(self, fae_setup):
         schema, train, test, plan = fae_setup

@@ -34,7 +34,7 @@ from repro.resilience import (
     save_checkpoint,
     verify_checkpoint,
 )
-from repro.resilience.certify import CertifyConfig, write_final_state
+from repro.resilience.certify import CertifyConfig, run_certification, write_final_state
 from repro.resilience.faults import REFRESH_PHASES
 from repro.train import FAETrainer
 
@@ -654,11 +654,9 @@ def _dist_trainer(schema, plan, fault_plan=None, seed=21):
 
 
 def _final_params(trainer):
-    model = trainer.model if hasattr(trainer, "model") else trainer.replicas[0]
-    tables = model.tables if hasattr(trainer, "model") else trainer.master_tables
     return (
-        [p.value.copy() for p in model.dense_parameters()],
-        {name: table.weight.value.copy() for name, table in tables.items()},
+        [p.value.copy() for p in trainer.replicas[0].dense_parameters()],
+        {name: table.weight.value.copy() for name, table in trainer.master_tables.items()},
     )
 
 
@@ -911,6 +909,16 @@ class TestCertifyConfig:
 
     def test_default_phases_are_complete(self):
         assert CertifyConfig().phases == REFRESH_PHASES
+
+    @pytest.mark.parametrize("gpus", [1, 2])
+    def test_real_sigkill_resumes_byte_identically(self, tmp_path, gpus):
+        """Both world sizes of the one engine, through the CLI, with real
+        SIGKILLs: a post-repack refresh phase and a checkpoint boundary."""
+        config = CertifyConfig(phases=("pools",), checkpoints=(0,), gpus=gpus)
+        report = run_certification(config, tmp_path, log=lambda _line: None)
+        assert [p["kill"] for p in report["points"]] == config.kill_specs()
+        assert all(p["killed"] and p["resumed"] for p in report["points"])
+        assert report["passed"]
 
 
 class TestCheckpointCLI:

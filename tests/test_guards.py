@@ -651,6 +651,27 @@ class TestGuardedTraining:
         assert result.skipped_batches >= 1
         assert result.rollbacks == 0
 
+    @pytest.mark.parametrize("world_size", [1, 2])
+    def test_dropped_batch_keeps_its_place_in_the_step_count(self, guard_setup, world_size):
+        """One rule at every world size: a guard-dropped batch costs its
+        update, not its iteration, and its rows count as skipped inputs."""
+        schema, train, test, plan = guard_setup
+        fault_plan = FaultPlan(seed=3, batch_corruption_rate=0.2, max_batch_corruptions=3)
+        replicas = [small_dlrm(schema, seed=21) for _ in range(world_size)]
+        trainer = (
+            FAETrainer(replicas[0], plan, fault_plan=fault_plan, guards=self._guards())
+            if world_size == 1
+            else DistributedFAETrainer(
+                replicas, plan, fault_plan=fault_plan, guards=self._guards()
+            )
+        )
+        result = trainer.train(train, test, epochs=1)
+        assert result.skipped_batches >= 1
+        assert result.history.final.iteration == len(plan.dataset.hot_batches) + len(
+            plan.dataset.cold_batches
+        )
+        assert trainer.skipped_inputs >= result.skipped_batches
+
     def test_rollback_budget_exhaustion_raises_guard_abort(self, guard_setup):
         schema, train, test, plan = guard_setup
         fault_plan = FaultPlan(seed=7, hot_row_corruption_at=5, corruption_mode="bitflip")

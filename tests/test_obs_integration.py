@@ -22,8 +22,10 @@ from repro import (
 )
 from repro.cli import main
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
+from repro.dist import DistributedFAETrainer
 from repro.models.dlrm import DLRM, DLRMConfig
 from repro.obs import get_registry, get_tracer, load_jsonl
+from repro.obs.analyze import analyze_records
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,14 +91,26 @@ class TestPipelineSpans:
         assert by_id[calibrate.parent_id].name == "preprocess"
 
     def test_trainer_spans_and_sync_counters(self, clean_telemetry, small_setup):
+        self._check_trainer_telemetry(clean_telemetry, small_setup, world_size=1)
+
+    def test_distributed_trainer_emits_the_same_telemetry(self, clean_telemetry, small_setup):
+        self._check_trainer_telemetry(clean_telemetry, small_setup, world_size=2)
+
+    @staticmethod
+    def _check_trainer_telemetry(clean_telemetry, small_setup, world_size):
+        """Both faces of the segment engine emit the same telemetry."""
         tracer, registry = clean_telemetry
         schema, train, test, config = small_setup
         plan = fae_preprocess(train, config, batch_size=128)
-        model = DLRM(schema, DLRMConfig("4-8", "8-1", seed=1))
+        replicas = [DLRM(schema, DLRMConfig("4-8", "8-1", seed=1)) for _ in range(world_size)]
 
         events_before = registry.counter("fae.sync.events").value
         bytes_before = registry.counter("fae.sync.bytes").value
-        trainer = FAETrainer(model, plan, lr=0.1)
+        trainer = (
+            FAETrainer(replicas[0], plan, lr=0.1)
+            if world_size == 1
+            else DistributedFAETrainer(replicas, plan, lr=0.1)
+        )
         result = trainer.train(train, test, epochs=1, eval_samples=256)
 
         # The registry counters and the TrainResult agree — the result is
@@ -112,10 +126,25 @@ class TestPipelineSpans:
         assert result.sync_bytes > 0
 
         names = {r.name for r in tracer.records()}
-        assert "replicate.build" in names
-        assert "replicate.sync" in names
-        assert "train.eval" in names
-        assert any(n.startswith("train.segment.") for n in names)
+        assert names >= {
+            "replicate.build",
+            "replicate.sync",
+            "train.eval",
+            "train.segment.hot",
+            "train.segment.cold",
+        }
+        steps = result.history.final.iteration
+        assert registry.histogram("train.step.latency").count == steps
+        assert (
+            registry.counter("train.batches.hot").value
+            + registry.counter("train.batches.cold").value
+            == steps
+        )
+        assert registry.gauge("train.batch.hot_fraction").value == pytest.approx(
+            plan.hot_input_fraction
+        )
+        analysis = analyze_records([r.to_dict() for r in tracer.records()])
+        assert analysis.coverage() == pytest.approx(1.0)
 
         # Transition counters can never exceed sync events (extra syncs
         # come from eval flushes).

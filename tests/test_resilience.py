@@ -737,6 +737,7 @@ class TestDegradation:
 
         ckpt = load_checkpoint(manager.latest())
         assert ckpt.degraded
+        assert ckpt.metadata["world_size"] == 1  # recorded by a world of one too
         trainer = FAETrainer(small_dlrm(schema, seed=14), plan, lr=0.15)
         result = trainer.train(train, test, epochs=1, resume=ckpt)
         assert result.degraded

@@ -173,12 +173,6 @@ class TestFAETrainer:
         )
         assert changed
 
-    def test_multi_replica_consistency(self, training_setup):
-        schema, train, test, plan = training_setup
-        trainer = FAETrainer(fresh_model(schema, seed=6), plan, lr=0.2, num_replicas=3)
-        trainer.train(train, test, epochs=1)
-        assert trainer.replicator.max_replica_divergence() == 0.0
-
     def test_rejects_zero_epochs(self, training_setup):
         schema, train, test, plan = training_setup
         with pytest.raises(ValueError):

@@ -15,10 +15,19 @@ here rather than equality.
 Placement must never change the math (ROADMAP 4a): an FAE run and a
 ``BaselineTrainer`` run fed the same batch order are compared *exactly*,
 losses and every trained parameter, for DLRM and TBSM.
+
+The ``exact`` entries were recorded at the parent of PR 14 (the last commit
+with two trainer loops) and are compared with ``==``: every loss of the whole
+run plus a digest of the trained parameters, for ``FAETrainer`` with and
+without the online cache and for ``DistributedFAETrainer`` on two replicas
+with the cache on (several rebalances and repacks land inside the run).  A
+change to the segment engine that leaves the kernels alone must reproduce
+them bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from contextlib import contextmanager
@@ -30,9 +39,11 @@ import pytest
 import repro.data.loader as loader
 import repro.train.trainer as trainer_module
 from repro.core import FAEConfig, fae_preprocess
+from repro.core.hotcache import EmbeddingHotCache, HotCacheConfig
 from repro.data import SyntheticClickLog, SyntheticConfig
 from repro.data.loader import batch_from_log, train_test_split
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
+from repro.dist import DistributedFAETrainer
 from repro.models import DLRM, TBSM, DLRMConfig, TBSMConfig
 from repro.nn import BCEWithLogits
 from repro.train import BaselineTrainer, FAETrainer
@@ -118,13 +129,61 @@ def recorded_training():
         loader.fetch_batch = fetch
 
 
-def run_fae(case: str):
+def _cache(plan) -> EmbeddingHotCache:
+    return EmbeddingHotCache(
+        plan.bags,
+        HotCacheConfig(budget_bytes=12 * 1024, rebalance_every=256, seed=3),
+        profile=plan.calibration.profile,
+    )
+
+
+def run_fae(case: str, cached: bool = False):
     schema, build = CASES[case]
     train, test, plan = _data(schema)
     model = build()
+    cache = _cache(plan) if cached else None
     with recorded_training() as (losses, batches):
-        FAETrainer(model, plan, lr=LR).train(train, test, epochs=1, eval_samples=128)
-    return model, losses, batches
+        FAETrainer(model, plan, lr=LR, cache=cache).train(
+            train, test, epochs=1, eval_samples=128
+        )
+    return model, losses, batches, cache
+
+
+def run_dist(case: str):
+    """Two replicas with the online cache on; one recorded loss per shard."""
+    schema, build = CASES[case]
+    train, test, plan = _data(schema)
+    replicas = [build(), build()]
+    cache = _cache(plan)
+    with recorded_training() as (losses, _batches):
+        DistributedFAETrainer(replicas, plan, lr=LR, cache=cache).train(
+            train, test, epochs=1, eval_samples=128
+        )
+    return replicas[0], losses, cache
+
+
+def _pin(model, losses, cache) -> dict:
+    """Every loss of a run, a digest of what it trained, the cache's turnover."""
+    digest = hashlib.sha256()
+    for param in model.dense_parameters():
+        digest.update(param.value.tobytes())
+    for _name, table in sorted(model.tables.items()):
+        digest.update(table.weight.value.tobytes())
+    stats = cache.stats() if cache is not None else {}
+    turnover = {key: stats.get(key, 0) for key in ("rebalances", "promotions", "demotions")}
+    return {"losses": losses, "params": digest.hexdigest(), "turnover": turnover}
+
+
+def _exact_fae(case: str, cached: bool) -> dict:
+    model, losses, _batches, cache = run_fae(case, cached)
+    return _pin(model, losses, cache)
+
+
+EXACT_RUNS = {
+    "fae": lambda case: _exact_fae(case, cached=False),
+    "fae_cached": lambda case: _exact_fae(case, cached=True),
+    "dist2_cached": lambda case: _pin(*run_dist(case)),
+}
 
 
 def run_baseline(case: str, order: list[np.ndarray] | None = None):
@@ -153,9 +212,13 @@ def run_baseline(case: str, order: list[np.ndarray] | None = None):
     return model, losses
 
 
-def _trajectories() -> dict[str, dict[str, list[float]]]:
+def _trajectories() -> dict[str, dict]:
     return {
-        case: {"fae": run_fae(case)[1][:STEPS], "baseline": run_baseline(case)[1][:STEPS]}
+        case: {
+            "fae": run_fae(case)[1][:STEPS],
+            "baseline": run_baseline(case)[1][:STEPS],
+            "exact": {name: run(case) for name, run in EXACT_RUNS.items()},
+        }
         for case in CASES
     }
 
@@ -176,9 +239,19 @@ def test_reproduces_parent_trajectory(case, trainer):
     np.testing.assert_allclose(losses[:STEPS], golden, rtol=1e-5, atol=0.0)
 
 
+@pytest.mark.parametrize("run", sorted(EXACT_RUNS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_reproduces_parent_run_exactly(case, run):
+    golden = json.loads(GOLDEN.read_text())[case]["exact"][run]
+    assert len(golden["losses"]) >= STEPS
+    if run.endswith("_cached"):  # the pin is only worth having across a repack
+        assert golden["turnover"]["rebalances"] and golden["turnover"]["promotions"]
+    assert EXACT_RUNS[run](case) == golden
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fae_equals_baseline_on_same_batch_order(case):
-    fae_model, fae_losses, order = run_fae(case)
+    fae_model, fae_losses, order, _ = run_fae(case)
     base_model, base_losses = run_baseline(case, order=order)
     assert len(order) >= STEPS
     assert fae_losses == base_losses
@@ -194,5 +267,11 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit("usage: python tests/test_trajectory_pin.py --record")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(_trajectories(), indent=1) + "\n")
+    kept = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    golden = _trajectories()
+    for case, recorded in golden.items():
+        # The 20-step lists predate PR 12's kernels (hence their rtol): a
+        # re-record refreshes the exact pins and leaves those as they are.
+        recorded.update({k: v for k, v in kept.get(case, {}).items() if k != "exact"})
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
