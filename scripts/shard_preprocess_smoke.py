@@ -1,0 +1,53 @@
+#!/usr/bin/env python
+"""Shard-backed preprocess, end to end, for the bounded-memory CI step.
+
+Writes a synthetic click log to on-disk shards (streamed, one chunk in
+memory at a time) and runs the two-pass FAE preprocess over them through
+:class:`~repro.data.ShardChunkSource`.  CI runs it under
+``scripts/rss_cap.py``: a shard chunk holds its file's bytes plus the
+columns a stage touched, so memory must stay bounded by the shard, not
+the log -- which ``repro preprocess --stream`` cannot show, because it
+never opens a shard.
+
+Usage::
+
+    python scripts/rss_cap.py --limit-mb 256 -- \\
+        python scripts/shard_preprocess_smoke.py --samples 400000 --dir shard-smoke
+"""
+
+from __future__ import annotations
+
+import argparse
+import shutil
+import sys
+
+from repro.core import FAEConfig, fae_preprocess_source
+from repro.data import ShardChunkSource, SyntheticClickStream, dataset_by_name, save_log_shards
+from repro.obs import get_registry
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--samples", type=int, default=400_000)
+    parser.add_argument("--dir", default="shard-smoke", help="shard directory (replaced)")
+    args = parser.parse_args(argv)
+
+    schema = dataset_by_name("criteo-kaggle", "small")
+    shutil.rmtree(args.dir, ignore_errors=True)
+    stream = SyntheticClickStream(schema, total_samples=args.samples, chunk_size=8192, seed=7)
+    source = ShardChunkSource(save_log_shards(args.dir, stream))
+    config = FAEConfig(
+        gpu_memory_budget=256 * 1024, large_table_min_bytes=1024, chunk_size=64, seed=7
+    )
+    plan = fae_preprocess_source(source, config, batch_size=256)
+    if plan.dataset.num_inputs != args.samples:
+        print(f"packed {plan.dataset.num_inputs} inputs, wrote {args.samples}", file=sys.stderr)
+        return 1
+    decoded = get_registry().counter("data.shard.members_decoded").value
+    print(plan.summary())
+    print(f"shards: {len(source.shard_refs())}  members decoded: {decoded:.0f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

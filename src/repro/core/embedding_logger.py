@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.access_profile import AccessProfile, TableProfile
 from repro.core.config import FAEConfig
-from repro.data.chunk_source import ChunkSource, ShardChunkSource
+from repro.data.chunk_source import ChunkSource, ShardChunk, ShardChunkSource
 from repro.data.log import ClickLog
 from repro.data.schema import DatasetSchema
 from repro.data.synthetic import SyntheticClickLog
@@ -50,8 +50,10 @@ def _profile_chunk_counts(payload: dict) -> dict:
 
     Two payload shapes: an *inline* payload carries the sampled sparse
     ids directly (``tables`` maps name -> ids array); a *shard* payload
-    carries a shard path plus local sample positions, and the worker does
-    the shard I/O itself (the point of fanning out).  Either way the
+    carries a shard path, the schema and local sample positions, and the
+    worker does the shard I/O itself (the point of fanning out) through
+    the sequential pass's :class:`~repro.data.chunk_source.ShardChunk`,
+    so both accept and reject exactly the same shards.  Either way the
     result is ``{name: (unique_ids, counts)}`` — equivalent to the
     chunk's bincount, but compact enough to ship back over a queue.
 
@@ -61,11 +63,11 @@ def _profile_chunk_counts(payload: dict) -> dict:
     shard = payload.get("shard")
     if shard is not None:
         local = np.asarray(payload["local_indices"], dtype=np.int64)
-        with np.load(shard, allow_pickle=False) as archive:
-            tables = {
-                name: archive[f"sparse_{name}"][local] for name in payload["tables"]
-            }
+        chunk = ShardChunk(payload["schema"], shard, int(payload["chunk_len"]))
         num_sampled = int(local.size)
+        # No sampled row, no column touched: as ProfileAccumulator.update.
+        names = payload["tables"] if num_sampled else ()
+        tables = {name: chunk.sparse[name][local] for name in names}
     else:
         tables = payload["tables"]
         num_sampled = int(payload["num_sampled"])
@@ -289,6 +291,7 @@ class EmbeddingLogger:
                     payloads.append(
                         {
                             "shard": path,
+                            "schema": source.schema,
                             "tables": names,
                             "local_indices": sample_indices[lo:hi] - start,
                             "chunk_len": count,

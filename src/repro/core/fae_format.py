@@ -14,7 +14,9 @@ hot bags, calibration threshold, format version):
   :class:`ShardBatchSequence`, so a trainer never holds more than one
   shard of batch indices in memory.
 
-Every file is written atomically (temp file + ``os.replace``), and the
+Every archive goes through the one codec in :mod:`repro.data.npz_codec`
+(serialised once in memory, hashed from that buffer, written once) and
+every file is written atomically (temp file + ``os.replace``); the
 manifest is written *last* — an interrupted sharded save never leaves a
 directory that loads as complete.  :func:`load_fae_dataset` dispatches
 on the path (directory or manifest -> sharded, file -> flat); loading a
@@ -26,10 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import zipfile
-import zlib
 from bisect import bisect_right
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -37,7 +36,8 @@ import numpy as np
 
 from repro.core.classifier import HotEmbeddingBagSpec
 from repro.core.input_processor import FAEDataset
-from repro.resilience.atomic import atomic_write, atomic_write_text
+from repro.data.npz_codec import NpzReader, write_npz
+from repro.resilience.atomic import atomic_write_text
 
 __all__ = [
     "FORMAT_VERSION",
@@ -114,16 +114,7 @@ def save_fae_dataset(
     final = Path(path)
     if final.suffix != ".npz":
         final = final.with_name(final.name + ".npz")
-    with atomic_write(final) as tmp:
-        np.savez_compressed(tmp, **payload)
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with path.open("rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+    write_npz(final, payload)
 
 
 def save_fae_dataset_sharded(
@@ -146,10 +137,8 @@ def save_fae_dataset_sharded(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    with atomic_write(directory / "bags.npz") as tmp:
-        np.savez_compressed(tmp, **_bag_payload(bags))
-    with atomic_write(directory / "mask.npz") as tmp:
-        np.savez_compressed(tmp, hot_mask=dataset.hot_mask)
+    write_npz(directory / "bags.npz", _bag_payload(bags))
+    write_npz(directory / "mask.npz", {"hot_mask": dataset.hot_mask})
 
     shards: list[dict] = []
 
@@ -158,15 +147,13 @@ def save_fae_dataset_sharded(
             group = list(batches[start : start + shard_size])
             name = f"shard-{len(shards):06d}.npz"
             payload = {f"batch_{i:06d}": batch for i, batch in enumerate(group)}
-            with atomic_write(directory / name) as tmp:
-                np.savez_compressed(tmp, **payload)
             shards.append(
                 {
                     "file": name,
                     "kind": kind,
                     "start": start,
                     "count": len(group),
-                    "sha256": _sha256(directory / name),
+                    "sha256": write_npz(directory / name, payload),
                 }
             )
 
@@ -194,8 +181,8 @@ class ShardBatchSequence(Sequence):
     Supports ``len()``, integer indexing, slicing, and iteration — the
     full surface the trainers use — while holding at most one decoded
     shard in memory (iteration and slices walk shard by shard).  Each
-    shard's SHA-256 is verified on first load; corruption raises a
-    :class:`RuntimeError` naming the file.
+    load reads the file once, verifies its SHA-256 and decodes the same
+    bytes; corruption raises a :class:`RuntimeError` naming the file.
     """
 
     def __init__(self, directory: Path, shards: list[dict]) -> None:
@@ -209,7 +196,6 @@ class ShardBatchSequence(Sequence):
         self._total = total
         self._cache_index: int | None = None
         self._cache: list[np.ndarray] = []
-        self._verified: set[int] = set()
 
     def __len__(self) -> int:
         return self._total
@@ -219,26 +205,21 @@ class ShardBatchSequence(Sequence):
             return self._cache
         shard = self._shards[shard_index]
         path = self._directory / str(shard["file"])
-        if shard_index not in self._verified:
-            try:
-                actual = _sha256(path)
-            except FileNotFoundError:
-                raise RuntimeError(f"FAE shard {path} is missing") from None
-            expected = str(shard["sha256"])
-            if actual != expected:
-                raise RuntimeError(
-                    f"FAE shard {path} failed its checksum "
-                    f"(expected {expected[:12]}..., got {actual[:12]}...)"
-                )
-            self._verified.add(shard_index)
         try:
-            # An own handle, for the reason given in _load_npz.
-            with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
-                batches = [
-                    archive[f"batch_{i:06d}"] for i in range(int(shard["count"]))
-                ]
-        except (KeyError, OSError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
-            raise RuntimeError(f"FAE shard {path} is truncated or corrupt: {exc}") from exc
+            blob = path.read_bytes()
+        except FileNotFoundError:
+            raise RuntimeError(f"FAE shard {path} is missing") from None
+        # Hashed before any member is decoded, from the bytes that are
+        # then decoded: one read, and no window between check and use.
+        actual = hashlib.sha256(blob).hexdigest()
+        expected = str(shard["sha256"])
+        if actual != expected:
+            raise RuntimeError(
+                f"FAE shard {path} failed its checksum "
+                f"(expected {expected[:12]}..., got {actual[:12]}...)"
+            )
+        archive = NpzReader(blob, f"FAE shard {path}")
+        batches = [archive[f"batch_{i:06d}"] for i in range(int(shard["count"]))]
         self._cache_index = shard_index
         self._cache = batches
         return batches
@@ -261,19 +242,6 @@ class ShardBatchSequence(Sequence):
     def materialize(self) -> list[np.ndarray]:
         """Decode every shard into a plain list (tests / small datasets)."""
         return list(self)
-
-
-@contextmanager
-def _load_npz(path: Path, description: str):
-    # The handle is opened here, not by np.load: numpy leaks the one it
-    # opens itself when the file turns out not to be a zip archive.
-    with open(path, "rb") as handle:
-        try:
-            archive = np.load(handle, allow_pickle=False)
-        except (zipfile.BadZipFile, OSError, ValueError) as exc:
-            raise RuntimeError(f"{description} {path} is corrupt: {exc}") from exc
-        with archive:
-            yield archive
 
 
 def _load_sharded(directory: Path) -> tuple[FAEDataset, dict[str, HotEmbeddingBagSpec], float]:
@@ -303,20 +271,10 @@ def _load_sharded(directory: Path) -> tuple[FAEDataset, dict[str, HotEmbeddingBa
             f"FAE manifest {manifest_path} is truncated: missing {exc}"
         ) from exc
 
-    with _load_npz(directory / str(files["mask"]), "FAE hot mask") as archive:
-        try:
-            hot_mask = archive["hot_mask"]
-        except KeyError as exc:
-            raise RuntimeError(
-                f"FAE hot mask {directory / str(files['mask'])} is truncated: {exc}"
-            ) from exc
-    with _load_npz(directory / str(files["bags"]), "FAE hot bags") as archive:
-        try:
-            bags = _bags_from_archive(archive)
-        except KeyError as exc:
-            raise RuntimeError(
-                f"FAE hot bags {directory / str(files['bags'])} are truncated: {exc}"
-            ) from exc
+    mask_path = directory / str(files["mask"])
+    hot_mask = NpzReader(mask_path.read_bytes(), f"FAE hot mask {mask_path}")["hot_mask"]
+    bags_path = directory / str(files["bags"])
+    bags = _bags_from_archive(NpzReader(bags_path.read_bytes(), f"FAE hot bags {bags_path}"))
 
     hot_shards = [s for s in shards if s.get("kind") == "hot"]
     cold_shards = [s for s in shards if s.get("kind") == "cold"]
@@ -359,40 +317,27 @@ def load_fae_dataset(
         return _load_sharded(path)
     if path.name == FAE_MANIFEST:
         return _load_sharded(path.parent)
-    try:
-        with _load_npz(path, "packed FAE dataset") as archive:
-            if "format_version" not in archive.files:
-                raise RuntimeError(
-                    f"packed FAE dataset {path} is missing its format header — "
-                    "not a FAE dataset archive"
-                )
-            version = int(archive["format_version"])
-            if version != FORMAT_VERSION:
-                raise ValueError(
-                    f"FAE format version {version} unsupported (expected {FORMAT_VERSION})"
-                )
-            threshold = float(archive["threshold"])
-            batch_size = int(archive["batch_size"])
-            hot_mask = archive["hot_mask"]
-            hot_batches = [
-                archive[f"hot_batch_{i:06d}"]
-                for i in range(int(archive["num_hot_batches"]))
-            ]
-            cold_batches = [
-                archive[f"cold_batch_{i:06d}"]
-                for i in range(int(archive["num_cold_batches"]))
-            ]
-            bags = _bags_from_archive(archive)
-    except FileNotFoundError:
-        raise
-    except KeyError as exc:
+    archive = NpzReader(path.read_bytes(), f"packed FAE dataset {path}")
+    if "format_version" not in archive:
         raise RuntimeError(
-            f"packed FAE dataset {path} is truncated: missing entry {exc}"
-        ) from exc
-    except (zipfile.BadZipFile, zlib.error, OSError) as exc:
-        raise RuntimeError(
-            f"packed FAE dataset {path} is truncated or corrupt: {exc}"
-        ) from exc
+            f"packed FAE dataset {path} is missing its format header — "
+            "not a FAE dataset archive"
+        )
+    version = int(archive["format_version"])
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"FAE format version {version} unsupported (expected {FORMAT_VERSION})"
+        )
+    threshold = float(archive["threshold"])
+    batch_size = int(archive["batch_size"])
+    hot_mask = archive["hot_mask"]
+    hot_batches = [
+        archive[f"hot_batch_{i:06d}"] for i in range(int(archive["num_hot_batches"]))
+    ]
+    cold_batches = [
+        archive[f"cold_batch_{i:06d}"] for i in range(int(archive["num_cold_batches"]))
+    ]
+    bags = _bags_from_archive(archive)
     dataset = FAEDataset(
         hot_batches=hot_batches,
         cold_batches=cold_batches,

@@ -58,19 +58,22 @@ def compute_hot_mask(
 
     One vectorized pass per table: an input stays hot while every id it
     looks up is in that table's hot bag.  Shared by the input processor
-    and the streaming packer.
+    and the streaming packer.  ``sparse`` may be any mapping; a table
+    whose bag is the whole table cannot make an input cold, so its ids
+    are never looked at -- on a column-lazy shard chunk
+    (:class:`~repro.data.chunk_source.ShardChunk`) they are not decoded.
 
     Raises:
         KeyError: if a sparse table has no corresponding hot bag.
     """
     hot = np.ones(num_inputs, dtype=bool)
-    for name, ids in sparse.items():
+    for name in sparse:
         bag = bags.get(name)
         if bag is None:
             raise KeyError(f"no hot bag for table {name!r}")
         if bag.whole_table:
             continue
-        hot &= masks[name][ids].all(axis=1)
+        hot &= masks[name][sparse[name]].all(axis=1)
     return hot
 
 

@@ -19,7 +19,8 @@ Backends:
   generated lazily and never coexist in memory;
 - :class:`ShardChunkSource` — on-disk raw-log shards written by
   :func:`save_log_shards` (one ``.npz`` per chunk plus a JSON manifest,
-  each written atomically);
+  each written atomically); its chunks are column-lazy
+  (:class:`ShardChunk`), so a stage pays for the columns it reads;
 - :class:`UnsizedChunkSource` — wraps a chunk-iterable factory whose
   total length is unknown up front (true streaming ingest); downstream
   samplers fall back to per-chunk Bernoulli draws for these.
@@ -31,21 +32,22 @@ Every source is re-iterable: the preprocess pipeline makes two passes
 from __future__ import annotations
 
 import json
-import zipfile
-import zlib
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro.data.log import ClickLog
+from repro.data.npz_codec import NpzReader
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
 from repro.data.stream import SyntheticClickStream
+from repro.obs import span
 from repro.resilience.atomic import atomic_write, atomic_write_text
 
 __all__ = [
     "ChunkSource",
     "LogChunkSource",
+    "ShardChunk",
     "ShardChunkSource",
     "StreamChunkSource",
     "UnsizedChunkSource",
@@ -197,6 +199,8 @@ def save_log_shards(
         payload: dict[str, np.ndarray] = {"dense": chunk.dense, "labels": chunk.labels}
         for table, ids in chunk.sparse.items():
             payload[f"sparse_{table}"] = ids
+        # Not the npz codec's writer: log shards are the pipeline's input,
+        # and their bytes stay what every earlier writer produced (DESIGN §8).
         with atomic_write(directory / name) as tmp:
             np.savez_compressed(tmp, **payload)
         shards.append({"file": name, "start": start, "num_samples": len(chunk)})
@@ -229,11 +233,104 @@ def save_log_shards(
     return directory
 
 
+class _SparseColumns(Mapping):
+    """``ShardChunk.sparse``: table name -> ids, decoded on first lookup."""
+
+    def __init__(self, chunk: "ShardChunk") -> None:
+        self._chunk = chunk
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        spec = self._chunk.schema.table(name)
+        return self._chunk._column(
+            f"sparse_{name}", np.int64, (spec.multiplicity,), spec.num_rows
+        )
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._chunk.schema.table_names)
+
+    def __len__(self) -> int:
+        return len(self._chunk.schema.tables)
+
+
+class ShardChunk(ClickLog):
+    """One on-disk log shard whose columns decode on first use.
+
+    Construction does the I/O (one read of the file, its zip directory
+    parsed), so a missing or truncated shard fails at once; ``len()`` is
+    the manifest's count.  ``sparse[name]``, ``dense`` and ``labels`` are
+    each inflated, CRC-checked and validated -- rows against the manifest,
+    shape against the schema, ids against the table's row range -- when
+    first touched, then cached: every check an eager load applies, on
+    every column that is used.  Damage in a column nobody reads is found
+    by whoever first reads it.
+
+    Raises:
+        RuntimeError: missing, truncated or corrupt file or member, or a
+            row count that disagrees with the manifest.
+        ValueError: a column whose shape or id range violates the schema.
+            Both name the file.
+    """
+
+    def __init__(self, schema: DatasetSchema, path: str | Path, count: int) -> None:
+        self.schema = schema
+        self._path = Path(path)
+        self._count = count
+        self._columns: dict[str, np.ndarray] = {}
+        try:
+            with span("data.shard.read", file=self._path.name) as read_span:
+                blob = self._path.read_bytes()
+                read_span.set(bytes=len(blob))
+        except FileNotFoundError:
+            raise RuntimeError(f"log shard {self._path} is missing") from None
+        except OSError as exc:
+            raise RuntimeError(f"log shard {self._path} is unreadable: {exc}") from exc
+        self._archive = NpzReader(blob, f"log shard {self._path}")
+
+    def __len__(self) -> int:
+        return self._count
+
+    @property
+    def sparse(self) -> Mapping[str, np.ndarray]:
+        # Built per access: stored, it would point back at the chunk, and a
+        # cycle keeps a dropped shard's bytes alive until the collector runs.
+        return _SparseColumns(self)
+
+    @property
+    def dense(self) -> np.ndarray:
+        return self._column("dense", np.float32, (self.schema.num_dense,))
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._column("labels", np.float32, ())
+
+    def _column(
+        self, member: str, dtype, row_shape: tuple[int, ...], num_rows: int | None = None
+    ) -> np.ndarray:
+        column = self._columns.get(member)
+        if column is not None:
+            return column
+        column = np.ascontiguousarray(self._archive[member], dtype=dtype)
+        where = f"log shard {self._path}: {member}"
+        if column.shape[:1] != (self._count,):
+            raise RuntimeError(
+                f"{where} has shape {column.shape}, manifest says {self._count} samples"
+            )
+        if column.shape[1:] != row_shape:
+            raise ValueError(f"{where} shape {column.shape} != {(self._count, *row_shape)}")
+        if num_rows is not None and column.size and (
+            column.min() < 0 or column.max() >= num_rows
+        ):
+            raise ValueError(f"{where} ids out of range [0, {num_rows})")
+        self._columns[member] = column
+        return column
+
+
 class ShardChunkSource(ChunkSource):
     """Chunk source over a shard directory written by :func:`save_log_shards`.
 
-    Shards are loaded one at a time and dropped after the chunk is
-    consumed, so iteration memory is bounded by the largest shard.
+    Yields one column-lazy :class:`ShardChunk` per shard, dropped after
+    the chunk is consumed, so iteration memory is bounded by the largest
+    shard (its file bytes plus the columns a consumer touched).
 
     Raises:
         FileNotFoundError: if the manifest is missing.
@@ -303,31 +400,9 @@ class ShardChunkSource(ChunkSource):
             for name, start, count in self._shards
         ]
 
-    def _load_shard(self, name: str, count: int) -> ClickLog:
-        path = self.directory / name
-        try:
-            # Opened here, not by np.load: numpy leaks the handle it opens
-            # itself when the archive turns out not to be a zip.
-            with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
-                dense = archive["dense"]
-                labels = archive["labels"]
-                sparse = {
-                    spec.name: archive[f"sparse_{spec.name}"] for spec in self.schema.tables
-                }
-        except FileNotFoundError:
-            raise RuntimeError(f"log shard {path} is missing") from None
-        except (KeyError, OSError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
-            raise RuntimeError(f"log shard {path} is truncated or corrupt: {exc}") from exc
-        chunk = ClickLog(schema=self.schema, dense=dense, sparse=sparse, labels=labels)
-        if len(chunk) != count:
-            raise RuntimeError(
-                f"log shard {path} holds {len(chunk)} samples, manifest says {count}"
-            )
-        return chunk
-
-    def chunks(self) -> Iterator[tuple[int, ClickLog]]:
+    def chunks(self) -> Iterator[tuple[int, ShardChunk]]:
         for name, start, count in self._shards:
-            yield start, self._load_shard(name, count)
+            yield start, ShardChunk(self.schema, self.directory / name, count)
 
 
 def as_chunk_source(obj, chunk_size: int | None = None) -> ChunkSource:

@@ -120,8 +120,10 @@ def iter_fae_batches(
 ):
     """Materialize mini-batches from one pool of a packed FAE dataset.
 
-    The FAE trainers drain ``dataset.hot_batches`` / ``cold_batches`` in
-    segments; this generator is their shared data path.  The pool is
+    A public helper for draining ``dataset.hot_batches`` /
+    ``cold_batches`` outside a trainer (the segment engine in
+    :mod:`repro.train.engine` draws its batches one at a time through
+    :func:`fetch_batch` and does not call this).  The pool is
     sliced once, so in-memory lists and lazy shard-backed sequences
     (:class:`repro.core.fae_format.ShardBatchSequence`) both stream the
     index arrays without decoding more than they need.

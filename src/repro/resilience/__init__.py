@@ -30,9 +30,10 @@ package is the robustness backbone the rest of the stack leans on:
 
 Recovery policies live where the state lives: the collectives retry
 in :class:`~repro.dist.collectives.ProcessGroup`, the distributed FAE
-trainer shrinks the world on permanent rank death, and both trainers
-degrade hot execution to the cold (CPU-master) path when the hot
-replicas are evicted.  Every fault, retry, recovery, and degradation is
+trainer shrinks the world on permanent rank death, and the segment
+engine both trainers run on (:mod:`repro.train.engine`) degrades hot
+execution to the cold (CPU-master) path when the hot replicas are
+evicted.  Every fault, retry, recovery, and degradation is
 emitted through :mod:`repro.obs`.
 """
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -50,3 +53,20 @@ def tiny_plan(tiny_log, tiny_fae_config):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def flip_member_byte():
+    """``flip(path, member)``: flip one byte in the middle of an ``.npz``
+    member's compressed data, leaving every other member intact."""
+
+    def flip(path, member: str) -> None:
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo(member + ".npy")
+        blob = bytearray(path.read_bytes())
+        name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+        data_start = info.header_offset + 30 + name_len + extra_len
+        blob[data_start + info.compress_size // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
+
+    return flip

@@ -1,11 +1,19 @@
 """Tests for the chunk-source abstraction in :mod:`repro.data.chunk_source`."""
 
 import json
+import tempfile
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.data.chunk_source as chunk_source_module
+from repro.core import FAEConfig, fae_preprocess, fae_preprocess_source
 from repro.data import (
+    ClickLog,
     LogChunkSource,
     ShardChunkSource,
     StreamChunkSource,
@@ -16,7 +24,9 @@ from repro.data import (
     as_chunk_source,
     save_log_shards,
 )
-from repro.data.chunk_source import SHARD_MANIFEST
+from repro.data.chunk_source import SHARD_MANIFEST, ShardChunk
+from repro.data.npz_codec import NpzReader
+from repro.obs import get_registry, span, tracing
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +182,240 @@ class TestAsChunkSource:
     def test_rejects_unknown(self):
         with pytest.raises(TypeError):
             as_chunk_source(42)
+
+
+# ----------------------------------------------------------------------
+# Column-lazy shard chunks
+# ----------------------------------------------------------------------
+
+COLUMNS = ("dense", "labels", "table_00", "table_01", "table_02")
+# Cutoffs scaled to the tiny schema: table_00/01 are profiled, table_02 is small.
+TINY_CONFIG = FAEConfig(
+    gpu_memory_budget=16 * 1024, sample_rate=0.2, large_table_min_bytes=1024, chunk_size=32, seed=3
+)
+
+
+def column(chunk, name):
+    return getattr(chunk, name) if name in ("dense", "labels") else chunk.sparse[name]
+
+
+def eager_load(path, schema, count):
+    """The eager shard load this repo had before chunks were column-lazy:
+    ``np.load`` of every member, then ``ClickLog``'s validation, then the
+    manifest count.  The lazy chunk must agree with it column by column
+    and fail with the same exception types."""
+    try:
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
+            dense = archive["dense"]
+            labels = archive["labels"]
+            sparse = {s.name: archive[f"sparse_{s.name}"] for s in schema.tables}
+    except FileNotFoundError:
+        raise RuntimeError(f"log shard {path} is missing") from None
+    except (KeyError, OSError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise RuntimeError(f"log shard {path} is truncated or corrupt: {exc}") from exc
+    chunk = ClickLog(schema=schema, dense=dense, sparse=sparse, labels=labels)
+    if len(chunk) != count:
+        raise RuntimeError(f"log shard {path} holds {len(chunk)} samples, manifest says {count}")
+    return chunk
+
+
+def shard_members(path):
+    with np.load(path, allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+@pytest.fixture()
+def shard_dir(small_log, tmp_path):
+    return save_log_shards(tmp_path / "shards", LogChunkSource(small_log, chunk_size=256))
+
+
+class SpyReader(NpzReader):
+    """Records the members the codec decodes, in order."""
+
+    decoded: list[str] = []
+
+    def __getitem__(self, name):
+        SpyReader.decoded.append(name)
+        return super().__getitem__(name)
+
+
+@pytest.fixture()
+def decoded(monkeypatch):
+    monkeypatch.setattr(SpyReader, "decoded", [])
+    monkeypatch.setattr(chunk_source_module, "NpzReader", SpyReader)
+    return SpyReader.decoded
+
+
+class TestLazyShardChunk:
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.permutations(COLUMNS), repeats=st.lists(st.sampled_from(COLUMNS), max_size=4))
+    def test_any_access_order_equals_the_eager_decode(self, small_log, order, repeats):
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = save_log_shards(tmp, LogChunkSource(small_log, chunk_size=400))
+            source = ShardChunkSource(directory)
+            for (start, chunk), (path, _start, count) in zip(source, source.shard_refs()):
+                want = eager_load(path, source.schema, count)
+                assert len(chunk) == count == len(want)
+                for name in (*order, *repeats):
+                    got, ref = column(chunk, name), column(want, name)
+                    assert got.dtype == ref.dtype and got.shape == ref.shape
+                    assert np.array_equal(got, ref)
+                    assert got.flags.c_contiguous and got.flags.writeable
+                    assert column(chunk, name) is got  # decoded once, then cached
+                assert tuple(chunk.sparse) == source.schema.table_names
+                assert np.array_equal(
+                    chunk.take(np.arange(3)).sparse["table_01"], want.sparse["table_01"][:3]
+                )
+
+    def test_len_and_iteration_decode_nothing(self, shard_dir, decoded):
+        chunks = [chunk for _start, chunk in ShardChunkSource(shard_dir)]
+        assert [len(c) for c in chunks] == [256, 256, 256, 232]
+        assert [list(c.sparse) for c in chunks] == [["table_00", "table_01", "table_02"]] * 4
+        assert decoded == []
+
+    def test_preprocess_decodes_only_the_columns_it_reads(
+        self, small_log, shard_dir, decoded, tmp_path
+    ):
+        plan = fae_preprocess_source(ShardChunkSource(shard_dir), TINY_CONFIG, batch_size=64)
+        profiled = [s.name for s in small_log.schema.large_tables(TINY_CONFIG.large_table_min_bytes)]
+        partial = [name for name, bag in plan.bags.items() if not bag.whole_table]
+        assert profiled == ["table_00", "table_01"] and partial  # table_02 is never needed
+        shards = 4
+        assert sorted(decoded) == sorted(
+            [f"sparse_{n}" for n in profiled] * shards + [f"sparse_{n}" for n in partial] * shards
+        )
+        assert not {"dense", "labels", "sparse_table_02"} & set(decoded)
+        # ... and the plan is the in-memory one, byte for byte.
+        reference = fae_preprocess(small_log, TINY_CONFIG, batch_size=64, chunk_size=256)
+        plan.save(tmp_path / "shards.npz")
+        reference.save(tmp_path / "memory.npz")
+        assert (tmp_path / "shards.npz").read_bytes() == (tmp_path / "memory.npz").read_bytes()
+
+    def test_decoded_members_are_counted_and_the_read_is_a_span(self, shard_dir):
+        registry = get_registry()
+        members = registry.counter("data.shard.members_decoded")
+        decoded_bytes = registry.counter("data.shard.bytes_decoded")
+        before = members.value, decoded_bytes.value
+        with tracing() as tracer:
+            tracer.reset()
+            _start, chunk = next(iter(ShardChunkSource(shard_dir)))
+            ids, labels = chunk.sparse["table_00"], chunk.labels
+            chunk.sparse["table_00"]  # cached: not decoded, not counted, again
+            records = [r for r in tracer.records() if r.name == "data.shard.read"]
+            tracer.reset()
+        assert members.value - before[0] == 2
+        # inflated bytes: each member's payload plus its 128-byte npy header
+        assert decoded_bytes.value - before[1] == ids.nbytes + labels.nbytes + 2 * 128
+        assert [r.attributes for r in records] == [
+            {"file": "chunk-000000.npz", "bytes": (shard_dir / "chunk-000000.npz").stat().st_size}
+        ]
+
+    def test_tracer_off_read_uses_the_shared_noop_span(self, shard_dir, monkeypatch):
+        opened = []
+        real_span = chunk_source_module.span
+
+        def recording_span(name, **attributes):
+            opened.append(real_span(name, **attributes))
+            return opened[-1]
+
+        monkeypatch.setattr(chunk_source_module, "span", recording_span)
+        with tracing(False) as tracer:
+            list(ShardChunkSource(shard_dir))
+            assert len(tracer.records()) == 0
+        assert len(opened) == 4 and all(s is span("anything") for s in opened)
+
+
+class TestShardDamage:
+    """What is checked when: the file at ``chunks()``, a column at first touch."""
+
+    def test_truncated_file_fails_at_chunks_before_any_column(self, shard_dir):
+        shard = shard_dir / "chunk-000001.npz"
+        shard.write_bytes(shard.read_bytes()[:-30])  # the zip directory's tail
+        stream = iter(ShardChunkSource(shard_dir))
+        next(stream)
+        with pytest.raises(RuntimeError, match="chunk-000001"):
+            next(stream)
+
+    @pytest.mark.parametrize("member", ["dense", "sparse_table_02"])
+    def test_damage_in_an_unread_column_surfaces_at_first_touch(
+        self, shard_dir, member, flip_member_byte
+    ):
+        flip_member_byte(shard_dir / "chunk-000002.npz", member)
+        source = ShardChunkSource(shard_dir)
+        fae_preprocess_source(source, TINY_CONFIG, batch_size=64)  # never reads it
+        chunk = [chunk for _start, chunk in source][2]
+        chunk.sparse["table_00"]  # the undamaged columns still decode
+        with pytest.raises(RuntimeError, match="chunk-000002"):
+            column(chunk, member.removeprefix("sparse_"))
+        with pytest.raises(RuntimeError, match="chunk-000002"):
+            eager_load(shard_dir / "chunk-000002.npz", source.schema, 256)
+
+    def test_damage_in_a_read_column_fails_the_preprocess(self, shard_dir, flip_member_byte):
+        flip_member_byte(shard_dir / "chunk-000002.npz", "sparse_table_00")
+        with pytest.raises(RuntimeError, match="chunk-000002"):
+            fae_preprocess_source(ShardChunkSource(shard_dir), TINY_CONFIG)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["manifest_count", "multiplicity", "id_too_large", "id_negative", "object_dtype",
+         "missing_member", "short_column", "int32_ids", "npy_2_0_header", "none"],
+    )
+    def test_same_outcome_as_the_eager_load(self, shard_dir, damage):
+        path = shard_dir / "chunk-000000.npz"
+        members = shard_members(path)
+        count = 256
+        if damage == "manifest_count":
+            count = 255
+        elif damage == "multiplicity":
+            members["sparse_table_01"] = np.repeat(members["sparse_table_01"], 2, axis=1)
+        elif damage == "id_too_large":
+            members["sparse_table_01"][17, 0] = 400
+        elif damage == "id_negative":
+            members["sparse_table_01"][17, 0] = -1
+        elif damage == "object_dtype":
+            members["sparse_table_01"] = members["sparse_table_01"].astype(object)
+        elif damage == "missing_member":
+            del members["sparse_table_01"]
+        elif damage == "short_column":
+            members["sparse_table_01"] = members["sparse_table_01"][:-1]
+        elif damage == "int32_ids":
+            members["sparse_table_01"] = members["sparse_table_01"].astype(np.int32)
+        if damage == "npy_2_0_header":
+            with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+                for name, value in members.items():
+                    with archive.open(name + ".npy", "w") as handle:
+                        np.lib.format.write_array(handle, value, version=(2, 0))
+        else:
+            np.savez_compressed(path, **members)
+        schema = ShardChunkSource(shard_dir).schema
+
+        def outcome(load):
+            try:
+                chunk = load()
+                return {name: column(chunk, name) for name in COLUMNS}
+            except (RuntimeError, ValueError) as exc:
+                return type(exc)
+
+        want = outcome(lambda: eager_load(path, schema, count))
+        got = outcome(lambda: ShardChunk(schema, path, count))
+        expected_failure = {
+            "manifest_count": RuntimeError, "multiplicity": ValueError,
+            "id_too_large": ValueError, "id_negative": ValueError,
+            "object_dtype": RuntimeError, "missing_member": RuntimeError,
+            "short_column": RuntimeError,
+        }.get(damage)
+        if expected_failure is None:
+            assert isinstance(want, dict) and isinstance(got, dict)
+            for name in COLUMNS:
+                assert got[name].dtype == want[name].dtype
+                assert np.array_equal(got[name], want[name])
+        elif damage == "short_column":
+            # One column shorter than the rest: the eager load compared it with
+            # ``labels`` (ValueError); a lazy column has only the manifest to
+            # compare with, and reports it as it reports any count mismatch.
+            assert want is ValueError and got is RuntimeError
+        else:
+            assert got is want is expected_failure
+        # Damage confined to table_01 leaves every other column readable.
+        if expected_failure is not None and damage != "manifest_count":
+            assert len(ShardChunk(schema, path, count).sparse["table_00"]) == 256

@@ -18,8 +18,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import fae_preprocess
-from repro.data import train_test_split
+from repro.core import Calibrator, fae_preprocess
+from repro.data import ShardChunkSource, save_log_shards, train_test_split
 from repro.dist import DistributedFAETrainer
 from repro.models.dlrm import DLRM, DLRMConfig
 from repro.obs.metrics import get_registry
@@ -345,6 +345,70 @@ class TestParallelPreprocess:
         assert events.count("re-dispatch") >= 1
         assert events.count("spawn") >= 3
         assert events.count("fault-armed") == 2  # kill + straggle armed
+
+
+class TestShardProfilingAcceptsAndRejectsAlike:
+    """The worker reads a shard through the sequential pass's column-lazy
+    chunk, so ``pool=`` and the single-process pass take the same shards."""
+
+    @staticmethod
+    def _profile(directory, config, pool=None):
+        return Calibrator(config).calibrate_source(ShardChunkSource(directory), pool=pool).profile
+
+    def test_flip_in_a_profiled_column_fails_both_ways_naming_the_file(
+        self, tmp_path, tiny_log, tiny_fae_config, flip_member_byte
+    ):
+        directory = save_log_shards(tmp_path / "shards", tiny_log, chunk_size=1000)
+        flip_member_byte(directory / "chunk-000002.npz", "sparse_table_01")
+        with pytest.raises(RuntimeError, match="chunk-000002"):
+            self._profile(directory, tiny_fae_config)
+        pool = _chaos_pool(max_task_leases=2)
+        with pytest.raises(TaskQuarantinedError) as excinfo:
+            self._profile(directory, tiny_fae_config, pool=pool)
+        assert excinfo.value.task_ids == [2]
+        reasons = [e["reason"] for e in pool.events.events if e["event"] == "quarantine"]
+        assert len(reasons) == 1 and "RuntimeError" in reasons[0]
+        assert "chunk-000002.npz" in reasons[0]
+
+    def test_flip_in_dense_passes_both_ways_with_identical_profiles(
+        self, tmp_path, tiny_log, tiny_fae_config, flip_member_byte
+    ):
+        directory = save_log_shards(tmp_path / "shards", tiny_log, chunk_size=1000)
+        clean = self._profile(directory, tiny_fae_config)
+        flip_member_byte(directory / "chunk-000002.npz", "dense")
+        sequential = self._profile(directory, tiny_fae_config)
+        pool = _chaos_pool()
+        parallel = self._profile(directory, tiny_fae_config, pool=pool)
+        assert pool.events.count("quarantine") == 0
+        assert sorted(clean.tables) == sorted(sequential.tables) == sorted(parallel.tables)
+        for name, table in clean.tables.items():
+            assert sequential.tables[name].counts.tobytes() == table.counts.tobytes()
+            assert parallel.tables[name].counts.tobytes() == table.counts.tobytes()
+        assert parallel.num_sampled_inputs == sequential.num_sampled_inputs
+
+    @pytest.mark.parametrize("flaw", ["manifest_count", "id_out_of_range"])
+    def test_worker_applies_the_manifest_and_range_checks(
+        self, tmp_path, tiny_log, tiny_fae_config, flaw
+    ):
+        directory = save_log_shards(tmp_path / "shards", tiny_log, chunk_size=1000)
+        if flaw == "manifest_count":
+            manifest = json.loads((directory / "manifest.json").read_text())
+            manifest["shards"][1]["num_samples"] -= 1
+            (directory / "manifest.json").write_text(json.dumps(manifest))
+        else:
+            with np.load(directory / "chunk-000001.npz") as archive:
+                members = {name: archive[name] for name in archive.files}
+            members["sparse_table_00"][5, 0] = 600
+            np.savez_compressed(directory / "chunk-000001.npz", **members)
+        error = RuntimeError if flaw == "manifest_count" else ValueError
+        with pytest.raises(error, match="chunk-000001"):
+            self._profile(directory, tiny_fae_config)
+        pool = WorkerPool(ElasticConfig(workers=1))  # in-process: same task function
+        with pytest.raises(TaskQuarantinedError):
+            self._profile(directory, tiny_fae_config, pool=pool)
+        reasons = [e["reason"] for e in pool.events.events if e["event"] == "quarantine"]
+        assert len(reasons) == 1 and reasons[0].startswith(error.__name__)
+        assert "chunk-000001.npz" in reasons[0]
 
 
 # ----------------------------------------------------------------------

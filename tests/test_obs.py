@@ -343,15 +343,27 @@ class TestExport:
         text = summary_tree()
         assert "self%" in text.split("\n")[0]
 
-    def test_summary_tree_siblings_sorted_by_total_then_name(self, clean_telemetry):
-        import time as _time
+    def test_summary_tree_siblings_sorted_by_total_then_name(
+        self, clean_telemetry, monkeypatch
+    ):
+        import types
 
+        import repro.obs.trace as trace_module
+
+        # An injected clock: on the real one the two light spans are a few
+        # microseconds each and never equal, so the name tie-break was not
+        # what decided their order.  Opened in the order b, z, a so that
+        # recording order cannot stand in for it either.
+        ticks = iter([0.0, 0.0, 5.0, 5.0, 6.0, 6.0, 7.0, 7.0])
+        monkeypatch.setattr(
+            trace_module, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks))
+        )
         with span("root"):
             with span("b_heavy"):
-                _time.sleep(0.02)
-            with span("a_light"):
                 pass
             with span("z_light"):
+                pass
+            with span("a_light"):
                 pass
         lines = summary_tree().split("\n")
         # Heaviest first; equal-weight siblings tie-break on name, so

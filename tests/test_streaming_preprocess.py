@@ -8,7 +8,11 @@ round-trip, lazy loading, and corruption detection.
 """
 
 import dataclasses
+import hashlib
+import io
 import json
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -27,8 +31,11 @@ from repro.data import (
     SyntheticClickStream,
     UnsizedChunkSource,
     iter_fae_batches,
+    save_log_shards,
     train_test_split,
 )
+from repro.data.npz_codec import NpzReader
+from repro.obs import get_registry
 
 
 def assert_plans_equal(actual, expected):
@@ -189,6 +196,138 @@ class TestShardedRoundTrip:
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(RuntimeError, match="disagree"):
             load_fae_dataset(sharded_dir)
+
+
+def rewrite_as_savez_compressed(path):
+    """Re-save an archive the way every writer did before the shared codec:
+    ``np.savez_compressed`` (deflate level 6, zip64 member headers)."""
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    np.savez_compressed(path, **members)
+
+
+class TestFormatCompatibility:
+    """Old archives still verify and load; new ones are still plain ``.npz``."""
+
+    def test_sharded_directory_from_the_previous_writer_loads(self, tiny_plan, tmp_path):
+        directory = tmp_path / "old_shards"
+        tiny_plan.save(directory, shard_size=3)
+        manifest_path = directory / FAE_MANIFEST
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        for name in ("bags.npz", "mask.npz"):
+            rewrite_as_savez_compressed(directory / name)
+        for shard in manifest["shards"]:
+            before = (directory / shard["file"]).read_bytes()
+            rewrite_as_savez_compressed(directory / shard["file"])
+            after = (directory / shard["file"]).read_bytes()
+            assert after != before  # a different encoding of the same members
+            shard["sha256"] = hashlib.sha256(after).hexdigest()
+        manifest_path.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+
+        dataset, bags, threshold = load_fae_dataset(directory)  # verifies each checksum
+        assert threshold == tiny_plan.threshold
+        assert dataset.batch_size == tiny_plan.dataset.batch_size
+        assert np.array_equal(dataset.hot_mask, tiny_plan.dataset.hot_mask)
+        for got, want in zip(
+            [*dataset.hot_batches, *dataset.cold_batches],
+            [*tiny_plan.dataset.hot_batches, *tiny_plan.dataset.cold_batches],
+            strict=True,
+        ):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert bags.keys() == tiny_plan.bags.keys()
+        for name, bag in tiny_plan.bags.items():
+            assert np.array_equal(bags[name].hot_ids, bag.hot_ids)
+            assert (bags[name].num_rows, bags[name].dim, bags[name].whole_table) == (
+                bag.num_rows, bag.dim, bag.whole_table
+            )
+
+    def test_flat_archive_from_the_previous_writer_loads(self, tiny_plan, tmp_path):
+        path = tmp_path / "old.npz"
+        tiny_plan.save(path)
+        rewrite_as_savez_compressed(path)
+        dataset, bags, threshold = load_fae_dataset(path)
+        assert threshold == tiny_plan.threshold
+        assert np.array_equal(dataset.hot_mask, tiny_plan.dataset.hot_mask)
+        for got, want in zip(
+            [*dataset.hot_batches, *dataset.cold_batches],
+            [*tiny_plan.dataset.hot_batches, *tiny_plan.dataset.cold_batches],
+            strict=True,
+        ):
+            assert np.array_equal(got, want)
+        for name, bag in tiny_plan.bags.items():
+            assert np.array_equal(bags[name].hot_ids, bag.hot_ids)
+
+    def test_new_shard_is_a_plain_deflated_npz_with_its_manifest_checksum(
+        self, tiny_plan, tmp_path
+    ):
+        directory = tmp_path / "new_shards"
+        tiny_plan.save(directory, shard_size=3)
+        manifest = json.loads((directory / FAE_MANIFEST).read_text(encoding="utf-8"))
+        batches = [*tiny_plan.dataset.hot_batches, *tiny_plan.dataset.cold_batches]
+        seen = 0
+        for shard in manifest["shards"]:
+            path = directory / shard["file"]
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == shard["sha256"]
+            with zipfile.ZipFile(path) as archive:
+                assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+            with np.load(path) as archive:  # no allow_pickle, no special reader
+                assert archive.files == [f"batch_{i:06d}" for i in range(shard["count"])]
+                for name in archive.files:
+                    assert np.array_equal(archive[name], batches[seen])
+                    seen += 1
+        assert seen == len(batches)
+        assert not list(directory.glob(".*"))  # no temp file left behind
+
+    def test_equal_plans_save_to_equal_bytes(self, tiny_plan, tmp_path):
+        tiny_plan.save(tmp_path / "a", shard_size=3)
+        tiny_plan.save(tmp_path / "b", shard_size=3)
+        for first in sorted((tmp_path / "a").iterdir()):
+            assert first.read_bytes() == (tmp_path / "b" / first.name).read_bytes()
+
+    def test_tampered_new_shard_fails_its_checksum_before_any_decode(
+        self, tiny_plan, tmp_path
+    ):
+        directory = tmp_path / "new_shards"
+        tiny_plan.save(directory, shard_size=3)
+        dataset, _bags, _threshold = load_fae_dataset(directory)
+        shard = directory / "shard-000000.npz"
+        data = bytearray(shard.read_bytes())
+        data[10] ^= 0x01  # a member's timestamp: nothing but the checksum can notice
+        shard.write_bytes(bytes(data))
+        assert np.array_equal(
+            NpzReader(bytes(data), "tampered shard")["batch_000000"], tiny_plan.dataset.hot_batches[0]
+        )
+        decoded = get_registry().counter("data.shard.members_decoded")
+        before = decoded.value
+        with pytest.raises(RuntimeError, match="shard-000000.*checksum"):
+            dataset.hot_batches[0]
+        assert decoded.value == before
+
+    def test_log_shard_bytes_are_the_previous_writers(self, tiny_log, tmp_path):
+        """``save_log_shards`` output is another program's input (and the
+        benchmark's): it keeps ``np.savez_compressed`` and its exact bytes."""
+        directory = save_log_shards(tmp_path / "log", tiny_log, chunk_size=1000)
+        digest = hashlib.sha256()
+        for index, path in enumerate(sorted(directory.iterdir())):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+            if path.suffix != ".npz":
+                continue
+            rows = slice(1000 * index, 1000 * (index + 1))
+            reference = io.BytesIO()
+            np.savez_compressed(
+                reference,
+                dense=tiny_log.dense[rows],
+                labels=tiny_log.labels[rows],
+                **{f"sparse_{name}": ids[rows] for name, ids in tiny_log.sparse.items()},
+            )
+            assert path.read_bytes() == reference.getvalue()
+        if (zlib.ZLIB_RUNTIME_VERSION, np.__version__) != ("1.2.13", "2.4.6"):
+            pytest.skip("the recorded digest is of zlib 1.2.13's deflate stream under numpy 2.4.6")
+        # Recorded at the commit before the shared codec (PR 14).
+        assert digest.hexdigest() == (
+            "58ad33af7e5ce199b0974737a8cf884564ddd80f74ef10155bdfc30d94f6f8fc"
+        )
 
 
 class TestShardBackedTraining:
