@@ -159,6 +159,20 @@ class RebalancePlan:
     demoted_order: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def _stable_argsort_head(priority: np.ndarray, count: int) -> np.ndarray:
+    """At least the first ``count`` entries of ``np.argsort(priority, kind="stable")``.
+
+    Everything at or below the ``count``-th smallest priority, ties
+    included, in (priority, index) order — found with a partition, so
+    only that head is sorted.
+    """
+    if count >= priority.size:
+        return np.argsort(priority, kind="stable")
+    bound = np.partition(priority, count - 1)[count - 1]
+    head = np.flatnonzero(priority <= bound)  # ascending: ties stay in index order
+    return head[np.argsort(priority[head], kind="stable")]
+
+
 class EmbeddingHotCache:
     """Bounded online cache over per-table hot-row membership.
 
@@ -389,7 +403,7 @@ class EmbeddingHotCache:
             # Members flattened in table order.  Victim priority is the exact
             # counter under LFU, the last tick under LRU.  Taking the first
             # minimum of what is left, over and over, visits members in
-            # (priority, index) order, so one stable sort is the whole
+            # (priority, index) order, so the head of one stable sort is the
             # eviction sequence and a pointer walks it (DESIGN.md section 13).
             sizes = [self._members[name].size for name in names]
             m_code = np.repeat(np.arange(len(names)), sizes)
@@ -400,27 +414,36 @@ class EmbeddingHotCache:
                 if self.config.eviction == "lfu"
                 else np.concatenate([self._last_tick[name] for name in names])
             )
-            victims = np.argsort(priority, kind="stable")
-            v_freq = m_freq[victims]
-            v_bytes = np.repeat(row_bytes, sizes)[victims]
-            spare = self._tracked_budget - int(v_bytes.sum())
+            member_bytes = sum(size * each for size, each in zip(sizes, row_bytes))
+            # Evictions make room for candidates, so the walk reaches about as
+            # many victims as the candidates' bytes hold of the cheapest row;
+            # only that head is sorted, and widened if the walk runs off it.
+            reach = int(np.take(row_bytes, c_code).sum()) // min(row_bytes) + 1
+            while True:
+                victims = _stable_argsort_head(priority, reach)
+                v_freq = m_freq[victims]
+                v_bytes = np.take(row_bytes, m_code[victims])
+                spare = self._tracked_budget - member_bytes
 
-            admitted: list[int] = []  # positions in admission order
-            evicted = 0  # victims[:evicted] are out
-            for pos, (code, est) in enumerate(zip(c_code.tolist(), c_est.tolist())):
-                need = row_bytes[code]
-                # LFU admission test: the candidate must strictly out-count
-                # the victim's exact counter, or it stays out.
-                while spare < need and evicted < victims.size and est > v_freq[evicted]:
-                    spare += int(v_bytes[evicted])
-                    evicted += 1
-                if spare >= need:
-                    admitted.append(pos)
-                    spare -= need
-                elif spare < cheapest:
-                    # Full, and the best estimate left lost to the next victim
-                    # (or none is left): no later candidate can evict or fit.
+                admitted: list[int] = []  # positions in admission order
+                evicted = 0  # victims[:evicted] are out
+                for pos, (code, est) in enumerate(zip(c_code.tolist(), c_est.tolist())):
+                    need = row_bytes[code]
+                    # LFU admission test: the candidate must strictly out-count
+                    # the victim's exact counter, or it stays out.
+                    while spare < need and evicted < victims.size and est > v_freq[evicted]:
+                        spare += int(v_bytes[evicted])
+                        evicted += 1
+                    if spare >= need:
+                        admitted.append(pos)
+                        spare -= need
+                    elif spare < cheapest:
+                        # Full, and the best estimate left lost to the next victim
+                        # (or none is left): no later candidate can evict or fit.
+                        break
+                if evicted < victims.size or victims.size == priority.size:
                     break
+                reach *= 2
             sp.set(candidates=int(c_id.size), admitted=len(admitted), victims=evicted)
 
             a_code, a_id, a_est = c_code[admitted], c_id[admitted], c_est[admitted]

@@ -273,12 +273,14 @@ class EmbeddingReplicator:
         return moved
 
     def all_reduce_gradients(self) -> None:
-        """Sum sparse gradients across replicas and share the result.
+        """Hand every replica all replicas' sparse gradient records.
 
-        Mirrors the paper's single fused all-reduce over embedding and
-        neural-network gradients (SS II-B(3)): after this call every
-        replica holds identical gradient state, so identical optimizer
-        steps keep the copies bit-equal.
+        The embedding half of the paper's fused all-reduce over embedding
+        and neural-network gradients (SS II-B(3)); the dense half is
+        :func:`repro.dist.parallel.all_reduce_dense_grads`, one collective
+        per step.  Nothing is summed here: each replica's optimizer
+        coalesces the same records in the same order, so identical
+        optimizer steps keep the copies bit-equal.
         """
         for name in self.bag_specs:
             combined: list = []

@@ -7,7 +7,10 @@ broadcast / all-gather collectives, a :class:`DataParallelTrainer` that
 shards each global mini-batch across model replicas and keeps them in
 lock-step, and a :class:`DistributedFAETrainer` that runs the full FAE
 execution model — per-GPU hot-bag replicas, shared CPU master tables for
-cold batches, a fused all-reduce over dense and hot-embedding gradients.
+cold batches.  Both trainers exchange a step's gradients once:
+:func:`all_reduce_dense_grads` reduces every dense gradient as one
+bucket in one collective, and the sparse (embedding) records are handed
+to every rank by reference.
 
 The invariant everything here is tested against: *distributed training is
 bit-for-bit a reordering of single-device training* (identical updates,
@@ -15,7 +18,7 @@ identical final parameters, up to float32 reduction order).
 """
 
 from repro.dist.collectives import ProcessGroup, ReduceOp
-from repro.dist.parallel import DataParallelTrainer, shard_batch
+from repro.dist.parallel import DataParallelTrainer, all_reduce_dense_grads, shard_batch
 from repro.dist.fae_parallel import DistributedFAETrainer
 
 __all__ = [
@@ -23,5 +26,6 @@ __all__ = [
     "DistributedFAETrainer",
     "ProcessGroup",
     "ReduceOp",
+    "all_reduce_dense_grads",
     "shard_batch",
 ]

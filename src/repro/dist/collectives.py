@@ -6,9 +6,9 @@ plus traffic accounting so the hardware simulator can price what a run
 actually communicated.  A :class:`ProcessGroup` owns ``world_size`` ranks;
 collectives take one array per rank and return one array per rank.
 
-The all-reduce is computed as a literal ring reduce-scatter +
-all-gather, so the byte accounting matches the ``2 (k-1)/k`` volume the
-cost model charges.
+The all-reduce sums in the order of a ring reduce-scatter + all-gather
+(segment ``s`` starts at rank ``s``, float64 partials), and its byte
+accounting is the ring's ``2 (k-1)/k`` volume the cost model charges.
 """
 
 from __future__ import annotations
@@ -128,42 +128,28 @@ class ProcessGroup:
                 result = result / 1.0
             return [result]
 
-        # Explicit copies: the ring mutates its working buffers, and
-        # ascontiguousarray aliases already-contiguous float64 inputs.
-        flat = [np.array(a, dtype=np.float64, copy=True).ravel() for a in per_rank]
-        chunks = [np.array_split(f, k) for f in flat]  # chunks[rank][segment]
-
-        # Ring reduce-scatter: after k-1 steps, rank r owns the fully
-        # reduced segment (r+1) mod k.
-        for step in range(k - 1):
-            transfers = []
-            for rank in range(k):
-                send_seg = (rank - step) % k
-                dest = (rank + 1) % k
-                transfers.append((dest, send_seg, chunks[rank][send_seg].copy()))
-            for dest, seg, payload in transfers:
-                if op is ReduceOp.MAX:
-                    np.maximum(chunks[dest][seg], payload, out=chunks[dest][seg])
-                else:
-                    chunks[dest][seg] += payload
-
-        # Ring all-gather: broadcast each reduced segment around the ring.
-        owner_of = {(rank + 1) % k: rank for rank in range(k)}
+        # Ring reduce-scatter: segment s leaves rank s and each next rank
+        # adds its own share in float64, so rank s-1 ends up owning the sum;
+        # the all-gather then hands that segment to everyone.  Every rank
+        # receives the same values, so one reduced buffer stands for them all.
+        first = per_rank[0]
+        flat = [a.reshape(-1) for a in per_rank]
+        reduced = np.empty(first.size, dtype=np.float64)
+        combine = np.maximum if op is ReduceOp.MAX else np.add
+        base, extra = divmod(first.size, k)  # np.array_split's segments
         for seg in range(k):
-            reduced = chunks[owner_of[seg]][seg]
-            for rank in range(k):
-                chunks[rank][seg] = reduced.copy()
+            lo = seg * base + min(seg, extra)
+            partial = reduced[lo : lo + base + (seg < extra)]
+            partial[...] = flat[seg][lo : lo + partial.size]
+            for hop in range(1, k):
+                own = flat[(seg + hop) % k][lo : lo + partial.size]
+                combine(own, partial, out=partial)
+        if op is ReduceOp.MEAN:
+            reduced /= k
 
-        buffer_bytes = per_rank[0].nbytes
-        self._account(buffer_bytes, 2.0 * (k - 1) / k)
-
-        results = []
-        for rank in range(k):
-            merged = np.concatenate(chunks[rank]).reshape(per_rank[0].shape)
-            if op is ReduceOp.MEAN:
-                merged = merged / k
-            results.append(merged.astype(per_rank[0].dtype))
-        return results
+        self._account(first.nbytes, 2.0 * (k - 1) / k)
+        reduced = reduced.reshape(first.shape)
+        return [reduced.astype(first.dtype) for _ in range(k)]
 
     def broadcast(self, value: np.ndarray, root: int = 0) -> list[np.ndarray]:
         """Every rank receives a copy of ``value`` from ``root``."""
@@ -209,4 +195,4 @@ class ProcessGroup:
 
     def barrier(self) -> None:
         """Synchronization point (bookkeeping only in simulation)."""
-        self.collective_calls += 1
+        self._account(0.0, 0.0)

@@ -45,8 +45,8 @@ import numpy as np
 from repro.core.hotcache import EmbeddingHotCache
 from repro.core.pipeline import FAEPlan
 from repro.data.synthetic import SyntheticClickLog
-from repro.dist.collectives import ProcessGroup, ReduceOp
-from repro.dist.parallel import shard_batch
+from repro.dist.collectives import ProcessGroup
+from repro.dist.parallel import all_reduce_dense_grads, shard_batch
 from repro.models.base import RecModel
 from repro.obs import get_registry, span
 from repro.resilience.checkpoint import CheckpointManager
@@ -173,17 +173,11 @@ class DistributedFAETrainer(SegmentEngine):
         return float(np.mean(losses)), float(np.mean(accuracies))
 
     def _all_reduce(self, run_hot: bool) -> None:
-        """The fused all-reduce: dense buffers, then hot-bag sparse grads."""
+        """The fused all-reduce: one dense bucket, then hot-bag sparse grads."""
         if self._exchanges():
-            all_dense = [m.dense_parameters() for m in self.replicas]
-            for rank_params in zip(*all_dense):
-                buffers = [
-                    p.grad if p.grad is not None else np.zeros_like(p.value)
-                    for p in rank_params
-                ]
-                combined = self.group.all_reduce(buffers, ReduceOp.SUM)
-                for p, g in zip(rank_params, combined):
-                    p.grad = g
+            all_reduce_dense_grads(
+                self.group, [m.dense_parameters() for m in self.replicas]
+            )
         super()._all_reduce(run_hot)
 
     # ------------------------------------------------------------------

@@ -19,8 +19,9 @@ from repro.dist.collectives import ProcessGroup, ReduceOp
 from repro.models.base import RecModel
 from repro.nn.losses import BCEWithLogits
 from repro.nn.optim import SGD
+from repro.nn.parameter import Parameter
 
-__all__ = ["shard_batch", "DataParallelTrainer"]
+__all__ = ["shard_batch", "all_reduce_dense_grads", "DataParallelTrainer"]
 
 
 def shard_batch(batch: MiniBatch, world_size: int) -> list[MiniBatch]:
@@ -50,6 +51,41 @@ def shard_batch(batch: MiniBatch, world_size: int) -> list[MiniBatch]:
             )
         )
     return shards
+
+
+def all_reduce_dense_grads(group: ProcessGroup, rank_params: list[list[Parameter]]) -> int:
+    """Sum-all-reduce a step's dense gradients as one bucket, in one collective.
+
+    ``rank_params[r]`` is rank ``r``'s parameters, in the same order on
+    every rank.  Each rank's gradients are laid end to end in one flat
+    buffer, the group reduces the buffers once, and every
+    ``Parameter.grad`` becomes a view of its rank's reduced buffer.  A
+    parameter without a gradient on one rank contributes zeros; one
+    without a gradient on any rank (an embedding table) stays out.
+
+    Returns:
+        Bytes in one rank's bucket; 0, and no collective, when no rank
+        holds a dense gradient.
+    """
+    columns = [
+        column for column in zip(*rank_params) if any(p.grad is not None for p in column)
+    ]
+    if not columns:
+        return 0
+    buckets = [
+        np.concatenate(
+            [(np.zeros_like(p.value) if p.grad is None else p.grad).ravel() for p in rank]
+        )
+        for rank in zip(*columns)
+    ]
+    reduced = group.all_reduce(buckets, ReduceOp.SUM)
+    offset = 0
+    for column in columns:
+        end = offset + column[0].size
+        for param, bucket in zip(column, reduced):
+            param.grad = bucket[offset:end].reshape(param.shape)
+        offset = end
+    return buckets[0].nbytes
 
 
 @dataclass
@@ -123,39 +159,25 @@ class DataParallelTrainer:
         return StepStats(loss=float(np.mean(shard_losses)), grad_bytes_reduced=grad_bytes)
 
     def _all_reduce_gradients(self) -> float:
-        """Sum-all-reduce every gradient (dense buffers and sparse rows)."""
-        reduced_bytes = 0.0
-        reference = self.replicas[0].parameters()
+        """The step's gradient exchange: one dense bucket, one sparse gather."""
         all_params = [m.parameters() for m in self.replicas]
+        dense_bytes = all_reduce_dense_grads(self.group, all_params)
 
-        for index, ref_param in enumerate(reference):
-            rank_params = [params[index] for params in all_params]
-
-            dense_grads = [p.grad for p in rank_params]
-            if any(g is not None for g in dense_grads):
-                buffers = [
-                    g if g is not None else np.zeros_like(ref_param.value)
-                    for g in dense_grads
-                ]
-                combined = self.group.all_reduce(buffers, ReduceOp.SUM)
-                for p, g in zip(rank_params, combined):
-                    p.grad = g
-                reduced_bytes += ref_param.value.nbytes
-
-            if any(p.sparse_grads for p in rank_params):
-                # Fused sparse all-reduce: gather every rank's (ids, grads)
-                # and hand the union to every rank.  Duplicate ids coalesce
-                # inside the optimizer, so this equals a dense all-reduce.
-                merged = []
+        # Fused sparse all-reduce: every rank receives the union of all
+        # ranks' (ids, grads) records.  Duplicate ids coalesce inside the
+        # optimizer, so this equals a dense all-reduce.  The records are
+        # shared, not copied: optimizers coalesce them into new arrays.
+        sparse_bytes = 0
+        for rank_params in zip(*all_params):
+            merged = [record for p in rank_params for record in p.sparse_grads]
+            if merged:
+                sparse_bytes += sum(r.ids.nbytes + r.values.nbytes for r in merged)
                 for p in rank_params:
-                    merged.extend(p.sparse_grads)
-                reduced_bytes += sum(r.values.nbytes for r in merged)
-                for p in rank_params:
-                    p.sparse_grads = [
-                        type(r)(ids=r.ids.copy(), values=r.values.copy()) for r in merged
-                    ]
-                self.group.collective_calls += 1
-        return reduced_bytes
+                    p.sparse_grads = list(merged)
+        if sparse_bytes:
+            # An all-gather: each rank receives what the others recorded.
+            self.group._account(sparse_bytes, (self.world_size - 1) / self.world_size)
+        return float(dense_bytes + sparse_bytes)
 
     def max_divergence(self) -> float:
         """Largest parameter difference between any replica and rank 0."""

@@ -50,8 +50,9 @@ class SGD:
         self.last_sparse_rows = sparse_rows
 
     def _update(self, param: Parameter, rows, grad: np.ndarray) -> None:
-        """Apply ``grad`` (the parameter's own buffer or a new coalesced record,
-        dropped right after, so scaled in place) to ``param.value[rows]``."""
+        """Apply ``grad`` (the parameter's own buffer, its slice of the rank's
+        reduced bucket, or a new coalesced record: dropped right after, so
+        scaled in place) to ``param.value[rows]``."""
         grad *= self.lr
         param.value[rows] -= grad
 

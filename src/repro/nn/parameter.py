@@ -21,8 +21,8 @@ class SparseGrad:
     """Gradient contribution touching a subset of a table's rows.
 
     Attributes:
-        ids: int64 ``(k,)`` row indices (duplicates allowed; optimizers
-            coalesce them with ``np.add.at`` semantics).
+        ids: int64 ``(k,)`` row indices (duplicates allowed; optimizers sum
+            them per row, in record order, with :meth:`coalesced`).
         values: float32 ``(k, dim)`` per-row gradients aligned with ``ids``.
     """
 
@@ -35,13 +35,26 @@ class SparseGrad:
         if self.values.ndim != 2 or self.values.shape[0] != self.ids.shape[0]:
             raise ValueError("SparseGrad.values must be (len(ids), dim)")
 
-    def coalesced(self) -> "SparseGrad":
-        """Return an equivalent record with unique, sorted ids."""
+    def coalesced(self, num_rows: int | None = None) -> "SparseGrad":
+        """Return an equivalent record with unique, sorted ids.
+
+        ``num_rows`` is the row count of the table the ids index, when the
+        caller knows it: ids of a table of at most 65 536 rows sort as
+        ``uint16`` keys, which numpy radix-sorts (DESIGN "Sorting on the
+        key's width"); anything else keeps the int64 merge sort.
+        """
+        keys = self.ids
+        if num_rows is not None and num_rows <= 1 << 16:
+            keys = keys.astype(np.uint16)
         # Stable: the segmented sum adds a row's contributions in record order.
-        order = np.argsort(self.ids, kind="stable")
-        unique_ids, starts = np.unique(self.ids[order], return_index=True)
+        order = np.argsort(keys, kind="stable")
+        sorted_ids = self.ids[order]
+        first = np.empty(sorted_ids.shape, dtype=bool)  # True where a new id starts
+        first[:1] = True
+        np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
         summed = np.add.reduceat(self.values[order], starts, axis=0)
-        return SparseGrad(ids=unique_ids, values=summed)
+        return SparseGrad(ids=sorted_ids[starts], values=summed)
 
 
 class Parameter:
@@ -106,11 +119,13 @@ class Parameter:
         """Every pending sparse record as one, or None when none is pending."""
         if not self.sparse_grads:
             return None
-        if len(self.sparse_grads) == 1:  # the single-device case: nothing to merge
-            return self.sparse_grads[0].coalesced()
-        ids = np.concatenate([record.ids for record in self.sparse_grads])
-        values = np.concatenate([record.values for record in self.sparse_grads])
-        return SparseGrad(ids=ids, values=values).coalesced()
+        record = self.sparse_grads[0]
+        if len(self.sparse_grads) > 1:  # one record is the single-device case
+            record = SparseGrad(
+                ids=np.concatenate([r.ids for r in self.sparse_grads]),
+                values=np.concatenate([r.values for r in self.sparse_grads]),
+            )
+        return record.coalesced(num_rows=self.value.shape[0])
 
     def zero_grad(self) -> None:
         """Clear all accumulated gradient state."""

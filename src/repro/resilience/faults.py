@@ -145,7 +145,11 @@ class FaultPlan:
         max_collective_failures: cap on injected transient collective
             failures (keeps bounded-retry runs terminating).
         rank_death: ``(rank, collective_call)`` — kill ``rank``
-            permanently at that collective call count, or None.
+            permanently at that collective call count, or None.  The
+            trainers exchange a step's gradients in one collective, so
+            under them the count is the step number (attempts retried
+            after a transient failure count too): ``(1, 3)`` kills rank
+            1 in the third step's exchange.
         loader_hiccup_rate: per-fetch probability of a
             :class:`LoaderHiccup`.
         max_loader_hiccups: cap on injected loader hiccups.

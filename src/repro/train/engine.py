@@ -584,6 +584,8 @@ class SegmentEngine:
         start_epoch = 0
         resume_cursors: dict[str, int] | None = None
         segments_done = 0
+        # The newest boundary evaluation, when it covered all of test_log.
+        boundary_eval: tuple[float, float] | None = None
 
         if resume is not None:
             self._restore_checkpoint(resume, scheduler)
@@ -730,6 +732,8 @@ class SegmentEngine:
                         test_loss, test_acc = evaluate_with_master_bags(
                             self.replicas[0], self._cold_bags[0], test_log, eval_samples
                         )
+                    if eval_samples >= len(test_log):
+                        boundary_eval = (test_loss, test_acc)
                     if self.guards is not None:
                         # Catch poisoned state before it contaminates the
                         # scheduler's loss feedback: raises LossSpikeError.
@@ -782,7 +786,12 @@ class SegmentEngine:
         if mode == "hot":
             self._enter("cold")
         with timed("train.eval", final=True):
-            final_loss, final_acc = evaluate_model(self.replicas[0], test_log)
+            # The last boundary evaluated these parameters on these rows:
+            # checkpoint, refresh and the switch to cold since then only
+            # copy rows, no master row or dense weight was written.
+            final_loss, final_acc = boundary_eval or evaluate_model(
+                self.replicas[0], test_log
+            )
             _loss, train_acc = evaluate_model(
                 self.replicas[0], train_log, max_samples=4 * eval_samples
             )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import fae_preprocess
+from repro.core import fae_preprocess, hotcache
 from repro.core.classifier import HotEmbeddingBagSpec
 from repro.core.hotcache import (
     CacheDelta,
@@ -399,6 +399,45 @@ class TestPlanIdentity:
         _assert_same_plan(plan, _reference_plan(cache))
         assert plan.delta.demoted["narrow"].tolist() == [0]
         assert not plan.delta.promoted
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        priority=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 7.0]), max_size=40),
+        count=st.integers(1, 44),
+        as_ticks=st.booleans(),
+    )
+    def test_sorted_head_is_a_prefix_of_the_stable_sort(self, priority, count, as_ticks):
+        priority = np.asarray(priority, dtype=np.int64 if as_ticks else np.float64)
+        head = hotcache._stable_argsort_head(priority, count)
+        full = np.argsort(priority, kind="stable")
+        assert head.size >= min(count, priority.size)
+        np.testing.assert_array_equal(head, full[: head.size])
+        if head.size < priority.size:  # a tie is never cut in two
+            assert priority[full[head.size]] > priority[head[-1]]
+
+    @pytest.mark.parametrize("eviction", ["lfu", "lru"])
+    def test_walk_that_outruns_the_sorted_head_widens_it(self, eviction, monkeypatch):
+        # 40 members in a budget of 4 rows: the one candidate's bytes
+        # suggest a head of 2 victims, the walk needs 37.
+        cache = _cache(hot_ids=range(40), budget_rows=4, eviction=eviction)
+        cache._freq["t"] = np.arange(40, dtype=np.float64)[::-1].copy()
+        cache._last_tick["t"] = np.arange(40, dtype=np.int64)
+        cache._sketch["t"].add(np.array([50]), counts=np.array([1000]))
+        cache._pending["t"].append(np.array([50], dtype=np.int64))
+        reaches = []
+        head = hotcache._stable_argsort_head
+        monkeypatch.setattr(
+            hotcache,
+            "_stable_argsort_head",
+            lambda priority, count: reaches.append(count) or head(priority, count),
+        )
+        plan = cache.plan_rebalance()
+        assert reaches == [2, 4, 8, 16, 32, 64]
+        monkeypatch.undo()
+        _assert_same_plan(plan, _reference_plan(cache))
+        assert plan.delta.promoted["t"].tolist() == [50]
+        assert plan.delta.demoted["t"].size == 37
 
 
 class TestBagsAndStats:

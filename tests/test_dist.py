@@ -12,15 +12,115 @@ from repro.dist import (
     DistributedFAETrainer,
     ProcessGroup,
     ReduceOp,
+    all_reduce_dense_grads,
     shard_batch,
 )
 from repro.models.dlrm import DLRM, DLRMConfig
 from repro.nn import BCEWithLogits, SGD
+from repro.nn.parameter import Parameter
+from repro.obs import get_registry
 from repro.resilience import CheckpointManager, FaultPlan, load_checkpoint
 from repro.train import FAETrainer
 
 
+def ring_all_reduce_ref(per_rank, op):
+    """`ProcessGroup._all_reduce` as it was through PR 15: every rank's
+    float64 working copy split in k segments, k-1 reduce-scatter steps of
+    copied payloads, an all-gather, one concatenate per rank."""
+    k = len(per_rank)
+    if k == 1:
+        return [per_rank[0].copy()]
+    flat = [np.array(a, dtype=np.float64, copy=True).ravel() for a in per_rank]
+    chunks = [np.array_split(f, k) for f in flat]
+    for step in range(k - 1):
+        transfers = []
+        for rank in range(k):
+            send_seg = (rank - step) % k
+            transfers.append(((rank + 1) % k, send_seg, chunks[rank][send_seg].copy()))
+        for dest, seg, payload in transfers:
+            if op is ReduceOp.MAX:
+                np.maximum(chunks[dest][seg], payload, out=chunks[dest][seg])
+            else:
+                chunks[dest][seg] += payload
+    owner_of = {(rank + 1) % k: rank for rank in range(k)}
+    for seg in range(k):
+        reduced = chunks[owner_of[seg]][seg]
+        for rank in range(k):
+            chunks[rank][seg] = reduced.copy()
+    results = []
+    for rank in range(k):
+        merged = np.concatenate(chunks[rank]).reshape(per_rank[0].shape)
+        if op is ReduceOp.MEAN:
+            merged = merged / k
+        results.append(merged.astype(per_rank[0].dtype))
+    return results
+
+
+def per_tensor_exchange_ref(group, rank_params):
+    """The per-parameter all-reduce loop both trainers ran through PR 15."""
+    for column in zip(*rank_params):
+        if any(p.grad is not None for p in column):
+            buffers = [p.grad if p.grad is not None else np.zeros_like(p.value) for p in column]
+            for p, g in zip(column, group.all_reduce(buffers, ReduceOp.SUM)):
+                p.grad = g
+
+
+def bit_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def rank_parameters(k, seed, missing=()):
+    """k ranks x four parameters (a matrix, two vectors, an embedding table
+    that only ever has sparse gradients); ``missing`` lists ``(rank, index)``
+    pairs left without a dense gradient."""
+    rng = np.random.default_rng(seed)
+    shapes = [(5, 3), (7,), (40, 2), (1,)]
+    ranks = []
+    for rank in range(k):
+        params = [Parameter(f"p{i}", np.zeros(shape, dtype=np.float32)) for i, shape in enumerate(shapes)]
+        for index, param in enumerate(params):
+            if index != 2 and (rank, index) not in missing:
+                scale = 10.0 ** rng.integers(-6, 6)
+                param.accumulate_dense((scale * rng.standard_normal(param.shape)).astype(np.float32))
+        ranks.append(params)
+    return ranks
+
+
 class TestProcessGroup:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("op", list(ReduceOp))
+    def test_all_reduce_bit_equal_to_the_literal_ring(self, k, op):
+        rng = np.random.default_rng(k)
+        for shape in [(0,), (1,), (3,), (4, 5), (37,), (6, 2, 3)]:
+            for dtype in (np.float32, np.float64):
+                buffers = [
+                    (10.0 ** rng.integers(-8, 8) * rng.standard_normal(shape)).astype(dtype)
+                    for _ in range(k)
+                ]
+                before = [b.copy() for b in buffers]
+                results = ProcessGroup(world_size=k).all_reduce(buffers, op)
+                for result, expected in zip(results, ring_all_reduce_ref(buffers, op)):
+                    assert bit_equal(result, expected)
+                for buffer, kept in zip(buffers, before):
+                    assert bit_equal(buffer, kept)  # inputs are read, never written
+                for other in results[1:]:
+                    assert not np.shares_memory(other, results[0])
+
+    def test_all_reduce_of_a_strided_view(self, rng):
+        wide = [rng.normal(size=(6, 8)).astype(np.float32) for _ in range(3)]
+        views = [w[:, ::2] for w in wide]
+        results = ProcessGroup(world_size=3).all_reduce(views)
+        for result, expected in zip(results, ring_all_reduce_ref(views, ReduceOp.SUM)):
+            assert bit_equal(result, expected)
+
+    def test_barrier_counts_in_the_attribute_and_the_registry(self):
+        group = ProcessGroup(world_size=2)
+        counter = get_registry().counter("dist.collective.calls")
+        before = counter.value
+        group.barrier()
+        assert group.collective_calls == 1 and counter.value == before + 1
+        assert group.bytes_communicated == 0.0
+
     def test_all_reduce_sum(self, rng):
         group = ProcessGroup(world_size=3)
         buffers = [rng.normal(size=(4, 5)).astype(np.float32) for _ in range(3)]
@@ -165,6 +265,130 @@ class TestDataParallelTrainer:
         with pytest.raises(ValueError):
             DataParallelTrainer([])
 
+    def test_step_is_one_dense_collective_and_one_accounted_sparse_gather(
+        self, tiny_schema, tiny_log
+    ):
+        k = 2
+        trainer = DataParallelTrainer([small_dlrm(tiny_schema) for _ in range(k)], lr=0.1)
+        registry = get_registry()
+        calls = registry.counter("dist.collective.calls")
+        moved = registry.counter("dist.collective.bytes")
+        calls_before, moved_before = calls.value, moved.value
+        seen = {}
+        all_reduce = trainer._all_reduce_gradients
+
+        def spy():
+            # Just before the exchange: what each rank is about to share.
+            params = trainer.replicas[0].parameters()
+            seen["dense"] = sum(p.grad.nbytes for p in params if p.grad is not None)
+            seen["sparse"] = sum(
+                r.ids.nbytes + r.values.nbytes
+                for model in trainer.replicas
+                for p in model.parameters()
+                for r in p.sparse_grads
+            )
+            return all_reduce()
+
+        trainer._all_reduce_gradients = spy
+        trainer.step(batch_from_log(tiny_log, np.arange(32)))
+
+        group = trainer.group
+        assert group.collective_calls == 2  # the dense bucket, the sparse gather
+        assert calls.value - calls_before == group.collective_calls
+        assert seen["dense"] > 0 and seen["sparse"] > 0
+        # Ring all-reduce of the bucket, then an all-gather of the merged
+        # records: every rank receives what the other k-1 recorded.
+        expected = seen["dense"] * 2 * (k - 1) / k + seen["sparse"] * (k - 1) / k
+        assert group.bytes_communicated == pytest.approx(expected)
+        assert moved.value - moved_before == pytest.approx(group.bytes_communicated)
+
+    def test_sparse_records_are_shared_not_copied(self, tiny_schema, tiny_log):
+        trainer = DataParallelTrainer([small_dlrm(tiny_schema) for _ in range(3)], lr=0.1)
+        steps = [opt.step for opt in trainer._optimizers]
+        held = []
+
+        def hold_then_step(step):
+            def run():
+                held.append([p.sparse_grads for p in trainer.replicas[len(held)].parameters()])
+                step()
+            return run
+
+        for optimizer, step in zip(trainer._optimizers, steps):
+            optimizer.step = hold_then_step(step)
+        trainer.step(batch_from_log(tiny_log, np.arange(48)))
+        for records_0, records_r in zip(held[0], held[2]):
+            assert len(records_0) == len(records_r)
+            assert all(a is b for a, b in zip(records_0, records_r))
+        assert trainer.max_divergence() == 0.0
+
+
+class TestDenseBucket:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_equals_the_per_tensor_exchange_bit_for_bit(self, k):
+        missing = {(1, 1)} if k == 2 else set()
+        bucketed = rank_parameters(k, seed=5, missing=missing)
+        per_tensor = rank_parameters(k, seed=5, missing=missing)
+        group = ProcessGroup(world_size=k)
+        nbytes = all_reduce_dense_grads(group, bucketed)
+        per_tensor_exchange_ref(ProcessGroup(world_size=k), per_tensor)
+        assert nbytes == (15 + 7 + 1) * 4
+        for rank_a, rank_b in zip(bucketed, per_tensor):
+            for p, q in zip(rank_a, rank_b):
+                if q.grad is None:
+                    assert p.grad is None  # the table: no rank had a dense gradient
+                else:
+                    assert bit_equal(p.grad, q.grad)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_replicas_bit_equal_and_a_missing_gradient_reduces_as_zeros(self, k):
+        missing = {(1, 0), (k - 1, 3)}
+        ranks = rank_parameters(k, seed=9, missing=missing)
+        expected = [
+            sum(
+                (r[i].grad if r[i].grad is not None else np.zeros_like(r[i].value)).astype(np.float64)
+                for r in ranks
+            )
+            for i in (0, 1, 3)
+        ]
+        group = ProcessGroup(world_size=k)
+        all_reduce_dense_grads(group, ranks)
+        assert group.collective_calls == 1
+        assert group.bytes_communicated == pytest.approx((15 + 7 + 1) * 4 * 2 * (k - 1) / k)
+        for rank in ranks[1:]:
+            for p, q in zip(ranks[0], rank):
+                assert (p.grad is None and q.grad is None) or bit_equal(p.grad, q.grad)
+        for i, total in zip((0, 1, 3), expected):
+            np.testing.assert_allclose(ranks[0][i].grad, total, rtol=1e-6)
+        assert ranks[0][2].grad is None
+
+    def test_no_dense_gradient_anywhere_runs_no_collective(self):
+        ranks = [[Parameter("t", np.zeros((4, 2), dtype=np.float32))] for _ in range(2)]
+        group = ProcessGroup(world_size=2)
+        assert all_reduce_dense_grads(group, ranks) == 0
+        assert group.collective_calls == 0 and ranks[0][0].grad is None
+
+    def test_grad_views_survive_the_in_place_step(self):
+        """`SGD.step` scales each gradient where it lies: in the bucket, that
+        must stay inside the parameter's own slice."""
+        ranks = rank_parameters(2, seed=3)
+        all_reduce_dense_grads(ProcessGroup(world_size=2), ranks)
+        params = [p for p in ranks[0] if p.grad is not None]
+        bucket = params[0].grad.base if params[0].grad.base is not None else params[0].grad
+        for p in params:
+            assert np.shares_memory(p.grad, bucket) and p.grad.shape == p.shape
+        for p, q in zip(params, params[1:]):
+            assert not np.shares_memory(p.grad, q.grad)
+        for p in ranks[1]:
+            assert p.grad is None or not np.shares_memory(p.grad, bucket)  # a bucket per rank
+        reduced = [p.grad.copy() for p in params]
+        # Step the middle parameter alone: its neighbours keep their gradients.
+        SGD([params[1]], lr=0.5).step()
+        assert bit_equal(params[0].grad, reduced[0]) and bit_equal(params[2].grad, reduced[2])
+        np.testing.assert_array_equal(params[1].value, -(np.float32(0.5) * reduced[1]))
+        SGD([params[0], params[2]], lr=0.25).step()
+        np.testing.assert_array_equal(params[0].value, -(np.float32(0.25) * reduced[0]))
+        np.testing.assert_array_equal(params[2].value, -(np.float32(0.25) * reduced[2]))
+
 
 @pytest.fixture(scope="module")
 def fae_setup(request):
@@ -199,6 +423,23 @@ class TestDistributedFAETrainer:
         second = trainer.train(train, test, epochs=1)
         assert second.sync_events > 0
         assert first.sync_events + second.sync_events == trainer.replicator.sync_events
+
+    def test_one_collective_per_step(self, fae_setup):
+        """A step's gradients cross the group once, so the fault plan's
+        collective clock (`death=RANK@CALL`) counts steps."""
+        schema, train, test, plan = fae_setup
+        fault_plan = FaultPlan(seed=1)  # armed, injects nothing
+        trainer = DistributedFAETrainer(
+            [small_dlrm(schema, seed=7) for _ in range(2)], plan, lr=0.15, fault_plan=fault_plan
+        )
+        calls = get_registry().counter("dist.collective.calls")
+        before = calls.value
+        result = trainer.train(train, test, epochs=1)
+        steps = result.history.points[-1].iteration
+        assert steps == len(plan.dataset.hot_batches) + len(plan.dataset.cold_batches)
+        assert fault_plan.state_dict()["collective_calls"] == steps
+        assert trainer.group.collective_calls == steps
+        assert calls.value - before == steps
 
     def test_dense_replicas_converge_identically(self, fae_setup):
         schema, train, test, plan = fae_setup
@@ -258,6 +499,7 @@ class TestShrinkCheckpointResume:
             [small_dlrm(schema, seed=7) for _ in range(3)],
             plan,
             lr=0.15,
+            # Call 10 is the 10th step's exchange: a step is one collective.
             fault_plan=FaultPlan(seed=7, rank_death=(1, 10)),
         )
         full = trainer.train(train, test, epochs=1, checkpoint=manager)

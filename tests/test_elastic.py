@@ -438,6 +438,7 @@ class TestElasticRejoin:
             [small_dlrm(schema, seed=7) for _ in range(3)],
             plan,
             lr=0.15,
+            # Call 10 is the 10th step's exchange: a step is one collective.
             fault_plan=FaultPlan(seed=7, rank_death=(1, 10)),
             rejoin=True,
             event_log=events,
@@ -482,6 +483,8 @@ class TestElasticRejoin:
             [small_dlrm(schema, seed=9) for _ in range(3)],
             plan,
             lr=0.15,
+            # The rank dies in the 10th step's exchange (one collective per
+            # step), so after the eviction at iteration 5.
             fault_plan=FaultPlan(seed=9, rank_death=(1, 10), hot_eviction_at=5),
             rejoin=True,
         )

@@ -72,6 +72,13 @@ def coalesced_ref(ids, values):
     return unique_ids, summed
 
 
+def coalesced_parent(ids, values):
+    """`SparseGrad.coalesced` as PRs 12-15 had it: int64 sort, `np.unique`."""
+    order = np.argsort(ids, kind="stable")
+    unique_ids, starts = np.unique(ids[order], return_index=True)
+    return unique_ids, np.add.reduceat(values[order], starts, axis=0)
+
+
 def sigmoid_ref(x):
     out = np.empty_like(x, dtype=np.float64)
     positive = x >= 0
@@ -318,6 +325,62 @@ class TestCoalescedEquivalence:
         expected_ids, expected_values = coalesced_ref(ids, values)
         np.testing.assert_array_equal(merged.ids, expected_ids)
         np.testing.assert_allclose(merged.values, expected_values, rtol=1e-4, atol=1e-4)
+
+    @given(
+        num_rows=st.sampled_from([1, 65_535, 65_536, 65_537, 10**6]),
+        sizes=st.lists(st.integers(0, 90), min_size=1, max_size=4),
+        distinct=st.one_of(st.none(), st.integers(1, 6)),
+        dim=st.integers(1, 4),
+        seed=seeds,
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_bit_equal_to_the_int64_sort_at_every_key_width(
+        self, num_rows, sizes, distinct, dim, seed
+    ):
+        """A parameter's pending records coalesce to the parent's ids and
+        sums bit for bit, whether its row count selects uint16 keys or not."""
+        rng = np.random.default_rng(seed)
+        if distinct is None:  # duplicate-free: each row at most once in the step
+            pool = rng.permutation(np.unique(rng.integers(0, num_rows, size=sum(sizes))))
+            sizes = np.diff(np.linspace(0, pool.size, len(sizes) + 1).astype(int)).tolist()
+        else:  # duplicate-heavy, and always the table's first and last row
+            rows = np.append(rng.integers(0, num_rows, size=distinct), [0, num_rows - 1])
+            pool = rng.choice(rows, size=sum(sizes))
+        param = Parameter("table", np.zeros((num_rows, dim), dtype=np.float32))
+        records, start = [], 0
+        for size in sizes:
+            ids = pool[start : start + size].astype(np.int64)
+            values = draw_array(seed + start, (size, dim), np.float32, specials=False)
+            param.accumulate_sparse(ids, values)
+            records.append((ids, values))
+            start += size
+        merged = param.coalesced_sparse_grad()
+        expected_ids, expected_values = coalesced_parent(
+            np.concatenate([ids for ids, _ in records]),
+            np.concatenate([values for _, values in records]),
+        )
+        assert_bit_equal(merged.ids, expected_ids)
+        assert_bit_equal(merged.values, expected_values)
+
+    def test_nothing_pending_and_empty_records(self):
+        param = Parameter("table", np.zeros((5, 3), dtype=np.float32))
+        assert param.coalesced_sparse_grad() is None
+        param.accumulate_sparse(np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.float32))
+        merged = param.coalesced_sparse_grad()
+        assert merged.ids.shape == (0,) and merged.ids.dtype == np.int64
+        assert merged.values.shape == (0, 3) and merged.values.dtype == np.float32
+
+    def test_an_id_outside_the_table_is_not_merged_with_the_row_it_aliases(self):
+        # 65 536 + 3 and 3 share a uint16 key; the bad id must come out
+        # unmerged so the optimizer's index check still sees it.
+        ids = np.array([3, 65_539, 3], dtype=np.int64)
+        values = np.ones((3, 2), dtype=np.float32)
+        merged = SparseGrad(ids=ids, values=values).coalesced(num_rows=65_536)
+        np.testing.assert_array_equal(merged.values[merged.ids == 65_539], [[1.0, 1.0]])
+        param = Parameter("table", np.zeros((65_536, 2), dtype=np.float32))
+        param.accumulate_sparse(ids, values)
+        with pytest.raises(IndexError):
+            SGD([param], lr=0.1).step()
 
     def test_inputs_untouched(self):
         ids = np.array([3, 1, 3, 0], dtype=np.int64)

@@ -750,6 +750,8 @@ class TestDistributedChaos:
         fault_plan = FaultPlan(
             seed=7,
             collective_failure_rate=0.05,
+            # The 10th collective attempt: one per step plus the retried
+            # ones, so the 10th step's exchange at the latest.
             rank_death=(1, 10),
             hot_eviction_at=20,
             loader_hiccup_rate=0.02,
@@ -776,6 +778,8 @@ class TestDistributedChaos:
 
     def test_rank_death_with_world_of_one_is_fatal(self, fae_setup):
         schema, train, test, plan = fae_setup
+        # The third step's exchange (an armed plan keeps a world of one
+        # calling the group: DESIGN "One segment engine").
         fault_plan = FaultPlan(seed=7, rank_death=(0, 3))
         trainer = DistributedFAETrainer(
             [small_dlrm(schema, seed=7)],

@@ -177,3 +177,71 @@ class TestFAETrainer:
         schema, train, test, plan = training_setup
         with pytest.raises(ValueError):
             FAETrainer(fresh_model(schema), plan).train(train, test, epochs=0)
+
+
+class TestFinalEvaluationReuse:
+    """A run's closing test evaluation repeats the last boundary's whenever
+    that one covered the whole test log; then the engine reuses it."""
+
+    @pytest.fixture()
+    def test_log_evaluations(self, monkeypatch, training_setup):
+        """``max_samples`` of every `evaluate_model` call on the test log."""
+        from repro.train import engine
+
+        test = training_setup[2]
+        calls = []
+
+        def spy(model, log, *args, **kwargs):
+            if log is test:
+                calls.append(kwargs.get("max_samples"))
+            return evaluate_model(model, log, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate_model", spy)
+        return calls
+
+    def test_reused_value_is_what_a_second_evaluation_returns(
+        self, training_setup, test_log_evaluations
+    ):
+        schema, train, test, plan = training_setup
+        model = fresh_model(schema, seed=8)
+        result = FAETrainer(model, plan, lr=0.2).train(
+            train, test, epochs=1, eval_samples=len(test)
+        )
+        segments = len(result.history.points) - 1
+        assert test_log_evaluations == [len(test)] * segments  # no closing one
+        final, boundary = result.history.points[-1], result.history.points[-2]
+        assert (final.test_loss, final.test_accuracy) == (boundary.test_loss, boundary.test_accuracy)
+        assert (final.test_loss, result.final_test_accuracy) == evaluate_model(model, test)
+
+    def test_subsampled_boundaries_do_not_stand_in_for_the_full_log(
+        self, training_setup, test_log_evaluations
+    ):
+        schema, train, test, plan = training_setup
+        model = fresh_model(schema, seed=8)
+        cap = len(test) - 1
+        result = FAETrainer(model, plan, lr=0.2).train(train, test, epochs=1, eval_samples=cap)
+        segments = len(result.history.points) - 1
+        assert test_log_evaluations == [cap] * segments + [None]
+        final = result.history.points[-1]
+        assert (final.test_loss, result.final_test_accuracy) == evaluate_model(model, test)
+
+    def test_resume_after_the_last_segment_evaluates(
+        self, tmp_path, training_setup, test_log_evaluations
+    ):
+        from repro.resilience import CheckpointManager
+
+        schema, train, test, plan = training_setup
+        manager = CheckpointManager(tmp_path, every=1, keep=None)
+        full = FAETrainer(fresh_model(schema, seed=8), plan, lr=0.2).train(
+            train, test, epochs=1, checkpoint=manager
+        )
+        del test_log_evaluations[:]
+        model = fresh_model(schema, seed=9)
+        resumed = FAETrainer(model, plan, lr=0.2).train(
+            train, test, epochs=1, resume=manager.latest()
+        )
+        assert len(resumed.history.points) == 1  # no segment ran: nothing to reuse
+        assert test_log_evaluations == [None]
+        final = resumed.history.points[-1]
+        assert (final.test_loss, resumed.final_test_accuracy) == evaluate_model(model, test)
+        assert final.test_loss == full.history.points[-1].test_loss
