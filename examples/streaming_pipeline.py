@@ -1,14 +1,23 @@
-"""FAE as a streaming operator: calibrate and pack without materializing.
+"""FAE as a streaming operator: preprocess and train without materializing.
 
 A Terabyte-scale click log never fits in memory.  This example runs the
-full FAE front-end at constant memory over a chunked stream:
+full FAE front-end over a chunked stream through the one streaming path
+the rest of the repo uses (``repro preprocess --stream``, the elastic
+pool, the shard-backed CI smoke): a :class:`ChunkSource` handed to
+:func:`fae_preprocess_source`.
 
-- pass 1 — :class:`StreamingCalibrator`: Count-Min Sketches replace the
-  per-row counters, a Bernoulli sample replaces the index draw, and the
-  standard Statistical Optimizer converges on the threshold;
-- pass 2 — :class:`StreamingPacker`: each chunk is classified against
-  the hot bags and pure-hot / pure-cold mini-batches are emitted as soon
-  as they fill, feeding a trainer directly.
+- pass 1 — sample, profile and calibrate the access threshold (the
+  paper's Sparse Input Sampler: exact per-row counts over a random input
+  sample), one chunk in memory at a time;
+- pass 2 — classify each chunk against the hot bags; only the hot/cold
+  *index* of every input is kept, never its features;
+- training — the stream is read a third time and each chunk is split by
+  the plan's hot mask into pure-hot / pure-cold mini-batches that feed a
+  trainer directly.
+
+The plan is byte-identical to preprocessing the materialized log, at any
+chunk size.  Memory is constant in the stream's length apart from the
+packed index (9 bytes per input).
 
 Run:  python examples/streaming_pipeline.py
 """
@@ -16,10 +25,13 @@ Run:  python examples/streaming_pipeline.py
 import numpy as np
 
 from repro import FAEConfig, criteo_kaggle_like
-from repro.core import StreamingCalibrator, StreamingPacker
-from repro.data import SyntheticClickStream
+from repro.core import fae_preprocess_source
+from repro.data import StreamChunkSource, SyntheticClickStream
+from repro.data.loader import batch_from_log
 from repro.models.dlrm import DLRM, DLRMConfig
 from repro.nn import BCEWithLogits, SGD
+
+BATCH_SIZE = 256
 
 
 def main() -> None:
@@ -38,39 +50,43 @@ def main() -> None:
         seed=9,
     )
 
-    # ---- pass 1: one-pass sketched calibration -----------------------
-    calibration = StreamingCalibrator(config, epsilon=1e-4).calibrate(stream)
-    hot_rows = sum(bag.num_hot for bag in calibration.bags.values())
-    print(f"pass 1: threshold {calibration.threshold:g}, {hot_rows:,} hot rows")
-    # Sketch memory is CONSTANT in the table size: the same ~12 MiB that
-    # looks extravagant at this 1/1000 scale replaces ~1.9 GiB of exact
-    # counters at the paper's Terabyte geometry (238M rows x 8 B).
-    paper_counters = 238e6 * 8 / 2**30
-    print(f"  sketch memory: {calibration.sketch_bytes / 2**20:.1f} MiB, "
-          f"independent of table size (exact counters at paper scale: "
-          f"{paper_counters:.1f} GiB)")
+    # ---- passes 1 + 2: calibrate, classify, pack the index ------------
+    plan = fae_preprocess_source(StreamChunkSource(stream), config, batch_size=BATCH_SIZE)
+    print(f"preprocess: {plan.summary()}")
+    # What grows with the stream is the packed index, not the features:
+    # 8 B of batch position + 1 B of hot mask per input, against the
+    # feature columns a materialized log would hold.
+    _start, chunk = next(iter(stream))
+    chunk_bytes = chunk.dense.nbytes + chunk.labels.nbytes + sum(
+        ids.nbytes for ids in chunk.sparse.values()
+    )
+    index_bytes = 9 * plan.dataset.num_inputs
+    print(f"  memory: one chunk {chunk_bytes / 2**20:.1f} MiB + packed index "
+          f"{index_bytes / 2**20:.1f} MiB, constant in stream length but for "
+          f"the index (materialized log: "
+          f"{chunk_bytes * len(stream) / len(chunk) / 2**20:.1f} MiB)")
 
-    # ---- pass 2: incremental packing + online training ----------------
+    # ---- training: pure mini-batches, chunk by chunk -------------------
     model = DLRM(schema, DLRMConfig("13-64-32-16", "64-1", seed=1))
     loss_fn = BCEWithLogits()
     optimizer = SGD(model.parameters(), lr=0.15)
-    packer = StreamingPacker(calibration.bags, batch_size=256)
 
     losses = []
-    def train_on(batch):
-        logits = model.forward(batch)
-        losses.append(loss_fn.forward(logits, batch.labels))
-        model.backward(loss_fn.backward())
-        optimizer.step()
-
+    emitted = {True: 0, False: 0}
     for start, chunk in stream:
-        for batch in packer.feed(start, chunk):
-            train_on(batch)
-    for batch in packer.flush():
-        train_on(batch)
+        chunk_hot = plan.dataset.hot_mask[start : start + len(chunk)]
+        for hot in (True, False):
+            rows = np.flatnonzero(chunk_hot == hot)
+            for lo in range(0, len(rows), BATCH_SIZE):
+                batch = batch_from_log(chunk, rows[lo : lo + BATCH_SIZE], hot=hot)
+                logits = model.forward(batch)
+                losses.append(loss_fn.forward(logits, batch.labels))
+                model.backward(loss_fn.backward())
+                optimizer.step()
+                emitted[hot] += 1
 
-    print(f"pass 2: trained on {packer.emitted['hot']} hot + "
-          f"{packer.emitted['cold']} cold mini-batches as they were packed")
+    print(f"trained on {emitted[True]} hot + {emitted[False]} cold "
+          f"mini-batches as the chunks streamed by")
     print(f"loss: first-10 avg {np.mean(losses[:10]):.4f} -> "
           f"last-10 avg {np.mean(losses[-10:]):.4f}")
 

@@ -17,8 +17,7 @@ Commands:
                     version, size, and integrity per archive; exits
                     nonzero when any checkpoint is corrupt.
 - ``trace run``   — run the pipeline with tracing on and print the span
-                    summary tree (optionally dumping JSONL).  Plain
-                    ``repro trace ...`` still works (``run`` is implied).
+                    summary tree (optionally dumping JSONL).
 - ``trace analyze`` — profile an exported trace JSONL: per-span self
                     time, hotspot table, critical path (text and JSON).
 - ``serve-bench`` — Zipf traffic-replay SLO harness over the inference
@@ -30,11 +29,6 @@ Commands:
                     bounded-queue backpressure, failover under seeded
                     replica kill/slow/flap faults, hedged requests, and
                     zero-downtime mid-run generation reload.
-- ``bench``       — run the canonical perf suite (preprocess throughput,
-                    train step time + sync share, serve latency, cache
-                    popularity-shift margins) and write a
-                    schema-versioned ``BENCH_<date>.json``;
-                    ``--baseline`` gates on regressions.
 - ``drift``       — run the popularity-shift scenario: a seeded day
                     stream whose Zipf head rotates mid-run, trained by
                     two arms under one simulated budget (frozen hot set
@@ -95,7 +89,7 @@ from repro.core import FAEConfig, fae_preprocess, fae_preprocess_source
 from repro.data import SyntheticClickLog, SyntheticConfig, dataset_by_name, train_test_split
 from repro.hw import Cluster, PowerModel, TrainingSimulator, characterize
 from repro.dist import DistributedFAETrainer
-from repro.models import build_model, workload_by_name
+from repro.models import build_model, workload_by_name, workload_for_dataset
 from repro.resilience import (
     CheckpointManager,
     FaultPlan,
@@ -112,11 +106,6 @@ from repro.train.metrics import evaluate_model
 __all__ = ["main", "build_parser"]
 
 _DATASET_CHOICES = ("criteo-kaggle", "criteo-terabyte", "taobao")
-_WORKLOAD_FOR_DATASET = {
-    "criteo-kaggle": "RMC2",
-    "criteo-terabyte": "RMC3",
-    "taobao": "RMC1",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,43 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_bench.add_argument(
         "--out", default=None, help="report JSON path (default OUT_DIR/slo_report.json)"
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the canonical perf suite; write BENCH_<date>.json; gate on --baseline",
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="CI-sized suite (seconds, same code paths)"
-    )
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument(
-        "--out-dir", default="benchmarks/out", help="bench artifact directory"
-    )
-    bench.add_argument(
-        "--sections",
-        default=None,
-        help="comma-separated subset of preprocess,train,serve (default all)",
-    )
-    bench.add_argument(
-        "--baseline", default=None, help="compare against this BENCH_*.json snapshot"
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="relative worsening that counts as a regression",
-    )
-    bench.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="report regressions but exit 0 (cross-host CI)",
-    )
-    bench.add_argument(
-        "--check",
-        default=None,
-        metavar="SNAPSHOT",
-        help="compare an existing snapshot instead of running the suite",
     )
 
     drift = sub.add_parser(
@@ -766,7 +718,7 @@ def cmd_train(args) -> int:
         with sampler, obs.tracing(enabled=args.trace or obs.tracing_enabled()):
             log = _make_log(args)
             train, test = train_test_split(log, 0.15, seed=args.seed)
-            spec = workload_by_name(_WORKLOAD_FOR_DATASET[args.dataset])
+            spec = workload_for_dataset(args.dataset)
 
             def report(label: str, model) -> None:
                 loss, accuracy = evaluate_model(model, test)
@@ -956,7 +908,7 @@ def cmd_trace_run(args) -> int:
         train, test = train_test_split(log, 0.15, seed=args.seed)
         plan = fae_preprocess(train, _make_config(args), batch_size=args.batch_size)
         print(f"plan: {plan.summary()}")
-        spec = workload_by_name(_WORKLOAD_FOR_DATASET[args.dataset])
+        spec = workload_for_dataset(args.dataset)
         model = build_model(spec, schema=log.schema, seed=args.seed + 1)
         result = FAETrainer(model, plan, lr=args.lr).train(
             train, test, epochs=args.epochs
@@ -1203,41 +1155,6 @@ def cmd_serve_bench(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Run (or check) the canonical perf suite; gate on a baseline.
-
-    Exit codes: 0 on success, 4 when the baseline compare finds a
-    regression and ``--warn-only`` is not set.
-    """
-    from repro.obs import bench as bench_mod
-
-    if args.check:
-        current = json.loads(Path(args.check).read_text(encoding="utf-8"))
-        print(f"checking existing snapshot {args.check}")
-    else:
-        config = (
-            bench_mod.BenchConfig.quick_preset(seed=args.seed)
-            if args.quick
-            else bench_mod.BenchConfig.full_preset(seed=args.seed)
-        )
-        sections = (
-            tuple(part.strip() for part in args.sections.split(",") if part.strip())
-            if args.sections
-            else ()
-        )
-        current, path = bench_mod.run_bench(config, args.out_dir, sections)
-        print(bench_mod.format_snapshot(current))
-        print(f"wrote {path}")
-    if args.baseline:
-        baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
-        result = bench_mod.compare_bench(current, baseline, threshold=args.threshold)
-        print()
-        print(bench_mod.format_compare(result))
-        if result["regressions"] and not args.warn_only:
-            return 4
-    return 0
-
-
 def cmd_drift(args) -> int:
     """Run the popularity-shift scenario and summarize cache vs static.
 
@@ -1333,27 +1250,13 @@ def cmd_drift(args) -> int:
     return 0
 
 
-def _normalize_argv(argv: list[str] | None) -> list[str]:
-    """Back-compat shim: ``repro trace <dataset/flags>`` implies ``trace run``."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    i = 0
-    while i < len(argv) and argv[i].startswith("-"):
-        i += 1
-    if i < len(argv) and argv[i] == "trace":
-        follower = argv[i + 1] if i + 1 < len(argv) else None
-        if follower not in ("run", "analyze", "-h", "--help"):
-            argv.insert(i + 1, "run")
-    return argv
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
     Failures exit nonzero with a one-line error on stderr; pass
-    ``--traceback`` to re-raise with the full stack instead.  ``bench``
-    additionally exits 4 when the baseline compare finds a regression.
+    ``--traceback`` to re-raise with the full stack instead.
     """
-    args = build_parser().parse_args(_normalize_argv(argv))
+    args = build_parser().parse_args(argv)
     handlers = {
         "info": cmd_info,
         "preprocess": cmd_preprocess,
@@ -1362,7 +1265,6 @@ def main(argv: list[str] | None = None) -> int:
         "report": cmd_report,
         "trace": cmd_trace,
         "serve-bench": cmd_serve_bench,
-        "bench": cmd_bench,
         "drift": cmd_drift,
         "certify": cmd_certify,
         "checkpoint": cmd_checkpoint,

@@ -53,7 +53,6 @@ from repro.core.hotcache import (
     repack_remaining,
 )
 from repro.core.memory_planner import MemoryPlan, plan_memory_budget
-from repro.core.streaming import ReservoirSampler, StreamingCalibrator, StreamingPacker
 from repro.core.allocation import Allocation, greedy_product_allocation, threshold_allocation
 from repro.core.replicator import EmbeddingReplicator, HotBag, HotEmbeddingBag
 from repro.core.scheduler import ShuffleScheduler, ScheduleEvent
@@ -85,14 +84,11 @@ __all__ = [
     "MemoryPlan",
     "ProfileAccumulator",
     "RandEmBox",
-    "ReservoirSampler",
     "ScheduleEvent",
     "ShardBatchSequence",
     "ShuffleScheduler",
     "SketchLogger",
     "SparseInputSampler",
-    "StreamingCalibrator",
-    "StreamingPacker",
     "StatisticalOptimizer",
     "TableProfile",
     "all_hot_batch_probability",

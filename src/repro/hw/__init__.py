@@ -31,7 +31,6 @@ from repro.hw.simulator import (
 )
 from repro.hw.power import PowerModel
 from repro.hw.pipeline import PipelinedSimulator, PipelineSchedule
-from repro.hw.roofline import RooflinePoint, analyze_workload, roofline_point
 
 __all__ = [
     "Cluster",
@@ -47,12 +46,9 @@ __all__ = [
     "PipelineSchedule",
     "PipelinedSimulator",
     "PowerModel",
-    "RooflinePoint",
     "TESLA_V100",
     "TrainingSimulator",
     "WorkloadCharacter",
     "XEON_4116",
-    "analyze_workload",
-    "roofline_point",
     "characterize",
 ]

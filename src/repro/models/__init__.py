@@ -9,7 +9,13 @@ per-timestep attention aggregation over behaviour sequences.
 from repro.models.base import RecModel
 from repro.models.dlrm import DLRM, DLRMConfig
 from repro.models.tbsm import TBSM, TBSMConfig
-from repro.models.zoo import ModelSpec, WORKLOADS, build_model, workload_by_name
+from repro.models.zoo import (
+    ModelSpec,
+    WORKLOADS,
+    build_model,
+    workload_by_name,
+    workload_for_dataset,
+)
 
 __all__ = [
     "DLRM",
@@ -21,4 +27,5 @@ __all__ = [
     "WORKLOADS",
     "build_model",
     "workload_by_name",
+    "workload_for_dataset",
 ]

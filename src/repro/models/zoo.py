@@ -16,7 +16,7 @@ from repro.models.base import RecModel
 from repro.models.dlrm import DLRM, DLRMConfig
 from repro.models.tbsm import TBSM, TBSMConfig
 
-__all__ = ["ModelSpec", "WORKLOADS", "workload_by_name", "build_model"]
+__all__ = ["ModelSpec", "WORKLOADS", "workload_by_name", "workload_for_dataset", "build_model"]
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,15 @@ def workload_by_name(name: str) -> ModelSpec:
         return WORKLOADS[key]
     except KeyError:
         raise ValueError(f"unknown workload {name!r}; expected one of {sorted(WORKLOADS)}") from None
+
+
+def workload_for_dataset(name: str) -> ModelSpec:
+    """The Table I workload trained on dataset ``name`` (inverse of ``ModelSpec.dataset``)."""
+    for spec in WORKLOADS.values():
+        if spec.dataset == name:
+            return spec
+    known = sorted(spec.dataset for spec in WORKLOADS.values())
+    raise ValueError(f"unknown dataset {name!r}; expected one of {known}")
 
 
 def build_model(spec: ModelSpec, schema: DatasetSchema | None = None, scale: str | float = "small", seed: int = 0) -> RecModel:

@@ -19,21 +19,9 @@ from repro.nn.attention import SequenceAttention
 from repro.nn.losses import BCEWithLogits
 from repro.nn.optim import SGD, Adagrad
 from repro.nn.quantization import Fp16EmbeddingTable, Int8EmbeddingTable
-from repro.nn.lr_schedule import (
-    ConstantSchedule,
-    CosineSchedule,
-    MomentumSGD,
-    StepDecaySchedule,
-    WarmupPolynomialSchedule,
-)
 
 __all__ = [
     "Adagrad",
-    "ConstantSchedule",
-    "CosineSchedule",
-    "MomentumSGD",
-    "StepDecaySchedule",
-    "WarmupPolynomialSchedule",
     "Fp16EmbeddingTable",
     "Int8EmbeddingTable",
     "BCEWithLogits",

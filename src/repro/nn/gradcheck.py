@@ -5,7 +5,8 @@ checking is the guard.  :func:`check_gradients` perturbs a sample of
 parameter entries, compares central finite differences against the
 analytic gradients, and reports the worst relative error — used by the
 test suite on every layer and model, and available to users extending
-the model zoo.
+the model zoo.  Nothing outside the tests imports it: it is their
+reference oracle (``tests/test_nn_gradcheck.py``).
 """
 
 from __future__ import annotations

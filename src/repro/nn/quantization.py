@@ -15,7 +15,9 @@ alternative honestly so the claim can be measured rather than asserted:
 
 Both tables expose the :class:`~repro.nn.embedding.EmbeddingTable`
 surface, so :class:`~repro.nn.embedding.EmbeddingBag` (and therefore
-DLRM/TBSM) runs on them unchanged.
+DLRM/TBSM) runs on them unchanged.  Caller:
+``benchmarks/test_x3_quantized.py`` (a labelled extension, not on any
+training path).
 """
 
 from __future__ import annotations

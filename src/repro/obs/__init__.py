@@ -16,13 +16,10 @@ substrate every perf PR regresses against:
   call-tree aggregation, hotspot tables, and critical-path extraction
   over exported span JSONL (``repro trace analyze``).
 - :mod:`repro.obs.sampler` — background RSS/CPU sampling into registry
-  gauges with a peak/mean summary, wired into preprocess/train/bench
-  runs.
-- :mod:`repro.obs.bench` — the ``repro bench`` canonical perf suite:
-  schema-versioned ``BENCH_<date>.json`` snapshots and the baseline
-  regression gate.  (Imported lazily by the CLI, not re-exported here:
-  it depends on ``repro.core``/``train``/``serve``, which themselves
-  import this package.)
+  gauges with a peak/mean summary, wired into preprocess/train runs.
+
+Timing claims are measured from outside by ``perfbench/`` (the repo's
+only timing benchmark), not by this package.
 
 Enable tracing with :func:`enable_tracing`, ``REPRO_TRACE=1``, the
 ``--trace`` CLI flag, or the ``repro trace`` subcommand.

@@ -18,7 +18,7 @@ Use it as a context manager around a run::
     print(rs.summary())   # {"rss_peak_bytes": ..., "cpu_mean_percent": ...}
 
 The summary reports maxima/means over the whole window, which is what
-``repro bench`` snapshots and ``repro preprocess``/``train`` print.
+``repro preprocess``/``train`` print.
 Reading ``/proc/self/statm`` costs microseconds; at the default 50 ms
 interval the sampler's own footprint is noise.  On platforms without
 procfs it falls back to ``resource.getrusage`` (whose ru_maxrss is a

@@ -44,7 +44,7 @@ from repro.core.hotcache import EmbeddingHotCache, HotCacheConfig
 from repro.data import dataset_by_name
 from repro.data.schema import DatasetSchema
 from repro.data.zipf import ZipfSampler
-from repro.models import build_model, workload_by_name
+from repro.models import build_model, workload_for_dataset
 from repro.obs import get_registry
 from repro.resilience.faults import FaultPlan
 from repro.resilience.guards import CircuitBreaker, LoadShedError
@@ -63,12 +63,6 @@ __all__ = [
 
 SLO_SCHEMA_VERSION = 1
 CLUSTER_SLO_SCHEMA_VERSION = 1
-
-_WORKLOAD_FOR_DATASET = {
-    "criteo-kaggle": "RMC2",
-    "criteo-terabyte": "RMC3",
-    "taobao": "RMC1",
-}
 
 
 class VirtualClock:
@@ -245,6 +239,60 @@ def _histogram_stats(histogram) -> dict:
     }
 
 
+def _make_breaker(config: ReplayConfig) -> CircuitBreaker | None:
+    """One engine's breaker from the config (None when the window is 0)."""
+    if config.breaker_window <= 0:
+        return None
+    return CircuitBreaker(
+        window=config.breaker_window,
+        failure_threshold=config.breaker_threshold,
+        min_requests=config.breaker_min_requests,
+        cooldown=config.breaker_cooldown,
+    )
+
+
+def _candidate_table(schema: DatasetSchema):
+    """The largest (most skew-sensitive) table supplies the candidates."""
+    return max(schema.tables, key=lambda t: (t.num_rows, t.name))
+
+
+def _traffic(config: ReplayConfig, schema: DatasetSchema):
+    """The seeded request stream both replays consume.
+
+    Builds the samplers now (outside any timed region) and returns an
+    iterator of ``(r, gap, cost, dense, context, candidate_ids)``:
+    inter-arrival gap, jittered per-read service cost, and the features
+    to rank.  Every draw comes from RNGs owned here, in a fixed order
+    independent of request outcomes, so neither a time model nor a fault
+    schedule can perturb the workload itself.
+    """
+    rng = np.random.default_rng(config.seed)
+    candidate_sampler = ZipfSampler(
+        num_items=_candidate_table(schema).num_rows,
+        exponent=config.hot_exponent,
+        seed=config.seed + 1,
+    )
+    # Context tables each get their schema-declared skew.
+    context_samplers = {
+        t.name: (ZipfSampler(t.num_rows, t.zipf_exponent, seed=config.seed + 2 + i), t.multiplicity)
+        for i, t in enumerate(schema.tables)
+    }
+
+    def requests():
+        for r in range(config.requests):
+            rate = config.base_rate * (config.burst_factor if config.in_burst(r) else 1.0)
+            gap = float(rng.exponential(1.0 / rate))
+            cost = config.chunk_cost_s * (1.0 + config.cost_jitter * float(rng.random()))
+            dense = rng.standard_normal(schema.num_dense).astype(np.float32)
+            context = {
+                name: sampler.sample(multiplicity)
+                for name, (sampler, multiplicity) in context_samplers.items()
+            }
+            yield r, gap, cost, dense, context, candidate_sampler.sample(config.candidates)
+
+    return requests()
+
+
 def run_slo_replay(config: ReplayConfig, schema: DatasetSchema | None = None) -> dict:
     """Run one seeded replay and return the JSON-ready SLO report.
 
@@ -258,20 +306,11 @@ def run_slo_replay(config: ReplayConfig, schema: DatasetSchema | None = None) ->
 
     schema = schema or dataset_by_name(config.dataset, config.scale)
     model = build_model(
-        workload_by_name(_WORKLOAD_FOR_DATASET[config.dataset]),
+        workload_for_dataset(config.dataset),
         schema=schema,
         seed=config.seed,
     )
-    breaker = (
-        CircuitBreaker(
-            window=config.breaker_window,
-            failure_threshold=config.breaker_threshold,
-            min_requests=config.breaker_min_requests,
-            cooldown=config.breaker_cooldown,
-        )
-        if config.breaker_window > 0
-        else None
-    )
+    breaker = _make_breaker(config)
     clock = VirtualClock() if config.mode == "simulated" else time.perf_counter
     engine = InferenceEngine(
         model,
@@ -280,42 +319,20 @@ def run_slo_replay(config: ReplayConfig, schema: DatasetSchema | None = None) ->
         clock=clock,
     )
 
-    rng = np.random.default_rng(config.seed)
-    # The candidate table is the largest (most skew-sensitive) table;
-    # context tables each get their schema-declared skew.
-    candidate_table = max(schema.tables, key=lambda t: (t.num_rows, t.name)).name
-    candidate_sampler = ZipfSampler(
-        num_items=next(t.num_rows for t in schema.tables if t.name == candidate_table),
-        exponent=config.hot_exponent,
-        seed=config.seed + 1,
-    )
-    context_samplers = {
-        t.name: (ZipfSampler(t.num_rows, t.zipf_exponent, seed=config.seed + 2 + i), t.multiplicity)
-        for i, t in enumerate(schema.tables)
-    }
-
+    candidate_table = _candidate_table(schema).name
+    traffic = _traffic(config, schema)
     completed = 0
     degraded = 0
     shed = 0
     wall_start = time.perf_counter()
     virtual_start = clock.t if isinstance(clock, VirtualClock) else 0.0
 
-    for r in range(config.requests):
-        rate = config.base_rate * (config.burst_factor if config.in_burst(r) else 1.0)
-        gap = float(rng.exponential(1.0 / rate))
-        cost = config.chunk_cost_s * (1.0 + config.cost_jitter * float(rng.random()))
+    for r, gap, cost, dense, context, candidate_ids in traffic:
         if config.in_slow_window(r):
             cost *= config.slow_factor
         if isinstance(clock, VirtualClock):
             clock.advance(gap)
             clock.step = cost
-
-        dense = rng.standard_normal(schema.num_dense).astype(np.float32)
-        context = {
-            name: sampler.sample(multiplicity)
-            for name, (sampler, multiplicity) in context_samplers.items()
-        }
-        candidate_ids = candidate_sampler.sample(config.candidates)
 
         try:
             result = engine.rank_candidates(
@@ -439,19 +456,9 @@ def run_cluster_replay(
     _reset_instruments(_CLUSTER_HISTOGRAMS, _CLUSTER_COUNTERS, _CLUSTER_GAUGES)
 
     schema = schema or dataset_by_name(config.dataset, config.scale)
-    workload = workload_by_name(_WORKLOAD_FOR_DATASET[config.dataset])
+    workload = workload_for_dataset(config.dataset)
     model = build_model(workload, schema=schema, seed=config.seed)
     plan = FaultPlan.parse(config.faults) if config.faults else None
-
-    def make_breaker() -> CircuitBreaker | None:
-        if config.breaker_window <= 0:
-            return None
-        return CircuitBreaker(
-            window=config.breaker_window,
-            failure_threshold=config.breaker_threshold,
-            min_requests=config.breaker_min_requests,
-            cooldown=config.breaker_cooldown,
-        )
 
     # One online hot cache shared by the whole pool: replicas serve the
     # same traffic, so membership (and its counters) is cluster-level
@@ -472,7 +479,7 @@ def run_cluster_replay(
         InferenceEngine(
             model,
             deadline_s=config.deadline_s,
-            breaker=make_breaker(),
+            breaker=_make_breaker(config),
             clock=VirtualClock(),
             hot_cache=hot_cache,
         )
@@ -491,25 +498,14 @@ def run_cluster_replay(
         else None
     )
 
-    rng = np.random.default_rng(config.seed)
-    candidate_table = max(schema.tables, key=lambda t: (t.num_rows, t.name)).name
-    candidate_sampler = ZipfSampler(
-        num_items=next(t.num_rows for t in schema.tables if t.name == candidate_table),
-        exponent=config.hot_exponent,
-        seed=config.seed + 1,
-    )
-    context_samplers = {
-        t.name: (ZipfSampler(t.num_rows, t.zipf_exponent, seed=config.seed + 2 + i), t.multiplicity)
-        for i, t in enumerate(schema.tables)
-    }
-
+    candidate_table = _candidate_table(schema).name
     now = 0.0
     admitted = completed = degraded = rejected = shed = 0
     hedged_requests = failed_over_requests = 0
     generation_counts: dict[str, int] = {}
     reload_generation: int | None = None
 
-    for r in range(config.requests):
+    for r, gap, cost, dense, context, candidate_ids in _traffic(config, schema):
         if plan is not None:
             for i in range(config.replicas):
                 alive = plan.replica_alive(i, r)
@@ -519,15 +515,7 @@ def run_cluster_replay(
         if config.reload_at is not None and r == config.reload_at:
             reload_generation = cluster.begin_reload(reload_model)
 
-        rate = config.base_rate * (config.burst_factor if config.in_burst(r) else 1.0)
-        now += float(rng.exponential(1.0 / rate))
-        cost = config.chunk_cost_s * (1.0 + config.cost_jitter * float(rng.random()))
-        dense = rng.standard_normal(schema.num_dense).astype(np.float32)
-        context = {
-            name: sampler.sample(multiplicity)
-            for name, (sampler, multiplicity) in context_samplers.items()
-        }
-        candidate_ids = candidate_sampler.sample(config.candidates)
+        now += gap
 
         try:
             response = cluster.submit(

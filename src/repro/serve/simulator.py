@@ -11,7 +11,9 @@ Compares two inference deployments on the calibrated cost model:
 The simulator draws Poisson arrivals, forms batches under a
 max-batch/max-wait policy (standard dynamic batching), services each
 batch with cost-model times, and reports latency percentiles — the
-serving framing of the paper's skew insight.
+serving framing of the paper's skew insight.  Callers:
+``benchmarks/test_x4_serving.py`` and ``examples/realtime_serving.py``
+(a labelled extension; the measured serving path is ``serve.engine``).
 """
 
 from __future__ import annotations

@@ -12,13 +12,10 @@ Scheduler adapting the interleave rate from the test loss.
 from repro.train.metrics import evaluate_model, binary_accuracy, roc_auc
 from repro.train.history import TrainingHistory, HistoryPoint
 from repro.train.trainer import BaselineTrainer, FAETrainer, TrainResult
-from repro.train.early_stopping import ConsecutiveIncrease, GeneralizationLoss
 from repro.train.popshift import PopShiftConfig, run_popularity_shift
 
 __all__ = [
     "BaselineTrainer",
-    "ConsecutiveIncrease",
-    "GeneralizationLoss",
     "FAETrainer",
     "HistoryPoint",
     "PopShiftConfig",

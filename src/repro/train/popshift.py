@@ -36,7 +36,7 @@ from repro.core.input_processor import FAEDataset, InputProcessor
 from repro.data import dataset_by_name
 from repro.data.loader import train_test_split
 from repro.data.shift import popularity_shift_days, write_day_shards
-from repro.models import build_model, workload_by_name
+from repro.models import build_model, workload_for_dataset
 from repro.obs import get_registry
 from repro.train.metrics import evaluate_model
 from repro.train.trainer import FAETrainer
@@ -44,12 +44,6 @@ from repro.train.trainer import FAETrainer
 __all__ = ["POPSHIFT_SCHEMA_VERSION", "PopShiftConfig", "run_popularity_shift"]
 
 POPSHIFT_SCHEMA_VERSION = 1
-
-_WORKLOAD_FOR_DATASET = {
-    "criteo-kaggle": "RMC2",
-    "criteo-terabyte": "RMC3",
-    "taobao": "RMC1",
-}
 
 #: Registry counters whose run deltas land in the report.
 _REPORT_COUNTERS = (
@@ -313,7 +307,7 @@ def run_popularity_shift(config: PopShiftConfig, shard_dir: str | None = None) -
         profile=plan.calibration.profile,
     )
 
-    workload = workload_by_name(_WORKLOAD_FOR_DATASET[config.dataset])
+    workload = workload_for_dataset(config.dataset)
     model_static = build_model(workload, schema=schema, seed=config.seed + 1)
     model_cached = build_model(workload, schema=schema, seed=config.seed + 1)
 

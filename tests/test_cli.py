@@ -376,21 +376,12 @@ class TestTraceCli:
         doc = json.loads(dest.read_text(encoding="utf-8"))
         assert doc["spans"] > 0
 
-    def test_bare_trace_back_compat_shim(self, tmp_path):
-        # The pre-subcommand spelling `repro trace --rows N` still works.
-        out = tmp_path / "trace.jsonl"
-        argv = [
-            "trace",
-            "criteo-kaggle",
-            "--scale",
-            "tiny",
-            "--rows",
-            "512",
-            "--out",
-            str(out),
-        ]
-        assert main(argv) == 0
-        assert out.exists()
+    def test_bare_trace_is_a_usage_error(self, capsys):
+        # `repro trace <flags>` without `run`/`analyze` is no longer rewritten.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "--rows", "8"])
+        assert exit_info.value.code == 2
+        assert "usage: repro trace" in capsys.readouterr().err
 
 
 class TestDriftCli:

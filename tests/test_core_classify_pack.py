@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     EmbeddingClassifier,
+    FAEConfig,
     InputProcessor,
     all_hot_batch_probability,
     fae_preprocess,
@@ -12,6 +13,7 @@ from repro.core import (
     save_fae_dataset,
 )
 from repro.core.calibrator import Calibrator
+from repro.data import SyntheticClickLog, SyntheticConfig, dataset_by_name
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +204,26 @@ class TestPipeline:
         plan = fae_preprocess(tiny_log, batch_size=128)
         assert plan.hot_input_fraction == 1.0
         assert len(plan.dataset.cold_batches) == 0
+
+    @pytest.mark.parametrize(
+        "dataset, samples, seed, hot_inputs, hot_fraction",
+        [("criteo-kaggle", 8000, 7, 3648, 0.456)],
+    )
+    def test_hot_input_fraction_pinned(self, dataset, samples, seed, hot_inputs, hot_fraction):
+        """Host-independent output of the canonical CI-sized preprocess shape."""
+        log = SyntheticClickLog(
+            dataset_by_name(dataset, "tiny"),
+            SyntheticConfig(num_samples=samples, seed=seed),
+        )
+        config = FAEConfig(
+            gpu_memory_budget=256 * 1024,
+            large_table_min_bytes=1024,
+            chunk_size=64,
+            seed=seed,
+        )
+        plan = fae_preprocess(log, config, batch_size=256)
+        assert plan.dataset.num_hot_inputs == hot_inputs
+        assert plan.hot_input_fraction == hot_fraction
 
 
 class TestAllocationPolicies:

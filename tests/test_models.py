@@ -9,11 +9,13 @@ from repro.data.schema import DatasetSchema, EmbeddingTableSpec
 from repro.models import (
     DLRM,
     DLRMConfig,
+    ModelSpec,
     TBSM,
     TBSMConfig,
     WORKLOADS,
     build_model,
     workload_by_name,
+    workload_for_dataset,
 )
 from repro.nn import BCEWithLogits, SGD
 
@@ -218,6 +220,16 @@ class TestZoo:
     def test_unknown_workload(self):
         with pytest.raises(ValueError):
             workload_by_name("RMC9")
+
+    def test_dataset_round_trips_every_workload(self, monkeypatch):
+        for spec in WORKLOADS.values():
+            assert workload_for_dataset(spec.dataset) is spec
+        with pytest.raises(ValueError, match="unknown dataset 'avazu'"):
+            workload_for_dataset("avazu")
+        # The map is derived from the registry: a new entry is one edit.
+        rmc4 = ModelSpec("RMC4", "dlrm", "avazu", "13-64-16", "64-1", 512)
+        monkeypatch.setitem(WORKLOADS, "RMC4", rmc4)
+        assert workload_for_dataset("avazu") is rmc4
 
     @pytest.mark.parametrize("name", ["RMC1", "RMC2", "RMC3"])
     def test_build_model_tiny(self, name):

@@ -1,0 +1,92 @@
+"""Every module under ``src/repro`` has a caller outside its own package init.
+
+A module counts as called when some file in ``src/`` (other than itself
+and its package ``__init__``), ``benchmarks/``, ``examples/``,
+``perfbench/`` or ``scripts/`` imports it, or imports / reads through a
+package alias a name from its ``__all__``.  Tests are not callers: a
+module only its own test imports is an orphan, unless it is allowlisted
+below with the reason it stays.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+CALLER_DIRS = ("src", "benchmarks", "examples", "perfbench", "scripts")
+
+ALLOWED_ORPHANS = {
+    "repro.nn.gradcheck": "numerical-gradient oracle for tests/test_nn_gradcheck.py",
+    "repro.data.formats": (
+        "real-dataset parsers (Criteo TSV, Taobao events): the library entry "
+        "point README points users with the real logs at"
+    ),
+}
+
+
+def _references(path: Path) -> set[tuple[str, str | None]]:
+    """``(module, name)`` pairs a file imports or reads via a module alias."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    refs: set[tuple[str, str | None]] = set()
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                refs.add((alias.name, None))
+                aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                refs.add((node.module, alias.name))
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                refs.add((aliases[node.value.id], node.attr))
+    return refs
+
+
+def _exported_names(path: Path) -> set[str]:
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _orphans() -> set[str]:
+    callers = {
+        path: _references(path)
+        for directory in CALLER_DIRS
+        for path in (ROOT / directory).rglob("*.py")
+    }
+    orphans = set()
+    for path in SRC.rglob("*.py"):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        package, _, leaf = module.rpartition(".")
+        names = _exported_names(path)
+        skip = (path, path.parent / "__init__.py")
+        called = any(
+            base == module
+            or (base == package and name == leaf)
+            or (name in names and module.startswith(base + "."))
+            for file, refs in callers.items()
+            if file not in skip
+            for base, name in refs
+        )
+        if not called:
+            orphans.add(module)
+    return orphans
+
+
+def test_every_module_has_a_caller():
+    orphans = _orphans()
+    unexpected = sorted(orphans - set(ALLOWED_ORPHANS))
+    assert not unexpected, (
+        f"modules nothing outside tests imports: {unexpected}; delete them, wire "
+        f"them to a caller, or allowlist them here with the reason they stay"
+    )
+    stale = sorted(set(ALLOWED_ORPHANS) - orphans)
+    assert not stale, f"allowlisted modules that gained a caller or are gone: {stale}"

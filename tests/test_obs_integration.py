@@ -180,7 +180,7 @@ class TestPipelineSpans:
 
 class TestTraceCommand:
     def test_prints_span_tree(self, capsys):
-        assert main(["trace", "--rows", "4096", "--epochs", "1"]) == 0
+        assert main(["trace", "run", "--rows", "4096", "--epochs", "1"]) == 0
         out = capsys.readouterr().out
         for token in ("calibrate", "classify", "replicate", "train.segment"):
             assert token in out, f"summary tree missing {token}"
@@ -189,7 +189,7 @@ class TestTraceCommand:
 
     def test_out_writes_jsonl(self, capsys, tmp_path):
         out_file = tmp_path / "trace.jsonl"
-        assert main(["trace", "--rows", "2048", "--out", str(out_file)]) == 0
+        assert main(["trace", "run", "--rows", "2048", "--out", str(out_file)]) == 0
         records = load_jsonl(out_file)
         span_names = {r["name"] for r in records if r["type"] == "span"}
         metric_names = {r["name"] for r in records if r["type"] == "metric"}
@@ -199,7 +199,7 @@ class TestTraceCommand:
 
     def test_trace_does_not_leak_enabled_state(self):
         previous = get_tracer().enabled
-        main(["trace", "--rows", "1024"])
+        main(["trace", "run", "--rows", "1024"])
         assert get_tracer().enabled == previous
 
     def test_train_trace_flag(self, capsys):

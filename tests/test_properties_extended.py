@@ -1,4 +1,4 @@
-"""Additional property-based tests: collectives, quantization, packing."""
+"""Additional property-based tests: collectives, quantization."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -82,60 +82,3 @@ class TestQuantizationProperties:
         twice = quantize_fp16(once).astype(np.float32)
         np.testing.assert_array_equal(once, twice)
         assert np.all(np.sign(once) == np.sign(np.where(np.abs(values) < 6e-8, once, values)))
-
-
-class TestStreamingPackerProperties:
-    @given(
-        batch_size=st.integers(1, 50),
-        chunk_sizes=st.lists(st.integers(1, 80), min_size=1, max_size=8),
-        hot_probability=st.floats(0.0, 1.0),
-        seed=st.integers(0, 100),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_conservation_and_purity(self, batch_size, chunk_sizes, hot_probability, seed):
-        """Every input is emitted exactly once, in a pure batch."""
-        from repro.core.classifier import HotEmbeddingBagSpec
-        from repro.core.streaming import StreamingPacker
-        from repro.data.log import ClickLog
-        from repro.data.schema import DatasetSchema, EmbeddingTableSpec
-
-        num_rows = 40
-        rng = np.random.default_rng(seed)
-        hot_ids = np.flatnonzero(rng.random(num_rows) < hot_probability)
-        if hot_ids.size == 0:
-            hot_ids = np.array([0])
-        schema = DatasetSchema(
-            "p", 1, (EmbeddingTableSpec("t", num_rows=num_rows, dim=2),), 1
-        )
-        bags = {
-            "t": HotEmbeddingBagSpec(
-                "t", hot_ids.astype(np.int64), num_rows, 2, whole_table=False
-            )
-        }
-        packer = StreamingPacker(bags, batch_size=batch_size)
-        mask = bags["t"].hot_mask()
-
-        emitted = []
-        start = 0
-        for n in chunk_sizes:
-            chunk = ClickLog(
-                schema=schema,
-                dense=rng.normal(size=(n, 1)),
-                sparse={"t": rng.integers(0, num_rows, size=(n, 1))},
-                labels=rng.integers(0, 2, size=n).astype(np.float32),
-            )
-            for batch in packer.feed(start, chunk):
-                emitted.append(batch)
-            start += n
-        for batch in packer.flush():
-            emitted.append(batch)
-
-        total = sum(chunk_sizes)
-        indices = np.sort(np.concatenate([b.indices for b in emitted])) if emitted else np.array([])
-        np.testing.assert_array_equal(indices, np.arange(total))
-        for batch in emitted:
-            batch_hot = mask[batch.sparse["t"]].all(axis=1)
-            if batch.hot:
-                assert batch_hot.all()
-            else:
-                assert not batch_hot.any()

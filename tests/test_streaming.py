@@ -1,11 +1,9 @@
-"""Tests for the streaming pipeline: chunked streams, reservoir sampling,
-one-pass calibration, and incremental pure-batch packing."""
+"""Tests for the chunked synthetic stream (repro.data.stream); the pipeline
+over it is covered by tests/test_streaming_preprocess.py."""
 
 import numpy as np
 import pytest
 
-from repro.core import EmbeddingClassifier, EmbeddingLogger
-from repro.core.streaming import ReservoirSampler, StreamingCalibrator, StreamingPacker
 from repro.data import SyntheticClickLog, SyntheticConfig
 from repro.data.stream import SyntheticClickStream
 
@@ -71,156 +69,3 @@ class TestSyntheticClickStream:
             SyntheticClickStream(tiny_schema, total_samples=10, chunk_size=0)
         with pytest.raises(IndexError):
             SyntheticClickStream(tiny_schema, total_samples=10).chunk(99)
-
-
-class TestReservoirSampler:
-    def test_fills_to_capacity(self):
-        sampler = ReservoirSampler(capacity=10, seed=0)
-        sampler.offer_many(range(5))
-        assert sampler.items == [0, 1, 2, 3, 4]
-        assert not sampler.is_uniform_yet
-
-    def test_capacity_respected(self):
-        sampler = ReservoirSampler(capacity=10, seed=0)
-        sampler.offer_many(range(1000))
-        assert len(sampler.items) == 10
-        assert sampler.observed == 1000
-        assert sampler.is_uniform_yet
-
-    def test_uniformity(self):
-        # Each of 100 items should land in a 10-slot reservoir ~10% of
-        # the time across many trials.
-        hits = np.zeros(100)
-        for trial in range(400):
-            sampler = ReservoirSampler(capacity=10, seed=trial)
-            sampler.offer_many(range(100))
-            for item in sampler.items:
-                hits[item] += 1
-        frequency = hits / 400
-        assert abs(frequency.mean() - 0.1) < 0.01
-        assert frequency.std() < 0.05
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            ReservoirSampler(capacity=0)
-
-
-class TestStreamingCalibrator:
-    def test_matches_static_calibration(self, stream, tiny_fae_config):
-        """One-pass sketched calibration lands on a comparable threshold
-        and a hot set that covers the exact hot set."""
-        from dataclasses import replace
-
-        config = replace(tiny_fae_config, sample_rate=1.0)
-        streaming = StreamingCalibrator(config, epsilon=1e-4).calibrate(stream)
-
-        # Static reference over the materialized stream.
-        chunks = [c for _s, c in stream]
-        full = type(chunks[0])(
-            schema=chunks[0].schema,
-            dense=np.concatenate([c.dense for c in chunks]),
-            sparse={
-                name: np.concatenate([c.sparse[name] for c in chunks])
-                for name in chunks[0].sparse
-            },
-            labels=np.concatenate([c.labels for c in chunks]),
-        )
-        profile = EmbeddingLogger(config).profile(full, np.arange(len(full)))
-        from repro.core import StatisticalOptimizer
-
-        static_result = StatisticalOptimizer(config).converge(profile)
-        static_bags = EmbeddingClassifier(config).classify(
-            profile, static_result.threshold
-        )
-
-        assert streaming.observed_samples == 4000
-        # Thresholds within one grid step of each other.
-        grid = list(config.threshold_grid)
-        s_idx = grid.index(streaming.threshold)
-        e_idx = grid.index(static_result.threshold)
-        assert abs(s_idx - e_idx) <= 1
-        # CMS one-sided error: the streaming hot set covers the exact one
-        # when thresholds agree.
-        if s_idx == e_idx:
-            for name in static_bags:
-                exact = set(static_bags[name].hot_ids.tolist())
-                sketched = set(streaming.bags[name].hot_ids.tolist())
-                assert exact <= sketched
-
-    def test_sketch_bytes_bounded(self, stream, tiny_fae_config):
-        calibration = StreamingCalibrator(tiny_fae_config, epsilon=1e-3).calibrate(stream)
-        assert calibration.sketch_bytes > 0
-
-    def test_empty_stream_rejected(self, tiny_fae_config):
-        with pytest.raises(ValueError):
-            StreamingCalibrator(tiny_fae_config).calibrate(iter([]))
-
-
-class TestStreamingPacker:
-    @pytest.fixture()
-    def bags(self, stream, tiny_fae_config):
-        from dataclasses import replace
-
-        config = replace(tiny_fae_config, sample_rate=1.0)
-        return StreamingCalibrator(config, epsilon=1e-4).calibrate(stream).bags
-
-    def test_emits_pure_full_batches(self, stream, bags):
-        packer = StreamingPacker(bags, batch_size=64)
-        masks = {name: bag.hot_mask() for name, bag in bags.items()}
-        batches = []
-        for start, chunk in stream:
-            batches.extend(packer.feed(start, chunk))
-        for batch in batches:
-            assert len(batch) == 64
-            assert batch.hot in (True, False)
-            for name, ids in batch.sparse.items():
-                if batch.hot:
-                    assert masks[name][ids].all()
-
-    def test_flush_covers_every_input(self, stream, bags):
-        packer = StreamingPacker(bags, batch_size=64)
-        seen = []
-        for start, chunk in stream:
-            for batch in packer.feed(start, chunk):
-                seen.append(batch.indices)
-        for batch in packer.flush():
-            seen.append(batch.indices)
-        all_indices = np.sort(np.concatenate(seen))
-        np.testing.assert_array_equal(all_indices, np.arange(len(stream)))
-        assert packer.pending() == (0, 0)
-
-    def test_counts_tracked(self, stream, bags):
-        packer = StreamingPacker(bags, batch_size=64)
-        for start, chunk in stream:
-            list(packer.feed(start, chunk))
-        list(packer.flush())
-        assert packer.emitted["hot"] + packer.emitted["cold"] > 0
-
-    def test_matches_static_packing_totals(self, stream, bags, tiny_fae_config):
-        """Streaming and static packing agree on the hot/cold split."""
-        packer = StreamingPacker(bags, batch_size=64)
-        hot_streamed = 0
-        for start, chunk in stream:
-            for batch in packer.feed(start, chunk):
-                hot_streamed += len(batch) if batch.hot else 0
-        for batch in packer.flush():
-            hot_streamed += len(batch) if batch.hot else 0
-
-        from repro.core import InputProcessor
-
-        chunks = [c for _s, c in stream]
-        full = type(chunks[0])(
-            schema=chunks[0].schema,
-            dense=np.concatenate([c.dense for c in chunks]),
-            sparse={
-                name: np.concatenate([c.sparse[name] for c in chunks])
-                for name in chunks[0].sparse
-            },
-            labels=np.concatenate([c.labels for c in chunks]),
-        )
-        static_hot = int(InputProcessor(bags).classify_inputs(full).sum())
-        assert hot_streamed == static_hot
-
-    def test_bad_batch_size(self, bags):
-        with pytest.raises(ValueError):
-            StreamingPacker(bags, batch_size=0)

@@ -60,6 +60,21 @@ class TestReport:
         last = quick_report["days"][-1]
         assert last["cached"]["hit_rate"] > last["static"]["hit_rate"]
 
+    @pytest.mark.parametrize(
+        "path, pinned",
+        [
+            (("post_shift", "hit_margin"), 0.3329166666666667),
+            (("post_shift", "cached_hit_rate"), 0.43520833333333336),
+            (("post_shift", "static_hit_rate"), 0.10229166666666667),
+            (("counters", "hotcache.promotions"), 345),
+            (("counters", "hotcache.rebalances"), 2),
+        ],
+    )
+    def test_quick_shape_outputs_pinned(self, quick_report, path, pinned):
+        """Deterministic cache outputs of the CI shape (`repro drift` step)."""
+        section, key = path
+        assert quick_report[section][key] == pytest.approx(pinned, abs=1e-12)
+
     def test_turnover_and_counters_flow(self, quick_report):
         counters = quick_report["counters"]
         assert counters["hotcache.promotions"] > 0
