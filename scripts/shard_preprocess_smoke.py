@@ -20,6 +20,9 @@ from __future__ import annotations
 import argparse
 import shutil
 import sys
+from pathlib import Path
+
+import numpy as np
 
 from repro.core import FAEConfig, fae_preprocess_source
 from repro.data import ShardChunkSource, SyntheticClickStream, dataset_by_name, save_log_shards
@@ -44,8 +47,24 @@ def main(argv: list[str] | None = None) -> int:
         print(f"packed {plan.dataset.num_inputs} inputs, wrote {args.samples}", file=sys.stderr)
         return 1
     decoded = get_registry().counter("data.shard.members_decoded").value
+    shard_bytes = sum(path.stat().st_size for path in Path(args.dir).iterdir())
     print(plan.summary())
-    print(f"shards: {len(source.shard_refs())}  members decoded: {decoded:.0f}")
+    print(
+        f"shards: {len(source.shard_refs())}  bytes: {shard_bytes}  members decoded: {decoded:.0f}"
+    )
+    # Ids are stored at the width of their table and decode to int64.
+    spec = max((t for t in schema.tables if t.num_rows <= 65_536), key=lambda t: t.num_rows)
+    with np.load(Path(args.dir) / "chunk-000000.npz") as shard:
+        stored = shard[f"sparse_{spec.name}"].dtype
+    _start, chunk = next(iter(source))
+    decoded_dtype = chunk.sparse[spec.name].dtype
+    if stored.itemsize > 2 or decoded_dtype != np.int64:
+        print(
+            f"{spec.name} ({spec.num_rows} rows) is stored as {stored}, decodes to {decoded_dtype}",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"{spec.name}: {spec.num_rows} rows, stored {stored}, decoded {decoded_dtype}")
     return 0
 
 

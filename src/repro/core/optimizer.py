@@ -78,8 +78,11 @@ class StatisticalOptimizer:
         self.config = config
         self._box = RandEmBox(config)
 
-    def evaluate(self, profile: AccessProfile, threshold: float) -> ThresholdEvaluation:
-        """Estimate the hot footprint at one threshold."""
+    def evaluate(
+        self, profile: AccessProfile, threshold: float, samples: dict | None = None
+    ) -> ThresholdEvaluation:
+        """Estimate the hot footprint at one threshold (``samples``: each
+        table's :meth:`RandEmBox.sample`, which a search draws once)."""
         small_bytes = sum(
             spec.size_bytes
             for spec in profile.schema.tables
@@ -90,7 +93,7 @@ class StatisticalOptimizer:
         total_upper = float(small_bytes)
         for name, table_profile in profile.tables.items():
             min_count = profile.min_count_for_threshold(threshold, name)
-            est = self._box.estimate(table_profile, min_count)
+            est = self._box.estimate(table_profile, min_count, (samples or {}).get(name))
             estimates.append(est)
             total_mean += est.hot_bytes_mean
             total_upper += est.hot_bytes_upper
@@ -111,8 +114,9 @@ class StatisticalOptimizer:
         """
         evaluations: list[ThresholdEvaluation] = []
         best: ThresholdEvaluation | None = None
+        samples = {name: self._box.sample(table) for name, table in profile.tables.items()}
         for threshold in self.config.threshold_grid:
-            evaluation = self.evaluate(profile, threshold)
+            evaluation = self.evaluate(profile, threshold, samples)
             evaluations.append(evaluation)
             if evaluation.fits:
                 best = evaluation

@@ -66,11 +66,26 @@ class RandEmBox:
         self.seed = config.seed if seed is None else seed
         self.last_elapsed_seconds = 0.0
 
-    def estimate(self, profile: TableProfile, min_count: float) -> HotSizeEstimate:
+    def sample(self, profile: TableProfile) -> np.ndarray | None:
+        """Access counts of the box's ``n`` random chunks, shape ``(n, m)``;
+        None for a table small enough to scan exactly.  The draw depends on
+        the seed and the table, not on a threshold: a threshold search takes
+        it once per table and hands it to every :meth:`estimate`."""
+        n, m = self.config.num_chunks, self.config.chunk_size
+        if profile.num_rows <= n * m:
+            return None
+        starts = np.random.default_rng(self.seed).integers(0, profile.num_rows - m + 1, size=n)
+        # One gather for all n chunks: rows[i, j] = starts[i] + j.
+        return profile.counts[starts[:, None] + np.arange(m)]
+
+    def estimate(
+        self, profile: TableProfile, min_count: float, sample: np.ndarray | None = None
+    ) -> HotSizeEstimate:
         """Estimate how many rows of ``profile`` meet ``min_count`` accesses.
 
         Tables with fewer than ``n x m`` rows are scanned exactly — the
         sampling machinery would read as much as a full scan there.
+        ``sample`` is this table's :meth:`sample`, drawn here when absent.
         """
         with timed("calibrate.estimate", table=profile.name) as timer:
             n = self.config.num_chunks
@@ -92,13 +107,9 @@ class RandEmBox:
                     exact=True,
                 )
             else:
-                rng = np.random.default_rng(self.seed)
-                starts = rng.integers(0, num_rows - m + 1, size=n)
-                # One gather for all n chunks: rows[i, j] = starts[i] + j.
-                rows = starts[:, None] + np.arange(m)
-                chunk_counts = (
-                    (profile.counts[rows] >= min_count).sum(axis=1).astype(np.float64)
-                )  # Eq. 2-3
+                if sample is None:
+                    sample = self.sample(profile)
+                chunk_counts = (sample >= min_count).sum(axis=1).astype(np.float64)  # Eq. 2-3
 
                 mean = float(chunk_counts.mean())  # Eq. 4
                 std = float(chunk_counts.std(ddof=1))

@@ -19,8 +19,9 @@ Backends:
   generated lazily and never coexist in memory;
 - :class:`ShardChunkSource` — on-disk raw-log shards written by
   :func:`save_log_shards` (one ``.npz`` per chunk plus a JSON manifest,
-  each written atomically); its chunks are column-lazy
-  (:class:`ShardChunk`), so a stage pays for the columns it reads;
+  each written atomically, ids stored at the width of their table); its
+  chunks are column-lazy (:class:`ShardChunk`), so a stage pays for the
+  columns it reads, widened to int64 as it reads them;
 - :class:`UnsizedChunkSource` — wraps a chunk-iterable factory whose
   total length is unknown up front (true streaming ingest); downstream
   samplers fall back to per-chunk Bernoulli draws for these.
@@ -38,11 +39,11 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from repro.data.log import ClickLog
-from repro.data.npz_codec import NpzReader
+from repro.data.npz_codec import NpzReader, write_npz
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
 from repro.data.stream import SyntheticClickStream
 from repro.obs import span
-from repro.resilience.atomic import atomic_write, atomic_write_text
+from repro.resilience.atomic import atomic_write_text
 
 __all__ = [
     "ChunkSource",
@@ -173,6 +174,23 @@ class UnsizedChunkSource(ChunkSource):
         return iter(self._factory())
 
 
+def _id_dtype(num_rows: int) -> type:
+    """The narrowest stored dtype that holds every id of a ``num_rows`` table."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if num_rows - 1 <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _check_ids(ids: np.ndarray, num_rows: int, where: str) -> None:
+    """Raise on an id outside ``[0, num_rows)``: the writer refuses what the reader rejects."""
+    if ids.size:
+        low, high = ids.min(), ids.max()
+        if not (0 <= low and high < num_rows):  # a NaN (float-stored ids) fails too
+            bad = high if 0 <= low else low
+            raise ValueError(f"{where} id {bad} out of range [0, {num_rows})")
+
+
 def save_log_shards(
     directory: str | Path,
     source,
@@ -180,15 +198,22 @@ def save_log_shards(
 ) -> Path:
     """Write a chunk source (or log) as on-disk raw-log shards.
 
-    One ``.npz`` per chunk (``dense``/``labels``/``sparse_<table>``),
-    each written atomically, then a JSON manifest carrying the schema and
-    the shard list — written last, so a crashed save never leaves a
+    One ``.npz`` per chunk (``dense``/``labels``/``sparse_<table>``, ids
+    at the width of their table: uint8/16/32, int64 beyond), each written
+    atomically by :func:`~repro.data.npz_codec.write_npz` (equal logs give
+    equal bytes), then a JSON manifest carrying the schema and the shard
+    list -- written last, so a crashed or refused save never leaves a
     loadable-but-incomplete directory.
 
     Returns:
         The shard directory path.
+
+    Raises:
+        ValueError: an id outside its table's ``[0, num_rows)`` (names the
+            table, the id and the shard index; that shard is not written).
     """
     source = as_chunk_source(source, chunk_size=chunk_size)
+    schema = source.schema
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
@@ -198,15 +223,14 @@ def save_log_shards(
         name = f"chunk-{len(shards):06d}.npz"
         payload: dict[str, np.ndarray] = {"dense": chunk.dense, "labels": chunk.labels}
         for table, ids in chunk.sparse.items():
-            payload[f"sparse_{table}"] = ids
-        # Not the npz codec's writer: log shards are the pipeline's input,
-        # and their bytes stay what every earlier writer produced (DESIGN §8).
-        with atomic_write(directory / name) as tmp:
-            np.savez_compressed(tmp, **payload)
+            num_rows = schema.table(table).num_rows
+            # Checked before the cast: a narrowing cast would wrap a bad id.
+            _check_ids(ids, num_rows, f"log shard {len(shards)}: table {table!r}")
+            payload[f"sparse_{table}"] = ids.astype(_id_dtype(num_rows), copy=False)
+        write_npz(directory / name, payload)
         shards.append({"file": name, "start": start, "num_samples": len(chunk)})
         total += len(chunk)
 
-    schema = source.schema
     manifest = {
         "format": SHARD_FORMAT,
         "format_version": SHARD_FORMAT_VERSION,
@@ -309,18 +333,18 @@ class ShardChunk(ClickLog):
         column = self._columns.get(member)
         if column is not None:
             return column
-        column = np.ascontiguousarray(self._archive[member], dtype=dtype)
+        stored = self._archive[member]
         where = f"log shard {self._path}: {member}"
-        if column.shape[:1] != (self._count,):
+        if stored.shape[:1] != (self._count,):
             raise RuntimeError(
-                f"{where} has shape {column.shape}, manifest says {self._count} samples"
+                f"{where} has shape {stored.shape}, manifest says {self._count} samples"
             )
-        if column.shape[1:] != row_shape:
-            raise ValueError(f"{where} shape {column.shape} != {(self._count, *row_shape)}")
-        if num_rows is not None and column.size and (
-            column.min() < 0 or column.max() >= num_rows
-        ):
-            raise ValueError(f"{where} ids out of range [0, {num_rows})")
+        if stored.shape[1:] != row_shape:
+            raise ValueError(f"{where} shape {stored.shape} != {(self._count, *row_shape)}")
+        # Ids are range-checked at their stored width, then widened once.
+        if num_rows is not None:
+            _check_ids(stored, num_rows, where)
+        column = np.ascontiguousarray(stored, dtype=dtype)
         self._columns[member] = column
         return column
 

@@ -5,11 +5,14 @@ The only place that opens or writes an ``.npz`` for those formats
 asked for and not before, which is what lets a log shard cost only the
 columns a stage reads; writing builds the archive once in memory, so the
 bytes that are hashed are the bytes that are written.  Archives stay plain
-``.npz`` files that ``np.load`` opens.
+``.npz`` files that ``np.load`` opens.  Members keep the dtype the caller
+hands over: integers are stored at the width of their range (log-shard ids
+at their table's) and widened once, by the caller, on decode.
 
 Metrics (registry counters, one increment per decoded member):
 ``data.shard.members_decoded`` and ``data.shard.bytes_decoded`` (inflated
-bytes, npy header included) -- how many columns a run paid for.
+bytes at the stored width, npy header included) -- how many columns a run
+paid for.
 """
 
 from __future__ import annotations

@@ -37,10 +37,10 @@ def atomic_write(path: str | Path) -> Iterator[Path]:
     to it).  On a clean exit it replaces ``path``; on any exception it is
     removed and the destination is left untouched.
 
-    Usage::
+    Usage (what :func:`repro.data.npz_codec.write_npz` does)::
 
         with atomic_write("plan.npz") as tmp:
-            np.savez_compressed(tmp, **payload)
+            tmp.write_bytes(blob)
     """
     final = Path(path)
     final.parent.mkdir(parents=True, exist_ok=True)

@@ -13,6 +13,9 @@ from repro.core import (
     StatisticalOptimizer,
 )
 from repro.core.access_profile import AccessProfile, TableProfile
+from repro.core.randem_box import HotSizeEstimate
+from repro.data.schema import DatasetSchema, EmbeddingTableSpec
+from repro.obs import tracing
 
 
 class TestSparseInputSampler:
@@ -190,6 +193,100 @@ class TestRandEmBox:
         profile = TableProfile("big", counts, dim=4)
         est = RandEmBox(FAEConfig(), seed=2).estimate(profile, 3)
         assert est.hot_rows_upper >= est.hot_rows_mean >= est.hot_rows_lower
+
+
+def estimate_per_threshold_ref(box, profile, min_count):
+    """``RandEmBox.estimate`` as it was when every threshold re-seeded the
+    generator, redrew the chunk starts and re-gathered the counts."""
+    n, m = box.config.num_chunks, box.config.chunk_size
+    num_rows, row_bytes = profile.num_rows, profile.row_bytes()
+    if num_rows <= n * m:
+        hot = float(profile.hot_row_count(min_count))
+        return HotSizeEstimate(
+            profile.name, min_count, hot, hot, hot, hot * row_bytes, hot * row_bytes, num_rows, True
+        )
+    rng = np.random.default_rng(box.seed)
+    starts = rng.integers(0, num_rows - m + 1, size=n)
+    rows = starts[:, None] + np.arange(m)
+    chunk_counts = (profile.counts[rows] >= min_count).sum(axis=1).astype(np.float64)
+    mean = float(chunk_counts.mean())
+    std = float(chunk_counts.std(ddof=1))
+    half_width = box.config.t_value * std / np.sqrt(n)
+    fraction_mean = mean / m
+    fraction_upper = min(1.0, (mean + half_width) / m)
+    fraction_lower = max(0.0, (mean - half_width) / m)
+    return HotSizeEstimate(
+        profile.name, min_count,
+        fraction_mean * num_rows, fraction_upper * num_rows, fraction_lower * num_rows,
+        fraction_mean * num_rows * row_bytes, fraction_upper * num_rows * row_bytes,
+        n * m, False,
+    )
+
+
+class TestOneSamplePerTable:
+    """``converge`` draws each table's chunks once; nothing it reports moves."""
+
+    @staticmethod
+    def _profile(seed):
+        # One exact table (<= n*m rows), two sampled, one of them multi-hot.
+        specs = (
+            EmbeddingTableSpec("exact", num_rows=900, dim=4, zipf_exponent=1.1),
+            EmbeddingTableSpec("sampled", num_rows=9_000, dim=4, zipf_exponent=1.1),
+            EmbeddingTableSpec("bag", num_rows=20_000, dim=8, zipf_exponent=1.1, multiplicity=3),
+            EmbeddingTableSpec("small", num_rows=10, dim=4, zipf_exponent=1.1),
+        )
+        rng = np.random.default_rng(seed)
+        tables = {
+            spec.name: TableProfile(
+                spec.name, rng.zipf(1.3, size=spec.num_rows).astype(np.int64), spec.dim
+            )
+            for spec in specs[:3]
+        }
+        schema = DatasetSchema(name="randem", num_dense=1, tables=specs, num_samples=50_000)
+        return AccessProfile(schema, tables, num_sampled_inputs=2_000, num_total_inputs=50_000)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 11])
+    def test_converge_equals_the_per_threshold_draw(self, seed):
+        config = FAEConfig(gpu_memory_budget=450_000, chunk_size=32, num_chunks=35, seed=seed)
+        profile = self._profile(seed)
+        optimizer = StatisticalOptimizer(config)
+        with tracing() as tracer:
+            tracer.reset()
+            result = optimizer.converge(profile)
+            spans = [r.attributes for r in tracer.records() if r.name == "calibrate.estimate"]
+            tracer.reset()
+        box = RandEmBox(config)
+        assert 1 < result.iterations < len(config.threshold_grid)  # fits, then overflows
+        want_spans = []
+        for evaluation in result.evaluations:
+            want = tuple(
+                estimate_per_threshold_ref(
+                    box, table, profile.min_count_for_threshold(evaluation.threshold, name)
+                )
+                for name, table in profile.tables.items()
+            )
+            assert evaluation.per_table == want  # every field, exactly
+            want_spans += [
+                {"table": e.table_name, "rows_scanned": e.rows_scanned, "exact": e.exact}
+                for e in want
+            ]
+        assert {e.exact for e in result.evaluations[0].per_table} == {True, False}
+        assert spans == want_spans
+        # The same search without the shared draw: same evaluations, same choice.
+        alone = tuple(optimizer.evaluate(profile, e.threshold) for e in result.evaluations)
+        assert alone == result.evaluations
+        assert result.threshold == min(e.threshold for e in alone if e.fits)
+
+    def test_sample_is_the_counts_at_the_boxs_chunks(self):
+        profile = self._profile(5).tables["sampled"]
+        box = RandEmBox(FAEConfig(chunk_size=32, num_chunks=35), seed=9)
+        sample = box.sample(profile)
+        starts = np.random.default_rng(9).integers(0, profile.num_rows - 32 + 1, size=35)
+        assert sample.shape == (35, 32)
+        assert np.array_equal(sample, profile.counts[starts[:, None] + np.arange(32)])
+        assert box.sample(self._profile(5).tables["exact"]) is None
+        for min_count in (1, 2.5, 40):
+            assert box.estimate(profile, min_count, sample) == box.estimate(profile, min_count)
 
 
 class TestStatisticalOptimizer:

@@ -25,6 +25,7 @@ from repro.data import (
     save_log_shards,
 )
 from repro.data.chunk_source import SHARD_MANIFEST, ShardChunk
+from repro.data.schema import DatasetSchema, EmbeddingTableSpec
 from repro.data.npz_codec import NpzReader
 from repro.obs import get_registry, span, tracing
 
@@ -167,6 +168,83 @@ class TestShardRoundTrip:
             list(ShardChunkSource(directory))
 
 
+# num_rows -> the narrowest dtype that holds ``num_rows - 1``.
+STORED_DTYPE = {
+    1: np.uint8, 2: np.uint8, 255: np.uint8, 256: np.uint8, 257: np.uint16,
+    65_535: np.uint16, 65_536: np.uint16, 65_537: np.uint32,
+    2**32: np.uint32, 2**32 + 1: np.int64,
+}
+
+
+def one_table_log(num_rows, ids):
+    """An unvalidated log over one ``num_rows`` table (the schema only: no
+    table is allocated), as a chunk source hands chunks to the writer."""
+    ids = np.asarray(ids, dtype=np.int64)
+    schema = DatasetSchema(
+        name="width",
+        num_dense=2,
+        tables=(EmbeddingTableSpec("t", num_rows, dim=4, zipf_exponent=1.0,
+                                   multiplicity=ids.shape[1]),),
+        num_samples=len(ids),
+    )
+    return ClickLog.from_trusted(
+        schema=schema,
+        dense=np.zeros((len(ids), 2), dtype=np.float32),
+        sparse={"t": ids},
+        labels=np.zeros(len(ids), dtype=np.float32),
+    )
+
+
+class TestStoredIdWidth:
+    """Ids are stored at the width of their table and widened once on decode."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_rows=st.sampled_from(sorted(STORED_DTYPE)),
+        multiplicity=st.sampled_from([1, 21]),
+        data=st.data(),
+    )
+    def test_round_trip_at_the_narrowest_width(self, num_rows, multiplicity, data):
+        rows = data.draw(st.integers(1, 5))
+        flat = data.draw(
+            st.lists(st.integers(0, num_rows - 1), min_size=rows * multiplicity,
+                     max_size=rows * multiplicity)
+        )
+        ids = np.array(flat, dtype=np.int64).reshape(rows, multiplicity)
+        ids[-1, -1] = num_rows - 1  # the widest id the table has is always there
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = save_log_shards(tmp, one_table_log(num_rows, ids), chunk_size=3)
+            stored = [shard_dtypes(path)["sparse_t"] for path in sorted(directory.glob("*.npz"))]
+            assert set(stored) == {np.dtype(STORED_DTYPE[num_rows])}
+            _starts, _dense, sparse, _labels = reassemble(ShardChunkSource(directory))
+            for _start, chunk in ShardChunkSource(directory):
+                got = chunk.sparse["t"]
+                assert got.dtype == np.int64
+                assert got.flags.c_contiguous and got.flags.writeable
+        assert np.array_equal(sparse["t"], ids)
+
+    def test_dense_and_labels_are_stored_as_they_are(self, shard_dir):
+        assert shard_dtypes(shard_dir / "chunk-000000.npz") == {
+            "dense": np.float32, "labels": np.float32,
+            "sparse_table_00": np.uint16, "sparse_table_01": np.uint16,
+            "sparse_table_02": np.uint8,
+        }
+
+    @pytest.mark.parametrize("bad", [-1, 300, 2**40])
+    def test_writer_refuses_what_the_reader_would_reject(self, bad, tmp_path):
+        ids = np.arange(8, dtype=np.int64).reshape(8, 1)
+        ids[5, 0] = bad  # lands in the second shard of three
+        with pytest.raises(ValueError) as refusal:
+            save_log_shards(tmp_path / "shards", one_table_log(300, ids), chunk_size=3)
+        message = str(refusal.value)
+        assert "'t'" in message and str(bad) in message and "shard 1" in message
+        assert "[0, 300)" in message
+        # No file for the refused shard, no manifest, no temp file: not loadable.
+        assert [p.name for p in (tmp_path / "shards").iterdir()] == ["chunk-000000.npz"]
+        with pytest.raises(FileNotFoundError):
+            ShardChunkSource(tmp_path / "shards")
+
+
 class TestAsChunkSource:
     def test_passthrough(self, small_log):
         source = LogChunkSource(small_log)
@@ -219,9 +297,21 @@ def eager_load(path, schema, count):
     return chunk
 
 
-def shard_members(path):
+def shard_dtypes(path):
     with np.load(path, allow_pickle=False) as archive:
-        return {name: archive[name] for name in archive.files}
+        return {name: archive[name].dtype for name in archive.files}
+
+
+def shard_members(path):
+    """A shard's members as every earlier writer stored them: ids as int64
+    (so a damage case can plant any id), to be re-saved by the in-test eager
+    writer ``np.savez_compressed``."""
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    return {
+        name: value.astype(np.int64) if name.startswith("sparse_") else value
+        for name, value in members.items()
+    }
 
 
 @pytest.fixture()
@@ -304,8 +394,12 @@ class TestLazyShardChunk:
             records = [r for r in tracer.records() if r.name == "data.shard.read"]
             tracer.reset()
         assert members.value - before[0] == 2
-        # inflated bytes: each member's payload plus its 128-byte npy header
-        assert decoded_bytes.value - before[1] == ids.nbytes + labels.nbytes + 2 * 128
+        # inflated bytes: each member's payload at its stored width (table_00
+        # has 600 rows: uint16 on disk, int64 once decoded) plus its 128-byte
+        # npy header
+        assert ids.dtype == np.int64
+        stored_ids_nbytes = ids.size * np.dtype(np.uint16).itemsize
+        assert decoded_bytes.value - before[1] == stored_ids_nbytes + labels.nbytes + 2 * 128
         assert [r.attributes for r in records] == [
             {"file": "chunk-000000.npz", "bytes": (shard_dir / "chunk-000000.npz").stat().st_size}
         ]
@@ -358,7 +452,8 @@ class TestShardDamage:
     @pytest.mark.parametrize(
         "damage",
         ["manifest_count", "multiplicity", "id_too_large", "id_negative", "object_dtype",
-         "missing_member", "short_column", "int32_ids", "npy_2_0_header", "none"],
+         "missing_member", "short_column", "int32_ids", "npy_2_0_header", "none",
+         "uint16_id_too_large"],
     )
     def test_same_outcome_as_the_eager_load(self, shard_dir, damage):
         path = shard_dir / "chunk-000000.npz"
@@ -380,6 +475,9 @@ class TestShardDamage:
             members["sparse_table_01"] = members["sparse_table_01"][:-1]
         elif damage == "int32_ids":
             members["sparse_table_01"] = members["sparse_table_01"].astype(np.int32)
+        elif damage == "uint16_id_too_large":  # a value its stored width can hold
+            members["sparse_table_01"] = members["sparse_table_01"].astype(np.uint16)
+            members["sparse_table_01"][17, 0] = 400
         if damage == "npy_2_0_header":
             with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
                 for name, value in members.items():
@@ -401,8 +499,8 @@ class TestShardDamage:
         expected_failure = {
             "manifest_count": RuntimeError, "multiplicity": ValueError,
             "id_too_large": ValueError, "id_negative": ValueError,
-            "object_dtype": RuntimeError, "missing_member": RuntimeError,
-            "short_column": RuntimeError,
+            "uint16_id_too_large": ValueError, "object_dtype": RuntimeError,
+            "missing_member": RuntimeError, "short_column": RuntimeError,
         }.get(damage)
         if expected_failure is None:
             assert isinstance(want, dict) and isinstance(got, dict)
@@ -416,6 +514,9 @@ class TestShardDamage:
             assert want is ValueError and got is RuntimeError
         else:
             assert got is want is expected_failure
+        if damage == "uint16_id_too_large":  # found on the stored dtype; names file and id
+            with pytest.raises(ValueError, match=r"chunk-000000\.npz: sparse_table_01 id 400 "):
+                ShardChunk(schema, path, count).sparse["table_01"]
         # Damage confined to table_01 leaves every other column readable.
         if expected_failure is not None and damage != "manifest_count":
             assert len(ShardChunk(schema, path, count).sparse["table_00"]) == 256

@@ -398,6 +398,8 @@ class TestShardProfilingAcceptsAndRejectsAlike:
         else:
             with np.load(directory / "chunk-000001.npz") as archive:
                 members = {name: archive[name] for name in archive.files}
+            # Stored at table width: the bad id fits the dtype, not the table.
+            assert members["sparse_table_00"].dtype == np.uint16
             members["sparse_table_00"][5, 0] = 600
             np.savez_compressed(directory / "chunk-000001.npz", **members)
         error = RuntimeError if flaw == "manifest_count" else ValueError

@@ -12,7 +12,6 @@ import hashlib
 import io
 import json
 import zipfile
-import zlib
 
 import numpy as np
 import pytest
@@ -27,6 +26,8 @@ from repro.core import (
 from repro.core.fae_format import FAE_MANIFEST, ShardBatchSequence
 from repro.data import (
     ClickLog,
+    LogChunkSource,
+    ShardChunkSource,
     StreamChunkSource,
     SyntheticClickStream,
     UnsizedChunkSource,
@@ -198,12 +199,24 @@ class TestShardedRoundTrip:
             load_fae_dataset(sharded_dir)
 
 
-def rewrite_as_savez_compressed(path):
+def rewrite_as_savez_compressed(path, ids_as=None):
     """Re-save an archive the way every writer did before the shared codec:
-    ``np.savez_compressed`` (deflate level 6, zip64 member headers)."""
+    ``np.savez_compressed`` (deflate level 6, zip64 member headers), a log
+    shard's ``sparse_*`` members as ``ids_as`` (int64 until PR 21)."""
     with np.load(path, allow_pickle=False) as archive:
         members = {name: archive[name] for name in archive.files}
+    if ids_as is not None:
+        for name in members:
+            if name.startswith("sparse_"):
+                members[name] = members[name].astype(ids_as)
     np.savez_compressed(path, **members)
+
+
+def as_previous_writers_shards(directory):
+    """Rewrite a log-shard directory as every writer before PR 21 left it."""
+    for path in directory.glob("*.npz"):
+        rewrite_as_savez_compressed(path, ids_as=np.int64)
+    return directory
 
 
 class TestFormatCompatibility:
@@ -304,15 +317,23 @@ class TestFormatCompatibility:
         assert decoded.value == before
 
     def test_log_shard_bytes_are_the_previous_writers(self, tiny_log, tmp_path):
-        """``save_log_shards`` output is another program's input (and the
-        benchmark's): it keeps ``np.savez_compressed`` and its exact bytes."""
+        """What ``save_log_shards`` promises since it writes through the codec
+        (until PR 21 this test pinned ``np.savez_compressed``'s exact bytes):
+        two saves of one log are the same bytes, and a directory from the
+        previous writer -- int64 ids, level 6 -- still loads, to the same plan."""
         directory = save_log_shards(tmp_path / "log", tiny_log, chunk_size=1000)
-        digest = hashlib.sha256()
-        for index, path in enumerate(sorted(directory.iterdir())):
-            digest.update(path.name.encode())
-            digest.update(path.read_bytes())
-            if path.suffix != ".npz":
-                continue
+        again = save_log_shards(tmp_path / "again", tiny_log, chunk_size=1000)
+        names = sorted(path.name for path in directory.iterdir())
+        assert names == sorted(path.name for path in again.iterdir()) and len(names) == 5
+        for name in names:
+            assert (directory / name).read_bytes() == (again / name).read_bytes()
+        with zipfile.ZipFile(directory / "chunk-000000.npz") as archive:  # a plain npz
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+            assert {i.date_time for i in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+        previous = as_previous_writers_shards(again)
+        for index, path in enumerate(sorted(previous.glob("*.npz"))):
+            assert path.read_bytes() != (directory / path.name).read_bytes()
             rows = slice(1000 * index, 1000 * (index + 1))
             reference = io.BytesIO()
             np.savez_compressed(
@@ -321,13 +342,49 @@ class TestFormatCompatibility:
                 labels=tiny_log.labels[rows],
                 **{f"sparse_{name}": ids[rows] for name, ids in tiny_log.sparse.items()},
             )
-            assert path.read_bytes() == reference.getvalue()
-        if (zlib.ZLIB_RUNTIME_VERSION, np.__version__) != ("1.2.13", "2.4.6"):
-            pytest.skip("the recorded digest is of zlib 1.2.13's deflate stream under numpy 2.4.6")
-        # Recorded at the commit before the shared codec (PR 14).
-        assert digest.hexdigest() == (
-            "58ad33af7e5ce199b0974737a8cf884564ddd80f74ef10155bdfc30d94f6f8fc"
-        )
+            assert path.read_bytes() == reference.getvalue()  # the old writer, exactly
+        for (start, new), (old_start, old) in zip(
+            ShardChunkSource(directory), ShardChunkSource(previous), strict=True
+        ):
+            assert start == old_start and len(new) == len(old)
+            assert new.dense.tobytes() == old.dense.tobytes()
+            assert new.labels.tobytes() == old.labels.tobytes()
+            for name in tiny_log.schema.table_names:
+                assert new.sparse[name].dtype == old.sparse[name].dtype == np.int64
+                assert new.sparse[name].tobytes() == old.sparse[name].tobytes()
+
+    def test_old_and_new_log_shards_preprocess_to_the_same_bytes(
+        self, tiny_log, tiny_fae_config, tmp_path
+    ):
+        """Sequential, elastic-pool and stream-fed passes over int64 shards
+        from the previous writer and over stored-width shards: one profile,
+        one FAE output directory, byte for byte -- and the in-memory one."""
+        from repro.resilience.elastic import ElasticConfig, WorkerPool
+
+        new = save_log_shards(tmp_path / "new", tiny_log, chunk_size=1000)
+        old = as_previous_writers_shards(save_log_shards(tmp_path / "old", tiny_log, chunk_size=1000))
+        stream = SyntheticClickStream(tiny_log.schema, total_samples=3000, chunk_size=700, seed=4)
+        streamed = save_log_shards(tmp_path / "streamed", stream)
+        streamed_old = as_previous_writers_shards(save_log_shards(tmp_path / "streamed_old", stream))
+
+        def outputs(source, tag, pool=None):
+            profile = Calibrator(tiny_fae_config).calibrate_source(source, pool=pool).profile
+            plan = fae_preprocess_source(source, tiny_fae_config, batch_size=64, pool=pool)
+            out = tmp_path / f"fae-{tag}"
+            plan.save(out, shard_size=4)
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            counts = {name: table.counts.tobytes() for name, table in profile.tables.items()}
+            return files, counts, profile.num_sampled_inputs
+
+        want = outputs(LogChunkSource(tiny_log, chunk_size=1000), "memory")
+        assert outputs(ShardChunkSource(new), "new") == want
+        assert outputs(ShardChunkSource(old), "old") == want
+        for tag, directory in (("new-pool", new), ("old-pool", old)):
+            pool = WorkerPool(ElasticConfig(workers=2))
+            assert outputs(ShardChunkSource(directory), tag, pool=pool) == want
+        want_streamed = outputs(StreamChunkSource(stream), "stream")
+        assert outputs(ShardChunkSource(streamed), "streamed") == want_streamed
+        assert outputs(ShardChunkSource(streamed_old), "streamed-old") == want_streamed
 
 
 class TestShardBackedTraining:
