@@ -5,6 +5,13 @@ Paper (percent): Kaggle 79.30/79.70 train, 78.86/78.86 test; Taobao
 81.07/81.06 test.  The operative claim: FAE matches baseline accuracy
 within noise.  We verify on two real (scaled) workloads: DLRM on the
 Kaggle-like log and TBSM on a Taobao-like log.
+
+The two train columns are train-*set* accuracy: the finished model
+re-scored on the first ``TRAIN_EVAL_ROWS`` rows of the training log,
+which is what the paper's table compares.  It is not
+``TrainResult.final_train_accuracy`` — that is the running accuracy the
+steps measured while the parameters were still moving, and the trainers
+no longer pay a closing forward over the training log to report more.
 """
 
 from repro.analysis import format_table
@@ -12,7 +19,14 @@ from repro.core import FAEConfig, fae_preprocess
 from repro.data import SyntheticClickLog, SyntheticConfig, taobao_like, train_test_split
 from repro.models import build_model, workload_by_name
 from repro.models.dlrm import DLRM, DLRMConfig
-from repro.train import BaselineTrainer, FAETrainer
+from repro.train import BaselineTrainer, FAETrainer, evaluate_model
+
+TRAIN_EVAL_ROWS = 16_384
+
+
+def train_set_accuracy(model, train):
+    _loss, accuracy = evaluate_model(model, train, max_samples=TRAIN_EVAL_ROWS)
+    return accuracy
 
 
 def run_all(kaggle_log, kaggle_config):
@@ -27,7 +41,12 @@ def run_all(kaggle_log, kaggle_config):
     )
     fae_model = DLRM(kaggle_log.schema, DLRMConfig("13-64-32-16", "64-1", seed=8))
     fae = FAETrainer(fae_model, plan, lr=0.15).train(train, test, epochs=2)
-    results["criteo-kaggle (DLRM)"] = (base, fae)
+    results["criteo-kaggle (DLRM)"] = (
+        base,
+        fae,
+        train_set_accuracy(baseline_model, train),
+        train_set_accuracy(fae_model, train),
+    )
 
     # TBSM / Taobao-like
     schema = taobao_like("tiny")
@@ -43,7 +62,12 @@ def run_all(kaggle_log, kaggle_config):
     )
     fae_model = build_model(workload_by_name("RMC1"), schema=schema, seed=8)
     fae = FAETrainer(fae_model, plan, lr=0.1).train(train, test, epochs=2)
-    results["taobao (TBSM)"] = (base, fae)
+    results["taobao (TBSM)"] = (
+        base,
+        fae,
+        train_set_accuracy(base_model, train),
+        train_set_accuracy(fae_model, train),
+    )
     return results
 
 
@@ -53,12 +77,12 @@ def test_tab3_accuracy(benchmark, emit, kaggle_small_log, small_fae_config):
     )
 
     rows = []
-    for name, (base, fae) in results.items():
+    for name, (base, fae, base_train, fae_train) in results.items():
         rows.append(
             [
                 name,
-                f"{100 * base.final_train_accuracy:.2f}",
-                f"{100 * fae.final_train_accuracy:.2f}",
+                f"{100 * base_train:.2f}",
+                f"{100 * fae_train:.2f}",
                 f"{100 * base.final_test_accuracy:.2f}",
                 f"{100 * fae.final_test_accuracy:.2f}",
             ]
@@ -70,7 +94,7 @@ def test_tab3_accuracy(benchmark, emit, kaggle_small_log, small_fae_config):
     )
     emit("tab3_accuracy", table)
 
-    for name, (base, fae) in results.items():
+    for name, (base, fae, base_train, fae_train) in results.items():
         # The paper's claim: FAE matches baseline accuracy (within noise).
         assert fae.final_test_accuracy >= base.final_test_accuracy - 0.025, name
-        assert fae.final_train_accuracy >= base.final_train_accuracy - 0.035, name
+        assert fae_train >= base_train - 0.035, name

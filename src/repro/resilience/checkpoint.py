@@ -93,6 +93,11 @@ class TrainerCheckpoint:
         degraded: whether the run had degraded to cold-only execution.
         last_train_loss: trailing train-loss carry for history fidelity.
         last_train_accuracy: trailing train-accuracy carry.
+        epoch_accuracy_sum: sum over the epoch's steps so far of step
+            accuracy x trained batch size; with ``epoch_samples`` the
+            running train accuracy a resumed run continues exactly
+            (absent in an older archive: both load as 0).
+        epoch_samples: samples trained so far in the current epoch.
         metadata: free-form JSON-serializable extras.
         cache_state: :meth:`EmbeddingHotCache.state_dict` output, or None
             when the run has no online cache (or the archive predates v2).
@@ -113,6 +118,8 @@ class TrainerCheckpoint:
     degraded: bool = False
     last_train_loss: float = 0.0
     last_train_accuracy: float = 0.0
+    epoch_accuracy_sum: float = 0.0
+    epoch_samples: int = 0
     metadata: dict = field(default_factory=dict)
     cache_state: dict | None = None
     dataset_state: dict | None = None
@@ -244,6 +251,8 @@ def save_checkpoint(directory: str | Path, ckpt: TrainerCheckpoint) -> Path:
         "degraded": ckpt.degraded,
         "last_train_loss": ckpt.last_train_loss,
         "last_train_accuracy": ckpt.last_train_accuracy,
+        "epoch_accuracy_sum": ckpt.epoch_accuracy_sum,
+        "epoch_samples": ckpt.epoch_samples,
         "metadata": ckpt.metadata,
     }
     state_arrays: dict[str, np.ndarray] = {}
@@ -373,6 +382,8 @@ def load_checkpoint(path: str | Path) -> TrainerCheckpoint:
         degraded=bool(meta.get("degraded", False)),
         last_train_loss=float(meta.get("last_train_loss", 0.0)),
         last_train_accuracy=float(meta.get("last_train_accuracy", 0.0)),
+        epoch_accuracy_sum=float(meta.get("epoch_accuracy_sum", 0.0)),
+        epoch_samples=int(meta.get("epoch_samples", 0)),
         metadata=meta.get("metadata", {}),
         cache_state=extra_state.get("cache"),
         dataset_state=extra_state.get("dataset"),

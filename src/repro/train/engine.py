@@ -64,7 +64,11 @@ class TrainResult:
 
     Attributes:
         history: evaluation snapshots over the run.
-        final_train_accuracy: accuracy over the last training segment.
+        final_train_accuracy: running training accuracy of the final
+            epoch: the mean, weighted by trained batch size, of the
+            accuracy each optimizer step measured on its own mini-batch
+            (the logits it trained on, so earlier steps saw earlier
+            parameters).  0.0 when the final epoch trained no sample.
         final_test_accuracy: accuracy on the held-out log at the end.
         sync_events: hot-bag synchronizations performed during this run
             (FAE only; the delta of the ``fae.sync.events`` counter).
@@ -336,6 +340,8 @@ class SegmentEngine:
         scheduler: ShuffleScheduler,
         last_loss: float,
         last_acc: float,
+        epoch_acc_sum: float = 0.0,
+        epoch_samples: int = 0,
         repacked_dataset: FAEDataset | None = None,
     ) -> TrainerCheckpoint:
         """Snapshot at a segment boundary (masters are authoritative).
@@ -356,6 +362,8 @@ class SegmentEngine:
             degraded=scheduler.degraded,
             last_train_loss=last_loss,
             last_train_accuracy=last_acc,
+            epoch_accuracy_sum=epoch_acc_sum,
+            epoch_samples=epoch_samples,
             metadata={"world_size": self.world_size},
             cache_state=self.cache.state_dict() if self.cache is not None else None,
             dataset_state=(
@@ -581,6 +589,10 @@ class SegmentEngine:
         rates: list[int] = []
         last_loss = 0.0
         last_acc = 0.0
+        # Running train accuracy of the current epoch: the sample-weighted
+        # sum of the steps' own accuracies, in step order, and the samples.
+        epoch_acc_sum = 0.0
+        epoch_samples = 0
         start_epoch = 0
         resume_cursors: dict[str, int] | None = None
         segments_done = 0
@@ -594,6 +606,8 @@ class SegmentEngine:
             resume_cursors = dict(resume.cursors)
             last_loss = resume.last_train_loss
             last_acc = resume.last_train_accuracy
+            epoch_acc_sum = resume.epoch_accuracy_sum
+            epoch_samples = resume.epoch_samples
             if self._refresh_due(scheduler):
                 # Checkpoints are captured *before* the boundary refresh,
                 # so a restored full observation window means the crashed
@@ -615,6 +629,8 @@ class SegmentEngine:
             else:
                 scheduler.reset_epoch()
                 cursors = {"hot": 0, "cold": 0}
+                epoch_acc_sum = 0.0
+                epoch_samples = 0
             for segment in scheduler.segments():
                 with span(
                     f"train.segment.{segment.kind}",
@@ -718,6 +734,8 @@ class SegmentEngine:
                             step_hist.observe(time.perf_counter() - step_start)
                             losses.append(outcome[0])
                             accs.append(outcome[1])
+                            epoch_acc_sum += outcome[1] * usable
+                            epoch_samples += usable
                             if fault_plan is not None:
                                 fault_plan.maybe_crash_step(iteration)
                     batch_counters[segment.kind].inc(segment.num_batches)
@@ -761,6 +779,8 @@ class SegmentEngine:
                             scheduler,
                             last_loss,
                             last_acc,
+                            epoch_acc_sum,
+                            epoch_samples,
                             repacked_dataset=dataset if repacked else None,
                         )
                         # Checkpoint hygiene: never persist a snapshot
@@ -792,9 +812,7 @@ class SegmentEngine:
             final_loss, final_acc = boundary_eval or evaluate_model(
                 self.replicas[0], test_log
             )
-            _loss, train_acc = evaluate_model(
-                self.replicas[0], train_log, max_samples=4 * eval_samples
-            )
+        train_acc = epoch_acc_sum / epoch_samples if epoch_samples else 0.0
         history.record(
             HistoryPoint(
                 iteration=iteration,

@@ -18,7 +18,12 @@ class HistoryPoint:
         train_loss: running training loss at the snapshot.
         test_loss: evaluation loss.
         test_accuracy: evaluation accuracy.
-        train_accuracy: accuracy over recent training batches.
+        train_accuracy: accuracy the training steps measured on their own
+            mini-batches: the unweighted mean over the batches since the
+            previous snapshot (an FAE snapshot with no trained batch
+            repeats the previous value) and, on a run's closing point,
+            ``TrainResult.final_train_accuracy`` — the sample-weighted
+            running accuracy of the final epoch.
         segment_kind: "hot"/"cold" for FAE runs, "mixed" for baseline.
     """
 

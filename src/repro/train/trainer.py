@@ -87,6 +87,9 @@ class BaselineTrainer:
         batches_counter = registry.counter("train.batches.mixed")
         step_hist = registry.histogram("train.step.latency")
         for _epoch in range(epochs):
+            # Running train accuracy of this epoch (see TrainResult).
+            epoch_acc_sum = 0.0
+            epoch_samples = 0
             with span("train.epoch", mode="baseline", epoch=_epoch):
                 for batch in iterator:
                     step_start = time.perf_counter()
@@ -98,7 +101,10 @@ class BaselineTrainer:
                     iteration += 1
                     batches_counter.inc()
                     recent_losses.append(loss)
-                    recent_accuracy.append(binary_accuracy(logits, batch.labels))
+                    accuracy = binary_accuracy(logits, batch.labels)
+                    recent_accuracy.append(accuracy)
+                    epoch_acc_sum += accuracy * len(batch)
+                    epoch_samples += len(batch)
                     if iteration % eval_every == 0:
                         with timed("train.eval"):
                             test_loss, test_acc = evaluate_model(
@@ -118,9 +124,7 @@ class BaselineTrainer:
                         recent_accuracy.clear()
 
         final_loss, final_acc = evaluate_model(self.model, test_log)
-        _train_loss, train_acc = evaluate_model(
-            self.model, train_log, max_samples=4 * eval_samples
-        )
+        train_acc = epoch_acc_sum / epoch_samples if epoch_samples else 0.0
         history.record(
             HistoryPoint(
                 iteration=iteration,

@@ -245,3 +245,236 @@ class TestFinalEvaluationReuse:
         final = resumed.history.points[-1]
         assert (final.test_loss, resumed.final_test_accuracy) == evaluate_model(model, test)
         assert final.test_loss == full.history.points[-1].test_loss
+
+
+# ----------------------------------------------------------------------
+# final_train_accuracy: the running accuracy the steps measured, with no
+# second pass over the training log
+# ----------------------------------------------------------------------
+
+
+def weighted_mean(steps):
+    """The oracle: float64 sample-weighted mean of ``(accuracy, size)``
+    pairs, accumulated in step order."""
+    total, count = 0.0, 0
+    for accuracy, size in steps:
+        total += accuracy * size
+        count += size
+    return total / count
+
+
+def record_engine_steps(trainer):
+    """``(accuracy, trained batch size)`` of every applied engine step."""
+    steps = []
+    inner = trainer._step
+
+    def spy(batch, *args):
+        outcome = inner(batch, *args)
+        if outcome is not None:
+            steps.append((outcome[1], len(batch)))
+        return outcome
+
+    trainer._step = spy
+    return steps
+
+
+def make_trainer(kind, schema, plan, seed=8, **kwargs):
+    from repro.dist import DistributedFAETrainer
+
+    if kind == "fae":
+        return FAETrainer(fresh_model(schema, seed), plan, lr=0.2, **kwargs)
+    replicas = [fresh_model(schema, seed) for _ in range(2)]
+    return DistributedFAETrainer(replicas, plan, lr=0.2, **kwargs)
+
+
+class TestRunningTrainAccuracy:
+    @pytest.mark.parametrize("kind", ["fae", "dist"])
+    def test_engine_reports_the_final_epochs_weighted_step_accuracy(self, training_setup, kind):
+        schema, train, test, plan = training_setup
+        world = 1 if kind == "fae" else 2
+        pools = list(plan.dataset.hot_batches) + list(plan.dataset.cold_batches)
+        trained = [len(b) // world * world for b in pools]
+        if world == 2:
+            # A trailing short batch is trimmed to equal shards: the
+            # weight is what trained, not what the pool held.
+            assert any(t != len(b) for t, b in zip(trained, pools))
+        steps_per_epoch = sum(t > 0 for t in trained)
+
+        trainer = make_trainer(kind, schema, plan)
+        steps = record_engine_steps(trainer)
+        result = trainer.train(train, test, epochs=2)
+
+        assert len(steps) == 2 * steps_per_epoch
+        last_epoch = steps[steps_per_epoch:]
+        assert sorted(size for _acc, size in last_epoch) == sorted(t for t in trained if t)
+        assert result.final_train_accuracy == weighted_mean(last_epoch)
+        assert result.final_train_accuracy != weighted_mean(steps)  # epoch 0 was reset away
+        assert result.history.final.train_accuracy == result.final_train_accuracy
+
+    def test_baseline_reports_the_final_epochs_weighted_step_accuracy(
+        self, monkeypatch, training_setup
+    ):
+        from repro.train import trainer as trainer_module
+
+        schema, train, test, _plan = training_setup
+        steps = []
+
+        def spy(logits, labels):
+            accuracy = binary_accuracy(logits, labels)
+            steps.append((accuracy, len(labels)))
+            return accuracy
+
+        monkeypatch.setattr(trainer_module, "binary_accuracy", spy)
+        result = BaselineTrainer(fresh_model(schema, seed=8), lr=0.2).train(
+            train, test, epochs=2, batch_size=64, eval_every=10
+        )
+        steps_per_epoch = -(-len(train) // 64)
+        assert len(steps) == 2 * steps_per_epoch
+        assert len(train) % 64  # the short last batch weighs less
+        assert result.final_train_accuracy == weighted_mean(steps[steps_per_epoch:])
+        assert result.history.final.train_accuracy == result.final_train_accuracy
+
+    @pytest.mark.parametrize("kind", ["baseline", "fae", "dist"])
+    def test_training_rows_are_only_ever_forwarded_to_be_trained_on(self, training_setup, kind):
+        """Every forward over rows of the training log is a step's (a
+        backward follows it); a run scores nothing but the test log."""
+        schema, train, test, plan = training_setup
+        events = []
+
+        def source(batch):
+            for name, log in (("train", train), ("test", test)):
+                if batch.indices.max() < len(log) and np.array_equal(
+                    batch.dense, log.dense[batch.indices]
+                ):
+                    return name
+            raise AssertionError("forward over rows of neither log")
+
+        def watch(model):
+            forward, backward = model.forward, model.backward
+
+            def watched_forward(batch):
+                events.append(source(batch))
+                return forward(batch)
+
+            def watched_backward(grad):
+                events.append("backward")
+                return backward(grad)
+
+            model.forward, model.backward = watched_forward, watched_backward
+
+        if kind == "baseline":
+            model = fresh_model(schema, seed=8)
+            watch(model)
+            BaselineTrainer(model, lr=0.2).train(
+                train, test, epochs=1, batch_size=64, eval_every=10
+            )
+        else:
+            trainer = make_trainer(kind, schema, plan)
+            for model in trainer.replicas:
+                watch(model)
+            trainer.train(train, test, epochs=1, eval_samples=len(test) - 1)
+
+        assert "train" in events and "test" in events
+        for event, following in zip(events, events[1:] + ["end"]):
+            if event == "train":
+                assert following == "backward"
+        # After the last step: boundary and closing *test* evaluations only.
+        last_step = len(events) - 1 - events[::-1].index("backward")
+        assert set(events[last_step + 1 :]) == {"test"}
+
+
+class TestRunningTrainAccuracyResume:
+    """The two running sums ride in the checkpoint, so an interrupted run
+    reports the uninterrupted run's value bit for bit."""
+
+    @pytest.fixture()
+    def uninterrupted(self, tmp_path, training_setup):
+        from repro.resilience import CheckpointManager, load_checkpoint
+
+        schema, train, test, plan = training_setup
+        manager = CheckpointManager(tmp_path / "ref", every=1, keep=None)
+        result = make_trainer("fae", schema, plan).train(
+            train, test, epochs=2, checkpoint=manager
+        )
+        total = len(plan.dataset.hot_batches) + len(plan.dataset.cold_batches)
+        mid_epoch = [
+            path
+            for path in sorted(manager.directory.glob("ckpt-*.npz"))
+            if (ckpt := load_checkpoint(path)).epoch == 1
+            and 0 < sum(ckpt.cursors.values()) < total
+        ]
+        assert mid_epoch, "no boundary inside the final epoch"
+        return result, mid_epoch[len(mid_epoch) // 2]
+
+    def test_mid_epoch_resume_continues_the_sums(self, training_setup, uninterrupted):
+        from repro.resilience import load_checkpoint
+
+        schema, train, test, plan = training_setup
+        reference, path = uninterrupted
+        ckpt = load_checkpoint(path)
+        assert ckpt.epoch_samples > 0 and 0.0 < ckpt.epoch_accuracy_sum < ckpt.epoch_samples
+
+        resumed = make_trainer("fae", schema, plan, seed=99).train(
+            train, test, epochs=2, resume=path
+        )
+        assert resumed.final_train_accuracy == reference.final_train_accuracy
+        assert resumed.history.final == reference.history.final
+
+    def test_guard_rollback_restores_the_sums(self, tmp_path, training_setup):
+        from repro.resilience import CheckpointManager
+        from repro.resilience.faults import FaultPlan
+        from repro.resilience.guards import NumericGuard, NumericGuardConfig
+
+        schema, train, test, plan = training_setup
+
+        def guards():
+            # No LR backoff: the replay after the rollback is the clean run.
+            return NumericGuard(NumericGuardConfig(warmup_steps=4, lr_backoff=1.0))
+
+        reference = make_trainer("fae", schema, plan, guards=guards()).train(
+            train, test, epochs=2
+        )
+        # Poison the hot replicas where the final epoch's last hot segment
+        # starts: the newest checkpoint is that boundary, inside the epoch.
+        steps_per_epoch = len(plan.dataset.hot_batches) + len(plan.dataset.cold_batches)
+        points = reference.history.points
+        last_hot = max(i for i, p in enumerate(points) if p.segment_kind == "hot")
+        boundary = points[last_hot - 1].iteration
+        assert steps_per_epoch < boundary < 2 * steps_per_epoch
+        poison = FaultPlan(seed=7, hot_row_corruption_at=boundary, corruption_mode="bitflip")
+        trainer = make_trainer("fae", schema, plan, guards=guards(), fault_plan=poison)
+        with pytest.warns(RuntimeWarning, match="encountered in matmul"):
+            result = trainer.train(
+                train, test, epochs=2, checkpoint=CheckpointManager(tmp_path, every=1, keep=None)
+            )
+        assert result.rollbacks == 1
+        assert result.final_train_accuracy == reference.final_train_accuracy
+        assert result.history.final == reference.history.final
+
+    def test_archive_without_the_sums_resumes_from_zero(self, training_setup, uninterrupted):
+        import hashlib
+        import io
+        import json
+
+        from repro.resilience import load_checkpoint
+
+        schema, train, test, plan = training_setup
+        _reference, path = uninterrupted
+        with np.load(path, allow_pickle=False) as archive:
+            payload = {key: archive[key] for key in archive.files}
+        meta = json.loads(str(payload["meta_json"]))
+        del meta["epoch_accuracy_sum"], meta["epoch_samples"]
+        payload["meta_json"] = np.array(json.dumps(meta))
+        buffer = io.BytesIO()
+        np.savez(buffer, **payload)
+        path.write_bytes(buffer.getvalue())
+        path.with_name(path.name + ".sha256").write_text(
+            f"{hashlib.sha256(buffer.getvalue()).hexdigest()}  {path.name}\n", encoding="utf-8"
+        )
+
+        ckpt = load_checkpoint(path)  # warnings are errors here: none is raised
+        assert (ckpt.epoch_accuracy_sum, ckpt.epoch_samples) == (0.0, 0)
+        trainer = make_trainer("fae", schema, plan, seed=99)
+        steps = record_engine_steps(trainer)
+        result = trainer.train(train, test, epochs=2, resume=path)
+        assert steps and result.final_train_accuracy == weighted_mean(steps)
