@@ -20,15 +20,14 @@ Commands:
                     summary tree (optionally dumping JSONL).
 - ``trace analyze`` — profile an exported trace JSONL: per-span self
                     time, hotspot table, critical path (text and JSON).
-- ``serve-bench`` — Zipf traffic-replay SLO harness over the inference
-                    engine: seeded bursty load, P50/P95/P99 + shed-rate
-                    report, byte-deterministic per seed in the default
-                    simulated-clock mode.  With ``--replicas N`` (or any
-                    of ``--hedge-after``/``--reload-at``/``--faults``)
-                    the replay drives the replicated ServingCluster:
-                    bounded-queue backpressure, failover under seeded
-                    replica kill/slow/flap faults, hedged requests, and
-                    zero-downtime mid-run generation reload.
+- ``serve-bench`` — Zipf traffic-replay SLO harness over the serving
+                    tier: seeded bursty open-loop load through a
+                    ServingCluster of ``--replicas N`` engines (default
+                    1), P50/P95/P99 request + service latency and
+                    rejected/shed rates, byte-deterministic per seed.
+                    ``--faults``/``--hedge-after``/``--reload-at`` add
+                    seeded replica kill/slow/flap faults, hedged
+                    requests, and a zero-downtime generation reload.
 - ``drift``       — run the popularity-shift scenario: a seeded day
                     stream whose Zipf head rotates mid-run, trained by
                     two arms under one simulated budget (frozen hot set
@@ -298,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_bench = sub.add_parser(
         "serve-bench",
-        help="Zipf traffic-replay SLO report over the inference engine",
+        help="Zipf traffic-replay SLO report over the serving cluster",
     )
     serve_bench.add_argument("--requests", type=int, default=512)
     serve_bench.add_argument("--candidates", type=int, default=512)
@@ -323,24 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=25.0,
         help="per-request ranking deadline; <= 0 disables",
     )
-    serve_bench.add_argument(
-        "--mode",
-        choices=("simulated", "wall"),
-        default="simulated",
-        help="simulated = virtual clock, byte-deterministic; wall = real clock",
-    )
-    serve_bench.add_argument(
-        "--slow",
-        default=None,
-        metavar="START:STOP[:FACTOR]",
-        help="inject a slow-replica fault over that request-index window",
-    )
-    serve_bench.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="replica pool size; > 1 (or any HA flag) runs the ServingCluster replay",
-    )
+    serve_bench.add_argument("--replicas", type=int, default=1, help="replica pool size")
     serve_bench.add_argument(
         "--queue-capacity",
         type=int,
@@ -365,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults",
         default=None,
         metavar="SPEC",
-        help="replica fault plan, e.g. 'seed=7,kill_replica=1@120,slow_replica=2@40:160'",
+        help="replica fault plan, e.g. 'kill_replica=1@120,slow_replica=0@40:160'",
     )
     serve_bench.add_argument(
         "--out-dir", default="benchmarks/out", help="bench artifact directory"
@@ -1084,37 +1066,12 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _parse_slow_window(spec: str | None) -> dict:
-    """Parse ``START:STOP[:FACTOR]`` into ReplayConfig overrides."""
-    if spec is None:
-        return {}
-    parts = spec.split(":")
-    if len(parts) not in (2, 3):
-        raise ValueError(f"--slow expects START:STOP[:FACTOR], got {spec!r}")
-    overrides = {"slow_start": int(parts[0]), "slow_stop": int(parts[1])}
-    if len(parts) == 3:
-        overrides["slow_factor"] = float(parts[2])
-    return overrides
-
-
 def cmd_serve_bench(args) -> int:
-    """Seeded Zipf traffic replay; print + persist the SLO report.
-
-    A single engine by default; any HA flag (``--replicas`` > 1,
-    ``--hedge-after``, ``--reload-at``, ``--faults``) switches to the
-    replicated :class:`~repro.serve.cluster.ServingCluster` replay.
-    """
+    """Seeded Zipf traffic replay; print + persist the SLO report."""
     from repro.resilience.atomic import atomic_write_text
-    from repro.serve import (
-        ClusterReplayConfig,
-        ReplayConfig,
-        format_cluster_report,
-        format_slo_report,
-        run_cluster_replay,
-        run_slo_replay,
-    )
+    from repro.serve import ReplayConfig, format_slo_report, run_slo_replay
 
-    base = dict(
+    config = ReplayConfig(
         requests=args.requests,
         candidates=args.candidates,
         top_k=args.top_k,
@@ -1125,29 +1082,14 @@ def cmd_serve_bench(args) -> int:
         burst_factor=args.burst_factor,
         hot_exponent=args.hot_exponent,
         deadline_s=args.deadline_ms / 1e3 if args.deadline_ms > 0 else None,
-        mode=args.mode,
+        replicas=args.replicas,
+        queue_capacity=args.queue_capacity,
+        hedge_after_s=args.hedge_after / 1e3 if args.hedge_after > 0 else None,
+        reload_at=args.reload_at,
+        faults=args.faults,
     )
-    cluster_mode = (
-        args.replicas > 1
-        or args.hedge_after > 0
-        or args.reload_at is not None
-        or args.faults is not None
-    )
-    if cluster_mode:
-        config = ClusterReplayConfig(
-            replicas=args.replicas,
-            queue_capacity=args.queue_capacity,
-            hedge_after_s=args.hedge_after / 1e3 if args.hedge_after > 0 else None,
-            reload_at=args.reload_at,
-            faults=args.faults,
-            **base,
-        )
-        report = run_cluster_replay(config)
-        print(format_cluster_report(report))
-    else:
-        config = ReplayConfig(**base, **_parse_slow_window(args.slow))
-        report = run_slo_replay(config)
-        print(format_slo_report(report))
+    report = run_slo_replay(config)
+    print(format_slo_report(report))
     out = Path(args.out) if args.out else Path(args.out_dir) / "slo_report.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -42,7 +42,7 @@ Serving-replica faults (exercising :mod:`repro.serve.cluster`):
   :meth:`FaultPlan.replica_slow_multiplier` describe a per-request
   schedule of replica deaths (``kill_replica``), degraded-but-alive
   stragglers (``slow_replica``), and crash-loop flapping
-  (``flap_replica``) that the cluster replay applies to the replicated
+  (``flap_replica``) that the serving replay applies to the replicated
   serving tier, proving failover, hedging, and probe re-admission.
 
 Crash faults (exercising :mod:`repro.resilience.journal` and the
@@ -170,7 +170,7 @@ class FaultPlan:
             finite values that trip the spike detector instead of the
             NaN checks).
         replica_kill: ``(replica, request_index)`` — serving replica
-            dies permanently when the cluster replay reaches that
+            dies permanently when the serving replay reaches that
             request, or None.  The cluster discovers the death the hard
             way (a failed dispatch → failover), as a real load balancer
             with a finite probe interval would.
@@ -503,7 +503,7 @@ class FaultPlan:
         """Whether serving replica ``replica`` is up at ``request_index``.
 
         A pure function of the plan and the request index (no RNG draw),
-        so the cluster replay can consult it for every replica on every
+        so the serving replay can consult it for every replica on every
         request without perturbing the other fault streams.
         """
         if self.replica_kill is not None:

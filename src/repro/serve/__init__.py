@@ -17,18 +17,18 @@ Centaur).
   (backpressure with retry-after), health-probe routing with failover,
   hedged requests for tail latency, and zero-downtime
   generation-stamped hot-set/model reload.
-- :class:`~repro.serve.simulator.ServingSimulator` — request-level
-  latency simulation (Poisson arrivals, dynamic batching) comparing
-  CPU-embedding serving against hot-resident serving on the calibrated
-  cost model.
 - :mod:`repro.serve.replay` — the Zipf traffic-replay SLO harness
-  (``repro serve-bench``): a seeded, bursty, hot-key-skewed load
-  generator driving a real engine — or, with ``--replicas``, the full
-  replicated cluster under seeded replica faults, hedging, and mid-run
-  reload — byte-deterministic per seed via injected
+  (``repro serve-bench``), the one host-side time model: a seeded,
+  bursty, hot-key-skewed open-loop load generator driving the cluster
+  (one replica by default) under seeded replica faults, hedging, and
+  mid-run reload — byte-deterministic per seed via injected
   :class:`~repro.serve.replay.VirtualClock`s, reporting P50/P95/P99
-  latency, throughput, degraded/rejected/shed rates, failovers, hedge
-  wins, and generation accounting.
+  request and service latency, throughput, degraded/rejected/shed
+  rates, failovers, hedge wins, and generation accounting.
+- :class:`~repro.serve.simulator.ServingSimulator` — not a replay: it
+  prices CPU-embedding against hot-resident serving on the paper's
+  hardware through the ``repro.hw`` cost model (Poisson arrivals,
+  dynamic batching), a question no run on this host can answer.
 
 Admission control (candidate-id bounds validation, circuit-breaker load
 shedding) lives on the engine; the breaker itself is
@@ -46,12 +46,9 @@ from repro.serve.cluster import (
 )
 from repro.serve.engine import InferenceEngine, RankedItems
 from repro.serve.replay import (
-    ClusterReplayConfig,
     ReplayConfig,
     VirtualClock,
-    format_cluster_report,
     format_slo_report,
-    run_cluster_replay,
     run_slo_replay,
 )
 from repro.serve.simulator import LatencyStats, ServingSimulator
@@ -59,7 +56,6 @@ from repro.serve.simulator import LatencyStats, ServingSimulator
 __all__ = [
     "CircuitBreaker",
     "ClusterBusyError",
-    "ClusterReplayConfig",
     "ClusterResponse",
     "InferenceEngine",
     "LatencyStats",
@@ -71,8 +67,6 @@ __all__ = [
     "ServingCluster",
     "ServingSimulator",
     "VirtualClock",
-    "format_cluster_report",
     "format_slo_report",
-    "run_cluster_replay",
     "run_slo_replay",
 ]

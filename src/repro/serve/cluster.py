@@ -52,7 +52,8 @@ the service start time (``max(arrival, replica busy-until)``) and the
 per-read step to the request's service cost, and the engine's own clock
 reads become the service-time model.  Queueing, failover, hedging, and
 reload scheduling are all pure functions of the submitted sequence, so a
-seeded replay (:func:`repro.serve.replay.run_cluster_replay`) produces a
+seeded replay (:func:`repro.serve.replay.run_slo_replay`, the cluster's
+one driver: a single engine is the ``replicas=1`` pool) produces a
 byte-identical SLO report per seed.
 """
 
@@ -361,11 +362,17 @@ class ServingCluster:
         installed and it rejoins rotation, and the next replica starts
         draining.  A dead replica is installed immediately — it serves
         nothing, and must come back (if revived) at the new generation.
+        So is a busy replica with no live peer to carry traffic while it
+        drains: the install is ordered behind its in-flight work (whose
+        responses are already stamped with the old generation) and the
+        arriving request queues behind both, dispatched at
+        ``busy_until`` — still a request boundary, never a half-swap.
         """
         while self._reload_pending:
             slot = self.slots[self._reload_pending[0]]
-            slot.draining = True
-            if slot.alive and slot.busy_until > now:
+            has_live_peer = any(s.alive for s in self.slots if s is not slot)
+            if slot.alive and slot.busy_until > now and has_live_peer:
+                slot.draining = True
                 return  # still draining; keep serving on the others
             bundle = self._reload_bundle
             slot.engine.install(bundle.model, bundle.hot_bags)

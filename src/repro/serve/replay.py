@@ -1,41 +1,38 @@
-"""Zipf traffic replay: a seeded SLO load harness for the serving engine.
+"""Zipf traffic replay: the seeded SLO load harness for the serving tier.
 
-The serving story (deadlines, fallbacks, circuit breaker) is only
-credible with tail-latency numbers under *realistic* load: Zipf-skewed
-keys (the paper's whole premise), bursty arrivals, and fault windows.
-This module drives a real :class:`~repro.serve.engine.InferenceEngine`
-with a seeded request stream and distills the run into an SLO report —
-P50/P95/P99 latency, throughput, degraded and shed rates — built from
-the engine's own registry instruments and breaker counters.
+The serving story (deadlines, fallbacks, circuit breaker, failover,
+hedging, reload) is only credible with tail-latency numbers under
+*realistic* load: Zipf-skewed keys (the paper's whole premise), bursty
+arrivals, and fault windows.  :func:`run_slo_replay` drives a
+:class:`~repro.serve.cluster.ServingCluster` of ``replicas`` real
+:class:`~repro.serve.engine.InferenceEngine`s (one by default) with a
+seeded request stream and distills the run into one SLO report, built
+from the tier's own registry instruments and breaker counters.
 
-**Determinism.** In the default ``simulated`` mode the engine is
-constructed with a :class:`VirtualClock`: every clock read returns the
-current virtual time and advances it by a per-request service cost drawn
-from the seeded RNG (inflated inside injected slow-replica windows).
-Arrival gaps advance the same clock.  Deadline checks, fallback
-degradation, breaker trips, shed decisions, and every latency sample
-therefore depend only on the seed and config — the same seed produces a
-byte-identical report JSON, which is what lets tests pin breaker
-behavior and lets two machines compare reports at all.  ``wall`` mode
-swaps in ``time.perf_counter`` for honest-hardware numbers at the price
-of run-to-run noise.
+**One time model.**  Arrivals are *open-loop*: request ``r`` arrives at
+the running sum of seeded inter-arrival gaps whether or not the tier has
+caught up, so a burst that outruns the service rate queues (and, past
+``queue_capacity``, is rejected) instead of politely waiting its turn.
+Each replica's engine owns a :class:`VirtualClock`; dispatch sets it to
+the service start (``max(arrival, replica busy-until)``) and sets its
+per-read step to the request's seeded service cost, inflated by the
+:class:`~repro.resilience.faults.FaultPlan`'s ``slow_replica`` window.
+The report therefore carries two latencies: ``service_latency_s`` is
+what the engine spent ranking (``serve.rank.latency``), ``latency_s`` is
+arrival to response — queue wait, failover and hedging included.
 
-The engine code path exercised is the production one — real model
-forward, real bounds checks, real breaker — only the clock is virtual.
-
-**Cluster replay.**  :func:`run_cluster_replay` drives the same seeded
-traffic through a :class:`~repro.serve.cluster.ServingCluster` of N
-replicated engines (each with its own virtual clock), applies a
-:class:`~repro.resilience.faults.FaultPlan`'s replica fault schedule
-(``kill_replica`` / ``slow_replica`` / ``flap_replica``), optionally
-begins a mid-run generation reload, and reports failover, hedging,
-backpressure, and generation accounting on top of the SLO numbers —
-byte-identical per seed, which is what lets CI ``cmp`` two chaos runs.
+**Determinism.**  Deadline checks, fallback degradation, breaker trips,
+shed decisions, routing, and every latency sample depend only on the
+seed and config, so the same config produces a byte-identical report
+JSON — which is what lets tests pin breaker behavior and CI ``cmp`` two
+chaos runs.  The engine code path exercised is the production one (real
+model forward, real bounds checks, real breaker); only the clock is
+virtual.  Wall-clock serving numbers are ``perfbench``'s ``serve-rank``
+workload, the repo's one timing benchmark.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -48,21 +45,17 @@ from repro.models import build_model, workload_for_dataset
 from repro.obs import get_registry
 from repro.resilience.faults import FaultPlan
 from repro.resilience.guards import CircuitBreaker, LoadShedError
-from repro.serve.cluster import ClusterBusyError, ServingCluster
+from repro.serve.cluster import ClusterBusyError, NoReplicaError, ServingCluster
 from repro.serve.engine import InferenceEngine
 
 __all__ = [
-    "ClusterReplayConfig",
     "ReplayConfig",
     "VirtualClock",
-    "format_cluster_report",
     "format_slo_report",
-    "run_cluster_replay",
     "run_slo_replay",
 ]
 
-SLO_SCHEMA_VERSION = 1
-CLUSTER_SLO_SCHEMA_VERSION = 1
+SLO_SCHEMA_VERSION = 2
 
 
 class VirtualClock:
@@ -109,16 +102,29 @@ class ReplayConfig:
         burst_length: burst duration, in requests.
         hot_exponent: Zipf exponent of the candidate-key popularity.
         deadline_s: per-request ranking deadline (None disables).
-        mode: ``"simulated"`` (virtual clock, byte-deterministic) or
-            ``"wall"`` (real clock, honest but noisy).
         chunk_cost_s: simulated service cost per engine clock read.
         cost_jitter: relative uniform jitter on the per-request cost.
-        slow_start / slow_stop: request-index window of an injected
-            slow-replica fault (None disables).
-        slow_factor: service-cost multiplier inside the slow window.
         breaker_window / breaker_threshold / breaker_min_requests /
         breaker_cooldown: circuit-breaker parameters (0 window disables
             the breaker entirely).
+        replicas: pool size (each replica is a full engine + breaker on
+            its own virtual clock).
+        queue_capacity: admission backlog bound; beyond it requests are
+            rejected with retry-after.
+        hedge_after_s: hedge budget — requests whose response would take
+            longer are re-issued on a second replica (None disables).
+        reload_at: request index at which a new serving generation
+            (a rebuilt parameter set) starts rolling through the pool,
+            or None.
+        faults: compact :meth:`~repro.resilience.faults.FaultPlan.parse`
+            spec applied per request (``kill_replica`` / ``slow_replica``
+            / ``flap_replica``), or None.  A slow window on the one
+            default replica is ``slow_replica=0@START:STOP``.
+        cache_budget_bytes: GPU byte budget for an online
+            :class:`~repro.core.hotcache.EmbeddingHotCache` shared by all
+            replicas (hot lookups resolve through live cache membership
+            and its hit/miss counters land in the SLO report); 0 serves
+            from the engines' static hot masks.
     """
 
     requests: int = 512
@@ -133,42 +139,51 @@ class ReplayConfig:
     burst_length: int = 25
     hot_exponent: float = 1.05
     deadline_s: float | None = 0.025
-    mode: str = "simulated"
     chunk_cost_s: float = 2e-4
     cost_jitter: float = 0.25
-    slow_start: int | None = None
-    slow_stop: int | None = None
-    slow_factor: float = 100.0
     breaker_window: int = 32
     breaker_threshold: float = 0.5
     breaker_min_requests: int = 8
     breaker_cooldown: int = 16
+    replicas: int = 1
+    queue_capacity: int = 64
+    hedge_after_s: float | None = None
+    reload_at: int | None = None
+    faults: str | None = None
+    cache_budget_bytes: int = 0
 
     def __post_init__(self) -> None:
         if self.requests <= 0 or self.candidates <= 0:
             raise ValueError("requests and candidates must be positive")
-        if self.mode not in ("simulated", "wall"):
-            raise ValueError(f"mode must be 'simulated' or 'wall', got {self.mode!r}")
         if self.base_rate <= 0:
             raise ValueError("base_rate must be positive")
+        if self.replicas < 1:
+            raise ValueError("replicas must be >= 1")
+        if self.queue_capacity < 1:
+            raise ValueError("queue_capacity must be >= 1")
+        if self.hedge_after_s is not None and self.hedge_after_s <= 0:
+            raise ValueError("hedge_after_s must be positive (or None)")
+        if self.reload_at is not None and self.reload_at < 0:
+            raise ValueError("reload_at must be >= 0")
+        if self.faults is not None:
+            FaultPlan.parse(self.faults)  # fail fast on a bad spec
+        if self.cache_budget_bytes < 0:
+            raise ValueError("cache_budget_bytes must be >= 0")
 
     def in_burst(self, request_index: int) -> bool:
         if self.burst_every <= 0:
             return False
         return (request_index % self.burst_every) < self.burst_length
 
-    def in_slow_window(self, request_index: int) -> bool:
-        if self.slow_start is None or self.slow_stop is None:
-            return False
-        return self.slow_start <= request_index < self.slow_stop
 
-
-_REPLAY_HISTOGRAMS = (
+_HISTOGRAMS = (
     "serve.rank.latency",
     "serve.request.latency",
     "serve.rejected.latency",
+    "serve.cluster.request.latency",
+    "serve.cluster.queue.wait",
 )
-_REPLAY_COUNTERS = (
+_COUNTERS = (
     "serve.requests",
     "serve.batches",
     "serve.requests.shed",
@@ -176,12 +191,6 @@ _REPLAY_COUNTERS = (
     "serve.fallback.candidates",
     "guards.breaker.trips",
     "guards.breaker.shed",
-)
-_CLUSTER_HISTOGRAMS = _REPLAY_HISTOGRAMS + (
-    "serve.cluster.request.latency",
-    "serve.cluster.queue.wait",
-)
-_CLUSTER_COUNTERS = _REPLAY_COUNTERS + (
     "serve.cluster.queue.rejected",
     "serve.cluster.failover",
     "serve.cluster.probe.revived",
@@ -200,7 +209,7 @@ _CLUSTER_COUNTERS = _REPLAY_COUNTERS + (
     "hotcache.evictions",
     "hotcache.rebalances",
 )
-_CLUSTER_GAUGES = (
+_GAUGES = (
     "serve.cluster.queue.depth",
     "serve.cluster.unhealthy",
     "hotcache.rows",
@@ -209,18 +218,14 @@ _CLUSTER_GAUGES = (
 )
 
 
-def _reset_instruments(
-    histograms: tuple[str, ...],
-    counters: tuple[str, ...],
-    gauges: tuple[str, ...] = (),
-) -> None:
+def _reset_instruments() -> None:
     """Zero the replay's process-global instruments before a run."""
     registry = get_registry()
-    for name in histograms:
+    for name in _HISTOGRAMS:
         registry.histogram(name).reset()
-    for name in counters:
+    for name in _COUNTERS:
         registry.counter(name).reset()
-    for name in gauges:
+    for name in _GAUGES:
         registry.gauge(name).reset()
 
 
@@ -257,14 +262,14 @@ def _candidate_table(schema: DatasetSchema):
 
 
 def _traffic(config: ReplayConfig, schema: DatasetSchema):
-    """The seeded request stream both replays consume.
+    """The seeded request stream the replay consumes.
 
     Builds the samplers now (outside any timed region) and returns an
     iterator of ``(r, gap, cost, dense, context, candidate_ids)``:
     inter-arrival gap, jittered per-read service cost, and the features
     to rank.  Every draw comes from RNGs owned here, in a fixed order
-    independent of request outcomes, so neither a time model nor a fault
-    schedule can perturb the workload itself.
+    independent of request outcomes, so no fault schedule can perturb
+    the workload itself.
     """
     rng = np.random.default_rng(config.seed)
     candidate_sampler = ZipfSampler(
@@ -296,164 +301,18 @@ def _traffic(config: ReplayConfig, schema: DatasetSchema):
 def run_slo_replay(config: ReplayConfig, schema: DatasetSchema | None = None) -> dict:
     """Run one seeded replay and return the JSON-ready SLO report.
 
-    Builds a fresh model + engine + breaker so the run depends only on
-    the config.  The serving instruments it reads are reset first (they
-    are process-global; a replay is a measurement run, not a production
-    counter stream).
+    Builds a fresh model, ``config.replicas`` engines + breakers and the
+    :class:`~repro.serve.cluster.ServingCluster` over them, so the run
+    depends only on the config.  The serving instruments it reads are
+    reset first (they are process-global; a replay is a measurement run,
+    not a production counter stream).  The replay is the cluster's
+    caller, so it is also what accounts for a request the pool could not
+    take: ``rejected`` (backlog full), ``shed`` (every breaker open) or
+    ``unavailable`` (every replica dead) — the run keeps going and the
+    four outcomes always add up to ``total``.
     """
     registry = get_registry()
-    _reset_instruments(_REPLAY_HISTOGRAMS, _REPLAY_COUNTERS)
-
-    schema = schema or dataset_by_name(config.dataset, config.scale)
-    model = build_model(
-        workload_for_dataset(config.dataset),
-        schema=schema,
-        seed=config.seed,
-    )
-    breaker = _make_breaker(config)
-    clock = VirtualClock() if config.mode == "simulated" else time.perf_counter
-    engine = InferenceEngine(
-        model,
-        deadline_s=config.deadline_s,
-        breaker=breaker,
-        clock=clock,
-    )
-
-    candidate_table = _candidate_table(schema).name
-    traffic = _traffic(config, schema)
-    completed = 0
-    degraded = 0
-    shed = 0
-    wall_start = time.perf_counter()
-    virtual_start = clock.t if isinstance(clock, VirtualClock) else 0.0
-
-    for r, gap, cost, dense, context, candidate_ids in traffic:
-        if config.in_slow_window(r):
-            cost *= config.slow_factor
-        if isinstance(clock, VirtualClock):
-            clock.advance(gap)
-            clock.step = cost
-
-        try:
-            result = engine.rank_candidates(
-                dense, context, candidate_table, candidate_ids, top_k=config.top_k
-            )
-        except LoadShedError:
-            shed += 1
-            continue
-        completed += 1
-        if result.degraded:
-            degraded += 1
-
-    if isinstance(clock, VirtualClock):
-        clock.step = 0.0
-        elapsed = clock.t - virtual_start
-    else:
-        elapsed = time.perf_counter() - wall_start
-
-    latency = registry.histogram("serve.rank.latency")
-    total = config.requests
-    report = {
-        "schema_version": SLO_SCHEMA_VERSION,
-        "kind": "slo_report",
-        "mode": config.mode,
-        "seed": config.seed,
-        "config": asdict(config),
-        "requests": {
-            "total": total,
-            "completed": completed,
-            "degraded": degraded,
-            "shed": shed,
-        },
-        "rates": {
-            "degraded": degraded / total,
-            "shed": shed / total,
-            "error": 0.0 if total == 0 else (total - completed - shed) / total,
-        },
-        "latency_s": _histogram_stats(latency),
-        "rejected_latency_s": _histogram_stats(
-            registry.histogram("serve.rejected.latency")
-        ),
-        "throughput_rps": total / elapsed if elapsed > 0 else 0.0,
-        "elapsed_s": elapsed,
-        "deadline_exceeded": int(registry.counter("serve.deadline.exceeded").value),
-        "fallback_candidates": int(registry.counter("serve.fallback.candidates").value),
-        "breaker": None if breaker is None else breaker.health(),
-    }
-    return report
-
-
-@dataclass(frozen=True)
-class ClusterReplayConfig(ReplayConfig):
-    """A :class:`ReplayConfig` plus the replicated-tier knobs.
-
-    Attributes:
-        replicas: pool size (each replica is a full engine + breaker on
-            its own virtual clock).
-        queue_capacity: cluster admission backlog bound; beyond it
-            requests are rejected with retry-after.
-        hedge_after_s: hedge budget — requests whose response would take
-            longer are re-issued on a second replica (None disables).
-        reload_at: request index at which a new serving generation
-            (a rebuilt parameter set) starts rolling through the pool,
-            or None.
-        faults: compact :meth:`~repro.resilience.faults.FaultPlan.parse`
-            spec applied per request (``kill_replica`` / ``slow_replica``
-            / ``flap_replica``), or None.
-        cache_budget_bytes: GPU byte budget for an online
-            :class:`~repro.core.hotcache.EmbeddingHotCache` shared by all
-            replicas (hot lookups resolve through live cache membership
-            and its hit/miss counters land in the SLO report); 0 serves
-            from the engines' static hot masks as before.
-
-    The single-engine ``slow_start`` / ``slow_stop`` window is unused
-    here — slow replicas come from the fault plan instead, which says
-    *which* replica straggles.
-    """
-
-    replicas: int = 3
-    queue_capacity: int = 64
-    hedge_after_s: float | None = None
-    reload_at: int | None = None
-    faults: str | None = None
-    cache_budget_bytes: int = 0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
-        if self.hedge_after_s is not None and self.hedge_after_s <= 0:
-            raise ValueError("hedge_after_s must be positive (or None)")
-        if self.reload_at is not None and self.reload_at < 0:
-            raise ValueError("reload_at must be >= 0")
-        if self.mode != "simulated":
-            raise ValueError(
-                "cluster replay requires mode='simulated' — replica "
-                "scheduling is a discrete-event model over per-replica "
-                "virtual clocks"
-            )
-        if self.faults is not None:
-            FaultPlan.parse(self.faults)  # fail fast on a bad spec
-        if self.cache_budget_bytes < 0:
-            raise ValueError("cache_budget_bytes must be >= 0")
-
-
-def run_cluster_replay(
-    config: ClusterReplayConfig, schema: DatasetSchema | None = None
-) -> dict:
-    """Run one seeded replay against a replicated cluster; return the report.
-
-    Same seeded traffic as :func:`run_slo_replay` (the RNG draw order is
-    independent of request outcomes, so fault schedules never perturb
-    the workload itself), routed through a
-    :class:`~repro.serve.cluster.ServingCluster` with the configured
-    fault plan, hedging, and mid-run reload.  The report is a pure
-    function of the config — byte-identical run to run.
-    """
-    registry = get_registry()
-    _reset_instruments(_CLUSTER_HISTOGRAMS, _CLUSTER_COUNTERS, _CLUSTER_GAUGES)
+    _reset_instruments()
 
     schema = schema or dataset_by_name(config.dataset, config.scale)
     workload = workload_for_dataset(config.dataset)
@@ -499,8 +358,8 @@ def run_cluster_replay(
     )
 
     candidate_table = _candidate_table(schema).name
-    now = 0.0
-    admitted = completed = degraded = rejected = shed = 0
+    now = last_completion = 0.0
+    completed = degraded = rejected = shed = unavailable = 0
     hedged_requests = failed_over_requests = 0
     generation_counts: dict[str, int] = {}
     reload_generation: int | None = None
@@ -526,11 +385,13 @@ def run_cluster_replay(
             rejected += 1
             continue
         except LoadShedError:
-            admitted += 1
             shed += 1
             continue
-        admitted += 1
+        except NoReplicaError:
+            unavailable += 1
+            continue
         completed += 1
+        last_completion = max(last_completion, now + response.latency_s)
         if response.result.degraded:
             degraded += 1
         if response.hedged:
@@ -540,26 +401,33 @@ def run_cluster_replay(
         key = str(response.generation)
         generation_counts[key] = generation_counts.get(key, 0) + 1
 
-    elapsed = now
+    # The run ends when the backlog has drained, not at the last arrival:
+    # throughput is what completed over that span, offered load is what
+    # arrived over the arrival span.
+    elapsed = max(now, last_completion)
     total = config.requests
 
     def count(name: str) -> int:
         return int(registry.counter(name).value)
 
+    def digest(name: str) -> dict:
+        return _histogram_stats(registry.histogram(name))
+
     return {
-        "schema_version": CLUSTER_SLO_SCHEMA_VERSION,
-        "kind": "cluster_slo_report",
-        "mode": config.mode,
+        "schema_version": SLO_SCHEMA_VERSION,
+        "kind": "slo_report",
+        "mode": "simulated",
         "seed": config.seed,
         "replicas": config.replicas,
         "config": asdict(config),
         "requests": {
             "total": total,
-            "admitted": admitted,
+            "admitted": total - rejected,
             "completed": completed,
             "degraded": degraded,
             "rejected": rejected,
             "shed": shed,
+            "unavailable": unavailable,
             "hedged": hedged_requests,
             "failed_over": failed_over_requests,
         },
@@ -567,21 +435,16 @@ def run_cluster_replay(
             "rejected": rejected / total,
             "shed": shed / total,
             "degraded": degraded / total,
-            "error": (admitted - completed - shed) / total,
+            "error": unavailable / total,
         },
-        "latency_s": _histogram_stats(
-            registry.histogram("serve.cluster.request.latency")
-        ),
+        "latency_s": digest("serve.cluster.request.latency"),
+        "service_latency_s": digest("serve.rank.latency"),
         "queue": {
             "capacity": config.queue_capacity,
             "rejected": count("serve.cluster.queue.rejected"),
-            "wait_s": _histogram_stats(
-                registry.histogram("serve.cluster.queue.wait")
-            ),
+            "wait_s": digest("serve.cluster.queue.wait"),
         },
-        "rejected_latency_s": _histogram_stats(
-            registry.histogram("serve.rejected.latency")
-        ),
+        "rejected_latency_s": digest("serve.rejected.latency"),
         "failovers": count("serve.cluster.failover"),
         "probe_revived": count("serve.cluster.probe.revived"),
         "hedge": {
@@ -608,40 +471,58 @@ def run_cluster_replay(
         "deadline_exceeded": count("serve.deadline.exceeded"),
         "fallback_candidates": count("serve.fallback.candidates"),
         "cluster": cluster.health(),
-        "throughput_rps": total / elapsed if elapsed > 0 else 0.0,
+        "throughput_rps": completed / elapsed if elapsed > 0 else 0.0,
+        "offered_rps": total / now if now > 0 else 0.0,
         "elapsed_s": elapsed,
     }
 
 
-def format_cluster_report(report: dict) -> str:
-    """Human-readable digest of one cluster SLO report."""
-    lat = report.get("latency_s") or {}
+def _percentile_line(label: str, stats: dict) -> str:
+    if not stats:
+        return f"  {label:<8} (no completed requests)"
+    return (
+        f"  {label:<8} p50 {1e3 * stats['p50']:7.2f} ms   "
+        f"p95 {1e3 * stats['p95']:7.2f} ms   "
+        f"p99 {1e3 * stats['p99']:7.2f} ms   "
+        f"max {1e3 * stats['max']:7.2f} ms"
+    )
+
+
+def format_slo_report(report: dict) -> str:
+    """Human-readable digest of one SLO report."""
     requests = report["requests"]
     rates = report["rates"]
     hedge = report["hedge"]
     reload_info = report["reload"]
+    replicas = report["replicas"]
+    breakers = [
+        r["breaker"] for r in report["cluster"]["replicas"] if r["breaker"] is not None
+    ]
     lines = [
-        f"cluster slo report (seed {report['seed']}, "
-        f"{report['replicas']} replicas): "
+        f"slo report (seed {report['seed']}, "
+        f"{replicas} replica{'' if replicas == 1 else 's'}): "
         f"{requests['total']} requests in {report['elapsed_s']:.3f}s "
-        f"({report['throughput_rps']:.0f} req/s)",
-        (
-            f"  latency  p50 {1e3 * lat.get('p50', 0):7.2f} ms   "
-            f"p95 {1e3 * lat.get('p95', 0):7.2f} ms   "
-            f"p99 {1e3 * lat.get('p99', 0):7.2f} ms   "
-            f"max {1e3 * lat.get('max', 0):7.2f} ms"
-            if lat
-            else "  latency  (no completed requests)"
-        ),
+        f"({report['throughput_rps']:.0f} req/s completed, "
+        f"{report['offered_rps']:.0f} offered)",
+        _percentile_line("latency", report["latency_s"]),
+        _percentile_line("service", report["service_latency_s"]),
+        _percentile_line("queue", report["queue"]["wait_s"]),
         f"  outcomes completed {requests['completed']}/{requests['admitted']} admitted  "
         f"degraded {requests['degraded']} ({100 * rates['degraded']:.1f}%)  "
         f"rejected {requests['rejected']} ({100 * rates['rejected']:.1f}%)  "
-        f"shed {requests['shed']} ({100 * rates['shed']:.1f}%)",
+        f"shed {requests['shed']} ({100 * rates['shed']:.1f}%)  "
+        f"unavailable {requests['unavailable']} ({100 * rates['error']:.1f}%)",
         f"  ha       failovers {report['failovers']}  "
         f"hedges {hedge['issued']} (wins {hedge['wins']}, "
         f"cancelled {hedge['cancelled']})  "
         f"probe revivals {report['probe_revived']}",
     ]
+    if breakers:
+        lines.append(
+            f"  breaker  trips {sum(b['trips'] for b in breakers)}  "
+            f"shed {sum(b['shed_requests'] for b in breakers)}  "
+            f"open {sum(b['state'] == 'open' for b in breakers)}/{len(breakers)}"
+        )
     if reload_info["requested_at"] is not None:
         generations = ", ".join(
             f"gen {gen}: {count}"
@@ -653,36 +534,5 @@ def format_cluster_report(report: dict) -> str:
             f"{'complete' if reload_info['complete'] else 'IN PROGRESS'}, "
             f"mixed-generation responses "
             f"{reload_info['mixed_generation_responses']}  [{generations}]"
-        )
-    return "\n".join(lines)
-
-
-def format_slo_report(report: dict) -> str:
-    """Human-readable digest of one SLO report."""
-    lat = report.get("latency_s") or {}
-    rates = report["rates"]
-    requests = report["requests"]
-    lines = [
-        f"slo report ({report['mode']}, seed {report['seed']}): "
-        f"{requests['total']} requests in {report['elapsed_s']:.3f}s "
-        f"({report['throughput_rps']:.0f} req/s)",
-        (
-            f"  latency  p50 {1e3 * lat.get('p50', 0):7.2f} ms   "
-            f"p95 {1e3 * lat.get('p95', 0):7.2f} ms   "
-            f"p99 {1e3 * lat.get('p99', 0):7.2f} ms   "
-            f"max {1e3 * lat.get('max', 0):7.2f} ms"
-            if lat
-            else "  latency  (no completed requests)"
-        ),
-        f"  outcomes completed {requests['completed']}  "
-        f"degraded {requests['degraded']} ({100 * rates['degraded']:.1f}%)  "
-        f"shed {requests['shed']} ({100 * rates['shed']:.1f}%)",
-    ]
-    breaker = report.get("breaker")
-    if breaker is not None:
-        lines.append(
-            f"  breaker  state {breaker['state']}  trips {breaker['trips']}  "
-            f"shed {breaker['shed_requests']}  "
-            f"failure rate {breaker['failure_rate']:.2f}"
         )
     return "\n".join(lines)

@@ -11,9 +11,13 @@ Compares two inference deployments on the calibrated cost model:
 The simulator draws Poisson arrivals, forms batches under a
 max-batch/max-wait policy (standard dynamic batching), services each
 batch with cost-model times, and reports latency percentiles — the
-serving framing of the paper's skew insight.  Callers:
-``benchmarks/test_x4_serving.py`` and ``examples/realtime_serving.py``
-(a labelled extension; the measured serving path is ``serve.engine``).
+serving framing of the paper's skew insight.
+
+It is deliberately *not* merged into :mod:`repro.serve.replay`, the one
+host-side time model: the replay measures real engines on this machine,
+while this prices the two deployments on the paper's Xeon + V100 through
+``repro.hw.costmodel`` — a question no host run can answer.  Callers:
+``benchmarks/test_x4_serving.py`` and ``examples/realtime_serving.py``.
 """
 
 from __future__ import annotations

@@ -443,6 +443,8 @@ class TestServeBenchCli:
         assert "slo report" in text
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["kind"] == "slo_report"
+        assert report["schema_version"] == 2
+        assert report["replicas"] == 1
         assert report["requests"]["total"] == 48
 
     def test_default_out_lands_under_out_dir(self, tmp_path):
@@ -457,16 +459,40 @@ class TestServeBenchCli:
         argv = self.ARGS + [
             "--candidates",
             "512",
-            "--slow",
-            "8:40:100",
+            "--faults",
+            "slow_replica=0@8:40,slow_replica_factor=100",
             "--out",
             str(out),
         ]
         assert main(argv) == 0
         report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["config"]["slow_start"] == 8
-        assert report["config"]["slow_factor"] == 100.0
+        assert report["faults_injected"]["replica_slow"] == 1
         assert report["requests"]["degraded"] + report["requests"]["shed"] > 0
+
+    def test_mode_and_slow_flags_are_gone(self, capsys):
+        for flag in (["--mode", "wall"], ["--slow", "8:40:100"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(self.ARGS + flag)
+            assert excinfo.value.code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # Both ended "NoReplicaError: no live replica available", exit 1.
+            ["--reload-at", "5"],
+            ["--replicas", "2", "--faults", "kill_replica=0@60,flap_replica=1@80/10"],
+        ],
+    )
+    def test_pool_with_nowhere_to_route_still_reports(self, tmp_path, flags):
+        out = tmp_path / "slo.json"
+        argv = ["serve-bench", "--requests", "200", "--scale", "tiny"]
+        assert main(argv + flags + ["--out", str(out)]) == 0
+        requests = json.loads(out.read_text(encoding="utf-8"))["requests"]
+        assert (
+            requests["completed"] + requests["shed"] + requests["rejected"]
+            + requests["unavailable"]
+        ) == requests["total"] == 200
 
     def test_cluster_path_with_faults_and_reload(self, tmp_path, capsys):
         out = tmp_path / "cluster_slo.json"
@@ -486,9 +512,9 @@ class TestServeBenchCli:
         ]
         assert main(argv) == 0
         text = capsys.readouterr().out
-        assert "cluster slo report" in text
+        assert "slo report (seed 5, 3 replicas)" in text
         report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["kind"] == "cluster_slo_report"
+        assert report["kind"] == "slo_report"
         assert report["replicas"] == 3
         assert report["requests"]["completed"] == report["requests"]["admitted"]
         assert report["failovers"] >= 1

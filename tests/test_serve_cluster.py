@@ -16,12 +16,13 @@ from repro.models import build_model, workload_by_name
 from repro.resilience.faults import FaultPlan
 from repro.serve import (
     ClusterBusyError,
-    ClusterReplayConfig,
     InferenceEngine,
+    NoReplicaError,
+    ReplayConfig,
     ServingCluster,
     VirtualClock,
-    format_cluster_report,
-    run_cluster_replay,
+    format_slo_report,
+    run_slo_replay,
 )
 
 
@@ -189,6 +190,40 @@ class TestServingClusterUnit:
         post = cluster.submit(now + 1.0, 1e-4, dense, context, table, candidates)
         assert post.generation == 1
 
+    def test_lone_replica_reloads_behind_its_in_flight_work(self, cluster_fixture):
+        schema, model = cluster_fixture
+        cluster = _make_cluster(model, n=1)
+        dense, context, table, candidates = _request(schema)
+        other = build_model(workload_by_name("RMC2"), schema=schema, seed=77)
+        first = cluster.submit(0.0, 1e-3, dense, context, table, candidates)
+        cluster.begin_reload(other)
+        # Arrives while the first request is still in flight: there is no
+        # peer to serve it, so it queues behind the install.
+        second = cluster.submit(1e-6, 1e-3, dense, context, table, candidates)
+        assert (first.generation, second.generation) == (0, 1)
+        assert second.queue_wait_s == pytest.approx(first.latency_s - 1e-6)
+        assert not cluster.reload_active
+        assert not cluster.slots[0].draining
+
+    def test_draining_replica_with_only_dead_peers_keeps_serving(self, cluster_fixture):
+        schema, model = cluster_fixture
+        cluster = _make_cluster(model, n=2)
+        dense, context, table, candidates = _request(schema)
+        cluster.submit(0.0, 1e-3, dense, context, table, candidates)  # busies 0
+        cluster.kill_replica(1)
+        cluster.begin_reload(model)
+        response = cluster.submit(1e-6, 1e-3, dense, context, table, candidates)
+        assert response.replica == 0
+        assert response.generation == 1
+
+    def test_submit_raises_when_every_replica_is_dead(self, cluster_fixture):
+        schema, model = cluster_fixture
+        cluster = _make_cluster(model, n=2)
+        cluster.kill_replica(0)
+        cluster.kill_replica(1)
+        with pytest.raises(NoReplicaError):
+            cluster.submit(0.0, 1e-4, *_request(schema))
+
     def test_health_snapshot_shape(self, cluster_fixture):
         schema, model = cluster_fixture
         cluster = _make_cluster(model, n=2)
@@ -238,7 +273,7 @@ def _chaos_config(**overrides):
         faults=None,
     )
     defaults.update(overrides)
-    return ClusterReplayConfig(**defaults)
+    return ReplayConfig(**defaults)
 
 
 class TestClusterReplayCache:
@@ -248,18 +283,18 @@ class TestClusterReplayCache:
 
     def test_cached_replay_reports_cache_and_stays_deterministic(self):
         config = _chaos_config(requests=120, cache_budget_bytes=32 * 1024)
-        report = run_cluster_replay(config)
+        report = run_slo_replay(config)
         cache = report["cluster"]["cache"]
         assert cache is not None
         assert cache["hits"] + cache["misses"] > 0
         assert cache["hot_bytes"] <= 32 * 1024
-        rerun = run_cluster_replay(config)
+        rerun = run_slo_replay(config)
         assert json.dumps(report, sort_keys=True) == json.dumps(
             rerun, sort_keys=True
         )
 
     def test_uncached_replay_reports_no_cache(self):
-        report = run_cluster_replay(_chaos_config(requests=60))
+        report = run_slo_replay(_chaos_config(requests=60))
         assert report["cluster"]["cache"] is None
 
 
@@ -267,7 +302,7 @@ class TestClusterReplayChaos:
     def test_replica_kill_mid_replay_completes_everything(self):
         # One of three replicas dies at request 60; with hedging on, every
         # admitted request must still complete, with the failover counted.
-        report = run_cluster_replay(
+        report = run_slo_replay(
             _chaos_config(faults="seed=7,kill_replica=1@60")
         )
         requests = report["requests"]
@@ -284,14 +319,14 @@ class TestClusterReplayChaos:
             deadline_s=None,
             faults="seed=7,slow_replica=0@20:160,slow_replica_factor=40",
         )
-        without = run_cluster_replay(_chaos_config(hedge_after_s=None, **base))
-        hedged = run_cluster_replay(_chaos_config(hedge_after_s=0.005, **base))
+        without = run_slo_replay(_chaos_config(hedge_after_s=None, **base))
+        hedged = run_slo_replay(_chaos_config(hedge_after_s=0.005, **base))
         assert hedged["hedge"]["issued"] > 0
         assert hedged["hedge"]["wins"] > 0
         assert hedged["latency_s"]["p99"] < without["latency_s"]["p99"]
 
     def test_flapping_replica_is_readmitted(self):
-        report = run_cluster_replay(
+        report = run_slo_replay(
             _chaos_config(faults="seed=7,flap_replica=0@30/25")
         )
         assert report["faults_injected"]["replica_flap"] == 1
@@ -299,7 +334,7 @@ class TestClusterReplayChaos:
         assert report["requests"]["completed"] == report["requests"]["admitted"]
 
     def test_reload_under_load_is_zero_downtime(self):
-        report = run_cluster_replay(_chaos_config(reload_at=100))
+        report = run_slo_replay(_chaos_config(reload_at=100))
         requests = report["requests"]
         reload_info = report["reload"]
         assert requests["shed"] == 0
@@ -317,19 +352,19 @@ class TestClusterReplayChaos:
             reload_at=100,
             faults="seed=7,kill_replica=1@60,slow_replica=2@20:80",
         )
-        first = json.dumps(run_cluster_replay(config), sort_keys=True)
-        second = json.dumps(run_cluster_replay(config), sort_keys=True)
+        first = json.dumps(run_slo_replay(config), sort_keys=True)
+        second = json.dumps(run_slo_replay(config), sort_keys=True)
         assert first == second
 
     def test_different_seed_differs(self):
-        a = run_cluster_replay(_chaos_config(seed=11))
-        b = run_cluster_replay(_chaos_config(seed=12))
+        a = run_slo_replay(_chaos_config(seed=11))
+        b = run_slo_replay(_chaos_config(seed=12))
         assert a["latency_s"] != b["latency_s"]
 
     def test_backpressure_rejections_are_accounted(self):
         # A tiny queue under a hot burst must reject some traffic, and
         # the rejections must show up in rates and rejected-latency.
-        report = run_cluster_replay(
+        report = run_slo_replay(
             _chaos_config(
                 replicas=2,
                 queue_capacity=2,
@@ -346,11 +381,11 @@ class TestClusterReplayChaos:
         assert requests["admitted"] + requests["rejected"] == requests["total"]
 
     def test_format_cluster_report_smoke(self):
-        report = run_cluster_replay(
+        report = run_slo_replay(
             _chaos_config(reload_at=100, faults="seed=7,kill_replica=1@60")
         )
-        text = format_cluster_report(report)
-        assert "cluster slo report" in text
+        text = format_slo_report(report)
+        assert "slo report (seed 11, 3 replicas)" in text
         assert "failovers" in text
         assert "reload" in text
         assert "mixed-generation responses 0" in text
@@ -358,8 +393,6 @@ class TestClusterReplayChaos:
     def test_cluster_config_validation(self):
         with pytest.raises(ValueError, match="replicas"):
             _chaos_config(replicas=0)
-        with pytest.raises(ValueError, match="simulated"):
-            _chaos_config(mode="wall")
         with pytest.raises(ValueError, match="fault spec"):
             _chaos_config(faults="bogus_key=1")
         with pytest.raises(ValueError, match="queue_capacity"):
