@@ -109,7 +109,7 @@ def save_fae_dataset(
     for i, batch in enumerate(dataset.cold_batches):
         payload[f"cold_batch_{i:06d}"] = batch
     payload.update(_bag_payload(bags))
-    # np.savez appends ".npz" to suffix-less paths; resolve the final
+    # numpy's savez appends ".npz" to suffix-less paths; resolve the final
     # name the same way so the atomic replace lands where numpy would.
     final = Path(path)
     if final.suffix != ".npz":

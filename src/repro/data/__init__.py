@@ -34,11 +34,6 @@ from repro.data.chunk_source import (
     as_chunk_source,
     save_log_shards,
 )
-from repro.data.formats import (
-    criteo_tsv_lines,
-    parse_criteo_tsv,
-    parse_taobao_events,
-)
 from repro.data.shift import popularity_shift_days, write_day_shards
 from repro.data.validate import ValidatingChunkSource, validated_log
 
@@ -55,9 +50,6 @@ __all__ = [
     "validated_log",
     "iter_fae_batches",
     "save_log_shards",
-    "criteo_tsv_lines",
-    "parse_criteo_tsv",
-    "parse_taobao_events",
     "DatasetSchema",
     "EmbeddingTableSpec",
     "MiniBatch",

@@ -4,9 +4,7 @@
 library actually relies on (the trainers, the FAE input processor, the
 loader): dense features, per-table sparse ids, labels, and a schema.
 :class:`~repro.data.synthetic.SyntheticClickLog` produces the same
-surface with a planted generative model; the parsers in
-:mod:`repro.data.formats` produce plain :class:`ClickLog` instances from
-real Criteo/Taobao-formatted files.
+surface with a planted generative model.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
-"""The one ``.npz`` member codec behind log shards and the FAE format.
+"""The one ``.npz`` member codec behind log shards, the FAE format and checkpoints.
 
-The only place that opens or writes an ``.npz`` for those formats
-(DESIGN.md §8 has the measurements).  Reading decodes a member when it is
-asked for and not before, which is what lets a log shard cost only the
-columns a stage reads; writing builds the archive once in memory, so the
-bytes that are hashed are the bytes that are written.  Archives stay plain
-``.npz`` files that ``np.load`` opens.  Members keep the dtype the caller
+The only place that writes an ``.npz`` in ``src/``, and the reader for log
+shards and FAE layouts (DESIGN.md §8 has the measurements).  Reading
+decodes a member when it is asked for and not before, which is what lets
+a log shard cost only the columns a stage reads; writing builds the
+archive once in memory, so the bytes that are hashed are the bytes that
+are written.  Archives stay plain ``.npz`` files that ``np.load`` opens.  Members keep the dtype the caller
 hands over: integers are stored at the width of their range (log-shard ids
 at their table's) and widened once, by the caller, on decode.
 
@@ -108,13 +108,16 @@ class NpzReader:
         return np.array(view, order="C")  # the copy makes it owned and writeable
 
 
-def write_npz(path: str | Path, arrays: Mapping[str, np.ndarray]) -> str:
+def write_npz(path: str | Path, arrays: Mapping[str, np.ndarray], deflate: bool = True) -> str:
     """Atomically write ``arrays`` as the archive ``path``; returns its SHA-256.
 
     The archive is serialised once in memory and the digest taken from
     that buffer, so the file is written once and never read back.  Members
     carry the zip epoch as their timestamp: equal arrays give equal bytes.
+    Members are deflated at level 1 unless ``deflate`` is False, which
+    stores them (checkpoints: float32 weights barely compress, DESIGN.md §14).
     """
+    compress_type = zipfile.ZIP_DEFLATED if deflate else zipfile.ZIP_STORED
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w") as archive:
         for name, value in arrays.items():
@@ -123,7 +126,7 @@ def write_npz(path: str | Path, arrays: Mapping[str, np.ndarray]) -> str:
             archive.writestr(
                 zipfile.ZipInfo(name + ".npy"),
                 member.getbuffer(),
-                compress_type=zipfile.ZIP_DEFLATED,
+                compress_type=compress_type,
                 compresslevel=_DEFLATE_LEVEL,
             )
     blob = buffer.getbuffer()

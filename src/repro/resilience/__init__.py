@@ -8,15 +8,20 @@ package is the robustness backbone the rest of the stack leans on:
   interrupted runs never leave truncated artifacts;
 - :mod:`repro.resilience.checkpoint` — atomic, SHA-256-checksummed
   training snapshots (parameters, scheduler state, cursors, RNG state)
-  with corruption detection and newest-good resolution for resume;
+  written by the one npz writer, with corruption detection and
+  newest-good resolution for resume (v2 archives only);
 - :mod:`repro.resilience.journal` — a write-ahead ``refresh.journal``
   that turns hot-cache turnover into a crash-consistent transaction
   (intent before mutation, commit after ``repack_pools``, deterministic
   roll-forward verification on resume);
 - :mod:`repro.resilience.faults` — a seedable :class:`FaultPlan` that
   deterministically injects transient collective failures, permanent
-  rank deaths, loader hiccups, hot-replica evictions, and SIGKILL crash
-  points targeted at refresh phases / checkpoint boundaries / steps;
+  rank deaths, loader hiccups, hot-replica evictions, data corruption,
+  serving-replica and worker faults, and SIGKILL crash points targeted
+  at refresh phases / checkpoint boundaries / steps.  The plan is key,
+  check and state tables, and its ``parse_spec`` is the one
+  ``key=value`` grammar of ``--faults``, ``--guards`` and ``--validate``
+  (each key at most once);
 - :mod:`repro.resilience.retry` — bounded exponential-backoff retry
   (with seeded, reproducible jitter) around transient faults;
 - :mod:`repro.resilience.elastic` — a supervised real-process worker

@@ -33,7 +33,7 @@ def atomic_write(path: str | Path) -> Iterator[Path]:
     """Yield a temporary path that is atomically renamed to ``path``.
 
     The temporary file lives in the destination directory and keeps the
-    destination's suffix (so e.g. ``np.savez`` does not append ``.npz``
+    destination's suffix (so e.g. numpy's ``savez`` does not append ``.npz``
     to it).  On a clean exit it replaces ``path``; on any exception it is
     removed and the destination is left untouched.
 

@@ -7,9 +7,9 @@ adaptation state, the epoch/segment cursor, optimizer state, and the
 fault plan's RNG state.  The format is one ``.npz`` archive per
 checkpoint plus a ``.sha256`` sidecar:
 
-- the archive is written with :func:`~repro.resilience.atomic.atomic_write`
-  (temp file + ``os.replace``) so a crash mid-write never leaves a
-  truncated checkpoint under the final name;
+- the archive is written by :func:`~repro.data.npz_codec.write_npz` (temp
+  file + ``os.replace``) so a crash mid-write never leaves a truncated
+  checkpoint under the final name;
 - the sidecar holds the archive's SHA-256; :func:`load_checkpoint`
   verifies it and raises :class:`CheckpointCorruptionError` (naming the
   file) on any mismatch, truncation, or unreadable archive;
@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
-from repro.resilience.atomic import atomic_write, atomic_write_text, remove_orphaned_temps
+from repro.resilience.atomic import atomic_write_text, remove_orphaned_temps
 from repro.resilience.journal import RefreshJournal
 
 __all__ = [
@@ -53,13 +52,10 @@ __all__ = [
     "verify_checkpoint",
 ]
 
-#: v1: params + scheduler + cursors.  v2 (PR 10): adds durable cache /
-#: drift / repacked-dataset state so the exact-resume invariant holds
-#: under the online hot cache.  v1 archives still load (cache state
-#: absent -> cold start with a warning).
+#: v2 carries durable cache / drift / repacked-dataset state, so the
+#: exact-resume invariant holds under the online hot cache.  Any other
+#: version (v1 had params + scheduler + cursors only) is refused.
 CHECKPOINT_VERSION = 2
-
-_SUPPORTED_VERSIONS = (1, 2)
 
 _DENSE_PREFIX = "param.dense."
 _TABLE_PREFIX = "param.table."
@@ -232,13 +228,12 @@ def _sidecar(path: Path) -> Path:
 def save_checkpoint(directory: str | Path, ckpt: TrainerCheckpoint) -> Path:
     """Atomically persist ``ckpt`` under ``directory``; returns its path.
 
-    The archive is serialized once in memory with *stored* members (not
-    deflated: float32 weights only shrink to 0.93 and zlib took 14x as
-    long, see DESIGN.md section 14), hashed and written from a view of
-    that one buffer via temp file + ``os.replace``, and only then does
-    its checksum sidecar appear — a checkpoint without a valid sidecar is
-    treated as corrupt, so no interleaving of crashes can yield a
-    resumable-but-wrong snapshot.
+    The archive goes through :func:`~repro.data.npz_codec.write_npz` with
+    *stored* members (not deflated: float32 weights only shrink to 0.93
+    and zlib took 14x as long, see DESIGN.md section 14), and only then
+    does its checksum sidecar appear — a checkpoint without a valid
+    sidecar is treated as corrupt, so no interleaving of crashes can
+    yield a resumable-but-wrong snapshot.
     """
     directory = Path(directory)
     meta = {
@@ -277,20 +272,18 @@ def save_checkpoint(directory: str | Path, ckpt: TrainerCheckpoint) -> Path:
     for key, value in ckpt.optimizer_state.items():
         payload[_OPT_PREFIX + key] = value
 
+    from repro.data.npz_codec import write_npz  # deferred: npz_codec -> obs -> resilience
+
     path = directory / _checkpoint_name(ckpt.step)
     with span("resilience.checkpoint.save", step=ckpt.step) as sp:
-        buffer = io.BytesIO()
-        np.savez(buffer, **payload)
-        blob = buffer.getbuffer()  # a view: no second copy of the archive
-        digest = hashlib.sha256(blob).hexdigest()
-        with atomic_write(path) as tmp:
-            tmp.write_bytes(blob)
+        digest = write_npz(path, payload, deflate=False)
         atomic_write_text(_sidecar(path), f"{digest}  {path.name}\n")
-        sp.set(bytes=blob.nbytes)
+        nbytes = path.stat().st_size
+        sp.set(bytes=nbytes)
 
     registry = get_registry()
     registry.counter("resilience.checkpoint.saves").inc()
-    registry.counter("resilience.checkpoint.bytes").inc(blob.nbytes)
+    registry.counter("resilience.checkpoint.bytes").inc(nbytes)
     return path
 
 
@@ -332,7 +325,7 @@ def load_checkpoint(path: str | Path) -> TrainerCheckpoint:
         FileNotFoundError: if ``path`` does not exist.
         CheckpointCorruptionError: on checksum mismatch or an unreadable
             archive (the error names the file).
-        CheckpointError: on a version mismatch.
+        CheckpointError: on any version but :data:`CHECKPOINT_VERSION`.
     """
     path = Path(path)
     blob = _read_verified(path)
@@ -345,17 +338,9 @@ def load_checkpoint(path: str | Path) -> TrainerCheckpoint:
             f"checkpoint {path} is unreadable despite a matching checksum: {exc}"
         ) from exc
     version = meta.get("version")
-    if version not in _SUPPORTED_VERSIONS:
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"checkpoint {path} has version {version}, "
-            f"expected one of {_SUPPORTED_VERSIONS}"
-        )
-    if version < CHECKPOINT_VERSION:
-        warnings.warn(
-            f"checkpoint {path} is a v{version} archive (pre-durability): "
-            "it carries no cache/drift/dataset state, so an online cache "
-            "will cold-start instead of resuming exactly",
-            stacklevel=2,
+            f"checkpoint {path} has version {version}, expected {CHECKPOINT_VERSION}"
         )
     params: dict[str, np.ndarray] = {}
     optimizer_state: dict[str, np.ndarray] = {}

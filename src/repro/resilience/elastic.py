@@ -62,6 +62,7 @@ from typing import Any, Callable
 
 from repro.obs.metrics import get_registry
 from repro.resilience.atomic import atomic_write_text
+from repro.resilience.faults import WORKER_FAULTS
 
 __all__ = [
     "ELASTIC_EVENT_VERSION",
@@ -291,7 +292,7 @@ def _apply_worker_faults(faults: dict | None, task_id: int, lease: int, stop_bea
     if not faults or lease != 0:
         return
     if faults.get("straggle_task") == task_id:
-        time.sleep(float(faults.get("straggle_seconds", 0.5)))
+        time.sleep(faults["straggle_seconds"])
     if faults.get("hang_task") == task_id:
         stop_beats.set()
         time.sleep(_HANG_SECONDS)
@@ -736,12 +737,8 @@ class WorkerPool:
         if not self.worker_faults or lease != 0:
             return
         registry = get_registry()
-        for key, kind in (
-            ("kill_task", "kill"),
-            ("hang_task", "hang"),
-            ("straggle_task", "straggle"),
-        ):
-            if self.worker_faults.get(key) == task_id:
+        for kind in WORKER_FAULTS:
+            if self.worker_faults.get(f"{kind}_task") == task_id:
                 registry.counter(f"faults.worker_{kind}.injected").inc()
                 self.events.emit("fault-armed", task=task_id, kind=kind)
 

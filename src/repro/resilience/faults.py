@@ -59,15 +59,19 @@ crash-anywhere certification harness):
 These are real ``SIGKILL``s, not exceptions: no ``finally`` blocks run,
 no buffers flush — exactly the failure the durability layer must absorb.
 
-Every injected fault increments a ``faults.*`` counter so chaos runs are
-fully traceable through :mod:`repro.obs`.
+The plan is tables: spec key → field (read by :func:`parse_spec`, the one
+``key=value`` grammar of ``--faults``, ``--guards`` and ``--validate``),
+field → check, and fault kind → checkpointed state.  A kind doubles as
+its ``faults.<kind>.injected`` counter, so chaos runs are fully
+traceable through :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -80,6 +84,8 @@ __all__ = [
     "PermanentRankFailure",
     "REFRESH_PHASES",
     "TransientCollectiveError",
+    "WORKER_FAULTS",
+    "parse_spec",
     "popular_local_row",
 ]
 
@@ -88,6 +94,129 @@ __all__ = [
 #: cache membership swap, after replica delta application, after the
 #: batch repack, after the scheduler pool swap, and after the commit.
 REFRESH_PHASES = ("plan", "intent", "apply", "replicas", "repack", "pools", "commit")
+
+#: Real-process faults of the elastic pool: kind ``K`` is armed by the
+#: spec key ``K_task``, stored in ``worker_K_task`` and counted under
+#: ``faults.worker_K.injected``.
+WORKER_FAULTS = ("kill", "hang", "straggle")
+
+
+def parse_spec(spec: str, keys: Mapping[str, tuple[str, Callable]], what: str) -> dict:
+    """Constructor kwargs from comma-separated ``key=value`` entries.
+
+    ``keys`` maps each spec key to ``(field, cast)``; blank entries are
+    skipped.  ``what`` names the spec in errors (``"fault spec"``).
+
+    Raises:
+        ValueError: on an entry without ``=``, an unknown or repeated
+            key, or a value its cast rejects.
+    """
+    kwargs: dict = {}
+    seen: set[str] = set()
+    for entry in spec.split(","):
+        entry = entry.strip()
+        if not entry:
+            continue
+        key, sep, value = entry.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"{what} entry {entry!r} is not key=value")
+        if key not in keys:
+            raise ValueError(f"unknown {what} key {key!r} (have {sorted(keys)})")
+        if key in seen:
+            raise ValueError(f"{what} key {key!r} given twice")
+        seen.add(key)
+        name, cast = keys[key]
+        try:
+            kwargs[name] = cast(value.strip())
+        except ValueError as exc:
+            raise ValueError(f"bad {what} entry {entry!r}: {exc}") from exc
+    return kwargs
+
+
+def _split(separators: str, *casts: Callable) -> Callable[[str], tuple]:
+    """Cast reading ``R@A:B`` as ``(R, A, B)`` for ``_split("@:", int, int, int)``.
+
+    Splits on each separator in turn; a missing part is ``""``, which ``int`` rejects.
+    """
+
+    def cast(value: str) -> tuple:
+        parts = []
+        for separator in separators:
+            head, _, value = value.partition(separator)
+            parts.append(head)
+        parts.append(value)
+        return tuple(convert(part) for convert, part in zip(casts, parts))
+
+    return cast
+
+
+#: CLI spec key -> (FaultPlan field, cast); the table is the key list.
+_SPEC_KEYS: dict[str, tuple[str, Callable]] = {
+    "seed": ("seed", int),
+    "collective": ("collective_failure_rate", float),
+    "max_collective": ("max_collective_failures", int),
+    "loader": ("loader_hiccup_rate", float),
+    "max_loader": ("max_loader_hiccups", int),
+    "death": ("rank_death", _split("@", int, int)),  # RANK@COLLECTIVE_CALL
+    "evict": ("hot_eviction_at", int),
+    "ingest": ("ingest_corruption_rate", float),
+    "max_ingest": ("max_ingest_corruptions", int),
+    "bad_batch": ("batch_corruption_rate", float),
+    "max_bad_batch": ("max_batch_corruptions", int),
+    "bad_grad": ("gradient_corruption_at", int),
+    "bad_row": ("hot_row_corruption_at", int),
+    "corrupt": ("corruption_mode", str),
+    **{f"{kind}_task": (f"worker_{kind}_task", int) for kind in WORKER_FAULTS},
+    "straggle_secs": ("worker_straggle_seconds", float),
+    "kill_replica": ("replica_kill", _split("@", int, int)),  # REPLICA@REQUEST
+    "slow_replica": ("replica_slow", _split("@:", int, int, int)),  # REPLICA@START:STOP
+    "slow_replica_factor": ("replica_slow_factor", float),
+    "flap_replica": ("replica_flap", _split("@/", int, int, int)),  # REPLICA@START/PERIOD
+    "crash_refresh": ("crash_refresh", _split("@", int, str.strip)),  # SEG@PHASE
+    "crash_checkpoint": ("crash_checkpoint", int),
+    "crash_step": ("crash_step", int),
+}
+
+_RATE = (lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+
+#: Field -> (predicate, what the value must be); None fields are unset.
+_VALID: dict[str, tuple[Callable, str]] = {
+    "collective_failure_rate": _RATE,
+    "loader_hiccup_rate": _RATE,
+    "ingest_corruption_rate": _RATE,
+    "batch_corruption_rate": _RATE,
+    "corruption_mode": (lambda v: v in ("nan", "bitflip"), "'nan' or 'bitflip'"),
+    "rank_death": (lambda v: v[0] >= 0 and v[1] >= 1, "(rank >= 0, call >= 1)"),
+    "replica_kill": (lambda v: min(v) >= 0, "(replica >= 0, request >= 0)"),
+    "replica_slow": (lambda v: min(v) >= 0 and v[2] > v[1], "(replica >= 0, 0 <= start < stop)"),
+    "replica_slow_factor": (lambda v: v > 1.0, "> 1"),
+    "replica_flap": (lambda v: min(v[:2]) >= 0 and v[2] >= 1, "(replica, start >= 0, period >= 1)"),
+    **{f"worker_{kind}_task": (lambda v: v >= 0, ">= 0") for kind in WORKER_FAULTS},
+    "worker_straggle_seconds": (lambda v: v > 0, "positive"),
+    "crash_refresh": (
+        lambda v: v[0] >= 0 and v[1] in REFRESH_PHASES, f"(index >= 0, phase in {REFRESH_PHASES})"
+    ),
+    "crash_checkpoint": (lambda v: v >= 0, ">= 0"),
+    "crash_step": (lambda v: v >= 1, ">= 1"),
+}
+
+#: Fault kind -> state_dict key, in checkpoint meta order.  A ``*_fired``
+#: flag marks a fire-once kind (_ONCE), a count a capped rate one (_RATED).
+_STATE: dict[str, str] = {
+    "collective": "collective_failures",
+    "loader": "loader_hiccups",
+    "rank_death": "rank_death_fired",
+    "hot_eviction": "eviction_fired",
+    "batch_corruption": "batch_corruptions",
+    "gradient_corruption": "gradient_corruption_fired",
+    "hot_row_corruption": "hot_row_corruption_fired",
+    "replica_kill": "replica_kill_fired",
+    "replica_slow": "replica_slow_fired",
+    "replica_flap": "replica_flap_fired",
+}
+_ONCE = {kind: key for kind, key in _STATE.items() if key.endswith("_fired")}
+_RATED = {kind: key for kind, key in _STATE.items() if kind not in _ONCE}
 
 
 def popular_local_row(bag, global_ids: np.ndarray) -> int:
@@ -188,8 +317,7 @@ class FaultPlan:
             SIGKILLs its worker mid-task (real process death), or None.
         worker_hang_task: task index whose first lease wedges its worker
             — heartbeats stop, the task never returns — so the
-            supervisor's heartbeat-miss budget must catch it.  None
-            disables.
+            supervisor's heartbeat-miss budget must catch it, or None.
         worker_straggle_task: task index whose first lease sleeps
             ``worker_straggle_seconds`` before completing (a slow-start
             straggler for speculation to beat), or None.
@@ -232,121 +360,70 @@ class FaultPlan:
     _rng: np.random.Generator = field(init=False, repr=False)
     _checkpoint_saves: int = field(default=0, init=False)
     _collective_calls: int = field(default=0, init=False)
-    _collective_failures: int = field(default=0, init=False)
-    _loader_hiccups: int = field(default=0, init=False)
-    _rank_death_fired: bool = field(default=False, init=False)
-    _eviction_fired: bool = field(default=False, init=False)
-    _batch_corruptions: int = field(default=0, init=False)
-    _gradient_corruption_fired: bool = field(default=False, init=False)
-    _hot_row_corruption_fired: bool = field(default=False, init=False)
-    _replica_kill_fired: bool = field(default=False, init=False)
-    _replica_slow_fired: bool = field(default=False, init=False)
-    _replica_flap_fired: bool = field(default=False, init=False)
+    _fired: dict[str, bool] = field(init=False, repr=False)
+    _injected: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.collective_failure_rate < 1.0:
-            raise ValueError("collective_failure_rate must be in [0, 1)")
-        if not 0.0 <= self.loader_hiccup_rate < 1.0:
-            raise ValueError("loader_hiccup_rate must be in [0, 1)")
-        if not 0.0 <= self.ingest_corruption_rate < 1.0:
-            raise ValueError("ingest_corruption_rate must be in [0, 1)")
-        if not 0.0 <= self.batch_corruption_rate < 1.0:
-            raise ValueError("batch_corruption_rate must be in [0, 1)")
-        if self.corruption_mode not in ("nan", "bitflip"):
-            raise ValueError(
-                f"corruption_mode must be 'nan' or 'bitflip', got {self.corruption_mode!r}"
-            )
-        if self.rank_death is not None:
-            rank, at_call = self.rank_death
-            if rank < 0 or at_call < 1:
-                raise ValueError(f"invalid rank_death {self.rank_death}")
-        if self.replica_kill is not None:
-            replica, at_request = self.replica_kill
-            if replica < 0 or at_request < 0:
-                raise ValueError(f"invalid replica_kill {self.replica_kill}")
-        if self.replica_slow is not None:
-            replica, start, stop = self.replica_slow
-            if replica < 0 or start < 0 or stop <= start:
-                raise ValueError(f"invalid replica_slow {self.replica_slow}")
-        if self.replica_slow_factor <= 1.0:
-            raise ValueError("replica_slow_factor must be > 1")
-        if self.replica_flap is not None:
-            replica, start, period = self.replica_flap
-            if replica < 0 or start < 0 or period < 1:
-                raise ValueError(f"invalid replica_flap {self.replica_flap}")
-        for name in ("worker_kill_task", "worker_hang_task", "worker_straggle_task"):
+        for name, (ok, must) in _VALID.items():
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.worker_straggle_seconds <= 0:
-            raise ValueError("worker_straggle_seconds must be positive")
-        if self.crash_refresh is not None:
-            refresh_index, phase = self.crash_refresh
-            if refresh_index < 0 or phase not in REFRESH_PHASES:
-                raise ValueError(
-                    f"invalid crash_refresh {self.crash_refresh}: phase must "
-                    f"be one of {REFRESH_PHASES}"
-                )
-        if self.crash_checkpoint is not None and self.crash_checkpoint < 0:
-            raise ValueError("crash_checkpoint must be >= 0")
-        if self.crash_step is not None and self.crash_step < 1:
-            raise ValueError("crash_step must be >= 1")
+            if value is not None and not ok(value):
+                raise ValueError(f"{name} must be {must}, got {value!r}")
         self._rng = np.random.default_rng(self.seed)
+        self._fired = dict.fromkeys(_ONCE, False)
+        self._injected = dict.fromkeys(_RATED, 0)
 
-    # ------------------------------------------------------------------
-    # Injection points
-    # ------------------------------------------------------------------
+    def _once(self, kind: str, due: bool) -> bool:
+        """True (and counted) the first time ``due`` holds for ``kind``."""
+        if not due or self._fired[kind]:
+            return False
+        self._fired[kind] = True
+        get_registry().counter(f"faults.{kind}.injected").inc()
+        return True
+
+    def _draw(self, kind: str, rate: float, cap: int) -> bool:
+        """One seeded draw of capped rate fault ``kind``; True (and counted) if it fires.
+
+        The RNG is consulted only past the rate and cap checks, so a
+        disabled or exhausted fault leaves the shared stream untouched.
+        """
+        if rate <= 0.0 or self._injected[kind] >= cap or self._rng.random() >= rate:
+            return False
+        self._injected[kind] += 1
+        get_registry().counter(f"faults.{kind}.injected").inc()
+        return True
+
+    # -- Injection points ------------------------------------------------
 
     def check_collective(self, op: str = "collective") -> None:
         """Consulted once per collective attempt; may raise a fault."""
         self._collective_calls += 1
-        if self.rank_death is not None and not self._rank_death_fired:
+        if self.rank_death is not None:
             rank, at_call = self.rank_death
-            if self._collective_calls >= at_call:
-                self._rank_death_fired = True
-                get_registry().counter("faults.rank_death.injected").inc()
+            if self._once("rank_death", self._collective_calls >= at_call):
                 raise PermanentRankFailure(
                     rank, f"rank {rank} died during {op} (injected at call {at_call})"
                 )
-        if (
-            self.collective_failure_rate > 0.0
-            and self._collective_failures < self.max_collective_failures
-            and self._rng.random() < self.collective_failure_rate
-        ):
-            self._collective_failures += 1
-            get_registry().counter("faults.collective.injected").inc()
+        cap = self.max_collective_failures
+        if self._draw("collective", self.collective_failure_rate, cap):
             raise TransientCollectiveError(
                 f"injected transient failure in {op} "
-                f"(#{self._collective_failures} of at most {self.max_collective_failures})"
+                f"(#{self._injected['collective']} of at most {cap})"
             )
 
     def check_loader(self) -> None:
         """Consulted once per batch fetch attempt; may raise a hiccup."""
-        if (
-            self.loader_hiccup_rate > 0.0
-            and self._loader_hiccups < self.max_loader_hiccups
-            and self._rng.random() < self.loader_hiccup_rate
-        ):
-            self._loader_hiccups += 1
-            get_registry().counter("faults.loader.injected").inc()
+        cap = self.max_loader_hiccups
+        if self._draw("loader", self.loader_hiccup_rate, cap):
             raise LoaderHiccup(
-                f"injected loader hiccup (#{self._loader_hiccups} "
-                f"of at most {self.max_loader_hiccups})"
+                f"injected loader hiccup (#{self._injected['loader']} of at most {cap})"
             )
 
     def should_evict_hot(self, iteration: int) -> bool:
         """True exactly once, when ``iteration`` reaches the eviction point."""
-        if self.hot_eviction_at is None or self._eviction_fired:
-            return False
-        if iteration >= self.hot_eviction_at:
-            self._eviction_fired = True
-            get_registry().counter("faults.hot_eviction.injected").inc()
-            return True
-        return False
+        at = self.hot_eviction_at
+        return at is not None and self._once("hot_eviction", iteration >= at)
 
-    # ------------------------------------------------------------------
-    # Data corruption (chaos for repro.resilience.guards)
-    # ------------------------------------------------------------------
+    # -- Data corruption (chaos for repro.resilience.guards) -------------
 
     def _poison(self, values: np.ndarray) -> np.ndarray:
         """Corrupt ``values`` per ``corruption_mode``; returns the result."""
@@ -420,53 +497,36 @@ class FaultPlan:
         ``max_batch_corruptions`` times.  The batch arrays are copied
         before poisoning so the source log stays clean.
         """
-        if (
-            self.batch_corruption_rate <= 0.0
-            or self._batch_corruptions >= self.max_batch_corruptions
-            or self._rng.random() >= self.batch_corruption_rate
+        if not self._draw(
+            "batch_corruption", self.batch_corruption_rate, self.max_batch_corruptions
         ):
             return batch
-        self._batch_corruptions += 1
-        get_registry().counter("faults.batch_corruption.injected").inc()
         dense = batch.dense.copy()
         row = int(self._rng.integers(0, dense.shape[0])) if dense.shape[0] else 0
         dense[row, :] = self._poison(dense[row, :])
-        return type(batch)(
-            dense=dense,
-            sparse=batch.sparse,
-            labels=batch.labels,
-            indices=batch.indices,
-            hot=batch.hot,
-        )
+        return replace(batch, dense=dense)
 
     def should_corrupt_gradient(self, iteration: int) -> bool:
         """True exactly once, at the configured gradient-poison point."""
-        if self.gradient_corruption_at is None or self._gradient_corruption_fired:
-            return False
-        if iteration >= self.gradient_corruption_at:
-            self._gradient_corruption_fired = True
-            get_registry().counter("faults.gradient_corruption.injected").inc()
-            return True
-        return False
+        at = self.gradient_corruption_at
+        return at is not None and self._once("gradient_corruption", iteration >= at)
 
     def should_corrupt_hot_row(self, iteration: int) -> bool:
         """True exactly once, at the configured hot-row-poison point."""
-        if self.hot_row_corruption_at is None or self._hot_row_corruption_fired:
-            return False
-        if iteration >= self.hot_row_corruption_at:
-            self._hot_row_corruption_fired = True
-            get_registry().counter("faults.hot_row_corruption.injected").inc()
-            return True
-        return False
+        at = self.hot_row_corruption_at
+        return at is not None and self._once("hot_row_corruption", iteration >= at)
 
-    # ------------------------------------------------------------------
-    # Crash faults (exercising repro.resilience.journal / certify)
-    # ------------------------------------------------------------------
+    # -- Crash faults (exercising repro.resilience.journal / certify) ----
 
     @staticmethod
     def _sigkill() -> None:
         # A real, unhandled kill: the process dies here, mid-everything.
         os.kill(os.getpid(), signal.SIGKILL)
+
+    def _crash(self, kind: str, due: bool) -> None:
+        if due:
+            get_registry().counter(f"faults.{kind}.injected").inc()
+            self._sigkill()
 
     def maybe_crash_refresh(self, refresh_index: int, phase: str) -> None:
         """SIGKILL when cache turnover ``refresh_index`` reaches ``phase``.
@@ -474,30 +534,19 @@ class FaultPlan:
         The trainers call this at every phase boundary of every journaled
         refresh; the plan kills the process at exactly one of them.
         """
-        if self.crash_refresh is None:
-            return
-        target_index, target_phase = self.crash_refresh
-        if refresh_index == target_index and phase == target_phase:
-            get_registry().counter("faults.crash_refresh.injected").inc()
-            self._sigkill()
+        self._crash("crash_refresh", self.crash_refresh == (refresh_index, phase))
 
     def maybe_crash_checkpoint(self) -> None:
         """SIGKILL immediately after the configured checkpoint save."""
         save_index = self._checkpoint_saves
         self._checkpoint_saves += 1
-        if self.crash_checkpoint is not None and save_index == self.crash_checkpoint:
-            get_registry().counter("faults.crash_checkpoint.injected").inc()
-            self._sigkill()
+        self._crash("crash_checkpoint", self.crash_checkpoint == save_index)
 
     def maybe_crash_step(self, iteration: int) -> None:
         """SIGKILL right after training iteration ``crash_step``."""
-        if self.crash_step is not None and iteration == self.crash_step:
-            get_registry().counter("faults.crash_step.injected").inc()
-            self._sigkill()
+        self._crash("crash_step", self.crash_step == iteration)
 
-    # ------------------------------------------------------------------
-    # Serving-replica faults (exercising repro.serve.cluster)
-    # ------------------------------------------------------------------
+    # -- Serving-replica faults (exercising repro.serve.cluster) ---------
 
     def replica_alive(self, replica: int, request_index: int) -> bool:
         """Whether serving replica ``replica`` is up at ``request_index``.
@@ -509,19 +558,15 @@ class FaultPlan:
         if self.replica_kill is not None:
             target, at_request = self.replica_kill
             if replica == target and request_index >= at_request:
-                if not self._replica_kill_fired:
-                    self._replica_kill_fired = True
-                    get_registry().counter("faults.replica_kill.injected").inc()
+                self._once("replica_kill", True)
                 return False
         if self.replica_flap is not None:
             target, start, period = self.replica_flap
-            if replica == target and request_index >= start:
-                # Down for `period` requests, up for `period`, repeating.
-                if ((request_index - start) // period) % 2 == 0:
-                    if not self._replica_flap_fired:
-                        self._replica_flap_fired = True
-                        get_registry().counter("faults.replica_flap.injected").inc()
-                    return False
+            # Down for `period` requests, up for `period`, repeating.
+            down = start <= request_index and (request_index - start) // period % 2 == 0
+            if replica == target and down:
+                self._once("replica_flap", True)
+                return False
         return True
 
     def replica_slow_multiplier(self, replica: int, request_index: int) -> float:
@@ -529,82 +574,54 @@ class FaultPlan:
         if self.replica_slow is not None:
             target, start, stop = self.replica_slow
             if replica == target and start <= request_index < stop:
-                if not self._replica_slow_fired:
-                    self._replica_slow_fired = True
-                    get_registry().counter("faults.replica_slow.injected").inc()
+                self._once("replica_slow", True)
                 return self.replica_slow_factor
         return 1.0
 
-    # ------------------------------------------------------------------
-    # Real-process faults (exercising repro.resilience.elastic)
-    # ------------------------------------------------------------------
+    # -- Real-process faults (exercising repro.resilience.elastic) -------
 
     def worker_faults(self) -> dict | None:
         """Picklable worker-side fault spec for the elastic pool.
 
-        Workers consult the spec on each lease (faults fire on lease 0
-        only, so re-dispatched work always completes).  Returns None when
-        no real-process faults are configured.
+        ``{"<kind>_task": task, ..., "straggle_seconds": s}`` over the armed
+        :data:`WORKER_FAULTS`.  Workers consult the spec on each lease
+        (faults fire on lease 0 only, so re-dispatched work always
+        completes).  None when no real-process faults are configured.
         """
-        spec: dict = {}
-        if self.worker_kill_task is not None:
-            spec["kill_task"] = self.worker_kill_task
-        if self.worker_hang_task is not None:
-            spec["hang_task"] = self.worker_hang_task
-        if self.worker_straggle_task is not None:
-            spec["straggle_task"] = self.worker_straggle_task
-            spec["straggle_seconds"] = self.worker_straggle_seconds
-        return spec or None
+        spec = {f"{kind}_task": getattr(self, f"worker_{kind}_task") for kind in WORKER_FAULTS}
+        spec = {key: task for key, task in spec.items() if task is not None}
+        return {**spec, "straggle_seconds": self.worker_straggle_seconds} if spec else None
 
-    # ------------------------------------------------------------------
-    # Checkpointable state
-    # ------------------------------------------------------------------
+    # -- Checkpointable state --------------------------------------------
 
     def state_dict(self) -> dict:
         """JSON-serializable injection state (for checkpoints)."""
-        return {
+        state: dict = {
             "rng": self._rng.bit_generator.state,
             "collective_calls": self._collective_calls,
-            "collective_failures": self._collective_failures,
-            "loader_hiccups": self._loader_hiccups,
-            "rank_death_fired": self._rank_death_fired,
-            "eviction_fired": self._eviction_fired,
-            "batch_corruptions": self._batch_corruptions,
-            "gradient_corruption_fired": self._gradient_corruption_fired,
-            "hot_row_corruption_fired": self._hot_row_corruption_fired,
-            "replica_kill_fired": self._replica_kill_fired,
-            "replica_slow_fired": self._replica_slow_fired,
-            "replica_flap_fired": self._replica_flap_fired,
         }
+        for kind, key in _STATE.items():
+            state[key] = self._fired[kind] if kind in _ONCE else self._injected[kind]
+        return state
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore injection state captured by :meth:`state_dict`."""
+        """Restore :meth:`state_dict` output; keys an older plan lacks load as unfired / 0."""
         self._rng.bit_generator.state = state["rng"]
         self._collective_calls = int(state["collective_calls"])
-        self._collective_failures = int(state["collective_failures"])
-        self._loader_hiccups = int(state["loader_hiccups"])
-        self._rank_death_fired = bool(state["rank_death_fired"])
-        self._eviction_fired = bool(state["eviction_fired"])
-        self._batch_corruptions = int(state.get("batch_corruptions", 0))
-        self._gradient_corruption_fired = bool(
-            state.get("gradient_corruption_fired", False)
-        )
-        self._hot_row_corruption_fired = bool(
-            state.get("hot_row_corruption_fired", False)
-        )
-        self._replica_kill_fired = bool(state.get("replica_kill_fired", False))
-        self._replica_slow_fired = bool(state.get("replica_slow_fired", False))
-        self._replica_flap_fired = bool(state.get("replica_flap_fired", False))
+        for kind, key in _ONCE.items():
+            self._fired[kind] = bool(state.get(key, False))
+        for kind, key in _RATED.items():
+            self._injected[kind] = int(state.get(key, 0))
 
-    # ------------------------------------------------------------------
-    # CLI spec parsing
-    # ------------------------------------------------------------------
+    # -- CLI spec parsing ------------------------------------------------
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
         """Build a plan from a compact CLI spec.
 
-        Comma-separated ``key=value`` entries::
+        Comma-separated ``key=value`` entries (:func:`parse_spec`), each
+        key at most once; :data:`_SPEC_KEYS` lists the keys and their
+        value grammar::
 
             seed=7,collective=0.05,death=1@40,evict=80,loader=0.02
             seed=7,ingest=0.01,bad_batch=0.05,bad_row=40,corrupt=nan
@@ -614,98 +631,8 @@ class FaultPlan:
             crash_checkpoint=1
             crash_step=12
 
-        Keys: ``seed``, ``collective`` (transient failure rate),
-        ``max_collective``, ``loader`` (hiccup rate), ``max_loader``,
-        ``death`` (``RANK@COLLECTIVE_CALL``), ``evict`` (iteration),
-        ``ingest`` (row corruption rate), ``max_ingest``, ``bad_batch``
-        (batch corruption rate), ``max_bad_batch``, ``bad_grad``
-        (iteration), ``bad_row`` (iteration), ``corrupt``
-        (``nan`` | ``bitflip``), ``kill_task`` / ``hang_task`` /
-        ``straggle_task`` (elastic-pool task index), ``straggle_secs``,
-        ``kill_replica`` (``REPLICA@REQUEST``), ``slow_replica``
-        (``REPLICA@START:STOP``), ``slow_replica_factor``,
-        ``flap_replica`` (``REPLICA@START/PERIOD``), ``crash_refresh``
-        (``SEG@PHASE``, phase in :data:`REFRESH_PHASES`),
-        ``crash_checkpoint`` (0-based save index), ``crash_step``
-        (training iteration).
-
         Raises:
-            ValueError: on an unknown key or malformed entry.
+            ValueError: on an unknown or repeated key, a malformed entry,
+                or a value out of range.
         """
-        kwargs: dict = {}
-        for entry in spec.split(","):
-            entry = entry.strip()
-            if not entry:
-                continue
-            if "=" not in entry:
-                raise ValueError(f"fault spec entry {entry!r} is not key=value")
-            key, _, value = entry.partition("=")
-            key = key.strip()
-            value = value.strip()
-            try:
-                if key == "seed":
-                    kwargs["seed"] = int(value)
-                elif key == "collective":
-                    kwargs["collective_failure_rate"] = float(value)
-                elif key == "max_collective":
-                    kwargs["max_collective_failures"] = int(value)
-                elif key == "loader":
-                    kwargs["loader_hiccup_rate"] = float(value)
-                elif key == "max_loader":
-                    kwargs["max_loader_hiccups"] = int(value)
-                elif key == "death":
-                    rank_str, _, call_str = value.partition("@")
-                    kwargs["rank_death"] = (int(rank_str), int(call_str))
-                elif key == "evict":
-                    kwargs["hot_eviction_at"] = int(value)
-                elif key == "ingest":
-                    kwargs["ingest_corruption_rate"] = float(value)
-                elif key == "max_ingest":
-                    kwargs["max_ingest_corruptions"] = int(value)
-                elif key == "bad_batch":
-                    kwargs["batch_corruption_rate"] = float(value)
-                elif key == "max_bad_batch":
-                    kwargs["max_batch_corruptions"] = int(value)
-                elif key == "bad_grad":
-                    kwargs["gradient_corruption_at"] = int(value)
-                elif key == "bad_row":
-                    kwargs["hot_row_corruption_at"] = int(value)
-                elif key == "corrupt":
-                    kwargs["corruption_mode"] = value
-                elif key == "kill_task":
-                    kwargs["worker_kill_task"] = int(value)
-                elif key == "hang_task":
-                    kwargs["worker_hang_task"] = int(value)
-                elif key == "straggle_task":
-                    kwargs["worker_straggle_task"] = int(value)
-                elif key == "straggle_secs":
-                    kwargs["worker_straggle_seconds"] = float(value)
-                elif key == "kill_replica":
-                    replica_str, _, request_str = value.partition("@")
-                    kwargs["replica_kill"] = (int(replica_str), int(request_str))
-                elif key == "slow_replica":
-                    replica_str, _, window = value.partition("@")
-                    start_str, _, stop_str = window.partition(":")
-                    kwargs["replica_slow"] = (
-                        int(replica_str), int(start_str), int(stop_str)
-                    )
-                elif key == "slow_replica_factor":
-                    kwargs["replica_slow_factor"] = float(value)
-                elif key == "flap_replica":
-                    replica_str, _, window = value.partition("@")
-                    start_str, _, period_str = window.partition("/")
-                    kwargs["replica_flap"] = (
-                        int(replica_str), int(start_str), int(period_str)
-                    )
-                elif key == "crash_refresh":
-                    index_str, _, phase = value.partition("@")
-                    kwargs["crash_refresh"] = (int(index_str), phase.strip())
-                elif key == "crash_checkpoint":
-                    kwargs["crash_checkpoint"] = int(value)
-                elif key == "crash_step":
-                    kwargs["crash_step"] = int(value)
-                else:
-                    raise ValueError(f"unknown fault spec key {key!r}")
-            except ValueError as exc:
-                raise ValueError(f"bad fault spec entry {entry!r}: {exc}") from exc
-        return cls(**kwargs)
+        return cls(**parse_spec(spec, _SPEC_KEYS, "fault spec"))

@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.obs.metrics import get_registry
 from repro.resilience.atomic import atomic_write_text
+from repro.resilience.faults import parse_spec
 
 if TYPE_CHECKING:  # avoid a repro.data import cycle at runtime
     from repro.data.log import ClickLog
@@ -62,6 +63,19 @@ __all__ = [
 ]
 
 GUARD_POLICIES = ("raise", "clamp", "quarantine")
+
+#: ``--validate`` spec key -> (IngestPolicy field, cast).
+_POLICY_SPEC_KEYS = {name: (name, str) for name in ("sparse", "dense", "labels")}
+
+#: ``--guards`` spec key -> (NumericGuardConfig field, cast).
+_GUARD_SPEC_KEYS = {
+    "ema": ("ema_beta", float),
+    "spike": ("spike_factor", float),
+    "warmup": ("warmup_steps", int),
+    "rollbacks": ("max_rollbacks", int),
+    "backoff": ("lr_backoff", float),
+    "skips": ("max_skipped_steps", int),
+}
 
 
 # ----------------------------------------------------------------------
@@ -184,27 +198,13 @@ class IngestPolicy:
 
         A bare policy name applies to every field
         (``"quarantine"``); comma-separated ``field=policy`` entries
-        set fields individually (``"sparse=quarantine,dense=clamp"``).
+        (:func:`~repro.resilience.faults.parse_spec`) set fields
+        individually (``"sparse=quarantine,dense=clamp"``).
         """
         spec = spec.strip()
         if spec in GUARD_POLICIES:
             return cls(sparse=spec, dense=spec, labels=spec)
-        kwargs: dict[str, str] = {}
-        for entry in spec.split(","):
-            entry = entry.strip()
-            if not entry:
-                continue
-            if "=" not in entry:
-                raise ValueError(
-                    f"ingest policy entry {entry!r} is not field=policy "
-                    f"(fields: sparse, dense, labels; policies: {GUARD_POLICIES})"
-                )
-            key, _, value = entry.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in ("sparse", "dense", "labels"):
-                raise ValueError(f"unknown ingest policy field {key!r}")
-            kwargs[key] = value
-        return cls(**kwargs)
+        return cls(**parse_spec(spec, _POLICY_SPEC_KEYS, "ingest policy"))
 
 
 class QuarantineLedger:
@@ -463,7 +463,9 @@ class NumericGuardConfig:
     def parse(cls, spec: str) -> "NumericGuardConfig":
         """Build a config from a compact CLI spec.
 
-        Comma-separated ``key=value`` entries::
+        Comma-separated ``key=value`` entries
+        (:func:`~repro.resilience.faults.parse_spec`, keys in
+        :data:`_GUARD_SPEC_KEYS`)::
 
             spike=4.0,ema=0.9,warmup=8,rollbacks=2,backoff=0.5,skips=16
 
@@ -472,30 +474,7 @@ class NumericGuardConfig:
         spec = spec.strip()
         if spec in ("", "default"):
             return cls()
-        kwargs: dict = {}
-        keys = {
-            "ema": ("ema_beta", float),
-            "spike": ("spike_factor", float),
-            "warmup": ("warmup_steps", int),
-            "rollbacks": ("max_rollbacks", int),
-            "backoff": ("lr_backoff", float),
-            "skips": ("max_skipped_steps", int),
-        }
-        for entry in spec.split(","):
-            entry = entry.strip()
-            if not entry:
-                continue
-            if "=" not in entry:
-                raise ValueError(f"guard spec entry {entry!r} is not key=value")
-            key, _, value = entry.partition("=")
-            key = key.strip()
-            if key not in keys:
-                raise ValueError(
-                    f"unknown guard spec key {key!r} (have {sorted(keys)})"
-                )
-            name, cast = keys[key]
-            kwargs[name] = cast(value.strip())
-        return cls(**kwargs)
+        return cls(**parse_spec(spec, _GUARD_SPEC_KEYS, "guard spec"))
 
 
 class NumericGuard:

@@ -1,27 +1,11 @@
-"""Tests for the Criteo/Taobao format parsers and the ClickLog container."""
+"""Tests for the ClickLog container, the in-memory log format every consumer reads."""
 
 import numpy as np
 import pytest
 
 from repro.core import FAEConfig, fae_preprocess
-from repro.data import (
-    ClickLog,
-    SyntheticClickLog,
-    SyntheticConfig,
-    criteo_kaggle_like,
-    criteo_tsv_lines,
-    parse_criteo_tsv,
-    parse_taobao_events,
-    train_test_split,
-)
-from repro.data.formats import NUM_CRITEO_CATS, NUM_CRITEO_INTS
+from repro.data import ClickLog, train_test_split
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
-
-
-def criteo_line(label=1, ints=None, cats=None):
-    ints = ints if ints is not None else [str(i) for i in range(NUM_CRITEO_INTS)]
-    cats = cats if cats is not None else [f"{i:08x}" for i in range(NUM_CRITEO_CATS)]
-    return "\t".join([str(label), *ints, *cats])
 
 
 class TestClickLog:
@@ -104,154 +88,3 @@ class TestClickLog:
         assert 0 < plan.hot_input_fraction <= 1
         train, test = train_test_split(log, 0.2)
         assert len(train) + len(test) == n
-
-
-class TestCriteoParser:
-    def test_parses_counts_and_shapes(self):
-        lines = [criteo_line(label=i % 2) for i in range(10)]
-        log = parse_criteo_tsv(lines, hash_buckets=1000)
-        assert len(log) == 10
-        assert log.schema.num_dense == 13
-        assert log.schema.num_sparse == 26
-        assert log.labels.sum() == 5
-
-    def test_dense_log_transform(self):
-        ints = ["7"] + ["0"] * 12
-        log = parse_criteo_tsv([criteo_line(ints=ints)], hash_buckets=10)
-        assert log.dense[0, 0] == pytest.approx(np.log1p(7))
-
-    def test_missing_values_tolerated(self):
-        ints = [""] * NUM_CRITEO_INTS
-        cats = [""] * NUM_CRITEO_CATS
-        log = parse_criteo_tsv([criteo_line(ints=ints, cats=cats)], hash_buckets=10)
-        assert np.all(log.dense[0] == 0.0)
-        assert log.sparse["table_00"].min() >= 0
-
-    def test_negative_ints_clamped(self):
-        ints = ["-5"] + ["1"] * 12
-        log = parse_criteo_tsv([criteo_line(ints=ints)], hash_buckets=10)
-        assert log.dense[0, 0] == 0.0
-
-    def test_hashing_is_deterministic(self):
-        lines = [criteo_line()]
-        a = parse_criteo_tsv(lines, hash_buckets=997)
-        b = parse_criteo_tsv(lines, hash_buckets=997)
-        for name in a.schema.table_names:
-            np.testing.assert_array_equal(a.sparse[name], b.sparse[name])
-
-    def test_per_table_buckets(self):
-        buckets = [10 + i for i in range(NUM_CRITEO_CATS)]
-        log = parse_criteo_tsv([criteo_line()], hash_buckets=buckets)
-        assert log.schema.table("table_25").num_rows == 35
-
-    def test_same_token_same_bucket_distinct_tables_differ(self):
-        cats = ["deadbeef"] * NUM_CRITEO_CATS
-        log = parse_criteo_tsv([criteo_line(cats=cats)], hash_buckets=100000)
-        first = int(log.sparse["table_00"][0, 0])
-        second = int(log.sparse["table_01"][0, 0])
-        assert first == second  # same token -> same hash per bucket count
-
-    def test_max_rows(self):
-        lines = [criteo_line() for _ in range(10)]
-        assert len(parse_criteo_tsv(lines, hash_buckets=10, max_rows=4)) == 4
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError):
-            parse_criteo_tsv(["1\t2\t3"], hash_buckets=10)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            parse_criteo_tsv([], hash_buckets=10)
-
-    def test_bad_bucket_config(self):
-        with pytest.raises(ValueError):
-            parse_criteo_tsv([criteo_line()], hash_buckets=[10])
-        with pytest.raises(ValueError):
-            parse_criteo_tsv([criteo_line()], hash_buckets=0)
-
-    def test_file_path_source(self, tmp_path):
-        path = tmp_path / "day0.tsv"
-        path.write_text("\n".join(criteo_line() for _ in range(3)) + "\n")
-        assert len(parse_criteo_tsv(path, hash_buckets=50)) == 3
-
-    def test_roundtrip_with_synthetic_export(self):
-        schema = criteo_kaggle_like("tiny")
-        synthetic = SyntheticClickLog(schema, SyntheticConfig(num_samples=50, seed=3))
-        lines = list(criteo_tsv_lines(synthetic))
-        assert len(lines) == 50
-        parsed = parse_criteo_tsv(lines, hash_buckets=4096)
-        assert len(parsed) == 50
-        np.testing.assert_array_equal(parsed.labels, synthetic.labels)
-
-
-def taobao_lines(num_users=3, events_per_user=30, buy_every=5):
-    lines = []
-    for u in range(num_users):
-        for t in range(events_per_user):
-            behavior = "buy" if t % buy_every == 0 else "pv"
-            lines.append(f"user{u},item{t % 7},cat{t % 3},{behavior},{1000 + t * 60}")
-    return lines
-
-
-class TestTaobaoParser:
-    def test_window_construction(self):
-        log = parse_taobao_events(taobao_lines(), seq_len=5)
-        assert log.schema.num_dense == 3
-        assert log.schema.table("table_01").multiplicity == 5
-        # 3 users x (30 - 5) windows each
-        assert len(log) == 3 * 25
-
-    def test_labels_mark_next_purchase(self):
-        lines = [
-            "u,i1,c1,pv,100",
-            "u,i2,c1,pv,200",
-            "u,i3,c1,buy,300",
-            "u,i4,c1,pv,400",
-        ]
-        log = parse_taobao_events(lines, seq_len=2)
-        # windows: [i1,i2] -> next buy (1), [i2,i3] -> next pv (0)
-        np.testing.assert_array_equal(log.labels, [1.0, 0.0])
-
-    def test_dense_features(self):
-        log = parse_taobao_events(taobao_lines(num_users=1), seq_len=5)
-        # span of 4 minutes = 240 s -> log1p(240)
-        assert log.dense[0, 0] == pytest.approx(np.log1p(240), rel=1e-5)
-        assert 1 <= log.dense[0, 1] <= 3  # distinct categories
-        assert 0 <= log.dense[0, 2] <= 1  # active share
-
-    def test_short_users_skipped(self):
-        lines = ["u,i,c,pv,1", "u,i,c,pv,2"]
-        with pytest.raises(ValueError):
-            parse_taobao_events(lines, seq_len=5)
-
-    def test_unknown_behavior_rejected(self):
-        with pytest.raises(ValueError):
-            parse_taobao_events(["u,i,c,click,1"], seq_len=1)
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError):
-            parse_taobao_events(["u,i,c,pv"], seq_len=1)
-
-    def test_max_samples(self):
-        log = parse_taobao_events(taobao_lines(), seq_len=5, max_samples=7)
-        assert len(log) == 7
-
-    def test_vocab_ids_compact(self):
-        log = parse_taobao_events(taobao_lines(), seq_len=5)
-        items = log.schema.table("table_01")
-        assert log.sparse["table_01"].max() == items.num_rows - 1
-
-    def test_tbsm_trains_on_parsed_data(self):
-        """Parsed Taobao windows must drive a real TBSM training step."""
-        from repro.data.loader import batch_from_log
-        from repro.models.tbsm import TBSM, TBSMConfig
-        from repro.nn import BCEWithLogits, SGD
-
-        log = parse_taobao_events(taobao_lines(num_users=4), seq_len=5)
-        model = TBSM(log.schema, TBSMConfig("3-8", ts_hidden="9-6", top_mlp="9-8-1"))
-        batch = batch_from_log(log, np.arange(16))
-        loss_fn = BCEWithLogits()
-        loss = loss_fn.forward(model.forward(batch), batch.labels)
-        model.backward(loss_fn.backward())
-        SGD(model.parameters(), lr=0.1).step()
-        assert np.isfinite(loss)

@@ -22,6 +22,7 @@ from repro.models.dlrm import DLRM, DLRMConfig
 from repro.obs import get_registry, get_tracer, tracing
 from repro.obs.analyze import analyze_records
 from repro.resilience import (
+    CheckpointError,
     CheckpointManager,
     FaultPlan,
     JournalError,
@@ -301,7 +302,7 @@ class TestCheckpointV2:
         assert loaded.dataset_state is None
         assert loaded.drift_state is None
 
-    def test_v1_archive_warns_and_cold_starts(self, tmp_path, tiny_schema, monkeypatch):
+    def test_v1_archive_is_refused(self, tmp_path, tiny_schema, monkeypatch):
         # A pre-durability archive: written under version 1, no state tree.
         import repro.resilience.checkpoint as ckpt_mod
 
@@ -317,9 +318,9 @@ class TestCheckpointV2:
         path = save_checkpoint(tmp_path, v1)
         monkeypatch.undo()
 
-        with pytest.warns(UserWarning, match="pre-durability"):
-            loaded = load_checkpoint(path)
-        assert loaded.cache_state is None
+        assert verify_checkpoint(path)  # intact bytes, refused for its version
+        with pytest.raises(CheckpointError, match="version 1, expected 2"):
+            load_checkpoint(path)
 
     def test_trainer_warns_on_stateless_cache_resume(self, tiny_schema, tiny_plan):
         model = small_dlrm(tiny_schema)

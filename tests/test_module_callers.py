@@ -17,10 +17,6 @@ CALLER_DIRS = ("src", "benchmarks", "examples", "perfbench", "scripts")
 
 ALLOWED_ORPHANS = {
     "repro.nn.gradcheck": "numerical-gradient oracle for tests/test_nn_gradcheck.py",
-    "repro.data.formats": (
-        "real-dataset parsers (Criteo TSV, Taobao events): the library entry "
-        "point README points users with the real logs at"
-    ),
 }
 
 

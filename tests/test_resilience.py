@@ -2,14 +2,24 @@
 injection, retry policies, and the trainers' recovery paths (crash/resume
 trajectory equivalence, world shrink, and hot→cold degradation)."""
 
+import argparse
+import dataclasses
+import inspect
+import json
+import re
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cli import build_parser
 from repro.core import fae_preprocess
 from repro.core.fae_format import load_fae_dataset
 from repro.core.scheduler import ShuffleScheduler
 from repro.data import train_test_split
-from repro.data.loader import fetch_batch
+from repro.data.loader import MiniBatch, fetch_batch
 from repro.dist import DistributedFAETrainer
 from repro.models.dlrm import DLRM, DLRMConfig
 from repro.nn.optim import SGD, Adagrad
@@ -34,6 +44,13 @@ from repro.resilience import (
     save_checkpoint,
     verify_checkpoint,
     with_retries,
+)
+from repro.resilience.faults import _SPEC_KEYS, REFRESH_PHASES
+from repro.resilience.guards import (
+    _GUARD_SPEC_KEYS,
+    GUARD_POLICIES,
+    IngestPolicy,
+    NumericGuardConfig,
 )
 from repro.serve import InferenceEngine
 from repro.train import FAETrainer
@@ -172,6 +189,446 @@ class TestFaultPlan:
         fresh = FaultPlan(seed=9, collective_failure_rate=0.3)
         fresh.load_state_dict(state)
         assert _collective_fault_pattern(fresh, 50) == expected
+
+
+# ----------------------------------------------------------------------
+# Spec grammar.  The hand-written parsers and validation ladder that the
+# key tables replaced are kept here verbatim as the oracle: a table-driven
+# parse must build the same plan, or both must refuse the spec.
+# ----------------------------------------------------------------------
+
+
+def _reference_fault_parse(spec):
+    """``FaultPlan.parse`` as an if/elif chain; returns the constructor kwargs."""
+    kwargs: dict = {}
+    for entry in spec.split(","):
+        entry = entry.strip()
+        if not entry:
+            continue
+        if "=" not in entry:
+            raise ValueError(f"fault spec entry {entry!r} is not key=value")
+        key, _, value = entry.partition("=")
+        key = key.strip()
+        value = value.strip()
+        try:
+            if key == "seed":
+                kwargs["seed"] = int(value)
+            elif key == "collective":
+                kwargs["collective_failure_rate"] = float(value)
+            elif key == "max_collective":
+                kwargs["max_collective_failures"] = int(value)
+            elif key == "loader":
+                kwargs["loader_hiccup_rate"] = float(value)
+            elif key == "max_loader":
+                kwargs["max_loader_hiccups"] = int(value)
+            elif key == "death":
+                rank_str, _, call_str = value.partition("@")
+                kwargs["rank_death"] = (int(rank_str), int(call_str))
+            elif key == "evict":
+                kwargs["hot_eviction_at"] = int(value)
+            elif key == "ingest":
+                kwargs["ingest_corruption_rate"] = float(value)
+            elif key == "max_ingest":
+                kwargs["max_ingest_corruptions"] = int(value)
+            elif key == "bad_batch":
+                kwargs["batch_corruption_rate"] = float(value)
+            elif key == "max_bad_batch":
+                kwargs["max_batch_corruptions"] = int(value)
+            elif key == "bad_grad":
+                kwargs["gradient_corruption_at"] = int(value)
+            elif key == "bad_row":
+                kwargs["hot_row_corruption_at"] = int(value)
+            elif key == "corrupt":
+                kwargs["corruption_mode"] = value
+            elif key == "kill_task":
+                kwargs["worker_kill_task"] = int(value)
+            elif key == "hang_task":
+                kwargs["worker_hang_task"] = int(value)
+            elif key == "straggle_task":
+                kwargs["worker_straggle_task"] = int(value)
+            elif key == "straggle_secs":
+                kwargs["worker_straggle_seconds"] = float(value)
+            elif key == "kill_replica":
+                replica_str, _, request_str = value.partition("@")
+                kwargs["replica_kill"] = (int(replica_str), int(request_str))
+            elif key == "slow_replica":
+                replica_str, _, window = value.partition("@")
+                start_str, _, stop_str = window.partition(":")
+                kwargs["replica_slow"] = (
+                    int(replica_str), int(start_str), int(stop_str)
+                )
+            elif key == "slow_replica_factor":
+                kwargs["replica_slow_factor"] = float(value)
+            elif key == "flap_replica":
+                replica_str, _, window = value.partition("@")
+                start_str, _, period_str = window.partition("/")
+                kwargs["replica_flap"] = (
+                    int(replica_str), int(start_str), int(period_str)
+                )
+            elif key == "crash_refresh":
+                index_str, _, phase = value.partition("@")
+                kwargs["crash_refresh"] = (int(index_str), phase.strip())
+            elif key == "crash_checkpoint":
+                kwargs["crash_checkpoint"] = int(value)
+            elif key == "crash_step":
+                kwargs["crash_step"] = int(value)
+            else:
+                raise ValueError(f"unknown fault spec key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"bad fault spec entry {entry!r}: {exc}") from exc
+    return kwargs
+
+
+def _reference_fault_post_init(self):
+    """``FaultPlan.__post_init__`` as a validation ladder."""
+    if not 0.0 <= self.collective_failure_rate < 1.0:
+        raise ValueError("collective_failure_rate must be in [0, 1)")
+    if not 0.0 <= self.loader_hiccup_rate < 1.0:
+        raise ValueError("loader_hiccup_rate must be in [0, 1)")
+    if not 0.0 <= self.ingest_corruption_rate < 1.0:
+        raise ValueError("ingest_corruption_rate must be in [0, 1)")
+    if not 0.0 <= self.batch_corruption_rate < 1.0:
+        raise ValueError("batch_corruption_rate must be in [0, 1)")
+    if self.corruption_mode not in ("nan", "bitflip"):
+        raise ValueError(
+            f"corruption_mode must be 'nan' or 'bitflip', got {self.corruption_mode!r}"
+        )
+    if self.rank_death is not None:
+        rank, at_call = self.rank_death
+        if rank < 0 or at_call < 1:
+            raise ValueError(f"invalid rank_death {self.rank_death}")
+    if self.replica_kill is not None:
+        replica, at_request = self.replica_kill
+        if replica < 0 or at_request < 0:
+            raise ValueError(f"invalid replica_kill {self.replica_kill}")
+    if self.replica_slow is not None:
+        replica, start, stop = self.replica_slow
+        if replica < 0 or start < 0 or stop <= start:
+            raise ValueError(f"invalid replica_slow {self.replica_slow}")
+    if self.replica_slow_factor <= 1.0:
+        raise ValueError("replica_slow_factor must be > 1")
+    if self.replica_flap is not None:
+        replica, start, period = self.replica_flap
+        if replica < 0 or start < 0 or period < 1:
+            raise ValueError(f"invalid replica_flap {self.replica_flap}")
+    for name in ("worker_kill_task", "worker_hang_task", "worker_straggle_task"):
+        value = getattr(self, name)
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if self.worker_straggle_seconds <= 0:
+        raise ValueError("worker_straggle_seconds must be positive")
+    if self.crash_refresh is not None:
+        refresh_index, phase = self.crash_refresh
+        if refresh_index < 0 or phase not in REFRESH_PHASES:
+            raise ValueError(
+                f"invalid crash_refresh {self.crash_refresh}: phase must "
+                f"be one of {REFRESH_PHASES}"
+            )
+    if self.crash_checkpoint is not None and self.crash_checkpoint < 0:
+        raise ValueError("crash_checkpoint must be >= 0")
+    if self.crash_step is not None and self.crash_step < 1:
+        raise ValueError("crash_step must be >= 1")
+    np.random.default_rng(self.seed)
+
+
+def _reference_guard_parse(spec):
+    """``NumericGuardConfig.parse`` with its own ``key=value`` loop."""
+    spec = spec.strip()
+    if spec in ("", "default"):
+        return NumericGuardConfig()
+    kwargs: dict = {}
+    keys = {
+        "ema": ("ema_beta", float),
+        "spike": ("spike_factor", float),
+        "warmup": ("warmup_steps", int),
+        "rollbacks": ("max_rollbacks", int),
+        "backoff": ("lr_backoff", float),
+        "skips": ("max_skipped_steps", int),
+    }
+    for entry in spec.split(","):
+        entry = entry.strip()
+        if not entry:
+            continue
+        if "=" not in entry:
+            raise ValueError(f"guard spec entry {entry!r} is not key=value")
+        key, _, value = entry.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise ValueError(
+                f"unknown guard spec key {key!r} (have {sorted(keys)})"
+            )
+        name, cast = keys[key]
+        kwargs[name] = cast(value.strip())
+    return NumericGuardConfig(**kwargs)
+
+
+def _reference_ingest_parse(spec):
+    """``IngestPolicy.parse`` with its own ``field=policy`` loop."""
+    spec = spec.strip()
+    if spec in GUARD_POLICIES:
+        return IngestPolicy(sparse=spec, dense=spec, labels=spec)
+    kwargs: dict[str, str] = {}
+    for entry in spec.split(","):
+        entry = entry.strip()
+        if not entry:
+            continue
+        if "=" not in entry:
+            raise ValueError(
+                f"ingest policy entry {entry!r} is not field=policy "
+                f"(fields: sparse, dense, labels; policies: {GUARD_POLICIES})"
+            )
+        key, _, value = entry.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in ("sparse", "dense", "labels"):
+            raise ValueError(f"unknown ingest policy field {key!r}")
+        kwargs[key] = value
+    return IngestPolicy(**kwargs)
+
+
+_FAULT_DEFAULTS = {f.name: f.default for f in dataclasses.fields(FaultPlan) if f.init}
+
+
+def _reference_fault_plan(spec):
+    """Public fields of the plan the reference parser and ladder build."""
+    fields = {**_FAULT_DEFAULTS, **_reference_fault_parse(spec)}
+    _reference_fault_post_init(SimpleNamespace(**fields))
+    return fields
+
+
+def _fault_plan_fields(spec):
+    plan = FaultPlan.parse(spec)
+    return {name: getattr(plan, name) for name in _FAULT_DEFAULTS}
+
+
+#: flag -> (parser under test, reference), both returning comparable values.
+_SPEC_PARSERS = {
+    "faults": (_fault_plan_fields, _reference_fault_plan),
+    "guards": (NumericGuardConfig.parse, _reference_guard_parse),
+    "validate": (IngestPolicy.parse, _reference_ingest_parse),
+}
+
+
+def _outcome(parse, spec):
+    try:
+        return parse(spec)
+    except ValueError:
+        return ValueError
+
+
+_N = st.integers(-2, 60).map(str)
+
+
+def _joined(separators, malformed):
+    """``A@B``-style values from the grammar, plus malformed ones."""
+
+    def join(parts):
+        return "".join(p + s for p, s in zip(parts, separators)) + parts[-1]
+
+    well_formed = st.tuples(*[_N] * (len(separators) + 1)).map(join)
+    return st.one_of(well_formed, st.sampled_from(malformed))
+
+
+# Values are drawn per cast in the key table.  No NaN: the table rejects a
+# NaN slow factor or straggle length, which the ladder's `<=` let through.
+_INT_VALUES = st.one_of(_N, st.sampled_from(["", "x", "1.5", "0x3", " 7"]))
+_RATE_VALUES = st.sampled_from(["0", "0.0", "0.05", "0.5", "0.999", "1.0", "-0.1", "2", "x", ""])
+_FLOAT_VALUES = st.sampled_from(["0.25", "0.5", "1", "1.5", "20", "-1", "0", "x", ""])
+_COMPOSITE_VALUES = {
+    "death": _joined("@", ["1", "1@", "@3", "1@3@4", "a@b", "1:3"]),
+    "kill_replica": _joined("@", ["0", "0@", "0@1@2", "0@1:2"]),
+    "slow_replica": _joined("@:", ["0@4", "0@4:", "0:4", "0@1:2:3", "0@4/5"]),
+    "flap_replica": _joined("@/", ["0@4", "0@4:5", "0@1/2/3", "0/4"]),
+    "crash_refresh": st.one_of(
+        st.tuples(_N, st.sampled_from([*REFRESH_PHASES, "warp", "", " repack"])).map("@".join),
+        st.sampled_from(["0", "x@plan", "@plan", "0@plan@1"]),
+    ),
+}
+
+
+def _fault_values(key):
+    name, cast = _SPEC_KEYS[key]
+    if key in _COMPOSITE_VALUES:
+        return _COMPOSITE_VALUES[key]
+    if cast is int:
+        return _INT_VALUES
+    if cast is float:
+        return _RATE_VALUES if name.endswith("_rate") else _FLOAT_VALUES
+    return st.sampled_from(["nan", "bitflip", "warp", "NAN", ""])
+
+
+@st.composite
+def _specs(draw, keys, values, junk):
+    """A spec with distinct keys from ``keys``, maybe padded or junked."""
+    chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=6))
+    pad = draw(st.sampled_from(["", " "]))
+    entries = [f"{pad}{key}{pad}={pad}{draw(values(key))}" for key in chosen]
+    entries += draw(st.lists(st.sampled_from(junk), max_size=1))
+    return ",".join(draw(st.permutations(entries)))
+
+
+_JUNK = ["bogus=1", "=3", "nokey", "", " ", "Seed=1"]
+
+
+def _scripted_plan():
+    return FaultPlan(
+        seed=2, collective_failure_rate=0.5, max_collective_failures=1, rank_death=(1, 2),
+        loader_hiccup_rate=0.9, max_loader_hiccups=2, hot_eviction_at=3,
+        batch_corruption_rate=0.9, max_batch_corruptions=1,
+        replica_kill=(0, 5), replica_slow=(1, 2, 4), replica_flap=(2, 1, 3),
+    )
+
+
+def _run_script(plan):
+    """3 collectives (one rank death), loader fetches past the cap, an
+    eviction, replica kill / slow / flap, and batches past the cap."""
+    events = []
+    for _ in range(3):
+        try:
+            plan.check_collective()
+            events.append("ok")
+        except PermanentRankFailure:
+            events.append("death")
+        except TransientCollectiveError:
+            events.append("transient")
+    for _ in range(4):
+        try:
+            plan.check_loader()
+            events.append("ok")
+        except LoaderHiccup:
+            events.append("hiccup")
+    events += [plan.should_evict_hot(i) for i in (2, 3, 4)]
+    events += [plan.replica_alive(0, 4), plan.replica_alive(0, 5), plan.replica_alive(0, 6)]
+    events += [plan.replica_slow_multiplier(1, 1), plan.replica_slow_multiplier(1, 2)]
+    events += [plan.replica_alive(2, 0), plan.replica_alive(2, 1), plan.replica_alive(2, 4)]
+    batch = MiniBatch(
+        dense=np.ones((2, 3), dtype=np.float32), sparse={},
+        labels=np.zeros(2, dtype=np.float32), indices=np.arange(2),
+    )
+    events += [plan.maybe_corrupt_batch(batch) is not batch for _ in range(3)]
+    return events
+
+
+# Recorded from the if/elif implementation (same script, same seed).
+_SCRIPTED_EVENTS = [
+    "transient", "death", "ok", "hiccup", "hiccup", "ok", "ok",
+    False, True, False, True, False, False, 1.0, 20.0, True, False, True, True, False, False,
+]
+_SCRIPTED_STATE = {
+    "rng": {
+        "bit_generator": "PCG64",
+        "state": {
+            "state": 94939001618465750405315260005713465823,
+            "inc": 121863417007658695389390353187995180015,
+        },
+        "has_uint32": 1,
+        "uinteger": 2577412133,
+    },
+    "collective_calls": 3,
+    "collective_failures": 1,
+    "loader_hiccups": 2,
+    "rank_death_fired": True,
+    "eviction_fired": True,
+    "batch_corruptions": 1,
+    "gradient_corruption_fired": False,
+    "hot_row_corruption_fired": False,
+    "replica_kill_fired": True,
+    "replica_slow_fired": True,
+    "replica_flap_fired": True,
+}
+_PARENT_STATE_KEYS = (
+    "rng", "collective_calls", "collective_failures", "loader_hiccups",
+    "rank_death_fired", "eviction_fired",
+)
+
+
+def _documented_specs():
+    """``(where, flag, spec)`` for every spec value the docs, CI and CLI show."""
+    root = Path(__file__).resolve().parents[1]
+    flag = re.compile(r"--(faults|guards|validate)\s+(?:\"([^\"]*)\"|'([^']*)'|([^\s`\"'\\)]+))")
+    found = []
+    for rel in (".github/workflows/ci.yml", "README.md", "docs/TUTORIAL.md"):
+        for match in flag.finditer((root / rel).read_text(encoding="utf-8")):
+            spec = next(group for group in match.groups()[1:] if group is not None)
+            found.append((rel, match.group(1), spec))
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            for option in action.option_strings:
+                if option[2:] in _SPEC_PARSERS:
+                    for spec in re.findall(r"'([^']*)'", action.help):
+                        found.append((f"repro {name} {option}", option[2:], spec))
+    block = inspect.getdoc(FaultPlan.parse).split("::", 1)[1].split("Raises:", 1)[0]
+    found += [("FaultPlan.parse", "faults", spec) for spec in block.split()]
+    return found
+
+
+class TestSpecGrammar:
+    @settings(max_examples=400, deadline=None)
+    @given(spec=_specs(_SPEC_KEYS, _fault_values, _JUNK))
+    def test_fault_table_matches_reference(self, spec):
+        assert _outcome(_fault_plan_fields, spec) == _outcome(_reference_fault_plan, spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=_specs(
+        _GUARD_SPEC_KEYS,
+        lambda key: st.sampled_from(["0", "0.5", "0.9", "1", "2", "4.0", "8", "-1", "x", ""]),
+        [*_JUNK, "default"],
+    ))
+    def test_guard_table_matches_reference(self, spec):
+        assert _outcome(NumericGuardConfig.parse, spec) == _outcome(_reference_guard_parse, spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.one_of(
+        st.sampled_from([*GUARD_POLICIES, " clamp ", "bogus", ""]),
+        _specs(
+            {"sparse", "dense", "labels"},
+            lambda key: st.sampled_from([*GUARD_POLICIES, "drop", ""]),
+            [*_JUNK, "quarantine"],
+        ),
+    ))
+    def test_ingest_table_matches_reference(self, spec):
+        assert _outcome(IngestPolicy.parse, spec) == _outcome(_reference_ingest_parse, spec)
+
+    def test_repeated_fault_key_is_rejected(self):
+        with pytest.raises(ValueError, match="'death' given twice"):
+            FaultPlan.parse("death=1@3,death=0@5")
+
+    def test_repeated_guard_key_is_rejected(self):
+        with pytest.raises(ValueError, match="'rollbacks' given twice"):
+            NumericGuardConfig.parse("rollbacks=2,rollbacks=0")
+
+    def test_repeated_validate_key_is_rejected(self):
+        with pytest.raises(ValueError, match="'sparse' given twice"):
+            IngestPolicy.parse("sparse=clamp,sparse=raise")
+
+    def test_unknown_key_names_the_spec(self):
+        with pytest.raises(ValueError, match="unknown fault spec key 'bogus'"):
+            FaultPlan.parse("seed=1,bogus=2")
+
+    def test_state_dict_after_scripted_faults_is_pinned(self):
+        plan = _scripted_plan()
+        assert _run_script(plan) == _SCRIPTED_EVENTS
+        state = plan.state_dict()
+        assert list(state) == list(_SCRIPTED_STATE)
+        assert state == _SCRIPTED_STATE
+        assert json.dumps(state) == json.dumps(_SCRIPTED_STATE)
+
+    def test_parent_shaped_state_without_later_keys_loads(self):
+        plan = _scripted_plan()
+        _run_script(plan)
+        old = {key: plan.state_dict()[key] for key in _PARENT_STATE_KEYS}
+        fresh = _scripted_plan()
+        fresh.load_state_dict(old)
+        later = {key: 0 if key == "batch_corruptions" else False for key in _SCRIPTED_STATE}
+        assert fresh.state_dict() == {**later, **old}
+
+    def test_documented_specs_parse_like_the_reference(self):
+        documented = _documented_specs()
+        flags = {flag for _where, flag, _spec in documented}
+        assert len(documented) >= 20 and flags == set(_SPEC_PARSERS)
+        for where, flag, spec in documented:
+            parse, reference = _SPEC_PARSERS[flag]
+            assert parse(spec) == reference(spec), f"{where}: --{flag} {spec!r}"
 
 
 # ----------------------------------------------------------------------
