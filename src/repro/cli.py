@@ -997,11 +997,11 @@ def cmd_checkpoint(args) -> int:
     checkpoint directory.
     """
     from repro.resilience import read_checkpoint_meta
-    from repro.resilience.checkpoint import CheckpointError
+    from repro.resilience.checkpoint import CheckpointError, checkpoint_paths
 
     target = Path(args.directory if args.checkpoint_cmd == "ls" else args.path)
     if target.is_dir():
-        paths = sorted(target.glob("ckpt-*.npz"))
+        paths = checkpoint_paths(target)
     elif target.exists():
         paths = [target]
     else:

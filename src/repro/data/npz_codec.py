@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.obs import get_registry
-from repro.resilience.atomic import atomic_write
+from repro.resilience.atomic import atomic_write, recycling_write
 
 __all__ = ["NpzReader", "write_npz"]
 
@@ -108,7 +108,17 @@ class NpzReader:
         return np.array(view, order="C")  # the copy makes it owned and writeable
 
 
-def write_npz(path: str | Path, arrays: Mapping[str, np.ndarray], deflate: bool = True) -> str:
+def _pad_comment(blob: bytes, size: int) -> bytes:
+    """``blob`` grown to ``size`` by the comment of its (comment-less) last record, if it fits."""
+    gap = size - len(blob)
+    if gap > 0xFFFF:
+        return blob
+    return b"".join((blob[:-2], gap.to_bytes(2, "little"), b" " * gap))
+
+
+def write_npz(
+    path: str | Path, arrays: Mapping[str, np.ndarray], deflate: bool = True, recycle: bool = False
+) -> str:
     """Atomically write ``arrays`` as the archive ``path``; returns its SHA-256.
 
     The archive is serialised once in memory and the digest taken from
@@ -116,6 +126,8 @@ def write_npz(path: str | Path, arrays: Mapping[str, np.ndarray], deflate: bool 
     carry the zip epoch as their timestamp: equal arrays give equal bytes.
     Members are deflated at level 1 unless ``deflate`` is False, which
     stores them (checkpoints: float32 weights barely compress, DESIGN.md §14).
+    ``recycle`` (checkpoints) writes through ``recycling_write``, padding
+    through the zip comment; the digest covers the pad.
     """
     compress_type = zipfile.ZIP_DEFLATED if deflate else zipfile.ZIP_STORED
     buffer = io.BytesIO()
@@ -130,6 +142,9 @@ def write_npz(path: str | Path, arrays: Mapping[str, np.ndarray], deflate: bool 
                 compresslevel=_DEFLATE_LEVEL,
             )
     blob = buffer.getbuffer()
-    with atomic_write(path) as tmp:
-        tmp.write_bytes(blob)
+    if recycle:
+        blob = recycling_write(path, blob, _pad_comment)
+    else:
+        with atomic_write(path) as tmp:
+            tmp.write_bytes(blob)
     return hashlib.sha256(blob).hexdigest()

@@ -5,7 +5,8 @@ tables; at that horizon failures are routine, not exceptional.  This
 package is the robustness backbone the rest of the stack leans on:
 
 - :mod:`repro.resilience.atomic` — temp-file + ``os.replace`` writes so
-  interrupted runs never leave truncated artifacts;
+  interrupted runs never leave truncated artifacts, recycling spare
+  inodes in checkpoint directories (freeing blocks, not fsync, is slow);
 - :mod:`repro.resilience.checkpoint` — atomic, SHA-256-checksummed
   training snapshots (parameters, scheduler state, cursors, RNG state)
   written by the one npz writer, with corruption detection and

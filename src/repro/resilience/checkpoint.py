@@ -8,8 +8,8 @@ fault plan's RNG state.  The format is one ``.npz`` archive per
 checkpoint plus a ``.sha256`` sidecar:
 
 - the archive is written by :func:`~repro.data.npz_codec.write_npz` (temp
-  file + ``os.replace``) so a crash mid-write never leaves a truncated
-  checkpoint under the final name;
+  file + ``os.replace``, recycling a spare inode) so a crash mid-write
+  never leaves a truncated checkpoint under the final name;
 - the sidecar holds the archive's SHA-256; :func:`load_checkpoint`
   verifies it and raises :class:`CheckpointCorruptionError` (naming the
   file) on any mismatch, truncation, or unreadable archive;
@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
-from repro.resilience.atomic import atomic_write_text, remove_orphaned_temps
+from repro.resilience.atomic import recycling_write, remove_orphaned_temps, set_aside
 from repro.resilience.journal import RefreshJournal
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "CheckpointManager",
     "TrainerCheckpoint",
     "capture_training_state",
+    "checkpoint_paths",
     "latest_checkpoint",
     "load_checkpoint",
     "read_checkpoint_meta",
@@ -276,8 +277,8 @@ def save_checkpoint(directory: str | Path, ckpt: TrainerCheckpoint) -> Path:
 
     path = directory / _checkpoint_name(ckpt.step)
     with span("resilience.checkpoint.save", step=ckpt.step) as sp:
-        digest = write_npz(path, payload, deflate=False)
-        atomic_write_text(_sidecar(path), f"{digest}  {path.name}\n")
+        digest = write_npz(path, payload, deflate=False, recycle=True)
+        recycling_write(_sidecar(path), f"{digest}  {path.name}\n".encode())
         nbytes = path.stat().st_size
         sp.set(bytes=nbytes)
 
@@ -396,6 +397,12 @@ def read_checkpoint_meta(path: str | Path) -> dict:
     return meta
 
 
+def checkpoint_paths(directory: str | Path) -> list[Path]:
+    """``ckpt-<step>.npz`` archives in ``directory``, oldest first by parsed step (not name)."""
+    steps = {path: path.stem[len("ckpt-"):] for path in Path(directory).glob("ckpt-*.npz")}
+    return sorted(steps, key=lambda p: (int(steps[p]) if steps[p].isdecimal() else -1, p.name))
+
+
 def latest_checkpoint(directory: str | Path) -> Path | None:
     """Newest checkpoint in ``directory`` that passes verification.
 
@@ -406,8 +413,7 @@ def latest_checkpoint(directory: str | Path) -> Path | None:
     directory = Path(directory)
     if not directory.is_dir():
         return None
-    candidates = sorted(directory.glob("ckpt-*.npz"), reverse=True)
-    for candidate in candidates:
+    for candidate in reversed(checkpoint_paths(directory)):
         if verify_checkpoint(candidate):
             return candidate
         get_registry().counter("resilience.checkpoint.corrupt_skipped").inc()
@@ -446,7 +452,7 @@ class CheckpointManager:
         return latest_checkpoint(self.directory)
 
     def _prune(self) -> None:
-        # A SIGKILL mid-write leaves atomic_write's temp file behind.  The
+        # A SIGKILL mid-write leaves recycling_write's temp file behind.  The
         # save that just returned has none in flight and the trainer that
         # owns this directory journals between saves, so any temp of an
         # archive, a sidecar or the journal found here is dead.
@@ -454,7 +460,8 @@ class CheckpointManager:
             remove_orphaned_temps(self.directory, name)
         if self.keep is None:
             return
-        checkpoints = sorted(self.directory.glob("ckpt-*.npz"), reverse=True)
-        for stale in checkpoints[self.keep:]:
-            stale.unlink(missing_ok=True)
-            _sidecar(stale).unlink(missing_ok=True)
+        # Retired as the directory's spares, not unlinked: the next save
+        # overwrites them in place instead of freeing blocks.
+        for stale in checkpoint_paths(self.directory)[: -self.keep]:
+            set_aside(stale)
+            set_aside(_sidecar(stale))

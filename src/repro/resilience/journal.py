@@ -13,6 +13,9 @@ run inconsistent.  The journal makes the refresh a transaction:
 3. **commit** — after ``repack_pools`` the record is rewritten with
    ``status="committed"``.
 
+Both writes are :func:`~repro.resilience.atomic.recycling_write` calls:
+fsynced, freeing no block, padded with spaces ``json.loads`` ignores.
+
 Recovery does not replay the journal.  Checkpoints are taken *before*
 the refresh and :meth:`EmbeddingHotCache.plan_rebalance` is a pure
 function of cache state, so the resumed trainer simply re-plans and
@@ -31,7 +34,7 @@ from pathlib import Path
 
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
-from repro.resilience.atomic import atomic_write_text
+from repro.resilience.atomic import recycling_write
 
 __all__ = ["JOURNAL_VERSION", "JournalError", "RefreshJournal"]
 
@@ -66,7 +69,7 @@ class RefreshJournal:
         self._intent: dict | None = None  # what begin() wrote, until committed
 
     def _write(self, record: dict) -> None:
-        atomic_write_text(self.path, json.dumps(record, sort_keys=True) + "\n")
+        recycling_write(self.path, (json.dumps(record, sort_keys=True) + "\n").encode())
 
     # ------------------------------------------------------------------
     # Transaction protocol
