@@ -20,6 +20,8 @@ from __future__ import annotations
 import argparse
 import shutil
 import sys
+import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +50,20 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     decoded = get_registry().counter("data.shard.members_decoded").value
     shard_bytes = sum(path.stat().st_size for path in Path(args.dir).iterdir())
+    with tempfile.TemporaryDirectory() as out:
+        plan.save(out, shard_size=64)
+        fae_bytes = sum(path.stat().st_size for path in Path(out).iterdir())
     print(plan.summary())
     print(
         f"shards: {len(source.shard_refs())}  bytes: {shard_bytes}  members decoded: {decoded:.0f}"
+        f"  FAE bytes: {fae_bytes}"
     )
+    # Members are stored, not deflated.
+    with zipfile.ZipFile(Path(args.dir) / "chunk-000000.npz") as shard:
+        deflated = [i.filename for i in shard.infolist() if i.compress_type != zipfile.ZIP_STORED]
+    if deflated:
+        print(f"chunk-000000.npz members not stored: {deflated}", file=sys.stderr)
+        return 1
     # Ids are stored at the width of their table and decode to int64.
     spec = max((t for t in schema.tables if t.num_rows <= 65_536), key=lambda t: t.num_rows)
     with np.load(Path(args.dir) / "chunk-000000.npz") as shard:

@@ -15,13 +15,20 @@ hot bags, calibration threshold, format version):
   shard of batch indices in memory.
 
 Every archive goes through the one codec in :mod:`repro.data.npz_codec`
-(serialised once in memory, hashed from that buffer, written once) and
-every file is written atomically (temp file + ``os.replace``); the
+(members stored, not deflated; serialised once in memory, hashed from
+that buffer, written once) and every file is written atomically (temp
+file + ``os.replace``); the
 manifest is written *last* — an interrupted sharded save never leaves a
 directory that loads as complete.  :func:`load_fae_dataset` dispatches
 on the path (directory or manifest -> sharded, file -> flat); loading a
 truncated or corrupt artifact raises a :class:`RuntimeError` naming the
 offending file instead of a bare numpy stack trace.
+
+Integer members are stored at the width of their range
+(:func:`~repro.data.npz_codec.id_dtype`): batch indices at the input
+count's, hot-bag ``hot_ids`` at their table's.  Every loader widens them
+to int64 once, so a loaded dataset is what was saved, and int64 archives
+from earlier writers load through the same line.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import numpy as np
 
 from repro.core.classifier import HotEmbeddingBagSpec
 from repro.core.input_processor import FAEDataset
-from repro.data.npz_codec import NpzReader, write_npz
+from repro.data.npz_codec import NpzReader, id_dtype, write_npz
 from repro.resilience.atomic import atomic_write_text
 
 __all__ = [
@@ -53,13 +60,23 @@ FAE_MANIFEST = "fae_manifest.json"
 SHARDED_FORMAT = "fae-sharded"
 
 
+def _narrow(indices: np.ndarray, count: int) -> np.ndarray:
+    """``indices`` (all in ``[0, count)``) at the width they are stored at."""
+    return indices.astype(id_dtype(count), copy=False)
+
+
+def _widened(archive: NpzReader, name: str) -> np.ndarray:
+    """Member ``name`` of an integer-array archive, as int64."""
+    return archive[name].astype(np.int64, copy=False)
+
+
 def _bag_payload(bags: dict[str, HotEmbeddingBagSpec]) -> dict[str, np.ndarray]:
     """Archive entries describing the hot bags (shared by both layouts)."""
     names = sorted(bags)
     payload: dict[str, np.ndarray] = {"bag_names": np.array(names)}
     for name in names:
         bag = bags[name]
-        payload[f"bag_{name}_hot_ids"] = bag.hot_ids
+        payload[f"bag_{name}_hot_ids"] = _narrow(bag.hot_ids, bag.num_rows)
         payload[f"bag_{name}_meta"] = np.array(
             [bag.num_rows, bag.dim, int(bag.whole_table)], dtype=np.int64
         )
@@ -74,7 +91,7 @@ def _bags_from_archive(archive) -> dict[str, HotEmbeddingBagSpec]:
         num_rows, dim, whole = archive[f"bag_{name}_meta"]
         bags[name] = HotEmbeddingBagSpec(
             table_name=name,
-            hot_ids=archive[f"bag_{name}_hot_ids"],
+            hot_ids=_widened(archive, f"bag_{name}_hot_ids"),
             num_rows=int(num_rows),
             dim=int(dim),
             whole_table=bool(whole),
@@ -105,9 +122,9 @@ def save_fae_dataset(
         "num_cold_batches": np.array(len(dataset.cold_batches)),
     }
     for i, batch in enumerate(dataset.hot_batches):
-        payload[f"hot_batch_{i:06d}"] = batch
+        payload[f"hot_batch_{i:06d}"] = _narrow(batch, dataset.num_inputs)
     for i, batch in enumerate(dataset.cold_batches):
-        payload[f"cold_batch_{i:06d}"] = batch
+        payload[f"cold_batch_{i:06d}"] = _narrow(batch, dataset.num_inputs)
     payload.update(_bag_payload(bags))
     # numpy's savez appends ".npz" to suffix-less paths; resolve the final
     # name the same way so the atomic replace lands where numpy would.
@@ -146,7 +163,10 @@ def save_fae_dataset_sharded(
         for start in range(0, len(batches), shard_size):
             group = list(batches[start : start + shard_size])
             name = f"shard-{len(shards):06d}.npz"
-            payload = {f"batch_{i:06d}": batch for i, batch in enumerate(group)}
+            payload = {
+                f"batch_{i:06d}": _narrow(batch, dataset.num_inputs)
+                for i, batch in enumerate(group)
+            }
             shards.append(
                 {
                     "file": name,
@@ -219,7 +239,7 @@ class ShardBatchSequence(Sequence):
                 f"(expected {expected[:12]}..., got {actual[:12]}...)"
             )
         archive = NpzReader(blob, f"FAE shard {path}")
-        batches = [archive[f"batch_{i:06d}"] for i in range(int(shard["count"]))]
+        batches = [_widened(archive, f"batch_{i:06d}") for i in range(int(shard["count"]))]
         self._cache_index = shard_index
         self._cache = batches
         return batches
@@ -332,10 +352,10 @@ def load_fae_dataset(
     batch_size = int(archive["batch_size"])
     hot_mask = archive["hot_mask"]
     hot_batches = [
-        archive[f"hot_batch_{i:06d}"] for i in range(int(archive["num_hot_batches"]))
+        _widened(archive, f"hot_batch_{i:06d}") for i in range(int(archive["num_hot_batches"]))
     ]
     cold_batches = [
-        archive[f"cold_batch_{i:06d}"] for i in range(int(archive["num_cold_batches"]))
+        _widened(archive, f"cold_batch_{i:06d}") for i in range(int(archive["num_cold_batches"]))
     ]
     bags = _bags_from_archive(archive)
     dataset = FAEDataset(

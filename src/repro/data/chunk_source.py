@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from repro.data.log import ClickLog
-from repro.data.npz_codec import NpzReader, write_npz
+from repro.data.npz_codec import NpzReader, id_dtype, write_npz
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
 from repro.data.stream import SyntheticClickStream
 from repro.obs import span
@@ -174,14 +174,6 @@ class UnsizedChunkSource(ChunkSource):
         return iter(self._factory())
 
 
-def _id_dtype(num_rows: int) -> type:
-    """The narrowest stored dtype that holds every id of a ``num_rows`` table."""
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if num_rows - 1 <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64
-
-
 def _check_ids(ids: np.ndarray, num_rows: int, where: str) -> None:
     """Raise on an id outside ``[0, num_rows)``: the writer refuses what the reader rejects."""
     if ids.size:
@@ -199,7 +191,8 @@ def save_log_shards(
     """Write a chunk source (or log) as on-disk raw-log shards.
 
     One ``.npz`` per chunk (``dense``/``labels``/``sparse_<table>``, ids
-    at the width of their table: uint8/16/32, int64 beyond), each written
+    at the width of their table: :func:`~repro.data.npz_codec.id_dtype`,
+    members stored, not deflated), each written
     atomically by :func:`~repro.data.npz_codec.write_npz` (equal logs give
     equal bytes), then a JSON manifest carrying the schema and the shard
     list -- written last, so a crashed or refused save never leaves a
@@ -226,7 +219,7 @@ def save_log_shards(
             num_rows = schema.table(table).num_rows
             # Checked before the cast: a narrowing cast would wrap a bad id.
             _check_ids(ids, num_rows, f"log shard {len(shards)}: table {table!r}")
-            payload[f"sparse_{table}"] = ids.astype(_id_dtype(num_rows), copy=False)
+            payload[f"sparse_{table}"] = ids.astype(id_dtype(num_rows), copy=False)
         write_npz(directory / name, payload)
         shards.append({"file": name, "start": start, "num_samples": len(chunk)})
         total += len(chunk)
@@ -282,7 +275,7 @@ class ShardChunk(ClickLog):
     Construction does the I/O (one read of the file, its zip directory
     parsed), so a missing or truncated shard fails at once; ``len()`` is
     the manifest's count.  ``sparse[name]``, ``dense`` and ``labels`` are
-    each inflated, CRC-checked and validated -- rows against the manifest,
+    each read, CRC-checked and validated -- rows against the manifest,
     shape against the schema, ids against the table's row range -- when
     first touched, then cached: every check an eager load applies, on
     every column that is used.  Damage in a column nobody reads is found

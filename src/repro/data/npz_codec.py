@@ -5,12 +5,16 @@ shards and FAE layouts (DESIGN.md §8 has the measurements).  Reading
 decodes a member when it is asked for and not before, which is what lets
 a log shard cost only the columns a stage reads; writing builds the
 archive once in memory, so the bytes that are hashed are the bytes that
-are written.  Archives stay plain ``.npz`` files that ``np.load`` opens.  Members keep the dtype the caller
-hands over: integers are stored at the width of their range (log-shard ids
-at their table's) and widened once, by the caller, on decode.
+are written.  Archives stay plain ``.npz`` files that ``np.load`` opens.
+Every member is stored, not deflated: a stored member decodes at memory
+speed, and the reader opens deflated archives from earlier writers through
+the same ``ZipFile.read``.  Members keep the dtype the caller hands over:
+integers are stored at the width of their range (:func:`id_dtype`: log-shard
+ids and hot-bag ids at their table's, FAE batch indices at the input
+count's) and widened once, by the caller, on decode.
 
 Metrics (registry counters, one increment per decoded member):
-``data.shard.members_decoded`` and ``data.shard.bytes_decoded`` (inflated
+``data.shard.members_decoded`` and ``data.shard.bytes_decoded`` (decoded
 bytes at the stored width, npy header included) -- how many columns a run
 paid for.
 """
@@ -31,16 +35,25 @@ import numpy as np
 from repro.obs import get_registry
 from repro.resilience.atomic import atomic_write, recycling_write
 
-__all__ = ["NpzReader", "write_npz"]
+__all__ = ["NpzReader", "id_dtype", "write_npz"]
 
-# Everything zipfile, zlib and the npy parser raise on damaged bytes.
+# Everything zipfile, zlib (deflated archives of earlier writers) and the
+# npy parser raise on damaged bytes.
 _DAMAGE = (
     KeyError, OSError, ValueError, EOFError, NotImplementedError, zipfile.BadZipFile, zlib.error
 )
 
-# Level 1 reaches level 6's ratio on shuffled int64 batch indices at under a
-# third of the time (64 x 1024 ids: 214 064 B in 10.2 ms vs 211 653 B in 35.2).
-_DEFLATE_LEVEL = 1
+
+def id_dtype(count: int) -> type:
+    """The narrowest stored dtype that holds every integer in ``[0, count)``.
+
+    uint8 / uint16 / uint32, int64 beyond 2**32: the width at which ids of a
+    ``count``-row table, or indices into ``count`` inputs, are stored.
+    """
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if count - 1 <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
 
 
 @lru_cache(maxsize=256)
@@ -48,7 +61,7 @@ def _parse_header(prefix: bytes) -> tuple[tuple[int, ...], bool, np.dtype]:
     """``(shape, fortran_order, dtype)`` of an npy magic + header.
 
     Memoised on the bytes: a format's members share a handful of headers,
-    and numpy's ``literal_eval`` costs more than inflating a small member.
+    and numpy's ``literal_eval`` costs more than reading a small member.
     """
     handle = io.BytesIO(prefix)
     version = np.lib.format.read_magic(handle)
@@ -67,9 +80,10 @@ class NpzReader:
     """Members of one in-memory ``.npz`` image, decoded when asked for.
 
     Construction parses the zip directory only, which is where a truncated
-    image fails.  ``reader[name]`` inflates and CRC-checks member ``name``
-    (``ZipFile.read``), refuses object dtypes as ``allow_pickle=False``
-    does, and returns an owned, writeable, C-contiguous array.
+    image fails.  ``reader[name]`` reads (inflating a deflated one) and
+    CRC-checks member ``name`` (``ZipFile.read``), refuses object dtypes
+    as ``allow_pickle=False`` does, and returns an owned, writeable,
+    C-contiguous array.
 
     Raises:
         RuntimeError: damaged bytes or a missing member, at either step;
@@ -116,31 +130,22 @@ def _pad_comment(blob: bytes, size: int) -> bytes:
     return b"".join((blob[:-2], gap.to_bytes(2, "little"), b" " * gap))
 
 
-def write_npz(
-    path: str | Path, arrays: Mapping[str, np.ndarray], deflate: bool = True, recycle: bool = False
-) -> str:
+def write_npz(path: str | Path, arrays: Mapping[str, np.ndarray], recycle: bool = False) -> str:
     """Atomically write ``arrays`` as the archive ``path``; returns its SHA-256.
 
     The archive is serialised once in memory and the digest taken from
     that buffer, so the file is written once and never read back.  Members
-    carry the zip epoch as their timestamp: equal arrays give equal bytes.
-    Members are deflated at level 1 unless ``deflate`` is False, which
-    stores them (checkpoints: float32 weights barely compress, DESIGN.md §14).
-    ``recycle`` (checkpoints) writes through ``recycling_write``, padding
-    through the zip comment; the digest covers the pad.
+    are stored, not deflated (DESIGN.md §8), and carry the zip epoch as
+    their timestamp: equal arrays give equal bytes.  ``recycle``
+    (checkpoints) writes through ``recycling_write``, padding through the
+    zip comment; the digest covers the pad.
     """
-    compress_type = zipfile.ZIP_DEFLATED if deflate else zipfile.ZIP_STORED
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w") as archive:
         for name, value in arrays.items():
             member = io.BytesIO()
             np.lib.format.write_array(member, np.asanyarray(value), allow_pickle=False)
-            archive.writestr(
-                zipfile.ZipInfo(name + ".npy"),
-                member.getbuffer(),
-                compress_type=compress_type,
-                compresslevel=_DEFLATE_LEVEL,
-            )
+            archive.writestr(zipfile.ZipInfo(name + ".npy"), member.getbuffer())
     blob = buffer.getbuffer()
     if recycle:
         blob = recycling_write(path, blob, _pad_comment)

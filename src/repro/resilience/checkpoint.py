@@ -229,9 +229,9 @@ def _sidecar(path: Path) -> Path:
 def save_checkpoint(directory: str | Path, ckpt: TrainerCheckpoint) -> Path:
     """Atomically persist ``ckpt`` under ``directory``; returns its path.
 
-    The archive goes through :func:`~repro.data.npz_codec.write_npz` with
-    *stored* members (not deflated: float32 weights only shrink to 0.93
-    and zlib took 14x as long, see DESIGN.md section 14), and only then
+    The archive goes through :func:`~repro.data.npz_codec.write_npz`,
+    whose members are stored, not deflated (float32 weights only shrink to
+    0.93 and zlib took 14x as long, see DESIGN.md section 8), and only then
     does its checksum sidecar appear — a checkpoint without a valid
     sidecar is treated as corrupt, so no interleaving of crashes can
     yield a resumable-but-wrong snapshot.
@@ -277,7 +277,7 @@ def save_checkpoint(directory: str | Path, ckpt: TrainerCheckpoint) -> Path:
 
     path = directory / _checkpoint_name(ckpt.step)
     with span("resilience.checkpoint.save", step=ckpt.step) as sp:
-        digest = write_npz(path, payload, deflate=False, recycle=True)
+        digest = write_npz(path, payload, recycle=True)
         recycling_write(_sidecar(path), f"{digest}  {path.name}\n".encode())
         nbytes = path.stat().st_size
         sp.set(bytes=nbytes)

@@ -23,7 +23,14 @@ from repro.core import (
     fae_preprocess_source,
     load_fae_dataset,
 )
-from repro.core.fae_format import FAE_MANIFEST, ShardBatchSequence
+from repro.core.classifier import HotEmbeddingBagSpec
+from repro.core.fae_format import (
+    FAE_MANIFEST,
+    ShardBatchSequence,
+    save_fae_dataset,
+    save_fae_dataset_sharded,
+)
+from repro.core.input_processor import FAEDataset
 from repro.data import (
     ClickLog,
     LogChunkSource,
@@ -270,7 +277,7 @@ class TestFormatCompatibility:
         for name, bag in tiny_plan.bags.items():
             assert np.array_equal(bags[name].hot_ids, bag.hot_ids)
 
-    def test_new_shard_is_a_plain_deflated_npz_with_its_manifest_checksum(
+    def test_new_shard_is_a_plain_stored_npz_with_its_manifest_checksum(
         self, tiny_plan, tmp_path
     ):
         directory = tmp_path / "new_shards"
@@ -282,7 +289,7 @@ class TestFormatCompatibility:
             path = directory / shard["file"]
             assert hashlib.sha256(path.read_bytes()).hexdigest() == shard["sha256"]
             with zipfile.ZipFile(path) as archive:
-                assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+                assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
             with np.load(path) as archive:  # no allow_pickle, no special reader
                 assert archive.files == [f"batch_{i:06d}" for i in range(shard["count"])]
                 for name in archive.files:
@@ -328,7 +335,7 @@ class TestFormatCompatibility:
         for name in names:
             assert (directory / name).read_bytes() == (again / name).read_bytes()
         with zipfile.ZipFile(directory / "chunk-000000.npz") as archive:  # a plain npz
-            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
             assert {i.date_time for i in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
 
         previous = as_previous_writers_shards(again)
@@ -385,6 +392,136 @@ class TestFormatCompatibility:
         want_streamed = outputs(StreamChunkSource(stream), "stream")
         assert outputs(ShardChunkSource(streamed), "streamed") == want_streamed
         assert outputs(ShardChunkSource(streamed_old), "streamed-old") == want_streamed
+
+
+def stored_dtypes(path):
+    """``{member: stored dtype}`` of an archive, as ``np.load`` sees it."""
+    with np.load(path, allow_pickle=False) as archive:
+        return {name: archive[name].dtype for name in archive.files}
+
+
+class TestStoredMembers:
+    """Every archive the codec writes stores its members: none is deflated."""
+
+    def test_every_writer_stores_every_member(self, tiny_log, tiny_plan, tmp_path):
+        from repro.resilience import TrainerCheckpoint, save_checkpoint
+
+        tiny_plan.save(tmp_path / "flat.npz")
+        tiny_plan.save(tmp_path / "sharded", shard_size=3)
+        log = save_log_shards(tmp_path / "log", tiny_log, chunk_size=1000)
+        checkpoint = save_checkpoint(
+            tmp_path,
+            TrainerCheckpoint(
+                step=3, epoch=0, cursors={"hot": 1}, scheduler_state={},
+                params={"dense.w": np.ones((4, 2), np.float32)},
+                dataset_state=tiny_plan.dataset.state_dict(),
+            ),
+        )
+        written = [
+            tmp_path / "flat.npz", *sorted((tmp_path / "sharded").glob("*.npz")),
+            *sorted(log.glob("*.npz")), checkpoint,
+        ]
+        names = {path.name for path in written}
+        assert {"bags.npz", "mask.npz", "shard-000000.npz", "chunk-000000.npz"} <= names
+        for path in written:
+            with zipfile.ZipFile(path) as archive:
+                infos = archive.infolist()
+            assert infos, path.name
+            assert {info.compress_type for info in infos} == {zipfile.ZIP_STORED}, path.name
+            assert all(info.compress_size == info.file_size for info in infos), path.name
+
+
+# (count, dtype an index into [0, count) is stored at): both sides of each width.
+WIDTHS = [(1, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16),
+          (65_537, np.uint32)]
+
+
+class TestStoredIndexWidth:
+    """FAE batch indices are stored at the width of the input count and hot-bag
+    ids at their table's; every loader widens both to int64 once."""
+
+    @staticmethod
+    def dataset(num_inputs):
+        last = np.array([num_inputs - 1, 0, num_inputs // 2], dtype=np.int64)
+        return FAEDataset(
+            hot_batches=[last, np.arange(min(num_inputs, 5), dtype=np.int64)],
+            cold_batches=[last[::-1].copy()],
+            hot_mask=np.arange(num_inputs) % 2 == 0,
+            batch_size=3,
+        )
+
+    @staticmethod
+    def bags(num_rows):
+        hot_ids = np.unique(np.array([0, num_rows // 3, num_rows - 1], dtype=np.int64))
+        return {"t": HotEmbeddingBagSpec("t", hot_ids, num_rows, dim=4, whole_table=False)}
+
+    @staticmethod
+    def assert_loaded(loaded, dataset, bags):
+        got, got_bags, threshold = loaded
+        assert threshold == 0.5
+        assert np.array_equal(got.hot_mask, dataset.hot_mask)
+        for kind in ("hot_batches", "cold_batches"):
+            batches = list(getattr(got, kind))
+            assert len(batches) == len(getattr(dataset, kind))
+            for batch, want in zip(batches, getattr(dataset, kind)):
+                assert batch.dtype == np.int64 and np.array_equal(batch, want)
+                assert batch.flags.c_contiguous and batch.flags.writeable
+        hot_ids = got_bags["t"].hot_ids
+        assert hot_ids.dtype == np.int64 and np.array_equal(hot_ids, bags["t"].hot_ids)
+        assert got_bags["t"].num_rows == bags["t"].num_rows
+
+    @pytest.mark.parametrize("num_inputs, width", WIDTHS)
+    def test_batches_round_trip_at_the_input_count_width(self, num_inputs, width, tmp_path):
+        dataset, bags = self.dataset(num_inputs), self.bags(300)
+        flat = tmp_path / "flat.npz"
+        save_fae_dataset(flat, dataset, bags, 0.5)
+        save_fae_dataset_sharded(tmp_path / "sharded", dataset, bags, 0.5, shard_size=1)
+        stored = stored_dtypes(flat)
+        assert {stored[name] for name in stored if "_batch_" in name} == {np.dtype(width)}
+        for shard in sorted((tmp_path / "sharded").glob("shard-*.npz")):
+            assert set(stored_dtypes(shard).values()) == {np.dtype(width)}
+        self.assert_loaded(load_fae_dataset(flat), dataset, bags)
+        self.assert_loaded(load_fae_dataset(tmp_path / "sharded"), dataset, bags)
+
+    @pytest.mark.parametrize(
+        "num_rows, width", [*WIDTHS, (2**32, np.uint32), (2**32 + 1, np.int64)]
+    )
+    def test_bag_ids_round_trip_at_their_table_width(self, num_rows, width, tmp_path):
+        dataset, bags = self.dataset(10), self.bags(num_rows)
+        flat = tmp_path / "flat.npz"
+        save_fae_dataset(flat, dataset, bags, 0.5)
+        save_fae_dataset_sharded(tmp_path / "sharded", dataset, bags, 0.5, shard_size=2)
+        assert stored_dtypes(flat)["bag_t_hot_ids"] == width
+        assert stored_dtypes(tmp_path / "sharded" / "bags.npz")["bag_t_hot_ids"] == width
+        self.assert_loaded(load_fae_dataset(flat), dataset, bags)
+        self.assert_loaded(load_fae_dataset(tmp_path / "sharded"), dataset, bags)
+
+    def test_int64_deflated_archives_of_earlier_writers_load(self, tmp_path):
+        """What every writer before stored widths left: int64 indices and ids,
+        ``np.savez_compressed``; loaded through the same line, to equal values."""
+        dataset, bags = self.dataset(300), self.bags(70_000)
+        flat = tmp_path / "flat.npz"
+        directory = tmp_path / "sharded"
+        save_fae_dataset(flat, dataset, bags, 0.5)
+        save_fae_dataset_sharded(directory, dataset, bags, 0.5, shard_size=2)
+        manifest = json.loads((directory / FAE_MANIFEST).read_text(encoding="utf-8"))
+        checksums = {shard["file"]: shard for shard in manifest["shards"]}
+        for path in [flat, *directory.glob("*.npz")]:
+            with np.load(path, allow_pickle=False) as archive:
+                members = {
+                    name: archive[name].astype(np.int64)
+                    if archive[name].dtype.kind == "u" else archive[name]
+                    for name in archive.files
+                }
+            np.savez_compressed(path, **members)
+            if path.name in checksums:
+                checksums[path.name]["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            with zipfile.ZipFile(path) as archive:
+                assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+        (directory / FAE_MANIFEST).write_text(json.dumps(manifest), encoding="utf-8")
+        assert stored_dtypes(flat)["hot_batch_000000"] == np.int64
+        self.assert_loaded(load_fae_dataset(flat), dataset, bags)
+        self.assert_loaded(load_fae_dataset(directory), dataset, bags)
 
 
 class TestShardBackedTraining:
