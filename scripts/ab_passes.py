@@ -1,0 +1,156 @@
+#!/usr/bin/env python
+"""Alternate one perfbench pass at a time between two source trees.
+
+Usage::
+
+    python scripts/ab_passes.py serve-rank PARENT_TREE CHANGE_TREE --passes 30
+
+Each tree gets one long-lived worker process that imports that tree's
+``perfbench/workloads.py`` and ``src/`` (read-only: no bytecode is written
+into the trees), sets the workload up once and runs one warm-up pass.  The
+driver then asks the two workers for one pass each, in turn, swapping which
+side goes first every round, so both sides see the same spells of a
+machine whose speed drifts by tens of percent within minutes.  A pass is
+``prepare_pass`` (untimed) then ``run_pass`` (timed).
+
+Printed: per side, the min / p25 / median pass wall and the work per
+second of each; the pairwise wins (rounds where the change's pass was the
+faster); and whether both sides produced the same pass signature (the
+ranking digest or training signature perfbench verifies), so a speedup
+that changed the output is visible at once.  Exit status 1 means the
+signatures differed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+
+def worker(tree: Path, workload_name: str, seed: int, smoke: bool) -> int:
+    """Serve ``pass`` requests on stdin, one JSON line per pass on stdout."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(tree / "perfbench"), str(tree / "src")]
+    protocol = sys.stdout
+    sys.stdout = sys.stderr  # whatever the program prints stays off the protocol
+    work_dir = Path(tempfile.mkdtemp(prefix="ab-passes-"))
+    os.environ["TMPDIR"] = str(work_dir)
+    try:
+        from workloads import WORKLOADS
+
+        workload_class = WORKLOADS[workload_name]
+        sizes = dict(workload_class.SIZES["smoke" if smoke else "full"])
+        workload = workload_class(seed, sizes, work_dir)
+        workload.setup()
+        workload.run_pass(workload.prepare_pass())  # warm-up, discarded
+        protocol.write(json.dumps({"ready": True, "items": workload.items_per_pass}) + "\n")
+        protocol.flush()
+        for line in sys.stdin:
+            if line.strip() != "pass":
+                break
+            prepared = workload.prepare_pass()
+            start = time.perf_counter()
+            output = workload.run_pass(prepared)
+            wall = time.perf_counter() - start
+            digest = hashlib.sha256(repr(output.signature).encode()).hexdigest()[:16]
+            protocol.write(json.dumps({"wall": wall, "signature": digest}) + "\n")
+            protocol.flush()
+    finally:
+        shutil.rmtree(work_dir, ignore_errors=True)
+    return 0
+
+
+class Side:
+    """One tree's worker process."""
+
+    def __init__(self, label: str, tree: Path, args) -> None:
+        command = [sys.executable, str(Path(__file__).resolve()), "--worker",
+                   args.workload, str(tree), str(tree), "--seed", str(args.seed)]
+        if args.smoke:
+            command.append("--smoke")
+        self.label = label
+        self.process = subprocess.Popen(
+            command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
+        )
+        self.items = self._read()["items"]
+        self.walls: list[float] = []
+        self.signatures: set[str] = set()
+
+    def _read(self) -> dict:
+        line = self.process.stdout.readline()
+        if not line:
+            raise RuntimeError(f"{self.label} worker exited (status {self.process.wait()})")
+        return json.loads(line)
+
+    def run_pass(self) -> float:
+        self.process.stdin.write("pass\n")
+        self.process.stdin.flush()
+        reply = self._read()
+        self.walls.append(reply["wall"])
+        self.signatures.add(reply["signature"])
+        return reply["wall"]
+
+    def close(self) -> None:
+        if self.process.poll() is None:
+            self.process.stdin.close()
+            self.process.wait(timeout=60)
+
+    def summary(self) -> str:
+        walls = sorted(self.walls)
+        p25 = walls[(len(walls) - 1) // 4]
+        median = statistics.median(walls)
+        return (
+            f"{self.label:<7} passes {len(walls):>3}  wall s: min {walls[0]:.4f}  "
+            f"p25 {p25:.4f}  median {median:.4f}   work/s: max {self.items / walls[0]:.1f}  "
+            f"p25 {self.items / p25:.1f}  median {self.items / median:.1f}"
+        )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload", help="a perfbench workload name, e.g. serve-rank")
+    parser.add_argument("parent", type=Path, help="the tree to compare against")
+    parser.add_argument("change", type=Path, help="the tree with the change")
+    parser.add_argument("--passes", type=int, default=10, help="passes per side")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--smoke", action="store_true", help="perfbench's smoke sizes")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:  # one side: ``--worker WORKLOAD TREE TREE``
+        return worker(args.parent.resolve(), args.workload, args.seed, args.smoke)
+
+    sides = []
+    try:
+        sides = [Side("parent", args.parent.resolve(), args),
+                 Side("change", args.change.resolve(), args)]
+        parent, change = sides
+        wins = 0
+        for round_index in range(args.passes):
+            order = sides if round_index % 2 == 0 else sides[::-1]
+            walls = {side.label: side.run_pass() for side in order}
+            wins += walls["change"] < walls["parent"]
+    finally:
+        for side in sides:
+            side.close()
+    print(f"{args.workload}, seed {args.seed}, {args.passes} alternating rounds")
+    for side in sides:
+        print(side.summary())
+    ratio = statistics.median(parent.walls) / statistics.median(change.walls)
+    print(f"change faster in {wins}/{args.passes} pairs; median ratio x{ratio:.3f}")
+    same = len(parent.signatures | change.signatures) == 1
+    print("signatures: " + ("identical" if same else
+          f"DIFFER parent {sorted(parent.signatures)} change {sorted(change.signatures)}"))
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

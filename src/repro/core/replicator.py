@@ -88,7 +88,7 @@ class HotEmbeddingBag:
 
     def __init__(self, bag: HotBag, mode: str = "mean") -> None:
         self.bag = bag
-        self._lookup = PooledLookup(bag.weight, mode)
+        self.lookup = PooledLookup(bag.weight, mode)
 
     def parameters(self) -> list[Parameter]:
         return [self.bag.weight]
@@ -97,17 +97,22 @@ class HotEmbeddingBag:
         ids = np.asarray(ids, dtype=np.int64)
         return self.bag.to_local(ids.ravel()).reshape(ids.shape)
 
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """``(B, m)`` bag-local rows for global ids (the batched lookup's hook)."""
+        local = self._local(ids)
+        return local.reshape(local.shape[0], -1)
+
     def forward(self, ids: np.ndarray) -> np.ndarray:
-        return self._lookup.forward(self._local(ids))
+        return self.lookup.forward(self._local(ids))
 
     def backward(self, grad_out: np.ndarray) -> None:
-        self._lookup.backward(grad_out)
+        self.lookup.backward(grad_out)
 
     def sequence_forward(self, ids: np.ndarray) -> np.ndarray:
-        return self._lookup.sequence_forward(self._local(ids))
+        return self.lookup.sequence_forward(self._local(ids))
 
     def sequence_backward(self, grad_out: np.ndarray) -> None:
-        self._lookup.sequence_backward(grad_out)
+        self.lookup.sequence_backward(grad_out)
 
 
 class EmbeddingReplicator:

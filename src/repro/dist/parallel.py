@@ -19,7 +19,7 @@ from repro.dist.collectives import ProcessGroup, ReduceOp
 from repro.models.base import RecModel
 from repro.nn.losses import BCEWithLogits
 from repro.nn.optim import SGD
-from repro.nn.parameter import Parameter
+from repro.nn.parameter import Parameter, sparse_stores
 
 __all__ = ["shard_batch", "all_reduce_dense_grads", "DataParallelTrainer"]
 
@@ -168,12 +168,12 @@ class DataParallelTrainer:
         # optimizer, so this equals a dense all-reduce.  The records are
         # shared, not copied: optimizers coalesce them into new arrays.
         sparse_bytes = 0
-        for rank_params in zip(*all_params):
-            merged = [record for p in rank_params for record in p.sparse_grads]
+        for rank_stores in zip(*(sparse_stores(params) for params in all_params)):
+            merged = [record for store in rank_stores for record in store.sparse_grads]
             if merged:
                 sparse_bytes += sum(r.ids.nbytes + r.values.nbytes for r in merged)
-                for p in rank_params:
-                    p.sparse_grads = list(merged)
+                for store in rank_stores:
+                    store.sparse_grads = list(merged)
         if sparse_bytes:
             # An all-gather: each rank receives what the others recorded.
             self.group._account(sparse_bytes, (self.world_size - 1) / self.world_size)

@@ -16,7 +16,7 @@ import numpy as np
 from repro.data.loader import MiniBatch
 from repro.data.schema import DatasetSchema
 from repro.models.base import RecModel
-from repro.nn.embedding import EmbeddingBag, EmbeddingTable
+from repro.nn.embedding import EmbeddingBag, EmbeddingTable, TableBatchedLookup, embedding_store
 from repro.nn.interaction import DotInteraction
 from repro.nn.mlp import MLP, parse_layer_spec
 from repro.nn.parameter import Parameter
@@ -76,12 +76,13 @@ class DLRM(RecModel):
 
         self.bottom_mlp = MLP(bottom_sizes, rng, final_activation="relu", name="mlp_bot")
 
-        self._tables: dict[str, EmbeddingTable] = {}
-        self._bags: dict[str, EmbeddingBag] = {}
-        for spec in schema.tables:
-            table = EmbeddingTable(spec.name, spec.num_rows, spec.dim, rng)
-            self._tables[spec.name] = table
-            self._bags[spec.name] = EmbeddingBag(table, mode=config.pooling)
+        self._tables: dict[str, EmbeddingTable] = embedding_store(
+            [(spec.name, spec.num_rows) for spec in schema.tables], self.embedding_dim, rng
+        )
+        self._bags: dict[str, EmbeddingBag] = {
+            name: EmbeddingBag(table, mode=config.pooling) for name, table in self._tables.items()
+        }
+        self._lookup = TableBatchedLookup()
 
         self.interaction = DotInteraction()
         interaction_dim = DotInteraction.output_dim(
@@ -93,7 +94,6 @@ class DLRM(RecModel):
         self.top_mlp = MLP(top_sizes, rng, final_activation=None, name="mlp_top")
 
         self._table_order = tuple(schema.table_names)
-        self._active_bags: list | None = None
 
     # ------------------------------------------------------------------
     # RecModel interface
@@ -127,25 +127,25 @@ class DLRM(RecModel):
     def forward(self, batch: MiniBatch) -> np.ndarray:
         """Run the full forward graph; returns ``(B,)`` logits."""
         dense_vec = self.bottom_mlp.forward(batch.dense)
-        bags = [self._bags[name] for name in self._table_order]
-        embedding_vecs = [
-            bag.forward(batch.sparse[name]) for name, bag in zip(self._table_order, bags)
-        ]
-        interacted = self.interaction.forward(dense_vec, embedding_vecs)
-        logits = self.top_mlp.forward(interacted)
-        self._active_bags = bags
+        # One (B, F, d) buffer: the bottom MLP in slot 0, every table's
+        # pooled rows gathered straight into the slots after it.
+        shape = (dense_vec.shape[0], 1 + len(self._table_order), self.embedding_dim)
+        stacked = np.empty(shape, dtype=np.float32)
+        stacked[:, 0] = dense_vec
+        self._lookup.forward(
+            [self._bags[name] for name in self._table_order],
+            [batch.sparse[name] for name in self._table_order],
+            out=stacked[:, 1:],
+        )
+        logits = self.top_mlp.forward(self.interaction.forward(stacked))
         return logits[:, 0]
 
     def backward(self, grad_logits: np.ndarray) -> None:
         """Backprop from ``(B,)`` logit grads; accumulates all param grads."""
-        if self._active_bags is None:
-            raise RuntimeError("backward called before forward")
         grad_top = self.top_mlp.backward(grad_logits[:, None].astype(np.float32, copy=False))
         grad_dense, grad_embeddings = self.interaction.backward(grad_top)
-        for bag, grad in zip(self._active_bags, grad_embeddings):
-            bag.backward(grad)
-        self.bottom_mlp.backward(grad_dense)
-        self._active_bags = None
+        self._lookup.backward(grad_embeddings.transpose(1, 0, 2))
+        self.bottom_mlp.backward(grad_dense, input_grad=False)
 
     # ------------------------------------------------------------------
     # Cost-model hooks

@@ -19,7 +19,7 @@ from repro.data.loader import MiniBatch
 from repro.data.schema import DatasetSchema
 from repro.models.base import RecModel
 from repro.nn.attention import SequenceAttention
-from repro.nn.embedding import EmbeddingBag, EmbeddingTable
+from repro.nn.embedding import EmbeddingBag, EmbeddingTable, embedding_store
 from repro.nn.mlp import MLP, parse_layer_spec
 from repro.nn.parameter import Parameter
 
@@ -83,12 +83,12 @@ class TBSM(RecModel):
             )
         self.bottom_mlp = MLP(bottom_sizes, rng, final_activation="relu", name="mlp_bot")
 
-        self._tables: dict[str, EmbeddingTable] = {}
-        self._bags: dict[str, EmbeddingBag] = {}
-        for spec in schema.tables:
-            table = EmbeddingTable(spec.name, spec.num_rows, spec.dim, rng)
-            self._tables[spec.name] = table
-            self._bags[spec.name] = EmbeddingBag(table, mode=config.pooling)
+        self._tables: dict[str, EmbeddingTable] = embedding_store(
+            [(spec.name, spec.num_rows) for spec in schema.tables], self.embedding_dim, rng
+        )
+        self._bags: dict[str, EmbeddingBag] = {
+            name: EmbeddingBag(table, mode=config.pooling) for name, table in self._tables.items()
+        }
 
         ts_input = (len(self.seq_tables) + len(self.static_tables)) * self.embedding_dim
         ts_hidden = parse_layer_spec(config.ts_hidden)
@@ -193,7 +193,7 @@ class TBSM(RecModel):
             self._bags[name].backward(grad_static)
             offset += d
 
-        self.bottom_mlp.backward(grad_dense_vec)
+        self.bottom_mlp.backward(grad_dense_vec, input_grad=False)
         self._cache = None
 
     # ------------------------------------------------------------------

@@ -41,8 +41,9 @@ class Linear:
         out += self.bias.value
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate weight/bias grads; return gradient w.r.t. the input."""
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate weight/bias grads; return gradient w.r.t. the input,
+        or None (and no GEMM) with ``input_grad=False``."""
         if self._input is None:
             raise RuntimeError("backward called before forward")
         x = self._input
@@ -51,7 +52,13 @@ class Linear:
         flat_g = grad_out.reshape(-1, self.out_features)
         self.weight.accumulate_product(flat_g.T, flat_x)
         self.bias.accumulate_dense(flat_g.sum(axis=0))
-        grad_in = grad_out @ self.weight.value
+        if not input_grad:
+            grad_in = None
+        elif self.out_features == 1:
+            # A K=1 GEMM rounds one product per element: this product.
+            grad_in = grad_out * self.weight.value
+        else:
+            grad_in = grad_out @ self.weight.value
         self._input = None
         return grad_in
 

@@ -90,13 +90,23 @@ class MLP:
             x = layer.forward(x, out=x) if isinstance(layer, ReLU) else layer.forward(x)
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Backpropagate; the caller's ``grad_out`` is read, never written."""
-        *rest, last = self.layers
-        grad = last.backward(grad_out)  # a new array: ours to overwrite from here on
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Backpropagate; the caller's ``grad_out`` is read, never written.
+
+        Returns the gradient w.r.t. the input, or None with
+        ``input_grad=False``: then the first layer skips its input GEMM
+        (a bottom MLP's input is the batch's dense features, which
+        nothing differentiates).
+        """
+        first, *rest = self.layers
+        grad = grad_out
         for layer in reversed(rest):
-            grad = layer.backward(grad, out=grad) if isinstance(layer, ReLU) else layer.backward(grad)
-        return grad
+            # The last layer copies; from there on the gradient is ours to overwrite.
+            if grad is not grad_out and isinstance(layer, ReLU):
+                grad = layer.backward(grad, out=grad)
+            else:
+                grad = layer.backward(grad)
+        return first.backward(grad, input_grad=input_grad)
 
     def flops_per_sample(self) -> int:
         """Forward multiply-accumulate count per sample (cost model input)."""

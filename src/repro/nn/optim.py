@@ -37,14 +37,19 @@ class SGD:
             param.zero_grad()
 
     def step(self) -> None:
-        """Apply accumulated gradients and clear them."""
+        """Apply accumulated gradients and clear them.
+
+        Sparse records are the store's (``Parameter.store``): the first
+        parameter of a store to come up coalesces and applies every
+        record of the step at once, and clears them.
+        """
         sparse_rows = 0
         for param in self.parameters:
             if param.grad is not None:
                 self._update(param, ..., param.grad)
-            coalesced = param.coalesced_sparse_grad()
+            coalesced = param.store.coalesced_sparse_grad()
             if coalesced is not None:
-                self._update(param, coalesced.ids, coalesced.values)
+                self._update(param.store, coalesced.ids, coalesced.values)
                 sparse_rows += coalesced.ids.shape[0]
             param.zero_grad()
         self.last_sparse_rows = sparse_rows
@@ -82,9 +87,12 @@ class Adagrad(SGD):
     def __init__(self, parameters: list[Parameter], lr: float, eps: float = 1e-10) -> None:
         super().__init__(parameters, lr)
         self.eps = eps
-        self._state: dict[int, np.ndarray] = {
-            id(p): np.zeros_like(p.value) for p in self.parameters
-        }
+        # Keyed by parameter and by store: a table's state is a view of
+        # its rows of the store's, which the store's update writes.
+        self._state: dict[int, np.ndarray] = {}
+        for p in self.parameters:
+            store = self._state.setdefault(id(p.store), np.zeros_like(p.store.value))
+            self._state[id(p)] = store[p.offset : p.offset + p.value.shape[0]]
 
     def _update(self, param: Parameter, rows, grad: np.ndarray) -> None:
         state = self._state[id(param)]

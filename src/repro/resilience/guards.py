@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.nn.parameter import sparse_stores
 from repro.obs.metrics import get_registry
 from repro.resilience.atomic import atomic_write_text
 from repro.resilience.faults import parse_spec
@@ -538,7 +539,8 @@ class NumericGuard:
             for param in parameters:
                 if param.grad is not None and not np.isfinite(param.grad).all():
                     return True
-                for record in param.sparse_grads:
+            for store in sparse_stores(parameters):
+                for record in store.sparse_grads:
                     if not np.isfinite(record.values).all():
                         return True
             return False

@@ -17,7 +17,7 @@ from repro.dist import (
 )
 from repro.models.dlrm import DLRM, DLRMConfig
 from repro.nn import BCEWithLogits, SGD
-from repro.nn.parameter import Parameter
+from repro.nn.parameter import Parameter, sparse_stores
 from repro.obs import get_registry
 from repro.resilience import CheckpointManager, FaultPlan, load_checkpoint
 from repro.train import FAETrainer
@@ -284,8 +284,8 @@ class TestDataParallelTrainer:
             seen["sparse"] = sum(
                 r.ids.nbytes + r.values.nbytes
                 for model in trainer.replicas
-                for p in model.parameters()
-                for r in p.sparse_grads
+                for store in sparse_stores(model.parameters())
+                for r in store.sparse_grads
             )
             return all_reduce()
 
@@ -309,7 +309,8 @@ class TestDataParallelTrainer:
 
         def hold_then_step(step):
             def run():
-                held.append([p.sparse_grads for p in trainer.replicas[len(held)].parameters()])
+                params = trainer.replicas[len(held)].parameters()
+                held.append([store.sparse_grads for store in sparse_stores(params)])
                 step()
             return run
 

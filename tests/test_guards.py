@@ -328,7 +328,9 @@ class TestClickLogOOVPolicy:
 
 def _param(grad=None, sparse_values=None):
     sparse = [SimpleNamespace(values=v) for v in (sparse_values or [])]
-    return SimpleNamespace(grad=grad, sparse_grads=sparse)
+    param = SimpleNamespace(grad=grad, sparse_grads=sparse)
+    param.store = param  # a store of one, like a standalone Parameter
+    return param
 
 
 class TestNumericGuard:

@@ -16,7 +16,7 @@ class TestDotInteraction:
         x = rng.normal(size=(2, 3)).astype(np.float32)
         e1 = rng.normal(size=(2, 3)).astype(np.float32)
         e2 = rng.normal(size=(2, 3)).astype(np.float32)
-        out = inter.forward(x, [e1, e2])
+        out = inter.forward(np.stack([x, e1, e2], axis=1))
         assert out.shape == (2, 3 + 3)
         np.testing.assert_allclose(out[:, :3], x, rtol=1e-6)
         # pair order from tril_indices(k=-1): (e1,x), (e2,x), (e2,e1)
@@ -27,7 +27,7 @@ class TestDotInteraction:
     def test_width_mismatch_rejected(self, rng):
         inter = DotInteraction()
         with pytest.raises(ValueError):
-            inter.forward(np.zeros((1, 3)), [np.zeros((1, 4))])
+            inter.forward(np.zeros((1, 3)))
 
     def test_backward_before_forward(self):
         with pytest.raises(RuntimeError):
@@ -39,10 +39,10 @@ class TestDotInteraction:
         e = rng.normal(size=(3, 4)).astype(np.float64)
 
         def loss(xv, ev):
-            out = inter.forward(xv.astype(np.float32), [ev.astype(np.float32)])
+            out = inter.forward(np.stack([xv, ev], axis=1).astype(np.float32))
             return float((out.astype(np.float64) ** 2).sum())
 
-        out = inter.forward(x.astype(np.float32), [e.astype(np.float32)])
+        out = inter.forward(np.stack([x, e], axis=1).astype(np.float32))
         grad_dense, grad_embs = inter.backward((2 * out).astype(np.float32))
         eps = 1e-4
         for arr, grad, which in ((x, grad_dense, "x"), (e, grad_embs[0], "e")):

@@ -8,18 +8,30 @@ alone the comparison is bit for bit (``-0.0``, NaN payloads and all);
 
 The aliasing tests pin the ownership rules of DESIGN.md ("nn kernels:
 buffer ownership and aliasing"): an in-place kernel only ever writes a
-buffer its own layer allocated, and ``Parameter.grad`` is always an array
-the parameter owns.
+buffer its own layer allocated, ``Parameter.grad`` is always an array
+the parameter owns, and a table on a shared store is written through the
+store, never rebound.
+
+``TestStoreEquivalence`` keeps DLRM's embedding layer as it was before
+its tables shared a store (a bag call per table, ``np.stack``, ``A @ A.T``,
+one record per table, coalesced and applied per table) and holds the
+table-batched path to it bit for bit.
 """
 
 from __future__ import annotations
+
+import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.classifier import HotEmbeddingBagSpec
+from repro.core.replicator import EmbeddingReplicator, HotBag, HotEmbeddingBag
 from repro.data import SyntheticClickLog, SyntheticConfig
-from repro.data.loader import batch_from_log
+from repro.data.loader import MiniBatch, batch_from_log
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
 from repro.models import DLRM, DLRMConfig
 from repro.nn import (
@@ -34,7 +46,15 @@ from repro.nn import (
     ReLU,
 )
 from repro.nn.activations import sigmoid
-from repro.nn.parameter import SparseGrad
+from repro.nn.embedding import embedding_store
+from repro.nn.parameter import SparseGrad, sparse_stores
+from repro.resilience.checkpoint import (
+    TrainerCheckpoint,
+    capture_training_state,
+    load_checkpoint,
+    restore_training_state,
+    save_checkpoint,
+)
 from repro.train import evaluate_model
 
 SPECIALS = (np.nan, np.inf, -np.inf, -0.0, 0.0)
@@ -118,6 +138,39 @@ def pooled_backward_ref(ids, grad_out, mode):
     multiplicity = ids.shape[1]
     scale = 1.0 / multiplicity if mode == "mean" else 1.0
     return ids.ravel(), np.repeat(grad_out * scale, multiplicity, axis=0).astype(np.float32)
+
+
+def dlrm_step_parent(model, batch, grad_logits):
+    """DLRM forward + backward with a bag call per table (the parent's body):
+    returns the logits and the interaction input."""
+    names = model.schema.table_names
+    dense_vec = model.bottom_mlp.forward(batch.dense)
+    bags = [model.get_bag(name) for name in names]
+    pooled = [bag.forward(batch.sparse[name]) for bag, name in zip(bags, names)]
+    interacted, stacked = interaction_forward_ref(dense_vec, pooled)
+    logits = model.top_mlp.forward(interacted)[:, 0]
+    grad_top = model.top_mlp.backward(grad_logits[:, None])
+    grad_dense, grad_embeddings = interaction_backward_ref(stacked, grad_top)
+    for bag, grad in zip(bags, grad_embeddings):
+        bag.backward(grad)
+    model.bottom_mlp.backward(grad_dense)
+    return logits, stacked
+
+
+def sgd_step_parent(params, lr):
+    """`SGD.step` with one int64-sorted coalesce and update per parameter."""
+    for param in params:
+        if param.grad is not None:
+            param.grad *= lr
+            param.value -= param.grad
+        if param.sparse_grads:
+            ids, values = coalesced_parent(
+                np.concatenate([r.ids for r in param.sparse_grads]),
+                np.concatenate([r.values for r in param.sparse_grads]),
+            )
+            values *= lr
+            param.value[ids] -= values
+        param.zero_grad()
 
 
 def evaluate_ref(model, log, batch_size):
@@ -264,6 +317,27 @@ class TestMLPEquivalence:
             assert_bit_equal(mine, param.grad)
 
 
+    @given(batch=st.integers(1, 9), seed=seeds, final=st.sampled_from(["relu", None]))
+    @settings(max_examples=30, deadline=None)
+    def test_no_input_gradient_leaves_the_parameter_gradients_alone(self, batch, seed, final):
+        """``input_grad=False`` (a bottom MLP) returns None and skips only
+        the first layer's input GEMM; asking still gets the gradient."""
+        for sizes in ((5, 7, 4, 3), (5, 1), (5, 6, 1)):
+            mlp = MLP(sizes, np.random.default_rng(seed), final_activation=final)
+            x = draw_array(seed + 1, (batch, sizes[0]), np.float32, specials=False)
+            grad_out = draw_array(seed + 2, (batch, sizes[-1]), np.float32, specials=False)
+            mlp.forward(x)
+            grad_in = mlp.backward(grad_out)
+            grads = [p.grad.copy() for p in mlp.parameters()]
+            for p in mlp.parameters():
+                p.zero_grad()
+            mlp.forward(x)
+            assert mlp.backward(grad_out, input_grad=False) is None
+            for mine, param in zip(grads, mlp.parameters()):
+                assert_bit_equal(param.grad, mine)
+            assert grad_in.shape == x.shape
+
+
 class TestSGDEquivalence:
     @given(shape=shapes_2d, lr=st.floats(1e-4, 2.0), seed=seeds)
     @settings(max_examples=60, deadline=None)
@@ -362,6 +436,18 @@ class TestCoalescedEquivalence:
         assert_bit_equal(merged.ids, expected_ids)
         assert_bit_equal(merged.values, expected_values)
 
+    @pytest.mark.parametrize("num_rows", [2**16 + 1, 2**32, 2**32 + 1, None])
+    def test_every_key_width_sorts_like_the_int64_merge_sort(self, num_rows):
+        rng = np.random.default_rng(4)
+        top = 2**32 if num_rows is None or num_rows > 2**32 else num_rows
+        ids = np.append(rng.integers(0, top, size=40), [0, top - 1, 65_535, 65_536])
+        ids = rng.choice(ids, size=500)  # duplicates across both 16-bit halves
+        values = draw_array(5, (500, 3), np.float32, specials=False)
+        merged = SparseGrad(ids=ids, values=values).coalesced(num_rows=num_rows)
+        expected_ids, expected_values = coalesced_parent(ids, values)
+        assert_bit_equal(merged.ids, expected_ids)
+        assert_bit_equal(merged.values, expected_values)
+
     def test_nothing_pending_and_empty_records(self):
         param = Parameter("table", np.zeros((5, 3), dtype=np.float32))
         assert param.coalesced_sparse_grad() is None
@@ -407,7 +493,7 @@ class TestInteractionEquivalence:
         ]
         layer = DotInteraction()
         expected, stacked = interaction_forward_ref(dense_vec, embeddings)
-        out = layer.forward(dense_vec, embeddings)
+        out = layer.forward(np.stack([dense_vec, *embeddings], axis=1))
         assert_bit_equal(out, expected)
         grad_out = draw_array(seed + 50, out.shape, np.float32, specials=False)
         grad_dense, grad_embeddings = layer.backward(grad_out)
@@ -423,7 +509,7 @@ class TestInteractionEquivalence:
             dense_vec = draw_array(num_embeddings, (3, 4), np.float32, specials=False)
             embeddings = [draw_array(9 + i, (3, 4), np.float32, specials=False) for i in range(num_embeddings)]
             expected, _stacked = interaction_forward_ref(dense_vec, embeddings)
-            assert_bit_equal(layer.forward(dense_vec, embeddings), expected)
+            assert_bit_equal(layer.forward(np.stack([dense_vec, *embeddings], axis=1)), expected)
             layer.backward(np.ones_like(expected))
 
 
@@ -447,6 +533,222 @@ class TestPooledLookupEquivalence:
         expected_ids, expected_values = pooled_backward_ref(ids, grad_out, mode)
         np.testing.assert_array_equal(record.ids, expected_ids)
         assert_bit_equal(record.values, expected_values)
+
+
+def unique_params(models):
+    params = {}
+    for model in models:
+        for param in model.parameters():
+            params.setdefault(id(param), param)
+    return list(params.values())
+
+
+def store_models(seed, multiplicities, big, mode, replicas, hot):
+    """``replicas`` DLRMs; ranks r > 0 read rank 0's master tables (cold
+    mode), and each rank serves the tables flagged in ``hot`` from its own
+    hot bag.  Returns the models, one batch per rank and the schema."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(2, 300, size=len(multiplicities))
+    if big:  # the store crosses 65 536 rows: two 16-bit sort passes
+        rows[rng.integers(len(rows))] = 65_600
+    schema = DatasetSchema(
+        name="store",
+        num_dense=3,
+        tables=tuple(
+            EmbeddingTableSpec(f"t{i}", num_rows=int(n), dim=4, zipf_exponent=1.0, multiplicity=m)
+            for i, (n, m) in enumerate(zip(rows, multiplicities))
+        ),
+        num_samples=64,
+    )
+    config = DLRMConfig("3-8-4", "8-1", pooling=mode, seed=seed)
+    models = [DLRM(schema, config) for _ in range(replicas)]
+    masters = models[0].tables
+    hot_ids = {
+        name: np.unique(rng.integers(0, masters[name].num_rows, size=3))
+        for name, flag in zip(schema.table_names, hot) if flag
+    }
+    for rank, model in enumerate(models):
+        for name, table in masters.items():
+            if name in hot_ids:
+                spec = HotEmbeddingBagSpec(name, hot_ids[name], table.num_rows, 4, False)
+                bag = HotBag(spec, table.subset(hot_ids[name]), replica_id=rank)
+                model.set_bag(name, HotEmbeddingBag(bag, mode=mode))
+            elif rank:
+                model.set_bag(name, EmbeddingBag(table, mode=mode))
+    batches = []
+    for rank in range(replicas):
+        size = int(rng.integers(1, 12))
+        sparse = {}
+        for spec in schema.tables:
+            if spec.name in hot_ids:
+                sparse[spec.name] = rng.choice(hot_ids[spec.name], size=(size, spec.multiplicity))
+            else:
+                # Few distinct rows: duplicates, so record order shows in the sums.
+                high = min(spec.num_rows, 5)
+                sparse[spec.name] = rng.integers(0, high, size=(size, spec.multiplicity))
+        batches.append(
+            MiniBatch(
+                dense=draw_array(seed + rank, (size, 3), np.float32, specials=False),
+                sparse=sparse,
+                labels=np.zeros(size, dtype=np.float32),
+                indices=np.arange(size, dtype=np.int64),
+            )
+        )
+    return models, batches, schema
+
+
+class TestStoreEquivalence:
+    @given(
+        multiplicities=st.lists(st.integers(1, 4), min_size=1, max_size=30),
+        big=st.booleans(),
+        mode=st.sampled_from(["mean", "sum"]),
+        replicas=st.integers(1, 2),
+        hot=st.lists(st.booleans(), min_size=30, max_size=30),
+        seed=seeds,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_store_equals_a_bag_per_table(self, multiplicities, big, mode, replicas, hot, seed):
+        """Logits, interaction input, the coalesced update and the stepped
+        parameters are the per-table path's, bit for bit."""
+        models, batches, schema = store_models(seed, multiplicities, big, mode, replicas, hot)
+        references = copy.deepcopy(models)  # a deep copy's tables are stores of one
+        assert all(t.weight.store is t.weight for t in references[0].tables.values())
+        store = models[0].tables["t0"].weight.store
+        assert all(t.weight.store is store for t in models[0].tables.values())
+
+        for rank, (model, reference, batch) in enumerate(zip(models, references, batches)):
+            grad = draw_array(seed + 10 + rank, len(batch), np.float32, specials=False)
+            seen = []
+            forward = model.interaction.forward
+
+            def spy(stacked, forward=forward, seen=seen):
+                seen.append(stacked.copy())
+                return forward(stacked)
+
+            model.interaction.forward = spy
+            logits = model.forward(batch)
+            model.backward(grad)
+            expected_logits, expected_stacked = dlrm_step_parent(reference, batch, grad)
+            assert_bit_equal(logits, expected_logits)
+            assert_bit_equal(seen[0], expected_stacked)
+
+        # The applied update: the store's one record, split at its tables.
+        merged = store.coalesced_sparse_grad()
+        expected_ids, expected_values = [], []
+        for table, ref in zip(models[0].tables.values(), references[0].tables.values()):
+            if ref.weight.sparse_grads:
+                ids, values = coalesced_parent(
+                    np.concatenate([r.ids for r in ref.weight.sparse_grads]),
+                    np.concatenate([r.values for r in ref.weight.sparse_grads]),
+                )
+                expected_ids.append(ids + table.weight.offset)
+                expected_values.append(values)
+        if expected_ids:
+            assert_bit_equal(merged.ids, np.concatenate(expected_ids))
+            assert_bit_equal(merged.values, np.concatenate(expected_values))
+        else:
+            assert merged is None
+
+        rows = sum(
+            s.coalesced_sparse_grad().ids.shape[0]
+            for s in sparse_stores(unique_params(models)) if s.sparse_grads
+        )
+        optimizer = SGD(unique_params(models), lr=0.3)
+        optimizer.step()
+        sgd_step_parent(unique_params(references), lr=0.3)
+        for mine, theirs in zip(unique_params(models), unique_params(references)):
+            assert_bit_equal(mine.value, theirs.value)
+        assert store.sparse_grads == [] and optimizer.last_sparse_rows == rows
+
+    @given(
+        rows=st.lists(st.integers(1, 70_000), min_size=1, max_size=4),
+        mode=st.sampled_from(["mean", "sum"]),
+        multiplicity=st.integers(1, 4),
+        seed=seeds,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_a_bag_per_table_on_a_store_records_store_rows(self, rows, mode, multiplicity, seed):
+        """TBSM's per-table calls: each bag's record lands on the store at
+        its table's offset, and one step equals a step per table."""
+        rng = np.random.default_rng(seed)
+        tables = embedding_store([(f"t{i}", n) for i, n in enumerate(rows)], 3, rng)
+        alone = copy.deepcopy(tables)
+        grads = []
+        for name, n in enumerate(rows):
+            ids = rng.integers(0, min(n, 6), size=(5, multiplicity))
+            grad = draw_array(seed + name, (5, 3), np.float32, specials=False)
+            for group in (tables, alone):
+                bag = EmbeddingBag(group[f"t{name}"], mode=mode)
+                expected = pooled_forward_ref(group[f"t{name}"].weight.value, ids, mode)
+                assert_bit_equal(bag.forward(ids), expected)
+                bag.backward(grad)
+            grads.append(alone[f"t{name}"].weight.densified_grad())
+        for table, grad in zip(tables.values(), grads):
+            assert_bit_equal(table.weight.densified_grad(), grad)
+            assert table.weight.sparse_grads == []
+        SGD([t.weight for t in tables.values()], lr=0.5).step()
+        sgd_step_parent([t.weight for t in alone.values()], lr=0.5)
+        for table, reference in zip(tables.values(), alone.values()):
+            assert_bit_equal(table.weight.value, reference.weight.value)
+
+    def test_tables_draw_in_the_order_of_tables_of_their_own(self):
+        schema = DatasetSchema(
+            name="order",
+            num_dense=3,
+            tables=tuple(EmbeddingTableSpec(f"t{i}", num_rows=7 + i, dim=4) for i in range(5)),
+            num_samples=8,
+        )
+        model = DLRM(schema, DLRMConfig("3-8-4", "8-1", seed=11))
+        rng = np.random.default_rng(11)
+        MLP((3, 8, 4), rng)
+        for spec in schema.tables:
+            alone = EmbeddingTable(spec.name, spec.num_rows, spec.dim, rng)
+            assert_bit_equal(model.tables[spec.name].weight.value, alone.weight.value)
+        top = MLP((model.top_mlp.in_features, 8, 1), rng, final_activation=None)
+        for mine, theirs in zip(model.top_mlp.parameters(), top.parameters()):
+            assert_bit_equal(mine.value, theirs.value)
+        store = model.tables["t0"].weight.store
+        assert store.value.shape == (sum(s.num_rows for s in schema.tables), 4)
+        assert [t.weight.offset for t in model.tables.values()] == [0, 7, 15, 24, 34]
+
+    @pytest.mark.parametrize("bad", [-1, "rows"])
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_an_id_out_of_range_names_its_table(self, bad, column):
+        models, batches, schema = store_models(3, [1, 2, 1], False, "mean", 1, [False] * 3)
+        name = schema.table_names[column]
+        ids = batches[0].sparse[name]
+        ids[0, -1] = schema.tables[column].num_rows if bad == "rows" else bad
+        with pytest.raises(IndexError, match=rf"^{name}: lookup ids out of range"):
+            models[0].forward(batches[0])
+
+    def test_a_replica_reading_another_stores_masters_records_there(self):
+        models, batches, _schema = store_models(5, [1, 1, 3], False, "sum", 2, [False] * 3)
+        own, masters = models[1].tables["t0"].weight.store, models[0].tables["t0"].weight.store
+        models[1].forward(batches[1])
+        models[1].backward(np.ones(len(batches[1]), dtype=np.float32))
+        assert own.sparse_grads == [] and len(masters.sparse_grads) == 1
+        assert sparse_stores(models[1].parameters()) == [
+            *[p for p in models[1].dense_parameters()],
+            masters,
+        ]
+
+    def test_a_dropped_model_is_freed_at_once(self):
+        """No reference cycle through ``Parameter.store``: a model's arrays
+        go with its last reference, not at the next full collection."""
+        models, _batches, _schema = store_models(2, [1, 2], False, "mean", 1, [False, True])
+        model = models.pop()
+        refs = [weakref.ref(p) for p in (*model.parameters(), model.tables["t0"].weight.store)]
+        gc.disable()
+        try:
+            del model
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    def test_backward_needs_a_forward(self):
+        models, batches, _schema = store_models(1, [1], False, "mean", 1, [False])
+        with pytest.raises(RuntimeError):
+            models[0].backward(np.ones(len(batches[0]), dtype=np.float32))
 
 
 class TestSigmoidAndEvaluate:
@@ -574,12 +876,12 @@ class TestAliasing:
 
     def test_interaction_leaves_its_inputs_alone(self):
         features = [draw_array(i, (4, 3), np.float32, specials=False) for i in range(4)]
-        before = [f.copy() for f in features]
+        stacked = np.stack(features, axis=1)
+        before = stacked.copy()
         layer = DotInteraction()
-        out = layer.forward(features[0], features[1:])
-        for feature, kept in zip(features, before):
-            assert not np.shares_memory(out, feature)
-            assert_bit_equal(feature, kept)
+        out = layer.forward(stacked)
+        assert not np.shares_memory(out, stacked)
+        assert_bit_equal(stacked, before)
         grad_out = draw_array(9, out.shape, np.float32, specials=False)
         grad_before = grad_out.copy()
         grad_dense, grad_embeddings = layer.backward(grad_out)
@@ -600,6 +902,73 @@ class TestAliasing:
         bag.backward(grad_out)
         assert_bit_equal(grad_out, grad_before)
         assert_bit_equal(table.weight.value, weights_before)
+
+    def _store_model(self, seed=1):
+        schema = DatasetSchema(
+            name="alias",
+            num_dense=3,
+            tables=tuple(EmbeddingTableSpec(f"t{i}", num_rows=9 + i, dim=4) for i in range(3)),
+            num_samples=16,
+        )
+        model = DLRM(schema, DLRMConfig("3-8-4", "8-1", seed=seed))
+        weights = [table.weight for table in model.tables.values()]
+        return model, weights, [w.value for w in weights], weights[0].store
+
+    @staticmethod
+    def _assert_views_of(values, weights, store):
+        for value, weight in zip(values, weights):
+            assert weight.value is value and value.base is store.value
+            assert_bit_equal(value, store.value[weight.offset : weight.offset + len(value)])
+
+    def test_load_checkpoint_writes_through_the_store(self, tmp_path):
+        source, *_rest = self._store_model(seed=1)
+        model, weights, values, store = self._store_model(seed=2)
+        ckpt = TrainerCheckpoint(
+            step=1, epoch=0, cursors={}, scheduler_state={},
+            params=capture_training_state(source.dense_parameters(), source.tables),
+        )
+        loaded = load_checkpoint(save_checkpoint(tmp_path, ckpt))
+        restore_training_state(model.dense_parameters(), model.tables, loaded.params)
+        self._assert_views_of(values, weights, store)
+        for name, table in source.tables.items():
+            assert_bit_equal(model.tables[name].weight.value, table.weight.value)
+
+    def test_write_rows_writes_through_the_store(self):
+        model, weights, values, store = self._store_model()
+        model.tables["t1"].write_rows(np.array([0, 9]), np.full((2, 4), 5.0, dtype=np.float32))
+        self._assert_views_of(values, weights, store)
+        np.testing.assert_array_equal(store.value[[weights[1].offset, weights[1].offset + 9]], 5.0)
+
+    def test_replicator_sync_reads_and_writes_through_the_store(self):
+        model, weights, values, store = self._store_model()
+        hot = np.array([1, 4])
+        specs = {
+            name: HotEmbeddingBagSpec(name, hot, table.num_rows, 4, False)
+            for name, table in model.tables.items()
+        }
+        replicator = EmbeddingReplicator(model.tables, specs, num_replicas=2)
+        bag_values = [bag.weight.value for r in replicator.replicas for bag in r.values()]
+        store.value[weights[2].offset + hot] = 3.0  # the masters move on
+        replicator.sync_from_master()
+        for replica in replicator.replicas:
+            assert replica["t2"].weight.value is bag_values[2 + 3 * replica["t2"].replica_id]
+            np.testing.assert_array_equal(replica["t2"].weight.value, 3.0)
+        replicator.replicas[0]["t0"].weight.value[...] = -1.0
+        replicator.sync_to_master()
+        self._assert_views_of(values, weights, store)
+        np.testing.assert_array_equal(store.value[hot], -1.0)
+
+    def test_step_updates_the_store_in_place(self):
+        model, weights, values, store = self._store_model()
+        log = SyntheticClickLog(model.schema, SyntheticConfig(num_samples=16, seed=2))
+        batch = batch_from_log(log, np.arange(16))
+        before = store.value.copy()
+        model.forward(batch)
+        model.backward(np.ones(16, dtype=np.float32))
+        assert_bit_equal(store.value, before)
+        SGD(model.parameters(), lr=0.1).step()
+        self._assert_views_of(values, weights, store)
+        assert not np.array_equal(store.value, before)
 
     def test_model_step_leaves_the_batch_and_its_grad_alone(self):
         schema = DatasetSchema(
