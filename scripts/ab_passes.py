@@ -7,7 +7,8 @@ Usage::
 
 Each tree gets one long-lived worker process that imports that tree's
 ``perfbench/workloads.py`` and ``src/`` (read-only: no bytecode is written
-into the trees), sets the workload up once and runs one warm-up pass.  The
+into the trees), pins BLAS to one thread as perfbench does, sets the workload up once and
+runs one warm-up pass.  The
 driver then asks the two workers for one pass each, in turn, swapping which
 side goes first every round, so both sides see the same spells of a
 machine whose speed drifts by tens of percent within minutes.  A pass is
@@ -36,8 +37,15 @@ import time
 from pathlib import Path
 
 
+# Pinned to one thread in each worker before numpy loads, as perfbench/run.py
+# does: an A/B measures the code under the benchmark's BLAS threading.
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def worker(tree: Path, workload_name: str, seed: int, smoke: bool) -> int:
     """Serve ``pass`` requests on stdin, one JSON line per pass on stdout."""
+    for name in BLAS_THREADS:
+        os.environ[name] = "1"
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(tree / "perfbench"), str(tree / "src")]
     protocol = sys.stdout
@@ -52,7 +60,9 @@ def worker(tree: Path, workload_name: str, seed: int, smoke: bool) -> int:
         workload = workload_class(seed, sizes, work_dir)
         workload.setup()
         workload.run_pass(workload.prepare_pass())  # warm-up, discarded
-        protocol.write(json.dumps({"ready": True, "items": workload.items_per_pass}) + "\n")
+        threads = {name: os.environ[name] for name in BLAS_THREADS}
+        ready = {"ready": True, "items": workload.items_per_pass, "threads": threads}
+        protocol.write(json.dumps(ready) + "\n")
         protocol.flush()
         for line in sys.stdin:
             if line.strip() != "pass":

@@ -28,7 +28,10 @@ Integer members are stored at the width of their range
 (:func:`~repro.data.npz_codec.id_dtype`): batch indices at the input
 count's, hot-bag ``hot_ids`` at their table's.  Every loader widens them
 to int64 once, so a loaded dataset is what was saved, and int64 archives
-from earlier writers load through the same line.
+from earlier writers load through the same line.  Loaded batch indices,
+``hot_ids`` and the sharded layout's hot mask are read-only (the codec
+hands out views of the file's bytes; a widened copy is made read-only
+too): the one writer of a hot mask, the cache's repack, copies it first.
 """
 
 from __future__ import annotations
@@ -66,8 +69,10 @@ def _narrow(indices: np.ndarray, count: int) -> np.ndarray:
 
 
 def _widened(archive: NpzReader, name: str) -> np.ndarray:
-    """Member ``name`` of an integer-array archive, as int64."""
-    return archive[name].astype(np.int64, copy=False)
+    """Member ``name`` of an integer-array archive, as read-only int64."""
+    indices = archive[name].astype(np.int64, copy=False)
+    indices.flags.writeable = False  # as read-only as an int64 member's view
+    return indices
 
 
 def _bag_payload(bags: dict[str, HotEmbeddingBagSpec]) -> dict[str, np.ndarray]:
@@ -350,7 +355,7 @@ def load_fae_dataset(
         )
     threshold = float(archive["threshold"])
     batch_size = int(archive["batch_size"])
-    hot_mask = archive["hot_mask"]
+    hot_mask = np.array(archive["hot_mask"])  # a view would keep the whole archive alive
     hot_batches = [
         _widened(archive, f"hot_batch_{i:06d}") for i in range(int(archive["num_hot_batches"]))
     ]

@@ -279,7 +279,9 @@ class ShardChunk(ClickLog):
     shape against the schema, ids against the table's row range -- when
     first touched, then cached: every check an eager load applies, on
     every column that is used.  Damage in a column nobody reads is found
-    by whoever first reads it.
+    by whoever first reads it.  Columns are read-only: ``dense`` and
+    ``labels`` are views of the file's bytes, ids their widened copy; a
+    caller that writes into a log works on a ``take`` of it.
 
     Raises:
         RuntimeError: missing, truncated or corrupt file or member, or a
@@ -338,6 +340,7 @@ class ShardChunk(ClickLog):
         if num_rows is not None:
             _check_ids(stored, num_rows, where)
         column = np.ascontiguousarray(stored, dtype=dtype)
+        column.flags.writeable = False  # read-only at every width, a view or widened
         self._columns[member] = column
         return column
 

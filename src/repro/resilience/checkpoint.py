@@ -11,8 +11,11 @@ checkpoint plus a ``.sha256`` sidecar:
   file + ``os.replace``, recycling a spare inode) so a crash mid-write
   never leaves a truncated checkpoint under the final name;
 - the sidecar holds the archive's SHA-256; :func:`load_checkpoint`
-  verifies it and raises :class:`CheckpointCorruptionError` (naming the
-  file) on any mismatch, truncation, or unreadable archive;
+  verifies it, reads the members through the writer's own
+  :class:`~repro.data.npz_codec.NpzReader` (copying each once, so the
+  restored arrays are owned and writeable), and raises
+  :class:`CheckpointCorruptionError` (naming the file) on any mismatch,
+  truncation, or unreadable archive;
 - :func:`latest_checkpoint` scans a directory newest-first and skips
   corrupt entries, so resume falls back to the last *good* snapshot.
 
@@ -25,7 +28,6 @@ loss trajectory reproduces the uninterrupted run bit-for-bit — see
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -328,12 +330,15 @@ def load_checkpoint(path: str | Path) -> TrainerCheckpoint:
             archive (the error names the file).
         CheckpointError: on any version but :data:`CHECKPOINT_VERSION`.
     """
+    from repro.data.npz_codec import NpzReader  # deferred: npz_codec -> obs -> resilience
+
     path = Path(path)
     blob = _read_verified(path)
     try:
-        with np.load(io.BytesIO(blob), allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta_json"]))
-            arrays = {key: archive[key] for key in archive.files if key != "meta_json"}
+        archive = NpzReader(blob, "the archive")
+        meta = json.loads(str(archive["meta_json"]))
+        # One copy per member: the trainer owns, and writes into, what it restores.
+        arrays = {key: np.array(archive[key]) for key in archive if key != "meta_json"}
     except Exception as exc:
         raise CheckpointCorruptionError(
             f"checkpoint {path} is unreadable despite a matching checksum: {exc}"
@@ -384,11 +389,12 @@ def read_checkpoint_meta(path: str | Path) -> dict:
     ``size_bytes``; used by ``repro checkpoint ls``.  Raises the same
     errors as :func:`load_checkpoint` on missing/corrupt files.
     """
+    from repro.data.npz_codec import NpzReader  # deferred: npz_codec -> obs -> resilience
+
     path = Path(path)
     blob = _read_verified(path)
     try:
-        with np.load(io.BytesIO(blob), allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta_json"]))
+        meta = json.loads(str(NpzReader(blob, "the archive")["meta_json"]))
     except Exception as exc:
         raise CheckpointCorruptionError(
             f"checkpoint {path} is unreadable despite a matching checksum: {exc}"

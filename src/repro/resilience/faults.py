@@ -460,7 +460,10 @@ class FaultPlan:
         identical no matter how the log is later chunked, and the other
         fault draws are unperturbed.  Each poisoned row gets one of the
         three corruption kinds, round-robin: non-finite dense features,
-        an out-of-range sparse id, or an invalid label.
+        an out-of-range sparse id, or an invalid label.  ``log`` must own
+        its columns, as a ``take`` (the training split) does: a decoded
+        log shard's columns are read-only views of the file's bytes, and
+        numpy refuses the first write with ``ValueError``.
 
         Returns:
             Mapping of poisoned row index -> corruption kind

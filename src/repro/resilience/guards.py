@@ -171,7 +171,8 @@ class IngestPolicy:
         labels: policy for non-finite or non-{0,1} labels.
 
     ``raise`` aborts on the first bad record (the historical behavior),
-    ``clamp`` repairs in place (ids clipped into range, non-finite dense
+    ``clamp`` repairs the record into fresh arrays, never writing into the
+    chunk's own (ids clipped into range, non-finite dense
     zeroed, labels thresholded), ``quarantine`` drops the record and
     writes it to the ledger.
     """

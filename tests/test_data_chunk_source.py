@@ -27,7 +27,10 @@ from repro.data import (
 from repro.data.chunk_source import SHARD_MANIFEST, ShardChunk
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
 from repro.data.npz_codec import NpzReader
+from repro.data.validate import ValidatingChunkSource
 from repro.obs import get_registry, span, tracing
+from repro.resilience.faults import FaultPlan
+from repro.resilience.guards import IngestPolicy
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +223,9 @@ class TestStoredIdWidth:
             for _start, chunk in ShardChunkSource(directory):
                 got = chunk.sparse["t"]
                 assert got.dtype == np.int64
-                assert got.flags.c_contiguous and got.flags.writeable
+                assert got.flags.c_contiguous and not got.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0, 0] = 0
         assert np.array_equal(sparse["t"], ids)
 
     def test_dense_and_labels_are_stored_as_they_are(self, shard_dir):
@@ -350,7 +355,9 @@ class TestLazyShardChunk:
                     got, ref = column(chunk, name), column(want, name)
                     assert got.dtype == ref.dtype and got.shape == ref.shape
                     assert np.array_equal(got, ref)
-                    assert got.flags.c_contiguous and got.flags.writeable
+                    assert got.flags.c_contiguous and not got.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        got[:1] = 0
                     assert column(chunk, name) is got  # decoded once, then cached
                 assert tuple(chunk.sparse) == source.schema.table_names
                 assert np.array_equal(
@@ -520,3 +527,44 @@ class TestShardDamage:
         # Damage confined to table_01 leaves every other column readable.
         if expected_failure is not None and damage != "manifest_count":
             assert len(ShardChunk(schema, path, count).sparse["table_00"]) == 256
+
+
+class TestReadOnlyColumns:
+    """Decoded shard columns are read-only views of the file's bytes.  The
+    callers that write into a log -- fault injection and the clamp policy --
+    work on their own copy, so no reader of a shard ever sees the write."""
+
+    def test_corrupt_ingest_is_refused_by_a_decoded_chunk_and_poisons_a_copy(self, shard_dir):
+        plan = FaultPlan(seed=7, ingest_corruption_rate=0.05)
+        files = {path.name: path.read_bytes() for path in shard_dir.iterdir()}
+        for _start, chunk in ShardChunkSource(shard_dir):
+            columns = [chunk.dense.copy(), chunk.labels.copy(),
+                       *(ids.copy() for ids in chunk.sparse.values())]
+            with pytest.raises(ValueError, match="read-only"):
+                plan.corrupt_ingest(chunk)
+            owned = chunk.take(np.arange(len(chunk)))  # what `repro train` poisons: its split
+            poisoned = plan.corrupt_ingest(owned)
+            assert set(poisoned.values()) == {"dense", "sparse", "label"}
+            for got, want in zip([chunk.dense, chunk.labels, *chunk.sparse.values()], columns):
+                assert np.array_equal(got, want)
+        assert {path.name: path.read_bytes() for path in shard_dir.iterdir()} == files
+
+    def test_clamp_repairs_shard_columns_into_fresh_arrays(self, small_log, tmp_path):
+        poisoned = small_log.take(np.arange(len(small_log)))
+        poisoned.dense[::97, 0] = np.nan
+        poisoned.dense[5::97, 1] = np.inf
+        directory = save_log_shards(tmp_path / "poisoned", LogChunkSource(poisoned, chunk_size=256))
+        policy = IngestPolicy.parse("sparse=clamp,dense=clamp")
+        _starts, dense, sparse, labels = reassemble(
+            ValidatingChunkSource(ShardChunkSource(directory), policy)
+        )
+        _starts, want_dense, want_sparse, want_labels = reassemble(
+            ValidatingChunkSource(LogChunkSource(poisoned, chunk_size=256), policy)
+        )
+        assert np.isfinite(dense).all() and np.array_equal(dense, want_dense)
+        assert np.array_equal(labels, want_labels)
+        assert all(np.array_equal(sparse[name], want_sparse[name]) for name in sparse)
+        # The shards still hold what was written: the repair never reached them.
+        _starts, stored, _sparse, _labels = reassemble(ShardChunkSource(directory))
+        assert np.array_equal(stored, poisoned.dense, equal_nan=True)
+        assert np.isnan(stored[::97, 0]).all()

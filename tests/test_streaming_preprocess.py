@@ -7,14 +7,19 @@ seed.  These tests pin that, plus the sharded on-disk format's
 round-trip, lazy loading, and corruption detection.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import io
 import json
 import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import (
     Calibrator,
@@ -42,8 +47,10 @@ from repro.data import (
     save_log_shards,
     train_test_split,
 )
-from repro.data.npz_codec import NpzReader
+import repro.data.npz_codec as npz_codec
+from repro.data.npz_codec import NpzReader, write_npz
 from repro.obs import get_registry
+from repro.resilience.checkpoint import TrainerCheckpoint, load_checkpoint, save_checkpoint
 
 
 def assert_plans_equal(actual, expected):
@@ -465,7 +472,9 @@ class TestStoredIndexWidth:
             assert len(batches) == len(getattr(dataset, kind))
             for batch, want in zip(batches, getattr(dataset, kind)):
                 assert batch.dtype == np.int64 and np.array_equal(batch, want)
-                assert batch.flags.c_contiguous and batch.flags.writeable
+                assert batch.flags.c_contiguous and not batch.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    batch[0] = 0
         hot_ids = got_bags["t"].hot_ids
         assert hot_ids.dtype == np.int64 and np.array_equal(hot_ids, bags["t"].hot_ids)
         assert got_bags["t"].num_rows == bags["t"].num_rows
@@ -522,6 +531,217 @@ class TestStoredIndexWidth:
         assert stored_dtypes(flat)["hot_batch_000000"] == np.int64
         self.assert_loaded(load_fae_dataset(flat), dataset, bags)
         self.assert_loaded(load_fae_dataset(directory), dataset, bags)
+
+
+def zipfile_archive(arrays):
+    """The archive body ``write_npz`` wrote through ``zipfile`` until it built
+    the bytes itself: kept here only as the oracle for those bytes."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for name, value in arrays.items():
+            member = io.BytesIO()
+            np.lib.format.write_array(member, np.asanyarray(value), allow_pickle=False)
+            archive.writestr(zipfile.ZipInfo(name + ".npy"), member.getbuffer())
+    return buffer.getvalue()
+
+
+# Every dtype an archive in this repository stores, in every memory order.
+STORED = st.sampled_from(
+    [np.uint8, np.uint16, np.uint32, np.int64, np.float32, np.float64, np.bool_, "<U12"]
+)
+
+
+@st.composite
+def member_arrays(draw):
+    value = draw(hnp.arrays(STORED, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0)))
+    layout = draw(st.sampled_from(["c", "fortran", "strided", "transposed"]))
+    if layout == "fortran":
+        return np.asfortranarray(value)
+    if layout == "strided" and value.ndim:
+        return value[::2]
+    if layout == "transposed":
+        return value.T
+    return value
+
+
+ARCHIVES = st.dictionaries(
+    st.from_regex(r"[a-z_][a-z0-9_]{0,15}", fullmatch=True), member_arrays(), max_size=5
+)
+
+
+def small_archive(tmp_path):
+    """A three-member stored archive: ids at their stored width, floats, a string."""
+    arrays = {
+        "ids": np.array([[3, 1], [4, 1], [5, 9]], dtype=np.uint16),
+        "dense": np.linspace(0, 1, 6, dtype=np.float32).reshape(2, 3),
+        "meta_json": np.array('{"k": 1}'),
+    }
+    write_npz(tmp_path / "small.npz", arrays)
+    return arrays, (tmp_path / "small.npz").read_bytes()
+
+
+def equal_members(reader, arrays):
+    for name, want in arrays.items():
+        got = reader[name]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestStoredZipCodec:
+    """``npz_codec`` builds stored archives itself and reads their members in
+    place; ``zipfile`` parses only the directories the struct walk leaves to
+    it (zip64, deflated, encrypted) and reads only deflated members."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays=ARCHIVES)
+    def test_bytes_are_zipfiles_and_read_back_as_read_only_views(self, arrays, tmp_path_factory):
+        path = tmp_path_factory.mktemp("oracle") / "a.npz"
+        digest = write_npz(path, arrays)
+        blob = path.read_bytes()
+        assert blob == zipfile_archive(arrays)
+        assert digest == hashlib.sha256(blob).hexdigest()
+        reader = NpzReader(blob, "oracle")
+        assert list(reader) == list(arrays)
+        for name, want in arrays.items():
+            got = reader[name]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+        with np.load(path, allow_pickle=False) as archive:  # still a plain npz
+            assert archive.files == list(arrays)
+
+    @pytest.mark.parametrize("mask", [0x01, 0xFF])
+    def test_every_single_byte_flip_raises_naming_where_or_reads_equal(self, mask, tmp_path):
+        arrays, blob = small_archive(tmp_path)
+        for position in range(len(blob)):
+            damaged = bytearray(blob)
+            damaged[position] ^= mask
+            try:
+                equal_members(NpzReader(bytes(damaged), "flipped"), arrays)
+            except RuntimeError as exc:
+                assert str(exc).startswith("flipped is truncated or corrupt"), position
+
+    def test_every_truncation_raises_naming_where(self, tmp_path):
+        arrays, blob = small_archive(tmp_path)
+        for size in range(len(blob)):
+            with pytest.raises(RuntimeError, match="^cut is truncated or corrupt"):
+                equal_members(NpzReader(blob[:size], "cut"), arrays)
+
+    def test_a_padded_checkpoint_reads_back_and_its_padding_is_the_end(self, tmp_path):
+        params = {"dense.0000": np.ones((300, 8), np.float32)}
+        big = TrainerCheckpoint(step=1, epoch=0, cursors={}, scheduler_state={}, params=params)
+        small = TrainerCheckpoint(
+            step=1, epoch=0, cursors={}, scheduler_state={},
+            params={"dense.0000": np.full((10, 8), 2, np.float32)},
+        )
+        save_checkpoint(tmp_path, big)
+        save_checkpoint(tmp_path, big)
+        path = save_checkpoint(tmp_path, small)  # over the bigger spare: padded
+        blob = path.read_bytes()
+        with zipfile.ZipFile(path) as archive:
+            assert len(archive.comment) > 1000 and blob.endswith(archive.comment)
+            assert set(archive.comment) == {ord(" ")}
+        np.testing.assert_array_equal(load_checkpoint(path).params["dense.0000"], 2)
+        restored = load_checkpoint(path).params["dense.0000"]
+        assert restored.flags.writeable and restored.flags.owndata  # a copy the trainer owns
+        for cut in (1, 500):
+            with pytest.raises(RuntimeError, match="^cut is truncated or corrupt"):
+                NpzReader(blob[:-cut], "cut")
+
+    @staticmethod
+    def count_zipfile_reads(monkeypatch):
+        reads = []
+        original = zipfile.ZipFile.read
+
+        def read(self, name, pwd=None):
+            reads.append(name)
+            return original(self, name, pwd)
+
+        monkeypatch.setattr(zipfile.ZipFile, "read", read)
+        return reads
+
+    def test_deflated_archives_load_through_zipfile(self, monkeypatch, tmp_path):
+        arrays, blob = small_archive(tmp_path)
+        reads = self.count_zipfile_reads(monkeypatch)
+        equal_members(NpzReader(blob, "stored"), arrays)
+        assert reads == []  # stored archives never go through ZipFile.read
+        np.savez(tmp_path / "savez.npz", **arrays)  # stored, zip64 local fields only
+        equal_members(NpzReader((tmp_path / "savez.npz").read_bytes(), "savez"), arrays)
+        assert reads == []
+        np.savez_compressed(tmp_path / "deflated.npz", **arrays)
+        equal_members(NpzReader((tmp_path / "deflated.npz").read_bytes(), "deflated"), arrays)
+        assert len(reads) == len(arrays)
+
+    @staticmethod
+    def zip64_limits(members, limit):
+        """``zipfile``'s and the writer's zip64 limits, lowered together."""
+        patches = [
+            mock.patch.object(zipfile, "ZIP_FILECOUNT_LIMIT", members),
+            mock.patch.object(npz_codec, "_MAX_MEMBERS", members),
+            mock.patch.object(zipfile, "ZIP64_LIMIT", limit),
+            mock.patch.object(npz_codec, "_ZIP64_LIMIT", limit),
+        ]
+        stack = contextlib.ExitStack()
+        for patch in patches:
+            stack.enter_context(patch)
+        return stack
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays=ARCHIVES, members=st.integers(0, 6),
+        limit=st.integers(100, 2000),
+    )
+    def test_zip64_archives_are_zipfiles_and_read_back_in_place(self, arrays, members, limit,
+                                                                tmp_path_factory):
+        """Past the limits (lowered so small archives reach them), the writer
+        still writes ``zipfile``'s bytes, zip64 records included."""
+        path = tmp_path_factory.mktemp("zip64") / "a.npz"
+        with self.zip64_limits(members, limit):
+            write_npz(path, arrays)
+            assert path.read_bytes() == zipfile_archive(arrays)
+        with mock.patch.object(zipfile.ZipFile, "read", side_effect=AssertionError):
+            reader = NpzReader(path.read_bytes(), "zip64")
+            assert list(reader) == list(arrays)
+            equal_members(reader, arrays)
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive.files == list(arrays)
+            equal_members(archive, arrays)
+
+    def test_every_zip64_record_is_written_where_zipfile_puts_it(self, tmp_path):
+        arrays = {f"m{i}": np.arange(40 * i, dtype=np.int64) for i in range(4)}
+        with self.zip64_limits(members=3, limit=300):
+            write_npz(tmp_path / "a.npz", arrays)
+        blob = (tmp_path / "a.npz").read_bytes()
+        with zipfile.ZipFile(tmp_path / "a.npz") as archive:
+            infos = archive.infolist()
+        local_extra = [
+            int.from_bytes(blob[info.header_offset + 28:info.header_offset + 30], "little")
+            for info in infos
+        ]
+        # m0 (128 B): no field; m1 (448 B): zip64 sizes in both headers; m2
+        # and m3 start past 300 B, so their central field adds the offset;
+        # 4 members > 3: the zip64 end record.
+        assert local_extra == [0, 20, 20, 20]
+        assert [len(info.extra) for info in infos] == [0, 20, 28, 28]
+        assert [info.header_offset > 300 for info in infos] == [False, False, True, True]
+        assert b"PK\x06\x06" in blob and b"PK\x06\x07" in blob  # zip64 end record, locator
+        equal_members(NpzReader(blob, "zip64"), arrays)
+
+    def test_a_preprocess_pass_decodes_the_same_members_as_before(self, tiny_log, tiny_fae_config,
+                                                                 tmp_path):
+        """Counts recorded with the zipfile reader over this exact pass."""
+        registry = get_registry()
+        members = registry.counter("data.shard.members_decoded")
+        decoded = registry.counter("data.shard.bytes_decoded")
+        directory = save_log_shards(tmp_path / "log", LogChunkSource(tiny_log, chunk_size=1000))
+        before = members.value, decoded.value
+        plan = fae_preprocess_source(ShardChunkSource(directory), tiny_fae_config, batch_size=64)
+        plan.save(tmp_path / "fae", shard_size=3)
+        dataset, _bags, _threshold = load_fae_dataset(tmp_path / "fae")
+        assert len(list(dataset.hot_batches)) + len(list(dataset.cold_batches)) == 64
+        assert (members.value - before[0], decoded.value - before[1]) == (88, 56_190)
+        plan.save(tmp_path / "flat.npz")
+        before = members.value, decoded.value
+        load_fae_dataset(tmp_path / "flat.npz")
+        assert (members.value - before[0], decoded.value - before[1]) == (77, 22_822)
 
 
 class TestShardBackedTraining:
