@@ -9,6 +9,12 @@ columns a stage touched, so memory must stay bounded by the shard, not
 the log -- which ``repro preprocess --stream`` cannot show, because it
 never opens a shard.
 
+It also prints a blake2b over the names and bytes of the FAE directory it
+saves (``FAE blake2b: ...``).  The plan is deterministic, so two runs
+print the same line; CI runs the script twice and compares them, which
+puts the calibrate, pack and save path under a determinism check at a
+sample count the unit tests do not reach.
+
 Usage::
 
     python scripts/rss_cap.py --limit-mb 256 -- \\
@@ -18,6 +24,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import shutil
 import sys
 import tempfile
@@ -29,6 +36,15 @@ import numpy as np
 from repro.core import FAEConfig, fae_preprocess_source
 from repro.data import ShardChunkSource, SyntheticClickStream, dataset_by_name, save_log_shards
 from repro.obs import get_registry
+
+
+def directory_digest(directory: Path) -> str:
+    """blake2b over each file's name and bytes, in name order."""
+    digest = hashlib.blake2b(digest_size=16)
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -53,11 +69,13 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as out:
         plan.save(out, shard_size=64)
         fae_bytes = sum(path.stat().st_size for path in Path(out).iterdir())
+        fae_digest = directory_digest(Path(out))
     print(plan.summary())
     print(
         f"shards: {len(source.shard_refs())}  bytes: {shard_bytes}  members decoded: {decoded:.0f}"
         f"  FAE bytes: {fae_bytes}"
     )
+    print(f"FAE blake2b: {fae_digest}")
     # Members are stored, not deflated.
     with zipfile.ZipFile(Path(args.dir) / "chunk-000000.npz") as shard:
         deflated = [i.filename for i in shard.infolist() if i.compress_type != zipfile.ZIP_STORED]

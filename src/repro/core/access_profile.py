@@ -53,13 +53,15 @@ class TableProfile:
     def accumulate(self, ids: np.ndarray) -> None:
         """Add one chunk of sampled lookup ids to the counts.
 
-        The streaming profiler builds a table's profile as a running
-        ``np.bincount`` sum, one chunk at a time; summing per-chunk
-        bincounts is exactly the bincount of the concatenated ids, so
-        chunking never changes the final profile.
+        The streaming profiler builds a table's profile one chunk at a
+        time, scattering each id into its count (``np.add.at``, unbuffered:
+        a repeated id counts every time).  Integer sums are exact in any
+        order, so chunking never changes the final profile, and a chunk
+        costs its ids, not a ``num_rows``-long ``bincount``: a 5 % sample
+        of a chunk touches a few hundred rows of a 100 k-row table.  Ids
+        are range-checked where they enter (``ClickLog``, shard decode).
         """
-        ids = np.asarray(ids, dtype=np.int64)
-        self.counts += np.bincount(ids.ravel(), minlength=self.num_rows)
+        np.add.at(self.counts, np.asarray(ids, dtype=np.int64).ravel(), 1)
 
     def hot_mask(self, min_count: float) -> np.ndarray:
         """Boolean mask of rows with at least ``min_count`` accesses."""

@@ -6,13 +6,13 @@ every later stage consumes.  Tables under the large-table cutoff (1 MB by
 default) are skipped: they are de-facto hot and always shipped whole.
 
 Profiling is streaming at heart: a :class:`ProfileAccumulator` folds one
-chunk of sampled lookups at a time into running per-table bincounts, so
+chunk of sampled lookups at a time into running per-table counts, so
 the profile of a terabyte-scale source is built at the memory cost of
 one chunk.  The whole-log :meth:`EmbeddingLogger.profile` and the
 chunked :meth:`EmbeddingLogger.profile_source` produce identical
 profiles for the same sampled positions.
 
-Chunks are also *independent*, and integer bincounts merge associatively
+Chunks are also *independent*, and integer counts merge associatively
 and commutatively — so :meth:`EmbeddingLogger.profile_source_parallel`
 fans the per-chunk counting out across an elastic worker pool
 (:class:`~repro.resilience.elastic.WorkerPool`) and folds the partial
@@ -122,7 +122,7 @@ class ProfileAccumulator:
         """Merge one worker-computed partial (see ``_profile_chunk_counts``).
 
         Scatter-adding a chunk's ``(unique_ids, counts)`` pairs is the
-        same integer arithmetic as :meth:`update`'s bincount, so feeding
+        same integer arithmetic as :meth:`update`'s scatter, so feeding
         partials in canonical chunk order reproduces the sequential
         accumulator bit for bit.
         """
@@ -234,7 +234,7 @@ class EmbeddingLogger:
         Each chunk selects its slice of the (sorted) sampled positions
         via ``searchsorted`` and folds the corresponding lookups into a
         :class:`ProfileAccumulator`; per-table sums of per-chunk
-        bincounts equal the whole-log bincount, so the resulting profile
+        scatters equal the whole-log bincount, so the resulting profile
         is identical to :meth:`profile` over the materialized log.
         """
         sample_indices = np.asarray(sample_indices, dtype=np.int64)

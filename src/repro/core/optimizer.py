@@ -1,7 +1,8 @@
 """Statistical Optimizer: threshold search against the GPU budget.
 
 Walks the descending threshold grid, asking the Rand-Em Box for the
-estimated hot-embedding footprint at each candidate, and settles on the
+estimated hot-embedding footprint at each candidate (one sweep per table
+covers the whole grid), and settles on the
 *smallest* threshold (largest, most-covering hot set) whose upper-CI
 footprint still fits the allocated GPU memory ``L``.  Smaller thresholds
 classify more inputs as hot — more GPU-resident execution — so this is
@@ -11,6 +12,7 @@ the threshold or adjusts it for the next iteration").
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.access_profile import AccessProfile
@@ -78,35 +80,51 @@ class StatisticalOptimizer:
         self.config = config
         self._box = RandEmBox(config)
 
-    def evaluate(
-        self, profile: AccessProfile, threshold: float, samples: dict | None = None
-    ) -> ThresholdEvaluation:
-        """Estimate the hot footprint at one threshold (``samples``: each
-        table's :meth:`RandEmBox.sample`, which a search draws once)."""
+    def evaluate(self, profile: AccessProfile, threshold: float) -> ThresholdEvaluation:
+        """Estimate the hot footprint at one threshold."""
+        return self._sweep(profile, (threshold,))[0]
+
+    def _sweep(
+        self, profile: AccessProfile, thresholds: Sequence[float]
+    ) -> list[ThresholdEvaluation]:
+        """Every threshold's evaluation, each table swept once over all of them."""
         small_bytes = sum(
             spec.size_bytes
             for spec in profile.schema.tables
             if spec.name not in profile.tables
         )
-        estimates = []
-        total_mean = float(small_bytes)
-        total_upper = float(small_bytes)
-        for name, table_profile in profile.tables.items():
-            min_count = profile.min_count_for_threshold(threshold, name)
-            est = self._box.estimate(table_profile, min_count, (samples or {}).get(name))
-            estimates.append(est)
-            total_mean += est.hot_bytes_mean
-            total_upper += est.hot_bytes_upper
-        return ThresholdEvaluation(
-            threshold=threshold,
-            estimated_bytes=total_mean,
-            estimated_bytes_upper=total_upper,
-            fits=total_upper <= self.config.gpu_memory_budget,
-            per_table=tuple(estimates),
-        )
+        per_table = [
+            self._box.sweep(
+                table_profile,
+                [profile.min_count_for_threshold(threshold, name) for threshold in thresholds],
+            )
+            for name, table_profile in profile.tables.items()
+        ]
+        evaluations = []
+        for i, threshold in enumerate(thresholds):
+            estimates = tuple(sweep[i] for sweep in per_table)
+            total_mean = float(small_bytes)
+            total_upper = float(small_bytes)
+            for est in estimates:
+                total_mean += est.hot_bytes_mean
+                total_upper += est.hot_bytes_upper
+            evaluations.append(
+                ThresholdEvaluation(
+                    threshold=threshold,
+                    estimated_bytes=total_mean,
+                    estimated_bytes_upper=total_upper,
+                    fits=total_upper <= self.config.gpu_memory_budget,
+                    per_table=estimates,
+                )
+            )
+        return evaluations
 
     def converge(self, profile: AccessProfile) -> CalibrationResult:
         """Walk the grid from selective to permissive; keep the last fit.
+
+        Every table is swept once over the whole grid
+        (:meth:`RandEmBox.sweep`); the walk then stops at the first
+        overflow after a fit, so ``evaluations`` is that prefix of the grid.
 
         Raises:
             ValueError: if even the most selective threshold overflows the
@@ -114,9 +132,7 @@ class StatisticalOptimizer:
         """
         evaluations: list[ThresholdEvaluation] = []
         best: ThresholdEvaluation | None = None
-        samples = {name: self._box.sample(table) for name, table in profile.tables.items()}
-        for threshold in self.config.threshold_grid:
-            evaluation = self.evaluate(profile, threshold, samples)
+        for evaluation in self._sweep(profile, self.config.threshold_grid):
             evaluations.append(evaluation)
             if evaluation.fits:
                 best = evaluation

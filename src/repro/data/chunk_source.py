@@ -177,7 +177,9 @@ class UnsizedChunkSource(ChunkSource):
 def _check_ids(ids: np.ndarray, num_rows: int, where: str) -> None:
     """Raise on an id outside ``[0, num_rows)``: the writer refuses what the reader rejects."""
     if ids.size:
-        low, high = ids.min(), ids.max()
+        # An unsigned column holds no negative id: its max alone decides.
+        low = 0 if ids.dtype.kind == "u" else ids.min()
+        high = ids.max()
         if not (0 <= low and high < num_rows):  # a NaN (float-stored ids) fails too
             bad = high if 0 <= low else low
             raise ValueError(f"{where} id {bad} out of range [0, {num_rows})")

@@ -13,9 +13,10 @@ the dicts round-tripped through ``trace.jsonl`` — and computes:
   ``repro trace analyze`` asserts this conservation and reports the
   coverage so a broken trace is visible immediately.
 - **call-tree aggregation** by name path (``calibrate`` →
-  ``calibrate.estimate``), with total / self / count / min / max per
-  path, deterministically ordered by (-total, path) so output diffs
-  are stable across runs.
+  ``calibrate.optimize`` → ``calibrate.estimate``, the last one instance
+  per large table, each sweeping the whole threshold grid), with total /
+  self / count / min / max per path, deterministically ordered by
+  (-total, path) so output diffs are stable across runs.
 - **hotspots**: the top-N paths by aggregated self time — the table a
   perf PR quotes before and after.
 - **critical path**: starting from the longest root instance, the

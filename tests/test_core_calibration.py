@@ -1,8 +1,12 @@
 """Unit tests for the FAE calibration pipeline: sampler, logger, Rand-Em
 Box, statistical optimizer, and the Calibrator facade."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Calibrator,
@@ -13,6 +17,7 @@ from repro.core import (
     StatisticalOptimizer,
 )
 from repro.core.access_profile import AccessProfile, TableProfile
+from repro.core.optimizer import CalibrationResult, ThresholdEvaluation
 from repro.core.randem_box import HotSizeEstimate
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
 from repro.obs import tracing
@@ -223,6 +228,137 @@ def estimate_per_threshold_ref(box, profile, min_count):
     )
 
 
+def converge_per_threshold_ref(config, profile):
+    """``StatisticalOptimizer.converge`` as it was before the sweep: one
+    estimate per table per threshold, walked until the first overflow
+    after a fit."""
+    box = RandEmBox(config)
+    small_bytes = sum(
+        spec.size_bytes for spec in profile.schema.tables if spec.name not in profile.tables
+    )
+    evaluations, best = [], None
+    for threshold in config.threshold_grid:
+        estimates = tuple(
+            estimate_per_threshold_ref(
+                box, table, profile.min_count_for_threshold(threshold, name)
+            )
+            for name, table in profile.tables.items()
+        )
+        total_mean = total_upper = float(small_bytes)
+        for est in estimates:
+            total_mean += est.hot_bytes_mean
+            total_upper += est.hot_bytes_upper
+        evaluation = ThresholdEvaluation(
+            threshold, total_mean, total_upper, total_upper <= config.gpu_memory_budget, estimates
+        )
+        evaluations.append(evaluation)
+        if evaluation.fits:
+            best = evaluation
+        elif best is not None:
+            break
+    if best is None:
+        budget_mib = config.gpu_memory_budget / 2**20
+        raise ValueError(
+            f"no threshold fits the GPU budget of {budget_mib:.0f} MiB; "
+            "the always-hot small tables alone exceed it"
+        )
+    return CalibrationResult(best.threshold, tuple(evaluations), config.gpu_memory_budget)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A profile of exact and sampled tables (some multi-hot) plus a box
+    whose ``n x m`` falls among their sizes."""
+    num_chunks, chunk_size = draw(st.integers(2, 6)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specs, tables = [], {}
+    for i in range(draw(st.integers(1, 4))):
+        spec = EmbeddingTableSpec(
+            f"t{i}",
+            num_rows=draw(st.integers(1, 3 * num_chunks * chunk_size)),
+            dim=draw(st.sampled_from([1, 4, 16])),
+            zipf_exponent=1.1,
+            multiplicity=draw(st.integers(1, 3)),
+        )
+        top = draw(st.integers(0, 60))
+        skewed = np.minimum(rng.zipf(1.3, size=spec.num_rows) - 1, top)
+        flat = rng.integers(0, top + 1, size=spec.num_rows)
+        specs.append(spec)
+        tables[spec.name] = TableProfile(
+            spec.name, skewed if draw(st.booleans()) else flat, spec.dim
+        )
+    specs.append(EmbeddingTableSpec("small", num_rows=draw(st.integers(1, 64)), dim=4))
+    num_sampled = draw(st.integers(1, 200))
+    schema = DatasetSchema(name="sweep", num_dense=1, tables=tuple(specs), num_samples=10_000)
+    profile = AccessProfile(schema, tables, num_sampled, num_sampled * 3)
+    return num_chunks, chunk_size, draw(st.integers(0, 99)), profile
+
+
+def cutoffs_for(counts):
+    """0, a count, between two counts, fractional anywhere, and above the max."""
+    values = sorted(set(counts.tolist()))
+    top = values[-1]
+    return st.lists(
+        st.one_of(
+            st.just(0),
+            st.sampled_from(values),
+            st.sampled_from(values).map(lambda v: v + 0.5),
+            st.floats(-2.0, top + 2.0, allow_nan=False),
+            st.sampled_from([top + 1, top + 0.25, 10.0**9]),
+        ),
+        max_size=12,
+    )
+
+
+class TestSweep:
+    """``RandEmBox.sweep`` and ``converge`` against the per-threshold oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=sweep_cases(), data=st.data())
+    def test_sweep_equals_one_estimate_per_cutoff(self, case, data):
+        num_chunks, chunk_size, seed, profile = case
+        box = RandEmBox(FAEConfig(chunk_size=chunk_size, num_chunks=num_chunks), seed=seed)
+        for table in profile.tables.values():
+            min_counts = data.draw(cutoffs_for(table.counts))
+            got = box.sweep(table, min_counts)
+            assert got == [estimate_per_threshold_ref(box, table, c) for c in min_counts]
+            assert got == [box.estimate(table, c) for c in min_counts]
+            if not got:
+                continue
+            sample = box.sample(table)
+            assert box.sweep(table, min_counts, sample) == got
+            assert (sample is None) == got[0].exact
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=sweep_cases(),
+        grid=st.lists(
+            st.floats(-4.0, 0.0).map(lambda e: 10.0**e), min_size=1, max_size=10, unique=True
+        ),
+        budget_share=st.floats(-0.2, 1.1),
+    )
+    def test_converge_equals_the_per_threshold_walk(self, case, grid, budget_share):
+        num_chunks, chunk_size, seed, profile = case
+        # Below the small table (no fit), among the large tables' footprints
+        # (fits, then overflows) or above them all (the whole grid fits).
+        large = sum(profile.schema.table(name).size_bytes for name in profile.tables)
+        small = sum(spec.size_bytes for spec in profile.schema.tables) - large
+        config = FAEConfig(
+            gpu_memory_budget=max(1, int(small + budget_share * large)),
+            chunk_size=chunk_size,
+            num_chunks=num_chunks,
+            threshold_grid=tuple(sorted(grid, reverse=True)),
+            seed=seed,
+        )
+        try:
+            want = converge_per_threshold_ref(config, profile)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                StatisticalOptimizer(config).converge(profile)
+            return
+        assert StatisticalOptimizer(config).converge(profile) == want
+
+
 class TestOneSamplePerTable:
     """``converge`` draws each table's chunks once; nothing it reports moves."""
 
@@ -257,7 +393,6 @@ class TestOneSamplePerTable:
             tracer.reset()
         box = RandEmBox(config)
         assert 1 < result.iterations < len(config.threshold_grid)  # fits, then overflows
-        want_spans = []
         for evaluation in result.evaluations:
             want = tuple(
                 estimate_per_threshold_ref(
@@ -266,12 +401,17 @@ class TestOneSamplePerTable:
                 for name, table in profile.tables.items()
             )
             assert evaluation.per_table == want  # every field, exactly
-            want_spans += [
-                {"table": e.table_name, "rows_scanned": e.rows_scanned, "exact": e.exact}
-                for e in want
-            ]
         assert {e.exact for e in result.evaluations[0].per_table} == {True, False}
-        assert spans == want_spans
+        # One span per table: its sweep covers the whole grid, early exit or not.
+        assert spans == [
+            {
+                "table": e.table_name,
+                "rows_scanned": e.rows_scanned,
+                "exact": e.exact,
+                "cutoffs": len(config.threshold_grid),
+            }
+            for e in result.evaluations[0].per_table
+        ]
         # The same search without the shared draw: same evaluations, same choice.
         alone = tuple(optimizer.evaluate(profile, e.threshold) for e in result.evaluations)
         assert alone == result.evaluations

@@ -228,6 +228,22 @@ class TestStoredIdWidth:
                     got[0, 0] = 0
         assert np.array_equal(sparse["t"], ids)
 
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.int64])
+    def test_an_id_equal_to_num_rows_is_refused_at_every_width(self, dtype):
+        # Unsigned columns skip the min (no negative fits their dtype).
+        check = chunk_source_module._check_ids
+        check(np.array([[0], [299], [7]], dtype=dtype), 300, "shard")
+        with pytest.raises(ValueError, match=r"^shard id 300 out of range \[0, 300\)$"):
+            check(np.array([[0], [300], [7]], dtype=dtype), 300, "shard")
+
+    @pytest.mark.parametrize(
+        "bad, shown", [(np.int64(-1), "-1"), (np.float32("nan"), "nan")]
+    )
+    def test_signed_and_float_columns_still_check_their_min(self, bad, shown):
+        ids = np.array([[0], [bad], [7]], dtype=np.asarray(bad).dtype)
+        with pytest.raises(ValueError, match=rf"^shard id {shown} out of range \[0, 300\)$"):
+            chunk_source_module._check_ids(ids, 300, "shard")
+
     def test_dense_and_labels_are_stored_as_they_are(self, shard_dir):
         assert shard_dtypes(shard_dir / "chunk-000000.npz") == {
             "dense": np.float32, "labels": np.float32,
