@@ -7,10 +7,10 @@ accesses (Eq. 1).  Rather than scanning all ``N`` counts, the box draws
 per chunk (Eq. 2-3), and applies the Central Limit Theorem: the chunk
 means follow a t-distribution, so a two-sided t-interval around the mean
 (Eq. 4-6) bounds the true hot fraction.  A threshold search reads every
-cutoff of its grid from one draw and one search per table
-(:meth:`RandEmBox.sweep`).  With ``n = 35`` and a 99.9%
-interval (``t_{alpha/2} = 3.340``) the paper measures estimates within
-10% of ground truth (Fig 9) at a 14.5-61x latency saving (Fig 10).
+cutoff of its grid from one draw per table (:meth:`RandEmBox.sweep`).
+With ``n = 35`` and a 99.9% interval (``t_{alpha/2} = 3.340``) the paper
+measures estimates within 10% of ground truth (Fig 9) at a 14.5-61x
+latency saving (Fig 10).
 """
 
 from __future__ import annotations
@@ -69,44 +69,26 @@ class RandEmBox:
         self.seed = config.seed if seed is None else seed
         self.last_elapsed_seconds = 0.0
 
-    def sample(self, profile: TableProfile) -> np.ndarray | None:
-        """Access counts of the box's ``n`` random chunks, shape ``(n, m)``;
-        None for a table small enough to scan exactly.  The draw depends on
-        the seed and the table, not on a threshold: :meth:`sweep` takes it
-        once and reads every cutoff from it."""
-        n, m = self.config.num_chunks, self.config.chunk_size
-        if profile.num_rows <= n * m:
-            return None
-        starts = np.random.default_rng(self.seed).integers(0, profile.num_rows - m + 1, size=n)
-        # One gather for all n chunks: rows[i, j] = starts[i] + j.
-        return profile.counts[starts[:, None] + np.arange(m)]
-
-    def sweep(
-        self,
-        profile: TableProfile,
-        min_counts: Sequence[float],
-        sample: np.ndarray | None = None,
-    ) -> list[HotSizeEstimate]:
+    def sweep(self, profile: TableProfile, min_counts: Sequence[float]) -> list[HotSizeEstimate]:
         """Estimate how many rows of ``profile`` meet each of ``min_counts``.
 
-        One search serves every cutoff (:func:`_hot_counts`).  Tables with
-        at most ``n x m`` rows are scanned exactly -- the sampling machinery
-        would read as much as a full scan there -- so their counts are the
-        one row searched.  Larger tables search the ``n`` chunks of
-        ``sample`` (this table's :meth:`sample`, drawn here when absent)
-        for the per-chunk hot counts (Eq. 2-3), then reduce every cutoff's
-        chunk mean and spread along the chunk axis at once (Eq. 4-6).  The
-        counts are integers, each cutoff's mean and spread reduce the same
-        contiguous float64 row a one-cutoff pass reduces, and the interval
-        is elementwise arithmetic, so every estimate is bit for bit the one
-        a scan of that cutoff alone returns.
-        :meth:`estimate` is the one-cutoff case.
+        Tables with at most ``n x m`` rows are scanned exactly -- the
+        sampling machinery would read as much as a full scan there.  Larger
+        tables draw ``n`` chunks of ``m`` consecutive rows once (the draw
+        depends on the seed and the table, not on a cutoff), count each
+        chunk's hot rows at every cutoff (Eq. 2-3), and reduce every cutoff's
+        chunk mean and spread along the chunk axis (Eq. 4-6).  Each cutoff's
+        comparison is the one a scan of that cutoff alone makes, its counts
+        are integers, and its mean and spread reduce the same contiguous
+        float64 row, so every estimate is bit for bit the one-cutoff
+        :meth:`estimate`.
         """
         n = self.config.num_chunks
         m = self.config.chunk_size
         num_rows = profile.num_rows
         row_bytes = profile.row_bytes()
         exact = num_rows <= n * m
+        cutoffs = np.asarray(min_counts)
         with timed(
             "calibrate.estimate",
             table=profile.name,
@@ -115,7 +97,7 @@ class RandEmBox:
             cutoffs=len(min_counts),
         ) as timer:
             if exact:
-                hot_rows = _hot_counts(profile.counts[None, :], min_counts)[:, 0]
+                hot_rows = (profile.counts >= cutoffs[:, None]).sum(axis=1)
                 estimates = [
                     HotSizeEstimate(
                         table_name=profile.name,
@@ -131,9 +113,11 @@ class RandEmBox:
                     for min_count, hot in zip(min_counts, hot_rows.astype(float).tolist())
                 ]
             else:
-                if sample is None:
-                    sample = self.sample(profile)
-                chunk_counts = _hot_counts(sample, min_counts).astype(np.float64)  # Eq. 2-3
+                starts = np.random.default_rng(self.seed).integers(0, num_rows - m + 1, size=n)
+                # One gather for all n chunks: rows[i, j] = starts[i] + j.
+                sample = profile.counts[starts[:, None] + np.arange(m)]
+                # Eq. 2-3: every chunk's hot rows at every cutoff, shape (cutoffs, n).
+                chunk_counts = (sample >= cutoffs[:, None, None]).sum(axis=2).astype(np.float64)
                 means = chunk_counts.mean(axis=1)  # Eq. 4
                 stds = chunk_counts.std(axis=1, ddof=1)
                 half_widths = self.config.t_value * stds / np.sqrt(n)  # Eq. 6
@@ -161,11 +145,9 @@ class RandEmBox:
         self.last_elapsed_seconds = timer.seconds
         return estimates
 
-    def estimate(
-        self, profile: TableProfile, min_count: float, sample: np.ndarray | None = None
-    ) -> HotSizeEstimate:
+    def estimate(self, profile: TableProfile, min_count: float) -> HotSizeEstimate:
         """The estimate at one cutoff: :meth:`sweep` over ``(min_count,)``."""
-        return self.sweep(profile, (min_count,), sample)[0]
+        return self.sweep(profile, (min_count,))[0]
 
     def scan_reduction(self, profile: TableProfile) -> float:
         """How many times fewer rows the box reads than a full scan."""
@@ -174,25 +156,3 @@ class RandEmBox:
             return 1.0
         return profile.num_rows / (n * m)
 
-
-def _hot_counts(rows: np.ndarray, min_counts: Sequence[float]) -> np.ndarray:
-    """``(rows[i] >= c).sum()`` for every cutoff ``c`` and row ``i``, shape
-    ``(len(min_counts), len(rows))``, from one sort of the cutoffs and one
-    search.
-
-    The cutoffs are sorted once, and one ``searchsorted`` gives each count
-    how many of them it meets (those sorted at or below it: the same
-    comparison as ``count >= c``).  A count meets sorted cutoff ``j`` when it
-    meets more than ``j`` of them, so each row's histogram of those numbers,
-    summed from the top, is its hot count at every cutoff.
-    """
-    cutoffs = np.asarray(min_counts)
-    order = np.argsort(cutoffs, kind="stable")
-    num_rows, width = rows.shape[0], cutoffs.size + 1
-    met = np.searchsorted(cutoffs[order], rows, side="right")
-    met += width * np.arange(num_rows)[:, None]  # one histogram per row
-    histogram = np.bincount(met.ravel(), minlength=num_rows * width).reshape(num_rows, width)
-    at_least = np.cumsum(histogram[:, ::-1], axis=1)[:, -2::-1]  # meets > j cutoffs, j < K
-    hot = np.empty((cutoffs.size, num_rows), dtype=np.int64)
-    hot[order] = at_least.T
-    return hot

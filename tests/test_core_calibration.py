@@ -323,11 +323,6 @@ class TestSweep:
             got = box.sweep(table, min_counts)
             assert got == [estimate_per_threshold_ref(box, table, c) for c in min_counts]
             assert got == [box.estimate(table, c) for c in min_counts]
-            if not got:
-                continue
-            sample = box.sample(table)
-            assert box.sweep(table, min_counts, sample) == got
-            assert (sample is None) == got[0].exact
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -412,7 +407,7 @@ class TestOneSamplePerTable:
             }
             for e in result.evaluations[0].per_table
         ]
-        # The same search without the shared draw: same evaluations, same choice.
+        # One threshold at a time: same evaluations, same choice.
         alone = tuple(optimizer.evaluate(profile, e.threshold) for e in result.evaluations)
         assert alone == result.evaluations
         assert result.threshold == min(e.threshold for e in alone if e.fits)
@@ -420,13 +415,17 @@ class TestOneSamplePerTable:
     def test_sample_is_the_counts_at_the_boxs_chunks(self):
         profile = self._profile(5).tables["sampled"]
         box = RandEmBox(FAEConfig(chunk_size=32, num_chunks=35), seed=9)
-        sample = box.sample(profile)
         starts = np.random.default_rng(9).integers(0, profile.num_rows - 32 + 1, size=35)
-        assert sample.shape == (35, 32)
-        assert np.array_equal(sample, profile.counts[starts[:, None] + np.arange(32)])
-        assert box.sample(self._profile(5).tables["exact"]) is None
-        for min_count in (1, 2.5, 40):
-            assert box.estimate(profile, min_count, sample) == box.estimate(profile, min_count)
+        sample = profile.counts[starts[:, None] + np.arange(32)]
+        min_counts = (1, 2.5, 40)
+        for est, min_count in zip(box.sweep(profile, min_counts), min_counts):
+            chunk_counts = (sample >= min_count).sum(axis=1)
+            assert est.hot_rows_mean == chunk_counts.mean() / 32 * profile.num_rows
+            assert (est.rows_scanned, est.exact) == (35 * 32, False)
+        exact = self._profile(5).tables["exact"]
+        assert [(e.rows_scanned, e.exact) for e in box.sweep(exact, min_counts)] == [
+            (exact.num_rows, True)
+        ] * len(min_counts)
 
 
 class TestStatisticalOptimizer:
