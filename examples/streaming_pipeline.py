@@ -2,8 +2,8 @@
 
 A Terabyte-scale click log never fits in memory.  This example runs the
 full FAE front-end over a chunked stream through the one streaming path
-the rest of the repo uses (``repro preprocess --stream``, the elastic
-pool, the shard-backed CI smoke): a :class:`ChunkSource` handed to
+the rest of the repo uses (``repro preprocess --stream``, the
+shard-backed CI smoke): a :class:`ChunkSource` handed to
 :func:`fae_preprocess_source`.
 
 - pass 1 — sample, profile and calibrate the access threshold (the

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import shutil
 import sys
 import tempfile
@@ -35,6 +36,7 @@ import numpy as np
 
 from repro.core import FAEConfig, fae_preprocess_source
 from repro.data import ShardChunkSource, SyntheticClickStream, dataset_by_name, save_log_shards
+from repro.data.chunk_source import SHARD_MANIFEST
 from repro.obs import get_registry
 
 
@@ -66,13 +68,14 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     decoded = get_registry().counter("data.shard.members_decoded").value
     shard_bytes = sum(path.stat().st_size for path in Path(args.dir).iterdir())
+    manifest = json.loads((Path(args.dir) / SHARD_MANIFEST).read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as out:
         plan.save(out, shard_size=64)
         fae_bytes = sum(path.stat().st_size for path in Path(out).iterdir())
         fae_digest = directory_digest(Path(out))
     print(plan.summary())
     print(
-        f"shards: {len(source.shard_refs())}  bytes: {shard_bytes}  members decoded: {decoded:.0f}"
+        f"shards: {len(manifest['shards'])}  bytes: {shard_bytes}  members decoded: {decoded:.0f}"
         f"  FAE bytes: {fae_bytes}"
     )
     print(f"FAE blake2b: {fae_digest}")

@@ -50,14 +50,10 @@ crash anywhere — even mid-refresh — resumes byte-exactly.
 ``--final-state PATH`` writes the deterministic fingerprint ``certify``
 compares.
 
-Elastic execution: ``--workers N`` on ``preprocess``/``train`` fans the
-profiling pass out over a supervised real-process worker pool
-(heartbeat liveness, bounded task leases, ``--speculate`` straggler
-duplication) producing a byte-identical plan; ``train --gpus K
---rejoin`` re-admits a dead rank at the next segment boundary instead
-of finishing on a shrunken world.  ``--events-jsonl PATH`` writes the
-schema-versioned supervisor event log (spawns, heartbeat misses,
-deaths, re-dispatches, speculation, quarantine, rejoins).
+Elastic training: ``train --gpus K --rejoin`` re-admits a dead rank at
+the next segment boundary instead of finishing on a shrunken world.
+``--events-jsonl PATH`` writes the schema-versioned event log of rank
+deaths and rejoins, even when the run fails.
 
 Data-integrity guardrails: ``train --mode fae --guards [SPEC]`` arms the
 NaN/loss-spike numeric guard (rollback to the last good checkpoint with
@@ -97,6 +93,7 @@ from repro.resilience import (
     NumericGuard,
     NumericGuardConfig,
     QuarantineLedger,
+    SupervisorEventLog,
     latest_checkpoint,
 )
 from repro.train import BaselineTrainer, FAETrainer, roc_auc
@@ -153,16 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     prep.add_argument(
         "--trace", action="store_true", help="record spans and print the summary tree"
     )
-    prep.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "inject seeded real-process faults into the elastic pool, e.g. "
-            "'seed=7,kill_task=1,straggle_task=3,straggle_secs=0.8,hang_task=2'"
-        ),
-    )
-    _add_elastic_args(prep)
     _add_validate_args(prep)
 
     train = sub.add_parser("train", help="train on a synthetic log")
@@ -256,7 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
             "certified by byte-comparing these files"
         ),
     )
-    _add_elastic_args(train)
+    train.add_argument(
+        "--events-jsonl",
+        default=None,
+        metavar="PATH",
+        help="write the schema-versioned event log of rank deaths and rejoins here",
+    )
     _add_validate_args(train)
 
     trace = sub.add_parser(
@@ -461,63 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_elastic_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "profile chunks on a supervised pool of this many worker "
-            "processes (0 = in-process; the plan is byte-identical either way)"
-        ),
-    )
-    sub.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=0.5,
-        help="worker heartbeat period in seconds (liveness = interval x miss budget)",
-    )
-    sub.add_argument(
-        "--speculate",
-        action="store_true",
-        help="duplicate straggling tasks on idle workers; first result wins",
-    )
-    sub.add_argument(
-        "--events-jsonl",
-        default=None,
-        metavar="PATH",
-        help="write the schema-versioned supervisor event log here",
-    )
-
-
-def _elastic_pool(args, fault_plan=None, events=None):
-    """Build the elastic worker pool from CLI flags (None when --workers=0)."""
-    if not args.workers:
-        return None
-    from repro.resilience.elastic import ElasticConfig, WorkerPool
-
-    return WorkerPool(
-        ElasticConfig(
-            workers=args.workers,
-            heartbeat_interval=args.heartbeat_interval,
-            speculate=args.speculate,
-        ),
-        worker_faults=fault_plan.worker_faults() if fault_plan is not None else None,
-        events=events,
-        quarantine_dir=args.quarantine_dir,
-    )
-
-
-def _print_elastic_summary(pool) -> None:
-    events = pool.events
-    print(
-        f"elastic: workers {pool.config.workers}, spawns {events.count('spawn')}, "
-        f"deaths {events.count('death')}, re-dispatches {events.count('re-dispatch')}, "
-        f"speculations {events.count('speculate')}, "
-        f"quarantined {events.count('quarantine')}"
-    )
-
-
 def _add_validate_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--validate",
@@ -626,16 +561,7 @@ def cmd_preprocess(args) -> int:
                 from repro.data import ValidatingChunkSource
 
                 source = ValidatingChunkSource(source, policy, ledger)
-            fault_plan = FaultPlan.parse(args.faults) if args.faults else None
-            events = None
-            if args.events_jsonl:
-                from repro.resilience.elastic import SupervisorEventLog
-
-                events = SupervisorEventLog(args.events_jsonl)
-            pool = _elastic_pool(args, fault_plan=fault_plan, events=events)
-            plan = fae_preprocess_source(
-                source, _make_config(args), batch_size=args.batch_size, pool=pool
-            )
+            plan = fae_preprocess_source(source, _make_config(args), batch_size=args.batch_size)
             print(plan.summary())
             if ledger is not None:
                 print(f"ingest: quarantined {len(ledger)} record(s) -> {ledger.path}")
@@ -644,10 +570,6 @@ def cmd_preprocess(args) -> int:
                 f"({plan.calibration.result.iterations} thresholds evaluated), "
                 f"classification: {plan.classify_seconds:.3f}s"
             )
-            if pool is not None:
-                _print_elastic_summary(pool)
-                if pool.events.path is not None:
-                    print(f"wrote {pool.events.path}")
             if args.out:
                 plan.save(args.out, shard_size=args.shard_size)
                 print(f"wrote {args.out}")
@@ -671,7 +593,6 @@ def cmd_train(args) -> int:
         or args.guards is not None
         or args.validate
         or args.quarantine_dir
-        or args.workers
         or args.rejoin
         or args.events_jsonl
         or args.cache_budget is not None
@@ -680,7 +601,7 @@ def cmd_train(args) -> int:
     if resilience_flags and args.mode != "fae":
         print(
             "error: --gpus/--checkpoint-dir/--resume/--faults/--guards/"
-            "--validate/--quarantine-dir/--workers/--rejoin/--events-jsonl/"
+            "--validate/--quarantine-dir/--rejoin/--events-jsonl/"
             "--cache-budget/--final-state require --mode fae",
             file=sys.stderr,
         )
@@ -695,6 +616,7 @@ def cmd_train(args) -> int:
         print("error: --rejoin requires --gpus > 1", file=sys.stderr)
         return 2
 
+    event_log = SupervisorEventLog(args.events_jsonl) if args.events_jsonl else None
     sampler = obs.ResourceSampler()
     try:
         with sampler, obs.tracing(enabled=args.trace or obs.tracing_enabled()):
@@ -752,18 +674,8 @@ def cmd_train(args) -> int:
                     else:
                         print(f"resuming from {resume_path}")
 
-                event_log = None
-                if args.events_jsonl:
-                    from repro.resilience.elastic import SupervisorEventLog
-
-                    event_log = SupervisorEventLog(args.events_jsonl)
-                pool = _elastic_pool(args, fault_plan=fault_plan, events=event_log)
-                plan = fae_preprocess(
-                    train, _make_config(args), batch_size=args.batch_size, pool=pool
-                )
+                plan = fae_preprocess(train, _make_config(args), batch_size=args.batch_size)
                 print(f"FAE plan: {plan.summary()}")
-                if pool is not None:
-                    _print_elastic_summary(pool)
                 cache = None
                 if args.cache_budget is not None:
                     from repro.core.hotcache import EmbeddingHotCache, HotCacheConfig
@@ -818,10 +730,9 @@ def cmd_train(args) -> int:
                         f"degraded {result.degraded}, "
                         f"checkpoints {int(registry.counter('resilience.checkpoint.saves').value)}"
                     )
-                if event_log is not None and len(event_log):
-                    path = event_log.flush()
-                    if path is not None:
-                        print(f"wrote {path}")
+                if event_log is not None:
+                    # Written by the ``finally`` below, which also runs on failure.
+                    print(f"wrote {event_log.path}")
                 if cache is not None:
                     stats = cache.stats()
                     print(
@@ -847,8 +758,12 @@ def cmd_train(args) -> int:
                 print()
                 print(obs.summary_tree())
     finally:
-        # Printed even when training raises (GuardAbort, chaos overrun):
-        # the context manager has already stopped the sampler thread.
+        # Both run even when training raises (GuardAbort, chaos overrun):
+        # the rank deaths before a failure are the events most worth
+        # keeping, and the context manager has already stopped the
+        # sampler thread.
+        if event_log is not None:
+            event_log.flush()
         print(sampler.format_summary())
     return 0
 

@@ -79,7 +79,7 @@ class Calibrator:
         return self.calibrate_source(LogChunkSource(log), full_profile=full_profile)
 
     def calibrate_source(
-        self, source: ChunkSource, full_profile: bool = False, pool=None
+        self, source: ChunkSource, full_profile: bool = False
     ) -> CalibratorOutput:
         """Run the calibration passes over a chunk source.
 
@@ -89,11 +89,6 @@ class Calibrator:
 
         Args:
             full_profile: bypass sampling and profile every input.
-            pool: optional :class:`~repro.resilience.elastic.WorkerPool`;
-                sized sources then fan per-chunk profiling out across it
-                (byte-identical result — see
-                :meth:`~repro.core.embedding_logger.EmbeddingLogger.profile_source_parallel`).
-                Unsized sources cannot pre-split work and ignore it.
         """
         num_samples = source.num_samples
         with span(
@@ -108,10 +103,7 @@ class Calibrator:
                     if full_profile
                     else sampler.sample_source(source)
                 )
-                if pool is not None:
-                    profile = logger.profile_source_parallel(source, sample.indices, pool)
-                else:
-                    profile = logger.profile_source(source, sample.indices)
+                profile = logger.profile_source(source, sample.indices)
                 sampling_seconds = sample.elapsed_seconds
             else:
                 profile = self._profile_unsized(source, sampler, logger, full_profile)

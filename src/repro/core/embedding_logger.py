@@ -10,16 +10,9 @@ chunk of sampled lookups at a time into running per-table counts, so
 the profile of a terabyte-scale source is built at the memory cost of
 one chunk.  The whole-log :meth:`EmbeddingLogger.profile` and the
 chunked :meth:`EmbeddingLogger.profile_source` produce identical
-profiles for the same sampled positions.
-
-Chunks are also *independent*, and integer counts merge associatively
-and commutatively — so :meth:`EmbeddingLogger.profile_source_parallel`
-fans the per-chunk counting out across an elastic worker pool
-(:class:`~repro.resilience.elastic.WorkerPool`) and folds the partial
-counts back in canonical chunk order.  Exact integer sums in a fixed
-order mean the parallel profile is *byte-identical* to the sequential
-one, no matter which workers ran which chunks, in what order they
-finished, or how many died and were re-dispatched along the way.
+profiles for the same sampled positions.  The calibrator profiles a
+small input sample (5 % by default), so the chunked pass runs in
+process: it is the one profile pass over a source.
 """
 
 from __future__ import annotations
@@ -28,60 +21,16 @@ import numpy as np
 
 from repro.core.access_profile import AccessProfile, TableProfile
 from repro.core.config import FAEConfig
-from repro.data.chunk_source import ChunkSource, ShardChunk, ShardChunkSource
+from repro.data.chunk_source import ChunkSource
 from repro.data.log import ClickLog
 from repro.data.schema import DatasetSchema
 from repro.data.synthetic import SyntheticClickLog
 from repro.obs import timed
-from repro.resilience.elastic import WorkerPool
 
 __all__ = [
     "EmbeddingLogger",
-    "PROFILE_TASK_KIND",
     "ProfileAccumulator",
 ]
-
-#: Elastic-pool task kind for one chunk's access counting.
-PROFILE_TASK_KIND = "repro.core.embedding_logger:_profile_chunk_counts"
-
-
-def _profile_chunk_counts(payload: dict) -> dict:
-    """Elastic-pool task: compact access counts for one chunk's samples.
-
-    Two payload shapes: an *inline* payload carries the sampled sparse
-    ids directly (``tables`` maps name -> ids array); a *shard* payload
-    carries a shard path, the schema and local sample positions, and the
-    worker does the shard I/O itself (the point of fanning out) through
-    the sequential pass's :class:`~repro.data.chunk_source.ShardChunk`,
-    so both accept and reject exactly the same shards.  Either way the
-    result is ``{name: (unique_ids, counts)}`` — equivalent to the
-    chunk's bincount, but compact enough to ship back over a queue.
-
-    Tasks are pure: re-executing one (after a worker death or for
-    speculation) recomputes exactly the same counts.
-    """
-    shard = payload.get("shard")
-    if shard is not None:
-        local = np.asarray(payload["local_indices"], dtype=np.int64)
-        chunk = ShardChunk(payload["schema"], shard, int(payload["chunk_len"]))
-        num_sampled = int(local.size)
-        # No sampled row, no column touched: as ProfileAccumulator.update.
-        names = payload["tables"] if num_sampled else ()
-        tables = {name: chunk.sparse[name][local] for name in names}
-    else:
-        tables = payload["tables"]
-        num_sampled = int(payload["num_sampled"])
-    out = {}
-    for name, ids in tables.items():
-        unique, counts = np.unique(
-            np.asarray(ids, dtype=np.int64).ravel(), return_counts=True
-        )
-        out[name] = (unique, counts.astype(np.int64))
-    return {
-        "tables": out,
-        "num_sampled": num_sampled,
-        "chunk_len": int(payload["chunk_len"]),
-    }
 
 
 class ProfileAccumulator:
@@ -112,27 +61,6 @@ class ProfileAccumulator:
     @property
     def num_tables(self) -> int:
         return len(self._profiles)
-
-    @property
-    def table_names(self) -> list[str]:
-        """Profiled (large) table names."""
-        return list(self._profiles)
-
-    def absorb_partial(self, partial: dict) -> None:
-        """Merge one worker-computed partial (see ``_profile_chunk_counts``).
-
-        Scatter-adding a chunk's ``(unique_ids, counts)`` pairs is the
-        same integer arithmetic as :meth:`update`'s scatter, so feeding
-        partials in canonical chunk order reproduces the sequential
-        accumulator bit for bit.
-        """
-        self.num_observed += int(partial["chunk_len"])
-        num_sampled = int(partial["num_sampled"])
-        if num_sampled == 0:
-            return
-        self.num_sampled += num_sampled
-        for name, (ids, counts) in partial["tables"].items():
-            self._profiles[name].counts[ids] += counts
 
     def update(
         self,
@@ -250,69 +178,6 @@ class EmbeddingLogger:
                 accumulator.update(chunk, sample_indices[lo:hi] - start)
                 num_chunks += 1
             timer.set(num_tables=accumulator.num_tables, num_chunks=num_chunks)
-
-        self.last_elapsed_seconds = timer.seconds
-        return accumulator.finalize(num_total_inputs=source.num_samples)
-
-    def profile_source_parallel(
-        self, source: ChunkSource, sample_indices: np.ndarray, pool: WorkerPool
-    ) -> AccessProfile:
-        """Parallel :meth:`profile_source` over an elastic worker pool.
-
-        One task per chunk.  For a :class:`ShardChunkSource` the task
-        payload is a shard *reference* (path + local sample positions)
-        and workers do the shard I/O; for any other source the parent
-        slices the sampled ids and ships them.  Partial counts are merged
-        in canonical chunk order — exact integer sums, so the result is
-        byte-identical to the sequential pass regardless of completion
-        order, speculation, or worker deaths (see tests/test_elastic.py).
-
-        Raises:
-            TaskQuarantinedError: when a chunk's task was quarantined as
-                poison — a profile missing a chunk would silently skew
-                the plan, so the run fails instead.
-        """
-        sample_indices = np.asarray(sample_indices, dtype=np.int64)
-        if sample_indices.size == 0:
-            raise ValueError("sample_indices must be non-empty")
-
-        with timed(
-            "calibrate.profile",
-            num_sampled=int(sample_indices.shape[0]),
-            workers=pool.config.workers,
-        ) as timer:
-            accumulator = self.accumulator(source.schema)
-            names = accumulator.table_names
-            payloads: list[dict] = []
-            if isinstance(source, ShardChunkSource):
-                for path, start, count in source.shard_refs():
-                    lo = np.searchsorted(sample_indices, start)
-                    hi = np.searchsorted(sample_indices, start + count)
-                    payloads.append(
-                        {
-                            "shard": path,
-                            "schema": source.schema,
-                            "tables": names,
-                            "local_indices": sample_indices[lo:hi] - start,
-                            "chunk_len": count,
-                        }
-                    )
-            else:
-                for start, chunk in source:
-                    lo = np.searchsorted(sample_indices, start)
-                    hi = np.searchsorted(sample_indices, start + len(chunk))
-                    local = sample_indices[lo:hi] - start
-                    payloads.append(
-                        {
-                            "tables": {name: chunk.sparse[name][local] for name in names},
-                            "num_sampled": int(local.size),
-                            "chunk_len": len(chunk),
-                        }
-                    )
-            results = pool.run(PROFILE_TASK_KIND, payloads)
-            for index in range(len(payloads)):
-                accumulator.absorb_partial(results[index])
-            timer.set(num_tables=accumulator.num_tables, num_chunks=len(payloads))
 
         self.last_elapsed_seconds = timer.seconds
         return accumulator.finalize(num_total_inputs=source.num_samples)

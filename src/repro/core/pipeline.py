@@ -95,7 +95,6 @@ def fae_preprocess_source(
     batch_size: int = 1024,
     drop_last: bool = False,
     allocation: str = "threshold",
-    pool=None,
 ) -> FAEPlan:
     """Run the complete static FAE pipeline over a chunk source.
 
@@ -114,9 +113,6 @@ def fae_preprocess_source(
             ``"greedy-product"`` optimizes the hot-input product directly
             (see :mod:`repro.core.allocation`), which pays off on
             sequence workloads with uneven lookup multiplicities.
-        pool: optional :class:`~repro.resilience.elastic.WorkerPool` to
-            fan the profiling pass out across worker processes; the plan
-            stays byte-identical to the single-process run.
 
     Returns:
         The preprocessing plan (persist with :meth:`FAEPlan.save`).
@@ -133,7 +129,7 @@ def fae_preprocess_source(
         allocation=allocation,
         chunk_size=source.chunk_size,
     ):
-        calibration = Calibrator(config).calibrate_source(source, pool=pool)
+        calibration = Calibrator(config).calibrate_source(source)
         if allocation == "threshold":
             bags = EmbeddingClassifier(config).classify(
                 calibration.profile, calibration.threshold
@@ -169,15 +165,13 @@ def fae_preprocess(
     drop_last: bool = False,
     allocation: str = "threshold",
     chunk_size: int | None = None,
-    pool=None,
 ) -> FAEPlan:
     """Run the complete static FAE pipeline over an in-memory click log.
 
     Thin wrapper over :func:`fae_preprocess_source`; ``chunk_size``
     bounds the per-pass working set (None processes the log as a single
     chunk).  The packed output is byte-identical for any chunking of the
-    same log and seed — and, with an elastic ``pool``, for any worker
-    count or fault schedule too.
+    same log and seed.
     """
     return fae_preprocess_source(
         as_chunk_source(log, chunk_size=chunk_size),
@@ -185,5 +179,4 @@ def fae_preprocess(
         batch_size=batch_size,
         drop_last=drop_last,
         allocation=allocation,
-        pool=pool,
     )

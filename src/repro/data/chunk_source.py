@@ -410,18 +410,6 @@ class ShardChunkSource(ChunkSource):
     def num_samples(self) -> int:
         return self._num_samples
 
-    def shard_refs(self) -> list[tuple[str, int, int]]:
-        """``(absolute shard path, start index, num samples)`` per shard.
-
-        Lets parallel consumers (the elastic profiling pool) hand each
-        worker a shard *reference* so the worker does its own I/O instead
-        of the parent materializing and pickling every chunk.
-        """
-        return [
-            (str(self.directory / name), start, count)
-            for name, start, count in self._shards
-        ]
-
     def chunks(self) -> Iterator[tuple[int, ShardChunk]]:
         for name, start, count in self._shards:
             yield start, ShardChunk(self.schema, self.directory / name, count)

@@ -34,8 +34,9 @@ forgotten, and re-admitted at the next segment boundary — the one point
 where the CPU masters are authoritative in either mode — with dense
 parameters copied from rank 0, a fresh hot-bag replica rebuilt from the
 masters, and the process group rebuilt at the restored world size.
-Deaths and rejoins are visible in the supervisor event log
-(``event_log``) and the ``resilience.elastic.rejoins`` counter.
+Deaths and rejoins are visible in the rank event log (``event_log``,
+written by ``repro train --events-jsonl``) and the
+``resilience.elastic.rejoins`` counter.
 """
 
 from __future__ import annotations
@@ -84,8 +85,9 @@ class DistributedFAETrainer(SegmentEngine):
             next segment boundary (state resynced from the CPU masters)
             instead of finishing on a shrunken world.
         event_log: optional
-            :class:`~repro.resilience.elastic.SupervisorEventLog`;
-            rank deaths and rejoins are appended to it.
+            :class:`~repro.resilience.elastic.SupervisorEventLog`; each
+            rank death appends a ``death`` record and each re-admission
+            a ``rejoin`` record (this trainer is the log's only producer).
         cache: optional :class:`~repro.core.hotcache.EmbeddingHotCache`;
             same contract as the single-device trainer — batches feed the
             cache and a full window triggers a segment-boundary rebalance

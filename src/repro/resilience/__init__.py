@@ -18,17 +18,16 @@ package is the robustness backbone the rest of the stack leans on:
 - :mod:`repro.resilience.faults` — a seedable :class:`FaultPlan` that
   deterministically injects transient collective failures, permanent
   rank deaths, loader hiccups, hot-replica evictions, data corruption,
-  serving-replica and worker faults, and SIGKILL crash points targeted
+  serving-replica faults, and SIGKILL crash points targeted
   at refresh phases / checkpoint boundaries / steps.  The plan is key,
   check and state tables, and its ``parse_spec`` is the one
   ``key=value`` grammar of ``--faults``, ``--guards`` and ``--validate``
   (each key at most once);
 - :mod:`repro.resilience.retry` — bounded exponential-backoff retry
   (with seeded, reproducible jitter) around transient faults;
-- :mod:`repro.resilience.elastic` — a supervised real-process worker
-  pool: heartbeat liveness, bounded task leases with poison-task
-  quarantine, speculative duplicate execution for stragglers, and
-  graceful degradation to deterministic in-process execution;
+- :mod:`repro.resilience.elastic` — the schema-versioned JSONL event
+  log (:class:`SupervisorEventLog`) of rank deaths and segment-boundary
+  rejoins in elastic distributed training;
 - :mod:`repro.resilience.guards` — data-integrity guardrails: ingest
   validation with per-field ``raise``/``clamp``/``quarantine`` policies
   and an atomic JSONL quarantine ledger, NaN/loss-spike detection with
@@ -44,13 +43,7 @@ emitted through :mod:`repro.obs`.
 """
 
 from repro.resilience.atomic import atomic_write, atomic_write_text
-from repro.resilience.elastic import (
-    ElasticConfig,
-    ElasticError,
-    SupervisorEventLog,
-    TaskQuarantinedError,
-    WorkerPool,
-)
+from repro.resilience.elastic import SupervisorEventLog
 from repro.resilience.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointCorruptionError,
@@ -100,8 +93,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointManager",
     "CircuitBreaker",
-    "ElasticConfig",
-    "ElasticError",
     "FaultError",
     "FaultPlan",
     "GUARD_POLICIES",
@@ -123,7 +114,6 @@ __all__ = [
     "RetryExhaustedError",
     "RetryPolicy",
     "SupervisorEventLog",
-    "TaskQuarantinedError",
     "TrainerCheckpoint",
     "TransientCollectiveError",
     "atomic_write",
@@ -137,5 +127,4 @@ __all__ = [
     "save_checkpoint",
     "verify_checkpoint",
     "with_retries",
-    "WorkerPool",
 ]

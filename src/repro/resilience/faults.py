@@ -84,7 +84,6 @@ __all__ = [
     "PermanentRankFailure",
     "REFRESH_PHASES",
     "TransientCollectiveError",
-    "WORKER_FAULTS",
     "parse_spec",
     "popular_local_row",
 ]
@@ -94,11 +93,6 @@ __all__ = [
 #: cache membership swap, after replica delta application, after the
 #: batch repack, after the scheduler pool swap, and after the commit.
 REFRESH_PHASES = ("plan", "intent", "apply", "replicas", "repack", "pools", "commit")
-
-#: Real-process faults of the elastic pool: kind ``K`` is armed by the
-#: spec key ``K_task``, stored in ``worker_K_task`` and counted under
-#: ``faults.worker_K.injected``.
-WORKER_FAULTS = ("kill", "hang", "straggle")
 
 
 def parse_spec(spec: str, keys: Mapping[str, tuple[str, Callable]], what: str) -> dict:
@@ -167,8 +161,6 @@ _SPEC_KEYS: dict[str, tuple[str, Callable]] = {
     "bad_grad": ("gradient_corruption_at", int),
     "bad_row": ("hot_row_corruption_at", int),
     "corrupt": ("corruption_mode", str),
-    **{f"{kind}_task": (f"worker_{kind}_task", int) for kind in WORKER_FAULTS},
-    "straggle_secs": ("worker_straggle_seconds", float),
     "kill_replica": ("replica_kill", _split("@", int, int)),  # REPLICA@REQUEST
     "slow_replica": ("replica_slow", _split("@:", int, int, int)),  # REPLICA@START:STOP
     "slow_replica_factor": ("replica_slow_factor", float),
@@ -192,8 +184,6 @@ _VALID: dict[str, tuple[Callable, str]] = {
     "replica_slow": (lambda v: min(v) >= 0 and v[2] > v[1], "(replica >= 0, 0 <= start < stop)"),
     "replica_slow_factor": (lambda v: v > 1.0, "> 1"),
     "replica_flap": (lambda v: min(v[:2]) >= 0 and v[2] >= 1, "(replica, start >= 0, period >= 1)"),
-    **{f"worker_{kind}_task": (lambda v: v >= 0, ">= 0") for kind in WORKER_FAULTS},
-    "worker_straggle_seconds": (lambda v: v > 0, "positive"),
     "crash_refresh": (
         lambda v: v[0] >= 0 and v[1] in REFRESH_PHASES, f"(index >= 0, phase in {REFRESH_PHASES})"
     ),
@@ -313,15 +303,6 @@ class FaultPlan:
             the replica alternates ``period`` requests down / ``period``
             requests up (crash-loop or partition flapping); the cluster's
             health probe must re-admit it on each recovery, or None.
-        worker_kill_task: elastic-pool task index whose first lease
-            SIGKILLs its worker mid-task (real process death), or None.
-        worker_hang_task: task index whose first lease wedges its worker
-            — heartbeats stop, the task never returns — so the
-            supervisor's heartbeat-miss budget must catch it, or None.
-        worker_straggle_task: task index whose first lease sleeps
-            ``worker_straggle_seconds`` before completing (a slow-start
-            straggler for speculation to beat), or None.
-        worker_straggle_seconds: straggler sleep length.
         crash_refresh: ``(refresh_index, phase)`` — SIGKILL the process
             when that cache turnover reaches that phase (one of
             :data:`REFRESH_PHASES`), or None.
@@ -349,10 +330,6 @@ class FaultPlan:
     replica_slow: tuple[int, int, int] | None = None
     replica_slow_factor: float = 20.0
     replica_flap: tuple[int, int, int] | None = None
-    worker_kill_task: int | None = None
-    worker_hang_task: int | None = None
-    worker_straggle_task: int | None = None
-    worker_straggle_seconds: float = 0.5
     crash_refresh: tuple[int, str] | None = None
     crash_checkpoint: int | None = None
     crash_step: int | None = None
@@ -581,20 +558,6 @@ class FaultPlan:
                 return self.replica_slow_factor
         return 1.0
 
-    # -- Real-process faults (exercising repro.resilience.elastic) -------
-
-    def worker_faults(self) -> dict | None:
-        """Picklable worker-side fault spec for the elastic pool.
-
-        ``{"<kind>_task": task, ..., "straggle_seconds": s}`` over the armed
-        :data:`WORKER_FAULTS`.  Workers consult the spec on each lease
-        (faults fire on lease 0 only, so re-dispatched work always
-        completes).  None when no real-process faults are configured.
-        """
-        spec = {f"{kind}_task": getattr(self, f"worker_{kind}_task") for kind in WORKER_FAULTS}
-        spec = {key: task for key, task in spec.items() if task is not None}
-        return {**spec, "straggle_seconds": self.worker_straggle_seconds} if spec else None
-
     # -- Checkpointable state --------------------------------------------
 
     def state_dict(self) -> dict:
@@ -628,7 +591,6 @@ class FaultPlan:
 
             seed=7,collective=0.05,death=1@40,evict=80,loader=0.02
             seed=7,ingest=0.01,bad_batch=0.05,bad_row=40,corrupt=nan
-            seed=7,kill_task=1,straggle_task=3,straggle_secs=0.8
             seed=7,kill_replica=1@120,slow_replica=2@40:160,flap_replica=0@30/25
             crash_refresh=0@repack
             crash_checkpoint=1

@@ -14,7 +14,7 @@ the search stops at the first threshold that overflows:
 - a blake2b over the names and bytes of every file the plan saves.
 
 Everything is compared with ``==``.  The plans are deterministic within a
-commit (``test_elastic``, ``test_streaming_preprocess``); this pins them
+commit (``test_streaming_preprocess``); this pins them
 across commits, so a change to the calibrator, the classifier or the FAE
 writer that claims to leave the output alone must reproduce it byte for
 byte.  Record with ``python tests/test_calibration_golden.py --record``,

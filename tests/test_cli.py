@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.dist import DistributedFAETrainer
+from repro.resilience import FaultPlan, GuardAbort, SupervisorEventLog
 from repro.train import roc_auc
 
 
@@ -166,6 +168,67 @@ class TestTrainResilience:
         ]
         assert main(argv) == 2
         assert "fae" in capsys.readouterr().err
+
+
+class TestEventLog:
+    ARGV = [
+        "train",
+        "criteo-kaggle",
+        "--mode",
+        "fae",
+        "--samples",
+        "2000",
+        "--epochs",
+        "1",
+        "--gpus",
+        "3",
+        "--rejoin",
+    ]
+
+    def test_a_failing_run_keeps_its_death_record(self, capsys, monkeypatch, tmp_path):
+        def die_after_a_death(self, *args, **kwargs):
+            self._emit("death", rank=1, world_size=2, parked=True)
+            raise GuardAbort("numeric", "rolled back too often")
+
+        monkeypatch.setattr(DistributedFAETrainer, "train", die_after_a_death)
+        path = tmp_path / "events.jsonl"
+        assert main(self.ARGV + ["--events-jsonl", str(path)]) == 3
+        assert "GuardAbort" in capsys.readouterr().err
+        (record,) = SupervisorEventLog.load(path)
+        assert (record["event"], record["rank"], record["parked"]) == ("death", 1, True)
+
+    def test_a_run_without_events_still_writes_the_log(self, capsys, tmp_path):
+        path = tmp_path / "events.jsonl"
+        assert main(self.ARGV + ["--events-jsonl", str(path)]) == 0
+        assert f"wrote {path}" in capsys.readouterr().out
+        assert path.exists() and SupervisorEventLog.load(path) == []
+
+
+class TestRemovedSpellings:
+    """The worker-pool options and fault keys are gone, and say so."""
+
+    @pytest.mark.parametrize(
+        "spelling",
+        [
+            "preprocess criteo-kaggle --workers 2",
+            "preprocess criteo-kaggle --speculate",
+            "preprocess criteo-kaggle --heartbeat-interval 1",
+            "preprocess criteo-kaggle --faults seed=7",
+            "train criteo-kaggle --workers 2",
+            "kill_task=1",
+        ],
+        ids=lambda spelling: "_".join(word for word in spelling.split() if word != "criteo-kaggle"),
+    )
+    def test_fails_loudly(self, capsys, spelling):
+        if "=" in spelling.split()[0]:  # a fault spec, not a command line
+            with pytest.raises(ValueError, match="'kill_task'"):
+                FaultPlan.parse(spelling)
+            return
+        argv = spelling.split()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"error: unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err
 
 
 class TestTrainGuards:

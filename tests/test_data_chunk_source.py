@@ -364,8 +364,10 @@ class TestLazyShardChunk:
         with tempfile.TemporaryDirectory() as tmp:
             directory = save_log_shards(tmp, LogChunkSource(small_log, chunk_size=400))
             source = ShardChunkSource(directory)
-            for (start, chunk), (path, _start, count) in zip(source, source.shard_refs()):
-                want = eager_load(path, source.schema, count)
+            manifest = json.loads((directory / SHARD_MANIFEST).read_text(encoding="utf-8"))
+            for (start, chunk), shard in zip(source, manifest["shards"]):
+                count = shard["num_samples"]
+                want = eager_load(directory / shard["file"], source.schema, count)
                 assert len(chunk) == count == len(want)
                 for name in (*order, *repeats):
                     got, ref = column(chunk, name), column(want, name)

@@ -240,14 +240,6 @@ def _reference_fault_parse(spec):
                 kwargs["hot_row_corruption_at"] = int(value)
             elif key == "corrupt":
                 kwargs["corruption_mode"] = value
-            elif key == "kill_task":
-                kwargs["worker_kill_task"] = int(value)
-            elif key == "hang_task":
-                kwargs["worker_hang_task"] = int(value)
-            elif key == "straggle_task":
-                kwargs["worker_straggle_task"] = int(value)
-            elif key == "straggle_secs":
-                kwargs["worker_straggle_seconds"] = float(value)
             elif key == "kill_replica":
                 replica_str, _, request_str = value.partition("@")
                 kwargs["replica_kill"] = (int(replica_str), int(request_str))
@@ -311,12 +303,6 @@ def _reference_fault_post_init(self):
         replica, start, period = self.replica_flap
         if replica < 0 or start < 0 or period < 1:
             raise ValueError(f"invalid replica_flap {self.replica_flap}")
-    for name in ("worker_kill_task", "worker_hang_task", "worker_straggle_task"):
-        value = getattr(self, name)
-        if value is not None and value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-    if self.worker_straggle_seconds <= 0:
-        raise ValueError("worker_straggle_seconds must be positive")
     if self.crash_refresh is not None:
         refresh_index, phase = self.crash_refresh
         if refresh_index < 0 or phase not in REFRESH_PHASES:
@@ -429,7 +415,7 @@ def _joined(separators, malformed):
 
 
 # Values are drawn per cast in the key table.  No NaN: the table rejects a
-# NaN slow factor or straggle length, which the ladder's `<=` let through.
+# NaN slow factor, which the ladder's `<=` let through.
 _INT_VALUES = st.one_of(_N, st.sampled_from(["", "x", "1.5", "0x3", " 7"]))
 _RATE_VALUES = st.sampled_from(["0", "0.0", "0.05", "0.5", "0.999", "1.0", "-0.1", "2", "x", ""])
 _FLOAT_VALUES = st.sampled_from(["0.25", "0.5", "1", "1.5", "20", "-1", "0", "x", ""])

@@ -370,20 +370,18 @@ class TestFormatCompatibility:
     def test_old_and_new_log_shards_preprocess_to_the_same_bytes(
         self, tiny_log, tiny_fae_config, tmp_path
     ):
-        """Sequential, elastic-pool and stream-fed passes over int64 shards
-        from the previous writer and over stored-width shards: one profile,
-        one FAE output directory, byte for byte -- and the in-memory one."""
-        from repro.resilience.elastic import ElasticConfig, WorkerPool
-
+        """Shard-fed and stream-fed passes over int64 shards from the
+        previous writer and over stored-width shards: one profile, one FAE
+        output directory, byte for byte -- and the in-memory one."""
         new = save_log_shards(tmp_path / "new", tiny_log, chunk_size=1000)
         old = as_previous_writers_shards(save_log_shards(tmp_path / "old", tiny_log, chunk_size=1000))
         stream = SyntheticClickStream(tiny_log.schema, total_samples=3000, chunk_size=700, seed=4)
         streamed = save_log_shards(tmp_path / "streamed", stream)
         streamed_old = as_previous_writers_shards(save_log_shards(tmp_path / "streamed_old", stream))
 
-        def outputs(source, tag, pool=None):
-            profile = Calibrator(tiny_fae_config).calibrate_source(source, pool=pool).profile
-            plan = fae_preprocess_source(source, tiny_fae_config, batch_size=64, pool=pool)
+        def outputs(source, tag):
+            profile = Calibrator(tiny_fae_config).calibrate_source(source).profile
+            plan = fae_preprocess_source(source, tiny_fae_config, batch_size=64)
             out = tmp_path / f"fae-{tag}"
             plan.save(out, shard_size=4)
             files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
@@ -393,12 +391,59 @@ class TestFormatCompatibility:
         want = outputs(LogChunkSource(tiny_log, chunk_size=1000), "memory")
         assert outputs(ShardChunkSource(new), "new") == want
         assert outputs(ShardChunkSource(old), "old") == want
-        for tag, directory in (("new-pool", new), ("old-pool", old)):
-            pool = WorkerPool(ElasticConfig(workers=2))
-            assert outputs(ShardChunkSource(directory), tag, pool=pool) == want
         want_streamed = outputs(StreamChunkSource(stream), "stream")
         assert outputs(ShardChunkSource(streamed), "streamed") == want_streamed
         assert outputs(ShardChunkSource(streamed_old), "streamed-old") == want_streamed
+
+
+class TestShardProfiling:
+    """What the profile pass accepts and rejects in a log shard: it reads
+    only the profiled columns, each checked against the manifest and its
+    table, and a failure names the shard."""
+
+    @staticmethod
+    def _profile(directory, config):
+        return Calibrator(config).calibrate_source(ShardChunkSource(directory)).profile
+
+    def test_flip_in_profiled_column_names_the_file(
+        self, tmp_path, tiny_log, tiny_fae_config, flip_member_byte
+    ):
+        directory = save_log_shards(tmp_path / "shards", tiny_log, chunk_size=1000)
+        flip_member_byte(directory / "chunk-000002.npz", "sparse_table_01")
+        with pytest.raises(RuntimeError, match="chunk-000002"):
+            self._profile(directory, tiny_fae_config)
+
+    def test_flip_in_dense_leaves_counts_equal(
+        self, tmp_path, tiny_log, tiny_fae_config, flip_member_byte
+    ):
+        directory = save_log_shards(tmp_path / "shards", tiny_log, chunk_size=1000)
+        clean = self._profile(directory, tiny_fae_config)
+        flip_member_byte(directory / "chunk-000002.npz", "dense")
+        flipped = self._profile(directory, tiny_fae_config)
+        assert sorted(clean.tables) == sorted(flipped.tables)
+        for name, table in clean.tables.items():
+            assert flipped.tables[name].counts.tobytes() == table.counts.tobytes()
+        assert flipped.num_sampled_inputs == clean.num_sampled_inputs
+
+    @pytest.mark.parametrize("flaw", ["count", "id"])
+    def test_bad_count_or_id_names_the_file(
+        self, tmp_path, tiny_log, tiny_fae_config, flaw
+    ):
+        directory = save_log_shards(tmp_path / "shards", tiny_log, chunk_size=1000)
+        if flaw == "count":  # the manifest's row count
+            manifest = json.loads((directory / "manifest.json").read_text())
+            manifest["shards"][1]["num_samples"] -= 1
+            (directory / "manifest.json").write_text(json.dumps(manifest))
+        else:  # an id out of its table's range
+            with np.load(directory / "chunk-000001.npz") as archive:
+                members = {name: archive[name] for name in archive.files}
+            # Stored at table width: the bad id fits the dtype, not the table.
+            assert members["sparse_table_00"].dtype == np.uint16
+            members["sparse_table_00"][5, 0] = 600
+            np.savez_compressed(directory / "chunk-000001.npz", **members)
+        error = RuntimeError if flaw == "count" else ValueError
+        with pytest.raises(error, match="chunk-000001"):
+            self._profile(directory, tiny_fae_config)
 
 
 def stored_dtypes(path):
