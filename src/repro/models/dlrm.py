@@ -18,7 +18,7 @@ from repro.data.schema import DatasetSchema
 from repro.models.base import RecModel
 from repro.nn.embedding import EmbeddingBag, EmbeddingTable, TableBatchedLookup, embedding_store
 from repro.nn.interaction import DotInteraction
-from repro.nn.mlp import MLP, parse_layer_spec
+from repro.nn.mlp import MLP, distinct_rows, parse_layer_spec
 from repro.nn.parameter import Parameter
 
 __all__ = ["DLRMConfig", "DLRM"]
@@ -94,6 +94,8 @@ class DLRM(RecModel):
         self.top_mlp = MLP(top_sizes, rng, final_activation=None, name="mlp_top")
 
         self._table_order = tuple(schema.table_names)
+        # The last forward's ``distinct_rows`` of the dense features, for backward.
+        self._repeats: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # RecModel interface
@@ -125,8 +127,18 @@ class DLRM(RecModel):
         return params
 
     def forward(self, batch: MiniBatch) -> np.ndarray:
-        """Run the full forward graph; returns ``(B,)`` logits."""
-        dense_vec = self.bottom_mlp.forward(batch.dense)
+        """Run the full forward graph; returns ``(B,)`` logits.
+
+        The bottom MLP runs once per distinct dense row: a ranking request
+        repeats one context across its candidates.  With no repeated row
+        (every training batch) this is the plain every-row forward.
+        """
+        self._repeats = repeats = distinct_rows(batch.dense)
+        if repeats is None:
+            dense_vec = self.bottom_mlp.forward(batch.dense)
+        else:
+            first, inverse = repeats
+            dense_vec = self.bottom_mlp.forward(batch.dense[first])[inverse]
         # One (B, F, d) buffer: the bottom MLP in slot 0, every table's
         # pooled rows gathered straight into the slots after it.
         shape = (dense_vec.shape[0], 1 + len(self._table_order), self.embedding_dim)
@@ -145,6 +157,12 @@ class DLRM(RecModel):
         grad_top = self.top_mlp.backward(grad_logits[:, None].astype(np.float32, copy=False))
         grad_dense, grad_embeddings = self.interaction.backward(grad_top)
         self._lookup.backward(grad_embeddings.transpose(1, 0, 2))
+        if self._repeats is not None:
+            # Each distinct row's gradient is the sum over its copies, in row order.
+            first, inverse = self._repeats
+            per_row = np.zeros((len(first), grad_dense.shape[1]), dtype=grad_dense.dtype)
+            np.add.at(per_row, inverse, grad_dense)
+            grad_dense = per_row
         self.bottom_mlp.backward(grad_dense, input_grad=False)
 
     # ------------------------------------------------------------------

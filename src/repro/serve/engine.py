@@ -278,11 +278,15 @@ class InferenceEngine:
     ) -> RankedItems:
         count = len(candidate_ids)
         dense_row = np.asarray(dense, dtype=np.float32)
-        context = {
-            name: np.asarray(ids, dtype=np.int64)[None, :]
-            for name, ids in sparse_context.items()
-        }
-        mult = context[candidate_table].shape[1]
+        # Every table's context ids side by side in one row, so a chunk's
+        # batch is column slices of one read-only broadcast of it: one
+        # broadcast a chunk instead of one copy per table (the lookup
+        # copies the ids once anyway).
+        context = [np.asarray(ids, dtype=np.int64) for ids in sparse_context.values()]
+        context_row = np.concatenate(context)
+        ends = np.cumsum([len(ids) for ids in context]).tolist()
+        columns = dict(zip(sparse_context, zip([0, *ends], ends)))
+        mult = len(sparse_context[candidate_table])
 
         # Small chunks under a deadline so the elapsed check fires often
         # enough to matter; full batches otherwise.
@@ -300,10 +304,11 @@ class InferenceEngine:
                 break
             chunk_ids = candidate_ids[start : start + chunk_size]
             chunk = len(chunk_ids)
-            sparse_block = {name: np.tile(ids, (chunk, 1)) for name, ids in context.items()}
-            sparse_block[candidate_table] = np.tile(chunk_ids[:, None], (1, mult))
+            block = np.broadcast_to(context_row, (chunk, len(context_row)))
+            sparse_block = {name: block[:, lo:hi] for name, (lo, hi) in columns.items()}
+            sparse_block[candidate_table] = np.broadcast_to(chunk_ids[:, None], (chunk, mult))
             batch = MiniBatch(
-                dense=np.tile(dense_row, (chunk, 1)),
+                dense=np.broadcast_to(dense_row, (chunk, len(dense_row))),
                 sparse=sparse_block,
                 labels=np.zeros(chunk, dtype=np.float32),
                 indices=np.arange(chunk, dtype=np.int64),
@@ -326,9 +331,15 @@ class InferenceEngine:
         replicated cluster reload a new FAE plan or parameter set
         replica-by-replica with zero downtime.  ``hot_bags=None``
         disables hot-request classification for the new generation
-        (install a plan's bags to keep it).  Counters and the breaker
-        survive the swap: they describe the replica, not the generation.
+        (install a plan's bags to keep it).  An engine with a hot cache
+        ignores ``hot_bags``: its classification keeps following the
+        cache's live membership.  Counters and the breaker survive the
+        swap: they describe the replica, not the generation.
         """
+        if self.hot_cache is not None:
+            self.model = model
+            self._refresh_cache_masks()
+            return
         hot_masks = (
             {name: bag.hot_mask() for name, bag in hot_bags.items()} if hot_bags else None
         )

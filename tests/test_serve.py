@@ -303,6 +303,34 @@ class TestHotCacheServing:
         assert cache.version > version
         assert engine.hot_request_mask(train).shape == (len(train),)
 
+    @staticmethod
+    def _cache_classification(cache, log):
+        masks = {name: bag.hot_mask() for name, bag in cache.bags().items()}
+        return np.all([masks[name][ids].all(axis=1) for name, ids in log.sparse.items()], axis=0)
+
+    def test_install_keeps_classifying_by_the_cache(self, trained, tiny_schema):
+        _model, train, _test, _plan = trained
+        engine, cache = self._cached_engine(trained)
+        other = DLRM(tiny_schema, DLRMConfig("4-8", "8-1", seed=99))
+        engine.install(other)
+        assert engine.model is other
+        np.testing.assert_array_equal(
+            engine.hot_request_mask(train), self._cache_classification(cache, train)
+        )
+
+    def test_install_with_bags_still_follows_the_cache(self, trained, tiny_schema):
+        model, train, _test, plan = trained
+        engine, cache = self._cached_engine(trained, rebalance_every=2)
+        context = {name: train.sparse[name][0] for name in tiny_schema.table_names}
+        for _ in range(6):
+            engine.rank_candidates(train.dense[0], context, "table_00", np.arange(500, 560))
+        live = self._cache_classification(cache, train)
+        np.testing.assert_array_equal(engine.hot_request_mask(train), live)
+        frozen = InferenceEngine(model, hot_bags=plan.bags).hot_request_mask(train)
+        assert not np.array_equal(live, frozen)  # the cache has turned over
+        engine.install(model, hot_bags=plan.bags)  # no version bump follows
+        np.testing.assert_array_equal(engine.hot_request_mask(train), live)
+
 
 class TestModelInstall:
     def test_install_swaps_model_atomically(self, trained, tiny_schema):
