@@ -183,7 +183,6 @@ class TrainingSimulator:
 
     def hot_batch(self) -> PhaseBreakdown:
         """One pure-hot FAE mini-batch: everything on the GPUs."""
-        k = self.cluster.num_gpus
         per_gpu = self.workload.base_batch_size
         b = PhaseBreakdown()
         b.add("dispatch", self._dispatch_seconds())
@@ -241,7 +240,6 @@ class TrainingSimulator:
         lookups hit HBM; but without FAE's pure batching, every batch
         faults its cold rows in through unified memory over PCIe.
         """
-        k = self.cluster.num_gpus
         per_gpu = self.workload.base_batch_size
         w = self.workload
         per_lookup_coverage = (

@@ -26,6 +26,20 @@ class RecModel(abc.ABC):
     def forward(self, batch: MiniBatch) -> np.ndarray:
         """Compute ``(B,)`` logits for a mini-batch."""
 
+    def predict(self, batch: MiniBatch) -> np.ndarray:
+        """Forward-only ``(B,)`` logits, for serving: :meth:`forward`'s up
+        to float32 rounding.
+
+        A model may score some batches by a cheaper path of its own (DLRM
+        scores a ranking request's shared context once); such a path keeps
+        nothing for a backward and leaves what :meth:`forward` kept as it
+        was.  Any other batch runs :meth:`forward` itself, so no
+        :meth:`backward` may rely on a ``predict``.  Training, evaluation
+        and AUC call :meth:`forward`, never this.  By default this is
+        :meth:`forward`.
+        """
+        return self.forward(batch)
+
     @abc.abstractmethod
     def backward(self, grad_logits: np.ndarray) -> None:
         """Backpropagate from the logit gradient through every layer."""

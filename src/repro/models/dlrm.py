@@ -18,7 +18,7 @@ from repro.data.schema import DatasetSchema
 from repro.models.base import RecModel
 from repro.nn.embedding import EmbeddingBag, EmbeddingTable, TableBatchedLookup, embedding_store
 from repro.nn.interaction import DotInteraction
-from repro.nn.mlp import MLP, distinct_rows, parse_layer_spec
+from repro.nn.mlp import MLP, parse_layer_spec
 from repro.nn.parameter import Parameter
 
 __all__ = ["DLRMConfig", "DLRM"]
@@ -94,8 +94,12 @@ class DLRM(RecModel):
         self.top_mlp = MLP(top_sizes, rng, final_activation=None, name="mlp_top")
 
         self._table_order = tuple(schema.table_names)
-        # The last forward's ``distinct_rows`` of the dense features, for backward.
-        self._repeats: tuple[np.ndarray, np.ndarray] | None = None
+        # predict's gathers, each with a lookup of its own so neither replans
+        # the other's runs nor touches the training lookup's record.
+        self._context_lookup = TableBatchedLookup()
+        self._varying_lookup = TableBatchedLookup()
+        # The last factored request's (varying tables, plan): see _factored_plan.
+        self._factored: tuple[tuple[int, ...], tuple] | None = None
 
     # ------------------------------------------------------------------
     # RecModel interface
@@ -127,18 +131,8 @@ class DLRM(RecModel):
         return params
 
     def forward(self, batch: MiniBatch) -> np.ndarray:
-        """Run the full forward graph; returns ``(B,)`` logits.
-
-        The bottom MLP runs once per distinct dense row: a ranking request
-        repeats one context across its candidates.  With no repeated row
-        (every training batch) this is the plain every-row forward.
-        """
-        self._repeats = repeats = distinct_rows(batch.dense)
-        if repeats is None:
-            dense_vec = self.bottom_mlp.forward(batch.dense)
-        else:
-            first, inverse = repeats
-            dense_vec = self.bottom_mlp.forward(batch.dense[first])[inverse]
+        """Run the full forward graph; returns ``(B,)`` logits."""
+        dense_vec = self.bottom_mlp.forward(batch.dense)
         # One (B, F, d) buffer: the bottom MLP in slot 0, every table's
         # pooled rows gathered straight into the slots after it.
         shape = (dense_vec.shape[0], 1 + len(self._table_order), self.embedding_dim)
@@ -157,13 +151,85 @@ class DLRM(RecModel):
         grad_top = self.top_mlp.backward(grad_logits[:, None].astype(np.float32, copy=False))
         grad_dense, grad_embeddings = self.interaction.backward(grad_top)
         self._lookup.backward(grad_embeddings.transpose(1, 0, 2))
-        if self._repeats is not None:
-            # Each distinct row's gradient is the sum over its copies, in row order.
-            first, inverse = self._repeats
-            per_row = np.zeros((len(first), grad_dense.shape[1]), dtype=grad_dense.dtype)
-            np.add.at(per_row, inverse, grad_dense)
-            grad_dense = per_row
         self.bottom_mlp.backward(grad_dense, input_grad=False)
+
+    def predict(self, batch: MiniBatch) -> np.ndarray:
+        """Forward-only ``(B,)`` logits that score a ranking request's context once.
+
+        A batch whose dense rows all equal row 0 byte for byte, and in which
+        some table's ids differ between rows, is one context against many
+        candidates.  Every feature but the varying tables' is then row 0's,
+        and so is every interaction pair between two such features: the
+        bottom MLP, those pairs and their part of the top MLP's first layer
+        are computed once, and per row only the pairs that touch a varying
+        table (see DESIGN §12).  Nothing is kept for a backward.  Any other
+        batch is :meth:`forward`'s.
+        """
+        varying = self._varying_tables(batch)
+        if not varying:
+            return self.forward(batch)
+        columns, left, right = self._factored_plan(varying)
+        names, dim = self._table_order, self.embedding_dim
+        num_features = 1 + len(names)
+        # Row 0's features, every table range-checked on that row.
+        row0 = np.empty((num_features, dim), dtype=np.float32)
+        row0[0] = self.bottom_mlp.predict(batch.dense[:1])[0]
+        self._context_lookup.predict(
+            [self._bags[name] for name in names],
+            [batch.sparse[name][:1] for name in names],
+            out=row0[None, 1:],
+        )
+        # The first layer's pre-activation from the shared columns, once:
+        # the varying columns are zeroed, so no row depends on which
+        # candidate happens to be row 0.
+        tri_rows, tri_cols = self.interaction.pairs(num_features)
+        shared = np.empty(dim + len(tri_rows), dtype=np.float32)
+        shared[:dim] = row0[0]
+        shared[dim:] = (row0 @ row0.T)[tri_rows, tri_cols]
+        shared[columns] = 0.0
+        first = self.top_mlp.layers[0]
+        hidden0 = first.predict(shared)
+        # Each varying table's pooled rows, dotted with every feature of
+        # row 0 and, where two tables vary, with each other.
+        pooled = np.empty((len(batch.dense), len(varying), dim), dtype=np.float32)
+        self._varying_lookup.predict(
+            [self._bags[names[t]] for t in varying],
+            [batch.sparse[names[t]] for t in varying],
+            out=pooled,
+        )
+        dots = (pooled.reshape(-1, dim) @ row0.T).reshape(len(pooled), len(varying), -1)
+        if len(varying) > 1:
+            dots[:, :, [1 + t for t in varying]] = pooled @ pooled.transpose(0, 2, 1)
+        hidden = dots[:, left, right] @ first.weight.value[:, columns].T
+        hidden += hidden0
+        return self.top_mlp.predict(hidden, start=1)[:, 0]
+
+    def _varying_tables(self, batch: MiniBatch) -> tuple[int, ...]:
+        """Positions of the tables whose ids differ between rows, or ``()``
+        unless every dense row is row 0's bytes (and there are two rows)."""
+        dense = batch.dense
+        if len(dense) < 2 or not _rows_repeat(dense.view(f"u{dense.itemsize}")):
+            return ()
+        return tuple(
+            t for t, name in enumerate(self._table_order) if not _rows_repeat(batch.sparse[name])
+        )
+
+    def _factored_plan(self, varying: tuple[int, ...]) -> tuple:
+        """``(columns, left, right)`` for the interaction pairs that touch a
+        varying table: their output columns, and for each the position of
+        its varying table in ``varying`` and the feature slot it is dotted
+        with.  The last request's plan is kept (one varying set per stream)."""
+        if self._factored is None or self._factored[0] != varying:
+            position = {1 + t: i for i, t in enumerate(varying)}  # feature slot -> position
+            tri_rows, tri_cols = self.interaction.pairs(1 + len(self._table_order))
+            columns, left, right = [], [], []
+            for k, (row, col) in enumerate(zip(tri_rows.tolist(), tri_cols.tolist())):
+                if row in position or col in position:
+                    columns.append(self.embedding_dim + k)
+                    left.append(position[row] if row in position else position[col])
+                    right.append(col if row in position else row)
+            self._factored = (varying, (np.array(columns), np.array(left), np.array(right)))
+        return self._factored[1]
 
     # ------------------------------------------------------------------
     # Cost-model hooks
@@ -181,3 +247,8 @@ class DLRM(RecModel):
 
     def lookups_per_sample(self) -> int:
         return self.schema.lookups_per_sample()
+
+
+def _rows_repeat(values: np.ndarray) -> bool:
+    """Every row of ``values`` equals row 0 (a zero row stride says so unread)."""
+    return values.strides[0] == 0 or bool((values == values[0]).all())

@@ -32,6 +32,7 @@ class ReLU:
 
     Pass the input as ``out`` to rectify in place a buffer the caller owns
     (as :class:`~repro.nn.mlp.MLP` does); by default a new array is returned.
+    :meth:`predict` is :meth:`forward` without the mask kept for a backward.
     """
 
     def __init__(self) -> None:
@@ -43,6 +44,9 @@ class ReLU:
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         self._mask = x > 0
         return _select(x, self._mask, out)
+
+    def predict(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return _select(x, x > 0, out)
 
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self._mask is None:
@@ -64,6 +68,9 @@ class Sigmoid:
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._output = sigmoid(x)
         return self._output
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return sigmoid(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._output is None:

@@ -279,6 +279,13 @@ class TableBatchedLookup:
     def forward(self, bags: list, ids: list[np.ndarray], out: np.ndarray) -> None:
         """Pool ``ids[t]`` (``(B, m)``, or ``(B,)`` for ``m = 1``) through
         ``bags[t]`` into ``out[:, t]``; ``out`` is ``(B, len(bags), dim)``."""
+        self._pending = self._gather(bags, ids, out)
+
+    def predict(self, bags: list, ids: list[np.ndarray], out: np.ndarray) -> None:
+        """:meth:`forward` without the record: nothing is kept for a backward."""
+        self._gather(bags, ids, out)
+
+    def _gather(self, bags: list, ids: list[np.ndarray], out: np.ndarray) -> list:
         widths = tuple(1 if i.ndim == 1 else i.shape[1] for i in ids)
         pending = []
         for run in self._plan(bags, widths):
@@ -297,7 +304,7 @@ class TableBatchedLookup:
                     else:
                         out[:, run.start + i] = block.sum(axis=1)
             pending.append((run, index))
-        self._pending = pending
+        return pending
 
     def backward(self, grad_out: np.ndarray) -> None:
         """Record one sparse gradient per run from ``grad_out`` (``(B, T, dim)``,

@@ -27,6 +27,13 @@ class DotInteraction:
         """Width of the interaction output: d + C(num_features, 2)."""
         return feature_dim + num_features * (num_features - 1) // 2
 
+    def pairs(self, num_features: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)`` of the strictly lower triangle: output column
+        ``d + k`` is the dot of features ``rows[k]`` and ``cols[k]``."""
+        if num_features not in self._tril:
+            self._tril[num_features] = np.tril_indices(num_features, k=-1)
+        return self._tril[num_features]
+
     def forward(self, stacked: np.ndarray) -> np.ndarray:
         """Compute ``concat(stacked[:, 0], pairwise_dots)``.
 
@@ -45,9 +52,7 @@ class DotInteraction:
         # A contiguous transpose takes numpy's batched gemm path, not its
         # per-sample A @ A.T one: half the time, the same bits.
         gram = stacked @ np.ascontiguousarray(stacked.transpose(0, 2, 1))  # (B, F, F)
-        if num_features not in self._tril:
-            self._tril[num_features] = np.tril_indices(num_features, k=-1)
-        tri_rows, tri_cols = self._tril[num_features]
+        tri_rows, tri_cols = self.pairs(num_features)
         self._stacked = stacked
         out = np.empty((batch, dim + tri_rows.shape[0]), dtype=np.float32)
         out[:, :dim] = stacked[:, 0]
@@ -67,7 +72,7 @@ class DotInteraction:
             raise RuntimeError("backward called before forward")
         stacked = self._stacked
         batch, num_features, dim = stacked.shape
-        tri_rows, tri_cols = self._tril[num_features]
+        tri_rows, tri_cols = self.pairs(num_features)
         grad_dots = grad_out[:, dim:]  # (B, P)
 
         # Scatter pair gradients into a symmetric (B, F, F) matrix; each

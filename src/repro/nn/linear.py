@@ -34,9 +34,14 @@ class Linear:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Affine map into a new buffer; ``x`` is kept (never written) for backward."""
+        out = self.predict(x)
+        self._input = x
+        return out
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """The affine map alone: nothing is kept for a backward."""
         if x.shape[-1] != self.in_features:
             raise ValueError(f"expected input width {self.in_features}, got {x.shape[-1]}")
-        self._input = x
         out = x @ self.weight.value.T
         out += self.bias.value
         return out

@@ -14,7 +14,7 @@ from repro.nn.activations import ReLU, Sigmoid
 from repro.nn.linear import Linear
 from repro.nn.parameter import Parameter
 
-__all__ = ["MLP", "distinct_rows", "parse_layer_spec"]
+__all__ = ["MLP", "parse_layer_spec"]
 
 
 def parse_layer_spec(spec: str) -> tuple[int, ...]:
@@ -32,27 +32,6 @@ def parse_layer_spec(spec: str) -> tuple[int, ...]:
     if any(s <= 0 for s in sizes):
         raise ValueError(f"layer sizes must be positive in {spec!r}")
     return sizes
-
-
-def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Find the repeated rows of a 2-D array, comparing rows by their bytes.
-
-    Returns None when every row is distinct, else ``(first, inverse)``:
-    ``x[first]`` holds each distinct row once and ``x[first][inverse]``
-    rebuilds ``x``.  An all-distinct batch costs one sort of the first
-    column: if no two neighbours are equal, no two rows are.  NaN compares
-    unequal there (distinct, which is safe) and ``-0.0 == 0.0`` (so such
-    rows go on to the byte comparison, which tells them apart).
-    """
-    if len(x) < 2:
-        return None
-    column = np.sort(x[:, 0])
-    if not (column[1:] == column[:-1]).any():
-        return None
-    rows = np.ascontiguousarray(x)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return None if len(first) == len(x) else (first, inverse)
 
 
 class MLP:
@@ -109,6 +88,14 @@ class MLP:
         # A ReLU's input is the buffer the Linear before it allocated: ours to rectify.
         for layer in self.layers:
             x = layer.forward(x, out=x) if isinstance(layer, ReLU) else layer.forward(x)
+        return x
+
+    def predict(self, x: np.ndarray, start: int = 0) -> np.ndarray:
+        """Run ``layers[start:]`` forward-only: no layer keeps state for a
+        backward.  ``x`` is read, never written, unless ``layers[start]`` is
+        a ReLU: then it rectifies ``x`` in place."""
+        for layer in self.layers[start:]:
+            x = layer.predict(x, out=x) if isinstance(layer, ReLU) else layer.predict(x)
         return x
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:

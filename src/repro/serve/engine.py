@@ -146,13 +146,15 @@ class InferenceEngine:
     def predict_batch(self, batch: MiniBatch) -> np.ndarray:
         """Click probabilities for an already-built mini-batch.
 
-        Counts one ``serve.batches`` forward call — *not* a logical
+        Scores through :meth:`RecModel.predict`, which factors a ranking
+        chunk's shared context out of the forward.  Counts one
+        ``serve.batches`` forward call — *not* a logical
         request: one ranking request fans out into many chunked forward
         calls, and conflating the two used to inflate
         ``health()["requests"]`` by the chunk count.
         """
         start = self.clock()
-        logits = self.model.forward(batch)
+        logits = self.model.predict(batch)
         probs = sigmoid(np.asarray(logits, dtype=np.float64))
         self._latency.observe(self.clock() - start)
         self._batches.inc()

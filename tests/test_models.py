@@ -161,7 +161,7 @@ class TestTBSM:
         def loss():
             return loss_fn.forward(model.forward(batch), batch.labels)
 
-        base = loss()
+        loss()
         model.backward(loss_fn.backward())
         param = model.tables["item"].weight
         grad = param.densified_grad().copy()

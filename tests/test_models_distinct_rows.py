@@ -1,10 +1,11 @@
-"""DLRM runs its bottom MLP once per distinct dense row.
+"""DLRM on batches that repeat a dense row: the every-row oracle.
 
 The oracle is the every-row forward and backward (the bottom MLP over every
 row of the batch, then the same lookup, interaction and top MLP), kept here
-only as a test oracle.  With no repeated row the two must agree bit for bit;
-with repeated rows a U-row GEMM rounds differently from the same rows inside
-a B-row GEMM, so they agree to float32 rounding.
+as a test oracle.  ``DLRM.forward`` and ``backward`` are that path, bit for
+bit, whatever the rows; ``DLRM.predict`` scores a batch whose dense rows
+all repeat row 0 (a ranking request) by a factored path that agrees with
+the oracle to float32 rounding, and any other batch by ``forward``.
 """
 
 import struct
@@ -19,7 +20,6 @@ from repro.models.dlrm import DLRM, DLRMConfig
 from repro.nn import BCEWithLogits
 from repro.nn.activations import sigmoid
 from repro.nn.gradcheck import check_gradients
-from repro.nn.mlp import distinct_rows
 from repro.serve import InferenceEngine
 
 SCHEMA = DatasetSchema(
@@ -91,36 +91,8 @@ def assert_bit_equal(actual, expected):
     np.testing.assert_array_equal(actual.view(bits), expected.view(bits))
 
 
-# A small value set, so first columns tie often and the byte comparison runs.
+# A small value set, so rows repeat often by value (-0.0 and 0.0 differ by bytes).
 VALUES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0, 3.0])
-
-
-class TestDistinctRows:
-    def test_distinct_rows_are_none(self):
-        dense = np.arange(12, dtype=np.float32).reshape(4, 3)
-        assert distinct_rows(dense) is None
-        assert distinct_rows(dense[:1]) is None
-        assert distinct_rows(dense[:0]) is None
-
-    def test_signed_zeros_differ_by_bytes(self):
-        dense = np.array([[-0.0, 1.0], [0.0, 1.0]], dtype=np.float32)
-        assert distinct_rows(dense) is None
-
-    def test_repeats_rebuild_the_rows_by_bytes(self):
-        base = np.array(
-            [[np.nan, 1.0], [-0.0, 2.0], [0.0, 2.0], [4.0, np.nan]], dtype=np.float32
-        )
-        dense = base[[0, 1, 2, 0, 3, 1, 3, 2]]
-        first, inverse = distinct_rows(dense)
-        assert len(first) == 4
-        rebuilt = dense[first][inverse]
-        np.testing.assert_array_equal(rebuilt.view(np.uint32), dense.view(np.uint32))
-
-    def test_a_broadcast_view_is_one_row(self):
-        dense = np.broadcast_to(np.array([0.5, -2.0, 1.0], dtype=np.float32), (7, 3))
-        first, inverse = distinct_rows(dense)
-        assert len(first) == 1
-        np.testing.assert_array_equal(inverse, np.zeros(7))
 
 
 class TestAgainstEveryRowOracle:
@@ -144,20 +116,24 @@ class TestAgainstEveryRowOracle:
         assert len(grads) == len(want_grads)
         for grad, want in zip(grads, want_grads):
             assert_bit_equal(grad, want)
+        # No dense row repeats another: predict is forward.
+        assert_bit_equal(model.predict(batch), want_logits)
 
     @staticmethod
     def check_close(dense: np.ndarray, seed: int) -> None:
         batch = make_batch(dense, np.random.default_rng(seed))
         model = make_model(seed % 7)
         want_logits, want_grads = step(model, batch, oracle=True)
-        logits = model.forward(batch)
-        # The bottom MLP really ran on the distinct rows only.
-        distinct = len({row.tobytes() for row in dense})
-        assert model.bottom_mlp.layers[0]._input.shape[0] == distinct < len(dense)
-        _logits, grads = step(model, batch, oracle=False)
-        np.testing.assert_allclose(logits, want_logits, rtol=1e-5, atol=1e-6)
+        # forward and backward are the every-row path, repeated rows or not.
+        logits, grads = step(model, batch, oracle=False)
+        assert_bit_equal(logits, want_logits)
         for grad, want in zip(grads, want_grads):
-            np.testing.assert_allclose(grad, want, rtol=1e-4, atol=1e-6, equal_nan=True)
+            assert_bit_equal(grad, want)
+        np.testing.assert_allclose(model.predict(batch), want_logits, rtol=1e-5, atol=1e-6)
+        one_context = len({row.tobytes() for row in dense}) == 1
+        varies = any(len({row.tobytes() for row in ids}) > 1 for ids in batch.sparse.values())
+        # One repeated dense row, and some table varying: the factored path.
+        assert (model._factored is not None) == (one_context and varies)
 
     def test_all_rows_equal(self):
         row = np.random.default_rng(0).normal(size=3).astype(np.float32)

@@ -300,6 +300,8 @@ class TestMLPEquivalence:
         grad_out = draw_array(seed + 2, (batch, sizes[-1]), np.float32, specials=False)
 
         out = fused.forward(x)
+        # predict is the same stack, bit for bit, and keeps nothing backward reads.
+        assert_bit_equal(fused.predict(x), out)
         grad_in = fused.backward(grad_out)
         fused_grads = [p.grad.copy() for p in fused.parameters()]
         for p in fused.parameters():

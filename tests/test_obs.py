@@ -368,9 +368,9 @@ class TestExport:
         lines = summary_tree().split("\n")
         # Heaviest first; equal-weight siblings tie-break on name, so
         # a_light precedes z_light and the order is deterministic.
-        b = next(i for i, l in enumerate(lines) if l.strip().startswith("b_heavy"))
-        a = next(i for i, l in enumerate(lines) if l.strip().startswith("a_light"))
-        z = next(i for i, l in enumerate(lines) if l.strip().startswith("z_light"))
+        b = next(i for i, line in enumerate(lines) if line.strip().startswith("b_heavy"))
+        a = next(i for i, line in enumerate(lines) if line.strip().startswith("a_light"))
+        z = next(i for i, line in enumerate(lines) if line.strip().startswith("z_light"))
         assert b < a < z
 
     def test_export_run_artifacts(self, clean_telemetry, tmp_path):

@@ -174,7 +174,7 @@ class TestLiveTrace:
     def test_render_nests_children_under_parent(self, simple_trace):
         text = render_analysis(analyze_records(simple_trace))
         lines = text.split("\n")
-        root_idx = next(i for i, l in enumerate(lines) if l.startswith("root"))
+        root_idx = next(i for i, line in enumerate(lines) if line.startswith("root"))
         assert lines[root_idx + 1].startswith("  train")  # heavier child first
         assert lines[root_idx + 2].startswith("    train.step")
         assert lines[root_idx + 3].startswith("  load")
