@@ -14,7 +14,6 @@ from repro.analysis import format_table
 from repro.data import dataset_by_name, train_test_split
 from repro.models.dlrm import DLRM, DLRMConfig
 from repro.nn import EmbeddingBag, Fp16EmbeddingTable, Int8EmbeddingTable
-from repro.train import BaselineTrainer
 
 V100_MEMORY = 16 * 2**30
 
@@ -33,24 +32,11 @@ def quantized_model(schema, table_cls, seed):
     return model, tables
 
 
-class RequantizingTrainer(BaselineTrainer):
-    """Baseline trainer that pushes updates through quantized storage."""
-
-    def __init__(self, model, tables, lr):
-        super().__init__(model, lr=lr)
-        self._quant_tables = tables
-
-    def train(self, *args, **kwargs):
-        result = super().train(*args, **kwargs)
-        return result
-
-
 def run_comparison(log, seed=13):
     train, test = train_test_split(log, 0.15, seed=2)
     results = {}
     for label, table_cls in (("fp32", None), ("fp16", Fp16EmbeddingTable), ("int8", Int8EmbeddingTable)):
         model, tables = quantized_model(log.schema, table_cls, seed)
-        trainer = BaselineTrainer(model, lr=0.15)
         # Train manually so requantization happens after each step.
         from repro.data.loader import BatchIterator
         from repro.nn import BCEWithLogits, SGD

@@ -54,7 +54,7 @@ from repro.core.hotcache import (
 )
 from repro.core.memory_planner import MemoryPlan, plan_memory_budget
 from repro.core.allocation import Allocation, greedy_product_allocation, threshold_allocation
-from repro.core.replicator import EmbeddingReplicator, HotBag, HotEmbeddingBag
+from repro.core.replicator import EmbeddingReplicator, HotEmbeddingBag
 from repro.core.scheduler import ShuffleScheduler, ScheduleEvent
 from repro.core.pipeline import FAEPlan, fae_preprocess, fae_preprocess_source
 
@@ -75,7 +75,6 @@ __all__ = [
     "FAEConfig",
     "FAEDataset",
     "FAEPlan",
-    "HotBag",
     "HotCacheConfig",
     "HotEmbeddingBag",
     "HotEmbeddingBagSpec",

@@ -52,6 +52,13 @@ class HotEmbeddingBagSpec:
         mask[self.hot_ids] = True
         return mask
 
+    def local_rows(self) -> np.ndarray:
+        """``int32`` map of length ``num_rows``: each hot row's position in
+        the bag, -1 for a cold row."""
+        local = np.full(self.num_rows, -1, dtype=np.int32)
+        local[self.hot_ids] = np.arange(self.num_hot, dtype=np.int32)
+        return local
+
 
 class EmbeddingClassifier:
     """Tags embedding rows as hot per the calibrated threshold.

@@ -9,9 +9,13 @@ replicates the bags across the GPUs, and keeps the copies consistent:
   master tables (cold inputs can touch hot rows too);
 - at a cold -> hot transition, replicas are refreshed from the masters.
 
-Because lookups arrive with *global* row ids, :class:`HotEmbeddingBag`
-remaps them to bag-local positions; this is the drop-in bag the FAE
-trainer swaps into the model for hot mini-batches.
+Each replica keeps its hot rows in one ``(sum of num_hot, dim)`` store,
+the way a model keeps its tables (``repro.nn.embedding.embedding_store``):
+a table's hot bag is a row range of it, so a hot step gathers, records,
+exchanges and updates once per replica, not once per table.  Because
+lookups arrive with *global* row ids, :class:`HotEmbeddingBag` remaps
+them to bag-local rows through a map built once per hot set; it is the
+drop-in bag the FAE trainer swaps into the model for hot mini-batches.
 """
 
 from __future__ import annotations
@@ -23,93 +27,80 @@ from repro.nn.embedding import EmbeddingTable, PooledLookup
 from repro.nn.parameter import Parameter
 from repro.obs import get_registry, span
 
-__all__ = ["HotBag", "HotEmbeddingBag", "EmbeddingReplicator"]
-
-
-class HotBag:
-    """A compact, GPU-resident copy of one table's hot rows.
-
-    Args:
-        spec: which rows are hot.
-        values: ``(num_hot, dim)`` initial row values (copied).
-        replica_id: which GPU this copy lives on (diagnostic).
-    """
-
-    def __init__(self, spec: HotEmbeddingBagSpec, values: np.ndarray, replica_id: int = 0) -> None:
-        if values.shape != (spec.num_hot, spec.dim):
-            raise ValueError(
-                f"{spec.table_name}: expected values {(spec.num_hot, spec.dim)}, got {values.shape}"
-            )
-        self.spec = spec
-        self.replica_id = replica_id
-        self.weight = Parameter(f"{spec.table_name}.hot[{replica_id}]", values.copy())
-
-    @property
-    def nbytes(self) -> int:
-        return self.weight.nbytes
-
-    def _locate(self, global_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bag-local positions of global row ids, and which of them are hot."""
-        local = np.searchsorted(self.spec.hot_ids, global_ids)
-        in_range = local < self.spec.num_hot
-        found = in_range.copy()
-        found[in_range] = self.spec.hot_ids[local[in_range]] == global_ids[in_range]
-        return local, found
-
-    def to_local(self, global_ids: np.ndarray) -> np.ndarray:
-        """Map global row ids to bag-local positions.
-
-        Raises:
-            KeyError: if any id is not in the hot bag — the input
-                processor guarantees hot batches never do this, so a miss
-                indicates a misclassified input.
-        """
-        global_ids = np.asarray(global_ids, dtype=np.int64)
-        local, found = self._locate(global_ids)
-        if not found.all():
-            missing = np.unique(global_ids[~found])[:5]
-            raise KeyError(
-                f"{self.spec.table_name}: ids {missing.tolist()} are not hot — "
-                "a cold input leaked into a hot mini-batch"
-            )
-        return local
-
-    def contains(self, global_ids: np.ndarray) -> np.ndarray:
-        """Vectorized hot-membership test (no exception)."""
-        return self._locate(np.asarray(global_ids, dtype=np.int64))[1]
+__all__ = ["HotEmbeddingBag", "EmbeddingReplicator"]
 
 
 class HotEmbeddingBag:
-    """EmbeddingBag-compatible pooled lookup over a :class:`HotBag`.
+    """EmbeddingBag-compatible pooled lookup over one table's hot rows.
 
     Swapping this in for the master-table bag is what moves a table's hot
     execution onto the GPU replica.
+
+    Args:
+        spec: which rows are hot.
+        store: the replica's hot store; the bag's rows are
+            ``[offset, offset + num_hot)`` of it, in ``spec.hot_ids`` order.
+        offset: the bag's first store row.
+        local_rows: ``spec.local_rows()``, shared by every replica's bag
+            of the same hot set.
+        mode: ``"mean"`` or ``"sum"`` pooling.
     """
 
-    def __init__(self, bag: HotBag, mode: str = "mean") -> None:
-        self.bag = bag
-        self.lookup = PooledLookup(bag.weight, mode)
+    def __init__(
+        self,
+        spec: HotEmbeddingBagSpec,
+        store: Parameter,
+        offset: int,
+        local_rows: np.ndarray,
+        mode: str = "mean",
+    ) -> None:
+        rows = store.value[offset : offset + spec.num_hot]
+        if rows.shape != (spec.num_hot, spec.dim):
+            raise ValueError(
+                f"{spec.table_name}: expected store rows {(spec.num_hot, spec.dim)} "
+                f"at offset {offset}, got {rows.shape}"
+            )
+        self.spec = spec
+        self.local_rows = local_rows
+        self.weight = Parameter(f"{spec.table_name}.{store.name}", rows, store=store, offset=offset)
+        self.lookup = PooledLookup(self.weight, mode)
 
     def parameters(self) -> list[Parameter]:
-        return [self.bag.weight]
+        return [self.weight]
 
-    def _local(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        return self.bag.to_local(ids.ravel()).reshape(ids.shape)
+    def to_local(self, global_ids: np.ndarray) -> np.ndarray:
+        """Bag-local rows of global row ids, in the ids' shape.
+
+        Raises:
+            KeyError: naming the table, if any id is not in the hot bag —
+                the input processor guarantees hot batches never do this,
+                so a miss indicates a misclassified input.
+        """
+        ids = np.asarray(global_ids, dtype=np.int64)
+        # One compare: a negative id is a huge uint64, so it fails it too.
+        if (ids.view(np.uint64) < self.local_rows.size).all():
+            local = self.local_rows[ids]
+            if local.min(initial=0) >= 0:
+                return local
+        missing = np.setdiff1d(ids, self.spec.hot_ids)[:5]
+        raise KeyError(
+            f"{self.spec.table_name}: ids {missing.tolist()} are not hot — "
+            "a cold input leaked into a hot mini-batch"
+        )
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """``(B, m)`` bag-local rows for global ids (the batched lookup's hook)."""
-        local = self._local(ids)
+        local = self.to_local(ids)
         return local.reshape(local.shape[0], -1)
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
-        return self.lookup.forward(self._local(ids))
+        return self.lookup.forward(self.to_local(ids))
 
     def backward(self, grad_out: np.ndarray) -> None:
         self.lookup.backward(grad_out)
 
     def sequence_forward(self, ids: np.ndarray) -> np.ndarray:
-        return self.lookup.sequence_forward(self._local(ids))
+        return self.lookup.sequence_forward(self.to_local(ids))
 
     def sequence_backward(self, grad_out: np.ndarray) -> None:
         self.lookup.sequence_backward(grad_out)
@@ -141,7 +132,11 @@ class EmbeddingReplicator:
         self.bag_specs = bag_specs
         self.num_replicas = num_replicas
         self.pooling = pooling
-        self.replicas: list[dict[str, HotBag]] = []
+        #: Per replica: its hot store, and its bags over the store's rows.
+        self.stores: list[Parameter] = []
+        self.replicas: list[dict[str, HotEmbeddingBag]] = []
+        #: Per table: ``spec.local_rows()``, built once per hot set.
+        self.local_rows = {name: spec.local_rows() for name, spec in bag_specs.items()}
         self.sync_events = 0
         self.evicted = False
         registry = get_registry()
@@ -154,20 +149,41 @@ class EmbeddingReplicator:
         with span(
             "replicate.build", num_replicas=self.num_replicas, num_tables=len(self.bag_specs)
         ):
-            self.replicas = [self._build_replica(r) for r in range(self.num_replicas)]
+            self._rebuild()
 
-    def _build_replica(self, replica_id: int) -> dict[str, HotBag]:
-        return {
-            name: HotBag(spec, self.tables[name].subset(spec.hot_ids), replica_id=replica_id)
-            for name, spec in self.bag_specs.items()
-        }
+    def _rebuild(self) -> None:
+        """Every replica's store and bags anew, from the masters."""
+        rows = self._master_rows()
+        self.stores, self.replicas = [], []
+        for _ in range(self.num_replicas):
+            self._add(rows)
+
+    def _master_rows(self) -> np.ndarray:
+        """Every table's hot rows from the masters, end to end in spec order."""
+        specs = self.bag_specs.values()
+        dim = next(iter(specs)).dim if specs else 0
+        rows = np.empty((sum(spec.num_hot for spec in specs), dim), dtype=np.float32)
+        start = 0
+        for name, spec in self.bag_specs.items():
+            stop = start + spec.num_hot
+            np.take(self.tables[name].weight.value, spec.hot_ids, axis=0, out=rows[start:stop])
+            start = stop
+        return rows
+
+    def _add(self, rows: np.ndarray) -> None:
+        """Append a replica whose store is a copy of ``rows``."""
+        store = Parameter(f"hot[{len(self.stores)}]", rows.copy())
+        bags, offset = {}, 0
+        for name, spec in self.bag_specs.items():
+            bags[name] = HotEmbeddingBag(spec, store, offset, self.local_rows[name], self.pooling)
+            offset += spec.num_hot
+        self.stores.append(store)
+        self.replicas.append(bags)
 
     def bags_for_replica(self, replica_id: int) -> dict[str, HotEmbeddingBag]:
-        """Model-facing pooled bags for one GPU's replica."""
-        return {
-            name: HotEmbeddingBag(bag, mode=self.pooling)
-            for name, bag in self.replicas[replica_id].items()
-        }
+        """Model-facing pooled bags for one GPU's replica: the same objects
+        until the hot set changes."""
+        return self.replicas[replica_id]
 
     def add_replica(self) -> int:
         """Build one fresh replica from the CPU master tables (rank rejoin).
@@ -189,7 +205,7 @@ class EmbeddingReplicator:
         if self.evicted:
             raise RuntimeError("hot replicas were evicted; a degraded run stays cold")
         replica_id = len(self.replicas)
-        self.replicas.append(self._build_replica(replica_id))
+        self._add(self._master_rows())
         self.num_replicas = len(self.replicas)
         get_registry().counter("fae.replica.added").inc()
         return replica_id
@@ -209,6 +225,7 @@ class EmbeddingReplicator:
             raise IndexError(f"replica {replica_id} out of range (have {len(self.replicas)})")
         if len(self.replicas) == 1:
             raise RuntimeError("cannot drop the last hot replica; use evict()")
+        del self.stores[replica_id]
         del self.replicas[replica_id]
         self.num_replicas = len(self.replicas)
         get_registry().counter("fae.replica.dropped").inc()
@@ -222,7 +239,7 @@ class EmbeddingReplicator:
         Returns the number of replicas released.
         """
         released = len(self.replicas)
-        self.replicas = []
+        self.stores, self.replicas = [], []
         self.num_replicas = 0
         self.evicted = True
         get_registry().counter("fae.hot.evictions").inc()
@@ -231,16 +248,15 @@ class EmbeddingReplicator:
     def apply_delta(self, new_specs: dict[str, HotEmbeddingBagSpec], delta) -> int:
         """Incrementally refresh replicas after a hot-cache turnover.
 
-        Only tables whose membership changed are rebuilt; the rest keep
-        their existing bags untouched.  The refresh traffic charged to
-        the interconnect is the *promoted* rows shipped to every replica
-        — demoted rows already live in the CPU masters (callers invoke
-        this at segment boundaries, after :meth:`sync_to_master`), so
-        demotion is free beyond the bookkeeping.
-
-        The in-memory rebuild copies whole bags because this simulator
-        stores bags as dense arrays; the metered bytes model what an
-        incremental implementation would actually move.
+        Callers invoke this at segment boundaries, after
+        :meth:`sync_to_master`, where the masters are authoritative:
+        every replica's store is rebuilt from them, and only the tables
+        whose membership changed get a new global -> local map.  The
+        refresh traffic charged to the interconnect is the *promoted*
+        rows shipped to every replica — demoted rows already live in the
+        CPU masters, so demotion is free beyond the bookkeeping.  The
+        in-memory rebuild copies whole stores; the metered bytes model
+        what an incremental implementation would actually move.
 
         Args:
             new_specs: full post-turnover bag specs (from
@@ -252,25 +268,21 @@ class EmbeddingReplicator:
         """
         changed = delta.tables()
         registry = get_registry()
+        self.bag_specs = dict(new_specs)
+        for name in changed:
+            self.local_rows[name] = new_specs[name].local_rows()
         if self.evicted:
             # Degraded runs stay cold: track membership for bookkeeping
             # but ship nothing.
-            self.bag_specs = dict(new_specs)
             return 0
         moved = 0
         with span("replicate.refresh", num_tables=len(changed)) as refresh_span:
             for name in changed:
-                spec = new_specs[name]
-                values = self.tables[name].subset(spec.hot_ids)
-                for replica_id in range(len(self.replicas)):
-                    self.replicas[replica_id][name] = HotBag(
-                        spec, values, replica_id=replica_id
-                    )
                 promoted = delta.promoted.get(name)
                 if promoted is not None and promoted.size:
-                    moved += int(promoted.size) * spec.dim * 4 * len(self.replicas)
+                    moved += int(promoted.size) * new_specs[name].dim * 4 * len(self.replicas)
+            self._rebuild()
             refresh_span.set(bytes=moved)
-        self.bag_specs = dict(new_specs)
         registry.counter("fae.refresh.events").inc()
         registry.counter("fae.refresh.bytes").inc(moved)
         registry.counter("fae.refresh.rows.promoted").inc(delta.num_promoted)
@@ -287,14 +299,11 @@ class EmbeddingReplicator:
         coalesces the same records in the same order, so identical
         optimizer steps keep the copies bit-equal.
         """
-        for name in self.bag_specs:
-            combined: list = []
-            for replica in self.replicas:
-                combined.extend(replica[name].weight.sparse_grads)
-            for replica in self.replicas:
-                # Shared, not copied: optimizers coalesce records into new
-                # arrays and never write the records themselves.
-                replica[name].weight.sparse_grads = list(combined)
+        combined = [record for store in self.stores for record in store.sparse_grads]
+        for store in self.stores:
+            # Shared, not copied: optimizers coalesce records into new
+            # arrays and never write the records themselves.
+            store.sparse_grads = list(combined)
 
     def sync_to_master(self) -> int:
         """Write replica-0 hot rows into the CPU master tables.
@@ -305,11 +314,9 @@ class EmbeddingReplicator:
         if not self.replicas:
             return 0
         with span("replicate.sync", direction="to_master") as sync_span:
-            moved = 0
             for name, spec in self.bag_specs.items():
-                bag = self.replicas[0][name]
-                self.tables[name].write_rows(spec.hot_ids, bag.weight.value)
-                moved += bag.nbytes
+                self.tables[name].write_rows(spec.hot_ids, self.replicas[0][name].weight.value)
+            moved = self.stores[0].nbytes
             sync_span.set(bytes=moved)
         self.sync_events += 1
         self._sync_events_counter.inc()
@@ -324,12 +331,10 @@ class EmbeddingReplicator:
         if not self.replicas:
             return 0
         with span("replicate.sync", direction="from_master") as sync_span:
-            moved = 0
-            for name, spec in self.bag_specs.items():
-                fresh = self.tables[name].subset(spec.hot_ids)
-                for replica in self.replicas:
-                    replica[name].weight.value[...] = fresh
-                moved += fresh.nbytes
+            fresh = self._master_rows()
+            for store in self.stores:
+                store.value[...] = fresh
+            moved = fresh.nbytes
             sync_span.set(bytes=moved)
         self.sync_events += 1
         self._sync_events_counter.inc()
@@ -339,17 +344,11 @@ class EmbeddingReplicator:
     def max_replica_divergence(self) -> float:
         """Largest absolute difference between any two replicas (should be 0)."""
         worst = 0.0
-        if not self.replicas:
-            return worst
-        for name in self.bag_specs:
-            reference = self.replicas[0][name].weight.value
-            for replica in self.replicas[1:]:
-                diff = np.abs(replica[name].weight.value - reference).max(initial=0.0)
-                worst = max(worst, float(diff))
+        for store in self.stores[1:]:
+            diff = np.abs(store.value - self.stores[0].value).max(initial=0.0)
+            worst = max(worst, float(diff))
         return worst
 
     def total_hot_bytes(self) -> int:
         """Per-GPU footprint of one full replica."""
-        if not self.replicas:
-            return 0
-        return sum(bag.nbytes for bag in self.replicas[0].values())
+        return self.stores[0].nbytes if self.stores else 0

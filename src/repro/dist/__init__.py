@@ -3,11 +3,11 @@
 The paper trains data-parallel across up to four GPUs with NCCL
 collectives over NVLink.  This package reproduces those semantics in
 process (numpy): a :class:`ProcessGroup` of ranks with all-reduce /
-broadcast / all-gather collectives, a :class:`DataParallelTrainer` that
-shards each global mini-batch across model replicas and keeps them in
-lock-step, and a :class:`DistributedFAETrainer` that runs the full FAE
-execution model — per-GPU hot-bag replicas, shared CPU master tables for
-cold batches.  Both trainers exchange a step's gradients once:
+broadcast / all-gather collectives, :func:`shard_batch`, which splits a
+global mini-batch across model replicas, and a
+:class:`DistributedFAETrainer` that runs the full FAE execution model —
+per-GPU hot-bag replicas, shared CPU master tables for cold batches — in
+lock-step.  It exchanges a step's gradients once:
 :func:`all_reduce_dense_grads` reduces every dense gradient as one
 bucket in one collective, and the sparse (embedding) records are handed
 to every rank by reference.
@@ -18,11 +18,10 @@ identical final parameters, up to float32 reduction order).
 """
 
 from repro.dist.collectives import ProcessGroup, ReduceOp
-from repro.dist.parallel import DataParallelTrainer, all_reduce_dense_grads, shard_batch
+from repro.dist.parallel import all_reduce_dense_grads, shard_batch
 from repro.dist.fae_parallel import DistributedFAETrainer
 
 __all__ = [
-    "DataParallelTrainer",
     "DistributedFAETrainer",
     "ProcessGroup",
     "ReduceOp",

@@ -1,27 +1,22 @@
-"""Data-parallel training over simulated device replicas.
+"""Data-parallel building blocks over simulated device replicas.
 
-The baseline execution model of the paper's GPUs: every device holds a
-full model replica, each global mini-batch is split into equal per-device
-shards, gradients are all-reduced, and every replica applies the same
-optimizer step.  Because the per-shard loss is scaled by ``1/k`` before
-the sum-all-reduce, the combined update equals the single-device update
-on the full batch — the equivalence the tests pin down.
+The execution model of the paper's GPUs: every device holds a model
+replica, each global mini-batch is split into equal per-device shards
+(:func:`shard_batch`), and the step's dense gradients are all-reduced in
+one collective (:func:`all_reduce_dense_grads`), so every replica applies
+the same optimizer step.  :class:`~repro.dist.fae_parallel.DistributedFAETrainer`
+is the trainer built on them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.loader import MiniBatch
 from repro.dist.collectives import ProcessGroup, ReduceOp
-from repro.models.base import RecModel
-from repro.nn.losses import BCEWithLogits
-from repro.nn.optim import SGD
-from repro.nn.parameter import Parameter, sparse_stores
+from repro.nn.parameter import Parameter
 
-__all__ = ["shard_batch", "all_reduce_dense_grads", "DataParallelTrainer"]
+__all__ = ["shard_batch", "all_reduce_dense_grads"]
 
 
 def shard_batch(batch: MiniBatch, world_size: int) -> list[MiniBatch]:
@@ -86,104 +81,3 @@ def all_reduce_dense_grads(group: ProcessGroup, rank_params: list[list[Parameter
             param.grad = bucket[offset:end].reshape(param.shape)
         offset = end
     return buckets[0].nbytes
-
-
-@dataclass
-class StepStats:
-    """Telemetry for one data-parallel step."""
-
-    loss: float
-    grad_bytes_reduced: float
-
-
-class DataParallelTrainer:
-    """Synchronous data-parallel SGD across model replicas.
-
-    Args:
-        replicas: one model per rank.  They must be architecturally
-            identical and identically initialized (build them with the
-            same seed); this is validated at construction.
-        lr: learning rate.
-
-    The embedding tables of each replica are private (fully replicated),
-    matching a pure data-parallel run where the tables fit on-device; the
-    FAE variant in :mod:`repro.dist.fae_parallel` handles the hybrid case.
-    """
-
-    def __init__(self, replicas: list[RecModel], lr: float = 0.1) -> None:
-        if not replicas:
-            raise ValueError("need at least one replica")
-        self.replicas = replicas
-        self.group = ProcessGroup(world_size=len(replicas))
-        self.lr = lr
-        self._optimizers = [SGD(m.parameters(), lr=lr) for m in replicas]
-        self._loss = BCEWithLogits()
-        self._validate_replicas()
-
-    def _validate_replicas(self) -> None:
-        reference = self.replicas[0].parameters()
-        for rank, model in enumerate(self.replicas[1:], start=1):
-            params = model.parameters()
-            if len(params) != len(reference):
-                raise ValueError(f"replica {rank} has a different parameter count")
-            for p, q in zip(reference, params):
-                if p.value.shape != q.value.shape:
-                    raise ValueError(
-                        f"replica {rank}: parameter {q.name} shape mismatch"
-                    )
-                if not np.array_equal(p.value, q.value):
-                    raise ValueError(
-                        f"replica {rank}: parameter {q.name} not identically initialized"
-                    )
-
-    @property
-    def world_size(self) -> int:
-        return self.group.world_size
-
-    def step(self, batch: MiniBatch) -> StepStats:
-        """One synchronous data-parallel training step on a global batch."""
-        k = self.world_size
-        shards = shard_batch(batch, k)
-
-        shard_losses = []
-        for model, shard in zip(self.replicas, shards):
-            logits = model.forward(shard)
-            shard_losses.append(self._loss.forward(logits, shard.labels))
-            # Global objective = mean over the full batch
-            #                  = (1/k) sum of shard means.
-            model.backward(self._loss.backward() / k)
-
-        grad_bytes = self._all_reduce_gradients()
-        for optimizer in self._optimizers:
-            optimizer.step()
-        return StepStats(loss=float(np.mean(shard_losses)), grad_bytes_reduced=grad_bytes)
-
-    def _all_reduce_gradients(self) -> float:
-        """The step's gradient exchange: one dense bucket, one sparse gather."""
-        all_params = [m.parameters() for m in self.replicas]
-        dense_bytes = all_reduce_dense_grads(self.group, all_params)
-
-        # Fused sparse all-reduce: every rank receives the union of all
-        # ranks' (ids, grads) records.  Duplicate ids coalesce inside the
-        # optimizer, so this equals a dense all-reduce.  The records are
-        # shared, not copied: optimizers coalesce them into new arrays.
-        sparse_bytes = 0
-        for rank_stores in zip(*(sparse_stores(params) for params in all_params)):
-            merged = [record for store in rank_stores for record in store.sparse_grads]
-            if merged:
-                sparse_bytes += sum(r.ids.nbytes + r.values.nbytes for r in merged)
-                for store in rank_stores:
-                    store.sparse_grads = list(merged)
-        if sparse_bytes:
-            # An all-gather: each rank receives what the others recorded.
-            self.group._account(sparse_bytes, (self.world_size - 1) / self.world_size)
-        return float(dense_bytes + sparse_bytes)
-
-    def max_divergence(self) -> float:
-        """Largest parameter difference between any replica and rank 0."""
-        worst = 0.0
-        reference = self.replicas[0].parameters()
-        for model in self.replicas[1:]:
-            for p, q in zip(reference, model.parameters()):
-                worst = max(worst, float(np.abs(p.value - q.value).max(initial=0.0)))
-        return worst

@@ -12,9 +12,10 @@ weight is a row range of one ``(sum of rows, dim)`` array, so
 the optimizer applies one sparse update per step, the way FBGEMM's
 table-batched embedding bags do.
 
-The FAE Embedding Replicator builds *partial* tables (hot bags) by
-slicing rows out of a table; :meth:`EmbeddingTable.subset` and
-:meth:`EmbeddingTable.write_rows` provide exactly that surface.
+The FAE Embedding Replicator copies each table's hot rows into one hot
+store per replica and writes them back with
+:meth:`EmbeddingTable.write_rows`; :meth:`EmbeddingTable.subset` copies
+rows out of a table.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ class EmbeddingTable:
 
 class PooledLookup:
     """The gather/scatter behind :class:`EmbeddingBag` (rows are table ids)
-    and ``core.replicator.HotEmbeddingBag`` (rows are bag-local positions);
-    both validate and translate their ids first."""
+    and ``core.replicator.HotEmbeddingBag`` (rows are bag-local positions
+    in a replica's hot store); both validate and translate their ids first."""
 
     def __init__(self, weight: Parameter, mode: str) -> None:
         if mode not in ("mean", "sum"):
@@ -247,8 +248,8 @@ class TableBatchedLookup:
     compare, the error naming the table), gathered with one ``take``;
     ``backward`` records one sparse gradient per run on its store.  The
     bags come from the caller, not from a model: a data-parallel rank
-    may be reading another rank's master tables.  A hot bag is a store of
-    one, hence a run of its own.
+    may be reading another rank's master tables.  A replica's hot bags
+    are row ranges of its one hot store, hence one run.
 
     Values are :class:`PooledLookup`'s bit for bit: the same rows, the
     same pooling reductions, and a record whose ids, in record order,

@@ -230,19 +230,16 @@ class SegmentEngine:
     def _optimizers(self, run_hot: bool) -> list[SGD]:
         """The segment's optimizers; each steps once per mini-batch.
 
-        Hot: one per replica over its dense parameters, one per hot-bag
-        replica.  Cold: the sparse gradients of every replica accumulate
-        on the shared masters and a single "CPU" optimizer applies them
-        (the hybrid path) — fused with the dense update when one replica
-        is all there is.  The count per batch is part of the measured
+        Hot: one per replica over its dense parameters, one per replica
+        over its hot store.  Cold: the sparse gradients of every replica
+        accumulate on the shared masters and a single "CPU" optimizer
+        applies them (the hybrid path) — fused with the dense update when
+        one replica is all there is.  The count per batch is part of the measured
         shape: perfbench cuts its intervals at every ``SGD.step`` return.
         """
         dense = [m.dense_parameters() for m in self.replicas]
         if run_hot:
-            groups = dense + [
-                [bag.weight for bag in replica.values()]
-                for replica in self.replicator.replicas
-            ]
+            groups = dense + [[store] for store in self.replicator.stores]
         else:
             masters = [t.weight for t in self.master_tables.values()]
             groups = [dense[0] + masters] if len(dense) == 1 else dense + [masters]
@@ -285,9 +282,8 @@ class SegmentEngine:
         for model in self.replicas:
             for param in model.dense_parameters():
                 param.zero_grad()
-        for replica in self.replicator.replicas:
-            for bag in replica.values():
-                bag.weight.zero_grad()
+        for store in self.replicator.stores:
+            store.zero_grad()
         for table in self.master_tables.values():
             table.weight.zero_grad()
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.classifier import HotEmbeddingBagSpec
-from repro.core.replicator import EmbeddingReplicator, HotBag, HotEmbeddingBag
-from repro.nn import EmbeddingTable
+from repro.core.replicator import EmbeddingReplicator, HotEmbeddingBag
+from repro.nn import EmbeddingTable, Parameter
 
 
 @pytest.fixture()
@@ -29,70 +29,87 @@ def replicator(table, spec):
     return EmbeddingReplicator({"t": table}, {"t": spec}, num_replicas=3)
 
 
+def hot_bag(table, spec, mode="mean"):
+    """A bag over a store of its own, holding the table's hot rows."""
+    store = Parameter("hot", table.subset(spec.hot_ids))
+    return HotEmbeddingBag(spec, store, 0, spec.local_rows(), mode=mode)
+
+
 class TestHotBag:
     def test_to_local_roundtrip(self, table, spec):
-        bag = HotBag(spec, table.subset(spec.hot_ids))
+        bag = hot_bag(table, spec)
         local = bag.to_local(np.array([5, 28, 2]))
         np.testing.assert_array_equal(spec.hot_ids[local], [5, 28, 2])
 
     def test_to_local_rejects_cold_ids(self, table, spec):
-        bag = HotBag(spec, table.subset(spec.hot_ids))
-        with pytest.raises(KeyError):
+        bag = hot_bag(table, spec)
+        with pytest.raises(KeyError, match="^'t: ids \\[3\\]"):
             bag.to_local(np.array([3]))
         with pytest.raises(KeyError):
             bag.to_local(np.array([29]))  # > max hot id, in range of table
+        for outside in (-1, 30, -31):
+            with pytest.raises(KeyError, match=f"^'t: ids \\[{outside}\\]"):
+                bag.to_local(np.array([2, outside]))
 
     def test_contains(self, table, spec):
-        bag = HotBag(spec, table.subset(spec.hot_ids))
-        result = bag.contains(np.array([2, 3, 28, 29]))
-        np.testing.assert_array_equal(result, [True, False, True, False])
+        """Exactly the hot ids resolve; every other id of the table raises."""
+        bag = hot_bag(table, spec)
+        for row in range(spec.num_rows):
+            if row in spec.hot_ids:
+                assert spec.hot_ids[bag.to_local(np.array([row]))[0]] == row
+            else:
+                with pytest.raises(KeyError):
+                    bag.to_local(np.array([row]))
 
     def test_values_are_copied(self, table, spec):
-        values = table.subset(spec.hot_ids)
-        bag = HotBag(spec, values)
-        values[:] = 0
-        assert not np.allclose(bag.weight.value, 0)
+        replicator = EmbeddingReplicator({"t": table}, {"t": spec}, num_replicas=2)
+        before = table.weight.value.copy()
+        replicator.stores[0].value[:] = 0
+        np.testing.assert_array_equal(table.weight.value, before)
+        np.testing.assert_array_equal(replicator.stores[1].value, before[spec.hot_ids])
 
     def test_shape_validated(self, spec):
+        short = Parameter("hot", np.zeros((3, 4), dtype=np.float32))
         with pytest.raises(ValueError):
-            HotBag(spec, np.zeros((3, 4), dtype=np.float32))
+            HotEmbeddingBag(spec, short, 0, spec.local_rows())
+        store = Parameter("hot", np.zeros((6, 4), dtype=np.float32))
+        with pytest.raises(ValueError):  # the row range runs past the store
+            HotEmbeddingBag(spec, store, 2, spec.local_rows())
 
 
 class TestHotEmbeddingBag:
     def test_forward_matches_master(self, table, spec):
-        hot_bag = HotEmbeddingBag(HotBag(spec, table.subset(spec.hot_ids)), mode="mean")
+        bag = hot_bag(table, spec, mode="mean")
         from repro.nn import EmbeddingBag
 
         master_bag = EmbeddingBag(table, mode="mean")
         ids = np.array([[2, 5], [9, 9]])
-        np.testing.assert_allclose(
-            hot_bag.forward(ids), master_bag.forward(ids), rtol=1e-6
-        )
+        np.testing.assert_allclose(bag.forward(ids), master_bag.forward(ids), rtol=1e-6)
 
     def test_backward_records_local_grads(self, table, spec):
-        bag = HotEmbeddingBag(HotBag(spec, table.subset(spec.hot_ids)), mode="sum")
+        bag = hot_bag(table, spec, mode="sum")
         bag.forward(np.array([[2, 5]]))
         bag.backward(np.ones((1, 4), dtype=np.float32))
-        grads = bag.bag.weight.densified_grad()
+        grads = bag.weight.densified_grad()
         np.testing.assert_allclose(grads[0], 1.0)  # local row 0 == global 2
         np.testing.assert_allclose(grads[1], 1.0)  # local row 1 == global 5
         np.testing.assert_allclose(grads[2], 0.0)
 
     def test_sequence_interface(self, table, spec):
-        bag = HotEmbeddingBag(HotBag(spec, table.subset(spec.hot_ids)))
+        bag = hot_bag(table, spec)
         out = bag.sequence_forward(np.array([[2, 5, 9]]))
         assert out.shape == (1, 3, 4)
         bag.sequence_backward(np.ones((1, 3, 4), dtype=np.float32))
-        assert bag.bag.weight.sparse_grads
+        assert bag.weight.store.sparse_grads
 
     def test_cold_id_leak_detected(self, table, spec):
-        bag = HotEmbeddingBag(HotBag(spec, table.subset(spec.hot_ids)))
+        bag = hot_bag(table, spec)
         with pytest.raises(KeyError):
             bag.forward(np.array([[2, 3]]))
 
     def test_invalid_mode(self, table, spec):
         with pytest.raises(ValueError):
-            HotEmbeddingBag(HotBag(spec, table.subset(spec.hot_ids)), mode="max")
+            hot_bag(table, spec, mode="max")
 
 
 class TestEmbeddingReplicator:
@@ -149,7 +166,8 @@ class TestEmbeddingReplicator:
         bags = replicator.bags_for_replica(2)
         assert set(bags) == {"t"}
         assert isinstance(bags["t"], HotEmbeddingBag)
-        assert bags["t"].bag.replica_id == 2
+        assert bags["t"].weight.store is replicator.stores[2]
+        assert replicator.bags_for_replica(2)["t"] is bags["t"]
 
     def test_missing_master_table_rejected(self, table, spec):
         with pytest.raises(KeyError):

@@ -1,14 +1,17 @@
-"""Tests for the distributed substrate: collectives, data parallelism,
-and the distributed FAE trainer's equivalence to single-device FAE."""
+"""Tests for the distributed substrate: collectives, batch sharding, the
+dense gradient bucket, and the distributed FAE trainer's equivalence to
+single-device FAE."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core import fae_preprocess
+from repro.core.hotcache import CacheDelta
 from repro.data import train_test_split
 from repro.data.loader import batch_from_log
 from repro.dist import (
-    DataParallelTrainer,
     DistributedFAETrainer,
     ProcessGroup,
     ReduceOp,
@@ -16,8 +19,9 @@ from repro.dist import (
     shard_batch,
 )
 from repro.models.dlrm import DLRM, DLRMConfig
-from repro.nn import BCEWithLogits, SGD
-from repro.nn.parameter import Parameter, sparse_stores
+from repro.nn import SGD
+from repro.nn import parameter as parameter_module
+from repro.nn.parameter import Parameter, coalesce
 from repro.obs import get_registry
 from repro.resilience import CheckpointManager, FaultPlan, load_checkpoint
 from repro.train import FAETrainer
@@ -220,109 +224,6 @@ def small_dlrm(tiny_schema, seed=3):
     return DLRM(tiny_schema, DLRMConfig("4-8", "8-1", seed=seed))
 
 
-class TestDataParallelTrainer:
-    def test_replicas_stay_identical(self, tiny_schema, tiny_log):
-        replicas = [small_dlrm(tiny_schema) for _ in range(3)]
-        trainer = DataParallelTrainer(replicas, lr=0.1)
-        for start in range(0, 192, 48):
-            batch = batch_from_log(tiny_log, np.arange(start, start + 48))
-            trainer.step(batch)
-        assert trainer.max_divergence() < 1e-6
-
-    def test_equivalent_to_single_device(self, tiny_schema, tiny_log):
-        """k-way data parallelism == full-batch single-device training."""
-        single = small_dlrm(tiny_schema, seed=5)
-        loss_fn = BCEWithLogits()
-        optimizer = SGD(single.parameters(), lr=0.1)
-        for start in range(0, 128, 32):
-            batch = batch_from_log(tiny_log, np.arange(start, start + 32))
-            logits = single.forward(batch)
-            loss_fn.forward(logits, batch.labels)
-            single.backward(loss_fn.backward())
-            optimizer.step()
-
-        replicas = [small_dlrm(tiny_schema, seed=5) for _ in range(4)]
-        trainer = DataParallelTrainer(replicas, lr=0.1)
-        for start in range(0, 128, 32):
-            trainer.step(batch_from_log(tiny_log, np.arange(start, start + 32)))
-
-        for p, q in zip(single.parameters(), replicas[0].parameters()):
-            np.testing.assert_allclose(p.value, q.value, rtol=1e-4, atol=1e-5)
-
-    def test_loss_reported(self, tiny_schema, tiny_log):
-        trainer = DataParallelTrainer([small_dlrm(tiny_schema) for _ in range(2)], lr=0.1)
-        stats = trainer.step(batch_from_log(tiny_log, np.arange(32)))
-        assert np.isfinite(stats.loss)
-        assert stats.grad_bytes_reduced > 0
-
-    def test_mismatched_replicas_rejected(self, tiny_schema):
-        a = small_dlrm(tiny_schema, seed=1)
-        b = small_dlrm(tiny_schema, seed=2)  # different init
-        with pytest.raises(ValueError):
-            DataParallelTrainer([a, b])
-
-    def test_empty_replicas_rejected(self):
-        with pytest.raises(ValueError):
-            DataParallelTrainer([])
-
-    def test_step_is_one_dense_collective_and_one_accounted_sparse_gather(
-        self, tiny_schema, tiny_log
-    ):
-        k = 2
-        trainer = DataParallelTrainer([small_dlrm(tiny_schema) for _ in range(k)], lr=0.1)
-        registry = get_registry()
-        calls = registry.counter("dist.collective.calls")
-        moved = registry.counter("dist.collective.bytes")
-        calls_before, moved_before = calls.value, moved.value
-        seen = {}
-        all_reduce = trainer._all_reduce_gradients
-
-        def spy():
-            # Just before the exchange: what each rank is about to share.
-            params = trainer.replicas[0].parameters()
-            seen["dense"] = sum(p.grad.nbytes for p in params if p.grad is not None)
-            seen["sparse"] = sum(
-                r.ids.nbytes + r.values.nbytes
-                for model in trainer.replicas
-                for store in sparse_stores(model.parameters())
-                for r in store.sparse_grads
-            )
-            return all_reduce()
-
-        trainer._all_reduce_gradients = spy
-        trainer.step(batch_from_log(tiny_log, np.arange(32)))
-
-        group = trainer.group
-        assert group.collective_calls == 2  # the dense bucket, the sparse gather
-        assert calls.value - calls_before == group.collective_calls
-        assert seen["dense"] > 0 and seen["sparse"] > 0
-        # Ring all-reduce of the bucket, then an all-gather of the merged
-        # records: every rank receives what the other k-1 recorded.
-        expected = seen["dense"] * 2 * (k - 1) / k + seen["sparse"] * (k - 1) / k
-        assert group.bytes_communicated == pytest.approx(expected)
-        assert moved.value - moved_before == pytest.approx(group.bytes_communicated)
-
-    def test_sparse_records_are_shared_not_copied(self, tiny_schema, tiny_log):
-        trainer = DataParallelTrainer([small_dlrm(tiny_schema) for _ in range(3)], lr=0.1)
-        steps = [opt.step for opt in trainer._optimizers]
-        held = []
-
-        def hold_then_step(step):
-            def run():
-                params = trainer.replicas[len(held)].parameters()
-                held.append([store.sparse_grads for store in sparse_stores(params)])
-                step()
-            return run
-
-        for optimizer, step in zip(trainer._optimizers, steps):
-            optimizer.step = hold_then_step(step)
-        trainer.step(batch_from_log(tiny_log, np.arange(48)))
-        for records_0, records_r in zip(held[0], held[2]):
-            assert len(records_0) == len(records_r)
-            assert all(a is b for a, b in zip(records_0, records_r))
-        assert trainer.max_divergence() == 0.0
-
-
 class TestDenseBucket:
     @pytest.mark.parametrize("k", [1, 2])
     def test_equals_the_per_tensor_exchange_bit_for_bit(self, k):
@@ -482,6 +383,99 @@ class TestDistributedFAETrainer:
         _schema, _train, _test, plan = fae_setup
         with pytest.raises(ValueError):
             DistributedFAETrainer([], plan)
+
+
+class TestOneHotStorePerReplica:
+    """Each replica's hot rows are one store: a hot step records, exchanges
+    and coalesces once per replica, and a turnover rebuilds the stores."""
+
+    @pytest.mark.parametrize("world_size", [1, 2])
+    def test_hot_step_records_and_coalesces_once_per_store(
+        self, fae_setup, world_size, monkeypatch
+    ):
+        schema, train, _test, plan = fae_setup
+        trainer = DistributedFAETrainer(
+            [small_dlrm(schema, seed=7) for _ in range(world_size)], plan, lr=0.15
+        )
+        stores = trainer.replicator.stores
+        assert len(stores) == world_size
+        trainer._install("hot")
+        batch = batch_from_log(train, plan.dataset.hot_batches[0], hot=True)
+        trainer._forward_backward(batch)
+
+        masters = trainer.master_tables
+        assert all(t.weight.store.sparse_grads == [] for t in masters.values())
+        for model, store in zip(trainer.replicas, stores):
+            bags = [model.get_bag(name) for name in masters]
+            assert all(bag.weight.store is store for bag in bags)
+            assert all(bag.weight.sparse_grads == [] for bag in bags)
+            assert len(store.sparse_grads) == 1  # every table, one record
+            assert [run.store for run in model._lookup._runs] == [store]
+
+        coalesced = []
+
+        def spy(records, num_rows=None):
+            coalesced.append(len(records))
+            return coalesce(records, num_rows)
+
+        monkeypatch.setattr(parameter_module, "coalesce", spy)
+        trainer._all_reduce(True)
+        # Every store holds every rank's record, shared, not copied.
+        assert all(
+            len(store.sparse_grads) == world_size
+            and all(a is b for a, b in zip(store.sparse_grads, stores[0].sparse_grads))
+            for store in stores
+        )
+        for optimizer in trainer._optimizers(True):
+            optimizer.step()
+        assert coalesced == [world_size] * world_size
+        assert all(store.sparse_grads == [] for store in stores)
+        assert trainer.max_hot_divergence() == 0.0
+
+        # A second hot entry installs the same bags: the lookup keeps its plan.
+        runs = [model._lookup._runs for model in trainer.replicas]
+        trainer._install("cold")
+        trainer._install("hot")
+        trainer._forward_backward(batch)
+        assert all(model._lookup._runs is run for model, run in zip(trainer.replicas, runs))
+
+    @pytest.mark.parametrize("world_size", [1, 2])
+    def test_apply_delta_rebuilds_every_store_from_the_masters(self, fae_setup, world_size):
+        schema, _train, _test, plan = fae_setup
+        trainer = DistributedFAETrainer(
+            [small_dlrm(schema, seed=7) for _ in range(world_size)], plan, lr=0.15
+        )
+        replicator = trainer.replicator
+        masters = trainer.master_tables
+        name = next(n for n, spec in plan.bags.items() if not spec.whole_table)
+        spec = plan.bags[name]
+        cold = np.setdiff1d(np.arange(spec.num_rows), spec.hot_ids)
+        promoted, demoted = cold[:3], spec.hot_ids[:1]
+        hot_ids = np.union1d(np.setdiff1d(spec.hot_ids, demoted), promoted)
+        new_specs = {**plan.bags, name: replace(spec, hot_ids=hot_ids)}
+        delta = CacheDelta(promoted={name: promoted}, demoted={name: demoted})
+        for table in masters.values():
+            table.weight.value += 0.5  # the masters moved on since the build
+        kept = {n: replicator.local_rows[n] for n in plan.bags if n != name}
+
+        moved = replicator.apply_delta(new_specs, delta)
+
+        assert moved == promoted.size * spec.dim * 4 * world_size
+        expected = np.concatenate(
+            [masters[n].weight.value[s.hot_ids] for n, s in new_specs.items()]
+        )
+        assert len(replicator.stores) == world_size
+        for store, bags in zip(replicator.stores, replicator.replicas):
+            assert bit_equal(store.value, expected)
+            for n, s in new_specs.items():
+                assert bit_equal(bags[n].weight.value, masters[n].weight.value[s.hot_ids])
+                assert bags[n].local_rows is replicator.local_rows[n]
+            assert bags[name].to_local(promoted).tolist() == np.searchsorted(
+                hot_ids, promoted
+            ).tolist()
+            with pytest.raises(KeyError, match=name):
+                bags[name].to_local(demoted)
+        assert all(replicator.local_rows[n] is rows for n, rows in kept.items())
 
 
 class TestShrinkCheckpointResume:

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.classifier import HotEmbeddingBagSpec
-from repro.core.replicator import EmbeddingReplicator, HotBag, HotEmbeddingBag
+from repro.core.replicator import EmbeddingReplicator
 from repro.data import SyntheticClickLog, SyntheticConfig
 from repro.data.loader import MiniBatch, batch_from_log
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
@@ -548,7 +548,7 @@ def unique_params(models):
 def store_models(seed, multiplicities, big, mode, replicas, hot):
     """``replicas`` DLRMs; ranks r > 0 read rank 0's master tables (cold
     mode), and each rank serves the tables flagged in ``hot`` from its own
-    hot bag.  Returns the models, one batch per rank and the schema."""
+    hot store.  Returns the models, one batch per rank and the schema."""
     rng = np.random.default_rng(seed)
     rows = rng.integers(2, 300, size=len(multiplicities))
     if big:  # the store crosses 65 536 rows: two 16-bit sort passes
@@ -569,12 +569,16 @@ def store_models(seed, multiplicities, big, mode, replicas, hot):
         name: np.unique(rng.integers(0, masters[name].num_rows, size=3))
         for name, flag in zip(schema.table_names, hot) if flag
     }
+    specs = {
+        name: HotEmbeddingBagSpec(name, ids, masters[name].num_rows, 4, False)
+        for name, ids in hot_ids.items()
+    }
+    replicator = EmbeddingReplicator(masters, specs, num_replicas=replicas, pooling=mode)
     for rank, model in enumerate(models):
+        hot_bags = replicator.bags_for_replica(rank)
         for name, table in masters.items():
-            if name in hot_ids:
-                spec = HotEmbeddingBagSpec(name, hot_ids[name], table.num_rows, 4, False)
-                bag = HotBag(spec, table.subset(hot_ids[name]), replica_id=rank)
-                model.set_bag(name, HotEmbeddingBag(bag, mode=mode))
+            if name in hot_bags:
+                model.set_bag(name, hot_bags[name])
             elif rank:
                 model.set_bag(name, EmbeddingBag(table, mode=mode))
     batches = []
@@ -949,11 +953,14 @@ class TestAliasing:
             for name, table in model.tables.items()
         }
         replicator = EmbeddingReplicator(model.tables, specs, num_replicas=2)
-        bag_values = [bag.weight.value for r in replicator.replicas for bag in r.values()]
+        hot_values = [replica_store.value for replica_store in replicator.stores]
         store.value[weights[2].offset + hot] = 3.0  # the masters move on
         replicator.sync_from_master()
-        for replica in replicator.replicas:
-            assert replica["t2"].weight.value is bag_values[2 + 3 * replica["t2"].replica_id]
+        for replica_store, hot_value, replica in zip(
+            replicator.stores, hot_values, replicator.replicas
+        ):
+            assert replica_store.value is hot_value
+            assert replica["t2"].weight.value.base is hot_value
             np.testing.assert_array_equal(replica["t2"].weight.value, 3.0)
         replicator.replicas[0]["t0"].weight.value[...] = -1.0
         replicator.sync_to_master()

@@ -9,7 +9,7 @@ from repro.core.access_profile import TableProfile
 from repro.core.classifier import HotEmbeddingBagSpec
 from repro.core.config import FAEConfig
 from repro.core.randem_box import RandEmBox
-from repro.core.replicator import HotBag
+from repro.core.replicator import HotEmbeddingBag
 from repro.data.zipf import (
     generalized_harmonic,
     zipf_probabilities,
@@ -124,28 +124,44 @@ class TestSchedulerProperties:
             assert 1 <= scheduler.rate <= 100
 
 
+def hot_bag(hot: set, whole_table: bool) -> HotEmbeddingBag:
+    """A bag of ``hot`` (all 100 rows when ``whole_table``) over a store of its own."""
+    hot_ids = np.arange(100) if whole_table else np.array(sorted(hot), dtype=np.int64)
+    spec = HotEmbeddingBagSpec("t", hot_ids, num_rows=100, dim=2, whole_table=whole_table)
+    store = Parameter("hot", np.zeros((len(hot_ids), 2), dtype=np.float32))
+    return HotEmbeddingBag(spec, store, 0, spec.local_rows())
+
+
 class TestHotBagProperties:
     @given(
-        hot=st.sets(st.integers(0, 99), min_size=1, max_size=60),
-        queries=st.lists(st.integers(0, 99), min_size=1, max_size=30),
+        hot=st.sets(st.integers(0, 99), max_size=60),
+        whole_table=st.booleans(),
+        queries=st.lists(st.integers(-150, 250), min_size=1, max_size=30),
     )
     @settings(max_examples=60, deadline=None)
-    def test_contains_matches_set_membership(self, hot, queries):
-        hot_ids = np.array(sorted(hot), dtype=np.int64)
-        spec = HotEmbeddingBagSpec("t", hot_ids, num_rows=100, dim=2, whole_table=False)
-        bag = HotBag(spec, np.zeros((len(hot_ids), 2), dtype=np.float32))
-        result = bag.contains(np.array(queries, dtype=np.int64))
-        expected = np.array([q in hot for q in queries])
-        np.testing.assert_array_equal(result, expected)
+    def test_contains_matches_set_membership(self, hot, whole_table, queries):
+        """``to_local`` resolves exactly the members; any other id (cold,
+        negative or past the table) raises a KeyError naming the table."""
+        bag = hot_bag(hot, whole_table)
+        members = set(range(100)) if whole_table else hot
+        for query in queries:
+            if query in members:
+                assert bag.spec.hot_ids[bag.to_local(np.array([query]))[0]] == query
+            else:
+                with pytest.raises(KeyError, match=f"^'t: ids \\[{query}\\]"):
+                    bag.to_local(np.array([query]))
+        if set(queries) <= members:
+            np.testing.assert_array_equal(bag.spec.hot_ids[bag.to_local(queries)], queries)
+        else:
+            with pytest.raises(KeyError, match="^'t: "):
+                bag.to_local(np.array(queries))
 
-    @given(hot=st.sets(st.integers(0, 99), min_size=1, max_size=60))
+    @given(hot=st.sets(st.integers(0, 99), max_size=60), whole_table=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_to_local_inverts_hot_ids(self, hot):
-        hot_ids = np.array(sorted(hot), dtype=np.int64)
-        spec = HotEmbeddingBagSpec("t", hot_ids, num_rows=100, dim=2, whole_table=False)
-        bag = HotBag(spec, np.zeros((len(hot_ids), 2), dtype=np.float32))
-        local = bag.to_local(hot_ids)
-        np.testing.assert_array_equal(local, np.arange(len(hot_ids)))
+    def test_to_local_inverts_hot_ids(self, hot, whole_table):
+        bag = hot_bag(hot, whole_table)
+        local = bag.to_local(bag.spec.hot_ids)
+        np.testing.assert_array_equal(local, np.arange(bag.spec.num_hot))
 
 
 class TestRandEmProperties:
