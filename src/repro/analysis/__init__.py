@@ -1,11 +1,10 @@
 """Reporting helpers: paper-style tables and figure series rendering."""
 
 from repro.analysis.tables import format_table, format_minutes_table
-from repro.analysis.figures import ascii_bar_chart, series_table
+from repro.analysis.figures import series_table
 from repro.analysis.report import generate_report, write_report
 
 __all__ = [
-    "ascii_bar_chart",
     "format_minutes_table",
     "format_table",
     "generate_report",

@@ -1,32 +1,15 @@
-"""Figure-series rendering: ASCII bars and (x, y) series tables.
+"""Figure-series rendering: (x, y) series tables.
 
-The benchmarks regenerate each paper figure as a data series; these
-helpers print them in a terminal-friendly form so the bench output *is*
-the figure.
+The benchmarks regenerate each paper figure as a data series;
+:func:`series_table` prints one in a terminal-friendly form so the bench
+output *is* the figure.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ascii_bar_chart", "series_table"]
-
-
-def ascii_bar_chart(
-    labels: list[str], values: list[float], width: int = 40, unit: str = ""
-) -> str:
-    """Horizontal ASCII bar chart, scaled to the largest value."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must align")
-    if not values:
-        return "(empty chart)"
-    peak = max(values)
-    label_width = max(len(label) for label in labels)
-    lines = []
-    for label, value in zip(labels, values):
-        bar = "#" * (int(round(width * value / peak)) if peak > 0 else 0)
-        lines.append(f"{label.ljust(label_width)} | {bar} {value:.3g}{unit}")
-    return "\n".join(lines)
+__all__ = ["series_table"]
 
 
 def series_table(

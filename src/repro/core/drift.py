@@ -23,10 +23,7 @@ from repro.core.classifier import HotEmbeddingBagSpec
 from repro.core.input_processor import InputProcessor
 from repro.core.sampler import SparseInputSampler
 
-__all__ = ["DriftReport", "DriftDetector", "recalibration_diff", "DRIFT_STATE_VERSION"]
-
-#: Schema version of :meth:`DriftDetector.state_dict` payloads.
-DRIFT_STATE_VERSION = 1
+__all__ = ["DriftReport", "DriftDetector", "recalibration_diff"]
 
 
 @dataclass(frozen=True)
@@ -87,34 +84,6 @@ class DriftDetector:
         self.sample_rate = sample_rate
         self.seed = seed
         self._masks = {name: bag.hot_mask() for name, bag in bags.items()}
-        #: Summaries of every check run so far (JSON-safe dicts), in order.
-        self.history: list[dict] = []
-
-    def state_dict(self) -> dict:
-        """Check history for checkpointing (schema-versioned).
-
-        The bags/masks are reconstructed by the owner at restore time;
-        only the accumulated check history is mutable state.
-        """
-        return {
-            "schema_version": DRIFT_STATE_VERSION,
-            "baseline": float(self.baseline),
-            "tolerance": float(self.tolerance),
-            "history": [dict(entry) for entry in self.history],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output into this detector.
-
-        Raises:
-            ValueError: on schema-version mismatch.
-        """
-        version = state.get("schema_version")
-        if version != DRIFT_STATE_VERSION:
-            raise ValueError(
-                f"drift state schema_version {version} != {DRIFT_STATE_VERSION}"
-            )
-        self.history = [dict(entry) for entry in state.get("history", [])]
 
     def check(self, window) -> DriftReport:
         """Measure hot coverage on a fresh window of inputs.
@@ -142,35 +111,13 @@ class DriftDetector:
             relative_drop = 0.0 if current <= 0 else -1.0
         else:
             relative_drop = 1.0 - current / self.baseline
-        report = DriftReport(
+        return DriftReport(
             hot_input_fraction=current,
             baseline_hot_input_fraction=self.baseline,
             per_table_coverage=coverage,
             relative_drop=relative_drop,
             drifted=relative_drop > self.tolerance,
         )
-        self.history.append(
-            {
-                "check": len(self.history),
-                "hot_input_fraction": report.hot_input_fraction,
-                "relative_drop": report.relative_drop,
-                "drifted": report.drifted,
-            }
-        )
-        return report
-
-    def check_source(self, source):
-        """Run one drift check per chunk of a day-partitioned source.
-
-        Iterates any :class:`~repro.data.chunk_source.ChunkSource` —
-        typically a :class:`~repro.data.chunk_source.ShardChunkSource`
-        whose shards are whole days — and yields
-        ``(chunk_index, DriftReport)`` pairs, so callers can pinpoint
-        *which* day's traffic broke coverage and trigger hot-cache
-        turnover there instead of recalibrating on a timer.
-        """
-        for index, (_start, chunk) in enumerate(source):
-            yield index, self.check(chunk)
 
 
 def recalibration_diff(

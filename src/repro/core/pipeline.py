@@ -94,7 +94,6 @@ def fae_preprocess_source(
     config: FAEConfig | None = None,
     batch_size: int = 1024,
     drop_last: bool = False,
-    allocation: str = "threshold",
 ) -> FAEPlan:
     """Run the complete static FAE pipeline over a chunk source.
 
@@ -108,17 +107,9 @@ def fae_preprocess_source(
         config: FAE knobs; defaults to the paper's settings.
         batch_size: mini-batch size to pack (weak-scaled by caller).
         drop_last: drop trailing short batches.
-        allocation: how the GPU budget is split across tables —
-            ``"threshold"`` is the paper's global access threshold;
-            ``"greedy-product"`` optimizes the hot-input product directly
-            (see :mod:`repro.core.allocation`), which pays off on
-            sequence workloads with uneven lookup multiplicities.
 
     Returns:
         The preprocessing plan (persist with :meth:`FAEPlan.save`).
-
-    Raises:
-        ValueError: on an unknown allocation policy.
     """
     config = config or FAEConfig()
     source = as_chunk_source(source)
@@ -126,25 +117,10 @@ def fae_preprocess_source(
     with span(
         "preprocess",
         num_inputs=(-1 if num_samples is None else num_samples),
-        allocation=allocation,
         chunk_size=source.chunk_size,
     ):
         calibration = Calibrator(config).calibrate_source(source)
-        if allocation == "threshold":
-            bags = EmbeddingClassifier(config).classify(
-                calibration.profile, calibration.threshold
-            )
-        elif allocation == "greedy-product":
-            from repro.core.allocation import greedy_product_allocation
-
-            result = greedy_product_allocation(
-                calibration.profile, config.gpu_memory_budget
-            )
-            bags = result.to_bag_specs(calibration.profile)
-        else:
-            raise ValueError(
-                f"unknown allocation {allocation!r}; expected threshold|greedy-product"
-            )
+        bags = EmbeddingClassifier(config).classify(calibration.profile, calibration.threshold)
         processor = InputProcessor(bags, seed=config.seed)
         dataset = processor.classify_and_pack_stream(
             source, batch_size=batch_size, drop_last=drop_last
@@ -163,7 +139,6 @@ def fae_preprocess(
     config: FAEConfig | None = None,
     batch_size: int = 1024,
     drop_last: bool = False,
-    allocation: str = "threshold",
     chunk_size: int | None = None,
 ) -> FAEPlan:
     """Run the complete static FAE pipeline over an in-memory click log.
@@ -178,5 +153,4 @@ def fae_preprocess(
         config=config,
         batch_size=batch_size,
         drop_last=drop_last,
-        allocation=allocation,
     )

@@ -113,7 +113,8 @@ class EmbeddingReplicator:
         tables: CPU master tables by name.
         bag_specs: hot bag specs from the classifier.
         num_replicas: number of GPUs holding a copy.
-        pooling: bag pooling mode matching the model.
+        pooling: table name -> the model's pooling mode for that table
+            (``"mean"`` or ``"sum"``); a table it omits pools by mean.
     """
 
     def __init__(
@@ -121,7 +122,7 @@ class EmbeddingReplicator:
         tables: dict[str, EmbeddingTable],
         bag_specs: dict[str, HotEmbeddingBagSpec],
         num_replicas: int = 1,
-        pooling: str = "mean",
+        pooling: dict[str, str] | None = None,
     ) -> None:
         if num_replicas <= 0:
             raise ValueError(f"num_replicas must be positive, got {num_replicas}")
@@ -131,7 +132,7 @@ class EmbeddingReplicator:
         self.tables = tables
         self.bag_specs = bag_specs
         self.num_replicas = num_replicas
-        self.pooling = pooling
+        self.pooling = pooling or {}
         #: Per replica: its hot store, and its bags over the store's rows.
         self.stores: list[Parameter] = []
         self.replicas: list[dict[str, HotEmbeddingBag]] = []
@@ -175,7 +176,8 @@ class EmbeddingReplicator:
         store = Parameter(f"hot[{len(self.stores)}]", rows.copy())
         bags, offset = {}, 0
         for name, spec in self.bag_specs.items():
-            bags[name] = HotEmbeddingBag(spec, store, offset, self.local_rows[name], self.pooling)
+            mode = self.pooling.get(name, "mean")
+            bags[name] = HotEmbeddingBag(spec, store, offset, self.local_rows[name], mode)
             offset += spec.num_hot
         self.stores.append(store)
         self.replicas.append(bags)

@@ -10,8 +10,6 @@ accesses.
 
 from repro.data.zipf import (
     ZipfSampler,
-    fit_zipf_exponent,
-    zipf_head_share,
     zipf_probabilities,
 )
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
@@ -60,11 +58,9 @@ __all__ = [
     "criteo_kaggle_like",
     "criteo_terabyte_like",
     "dataset_by_name",
-    "fit_zipf_exponent",
     "popularity_shift_days",
     "taobao_like",
     "train_test_split",
     "write_day_shards",
-    "zipf_head_share",
     "zipf_probabilities",
 ]

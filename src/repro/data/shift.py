@@ -165,9 +165,10 @@ def write_day_shards(directory, days: list[SyntheticClickLog]) -> ShardChunkSour
     """Persist a day stream as one shard per day.
 
     The returned :class:`ShardChunkSource` replays the stream with
-    day-granular chunks — exactly the surface
-    :meth:`~repro.core.drift.DriftDetector.check_source` and the
-    popularity-shift scenario iterate.
+    day-granular chunks: one
+    :meth:`~repro.core.drift.DriftDetector.check` per chunk pinpoints
+    which day broke coverage, and the popularity-shift scenario iterates
+    the same surface.
     """
     if not days:
         raise ValueError("need at least one day")

@@ -15,9 +15,7 @@ import numpy as np
 
 __all__ = [
     "ZipfSampler",
-    "fit_zipf_exponent",
     "generalized_harmonic",
-    "zipf_head_share",
     "zipf_probabilities",
     "zipf_top_k_coverage",
     "zipf_rows_above_probability",
@@ -94,53 +92,6 @@ def zipf_probabilities(num_items: int, exponent: float) -> np.ndarray:
     ranks = np.arange(1, num_items + 1, dtype=np.float64)
     weights = ranks**-exponent
     return weights / weights.sum()
-
-
-def zipf_head_share(num_items: int, exponent: float, head_fraction: float) -> float:
-    """Probability mass captured by the top ``head_fraction`` of ranks.
-
-    Mirrors the paper's skew statements, e.g. "the top 6.8% of embedding
-    entries get at least 76% of the total accesses" (Criteo Kaggle, SS II-A).
-
-    Args:
-        num_items: support size.
-        exponent: Zipf exponent.
-        head_fraction: fraction of most-popular items, in ``(0, 1]``.
-    """
-    if not 0 < head_fraction <= 1:
-        raise ValueError(f"head_fraction must be in (0, 1], got {head_fraction}")
-    probs = zipf_probabilities(num_items, exponent)
-    head = max(1, int(round(head_fraction * num_items)))
-    return float(probs[:head].sum())
-
-
-def fit_zipf_exponent(counts: np.ndarray, min_count: int = 1) -> float:
-    """Estimate the Zipf exponent from observed access counts.
-
-    Performs a least-squares fit of ``log(count)`` against ``log(rank)``
-    over entries with at least ``min_count`` accesses.  This is the
-    standard rank-frequency regression; it is biased for tiny samples but
-    adequate for the diagnostic role it plays here (the calibrator never
-    depends on it).
-
-    Args:
-        counts: per-item access counts (any order; zeros allowed).
-        min_count: drop items with fewer accesses before fitting.
-
-    Returns:
-        The fitted exponent ``s`` (non-negative for any real click log).
-
-    Raises:
-        ValueError: if fewer than two items survive the ``min_count`` cut.
-    """
-    counts = np.asarray(counts, dtype=np.float64)
-    ordered = np.sort(counts)[::-1]
-    ordered = ordered[ordered >= min_count]
-    if ordered.size < 2:
-        raise ValueError("need at least two items with counts >= min_count to fit")
-    ranks = np.arange(1, ordered.size + 1, dtype=np.float64)
-    slope, _intercept = np.polyfit(np.log(ranks), np.log(ordered), 1)
-    return float(-slope)
 
 
 @dataclass

@@ -71,7 +71,6 @@ class DistributedFAETrainer(SegmentEngine):
             real system where GPUs never hold full tables.
         plan: FAE preprocessing output.
         lr: SGD learning rate.
-        pooling: embedding pooling mode, matching the models.
         fault_plan: optional fault-injection schedule; consulted by the
             process group (collectives), the data path, and the trainer
             (hot-replica eviction + data corruption).
@@ -99,7 +98,6 @@ class DistributedFAETrainer(SegmentEngine):
         replicas: list[RecModel],
         plan: FAEPlan,
         lr: float = 0.1,
-        pooling: str = "mean",
         fault_plan: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
         guards: NumericGuard | None = None,
@@ -111,7 +109,6 @@ class DistributedFAETrainer(SegmentEngine):
             replicas,
             plan,
             lr=lr,
-            pooling=pooling,
             fault_plan=fault_plan,
             retry=retry,
             guards=guards,

@@ -17,11 +17,10 @@ from repro.nn.embedding import EmbeddingBag, EmbeddingTable
 from repro.nn.interaction import DotInteraction
 from repro.nn.attention import SequenceAttention
 from repro.nn.losses import BCEWithLogits
-from repro.nn.optim import SGD, Adagrad
+from repro.nn.optim import SGD
 from repro.nn.quantization import Fp16EmbeddingTable, Int8EmbeddingTable
 
 __all__ = [
-    "Adagrad",
     "Fp16EmbeddingTable",
     "Int8EmbeddingTable",
     "BCEWithLogits",

@@ -10,8 +10,8 @@ substrate every perf PR regresses against:
 - :mod:`repro.obs.metrics` — named counters, gauges, and histograms
   (``fae.sync.bytes``, ``scheduler.rate``, ``serve.request.latency``)
   with snapshot/reset semantics and percentile summaries.
-- :mod:`repro.obs.export` — JSONL trace/metric dumps, the human-readable
-  span summary tree, and per-run artifact directories.
+- :mod:`repro.obs.export` — JSONL trace/metric dumps and the
+  human-readable span summary tree.
 - :mod:`repro.obs.analyze` — trace profiling: per-span self time,
   call-tree aggregation, hotspot tables, and critical-path extraction
   over exported span JSONL (``repro trace analyze``).
@@ -21,8 +21,8 @@ substrate every perf PR regresses against:
 Timing claims are measured from outside by ``perfbench/`` (the repo's
 only timing benchmark), not by this package.
 
-Enable tracing with :func:`enable_tracing`, ``REPRO_TRACE=1``, the
-``--trace`` CLI flag, or the ``repro trace`` subcommand.
+Enable tracing with :func:`tracing` (a context manager), ``REPRO_TRACE=1``,
+the ``--trace`` CLI flag, or the ``repro trace`` subcommand.
 """
 
 from repro.obs.analyze import (
@@ -33,7 +33,6 @@ from repro.obs.analyze import (
 )
 from repro.obs.export import (
     export_jsonl,
-    export_run,
     load_jsonl,
     metric_records,
     summary_tree,
@@ -51,8 +50,6 @@ from repro.obs.trace import (
     SpanRecord,
     Timer,
     Tracer,
-    disable_tracing,
-    enable_tracing,
     get_tracer,
     span,
     timed,
@@ -73,10 +70,7 @@ __all__ = [
     "Tracer",
     "analyze_file",
     "analyze_records",
-    "disable_tracing",
-    "enable_tracing",
     "export_jsonl",
-    "export_run",
     "get_registry",
     "get_tracer",
     "load_jsonl",

@@ -1,14 +1,12 @@
-"""Exporters: JSONL dumps, the span summary tree, and run artifacts.
+"""Exporters: JSONL dumps and the span summary tree.
 
-Three consumers, three formats:
+Two consumers, two formats:
 
 - :func:`export_jsonl` — one JSON record per finished span and one per
   metric snapshot, machine-parseable (benchmarks regress against this);
 - :func:`summary_tree` — the human-readable breakdown printed by
   ``repro trace``: span tree with total / self time and call counts,
-  followed by a metrics section;
-- :func:`export_run` — a run directory holding ``trace.jsonl``,
-  ``metrics.jsonl`` and ``summary.txt`` for archival.
+  followed by a metrics section.
 
 :func:`load_jsonl` round-trips either JSONL file back into dicts.
 
@@ -24,11 +22,10 @@ from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import SpanRecord, Tracer, get_tracer
-from repro.resilience.atomic import atomic_write, atomic_write_text
+from repro.resilience.atomic import atomic_write
 
 __all__ = [
     "export_jsonl",
-    "export_run",
     "load_jsonl",
     "metric_records",
     "summary_tree",
@@ -178,35 +175,3 @@ def summary_tree(
                 else:
                     lines.append(f"  {name}: {summary['value']:.6g}")
     return "\n".join(lines)
-
-
-def export_run(
-    run_dir: str | Path,
-    tracer: Tracer | None = None,
-    registry: MetricsRegistry | None = None,
-) -> dict[str, Path]:
-    """Write trace.jsonl, metrics.jsonl and summary.txt under ``run_dir``.
-
-    Returns:
-        Mapping of artifact kind to the path written.
-    """
-    tracer = tracer or get_tracer()
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-
-    trace_path = run_dir / "trace.jsonl"
-    with atomic_write(trace_path) as tmp:
-        with tmp.open("w", encoding="utf-8") as handle:
-            for record in tracer.records():
-                handle.write(json.dumps(record.to_dict()) + "\n")
-
-    metrics_path = run_dir / "metrics.jsonl"
-    with atomic_write(metrics_path) as tmp:
-        with tmp.open("w", encoding="utf-8") as handle:
-            for record in metric_records(registry):
-                handle.write(json.dumps(record) + "\n")
-
-    summary_path = run_dir / "summary.txt"
-    atomic_write_text(summary_path, summary_tree(tracer, registry) + "\n")
-
-    return {"trace": trace_path, "metrics": metrics_path, "summary": summary_path}

@@ -19,9 +19,9 @@ concurrent threads can trace freely.
 
 Tracing is **disabled by default**.  When disabled, :func:`span` returns
 a shared no-op object — no allocation, no clock reads, no locking — so
-instrumented hot paths cost nothing.  Enable globally with
-:func:`enable_tracing` (or the ``REPRO_TRACE=1`` environment variable),
-or temporarily with the :func:`tracing` context manager.
+instrumented hot paths cost nothing.  Enable it for the whole process
+with the ``REPRO_TRACE=1`` environment variable, or for a block with the
+:func:`tracing` context manager.
 
 :func:`timed` is the always-on sibling: it measures wall time whether or
 not tracing is enabled (two clock reads) and *additionally* records a
@@ -41,8 +41,6 @@ __all__ = [
     "SpanRecord",
     "Timer",
     "Tracer",
-    "disable_tracing",
-    "enable_tracing",
     "get_tracer",
     "span",
     "timed",
@@ -231,16 +229,6 @@ def get_tracer() -> Tracer:
 
 def tracing_enabled() -> bool:
     return _TRACER.enabled
-
-
-def enable_tracing() -> None:
-    """Turn span recording on for the global tracer."""
-    _TRACER.enabled = True
-
-
-def disable_tracing() -> None:
-    """Turn span recording off (instrumentation reverts to no-ops)."""
-    _TRACER.enabled = False
 
 
 class tracing:

@@ -3,9 +3,11 @@
 A checkpoint captures everything a trainer needs to continue a run as if
 it had never stopped: model parameters (dense layers + embedding
 masters), the :class:`~repro.core.scheduler.ShuffleScheduler`'s rate and
-adaptation state, the epoch/segment cursor, optimizer state, and the
-fault plan's RNG state.  The format is one ``.npz`` archive per
-checkpoint plus a ``.sha256`` sidecar:
+adaptation state, the epoch/segment cursor, the online cache and a
+repacked dataset when there are any, and the fault plan's RNG state.
+There is no optimizer state: the engine builds a fresh, stateless SGD
+for every segment.  The format is one ``.npz`` archive per checkpoint
+plus a ``.sha256`` sidecar:
 
 - the archive is written by :func:`~repro.data.npz_codec.write_npz` (temp
   file + ``os.replace``, recycling a spare inode) so a crash mid-write
@@ -55,14 +57,15 @@ __all__ = [
     "verify_checkpoint",
 ]
 
-#: v2 carries durable cache / drift / repacked-dataset state, so the
-#: exact-resume invariant holds under the online hot cache.  Any other
-#: version (v1 had params + scheduler + cursors only) is refused.
+#: v2 carries durable cache / repacked-dataset state, so the exact-resume
+#: invariant holds under the online hot cache.  Any other version (v1 had
+#: params + scheduler + cursors only) is refused.  A v2 archive from before
+#: the drift channel was dropped still loads: its ``extra_state`` holds an
+#: always-null ``"drift"`` entry, which is ignored.
 CHECKPOINT_VERSION = 2
 
 _DENSE_PREFIX = "param.dense."
 _TABLE_PREFIX = "param.table."
-_OPT_PREFIX = "opt."
 _STATE_PREFIX = "state."
 
 _NDARRAY_MARKER = "__ndarray__"
@@ -87,7 +90,6 @@ class TrainerCheckpoint:
         scheduler_state: :meth:`ShuffleScheduler.state_dict` output.
         params: parameter arrays — ``dense.<index>`` entries in
             ``dense_parameters()`` order plus ``table.<name>`` masters.
-        optimizer_state: optimizer tensors (empty for stateless SGD).
         rng_state: fault-plan / RNG state (JSON-serializable), or None.
         degraded: whether the run had degraded to cold-only execution.
         last_train_loss: trailing train-loss carry for history fidelity.
@@ -104,7 +106,6 @@ class TrainerCheckpoint:
             dataset, or None while the run still trains the original
             packing (cache turnover rewrites batch geometry mid-epoch,
             so cursors/scheduler state are meaningless without it).
-        drift_state: :meth:`DriftDetector.state_dict` output, or None.
     """
 
     step: int
@@ -112,7 +113,6 @@ class TrainerCheckpoint:
     cursors: dict[str, int]
     scheduler_state: dict
     params: dict[str, np.ndarray]
-    optimizer_state: dict[str, np.ndarray] = field(default_factory=dict)
     rng_state: dict | None = None
     degraded: bool = False
     last_train_loss: float = 0.0
@@ -122,7 +122,6 @@ class TrainerCheckpoint:
     metadata: dict = field(default_factory=dict)
     cache_state: dict | None = None
     dataset_state: dict | None = None
-    drift_state: dict | None = None
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +173,7 @@ def restore_training_state(dense_parameters, tables, state: dict[str, np.ndarray
 # Nested-state packing
 # ----------------------------------------------------------------------
 #
-# state_dict trees (cache / drift / dataset) mix JSON scalars with numpy
+# state_dict trees (cache / dataset) mix JSON scalars with numpy
 # arrays.  Arrays cannot ride in the meta JSON and npz archives are flat,
 # so the tree is split: every ndarray leaf moves into the archive under a
 # generated "state.<path>" key and leaves a {"__ndarray__": key} marker
@@ -255,11 +254,7 @@ def save_checkpoint(directory: str | Path, ckpt: TrainerCheckpoint) -> Path:
     }
     state_arrays: dict[str, np.ndarray] = {}
     meta["extra_state"] = _pack_tree(
-        {
-            "cache": ckpt.cache_state,
-            "dataset": ckpt.dataset_state,
-            "drift": ckpt.drift_state,
-        },
+        {"cache": ckpt.cache_state, "dataset": ckpt.dataset_state},
         _STATE_PREFIX[:-1],
         state_arrays,
     )
@@ -272,8 +267,6 @@ def save_checkpoint(directory: str | Path, ckpt: TrainerCheckpoint) -> Path:
             payload[_TABLE_PREFIX + key[len("table."):]] = value
         else:
             raise CheckpointError(f"unrecognized parameter key {key!r}")
-    for key, value in ckpt.optimizer_state.items():
-        payload[_OPT_PREFIX + key] = value
 
     from repro.data.npz_codec import write_npz  # deferred: npz_codec -> obs -> resilience
 
@@ -349,15 +342,12 @@ def load_checkpoint(path: str | Path) -> TrainerCheckpoint:
             f"checkpoint {path} has version {version}, expected {CHECKPOINT_VERSION}"
         )
     params: dict[str, np.ndarray] = {}
-    optimizer_state: dict[str, np.ndarray] = {}
     state_arrays: dict[str, np.ndarray] = {}
     for key, value in arrays.items():
         if key.startswith(_DENSE_PREFIX):
             params["dense." + key[len(_DENSE_PREFIX):]] = value
         elif key.startswith(_TABLE_PREFIX):
             params["table." + key[len(_TABLE_PREFIX):]] = value
-        elif key.startswith(_OPT_PREFIX):
-            optimizer_state[key[len(_OPT_PREFIX):]] = value
         elif key.startswith(_STATE_PREFIX):
             state_arrays[key] = value
     extra_state = _unpack_tree(meta.get("extra_state") or {}, state_arrays)
@@ -368,7 +358,6 @@ def load_checkpoint(path: str | Path) -> TrainerCheckpoint:
         cursors={k: int(v) for k, v in meta["cursors"].items()},
         scheduler_state=meta["scheduler_state"],
         params=params,
-        optimizer_state=optimizer_state,
         rng_state=meta.get("rng_state"),
         degraded=bool(meta.get("degraded", False)),
         last_train_loss=float(meta.get("last_train_loss", 0.0)),
@@ -378,7 +367,6 @@ def load_checkpoint(path: str | Path) -> TrainerCheckpoint:
         metadata=meta.get("metadata", {}),
         cache_state=extra_state.get("cache"),
         dataset_state=extra_state.get("dataset"),
-        drift_state=extra_state.get("drift"),
     )
 
 

@@ -117,7 +117,6 @@ class SegmentEngine:
         replicas: list[RecModel],
         plan: FAEPlan,
         lr: float = 0.1,
-        pooling: str = "mean",
         fault_plan: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
         guards: NumericGuard | None = None,
@@ -128,22 +127,22 @@ class SegmentEngine:
         self.replicas = replicas
         self.plan = plan
         self.lr = lr
-        self.pooling = pooling
         self.fault_plan = fault_plan
         self.retry = retry
         self.guards = guards
         self.cache = cache
-        #: Optional drift detector whose check history rides along in
-        #: checkpoints (attach before calling train()).
-        self.drift = None
         # Set by the CLI so GuardAbort can point at the quarantine ledger.
         self.guard_ledger_path: str | None = None
         self.master_tables = replicas[0].tables
+        # Each table pools the way the model's own bag does, hot or cold.
+        self.pooling = {
+            name: replicas[0].get_bag(name).lookup.mode for name in self.master_tables
+        }
         self.replicator = EmbeddingReplicator(
             tables=self.master_tables,
             bag_specs=plan.bags,
             num_replicas=len(replicas),
-            pooling=pooling,
+            pooling=self.pooling,
         )
         # Cold-path bags: one set per replica, all backed by the shared
         # master tables ("CPU memory").
@@ -163,7 +162,7 @@ class SegmentEngine:
 
     def _new_cold_bags(self) -> dict[str, EmbeddingBag]:
         return {
-            name: EmbeddingBag(table, mode=self.pooling)
+            name: EmbeddingBag(table, mode=self.pooling[name])
             for name, table in self.master_tables.items()
         }
 
@@ -365,7 +364,6 @@ class SegmentEngine:
             dataset_state=(
                 repacked_dataset.state_dict() if repacked_dataset is not None else None
             ),
-            drift_state=self.drift.state_dict() if self.drift is not None else None,
         )
 
     def _restore_cache_state(self, ckpt: TrainerCheckpoint) -> None:
@@ -394,7 +392,7 @@ class SegmentEngine:
             tables=self.master_tables,
             bag_specs=self.cache.bags(),
             num_replicas=self.replicator.num_replicas,
-            pooling=self.replicator.pooling,
+            pooling=self.pooling,
         )
 
     def _restore_checkpoint(self, ckpt: TrainerCheckpoint, scheduler: ShuffleScheduler) -> None:
@@ -406,8 +404,6 @@ class SegmentEngine:
                 q.value[...] = p.value
         scheduler.load_state_dict(ckpt.scheduler_state)
         self._restore_cache_state(ckpt)
-        if self.drift is not None and ckpt.drift_state is not None:
-            self.drift.load_state_dict(ckpt.drift_state)
         if ckpt.degraded:
             # The run had already lost its hot replicas; stay cold.
             self.replicator.evict()

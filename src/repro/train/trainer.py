@@ -152,7 +152,6 @@ class FAETrainer(SegmentEngine):
         model: the recommender model (its tables are the CPU masters).
         plan: FAE preprocessing output for the training log.
         lr: SGD learning rate.
-        pooling: bag pooling mode; must match the model's bags.
         fault_plan: optional fault-injection schedule (loader hiccups,
             hot-replica eviction, and data corruption apply to this
             single-device trainer).
@@ -174,7 +173,6 @@ class FAETrainer(SegmentEngine):
         model: RecModel,
         plan: FAEPlan,
         lr: float = 0.1,
-        pooling: str = "mean",
         fault_plan: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
         guards: NumericGuard | None = None,
@@ -184,7 +182,6 @@ class FAETrainer(SegmentEngine):
             [model],
             plan,
             lr=lr,
-            pooling=pooling,
             fault_plan=fault_plan,
             retry=retry,
             guards=guards,

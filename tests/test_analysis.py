@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import ascii_bar_chart, format_minutes_table, format_table, series_table
+from repro.analysis import format_minutes_table, format_table, series_table
 
 
 class TestFormatTable:
@@ -40,25 +40,6 @@ class TestMinutesTable:
     def test_without_paper(self):
         out = format_minutes_table("T", ["x"], ["c"], values={"x": [1.0]})
         assert "(" not in out.splitlines()[-1]
-
-
-class TestBarChart:
-    def test_peak_gets_full_width(self):
-        out = ascii_bar_chart(["a", "b"], [1.0, 2.0], width=10)
-        lines = out.splitlines()
-        assert lines[1].count("#") == 10
-        assert lines[0].count("#") == 5
-
-    def test_zero_values(self):
-        out = ascii_bar_chart(["a"], [0.0])
-        assert "#" not in out
-
-    def test_empty(self):
-        assert ascii_bar_chart([], []) == "(empty chart)"
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ascii_bar_chart(["a"], [1.0, 2.0])
 
 
 class TestSeriesTable:

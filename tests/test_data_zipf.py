@@ -5,9 +5,7 @@ import pytest
 
 from repro.data.zipf import (
     ZipfSampler,
-    fit_zipf_exponent,
     generalized_harmonic,
-    zipf_head_share,
     zipf_probabilities,
     zipf_rows_above_probability,
     zipf_top_k_coverage,
@@ -41,24 +39,18 @@ class TestZipfProbabilities:
 
 
 class TestHeadShare:
-    def test_full_head_is_total_mass(self):
-        assert zipf_head_share(100, 1.2, 1.0) == pytest.approx(1.0)
+    """The mass of the most popular ranks, through ``zipf_top_k_coverage``."""
 
     def test_share_grows_with_fraction(self):
-        small = zipf_head_share(10_000, 1.0, 0.01)
-        large = zipf_head_share(10_000, 1.0, 0.10)
+        small = zipf_top_k_coverage(10_000, 1.0, 100)
+        large = zipf_top_k_coverage(10_000, 1.0, 1000)
         assert large > small > 0
 
     def test_kaggle_like_skew(self):
         # The paper's headline: a few percent of rows capture most accesses.
-        share = zipf_head_share(10_131_227, 1.1, 0.068)
+        rows = 10_131_227
+        share = zipf_top_k_coverage(rows, 1.1, round(0.068 * rows))
         assert share > 0.75
-
-    def test_rejects_out_of_range_fraction(self):
-        with pytest.raises(ValueError):
-            zipf_head_share(100, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            zipf_head_share(100, 1.0, 1.5)
 
 
 class TestGeneralizedHarmonic:
@@ -160,17 +152,3 @@ class TestZipfSampler:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             ZipfSampler(10, 1.0).sample(-1)
-
-
-class TestFitExponent:
-    def test_recovers_exponent_roughly(self):
-        n = 2000
-        probs = zipf_probabilities(n, 1.2)
-        rng = np.random.default_rng(0)
-        counts = rng.multinomial(2_000_000, probs)
-        fitted = fit_zipf_exponent(counts, min_count=5)
-        assert 0.9 < fitted < 1.5
-
-    def test_needs_two_items(self):
-        with pytest.raises(ValueError):
-            fit_zipf_exponent(np.array([10]), min_count=1)

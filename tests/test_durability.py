@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from repro.core import fae_preprocess
-from repro.core.drift import DriftDetector
 from repro.core.hotcache import EmbeddingHotCache, HotCacheConfig
 from repro.core.input_processor import FAEDataset
 from repro.core.scheduler import ShuffleScheduler
 from repro.core.sketch import CountMinSketch
 from repro.data import train_test_split
+from repro.data.npz_codec import write_npz
 from repro.dist import DistributedFAETrainer
 from repro.models.dlrm import DLRM, DLRMConfig
 from repro.obs import get_registry, get_tracer, tracing
@@ -101,25 +101,6 @@ class TestSketchState:
         state["schema_version"] = 99
         with pytest.raises(ValueError):
             CountMinSketch(width=8, depth=2).load_state_dict(state)
-
-
-class TestDriftState:
-    def test_history_roundtrip(self, tiny_plan, tiny_log):
-        detector = DriftDetector(tiny_plan.bags, tiny_plan.hot_input_fraction)
-        for _ in range(4):
-            detector.check(tiny_log)
-        state = detector.state_dict()
-        fresh = DriftDetector(tiny_plan.bags, tiny_plan.hot_input_fraction)
-        fresh.load_state_dict(state)
-        assert fresh.history == detector.history
-        assert len(fresh.history) == 4
-
-    def test_rejects_wrong_schema_version(self, tiny_plan):
-        detector = DriftDetector(tiny_plan.bags, tiny_plan.hot_input_fraction)
-        state = detector.state_dict()
-        state["schema_version"] = 0
-        with pytest.raises(ValueError):
-            detector.load_state_dict(state)
 
 
 class TestCacheState:
@@ -267,7 +248,6 @@ def _cache_checkpoint(tiny_schema, step=7):
         params=capture_training_state(model.dense_parameters(), model.tables),
         cache_state=cache.state_dict(),
         dataset_state=dataset.state_dict(),
-        drift_state={"schema_version": 1, "baseline": 0.5, "tolerance": 0.25, "history": []},
     )
 
 
@@ -278,7 +258,6 @@ class TestCheckpointV2:
         loaded = load_checkpoint(path)
         _assert_tree_equal(loaded.cache_state, ckpt.cache_state)
         _assert_tree_equal(loaded.dataset_state, ckpt.dataset_state)
-        _assert_tree_equal(loaded.drift_state, ckpt.drift_state)
         # The restored cache state is loadable and byte-faithful.
         fresh = EmbeddingHotCache.from_schema(
             tiny_schema,
@@ -300,7 +279,6 @@ class TestCheckpointV2:
         loaded = load_checkpoint(save_checkpoint(tmp_path, ckpt))
         assert loaded.cache_state is None
         assert loaded.dataset_state is None
-        assert loaded.drift_state is None
 
     def test_v1_archive_is_refused(self, tmp_path, tiny_schema, monkeypatch):
         # A pre-durability archive: written under version 1, no state tree.
@@ -368,6 +346,20 @@ def _rewrite_deflated(path):
     path.write_bytes(blob)
     path.with_name(path.name + ".sha256").write_text(
         f"{hashlib.sha256(blob).hexdigest()}  {path.name}\n", encoding="utf-8"
+    )
+
+
+def _rewrite_with_drift_entry(path):
+    """Re-encode an archive the way it was written while checkpoints still
+    carried a drift channel: ``extra_state`` ends in ``"drift": null``."""
+    with np.load(path, allow_pickle=False) as archive:
+        payload = {key: archive[key] for key in archive.files}
+    meta = json.loads(str(payload["meta_json"]))
+    meta["extra_state"]["drift"] = None
+    payload["meta_json"] = np.array(json.dumps(meta))
+    digest = write_npz(path, payload)
+    path.with_name(path.name + ".sha256").write_text(
+        f"{digest}  {path.name}\n", encoding="utf-8"
     )
 
 
@@ -792,6 +784,32 @@ class TestKillResumeExactness:
             with zipfile.ZipFile(archive) as members:
                 kinds |= {info.compress_type for info in members.infolist()}
         assert kinds == {zipfile.ZIP_DEFLATED, zipfile.ZIP_STORED}
+
+    def test_resumes_exactly_from_an_archive_with_a_drift_entry(
+        self, tmp_path, cache_fae_setup, simulated_sigkill, make_trainer
+    ):
+        # Archives from before the drift channel was dropped end their
+        # extra state in ``"drift": null``; they load and resume bit for bit.
+        schema, train, test, plan = cache_fae_setup
+        reference = make_trainer(schema, plan)
+        ref_result = reference.train(
+            train,
+            test,
+            epochs=1,
+            checkpoint=CheckpointManager(tmp_path / "ref", every=1, keep=None),
+        )
+        resumed, result, crash_dir = _kill_and_resume(
+            make_trainer, schema, train, test, plan, tmp_path,
+            "crash_refresh=0@apply", rewrite=_rewrite_with_drift_entry,
+        )
+        _assert_same_final_state(reference, resumed, ref_result, result)
+        extras = []
+        for archive in sorted(crash_dir.glob("ckpt-*.npz")):
+            with np.load(archive) as members:
+                extras.append(json.loads(str(members["meta_json"]))["extra_state"])
+        # The resumed run read the old archives and wrote new ones without the entry.
+        assert any(extra.get("drift", 0) is None for extra in extras)
+        assert any("drift" not in extra for extra in extras)
 
     def test_checkpoint_boundary_kill_resumes_exactly(
         self, tmp_path, cache_fae_setup, simulated_sigkill, make_trainer

@@ -1,4 +1,4 @@
-"""Every module under ``src/repro`` has a caller outside its own package init.
+"""Every module under ``src/repro``, and every name it exports, has a caller.
 
 A module counts as called when some file in ``src/`` (other than itself
 and its package ``__init__``), ``benchmarks/``, ``examples/``,
@@ -6,6 +6,12 @@ and its package ``__init__``), ``benchmarks/``, ``examples/``,
 package alias a name from its ``__all__``.  Tests are not callers: a
 module only its own test imports is an orphan, unless it is allowlisted
 below with the reason it stays.
+
+A name in a module's ``__all__`` counts as called when a caller file that
+is not a package ``__init__`` (a re-export is not a use) imports it or
+reads it through an alias, when its own module uses it beyond defining
+it, or when an ``ENTRY_POINTS`` target of ``perfbench/tracer.py`` names
+it.  Names in allowlisted modules are not checked.
 """
 
 import ast
@@ -50,6 +56,27 @@ def _exported_names(path: Path) -> set[str]:
     return set()
 
 
+def _entry_points() -> set[tuple[str, str]]:
+    """``(module, name)`` for every ``"module:name.attr"`` tracer target."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    targets = set()
+    for node in tree.body:
+        target = node.target if isinstance(node, ast.AnnAssign) else None
+        if isinstance(target, ast.Name) and target.id == "ENTRY_POINTS":
+            for leaf in ast.walk(node.value):
+                if isinstance(leaf, ast.Constant) and ":" in str(leaf.value):
+                    module, _, attribute = leaf.value.partition(":")
+                    targets.add((module, attribute.split(".")[0]))
+    return targets
+
+
+def _modules():
+    """``(path, dotted module)`` for every non-package module under ``src/``."""
+    for path in sorted(SRC.rglob("*.py")):
+        if path.stem not in ("__init__", "__main__"):
+            yield path, ".".join(path.relative_to(SRC).with_suffix("").parts)
+
+
 def _orphans() -> set[str]:
     callers = {
         path: _references(path)
@@ -57,10 +84,7 @@ def _orphans() -> set[str]:
         for path in (ROOT / directory).rglob("*.py")
     }
     orphans = set()
-    for path in SRC.rglob("*.py"):
-        if path.stem in ("__init__", "__main__"):
-            continue
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+    for path, module in _modules():
         package, _, leaf = module.rpartition(".")
         names = _exported_names(path)
         skip = (path, path.parent / "__init__.py")
@@ -86,3 +110,45 @@ def test_every_module_has_a_caller():
     )
     stale = sorted(set(ALLOWED_ORPHANS) - orphans)
     assert not stale, f"allowlisted modules that gained a caller or are gone: {stale}"
+
+
+def _orphan_names() -> set[str]:
+    refs = set().union(
+        *(
+            _references(path)
+            for directory in CALLER_DIRS
+            for path in (ROOT / directory).rglob("*.py")
+            if path.name != "__init__.py"
+        )
+    )
+    entry_points = _entry_points()
+    orphans = set()
+    for path, module in _modules():
+        if module in ALLOWED_ORPHANS:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for name in _exported_names(path):
+            called = (
+                name in used
+                or (module, name) in entry_points
+                or any(
+                    ref == name and (base == module or module.startswith(base + "."))
+                    for base, ref in refs
+                )
+            )
+            if not called:
+                orphans.add(f"{module}.{name}")
+    return orphans
+
+
+def test_every_exported_name_has_a_caller():
+    orphans = sorted(_orphan_names())
+    assert not orphans, (
+        f"exported names nothing outside tests uses: {orphans}; delete them (and "
+        f"their package re-exports), or wire them to a caller"
+    )

@@ -573,7 +573,9 @@ def store_models(seed, multiplicities, big, mode, replicas, hot):
         name: HotEmbeddingBagSpec(name, ids, masters[name].num_rows, 4, False)
         for name, ids in hot_ids.items()
     }
-    replicator = EmbeddingReplicator(masters, specs, num_replicas=replicas, pooling=mode)
+    replicator = EmbeddingReplicator(
+        masters, specs, num_replicas=replicas, pooling=dict.fromkeys(masters, mode)
+    )
     for rank, model in enumerate(models):
         hot_bags = replicator.bags_for_replica(rank)
         for name, table in masters.items():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adagrad, BCEWithLogits, Parameter, SGD
+from repro.nn import BCEWithLogits, Parameter, SGD
 from repro.nn.activations import sigmoid
 
 
@@ -97,36 +97,3 @@ class TestSGD:
     def test_rejects_bad_lr(self):
         with pytest.raises(ValueError):
             SGD([], lr=0.0)
-
-
-class TestAdagrad:
-    def test_first_step_is_unit_scaled(self):
-        p = Parameter("w", np.zeros((1, 1), dtype=np.float32))
-        p.accumulate_dense(np.array([[4.0]], dtype=np.float32))
-        Adagrad([p], lr=0.1).step()
-        # update = lr * g / sqrt(g^2) = lr * sign(g)
-        np.testing.assert_allclose(p.value, [[-0.1]], rtol=1e-5)
-
-    def test_accumulator_dampens_updates(self):
-        p = Parameter("w", np.zeros((1, 1), dtype=np.float32))
-        opt = Adagrad([p], lr=0.1)
-        deltas = []
-        for _ in range(3):
-            before = p.value.copy()
-            p.accumulate_dense(np.array([[1.0]], dtype=np.float32))
-            opt.step()
-            deltas.append(abs(float((p.value - before).item())))
-        assert deltas[0] > deltas[1] > deltas[2]
-
-    def test_sparse_rows_only_touch_state(self):
-        p = Parameter("e", np.zeros((3, 2), dtype=np.float32))
-        opt = Adagrad([p], lr=0.1)
-        p.accumulate_sparse(np.array([1]), np.ones((1, 2), dtype=np.float32))
-        opt.step()
-        assert opt.last_sparse_rows == 1
-        np.testing.assert_allclose(p.value[0], 0.0)
-        assert p.value[1, 0] != 0.0
-
-    def test_rejects_bad_lr(self):
-        with pytest.raises(ValueError):
-            Adagrad([], lr=-0.1)

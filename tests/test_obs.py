@@ -9,7 +9,6 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     export_jsonl,
-    export_run,
     get_registry,
     get_tracer,
     load_jsonl,
@@ -372,19 +371,6 @@ class TestExport:
         a = next(i for i, line in enumerate(lines) if line.strip().startswith("a_light"))
         z = next(i for i, line in enumerate(lines) if line.strip().startswith("z_light"))
         assert b < a < z
-
-    def test_export_run_artifacts(self, clean_telemetry, tmp_path):
-        tracer, registry = clean_telemetry
-        with span("work"):
-            pass
-        registry.counter("n").inc()
-        paths = export_run(tmp_path / "run0")
-        assert paths["trace"].exists()
-        assert paths["metrics"].exists()
-        assert paths["summary"].exists()
-        assert load_jsonl(paths["trace"])[0]["name"] == "work"
-        assert load_jsonl(paths["metrics"])[0]["name"] == "n"
-        assert "work" in paths["summary"].read_text()
 
 
 class TestOverhead:

@@ -31,6 +31,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,15 @@ TBSM_SCHEMA = DatasetSchema(
 CASES = {
     "dlrm": (DLRM_SCHEMA, lambda: DLRM(DLRM_SCHEMA, DLRMConfig("4-16-8", "16-8-1", seed=5))),
     "tbsm": (TBSM_SCHEMA, lambda: TBSM(TBSM_SCHEMA, TBSMConfig("3-8", "22-12-10", "30-12-1", seed=5))),
+}
+
+#: Models the trainers run but the golden does not pin.
+MODELS = {
+    **CASES,
+    "dlrm-sum": (
+        DLRM_SCHEMA,
+        lambda: DLRM(DLRM_SCHEMA, DLRMConfig("4-16-8", "16-8-1", pooling="sum", seed=5)),
+    ),
 }
 
 
@@ -138,7 +148,7 @@ def _cache(plan) -> EmbeddingHotCache:
 
 
 def run_fae(case: str, cached: bool = False):
-    schema, build = CASES[case]
+    schema, build = MODELS[case]
     train, test, plan = _data(schema)
     model = build()
     cache = _cache(plan) if cached else None
@@ -151,7 +161,7 @@ def run_fae(case: str, cached: bool = False):
 
 def run_dist(case: str):
     """Two replicas with the online cache on; one recorded loss per shard."""
-    schema, build = CASES[case]
+    schema, build = MODELS[case]
     train, test, plan = _data(schema)
     replicas = [build(), build()]
     cache = _cache(plan)
@@ -188,7 +198,7 @@ EXACT_RUNS = {
 
 def run_baseline(case: str, order: list[np.ndarray] | None = None):
     """A ``BaselineTrainer`` epoch: its own seeded shuffle, or ``order``."""
-    schema, build = CASES[case]
+    schema, build = MODELS[case]
     train, test, _plan = _data(schema)
     model = build()
 
@@ -249,18 +259,39 @@ def test_reproduces_parent_run_exactly(case, run):
     assert EXACT_RUNS[run](case) == golden
 
 
+def _assert_same_parameters(model, other, **tolerance):
+    """Every dense parameter and table equal: exactly, or within ``tolerance``."""
+    compare = (
+        partial(np.testing.assert_allclose, **tolerance)
+        if tolerance
+        else np.testing.assert_array_equal
+    )
+    for mine, theirs in zip(model.dense_parameters(), other.dense_parameters()):
+        compare(mine.value, theirs.value, err_msg=mine.name)
+    for name, table in model.tables.items():
+        compare(table.weight.value, other.tables[name].weight.value, err_msg=name)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fae_equals_baseline_on_same_batch_order(case):
     fae_model, fae_losses, order, _ = run_fae(case)
     base_model, base_losses = run_baseline(case, order=order)
     assert len(order) >= STEPS
     assert fae_losses == base_losses
-    for mine, theirs in zip(fae_model.dense_parameters(), base_model.dense_parameters()):
-        np.testing.assert_array_equal(mine.value, theirs.value, err_msg=mine.name)
-    for name, table in fae_model.tables.items():
-        np.testing.assert_array_equal(
-            table.weight.value, base_model.tables[name].weight.value, err_msg=name
-        )
+    _assert_same_parameters(fae_model, base_model)
+
+
+def test_sum_pooled_fae_equals_baseline_on_same_batch_order():
+    # The trainers take each table's pooling from the model: a sum-pooled
+    # multi-hot table (table_01) must train as the baseline trains it, and
+    # the two-replica trainer must land where the single-device one does.
+    fae_model, fae_losses, order, cache = run_fae("dlrm-sum", cached=True)
+    base_model, base_losses = run_baseline("dlrm-sum", order=order)
+    assert len(order) >= STEPS and cache.rebalances
+    assert fae_losses == base_losses
+    _assert_same_parameters(fae_model, base_model)
+    dist_model, _losses, _cache = run_dist("dlrm-sum")
+    _assert_same_parameters(dist_model, fae_model, rtol=1e-5, atol=1e-6)
 
 
 if __name__ == "__main__":
