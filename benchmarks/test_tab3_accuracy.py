@@ -36,9 +36,7 @@ def run_all(kaggle_log, kaggle_config):
     train, test = train_test_split(kaggle_log, 0.15, seed=1)
     plan = fae_preprocess(train, kaggle_config, batch_size=256)
     baseline_model = DLRM(kaggle_log.schema, DLRMConfig("13-64-32-16", "64-1", seed=8))
-    base = BaselineTrainer(baseline_model, lr=0.15).train(
-        train, test, epochs=2, batch_size=256, eval_every=50
-    )
+    base = BaselineTrainer(baseline_model, lr=0.15).train(train, test, epochs=2, batch_size=256)
     fae_model = DLRM(kaggle_log.schema, DLRMConfig("13-64-32-16", "64-1", seed=8))
     fae = FAETrainer(fae_model, plan, lr=0.15).train(train, test, epochs=2)
     results["criteo-kaggle (DLRM)"] = (
@@ -57,9 +55,7 @@ def run_all(kaggle_log, kaggle_config):
     )
     plan = fae_preprocess(train, config, batch_size=128)
     base_model = build_model(workload_by_name("RMC1"), schema=schema, seed=8)
-    base = BaselineTrainer(base_model, lr=0.1).train(
-        train, test, epochs=2, batch_size=128, eval_every=20
-    )
+    base = BaselineTrainer(base_model, lr=0.1).train(train, test, epochs=2, batch_size=128)
     fae_model = build_model(workload_by_name("RMC1"), schema=schema, seed=8)
     fae = FAETrainer(fae_model, plan, lr=0.1).train(train, test, epochs=2)
     results["taobao (TBSM)"] = (

@@ -147,9 +147,8 @@ class ShuffleScheduler:
         sizes as both totals and remaining counts (the repacked dataset
         starts from cursor 0).  Rate, adaptation state, and history all
         persist — only the pool geometry changes.  Later epochs iterate
-        the most recently repacked pools: :meth:`reset_epoch` refills to
-        the new totals, which matches the repacked dataset the trainer
-        keeps.
+        the most recently repacked pools: the trainer keeps the repacked
+        dataset and :meth:`reset_epoch` refills from it.
         """
         if num_hot_batches < 0 or num_cold_batches < 0:
             raise ValueError("batch pool sizes must be non-negative")
@@ -261,8 +260,9 @@ class ShuffleScheduler:
     def exhausted(self) -> bool:
         return self.remaining_hot == 0 and self.remaining_cold == 0
 
-    def reset_epoch(self) -> None:
-        """Refill both pools for the next epoch; rate and history persist."""
-        self.remaining_hot = self.total_hot
-        self.remaining_cold = self.total_cold
+    def reset_epoch(self, num_hot_batches: int, num_cold_batches: int) -> None:
+        """Fill both pools with the next epoch's batches; rate and history
+        persist."""
+        self.total_hot = self.remaining_hot = num_hot_batches
+        self.total_cold = self.remaining_cold = num_cold_batches
         self._next_kind = "cold"

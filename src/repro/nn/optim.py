@@ -3,9 +3,8 @@
 The paper's latency breakdown (Fig 14) shows the optimizer dominating
 baseline time precisely because embedding gradients are applied on the
 CPU.  Functionally, both baseline and FAE apply the *same* update; only
-the device placement differs.  :class:`SGD` therefore implements the
-math once, and records ``last_sparse_rows`` so the update can be costed
-on whichever device the execution plan placed it.
+the device placement differs, and that cost is modelled by
+:mod:`repro.hw`.  :class:`SGD` therefore implements the math once.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ class SGD:
             raise ValueError(f"lr must be positive, got {lr}")
         self.parameters = list(parameters)
         self.lr = lr
-        self.last_sparse_rows = 0
 
     def zero_grad(self) -> None:
         for param in self.parameters:
@@ -43,16 +41,13 @@ class SGD:
         parameter of a store to come up coalesces and applies every
         record of the step at once, and clears them.
         """
-        sparse_rows = 0
         for param in self.parameters:
             if param.grad is not None:
                 self._update(param, ..., param.grad)
             coalesced = param.store.coalesced_sparse_grad()
             if coalesced is not None:
                 self._update(param.store, coalesced.ids, coalesced.values)
-                sparse_rows += coalesced.ids.shape[0]
             param.zero_grad()
-        self.last_sparse_rows = sparse_rows
 
     def _update(self, param: Parameter, rows, grad: np.ndarray) -> None:
         """Apply ``grad`` (the parameter's own buffer, its slice of the rank's

@@ -1,4 +1,4 @@
-"""The segment-loop engine behind both FAE trainers.
+"""The segment-loop engine behind every trainer.
 
 The paper describes one runtime: hot bags replicated on ``k`` GPUs,
 Shuffle-Scheduler segments, a hot-row sync at every hot<->cold
@@ -11,6 +11,9 @@ backward, the optimizers — no sharding and no collective, because a
 world of one has nothing to exchange.
 
 :class:`~repro.train.trainer.FAETrainer` is the engine over ``[model]``.
+:class:`~repro.train.trainer.BaselineTrainer` is the same engine over a
+plan with nothing hot: it overrides only ``_epoch_dataset`` to reshuffle
+its one cold pool each epoch.
 :class:`~repro.dist.fae_parallel.DistributedFAETrainer` supplies what
 only ``k > 1`` needs by overriding the four ``Backend hooks`` below
 (shard + dense all-reduce, rank death, rejoin at a boundary).
@@ -104,9 +107,10 @@ class TrainResult:
 class SegmentEngine:
     """Hot/cold segment training over a list of model replicas.
 
-    Not constructed directly: :class:`~repro.train.trainer.FAETrainer`
-    and :class:`~repro.dist.fae_parallel.DistributedFAETrainer` are its
-    two public faces and document the arguments.  Replica 0's embedding
+    Not constructed directly: :class:`~repro.train.trainer.FAETrainer`,
+    :class:`~repro.train.trainer.BaselineTrainer` and
+    :class:`~repro.dist.fae_parallel.DistributedFAETrainer` are its
+    public faces and document the arguments.  Replica 0's embedding
     tables are the CPU masters; every replica's lookups are swapped
     between bags over those shared masters (cold) and its own hot-bag
     replica (hot).
@@ -221,6 +225,10 @@ class SegmentEngine:
 
     def _at_boundary(self, mode: str) -> None:
         """Segment boundary, after the hot-row flush: masters authoritative."""
+
+    def _epoch_dataset(self, epoch: int, dataset: FAEDataset) -> FAEDataset:
+        """The batches of a starting epoch; the plan's own, unchanged."""
+        return dataset
 
     # ------------------------------------------------------------------
     # The step
@@ -613,13 +621,14 @@ class SegmentEngine:
                 repacked = repacked or did_repack
 
         for epoch in range(start_epoch, epochs):
+            dataset = self._epoch_dataset(epoch, dataset)
             if resume_cursors is not None:
                 # Mid-epoch resume: the scheduler already holds this
                 # epoch's remaining pools; do not refill them.
                 cursors = resume_cursors
                 resume_cursors = None
             else:
-                scheduler.reset_epoch()
+                scheduler.reset_epoch(*dataset.batch_counts())
                 cursors = {"hot": 0, "cold": 0}
                 epoch_acc_sum = 0.0
                 epoch_samples = 0

@@ -24,7 +24,9 @@ class HistoryPoint:
             repeats the previous value) and, on a run's closing point,
             ``TrainResult.final_train_accuracy`` — the sample-weighted
             running accuracy of the final epoch.
-        segment_kind: "hot"/"cold" for FAE runs, "mixed" for baseline.
+        segment_kind: the execution mode of the segment just trained,
+            "hot" or "cold" (every baseline segment is cold), or "final"
+            on a run's closing point.
     """
 
     iteration: int
@@ -32,7 +34,7 @@ class HistoryPoint:
     test_loss: float
     test_accuracy: float
     train_accuracy: float
-    segment_kind: str = "mixed"
+    segment_kind: str
 
 
 @dataclass

@@ -1,56 +1,61 @@
-"""Baseline and FAE trainers over the numpy models.
+"""Baseline and FAE trainers: two faces of one segment engine.
+
+Both run :class:`~repro.train.engine.SegmentEngine`'s step loop, and
+differ only in the plan they run (PAPER SS II-B: FAE changes where rows
+live and the order of mini-batches, never the math).
 
 :class:`BaselineTrainer` is the paper's Fig 3 execution, functionally:
-plain shuffled mini-batches, one optimizer over every parameter (device
-placement is a performance concern simulated by :mod:`repro.hw`, not a
-math concern — both executions apply identical updates).
+nothing is hot, so every mini-batch runs against the CPU master tables,
+drawn from one cold pool that is reshuffled each epoch, and one
+optimizer applies every update (device placement is a performance
+concern simulated by :mod:`repro.hw`, not a math concern).
 
-:class:`FAETrainer` is the FAE runtime over a preprocessed
+:class:`FAETrainer` runs a preprocessed
 :class:`~repro.core.pipeline.FAEPlan`:
 
 - pure-hot batches execute against per-GPU hot-bag replicas (ids remapped
   to bag-local rows), pure-cold batches against the CPU master tables;
 - every hot<->cold transition synchronizes the hot rows (replica ->
   master or master -> replicas), exactly as the Embedding Replicator
-  prescribes, and its cost is tallied for the hardware model;
-- the Shuffle Scheduler plans segments and adapts its rate from the test
-  loss measured after each segment (paper Eq. 7).
+  prescribes, and its cost is tallied for the hardware model.
 
-Because syncs run at *every* transition, the FAE execution is
-mathematically a reordering of the baseline's mini-batches — which is why
-the paper (and our Table III bench) sees matching final accuracy.
-
-The runtime itself lives in :mod:`repro.train.engine`; ``FAETrainer`` is
-its world-size-1 face.
+In both, the Shuffle Scheduler plans the segments and adapts its rate
+from the test loss measured after each segment (paper Eq. 7); with one
+pool it only decides when the baseline evaluates.  Because syncs run at
+*every* transition, the FAE execution is mathematically a reordering of
+the baseline's mini-batches, which is why the paper (and our Table III
+bench) sees matching final accuracy.
 """
 
 from __future__ import annotations
 
-import time
+from dataclasses import replace
 
 import numpy as np
 
+from repro.core.config import FAEConfig
 from repro.core.hotcache import EmbeddingHotCache
+from repro.core.input_processor import FAEDataset
 from repro.core.pipeline import FAEPlan
-from repro.data.loader import BatchIterator
 from repro.data.synthetic import SyntheticClickLog
 from repro.models.base import RecModel
-from repro.nn.losses import BCEWithLogits
-from repro.nn.optim import SGD
-from repro.obs import get_registry, span, timed
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.faults import FaultPlan
 from repro.resilience.guards import NumericGuard
 from repro.resilience.retry import RetryPolicy
 from repro.train.engine import SegmentEngine, TrainResult, evaluate_with_master_bags
-from repro.train.history import HistoryPoint, TrainingHistory
-from repro.train.metrics import binary_accuracy, evaluate_model
 
 __all__ = ["TrainResult", "BaselineTrainer", "FAETrainer", "evaluate_with_master_bags"]
 
 
-class BaselineTrainer:
+class BaselineTrainer(SegmentEngine):
     """Hybrid CPU-GPU training, functionally: shuffled SGD over all data.
+
+    The engine over ``[model]`` with nothing hot: one cold pool holding
+    every input, reshuffled each epoch as
+    :class:`~repro.data.loader.BatchIterator` shuffles (one generator
+    seeded with ``seed``, one permutation per epoch).  The test log is
+    evaluated after each segment and once at the end.
 
     Args:
         model: the recommender model.
@@ -59,9 +64,13 @@ class BaselineTrainer:
     """
 
     def __init__(self, model: RecModel, lr: float = 0.1, seed: int = 0) -> None:
-        self.model = model
-        self.lr = lr
+        # No calibration and no hot bags; train() sizes the one cold pool.
+        super().__init__([model], FAEPlan(FAEConfig(), None, {}, None, 0.0), lr=lr)
         self.seed = seed
+
+    @property
+    def model(self) -> RecModel:
+        return self.replicas[0]
 
     def train(
         self,
@@ -69,76 +78,22 @@ class BaselineTrainer:
         test_log: SyntheticClickLog,
         epochs: int = 1,
         batch_size: int = 256,
-        eval_every: int = 50,
         eval_samples: int = 4096,
     ) -> TrainResult:
-        """Train for ``epochs`` and record periodic evaluation snapshots."""
-        if epochs <= 0:
-            raise ValueError("epochs must be positive")
-        optimizer = SGD(self.model.parameters(), lr=self.lr)
-        loss_fn = BCEWithLogits()
-        history = TrainingHistory()
+        """Train for ``epochs``, evaluating after every segment."""
+        if batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
+        self._shuffle = np.random.default_rng(self.seed)
+        pool = FAEDataset([], [], np.zeros(len(train_log), dtype=bool), batch_size)
+        self.plan = replace(self.plan, dataset=pool)
+        return self._run(train_log, test_log, epochs, eval_samples, None, None)
 
-        iteration = 0
-        recent_losses: list[float] = []
-        recent_accuracy: list[float] = []
-        iterator = BatchIterator(train_log, batch_size, shuffle=True, seed=self.seed)
-        registry = get_registry()
-        batches_counter = registry.counter("train.batches.mixed")
-        step_hist = registry.histogram("train.step.latency")
-        for _epoch in range(epochs):
-            # Running train accuracy of this epoch (see TrainResult).
-            epoch_acc_sum = 0.0
-            epoch_samples = 0
-            with span("train.epoch", mode="baseline", epoch=_epoch):
-                for batch in iterator:
-                    step_start = time.perf_counter()
-                    logits = self.model.forward(batch)
-                    loss = loss_fn.forward(logits, batch.labels)
-                    self.model.backward(loss_fn.backward())
-                    optimizer.step()
-                    step_hist.observe(time.perf_counter() - step_start)
-                    iteration += 1
-                    batches_counter.inc()
-                    recent_losses.append(loss)
-                    accuracy = binary_accuracy(logits, batch.labels)
-                    recent_accuracy.append(accuracy)
-                    epoch_acc_sum += accuracy * len(batch)
-                    epoch_samples += len(batch)
-                    if iteration % eval_every == 0:
-                        with timed("train.eval"):
-                            test_loss, test_acc = evaluate_model(
-                                self.model, test_log, max_samples=eval_samples
-                            )
-                        history.record(
-                            HistoryPoint(
-                                iteration=iteration,
-                                train_loss=float(np.mean(recent_losses)),
-                                test_loss=test_loss,
-                                test_accuracy=test_acc,
-                                train_accuracy=float(np.mean(recent_accuracy)),
-                                segment_kind="mixed",
-                            )
-                        )
-                        recent_losses.clear()
-                        recent_accuracy.clear()
-
-        final_loss, final_acc = evaluate_model(self.model, test_log)
-        train_acc = epoch_acc_sum / epoch_samples if epoch_samples else 0.0
-        history.record(
-            HistoryPoint(
-                iteration=iteration,
-                train_loss=float(np.mean(recent_losses)) if recent_losses else final_loss,
-                test_loss=final_loss,
-                test_accuracy=final_acc,
-                train_accuracy=train_acc,
-                segment_kind="mixed",
-            )
-        )
-        return TrainResult(
-            history=history,
-            final_train_accuracy=train_acc,
-            final_test_accuracy=final_acc,
+    def _epoch_dataset(self, epoch: int, dataset: FAEDataset) -> FAEDataset:
+        """This epoch's cold pool: a fresh shuffle of every input."""
+        order = self._shuffle.permutation(dataset.num_inputs)
+        size = dataset.batch_size
+        return replace(
+            dataset, cold_batches=[order[i : i + size] for i in range(0, len(order), size)]
         )
 
 

@@ -57,9 +57,15 @@ class TestPlanning:
     def test_reset_epoch_refills(self):
         scheduler = ShuffleScheduler(4, 4, initial_rate=100)
         drain(scheduler)
-        scheduler.reset_epoch()
+        scheduler.reset_epoch(4, 4)
         assert not scheduler.exhausted
         assert sum(s.num_batches for s in drain(scheduler)) == 8
+
+    def test_reset_epoch_takes_the_new_epochs_pools(self):
+        scheduler = ShuffleScheduler(0, 0, initial_rate=50)
+        assert scheduler.exhausted
+        scheduler.reset_epoch(0, 6)
+        assert [(s.kind, s.num_batches) for s in drain(scheduler)] == [("cold", 3)] * 2
 
     def test_transition_count(self):
         scheduler = ShuffleScheduler(20, 20, initial_rate=25)

@@ -368,10 +368,18 @@ class TestSGDEquivalence:
             grads = draw_array(seed + 1 + offset, (len(ids), dim), np.float32, specials=False)
             param.accumulate_sparse(np.array(ids), grads)
             np.add.at(dense, np.array(ids), grads)
-        optimizer = SGD([param], lr=0.1)
-        optimizer.step()
+        merged = param.coalesced_sparse_grad()
+        SGD([param], lr=0.1).step()
         np.testing.assert_allclose(param.value, value - 0.1 * dense, rtol=1e-5, atol=1e-6)
-        assert optimizer.last_sparse_rows == len({i for ids in records for i in ids})
+        # One coalesced update: each touched row moves once, by its summed
+        # gradient, and no other row moves.
+        np.testing.assert_array_equal(merged.ids, sorted({i for ids in records for i in ids}))
+        update = merged.values.copy()
+        update *= 0.1
+        expected = value.copy()
+        expected[merged.ids] -= update
+        assert_bit_equal(param.value, expected)
+        assert param.sparse_grads == []
 
 
 class TestCoalescedEquivalence:
@@ -657,16 +665,17 @@ class TestStoreEquivalence:
         else:
             assert merged is None
 
-        rows = sum(
-            s.coalesced_sparse_grad().ids.shape[0]
-            for s in sparse_stores(unique_params(models)) if s.sparse_grads
-        )
-        optimizer = SGD(unique_params(models), lr=0.3)
-        optimizer.step()
+        before = store.value.copy()
+        SGD(unique_params(models), lr=0.3).step()
         sgd_step_parent(unique_params(references), lr=0.3)
         for mine, theirs in zip(unique_params(models), unique_params(references)):
             assert_bit_equal(mine.value, theirs.value)
-        assert store.sparse_grads == [] and optimizer.last_sparse_rows == rows
+        # Only the rows of the coalesced record moved.
+        untouched = np.ones(store.value.shape[0], dtype=bool)
+        if merged is not None:
+            untouched[merged.ids] = False
+        assert_bit_equal(store.value[untouched], before[untouched])
+        assert store.sparse_grads == []
 
     @given(
         rows=st.lists(st.integers(1, 70_000), min_size=1, max_size=4),

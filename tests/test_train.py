@@ -33,7 +33,12 @@ class TestBinaryAccuracy:
 class TestTrainingHistory:
     def point(self, i, loss=1.0):
         return HistoryPoint(
-            iteration=i, train_loss=loss, test_loss=loss, test_accuracy=0.5, train_accuracy=0.5
+            iteration=i,
+            train_loss=loss,
+            test_loss=loss,
+            test_accuracy=0.5,
+            train_accuracy=0.5,
+            segment_kind="cold",
         )
 
     def test_record_and_final(self):
@@ -63,8 +68,8 @@ class TestTrainingHistory:
 
     def test_best_accuracy(self):
         history = TrainingHistory()
-        history.record(HistoryPoint(1, 1, 1, 0.6, 0.5))
-        history.record(HistoryPoint(2, 1, 1, 0.55, 0.5))
+        history.record(HistoryPoint(1, 1, 1, 0.6, 0.5, "cold"))
+        history.record(HistoryPoint(2, 1, 1, 0.55, 0.5, "cold"))
         assert history.best_test_accuracy() == 0.6
 
     def test_converged(self):
@@ -111,25 +116,27 @@ class TestBaselineTrainer:
         schema, train, test, _ = training_setup
         model = fresh_model(schema)
         _, initial_acc = evaluate_model(model, test)
-        result = BaselineTrainer(model, lr=0.2).train(
-            train, test, epochs=2, batch_size=64, eval_every=10
-        )
+        result = BaselineTrainer(model, lr=0.2).train(train, test, epochs=2, batch_size=64)
         assert result.final_test_accuracy > initial_acc
 
     def test_history_populated(self, training_setup):
         schema, train, test, _ = training_setup
         model = fresh_model(schema)
-        result = BaselineTrainer(model, lr=0.2).train(
-            train, test, epochs=1, batch_size=64, eval_every=10
-        )
+        result = BaselineTrainer(model, lr=0.2).train(train, test, epochs=1, batch_size=64)
         assert len(result.history) >= 2
-        assert result.history.final.segment_kind == "mixed"
+        assert result.history.final.segment_kind == "final"
         assert result.sync_events == 0
 
     def test_rejects_zero_epochs(self, training_setup):
         schema, train, test, _ = training_setup
         with pytest.raises(ValueError):
             BaselineTrainer(fresh_model(schema)).train(train, test, epochs=0)
+
+    @pytest.mark.parametrize("batch_size", [0, -64])
+    def test_rejects_a_batch_size_below_one(self, training_setup, batch_size):
+        schema, train, test, _ = training_setup
+        with pytest.raises(ValueError, match="batch_size"):
+            BaselineTrainer(fresh_model(schema)).train(train, test, batch_size=batch_size)
 
 
 class TestFAETrainer:
@@ -138,7 +145,7 @@ class TestFAETrainer:
         schema, train, test, plan = training_setup
         baseline_model = fresh_model(schema, seed=33)
         baseline = BaselineTrainer(baseline_model, lr=0.2).train(
-            train, test, epochs=2, batch_size=64, eval_every=20
+            train, test, epochs=2, batch_size=64
         )
         fae_model = fresh_model(schema, seed=33)
         fae = FAETrainer(fae_model, plan, lr=0.2).train(train, test, epochs=2)
@@ -314,7 +321,7 @@ class TestRunningTrainAccuracy:
     def test_baseline_reports_the_final_epochs_weighted_step_accuracy(
         self, monkeypatch, training_setup
     ):
-        from repro.train import trainer as trainer_module
+        from repro.train import engine
 
         schema, train, test, _plan = training_setup
         steps = []
@@ -324,9 +331,9 @@ class TestRunningTrainAccuracy:
             steps.append((accuracy, len(labels)))
             return accuracy
 
-        monkeypatch.setattr(trainer_module, "binary_accuracy", spy)
+        monkeypatch.setattr(engine, "binary_accuracy", spy)
         result = BaselineTrainer(fresh_model(schema, seed=8), lr=0.2).train(
-            train, test, epochs=2, batch_size=64, eval_every=10
+            train, test, epochs=2, batch_size=64
         )
         steps_per_epoch = -(-len(train) // 64)
         assert len(steps) == 2 * steps_per_epoch
@@ -365,9 +372,7 @@ class TestRunningTrainAccuracy:
         if kind == "baseline":
             model = fresh_model(schema, seed=8)
             watch(model)
-            BaselineTrainer(model, lr=0.2).train(
-                train, test, epochs=1, batch_size=64, eval_every=10
-            )
+            BaselineTrainer(model, lr=0.2).train(train, test, epochs=1, batch_size=64)
         else:
             trainer = make_trainer(kind, schema, plan)
             for model in trainer.replicas:

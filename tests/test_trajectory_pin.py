@@ -14,7 +14,9 @@ here rather than equality.
 
 Placement must never change the math (ROADMAP 4a): an FAE run and a
 ``BaselineTrainer`` run fed the same batch order are compared *exactly*,
-losses and every trained parameter, for DLRM and TBSM.
+losses and every trained parameter, for DLRM and TBSM.  The baseline
+replays the FAE order through its one cold pool, and the hot budget is
+drawn from a few dozen hot rows to every row hot.
 
 The ``exact`` entries were recorded at the parent of PR 14 (the last commit
 with two trainer loops) and are compared with ``==``: every loss of the whole
@@ -31,18 +33,20 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.data.loader as loader
-import repro.train.trainer as trainer_module
 from repro.core import FAEConfig, fae_preprocess
 from repro.core.hotcache import EmbeddingHotCache, HotCacheConfig
 from repro.data import SyntheticClickLog, SyntheticConfig
-from repro.data.loader import batch_from_log, train_test_split
+from repro.data.loader import train_test_split
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
 from repro.dist import DistributedFAETrainer
 from repro.models import DLRM, TBSM, DLRMConfig, TBSMConfig
@@ -91,13 +95,18 @@ MODELS = {
 }
 
 
-def _data(schema):
+def _table_bytes(schema) -> int:
+    return sum(spec.num_rows * spec.dim * 4 for spec in schema.tables)
+
+
+def _data(schema, budget: int = 12 * 1024):
     log = SyntheticClickLog(schema, SyntheticConfig(num_samples=STEPS * BATCH + 320, seed=21))
     train, test = train_test_split(log, 320 / len(log), seed=4)
     config = FAEConfig(
-        gpu_memory_budget=12 * 1024,
+        gpu_memory_budget=budget,
         sample_rate=0.2,
-        large_table_min_bytes=1024,
+        # A budget that holds every table places each one whole: every row hot.
+        large_table_min_bytes=1024 if budget < _table_bytes(schema) else budget + 1,
         chunk_size=32,
         scheduler_initial_rate=25,
         seed=3,
@@ -147,9 +156,9 @@ def _cache(plan) -> EmbeddingHotCache:
     )
 
 
-def run_fae(case: str, cached: bool = False):
+def run_fae(case: str, cached: bool = False, budget: int = 12 * 1024):
     schema, build = MODELS[case]
-    train, test, plan = _data(schema)
+    train, test, plan = _data(schema, budget)
     model = build()
     cache = _cache(plan) if cached else None
     with recorded_training() as (losses, batches):
@@ -196,29 +205,25 @@ EXACT_RUNS = {
 }
 
 
+class Replay(BaselineTrainer):
+    """A ``BaselineTrainer`` whose one epoch runs a recorded batch order."""
+
+    def __init__(self, model, order: list[np.ndarray]) -> None:
+        super().__init__(model, lr=LR, seed=9)
+        self.order = order
+
+    def _epoch_dataset(self, epoch, dataset):
+        return replace(dataset, cold_batches=self.order)
+
+
 def run_baseline(case: str, order: list[np.ndarray] | None = None):
     """A ``BaselineTrainer`` epoch: its own seeded shuffle, or ``order``."""
     schema, build = MODELS[case]
     train, test, _plan = _data(schema)
     model = build()
-
-    class Replay:
-        def __init__(self, log, *_args, **_kwargs):
-            self.log = log
-
-        def __iter__(self):
-            return (batch_from_log(self.log, indices) for indices in order)
-
-    original = trainer_module.BatchIterator
-    if order is not None:
-        trainer_module.BatchIterator = Replay
-    try:
-        with recorded_training() as (losses, _batches):
-            BaselineTrainer(model, lr=LR, seed=9).train(
-                train, test, epochs=1, batch_size=BATCH, eval_every=7, eval_samples=128
-            )
-    finally:
-        trainer_module.BatchIterator = original
+    trainer = BaselineTrainer(model, lr=LR, seed=9) if order is None else Replay(model, order)
+    with recorded_training() as (losses, _batches):
+        trainer.train(train, test, epochs=1, batch_size=BATCH, eval_samples=128)
     return model, losses
 
 
@@ -272,9 +277,18 @@ def _assert_same_parameters(model, other, **tolerance):
         compare(table.weight.value, other.tables[name].weight.value, err_msg=name)
 
 
+#: From a few dozen hot rows (the smallest budget the threshold grid fits)
+#: to every row of either schema hot.
+TINY_BUDGET, FULL_BUDGET = 2 * 1024, max(_table_bytes(schema) for schema, _ in CASES.values())
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_fae_equals_baseline_on_same_batch_order(case):
-    fae_model, fae_losses, order, _ = run_fae(case)
+@given(budget=st.integers(TINY_BUDGET, FULL_BUDGET))
+@example(budget=TINY_BUDGET)
+@example(budget=FULL_BUDGET)
+@settings(max_examples=3, deadline=None)
+def test_fae_equals_baseline_on_same_batch_order(case, budget):
+    fae_model, fae_losses, order, _ = run_fae(case, budget=budget)
     base_model, base_losses = run_baseline(case, order=order)
     assert len(order) >= STEPS
     assert fae_losses == base_losses
