@@ -159,6 +159,54 @@ class RebalancePlan:
     demoted_order: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def _admission_walk(
+    need: np.ndarray,
+    est: np.ndarray,
+    v_bytes: np.ndarray,
+    v_freq: np.ndarray,
+    spare: int,
+    cheapest: int,
+) -> tuple[np.ndarray, int]:
+    """Admit candidates (bytes ``need``, estimates ``est``, best first) into
+    ``spare`` bytes, evicting victims in order (bytes ``v_bytes``, counters
+    ``v_freq``) while a candidate lacks room and strictly out-counts the
+    next victim.  Returns the admitted positions and the victims evicted.
+
+    While every candidate gets in, candidate ``i`` has evicted exactly the
+    fewest victims whose bytes cover the need of candidates ``0..i`` beyond
+    ``spare``, so that prefix is found at once: cumulative need against
+    cumulative victim bytes gives each victim its evicting candidate, and
+    the prefix ends at the first eviction that fails its test (victim
+    counters need not be sorted, as under LRU) or at the first candidate
+    the victims cannot make room for.  From there the walk is sequential.
+    """
+    room = np.zeros(v_bytes.size + 1, dtype=np.int64)
+    np.cumsum(v_bytes, out=room[1:])
+    reach = np.searchsorted(room, np.cumsum(need) - spare)  # victims out after 0..i
+    stop = int(np.searchsorted(reach, v_bytes.size, side="right"))
+    if stop:
+        evictor = np.searchsorted(reach[:stop], np.arange(reach[stop - 1]), side="right")
+        failed = np.flatnonzero(est[evictor] <= v_freq[: evictor.size])
+        if failed.size:
+            stop = int(evictor[failed[0]])
+    evicted = int(reach[stop - 1]) if stop else 0
+    spare += int(room[evicted]) - int(need[:stop].sum())
+    tail: list[int] = []
+    for pos in range(stop, need.size):
+        size, score = int(need[pos]), float(est[pos])
+        while spare < size and evicted < v_bytes.size and score > v_freq[evicted]:
+            spare += int(v_bytes[evicted])
+            evicted += 1
+        if spare >= size:
+            tail.append(pos)
+            spare -= size
+        elif spare < cheapest:
+            # Full, and the best estimate left lost to the next victim (or
+            # none is left): no later candidate can evict or fit.
+            break
+    return np.concatenate([np.arange(stop), np.array(tail, dtype=np.int64)]), evicted
+
+
 def _stable_argsort_head(priority: np.ndarray, count: int) -> np.ndarray:
     """At least the first ``count`` entries of ``np.argsort(priority, kind="stable")``.
 
@@ -418,29 +466,18 @@ class EmbeddingHotCache:
             # Evictions make room for candidates, so the walk reaches about as
             # many victims as the candidates' bytes hold of the cheapest row;
             # only that head is sorted, and widened if the walk runs off it.
-            reach = int(np.take(row_bytes, c_code).sum()) // min(row_bytes) + 1
+            c_bytes = np.take(row_bytes, c_code)
+            reach = int(c_bytes.sum()) // min(row_bytes) + 1
             while True:
                 victims = _stable_argsort_head(priority, reach)
-                v_freq = m_freq[victims]
-                v_bytes = np.take(row_bytes, m_code[victims])
-                spare = self._tracked_budget - member_bytes
-
-                admitted: list[int] = []  # positions in admission order
-                evicted = 0  # victims[:evicted] are out
-                for pos, (code, est) in enumerate(zip(c_code.tolist(), c_est.tolist())):
-                    need = row_bytes[code]
-                    # LFU admission test: the candidate must strictly out-count
-                    # the victim's exact counter, or it stays out.
-                    while spare < need and evicted < victims.size and est > v_freq[evicted]:
-                        spare += int(v_bytes[evicted])
-                        evicted += 1
-                    if spare >= need:
-                        admitted.append(pos)
-                        spare -= need
-                    elif spare < cheapest:
-                        # Full, and the best estimate left lost to the next victim
-                        # (or none is left): no later candidate can evict or fit.
-                        break
+                admitted, evicted = _admission_walk(
+                    c_bytes,
+                    c_est,
+                    np.take(row_bytes, m_code[victims]),
+                    m_freq[victims],
+                    self._tracked_budget - member_bytes,
+                    cheapest,
+                )
                 if evicted < victims.size or victims.size == priority.size:
                     break
                 reach *= 2
@@ -502,23 +539,21 @@ class EmbeddingHotCache:
                 counts = np.floor(self._freq[name][positions]).astype(np.int64)
                 self._sketch[name].add(demo, counts=counts)
 
-            keep = np.isin(self._members[name], demo, assume_unique=True, invert=True)
-            kept_ids = self._members[name][keep]
-            kept_freq = self._freq[name][keep]
-            kept_tick = self._last_tick[name][keep]
-            promo_ids_unsorted = plan.promoted_order.get(
-                name, np.zeros(0, dtype=np.int64)
-            )
+            # Members stay sorted by id: demoted rows are located and cut,
+            # promoted rows inserted after any equal id (what a stable sort
+            # of kept-then-promoted would give).
+            gone = np.searchsorted(self._members[name], demo)
+            kept_ids = np.delete(self._members[name], gone)
+            kept_freq = np.delete(self._freq[name], gone)
+            kept_tick = np.delete(self._last_tick[name], gone)
+            promo_order = plan.promoted_order.get(name, np.zeros(0, dtype=np.int64))
             promo_est = plan.promoted_est.get(name, np.zeros(0, dtype=np.float64))
-            merged = np.concatenate([kept_ids, promo_ids_unsorted])
-            merged_freq = np.concatenate([kept_freq, promo_est])
-            merged_tick = np.concatenate(
-                [kept_tick, np.full(promo_ids_unsorted.size, self.tick, dtype=np.int64)]
-            )
-            sorter = np.argsort(merged, kind="stable")
-            self._members[name] = merged[sorter]
-            self._freq[name] = merged_freq[sorter]
-            self._last_tick[name] = merged_tick[sorter]
+            by_id = np.argsort(promo_order, kind="stable")
+            promoted = promo_order[by_id]
+            at = np.searchsorted(kept_ids, promoted, side="right")
+            self._members[name] = np.insert(kept_ids, at, promoted)
+            self._freq[name] = np.insert(kept_freq, at, promo_est[by_id])
+            self._last_tick[name] = np.insert(kept_tick, at, self.tick)
 
         num_promoted = delta.num_promoted
         num_demoted = delta.num_demoted

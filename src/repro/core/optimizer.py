@@ -12,6 +12,7 @@ the threshold or adjusts it for the next iteration").
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -88,11 +89,7 @@ class StatisticalOptimizer:
         self, profile: AccessProfile, thresholds: Sequence[float]
     ) -> list[ThresholdEvaluation]:
         """Every threshold's evaluation, each table swept once over all of them."""
-        small_bytes = sum(
-            spec.size_bytes
-            for spec in profile.schema.tables
-            if spec.name not in profile.tables
-        )
+        small_bytes = _small_bytes(profile)
         per_table = [
             self._box.sweep(
                 table_profile,
@@ -128,7 +125,8 @@ class StatisticalOptimizer:
 
         Raises:
             ValueError: if even the most selective threshold overflows the
-                budget (the small tables alone exceed ``L``).
+                budget, naming the budget in bytes and whether the small
+                tables alone exceed it.
         """
         evaluations: list[ThresholdEvaluation] = []
         best: ThresholdEvaluation | None = None
@@ -142,13 +140,26 @@ class StatisticalOptimizer:
                     # once a candidate overflows, later ones will too.
                     break
         if best is None:
-            budget_mib = self.config.gpu_memory_budget / 2**20
-            raise ValueError(
-                f"no threshold fits the GPU budget of {budget_mib:.0f} MiB; "
-                "the always-hot small tables alone exceed it"
-            )
+            budget, small_bytes = self.config.gpu_memory_budget, _small_bytes(profile)
+            if small_bytes > budget:
+                why = f"the always-hot small tables alone take {small_bytes} B"
+            else:
+                first = evaluations[0]
+                why = (
+                    f"even the most selective threshold, {first.threshold:g}, needs up to "
+                    f"{math.ceil(first.estimated_bytes_upper)} B, {small_bytes} B of them "
+                    "the always-hot small tables"
+                )
+            raise ValueError(f"no threshold fits the GPU budget of {budget} B; {why}")
         return CalibrationResult(
             threshold=best.threshold,
             evaluations=tuple(evaluations),
             gpu_memory_budget=self.config.gpu_memory_budget,
         )
+
+
+def _small_bytes(profile: AccessProfile) -> int:
+    """Bytes of the tables the profile leaves out: small, so always hot."""
+    return sum(
+        spec.size_bytes for spec in profile.schema.tables if spec.name not in profile.tables
+    )

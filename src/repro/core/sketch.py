@@ -115,7 +115,8 @@ class CountMinSketch:
         """
         if not 0.0 < factor <= 1.0:
             raise ValueError(f"decay factor must be in (0, 1], got {factor}")
-        if factor == 1.0:
+        if factor == 1.0 or self.total == 0:
+            # Every row sums to at most ``total``: an empty sketch stays empty.
             return
         self.table = np.floor(self.table * factor).astype(np.int64)
         self.total = int(np.floor(self.total * factor))

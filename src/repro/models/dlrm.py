@@ -161,9 +161,10 @@ class DLRM(RecModel):
         candidates.  Every feature but the varying tables' is then row 0's,
         and so is every interaction pair between two such features: the
         bottom MLP, those pairs and their part of the top MLP's first layer
-        are computed once, and per row only the pairs that touch a varying
-        table (see DESIGN §12).  Nothing is kept for a backward.  Any other
-        batch is :meth:`forward`'s.
+        are computed once, and the pairs that touch a varying table and the
+        rest of the top MLP once per distinct row of varying ids: a repeated
+        candidate is scored once (see DESIGN §12).  Nothing is kept for a
+        backward.  Any other batch is :meth:`forward`'s.
         """
         varying = self._varying_tables(batch)
         if not varying:
@@ -189,12 +190,16 @@ class DLRM(RecModel):
         shared[columns] = 0.0
         first = self.top_mlp.layers[0]
         hidden0 = first.predict(shared)
-        # Each varying table's pooled rows, dotted with every feature of
-        # row 0 and, where two tables vary, with each other.
-        pooled = np.empty((len(batch.dense), len(varying), dim), dtype=np.float32)
+        # Each distinct varying-id row once, in sorted key order, so a row's
+        # logit depends on the batch's set of keys and not on where it sits.
+        varying_ids = [batch.sparse[names[t]] for t in varying]
+        first_rows, inverse = _distinct_rows(varying_ids)
+        # Each such row's pooled varying tables, dotted with every feature
+        # of row 0 and, where two tables vary, with each other.
+        pooled = np.empty((len(first_rows), len(varying), dim), dtype=np.float32)
         self._varying_lookup.predict(
             [self._bags[names[t]] for t in varying],
-            [batch.sparse[names[t]] for t in varying],
+            [ids[first_rows] for ids in varying_ids],
             out=pooled,
         )
         dots = (pooled.reshape(-1, dim) @ row0.T).reshape(len(pooled), len(varying), -1)
@@ -202,7 +207,7 @@ class DLRM(RecModel):
             dots[:, :, [1 + t for t in varying]] = pooled @ pooled.transpose(0, 2, 1)
         hidden = dots[:, left, right] @ first.weight.value[:, columns].T
         hidden += hidden0
-        return self.top_mlp.predict(hidden, start=1)[:, 0]
+        return self.top_mlp.predict(hidden, start=1)[inverse, 0]
 
     def _varying_tables(self, batch: MiniBatch) -> tuple[int, ...]:
         """Positions of the tables whose ids differ between rows, or ``()``
@@ -247,6 +252,19 @@ class DLRM(RecModel):
 
     def lookups_per_sample(self) -> int:
         return self.schema.lookups_per_sample()
+
+
+def _distinct_rows(ids: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Key each row on its ids in every array of ``ids``, side by side.
+    Returns the first row of each distinct key, in sorted key order, and
+    every row's position among those keys."""
+    keys = np.concatenate([values.reshape(len(values), -1) for values in ids], axis=1)
+    if keys.shape[1] == 1:
+        keys = keys[:, 0]
+    else:  # one opaque key of the row's bytes
+        keys = keys.view(f"V{keys.shape[1] * keys.itemsize}")[:, 0]
+    _, first_rows, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first_rows, inverse
 
 
 def _rows_repeat(values: np.ndarray) -> bool:

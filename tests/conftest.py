@@ -1,7 +1,15 @@
-"""Shared fixtures: tiny schemas, logs, and FAE plans sized for fast tests."""
+"""Shared fixtures: tiny schemas, logs, and FAE plans sized for fast tests.
+
+Every test starts and ends with an empty global tracer, tracing as the
+environment set it (``REPRO_TRACE``), and a zeroed metrics registry, so no
+test reads what another left behind.  ``REPRO_TEST_SHUFFLE=<seed>`` runs the
+collected tests in a seeded random order, to show that this holds.
+"""
 
 from __future__ import annotations
 
+import os
+import random
 import struct
 import zipfile
 
@@ -11,6 +19,36 @@ import pytest
 from repro.core import FAEConfig, fae_preprocess
 from repro.data import SyntheticClickLog, SyntheticConfig
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
+from repro.obs import get_registry, get_tracer
+
+_SHUFFLE_SEED = os.environ.get("REPRO_TEST_SHUFFLE", "")
+_TRACING_AT_START = get_tracer().enabled
+
+
+def pytest_report_header(config) -> str | None:
+    if _SHUFFLE_SEED:
+        return f"test order shuffled: REPRO_TEST_SHUFFLE={_SHUFFLE_SEED}"
+    return None
+
+
+def pytest_collection_modifyitems(config, items) -> None:
+    if _SHUFFLE_SEED:
+        random.Random(int(_SHUFFLE_SEED)).shuffle(items)
+
+
+def _reset_telemetry() -> None:
+    tracer = get_tracer()
+    tracer.enabled = _TRACING_AT_START
+    tracer.reset()
+    get_registry().reset()
+
+
+@pytest.fixture(autouse=True)
+def fresh_telemetry():
+    """The global tracer and registry as a fresh process has them, around each test."""
+    _reset_telemetry()
+    yield
+    _reset_telemetry()
 
 
 @pytest.fixture(scope="session")

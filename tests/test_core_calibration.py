@@ -1,6 +1,7 @@
 """Unit tests for the FAE calibration pipeline: sampler, logger, Rand-Em
 Box, statistical optimizer, and the Calibrator facade."""
 
+import math
 import re
 
 import numpy as np
@@ -257,11 +258,16 @@ def converge_per_threshold_ref(config, profile):
         elif best is not None:
             break
     if best is None:
-        budget_mib = config.gpu_memory_budget / 2**20
-        raise ValueError(
-            f"no threshold fits the GPU budget of {budget_mib:.0f} MiB; "
-            "the always-hot small tables alone exceed it"
-        )
+        budget = config.gpu_memory_budget
+        if small_bytes > budget:
+            why = f"the always-hot small tables alone take {small_bytes} B"
+        else:
+            why = (
+                f"even the most selective threshold, {evaluations[0].threshold:g}, needs up to "
+                f"{math.ceil(evaluations[0].estimated_bytes_upper)} B, {small_bytes} B of "
+                "them the always-hot small tables"
+            )
+        raise ValueError(f"no threshold fits the GPU budget of {budget} B; {why}")
     return CalibrationResult(best.threshold, tuple(evaluations), config.gpu_memory_budget)
 
 

@@ -266,6 +266,26 @@ def _reference_plan(cache: EmbeddingHotCache) -> RebalancePlan:
     )
 
 
+def _reference_merge(cache: EmbeddingHotCache, plan: RebalancePlan, name: str, tick: int):
+    """Table ``name``'s (members, freq, last_tick) after ``plan``, merged as
+    ``_apply_rebalance`` did before it located rows by ``searchsorted``:
+    ``np.isin`` to drop the demoted, a stable argsort of kept-then-promoted."""
+    empty = np.zeros(0, dtype=np.int64)
+    keep = np.isin(
+        cache._members[name], plan.delta.demoted.get(name, empty), assume_unique=True, invert=True
+    )
+    promoted = plan.promoted_order.get(name, empty)
+    merged = np.concatenate([cache._members[name][keep], promoted])
+    freq = np.concatenate(
+        [cache._freq[name][keep], plan.promoted_est.get(name, np.zeros(0, dtype=np.float64))]
+    )
+    last_tick = np.concatenate(
+        [cache._last_tick[name][keep], np.full(promoted.size, tick, dtype=np.int64)]
+    )
+    sorter = np.argsort(merged, kind="stable")
+    return merged[sorter], freq[sorter], last_tick[sorter]
+
+
 def _assert_arrays_identical(got: dict, want: dict, what: str) -> None:
     assert list(got) == list(want), what
     for name in want:
@@ -364,7 +384,18 @@ class TestPlanIdentity:
         for arrays in (got.delta.promoted, got.delta.demoted, got.promoted_order):
             for name, ids in arrays.items():
                 assert not np.shares_memory(ids, cache._members[name])
+        tick = cache.tick
+        want_members = {name: _reference_merge(cache, got, name, tick) for name in cache._members}
         cache.apply_rebalance(got)
+        for name, (members, freq, last_tick) in want_members.items():
+            _assert_arrays_identical(
+                {"members": cache._members[name], "last_tick": cache._last_tick[name]},
+                {"members": members, "last_tick": last_tick},
+                name,
+            )
+            # The window's decay ages every counter after the merge.
+            want_freq = freq * cache.config.decay if cache.config.decay < 1.0 else freq
+            np.testing.assert_array_equal(cache._freq[name], want_freq)
 
     @pytest.mark.parametrize("eviction", ["lfu", "lru"])
     def test_empty_window(self, eviction):

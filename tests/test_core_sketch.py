@@ -154,6 +154,28 @@ class TestFlatAddMatchesRowLoop:
         assert new.total == old.total == 6
 
 
+class TestDecay:
+    @given(
+        batches=st.lists(
+            st.lists(st.tuples(st.integers(0, 200), st.integers(0, 5)), min_size=1, max_size=20),
+            min_size=1,
+            max_size=6,
+        ),
+        factor=st.sampled_from([0.1, 0.5, 0.75, 1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_no_row_sums_past_total(self, batches, factor):
+        # What lets decay skip an empty sketch: total == 0 means every counter is 0.
+        sketch = CountMinSketch(width=7, depth=3, seed=1)
+        for batch in batches:
+            ids, counts = (np.array(x, dtype=np.int64) for x in zip(*batch))
+            sketch.add(ids, counts=counts)
+            for _ in range(3):
+                sketch.decay(factor)
+                assert (sketch.table.sum(axis=1) <= sketch.total).all()
+        assert sketch.total or not sketch.table.any()
+
+
 class TestSketchLogger:
     def test_profile_matches_exact_on_hot_rows(self, tiny_log, tiny_fae_config):
         exact = EmbeddingLogger(tiny_fae_config).profile(

@@ -3,7 +3,9 @@
 ``DLRM.predict`` scores a batch whose dense rows all repeat row 0 and in
 which some table varies (one context against many candidates) by computing
 the shared context once: the bottom MLP on row 0, the pairs between two
-constant features and their part of the top MLP's first layer.  Its logits
+constant features and their part of the top MLP's first layer.  The rest
+runs once per distinct row of varying ids, in sorted key order, so a
+repeated candidate gets its first copy's logit bit for bit.  Its logits
 are ``forward``'s up to float32 rounding (the same products, summed in
 another order); every other batch is ``forward``'s bit for bit.
 """
@@ -166,6 +168,64 @@ class TestAgainstForward:
             )
             scores = sigmoid(model.forward(batch).astype(np.float64))
             np.testing.assert_array_equal(ranked.item_ids, ids[np.argsort(scores)[::-1][:top_k]])
+
+
+def select_rows(batch: MiniBatch, rows: np.ndarray) -> MiniBatch:
+    """``batch``'s rows ``rows``, in that order (copies)."""
+    return MiniBatch(
+        dense=batch.dense[rows],
+        sparse={name: ids[rows] for name, ids in batch.sparse.items()},
+        labels=batch.labels[rows],
+        indices=np.arange(len(rows), dtype=np.int64),
+    )
+
+
+class TestDistinctRows:
+    """Each distinct row of varying ids is scored once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        multiplicities=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+        pooling=st.sampled_from(["mean", "sum"]),
+        copies=st.lists(st.integers(1, 3), min_size=2, max_size=10),
+        data=st.data(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_repeated_rows_share_their_logit(self, multiplicities, pooling, copies, data, seed):
+        schema = make_schema(multiplicities)
+        varying = data.draw(
+            st.sets(st.integers(0, len(multiplicities) - 1), min_size=1, max_size=2)
+        )
+        model = make_model(schema, pooling, seed % 11)
+        # Every row of `distinct` appears 1-3 times, in a drawn order.
+        distinct = make_request(schema, varying, len(copies), seed)
+        rows = np.repeat(np.arange(len(copies)), copies)
+        rows = rows[data.draw(st.permutations(range(len(rows))))]
+        batch = select_rows(distinct, rows)
+        logits = check_factored(model, batch)
+        # A copy's logit is its row's, bit for bit, as the distinct batch scores it.
+        assert_bit_equal(logits, model.predict(distinct)[rows])
+        # Where a row sits does not change its bits.
+        order = np.array(data.draw(st.permutations(range(len(rows)))))
+        assert_bit_equal(model.predict(select_rows(batch, order)), logits[order])
+
+    def test_a_candidate_listed_twice_fills_two_slots(self):
+        schema = make_schema([1, 2, 1])
+        model = make_model(schema, seed=8)
+        engine = InferenceEngine(model)
+        rng = np.random.default_rng(3)
+        dense = rng.normal(size=NUM_DENSE).astype(np.float32)
+        context = {
+            spec.name: rng.integers(0, spec.num_rows, size=spec.multiplicity)
+            for spec in schema.tables
+        }
+        ids = np.arange(schema.table("t0").num_rows)
+        best = engine.rank_candidates(dense, context, "t0", ids, top_k=1)
+        twice = np.concatenate([ids, best.item_ids])
+        ranked = engine.rank_candidates(dense, context, "t0", twice, top_k=3)
+        assert ranked.item_ids.tolist()[:2] == [best.item_ids[0]] * 2
+        assert ranked.scores[0] == ranked.scores[1] == best.scores[0]
+        assert ranked.item_ids[2] != best.item_ids[0] and ranked.scores[2] < ranked.scores[0]
 
 
 class TestForwardsBitForBit:

@@ -295,6 +295,21 @@ def test_fae_equals_baseline_on_same_batch_order(case, budget):
     _assert_same_parameters(fae_model, base_model)
 
 
+@pytest.mark.parametrize(
+    "budget, why",
+    [
+        # table_02 (384 B) is the one small table; the grid's most selective
+        # threshold also keeps some rows of the two large ones hot.
+        (1_500, r"even the most selective threshold, [0-9.e-]+, needs up to \d+ B, "
+                r"384 B of them the always-hot small tables$"),
+        (300, r"the always-hot small tables alone take 384 B$"),
+    ],
+)
+def test_a_budget_no_threshold_fits_names_its_bytes_and_cause(budget, why):
+    with pytest.raises(ValueError, match=rf"^no threshold fits the GPU budget of {budget} B; {why}"):
+        _data(DLRM_SCHEMA, budget)
+
+
 def test_sum_pooled_fae_equals_baseline_on_same_batch_order():
     # The trainers take each table's pooling from the model: a sum-pooled
     # multi-hot table (table_01) must train as the baseline trains it, and
