@@ -26,7 +26,7 @@ import numpy as np
 
 from repro import FAEConfig, criteo_kaggle_like
 from repro.core import fae_preprocess_source
-from repro.data import StreamChunkSource, SyntheticClickStream
+from repro.data import SyntheticClickStream
 from repro.data.loader import batch_from_log
 from repro.models.dlrm import DLRM, DLRMConfig
 from repro.nn import BCEWithLogits, SGD
@@ -51,7 +51,7 @@ def main() -> None:
     )
 
     # ---- passes 1 + 2: calibrate, classify, pack the index ------------
-    plan = fae_preprocess_source(StreamChunkSource(stream), config, batch_size=BATCH_SIZE)
+    plan = fae_preprocess_source(stream, config, batch_size=BATCH_SIZE)
     print(f"preprocess: {plan.summary()}")
     # What grows with the stream is the packed index, not the features:
     # 8 B of batch position + 1 B of hot mask per input, against the

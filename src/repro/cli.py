@@ -541,16 +541,13 @@ def cmd_preprocess(args) -> int:
         with sampler, obs.tracing(enabled=args.trace or obs.tracing_enabled()):
             if args.stream:
                 from repro.data import SyntheticClickStream
-                from repro.data.chunk_source import StreamChunkSource
 
                 schema = dataset_by_name(args.dataset, _parse_scale(args.scale))
-                source = StreamChunkSource(
-                    SyntheticClickStream(
-                        schema,
-                        total_samples=args.samples,
-                        chunk_size=args.chunk_size or 8192,
-                        seed=args.seed,
-                    )
+                source = SyntheticClickStream(
+                    schema,
+                    total_samples=args.samples,
+                    chunk_size=args.chunk_size or 8192,
+                    seed=args.seed,
                 )
             else:
                 from repro.data import LogChunkSource

@@ -5,12 +5,12 @@ to produce the final access threshold and the access profile the
 classifier and input processor consume.  Runs once per (dataset, model,
 system) tuple; its outputs are persisted in the FAE format.
 
-The calibrator consumes any :class:`~repro.data.chunk_source.ChunkSource`
-(:meth:`Calibrator.calibrate_source`): sized sources pre-draw the exact
-sample positions so the result is byte-identical however the input is
-chunked; unsized sources (true streams) fall back to one fused pass with
-per-chunk Bernoulli sampling.  The whole-log :meth:`Calibrator.calibrate`
-is a thin wrapper over a single-chunk source.
+:meth:`Calibrator.calibrate_source` reads anything
+:func:`~repro.data.chunk_source.as_chunk_source` accepts, an in-memory
+log included: sized sources pre-draw the exact sample positions so the
+result is byte-identical however the input is chunked; unsized sources
+(true streams) fall back to one fused pass with per-chunk Bernoulli
+sampling.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from repro.core.config import FAEConfig
 from repro.core.embedding_logger import EmbeddingLogger
 from repro.core.optimizer import CalibrationResult, StatisticalOptimizer
 from repro.core.sampler import SparseInputSampler
-from repro.data.chunk_source import ChunkSource, LogChunkSource
-from repro.data.synthetic import SyntheticClickLog
+from repro.data.chunk_source import ChunkSource, as_chunk_source
 from repro.obs import span, timed
 
 __all__ = ["CalibratorOutput", "Calibrator"]
@@ -68,28 +67,20 @@ class Calibrator:
     def __init__(self, config: FAEConfig) -> None:
         self.config = config
 
-    def calibrate(self, log: SyntheticClickLog, full_profile: bool = False) -> CalibratorOutput:
-        """Run sampling, profiling, and threshold convergence on ``log``.
-
-        Args:
-            log: the training inputs to calibrate against.
-            full_profile: bypass sampling and profile every input (the
-                naive baseline benchmarked in Fig 8; default False).
-        """
-        return self.calibrate_source(LogChunkSource(log), full_profile=full_profile)
-
-    def calibrate_source(
-        self, source: ChunkSource, full_profile: bool = False
-    ) -> CalibratorOutput:
-        """Run the calibration passes over a chunk source.
+    def calibrate_source(self, source, full_profile: bool = False) -> CalibratorOutput:
+        """Run sampling, profiling, and threshold convergence on ``source``.
 
         Sized sources use the exact-count sampler (chunking-invariant);
         unsized sources stream per-chunk Bernoulli keep masks instead,
         fusing sampling and profiling into one pass.
 
         Args:
-            full_profile: bypass sampling and profile every input.
+            source: the training inputs (anything
+                :func:`~repro.data.chunk_source.as_chunk_source` accepts).
+            full_profile: bypass sampling and profile every input (the
+                naive baseline benchmarked in Fig 8; default False).
         """
+        source = as_chunk_source(source)
         num_samples = source.num_samples
         with span(
             "calibrate", num_inputs=(-1 if num_samples is None else num_samples)
@@ -98,12 +89,8 @@ class Calibrator:
             logger = EmbeddingLogger(self.config)
 
             if num_samples is not None:
-                sample = (
-                    sampler.sample_all_source(source)
-                    if full_profile
-                    else sampler.sample_source(source)
-                )
-                profile = logger.profile_source(source, sample.indices)
+                sample = sampler.sample_all(source) if full_profile else sampler.sample(source)
+                profile = logger.profile(source, sample.indices)
                 sampling_seconds = sample.elapsed_seconds
             else:
                 profile = self._profile_unsized(source, sampler, logger, full_profile)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.classifier import HotEmbeddingBagSpec
-from repro.core.input_processor import InputProcessor
+from repro.core.input_processor import compute_hot_mask
 from repro.core.sampler import SparseInputSampler
 
 __all__ = ["DriftReport", "DriftDetector", "recalibration_diff"]
@@ -89,23 +89,18 @@ class DriftDetector:
         """Measure hot coverage on a fresh window of inputs.
 
         Args:
-            window: any click log (``ClickLog`` / ``SyntheticClickLog``)
-                drawn from the *new* traffic.
+            window: a click log drawn from the *new* traffic.
+
+        Raises:
+            KeyError: if a window table has no hot bag.
         """
-        sample = SparseInputSampler(self.sample_rate, seed=self.seed).sample(window)
-        indices = sample.indices
-
-        processor = InputProcessor(self.bags, seed=self.seed)
-        hot_mask = processor.classify_inputs(window)
-        current = float(hot_mask[indices].mean())
-
-        coverage: dict[str, float] = {}
-        for name, ids in window.sparse.items():
-            mask = self._masks.get(name)
-            if mask is None:
-                raise KeyError(f"no hot bag for table {name!r}")
-            hits = mask[ids[indices]].mean()
-            coverage[name] = float(hits)
+        indices = SparseInputSampler(self.sample_rate, seed=self.seed).sample(window).indices
+        sampled = {name: ids[indices] for name, ids in window.sparse.items()}
+        # Only the sampled rows are classified, and through the bare mask:
+        # a check is not a training pass, so it bumps no classify counter
+        # and leaves the training hot-fraction gauge alone.
+        current = float(compute_hot_mask(sampled, self.bags, self._masks, len(indices)).mean())
+        coverage = {name: float(self._masks[name][ids].mean()) for name, ids in sampled.items()}
 
         if self.baseline <= 0:
             relative_drop = 0.0 if current <= 0 else -1.0

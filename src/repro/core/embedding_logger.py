@@ -8,11 +8,10 @@ default) are skipped: they are de-facto hot and always shipped whole.
 Profiling is streaming at heart: a :class:`ProfileAccumulator` folds one
 chunk of sampled lookups at a time into running per-table counts, so
 the profile of a terabyte-scale source is built at the memory cost of
-one chunk.  The whole-log :meth:`EmbeddingLogger.profile` and the
-chunked :meth:`EmbeddingLogger.profile_source` produce identical
-profiles for the same sampled positions.  The calibrator profiles a
-small input sample (5 % by default), so the chunked pass runs in
-process: it is the one profile pass over a source.
+one chunk.  :meth:`EmbeddingLogger.profile` is that one pass over any
+chunk source, an in-memory log included (one chunk); integer sums are
+exact in any order, so the profile is the same however the input is
+chunked.
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ import numpy as np
 
 from repro.core.access_profile import AccessProfile, TableProfile
 from repro.core.config import FAEConfig
-from repro.data.chunk_source import ChunkSource
+from repro.data.chunk_source import as_chunk_source
 from repro.data.log import ClickLog
 from repro.data.schema import DatasetSchema
-from repro.data.synthetic import SyntheticClickLog
 from repro.obs import timed
 
 __all__ = [
@@ -123,51 +121,30 @@ class EmbeddingLogger:
         """A fresh accumulator under this logger's large-table cutoff."""
         return ProfileAccumulator(schema, self.config.large_table_min_bytes)
 
-    def profile(self, log: SyntheticClickLog, sample_indices: np.ndarray) -> AccessProfile:
-        """Count accesses for the sampled inputs.
+    def profile(self, source, sample_indices: np.ndarray) -> AccessProfile:
+        """Count accesses for the sampled inputs of a sized source.
+
+        Each chunk selects its slice of the sampled positions via
+        ``searchsorted`` and folds the corresponding lookups into a
+        :class:`ProfileAccumulator`.
 
         Args:
-            log: the click log being profiled.
-            sample_indices: input positions selected by the sampler (pass
-                ``np.arange(len(log))`` for the naive full profile).
+            source: the training inputs (anything
+                :func:`~repro.data.chunk_source.as_chunk_source` accepts).
+            sample_indices: input positions selected by the sampler, in
+                any order (pass ``np.arange(n)`` for the naive full profile).
 
         Returns:
             An :class:`AccessProfile` covering the large tables.
         """
+        source = as_chunk_source(source)
         sample_indices = np.asarray(sample_indices, dtype=np.int64)
         if sample_indices.size == 0:
             raise ValueError("sample_indices must be non-empty")
-
-        with timed("calibrate.profile", num_sampled=int(sample_indices.shape[0])) as timer:
-            tables: dict[str, TableProfile] = {}
-            for spec in log.schema.large_tables(self.config.large_table_min_bytes):
-                counts = log.access_counts(spec.name, sample_indices)
-                tables[spec.name] = TableProfile(name=spec.name, counts=counts, dim=spec.dim)
-            timer.set(num_tables=len(tables))
-
-        # Thin alias over the span's wall time; kept for older callers.
-        self.last_elapsed_seconds = timer.seconds
-        return AccessProfile(
-            schema=log.schema,
-            tables=tables,
-            num_sampled_inputs=int(sample_indices.shape[0]),
-            num_total_inputs=len(log),
-        )
-
-    def profile_source(
-        self, source: ChunkSource, sample_indices: np.ndarray
-    ) -> AccessProfile:
-        """Chunked equivalent of :meth:`profile` over a sized source.
-
-        Each chunk selects its slice of the (sorted) sampled positions
-        via ``searchsorted`` and folds the corresponding lookups into a
-        :class:`ProfileAccumulator`; per-table sums of per-chunk
-        scatters equal the whole-log bincount, so the resulting profile
-        is identical to :meth:`profile` over the materialized log.
-        """
-        sample_indices = np.asarray(sample_indices, dtype=np.int64)
-        if sample_indices.size == 0:
-            raise ValueError("sample_indices must be non-empty")
+        # Chunks slice the positions by binary search, which needs them
+        # sorted; counts do not depend on order, so sorting changes nothing.
+        if np.any(sample_indices[1:] < sample_indices[:-1]):
+            sample_indices = np.sort(sample_indices)
 
         with timed("calibrate.profile", num_sampled=int(sample_indices.shape[0])) as timer:
             accumulator = self.accumulator(source.schema)
@@ -178,6 +155,10 @@ class EmbeddingLogger:
                 accumulator.update(chunk, sample_indices[lo:hi] - start)
                 num_chunks += 1
             timer.set(num_tables=accumulator.num_tables, num_chunks=num_chunks)
+        # A position outside the source falls in no chunk's slice.
+        if accumulator.num_sampled != sample_indices.size:
+            raise ValueError(f"sample_indices must lie in [0, {accumulator.num_observed})")
 
+        # Thin alias over the span's wall time; kept for older callers.
         self.last_elapsed_seconds = timer.seconds
         return accumulator.finalize(num_total_inputs=source.num_samples)

@@ -9,7 +9,7 @@ chunk (plus 8 bytes of packed index per input).
 
 :func:`fae_preprocess` wraps an in-memory log in a chunk source and
 delegates; for the same seed the output is byte-identical regardless of
-``chunk_size`` (including the legacy whole-log-at-once default).  Both
+``chunk_size`` (including the default, the whole log as one chunk).  Both
 return a :class:`FAEPlan`: the access threshold, the hot bags, the
 packed hot/cold mini-batches, and profiling/latency telemetry.
 """

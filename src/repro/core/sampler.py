@@ -9,11 +9,11 @@ profile (paper Fig 7 shows 5% suffices), at a 19-55x latency saving
 
 Two sampling modes serve the chunked preprocess pipeline:
 
-- when the source length is known (:meth:`SparseInputSampler.sample` /
-  :meth:`~SparseInputSampler.sample_source`), the exact positions are
-  pre-drawn once and each chunk selects its slice of them — so the
-  sample, and everything downstream, is byte-identical no matter how the
-  input is chunked;
+- when the source length is known (:meth:`SparseInputSampler.sample`
+  over a log, a shard directory or any sized chunk source), the exact
+  positions are pre-drawn once and each chunk selects its slice of them,
+  so the sample, and everything downstream, is byte-identical no matter
+  how the input is chunked;
 - when the length is unknown (a true stream), the sampler hands out a
   :class:`BernoulliSampleStream` drawing per-row keep masks at the
   configured rate, one chunk at a time.
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.chunk_source import ChunkSource
-from repro.data.synthetic import SyntheticClickLog
+from repro.data.chunk_source import as_chunk_source
 from repro.obs import timed
 
 __all__ = ["BernoulliSampleStream", "SparseInputSampler", "SampleResult"]
@@ -96,8 +95,22 @@ class SparseInputSampler:
         self.sample_rate = sample_rate
         self.seed = seed
 
-    def _sample_total(self, total: int) -> SampleResult:
-        """Exact-count draw over ``total`` known positions."""
+    def sample(self, source) -> SampleResult:
+        """Draw the sample over a sized source.
+
+        The positions depend only on the input count, never on how the
+        input is chunked.  At least one input is always kept so
+        downstream stages never see an empty profile.
+
+        Args:
+            source: anything :func:`~repro.data.chunk_source.as_chunk_source`
+                accepts.
+
+        Raises:
+            ValueError: if the source length is unknown (use
+                :meth:`bernoulli_stream` for those).
+        """
+        total = _num_inputs(source)
         with timed("calibrate.sample", rate=self.sample_rate) as timer:
             keep = max(1, int(round(total * self.sample_rate)))
             rng = np.random.default_rng(self.seed)
@@ -109,50 +122,14 @@ class SparseInputSampler:
             elapsed_seconds=timer.seconds,
         )
 
-    def sample(self, log: SyntheticClickLog) -> SampleResult:
-        """Draw the sample from ``log``.
-
-        At least one input is always kept so downstream stages never see
-        an empty profile.
-        """
-        return self._sample_total(len(log))
-
-    def sample_source(self, source: ChunkSource) -> SampleResult:
-        """Draw the sample for a sized chunk source.
-
-        The positions are identical to :meth:`sample` over the
-        materialized equivalent — chunking never changes the sample.
-
-        Raises:
-            ValueError: if the source length is unknown (use
-                :meth:`bernoulli_stream` for those).
-        """
-        total = source.num_samples
-        if total is None:
-            raise ValueError(
-                "source length unknown; use bernoulli_stream() for unsized sources"
-            )
-        return self._sample_total(total)
-
     def bernoulli_stream(self, full_profile: bool = False) -> BernoulliSampleStream:
         """Streaming keep-mask sampler for sources of unknown length."""
         rate = 1.0 if full_profile else self.sample_rate
         return BernoulliSampleStream(rate, seed=self.seed)
 
-    def sample_all(self, log: SyntheticClickLog) -> SampleResult:
-        """The naive full-dataset "sample" (baseline for Fig 8)."""
-        return self._sample_all_total(len(log))
-
-    def sample_all_source(self, source: ChunkSource) -> SampleResult:
-        """Full "sample" over a sized chunk source (Fig 8 baseline)."""
-        total = source.num_samples
-        if total is None:
-            raise ValueError(
-                "source length unknown; use bernoulli_stream(full_profile=True)"
-            )
-        return self._sample_all_total(total)
-
-    def _sample_all_total(self, total: int) -> SampleResult:
+    def sample_all(self, source) -> SampleResult:
+        """The naive full-dataset "sample" over a sized source (Fig 8 baseline)."""
+        total = _num_inputs(source)
         with timed("calibrate.sample", rate=1.0, full_profile=True) as timer:
             indices = np.arange(total, dtype=np.int64)
             timer.set(num_sampled=total, num_total=total)
@@ -161,3 +138,10 @@ class SparseInputSampler:
             num_total_inputs=total,
             elapsed_seconds=timer.seconds,
         )
+
+
+def _num_inputs(source) -> int:
+    total = as_chunk_source(source).num_samples
+    if total is None:
+        raise ValueError("source length unknown; use bernoulli_stream() for unsized sources")
+    return total

@@ -27,7 +27,6 @@ from repro.data.chunk_source import (
     ChunkSource,
     LogChunkSource,
     ShardChunkSource,
-    StreamChunkSource,
     UnsizedChunkSource,
     as_chunk_source,
     save_log_shards,
@@ -41,7 +40,6 @@ __all__ = [
     "ClickLog",
     "LogChunkSource",
     "ShardChunkSource",
-    "StreamChunkSource",
     "UnsizedChunkSource",
     "ValidatingChunkSource",
     "as_chunk_source",

@@ -11,12 +11,10 @@ schema and (when known) the total length.
 Backends:
 
 - :class:`LogChunkSource` — zero-copy row-slice views over an in-memory
-  log (a ``chunk_size`` of ``None`` yields the whole log as one chunk,
-  which is how the legacy whole-log APIs delegate to the streaming code
-  without changing a byte of their output);
-- :class:`StreamChunkSource` — adapts
-  :class:`~repro.data.stream.SyntheticClickStream`, whose chunks are
-  generated lazily and never coexist in memory;
+  :class:`~repro.data.log.ClickLog` (a ``chunk_size`` of ``None`` yields
+  the whole log as one chunk);
+- :class:`~repro.data.stream.SyntheticClickStream` — a source itself,
+  whose chunks are generated lazily and never coexist in memory;
 - :class:`ShardChunkSource` — on-disk raw-log shards written by
   :func:`save_log_shards` (one ``.npz`` per chunk plus a JSON manifest,
   each written atomically, ids stored at the width of their table); its
@@ -41,7 +39,6 @@ import numpy as np
 from repro.data.log import ClickLog
 from repro.data.npz_codec import NpzReader, id_dtype, write_npz
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
-from repro.data.stream import SyntheticClickStream
 from repro.obs import span
 from repro.resilience.atomic import atomic_write_text
 
@@ -50,7 +47,6 @@ __all__ = [
     "LogChunkSource",
     "ShardChunk",
     "ShardChunkSource",
-    "StreamChunkSource",
     "UnsizedChunkSource",
     "as_chunk_source",
     "save_log_shards",
@@ -88,9 +84,8 @@ class LogChunkSource(ChunkSource):
     """Chunk view over an in-memory log (zero copies).
 
     Args:
-        log: any log-shaped object (``schema``/``dense``/``sparse``/
-            ``labels``); both :class:`~repro.data.log.ClickLog` and
-            :class:`~repro.data.synthetic.SyntheticClickLog` qualify.
+        log: a :class:`~repro.data.log.ClickLog` (a
+            :class:`~repro.data.synthetic.SyntheticClickLog` is one).
         chunk_size: rows per chunk; None yields the whole log as a
             single chunk.
 
@@ -98,7 +93,7 @@ class LogChunkSource(ChunkSource):
     :meth:`ClickLog.from_trusted`, so iteration allocates nothing.
     """
 
-    def __init__(self, log, chunk_size: int | None = None) -> None:
+    def __init__(self, log: ClickLog, chunk_size: int | None = None) -> None:
         if chunk_size is not None and chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         self.log = log
@@ -120,26 +115,6 @@ class LogChunkSource(ChunkSource):
                 sparse={name: ids[start:stop] for name, ids in self.log.sparse.items()},
                 labels=self.log.labels[start:stop],
             )
-
-
-class StreamChunkSource(ChunkSource):
-    """Adapter over a :class:`~repro.data.stream.SyntheticClickStream`.
-
-    Chunks are generated on demand and dropped after use, so memory is
-    bounded by one chunk regardless of ``total_samples``.
-    """
-
-    def __init__(self, stream: SyntheticClickStream) -> None:
-        self.stream = stream
-        self.schema = stream.schema
-        self.chunk_size = stream.chunk_size
-
-    @property
-    def num_samples(self) -> int:
-        return self.stream.total_samples
-
-    def chunks(self) -> Iterator[tuple[int, ClickLog]]:
-        return iter(self.stream)
 
 
 class UnsizedChunkSource(ChunkSource):
@@ -416,18 +391,17 @@ class ShardChunkSource(ChunkSource):
 
 
 def as_chunk_source(obj, chunk_size: int | None = None) -> ChunkSource:
-    """Coerce logs, streams, shard directories, or sources to a ChunkSource.
+    """Coerce logs, shard directories, or sources to a ChunkSource.
 
-    Accepts an existing :class:`ChunkSource` (returned as-is), a
-    :class:`~repro.data.stream.SyntheticClickStream`, a shard directory
-    path, or any in-memory log-shaped object.
+    Accepts an existing :class:`ChunkSource` (returned as-is; a
+    :class:`~repro.data.stream.SyntheticClickStream` is one), a shard
+    directory path, or an in-memory :class:`~repro.data.log.ClickLog`
+    (viewed in ``chunk_size`` rows, or whole when it is None).
     """
     if isinstance(obj, ChunkSource):
         return obj
-    if isinstance(obj, SyntheticClickStream):
-        return StreamChunkSource(obj)
     if isinstance(obj, (str, Path)):
         return ShardChunkSource(obj)
-    if hasattr(obj, "dense") and hasattr(obj, "sparse") and hasattr(obj, "labels"):
+    if isinstance(obj, ClickLog):
         return LogChunkSource(obj, chunk_size=chunk_size)
     raise TypeError(f"cannot build a ChunkSource from {type(obj).__name__}")

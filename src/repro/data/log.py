@@ -3,8 +3,8 @@
 :class:`ClickLog` is the structural interface every consumer in this
 library actually relies on (the trainers, the FAE input processor, the
 loader): dense features, per-table sparse ids, labels, and a schema.
-:class:`~repro.data.synthetic.SyntheticClickLog` produces the same
-surface with a planted generative model.
+:class:`~repro.data.synthetic.SyntheticClickLog` is a ``ClickLog``
+generated from a planted model.
 """
 
 from __future__ import annotations
@@ -24,15 +24,10 @@ class ClickLog:
         dense: float32 ``(N, num_dense)``.
         sparse: table name -> int64 ``(N, multiplicity)``.
         labels: float32 ``(N,)`` in {0, 1}.
-        quarantined_indices: input-row indices dropped under
-            ``oov_policy="quarantine"`` (empty otherwise).
 
-    ``oov_policy`` controls how out-of-range sparse ids are handled at
-    construction: ``raise`` (default, historical behavior) aborts,
-    ``clamp`` clips ids into ``[0, num_rows)``, ``quarantine`` drops the
-    offending rows and records them in ``quarantined_indices``.  For
-    richer per-field policies and a persistent ledger, use
-    :class:`~repro.data.validate.ValidatingChunkSource`.
+    Out-of-range sparse ids raise ``ValueError``; clamping or
+    quarantining them is ingest's job
+    (:class:`~repro.data.validate.ValidatingChunkSource`).
     """
 
     def __init__(
@@ -41,17 +36,11 @@ class ClickLog:
         dense: np.ndarray,
         sparse: dict[str, np.ndarray],
         labels: np.ndarray,
-        oov_policy: str = "raise",
     ) -> None:
-        if oov_policy not in ("raise", "clamp", "quarantine"):
-            raise ValueError(
-                f"oov_policy must be 'raise', 'clamp', or 'quarantine', got {oov_policy!r}"
-            )
         self.schema = schema
         self.dense = np.ascontiguousarray(dense, dtype=np.float32)
         self.labels = np.ascontiguousarray(labels, dtype=np.float32)
         self.sparse = {}
-        self.quarantined_indices: np.ndarray = np.empty(0, dtype=np.int64)
         n = self.labels.shape[0]
         if self.dense.shape != (n, schema.num_dense):
             raise ValueError(
@@ -61,7 +50,6 @@ class ClickLog:
             raise ValueError(
                 f"sparse tables {sorted(sparse)} != schema tables {sorted(schema.table_names)}"
             )
-        drop = np.zeros(n, dtype=bool)
         for spec in schema.tables:
             ids = np.ascontiguousarray(sparse[spec.name], dtype=np.int64)
             if ids.shape != (n, spec.multiplicity):
@@ -69,19 +57,8 @@ class ClickLog:
                     f"{spec.name}: ids shape {ids.shape} != ({n}, {spec.multiplicity})"
                 )
             if n and (ids.min() < 0 or ids.max() >= spec.num_rows):
-                if oov_policy == "raise":
-                    raise ValueError(f"{spec.name}: ids out of range [0, {spec.num_rows})")
-                if oov_policy == "clamp":
-                    ids = np.clip(ids, 0, spec.num_rows - 1)
-                else:  # quarantine: mark offending rows for removal
-                    drop |= ((ids < 0) | (ids >= spec.num_rows)).any(axis=1)
+                raise ValueError(f"{spec.name}: ids out of range [0, {spec.num_rows})")
             self.sparse[spec.name] = ids
-        if drop.any():
-            self.quarantined_indices = np.flatnonzero(drop).astype(np.int64)
-            keep = ~drop
-            self.dense = self.dense[keep]
-            self.labels = self.labels[keep]
-            self.sparse = {name: ids[keep] for name, ids in self.sparse.items()}
 
     @classmethod
     def from_trusted(

@@ -14,9 +14,9 @@ click stream with exactly that separation:
   accuracy gap between arms is attributable to scheduling, not to a
   moved decision boundary.
 
-Days are duck-typed :class:`~repro.data.synthetic.SyntheticClickLog`
-instances, so everything downstream (preprocess, trainers, drift
-detection, serving) consumes them unchanged, and
+Days are :class:`~repro.data.synthetic.SyntheticClickLog` instances,
+so everything downstream (preprocess, trainers, drift detection,
+serving) consumes them unchanged, and
 :func:`write_day_shards` persists one shard per day so
 :class:`~repro.data.chunk_source.ShardChunkSource` replays the stream
 day by day.
@@ -64,7 +64,7 @@ def popularity_shift_days(
         dense_signal: multiplier on the (fixed) dense weight vector.
 
     Returns:
-        One duck-typed :class:`SyntheticClickLog` per day, in order.
+        One :class:`SyntheticClickLog` per day, in order.
     """
     if samples_per_day <= 0:
         raise ValueError("samples_per_day must be positive")

@@ -5,9 +5,10 @@ can a faithful synthetic equivalent.  :class:`SyntheticClickStream`
 generates the same distribution as :class:`~repro.data.synthetic.
 SyntheticClickLog` — identical samplers, identical planted labels — but
 lazily, one chunk at a time, so pipelines can process arbitrarily long
-streams at constant memory.  Chunks are ordinary
-:class:`~repro.data.log.ClickLog` objects, so every downstream consumer
-(classifiers, packers, trainers) works unchanged.
+streams at constant memory.  The stream is itself a
+:class:`~repro.data.chunk_source.ChunkSource` whose chunks are ordinary
+:class:`~repro.data.log.ClickLog` objects, so every preprocess stage
+reads it directly.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.data.chunk_source import ChunkSource
 from repro.data.log import ClickLog
 from repro.data.schema import DatasetSchema
 from repro.data.zipf import ZipfSampler
@@ -23,7 +25,7 @@ from repro.data.zipf import ZipfSampler
 __all__ = ["SyntheticClickStream"]
 
 
-class SyntheticClickStream:
+class SyntheticClickStream(ChunkSource):
     """Lazy, chunked synthetic click-log generator.
 
     Args:
@@ -35,7 +37,8 @@ class SyntheticClickStream:
         affinity_scale: hidden-affinity scale.
         dense_signal: dense weight multiplier.
 
-    Iterating yields ``(start_index, ClickLog)`` chunks.
+    Iterating yields ``(start_index, ClickLog)`` chunks, each generated on
+    demand and dropped after use, so memory is bounded by one chunk.
     """
 
     def __init__(
@@ -81,6 +84,10 @@ class SyntheticClickStream:
             )
 
     @property
+    def num_samples(self) -> int:
+        return self.total_samples
+
+    @property
     def num_chunks(self) -> int:
         return (self.total_samples + self.chunk_size - 1) // self.chunk_size
 
@@ -116,7 +123,7 @@ class SyntheticClickStream:
         labels = (rng.random(n) < probs).astype(np.float32)
         return ClickLog(schema=self.schema, dense=dense, sparse=sparse, labels=labels)
 
-    def __iter__(self) -> Iterator[tuple[int, ClickLog]]:
+    def chunks(self) -> Iterator[tuple[int, ClickLog]]:
         for index in range(self.num_chunks):
             yield index * self.chunk_size, self.chunk(index)
 

@@ -15,10 +15,11 @@ that FAE depends on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.data.log import ClickLog
 from repro.data.schema import DatasetSchema
 from repro.data.zipf import ZipfSampler
 
@@ -56,14 +57,13 @@ class SyntheticConfig:
             raise ValueError("label_noise must be non-negative")
 
 
-class SyntheticClickLog:
-    """An in-memory click log: dense features, sparse ids, binary labels.
+class SyntheticClickLog(ClickLog):
+    """A :class:`~repro.data.log.ClickLog` drawn from a planted model.
 
-    Attributes:
-        schema: the dataset geometry this log was generated for.
-        dense: float32 array of shape ``(N, num_dense)``.
-        sparse: mapping table name -> int64 array ``(N, multiplicity)``.
-        labels: float32 array ``(N,)`` of {0, 1} click labels.
+    Beyond the log's columns it keeps what generated them: ``config``,
+    the per-table :meth:`sampler` and the planted logits behind
+    :meth:`bayes_accuracy`.  The generated ids are in range by
+    construction, so the log's per-table range scan is skipped.
     """
 
     def __init__(self, schema: DatasetSchema, config: SyntheticConfig) -> None:
@@ -106,37 +106,9 @@ class SyntheticClickLog:
         self.labels = (rng.random(n) < probs).astype(np.float32)
         self._logits = logit
 
-    def __len__(self) -> int:
-        return self.config.num_samples
-
-    @property
-    def num_samples(self) -> int:
-        return self.config.num_samples
-
     def sampler(self, table_name: str) -> ZipfSampler:
         """Ground-truth sampler for a table (tests use this as an oracle)."""
         return self._samplers[table_name]
-
-    def access_counts(self, table_name: str, sample_indices: np.ndarray | None = None) -> np.ndarray:
-        """Exact per-row access counts for one table.
-
-        Args:
-            table_name: which embedding table.
-            sample_indices: restrict counting to these sample rows
-                (the input sampler passes its random subset here).
-
-        Returns:
-            int64 array of length ``num_rows`` with access counts.
-        """
-        spec = self.schema.table(table_name)
-        ids = self.sparse[table_name]
-        if sample_indices is not None:
-            ids = ids[sample_indices]
-        return np.bincount(ids.ravel(), minlength=spec.num_rows).astype(np.int64)
-
-    def base_rate(self) -> float:
-        """Positive-label fraction; the floor any classifier must beat."""
-        return float(self.labels.mean())
 
     def bayes_accuracy(self) -> float:
         """Accuracy of the planted model itself — an upper bound for training."""
@@ -148,14 +120,7 @@ class SyntheticClickLog:
         indices = np.asarray(indices)
         clone = object.__new__(SyntheticClickLog)
         clone.schema = self.schema
-        clone.config = SyntheticConfig(
-            num_samples=len(indices),
-            seed=self.config.seed,
-            label_noise=self.config.label_noise,
-            dense_scale=self.config.dense_scale,
-            affinity_scale=self.config.affinity_scale,
-            dense_signal=self.config.dense_signal,
-        )
+        clone.config = replace(self.config, num_samples=len(indices))
         clone.dense = self.dense[indices]
         clone.sparse = {name: ids[indices] for name, ids in self.sparse.items()}
         clone.labels = self.labels[indices]

@@ -29,9 +29,10 @@ sampling, no clock reads of its own.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.obs.export import load_jsonl
 
 __all__ = [
     "TraceAnalysis",
@@ -222,13 +223,7 @@ def analyze_records(records) -> TraceAnalysis:
 
 def analyze_file(path: str | Path) -> TraceAnalysis:
     """Analyze an exported ``trace.jsonl`` (metric records are ignored)."""
-    records = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return analyze_records(records)
+    return analyze_records(load_jsonl(path))
 
 
 def render_analysis(analysis: TraceAnalysis, top: int = 10) -> str:

@@ -3,6 +3,8 @@ Box, statistical optimizer, and the Calibrator facade."""
 
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.core import (
 from repro.core.access_profile import AccessProfile, TableProfile
 from repro.core.optimizer import CalibrationResult, ThresholdEvaluation
 from repro.core.randem_box import HotSizeEstimate
+from repro.data import ClickLog, LogChunkSource, SyntheticClickStream, save_log_shards
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
 from repro.obs import tracing
 
@@ -79,6 +82,12 @@ class TestEmbeddingLogger:
         with pytest.raises(ValueError):
             EmbeddingLogger(tiny_fae_config).profile(tiny_log, np.array([], dtype=np.int64))
 
+    @pytest.mark.parametrize("outside", [-1, 4000])
+    def test_position_outside_the_source_rejected(self, tiny_log, tiny_fae_config, outside):
+        indices = np.sort(np.array([0, 17, outside]))
+        with pytest.raises(ValueError, match=r"\[0, 4000\)"):
+            EmbeddingLogger(tiny_fae_config).profile(tiny_log, indices)
+
     def test_sampled_profile_tracks_full_profile(self, tiny_log, tiny_fae_config):
         """Fig 7's claim: a random sample reproduces the access signature."""
         logger = EmbeddingLogger(tiny_fae_config)
@@ -92,6 +101,56 @@ class TestEmbeddingLogger:
         sampled_ranks /= sampled_ranks.sum()
         corr = np.corrcoef(full_ranks, sampled_ranks)[0, 1]
         assert corr > 0.98
+
+
+class TestProfileReadsAnySource:
+    """``EmbeddingLogger.profile`` is one chunked pass, whatever it reads
+    and in whatever order the positions come."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        chunk_size=st.integers(40, 1300),
+        rate=st.floats(0.01, 1.0),
+        seed=st.integers(0, 99),
+    )
+    def test_profile_equals_a_bincount_of_the_sampled_ids(
+        self, tiny_schema, tiny_fae_config, chunk_size, rate, seed
+    ):
+        stream = SyntheticClickStream(
+            tiny_schema, total_samples=1200, chunk_size=chunk_size, seed=seed
+        )
+        chunks = [chunk for _start, chunk in stream]
+        log = ClickLog(
+            tiny_schema,
+            np.concatenate([c.dense for c in chunks]),
+            {
+                name: np.concatenate([c.sparse[name] for c in chunks])
+                for name in tiny_schema.table_names
+            },
+            np.concatenate([c.labels for c in chunks]),
+        )
+        indices = SparseInputSampler(rate, seed=seed).sample(stream).indices
+        logger = EmbeddingLogger(tiny_fae_config)
+        large = tiny_schema.large_tables(tiny_fae_config.large_table_min_bytes)
+        with tempfile.TemporaryDirectory() as tmp:
+            shards = save_log_shards(Path(tmp) / "shards", log, chunk_size=chunk_size)
+            shuffled = np.random.default_rng(seed).permutation(indices)
+            for source, positions in (
+                (log, indices),
+                (LogChunkSource(log, chunk_size), indices),
+                (LogChunkSource(log, chunk_size), shuffled),
+                (shards, indices),
+                (stream, shuffled),
+            ):
+                profile = logger.profile(source, positions)
+                assert profile.num_sampled_inputs == len(indices)
+                assert profile.num_total_inputs == 1200
+                assert list(profile.tables) == [spec.name for spec in large]
+                for spec in large:
+                    want = np.bincount(
+                        log.sparse[spec.name][indices].ravel(), minlength=spec.num_rows
+                    )
+                    np.testing.assert_array_equal(profile.tables[spec.name].counts, want)
 
 
 class TestTableProfile:
@@ -474,7 +533,7 @@ class TestStatisticalOptimizer:
 
 class TestCalibrator:
     def test_end_to_end(self, tiny_log, tiny_fae_config):
-        output = Calibrator(tiny_fae_config).calibrate(tiny_log)
+        output = Calibrator(tiny_fae_config).calibrate_source(tiny_log)
         assert output.threshold in tiny_fae_config.threshold_grid
         assert output.profile.num_sampled_inputs == round(
             tiny_fae_config.sample_rate * len(tiny_log)
@@ -482,7 +541,7 @@ class TestCalibrator:
         assert output.total_seconds >= 0
 
     def test_full_profile_mode(self, tiny_log, tiny_fae_config):
-        output = Calibrator(tiny_fae_config).calibrate(tiny_log, full_profile=True)
+        output = Calibrator(tiny_fae_config).calibrate_source(tiny_log, full_profile=True)
         assert output.profile.num_sampled_inputs == len(tiny_log)
 
     def test_sampled_faster_than_full(self, tiny_log, tiny_fae_config):
@@ -493,10 +552,10 @@ class TestCalibrator:
         """
         calibrator = Calibrator(tiny_fae_config)
         sampled = min(
-            calibrator.calibrate(tiny_log).profiling_seconds for _ in range(5)
+            calibrator.calibrate_source(tiny_log).profiling_seconds for _ in range(5)
         )
         full = min(
-            calibrator.calibrate(tiny_log, full_profile=True).profiling_seconds
+            calibrator.calibrate_source(tiny_log, full_profile=True).profiling_seconds
             for _ in range(5)
         )
         assert sampled <= full * 1.5

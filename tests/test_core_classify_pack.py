@@ -19,7 +19,7 @@ from repro.data import SyntheticClickLog, SyntheticConfig, dataset_by_name
 
 @pytest.fixture(scope="module")
 def calibrated(tiny_log_module, tiny_config_module):
-    output = Calibrator(tiny_config_module).calibrate(tiny_log_module)
+    output = Calibrator(tiny_config_module).calibrate_source(tiny_log_module)
     bags = EmbeddingClassifier(tiny_config_module).classify(
         output.profile, output.threshold
     )

@@ -9,7 +9,10 @@ from repro.core import (
     recalibration_diff,
 )
 from repro.core.classifier import HotEmbeddingBagSpec
+from repro.core.input_processor import InputProcessor
+from repro.core.sampler import SparseInputSampler
 from repro.data import SyntheticClickLog, SyntheticConfig
+from repro.obs import get_registry
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +74,35 @@ class TestDriftDetector:
         detector = DriftDetector(new_plan.bags, new_plan.hot_input_fraction, seed=2)
         window = SyntheticClickLog(tiny_schema, SyntheticConfig(num_samples=1500, seed=99))
         assert not detector.check(window).drifted
+
+    def test_check_classifies_only_its_sample_and_writes_no_training_metric(
+        self, tiny_log, tiny_fae_config, tiny_schema
+    ):
+        """A check is not a training pass: the classify counters and the
+        training hot-fraction gauge keep what the preprocess wrote, and the
+        report equals classifying the whole window, then reading the sample."""
+        plan = fae_preprocess(tiny_log, tiny_fae_config, batch_size=64)
+        registry = get_registry()
+        written = {
+            "gauge": registry.gauge("train.batch.hot_fraction").value,
+            "inputs": registry.counter("classify.inputs").value,
+            "hot": registry.counter("classify.hot_inputs").value,
+        }
+        assert written["gauge"] == pytest.approx(plan.hot_input_fraction)
+        window = SyntheticClickLog(tiny_schema, SyntheticConfig(num_samples=3000, seed=99))
+        report = DriftDetector(plan.bags, plan.hot_input_fraction, seed=1).check(window)
+        assert {
+            "gauge": registry.gauge("train.batch.hot_fraction").value,
+            "inputs": registry.counter("classify.inputs").value,
+            "hot": registry.counter("classify.hot_inputs").value,
+        } == written
+
+        indices = SparseInputSampler(0.2, seed=1).sample(window).indices
+        whole = InputProcessor(plan.bags, seed=1).classify_inputs(window)
+        assert report.hot_input_fraction == float(whole[indices].mean())
+        for name, ids in window.sparse.items():
+            hits = plan.bags[name].hot_mask()[ids[indices]].mean()
+            assert report.per_table_coverage[name] == float(hits)
 
 
 class TestCheckSource:

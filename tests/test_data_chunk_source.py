@@ -4,6 +4,7 @@ import json
 import tempfile
 import zipfile
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from hypothesis import strategies as st
 import repro.data.chunk_source as chunk_source_module
 from repro.core import FAEConfig, fae_preprocess, fae_preprocess_source
 from repro.data import (
+    ChunkSource,
     ClickLog,
     LogChunkSource,
     ShardChunkSource,
-    StreamChunkSource,
     SyntheticClickLog,
     SyntheticClickStream,
     SyntheticConfig,
@@ -92,10 +93,10 @@ class TestLogChunkSource:
             LogChunkSource(small_log, chunk_size=0)
 
 
-class TestStreamChunkSource:
+class TestStreamIsAChunkSource:
     def test_matches_stream(self, tiny_schema):
-        stream = SyntheticClickStream(tiny_schema, total_samples=500, chunk_size=128, seed=9)
-        source = StreamChunkSource(stream)
+        source = SyntheticClickStream(tiny_schema, total_samples=500, chunk_size=128, seed=9)
+        assert isinstance(source, ChunkSource)
         assert source.num_samples == 500
         assert source.chunk_size == 128
         starts, dense, _sparse, labels = reassemble(source)
@@ -274,13 +275,22 @@ class TestAsChunkSource:
     def test_coerces_log_stream_and_path(self, small_log, tiny_schema, tmp_path):
         assert isinstance(as_chunk_source(small_log), LogChunkSource)
         stream = SyntheticClickStream(tiny_schema, total_samples=100, chunk_size=50)
-        assert isinstance(as_chunk_source(stream), StreamChunkSource)
+        assert as_chunk_source(stream) is stream
         directory = save_log_shards(tmp_path / "shards", small_log)
         assert isinstance(as_chunk_source(directory), ShardChunkSource)
 
-    def test_rejects_unknown(self):
+    def test_rejects_unknown(self, small_log):
         with pytest.raises(TypeError):
             as_chunk_source(42)
+        # Log-shaped is not enough: only a ClickLog is viewed as a log.
+        lookalike = SimpleNamespace(
+            schema=small_log.schema,
+            dense=small_log.dense,
+            sparse=small_log.sparse,
+            labels=small_log.labels,
+        )
+        with pytest.raises(TypeError):
+            as_chunk_source(lookalike)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.data import SyntheticClickLog, SyntheticConfig
+from repro.data import (
+    ClickLog,
+    LogChunkSource,
+    SyntheticClickLog,
+    SyntheticConfig,
+    as_chunk_source,
+)
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
 
 
@@ -88,6 +94,28 @@ class TestStatistics:
             schema, SyntheticConfig(num_samples=4000, seed=3, label_noise=0.0)
         )
         assert clean.bayes_accuracy() > 0.75
+
+
+class TestIsAClickLog:
+    def test_is_a_click_log(self, log):
+        assert isinstance(log, ClickLog)
+        assert isinstance(as_chunk_source(log), LogChunkSource)
+        assert isinstance(log.take(np.arange(10)), SyntheticClickLog)
+
+    def test_take_keeps_the_planted_model_of_its_rows(self, log):
+        """The planted logits follow the rows: the halves' correct counts
+        sum to the whole log's, and a permuted copy scores the same."""
+        rows = np.random.default_rng(3).permutation(len(log))
+        halves = (rows[:1100], rows[1100:])
+
+        def correct(part):
+            return round(part.bayes_accuracy() * len(part))
+
+        assert sum(correct(log.take(half)) for half in halves) == correct(log)
+        assert log.take(rows).bayes_accuracy() == log.bayes_accuracy()
+        assert log.take(halves[0]).take(np.arange(100)).bayes_accuracy() == (
+            log.take(halves[0][:100]).bayes_accuracy()
+        )
 
 
 class TestTake:

@@ -286,7 +286,7 @@ class TestValidatingChunkSource:
 
 
 # ----------------------------------------------------------------------
-# ClickLog's constructor-level OOV policy hook (satellite)
+# ClickLog refuses out-of-range ids (clamp/quarantine: validate_chunk)
 # ----------------------------------------------------------------------
 
 
@@ -301,24 +301,6 @@ class TestClickLogOOVPolicy:
         dense, sparse, labels = self._arrays(tiny_schema, 10**6)
         with pytest.raises(ValueError, match="out of range"):
             ClickLog(tiny_schema, dense, sparse, labels)
-
-    def test_clamp_clips_into_range(self, tiny_schema):
-        dense, sparse, labels = self._arrays(tiny_schema, 10**6)
-        log = ClickLog(tiny_schema, dense, sparse, labels, oov_policy="clamp")
-        num_rows = tiny_schema.table("table_00").num_rows
-        assert log.sparse["table_00"][3, 0] == num_rows - 1
-        assert len(log) == 6
-
-    def test_quarantine_drops_and_records(self, tiny_schema):
-        dense, sparse, labels = self._arrays(tiny_schema, -9)
-        log = ClickLog(tiny_schema, dense, sparse, labels, oov_policy="quarantine")
-        assert len(log) == 5
-        np.testing.assert_array_equal(log.quarantined_indices, [3])
-
-    def test_unknown_policy_rejected(self, tiny_schema):
-        dense, sparse, labels = self._arrays(tiny_schema, 0)
-        with pytest.raises(ValueError, match="oov_policy"):
-            ClickLog(tiny_schema, dense, sparse, labels, oov_policy="ignore")
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,6 @@ from repro.data import (
     ClickLog,
     LogChunkSource,
     ShardChunkSource,
-    StreamChunkSource,
     SyntheticClickStream,
     UnsizedChunkSource,
     iter_fae_batches,
@@ -86,9 +85,7 @@ class TestChunkedEquivalence:
 
     def test_stream_source_matches_materialized(self, tiny_schema, tiny_fae_config):
         stream = SyntheticClickStream(tiny_schema, total_samples=2000, chunk_size=256, seed=4)
-        streamed = fae_preprocess_source(
-            StreamChunkSource(stream), tiny_fae_config, batch_size=64
-        )
+        streamed = fae_preprocess_source(stream, tiny_fae_config, batch_size=64)
         chunks = [chunk for _start, chunk in stream]
         materialized = ClickLog(
             schema=tiny_schema,
@@ -391,7 +388,7 @@ class TestFormatCompatibility:
         want = outputs(LogChunkSource(tiny_log, chunk_size=1000), "memory")
         assert outputs(ShardChunkSource(new), "new") == want
         assert outputs(ShardChunkSource(old), "old") == want
-        want_streamed = outputs(StreamChunkSource(stream), "stream")
+        want_streamed = outputs(stream, "stream")
         assert outputs(ShardChunkSource(streamed), "streamed") == want_streamed
         assert outputs(ShardChunkSource(streamed_old), "streamed-old") == want_streamed
 
