@@ -23,7 +23,9 @@ stateful* cache over the same spec type:
 - **turnover is incremental** — :meth:`rebalance` returns a
   :class:`CacheDelta` of promoted/demoted row ids; the replicator ships
   only the delta and the trainers re-pack only the inputs that touch it,
-  instead of re-running the whole preprocess.
+  instead of re-running the whole preprocess.  A server splits it across
+  a request boundary (:meth:`defer_rebalance`): plan after one request,
+  apply at the cache's next call.
 
 Whole-table bags (small tables) are *pinned*: always resident, never
 candidates for eviction — exactly the de-facto-hot treatment the static
@@ -204,7 +206,47 @@ def _admission_walk(
             # Full, and the best estimate left lost to the next victim (or
             # none is left): no later candidate can evict or fit.
             break
+    if not tail:
+        return np.arange(stop), evicted
     return np.concatenate([np.arange(stop), np.array(tail, dtype=np.int64)]), evicted
+
+
+def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
+    """``np.concatenate(parts)``, without the copy when there is one part."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+def _sorted_unique(parts: list[np.ndarray]) -> np.ndarray:
+    """``np.unique(np.concatenate(parts))`` for int64 ids, minus its overhead."""
+    ids = np.concatenate(parts)
+    ids.sort()
+    first = np.ones(ids.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    return ids[first]
+
+
+def _by_table(names: list[str], codes: np.ndarray, *columns: np.ndarray):
+    """``(name, columns restricted to it)`` for each table in ``names`` that
+    ``codes`` (positions in ``names``) mentions; one table needs no masks."""
+    if len(names) == 1:
+        if codes.size:
+            yield names[0], columns
+        return
+    for code, name in enumerate(names):
+        mine = codes == code
+        if mine.any():
+            yield name, [column[mine] for column in columns]
+
+
+def _merged(kept: np.ndarray, new, slots: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """``kept`` with ``new`` placed at ``slots`` of the result (``old`` marks
+    the rest, in order)."""
+    out = np.empty(old.size, dtype=kept.dtype)
+    out[old] = kept
+    out[slots] = new
+    return out
 
 
 def _stable_argsort_head(priority: np.ndarray, count: int) -> np.ndarray:
@@ -274,8 +316,13 @@ class EmbeddingHotCache:
             )
             self._pending[name] = []
 
-        pinned_bytes = sum(bag.nbytes for bag in self._pinned.values())
-        self._tracked_budget = max(0, config.budget_bytes - pinned_bytes)
+        self._names = sorted(self._members)
+        self._row_bytes = {name: dim * 4 for name, dim in self._dims.items()}
+        self._min_row_bytes = min(self._row_bytes.values(), default=4)
+        self._pinned_rows = sum(bag.num_hot for bag in self._pinned.values())
+        self._pinned_bytes = sum(bag.nbytes for bag in self._pinned.values())
+        self._tracked_budget = max(0, config.budget_bytes - self._pinned_bytes)
+        self._held: RebalancePlan | None = None  # see defer_rebalance
 
         self.hits = 0
         self.misses = 0
@@ -334,6 +381,7 @@ class EmbeddingHotCache:
         feed the uncached sketch and join the promotion-candidate window.
         Pinned (whole-table) lookups always hit.
         """
+        self._settle()
         self.tick += 1
         num_inputs = 0
         for name, ids in sparse.items():
@@ -372,6 +420,7 @@ class EmbeddingHotCache:
 
     def contains(self, table_name: str, ids: np.ndarray) -> np.ndarray:
         """Vectorized membership test (pinned tables are always hot)."""
+        self._settle()
         flat = np.asarray(ids, dtype=np.int64)
         if table_name in self._pinned:
             return np.ones(flat.shape, dtype=bool)
@@ -388,6 +437,7 @@ class EmbeddingHotCache:
 
     def should_rebalance(self) -> bool:
         """True when the auto-rebalance window is full."""
+        self._settle()
         return (
             self.config.rebalance_every > 0
             and self.window_inputs >= self.config.rebalance_every
@@ -413,67 +463,97 @@ class EmbeddingHotCache:
         """
         return self.apply_rebalance(self.plan_rebalance())
 
+    def defer_rebalance(self) -> CacheDelta:
+        """:meth:`rebalance`, split across a call boundary.
+
+        Plans now and holds the plan; the cache's next call of any kind
+        (:meth:`observe`, a reader, another turnover) first applies it
+        through :meth:`apply_rebalance`, so state changes in the same
+        order as under :meth:`rebalance`.  The turnover is counted at
+        once: the public attributes, the ``hotcache.*`` counters and the
+        gauges read as after :meth:`rebalance` from this call on.  A
+        server calls this after answering the request that filled the
+        window, so no request pays for a whole turnover.
+
+        Returns:
+            The planned per-table promoted/demoted ids (possibly empty).
+        """
+        plan = self.plan_rebalance()
+        self._count_turnover(plan.delta)
+        self._held = plan
+        return plan.delta
+
+    def _settle(self) -> None:
+        """Apply the plan :meth:`defer_rebalance` holds, if any."""
+        if self._held is not None:
+            self.apply_rebalance(self._held)
+
     def plan_rebalance(self) -> RebalancePlan:
         """Decide the next turnover without mutating any cache state.
 
         Pure in the cache state: two byte-identical caches produce
         byte-identical plans, which is what lets crash recovery re-derive
-        an interrupted refresh instead of persisting row payloads.
+        an interrupted refresh instead of persisting row payloads.  Only
+        tables with a window (candidates) or members (victims) take part.
         """
+        self._settle()
         plan = RebalancePlan(delta=CacheDelta(), tick=self.tick)
         with span("hotcache.plan", tick=self.tick) as sp:
-            names = sorted(self._members)
-            row_bytes = [self._dims[name] * 4 for name in names]
-
             # Window candidates: unique missed ids, scored by the sketch.
-            c_code_parts, c_id_parts, c_est_parts = [], [], []
-            for code, name in enumerate(names):
+            c_names, c_ids, c_ests = [], [], []
+            for name in self._names:
                 pending = self._pending[name]
                 if not pending:
                     continue
-                cand = np.unique(np.concatenate(pending))
+                cand = _sorted_unique(pending)
                 if cand.size == 0:
                     continue
-                c_code_parts.append(np.full(cand.size, code, dtype=np.int64))
-                c_id_parts.append(cand)
-                c_est_parts.append(self._sketch[name].query(cand).astype(np.float64))
-            if not c_id_parts:
+                c_names.append(name)
+                c_ids.append(cand)
+                c_ests.append(self._sketch[name].query(cand).astype(np.float64))
+            if not c_names:
                 sp.set(candidates=0, admitted=0, victims=0)
                 return plan
-            cheapest = min(row_bytes[int(codes[0])] for codes in c_code_parts)
-            c_code = np.concatenate(c_code_parts)
-            c_id = np.concatenate(c_id_parts)
-            c_est = np.concatenate(c_est_parts)
-            # Admission order: best estimate first, ties by (table, id).
-            order = np.lexsort((c_id, c_code, -c_est))
+            c_code = np.repeat(np.arange(len(c_names)), [ids.size for ids in c_ids])
+            c_id = _joined(c_ids, np.int64)
+            c_est = _joined(c_ests, np.float64)
+            # Admission order: best estimate first, ties by (table, id) — the
+            # order the candidates were gathered in, which a stable sort keeps.
+            order = np.argsort(-c_est, kind="stable")
             c_code, c_id, c_est = c_code[order], c_id[order], c_est[order]
+            c_row_bytes = np.array([self._row_bytes[name] for name in c_names], dtype=np.int64)
+            c_bytes = c_row_bytes[c_code]
+            cheapest = min(self._row_bytes[name] for name in c_names)
 
             # Members flattened in table order.  Victim priority is the exact
             # counter under LFU, the last tick under LRU.  Taking the first
             # minimum of what is left, over and over, visits members in
             # (priority, index) order, so the head of one stable sort is the
             # eviction sequence and a pointer walks it (DESIGN.md section 13).
-            sizes = [self._members[name].size for name in names]
-            m_code = np.repeat(np.arange(len(names)), sizes)
-            m_id = np.concatenate([self._members[name] for name in names])
-            m_freq = np.concatenate([self._freq[name] for name in names])
+            m_names = [name for name in self._names if self._members[name].size]
+            m_ends = np.cumsum([self._members[name].size for name in m_names])
+            m_row_bytes = np.array([self._row_bytes[name] for name in m_names], dtype=np.int64)
+            m_id = _joined([self._members[name] for name in m_names], np.int64)
+            m_freq = _joined([self._freq[name] for name in m_names], np.float64)
             priority = (
                 m_freq
                 if self.config.eviction == "lfu"
-                else np.concatenate([self._last_tick[name] for name in names])
+                else _joined([self._last_tick[name] for name in m_names], np.int64)
             )
-            member_bytes = sum(size * each for size, each in zip(sizes, row_bytes))
+            member_bytes = sum(
+                self._members[name].size * self._row_bytes[name] for name in m_names
+            )
             # Evictions make room for candidates, so the walk reaches about as
             # many victims as the candidates' bytes hold of the cheapest row;
             # only that head is sorted, and widened if the walk runs off it.
-            c_bytes = np.take(row_bytes, c_code)
-            reach = int(c_bytes.sum()) // min(row_bytes) + 1
+            reach = int(c_bytes.sum()) // self._min_row_bytes + 1
             while True:
                 victims = _stable_argsort_head(priority, reach)
+                v_code = np.searchsorted(m_ends, victims, side="right")
                 admitted, evicted = _admission_walk(
                     c_bytes,
                     c_est,
-                    np.take(row_bytes, m_code[victims]),
+                    m_row_bytes[v_code],
                     m_freq[victims],
                     self._tracked_budget - member_bytes,
                     cheapest,
@@ -483,18 +563,17 @@ class EmbeddingHotCache:
                 reach *= 2
             sp.set(candidates=int(c_id.size), admitted=len(admitted), victims=evicted)
 
-            a_code, a_id, a_est = c_code[admitted], c_id[admitted], c_est[admitted]
-            e_code, e_id = m_code[victims[:evicted]], m_id[victims[:evicted]]
-            for code, name in enumerate(names):
-                mine = a_code == code
-                if mine.any():
-                    plan.promoted_order[name] = a_id[mine]
-                    plan.promoted_est[name] = a_est[mine]
-                    plan.delta.promoted[name] = np.sort(a_id[mine])
-                mine = e_code == code
-                if mine.any():
-                    plan.demoted_order[name] = e_id[mine]
-                    plan.delta.demoted[name] = np.sort(e_id[mine])
+            admitted_by_table = _by_table(
+                c_names, c_code[admitted], c_id[admitted], c_est[admitted]
+            )
+            for name, (ids, est) in admitted_by_table:
+                plan.promoted_order[name] = ids
+                plan.promoted_est[name] = est
+                plan.delta.promoted[name] = np.sort(ids)
+            evicted_by_table = _by_table(m_names, v_code[:evicted], m_id[victims[:evicted]])
+            for name, (ids,) in evicted_by_table:
+                plan.demoted_order[name] = ids
+                plan.delta.demoted[name] = np.sort(ids)
         return plan
 
     def apply_rebalance(self, plan: RebalancePlan) -> CacheDelta:
@@ -502,78 +581,91 @@ class EmbeddingHotCache:
 
         Performs the membership swap, hands demoted counters back to the
         sketch, then ages every counter and resets the observation window
-        (exactly what the fused :meth:`rebalance` always did).
+        (exactly what the fused :meth:`rebalance` always did).  A plan
+        :meth:`defer_rebalance` holds was counted when it was planned.
 
         Raises:
             ValueError: if the plan was drawn at a different logical tick
                 than the cache is at now (a stale or foreign plan).
         """
+        held = plan is self._held
+        if held:
+            self._held = None
+        else:
+            self._settle()
         if plan.tick != self.tick:
             raise ValueError(
                 f"rebalance plan drawn at tick {plan.tick} cannot apply at "
                 f"tick {self.tick}"
             )
+        if not held:
+            self._count_turnover(plan.delta)
         with span("hotcache.rebalance", tick=self.tick):
             self._apply_rebalance(plan)
-        self.rebalances += 1
-        self._rebalances_counter.inc()
-        if not plan.delta.is_empty:
-            self.version += 1
-        self._update_gauges()
         return plan.delta
 
-    def _apply_rebalance(self, plan: RebalancePlan) -> None:
-        names = sorted(self._members)
-        delta = plan.delta
-        for name in names:
-            promo = delta.promoted.get(name, np.zeros(0, dtype=np.int64))
-            demo = delta.demoted.get(name, np.zeros(0, dtype=np.int64))
-            if not promo.size and not demo.size:
-                continue
-
-            # Demoted rows hand their exact counters back to the sketch,
-            # so their popularity history survives the demotion.
-            if demo.size:
-                demo_evorder = plan.demoted_order[name]
-                positions = np.searchsorted(self._members[name], demo_evorder)
-                counts = np.floor(self._freq[name][positions]).astype(np.int64)
-                self._sketch[name].add(demo, counts=counts)
-
-            # Members stay sorted by id: demoted rows are located and cut,
-            # promoted rows inserted after any equal id (what a stable sort
-            # of kept-then-promoted would give).
-            gone = np.searchsorted(self._members[name], demo)
-            kept_ids = np.delete(self._members[name], gone)
-            kept_freq = np.delete(self._freq[name], gone)
-            kept_tick = np.delete(self._last_tick[name], gone)
-            promo_order = plan.promoted_order.get(name, np.zeros(0, dtype=np.int64))
-            promo_est = plan.promoted_est.get(name, np.zeros(0, dtype=np.float64))
-            by_id = np.argsort(promo_order, kind="stable")
-            promoted = promo_order[by_id]
-            at = np.searchsorted(kept_ids, promoted, side="right")
-            self._members[name] = np.insert(kept_ids, at, promoted)
-            self._freq[name] = np.insert(kept_freq, at, promo_est[by_id])
-            self._last_tick[name] = np.insert(kept_tick, at, self.tick)
-
+    def _count_turnover(self, delta: CacheDelta) -> None:
+        """Count one turnover and close its window, ahead of its merge: the
+        public attributes, counters and gauges read as after the merge."""
         num_promoted = delta.num_promoted
         num_demoted = delta.num_demoted
         self.promotions += num_promoted
         self.demotions += num_demoted
+        self.rebalances += 1
+        if num_promoted or num_demoted:
+            self.version += 1
+        self.window_inputs = 0
         self._promotions_counter.inc(num_promoted)
         self._demotions_counter.inc(num_demoted)
         self._evictions_counter.inc(num_demoted)
+        self._rebalances_counter.inc()
+        change = {name: ids.size for name, ids in delta.promoted.items()}
+        for name, ids in delta.demoted.items():
+            change[name] = change.get(name, 0) - ids.size
+        self._update_gauges(change)
 
-        self._finish_window(names)
+    def _apply_rebalance(self, plan: RebalancePlan) -> None:
+        delta = plan.delta
+        empty = np.zeros(0, dtype=np.int64)
+        for name in delta.tables():
+            members = self._members[name]
+            # Demoted rows hand their exact counters back to the sketch,
+            # so their popularity history survives the demotion.
+            demo = delta.demoted.get(name, empty)
+            gone = np.searchsorted(members, plan.demoted_order.get(name, empty))
+            if demo.size:
+                # Counters are non-negative, so truncation is the floor.
+                counts = self._freq[name][gone].astype(np.int64)
+                self._sketch[name].add(demo, counts=counts)
 
-    def _finish_window(self, names: list[str]) -> None:
-        """Age every counter and reset the observation window."""
+            # Members stay sorted by id: one keep mask cuts the demoted rows,
+            # and promoted rows go after any equal kept id (what a stable
+            # sort of kept-then-promoted would give).
+            keep = np.ones(members.size, dtype=bool)
+            keep[gone] = False
+            promo_order = plan.promoted_order.get(name, empty)
+            by_id = np.argsort(promo_order, kind="stable")
+            promoted = promo_order[by_id]
+            kept_ids = members[keep]
+            slots = np.searchsorted(kept_ids, promoted, side="right")
+            slots += np.arange(promoted.size)
+            old = np.ones(kept_ids.size + promoted.size, dtype=bool)
+            old[slots] = False
+            promo_est = plan.promoted_est.get(name, np.zeros(0, dtype=np.float64))
+            self._members[name] = _merged(kept_ids, promoted, slots, old)
+            self._freq[name] = _merged(self._freq[name][keep], promo_est[by_id], slots, old)
+            self._last_tick[name] = _merged(self._last_tick[name][keep], self.tick, slots, old)
+        self._finish_window()
+
+    def _finish_window(self) -> None:
+        """Age every counter and drop the observation window."""
         decay = self.config.decay
-        for name in names:
+        for name in self._names:
             self._pending[name] = []
             if decay < 1.0:
-                self._freq[name] = self._freq[name] * decay
+                if self._freq[name].size:
+                    self._freq[name] *= decay
                 self._sketch[name].decay(decay)
-        self.window_inputs = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -587,6 +679,7 @@ class EmbeddingHotCache:
         surface, which is what makes the cache a drop-in replacement for
         the frozen hot set.
         """
+        self._settle()
         bags: dict[str, HotEmbeddingBagSpec] = dict(self._pinned)
         for name, members in self._members.items():
             bags[name] = HotEmbeddingBagSpec(
@@ -600,16 +693,15 @@ class EmbeddingHotCache:
 
     @property
     def hot_rows(self) -> int:
-        pinned = sum(bag.num_hot for bag in self._pinned.values())
-        return pinned + sum(int(m.size) for m in self._members.values())
+        self._settle()
+        return self._pinned_rows + sum(m.size for m in self._members.values())
 
     @property
     def hot_bytes(self) -> int:
-        pinned = sum(bag.nbytes for bag in self._pinned.values())
-        tracked = sum(
-            int(m.size) * self._dims[name] * 4 for name, m in self._members.items()
+        self._settle()
+        return self._pinned_bytes + sum(
+            m.size * self._row_bytes[name] for name, m in self._members.items()
         )
-        return pinned + tracked
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -629,9 +721,17 @@ class EmbeddingHotCache:
             "version": self.version,
         }
 
-    def _update_gauges(self) -> None:
-        self._rows_gauge.set(self.hot_rows)
-        self._bytes_gauge.set(self.hot_bytes)
+    def _update_gauges(self, change: dict[str, int] | None = None) -> None:
+        """Publish hot rows and bytes, plus ``change`` (table -> net rows of
+        a turnover not merged yet)."""
+        change = change or {}
+        rows, nbytes = self._pinned_rows, self._pinned_bytes
+        for name, members in self._members.items():
+            size = members.size + change.get(name, 0)
+            rows += size
+            nbytes += size * self._row_bytes[name]
+        self._rows_gauge.set(rows)
+        self._bytes_gauge.set(nbytes)
 
     # ------------------------------------------------------------------
     # Durability
@@ -647,6 +747,7 @@ class EmbeddingHotCache:
         Static construction inputs (config, pinned bags, table geometry)
         are *not* serialized; the loader validates they match instead.
         """
+        self._settle()
         tables: dict[str, dict] = {}
         for name in sorted(self._members):
             tables[name] = {
@@ -696,6 +797,7 @@ class EmbeddingHotCache:
                 f"tracked tables {sorted(self._members)} != checkpointed "
                 f"{sorted(tables)}"
             )
+        self._held = None  # replaced wholesale; its counts are already in
         for name in sorted(tables):
             entry = tables[name]
             members = np.asarray(entry["members"], dtype=np.int64).copy()

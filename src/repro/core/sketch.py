@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.access_profile import AccessProfile, TableProfile
 from repro.core.config import FAEConfig
-from repro.data.synthetic import SyntheticClickLog
+from repro.data.chunk_source import as_chunk_source
 
 __all__ = ["CountMinSketch", "SketchLogger", "SKETCH_STATE_VERSION"]
 
@@ -51,6 +51,7 @@ class CountMinSketch:
         self._a = rng.integers(1, self._PRIME, size=depth, dtype=np.int64)
         self._b = rng.integers(0, self._PRIME, size=depth, dtype=np.int64)
         self.table = np.zeros((depth, width), dtype=np.int64)
+        self._row_starts = np.arange(depth, dtype=np.int64)[:, None] * width
         self.total = 0
 
     @classmethod
@@ -64,9 +65,13 @@ class CountMinSketch:
 
     def _cells(self, ids: np.ndarray) -> np.ndarray:
         """(depth, n) indices into the flattened table via universal hashing."""
-        # row * width + ((a*x + b) mod p) mod width, row-wise.
-        hashed = (self._a[:, None] * ids[None, :] + self._b[:, None]) % self._PRIME
-        return hashed % self.width + np.arange(self.depth)[:, None] * self.width
+        # row * width + ((a*x + b) mod p) mod width, row-wise, in place.
+        hashed = self._a[:, None] * ids[None, :]
+        hashed += self._b[:, None]
+        np.remainder(hashed, self._PRIME, out=hashed)
+        np.remainder(hashed, self.width, out=hashed)
+        hashed += self._row_starts
+        return hashed
 
     def add(self, ids: np.ndarray, counts: np.ndarray | None = None) -> None:
         """Count accesses for every id in ``ids`` (duplicates counted).
@@ -118,7 +123,8 @@ class CountMinSketch:
         if factor == 1.0 or self.total == 0:
             # Every row sums to at most ``total``: an empty sketch stays empty.
             return
-        self.table = np.floor(self.table * factor).astype(np.int64)
+        # Counters are non-negative, so truncation is the floor.
+        self.table = (self.table * factor).astype(np.int64)
         self.total = int(np.floor(self.total * factor))
 
     def query(self, ids: np.ndarray) -> np.ndarray:
@@ -190,27 +196,49 @@ class SketchLogger:
         self.delta = delta
         self.last_sketch_bytes = 0
 
-    def profile(self, log: SyntheticClickLog, sample_indices: np.ndarray) -> AccessProfile:
+    def profile(self, source, sample_indices: np.ndarray) -> AccessProfile:
         """Sketch-based counterpart of ``EmbeddingLogger.profile``.
 
         The returned profile materializes per-row *estimates* by querying
         the sketch for every row id — still smaller than exact counting
         in streaming settings because the counting state is bounded while
         the stream flows.
+
+        Args:
+            source: the training inputs (anything
+                :func:`~repro.data.chunk_source.as_chunk_source` accepts).
+            sample_indices: input positions to count, in any order.
         """
-        sample_indices = np.asarray(sample_indices, dtype=np.int64)
+        source = as_chunk_source(source)
+        sample_indices = np.sort(np.asarray(sample_indices, dtype=np.int64))
         if sample_indices.size == 0:
             raise ValueError("sample_indices must be non-empty")
 
-        tables: dict[str, TableProfile] = {}
-        self.last_sketch_bytes = 0
-        for spec in log.schema.large_tables(self.config.large_table_min_bytes):
-            sketch = CountMinSketch.from_error_bounds(
+        specs = source.schema.large_tables(self.config.large_table_min_bytes)
+        sketches = {
+            spec.name: CountMinSketch.from_error_bounds(
                 self.epsilon, self.delta, seed=self.config.seed
             )
-            sketch.add(log.sparse[spec.name][sample_indices])
-            self.last_sketch_bytes += sketch.nbytes
-            counts = sketch.query(np.arange(spec.num_rows))
+            for spec in specs
+        }
+        # Counts are integer sums, so chunk by chunk adds what one add of
+        # every sampled lookup would.
+        num_sampled = num_observed = 0
+        for start, chunk in source:
+            num_observed += len(chunk)
+            lo = np.searchsorted(sample_indices, start)
+            hi = np.searchsorted(sample_indices, start + len(chunk))
+            local = sample_indices[lo:hi] - start
+            num_sampled += local.size
+            for name, sketch in sketches.items():
+                sketch.add(chunk.sparse[name][local])
+        if num_sampled != sample_indices.size:
+            raise ValueError(f"sample_indices must lie in [0, {num_observed})")
+
+        tables: dict[str, TableProfile] = {}
+        self.last_sketch_bytes = sum(sketch.nbytes for sketch in sketches.values())
+        for spec in specs:
+            counts = sketches[spec.name].query(np.arange(spec.num_rows))
             # Rows never touched can still alias to non-empty buckets;
             # exact-zero traffic is recoverable because CMS never
             # undercounts: a row with estimate 0 truly has count 0, and
@@ -218,8 +246,8 @@ class SketchLogger:
             tables[spec.name] = TableProfile(name=spec.name, counts=counts, dim=spec.dim)
 
         return AccessProfile(
-            schema=log.schema,
+            schema=source.schema,
             tables=tables,
             num_sampled_inputs=int(sample_indices.shape[0]),
-            num_total_inputs=len(log),
+            num_total_inputs=source.num_samples,
         )

@@ -88,10 +88,12 @@ class InferenceEngine:
         hot_cache: optional
             :class:`~repro.core.hotcache.EmbeddingHotCache`.  When set,
             every ranking request's candidate lookups feed the cache
-            (hit/miss counters), a full observation window triggers an
-            in-place rebalance between requests, and hot-request
-            classification follows the cache's *live* membership instead
-            of a frozen bag set.
+            (hit/miss counters), the request that fills an observation
+            window plans the turnover after it is scored and the cache
+            applies the plan at its next call
+            (:meth:`~repro.core.hotcache.EmbeddingHotCache.defer_rebalance`),
+            and hot-request classification follows the cache's *live*
+            membership instead of a frozen bag set.
     """
 
     def __init__(
@@ -215,19 +217,25 @@ class InferenceEngine:
         if deadline_s is None:
             deadline_s = self.deadline_s
         if self.hot_cache is not None:
-            # Serving traffic feeds the same cache the trainers consult;
-            # a full window turns over *between* requests, so no request
-            # ever observes a half-rebalanced hot set.
+            # Serving traffic feeds the same cache the trainers consult.
             self.hot_cache.observe({candidate_table: candidate_ids})
-            if self.hot_cache.should_rebalance():
-                self.hot_cache.rebalance()
 
         rank_start = self.clock()
-        with span("serve.rank", candidates=count, top_k=top_k):
-            result = self._rank(
-                dense, sparse_context, candidate_table, candidate_ids, top_k, deadline_s
-            )
-        self._rank_latency.observe(self.clock() - rank_start)
+        try:
+            with span("serve.rank", candidates=count, top_k=top_k):
+                result = self._rank(
+                    dense, sparse_context, candidate_table, candidate_ids, top_k, deadline_s
+                )
+            self._rank_latency.observe(self.clock() - rank_start)
+        finally:
+            # A full window turns over across the request boundary: this
+            # request plans once it is scored, and the cache's next call
+            # (the next request's observe, or any reader) applies the plan
+            # first.  Scoring reads only the model, so the order of cache
+            # states is the in-line turnover's, and neither request pays
+            # for a whole turnover.
+            if self.hot_cache is not None and self.hot_cache.should_rebalance():
+                self.hot_cache.defer_rebalance()
         if self.breaker is not None:
             # A degraded (deadline-tripped) response counts as a failure:
             # a sustained run of them means the engine cannot keep up and

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import EmbeddingClassifier, EmbeddingLogger
 from repro.core.sketch import CountMinSketch, SketchLogger
+from repro.data import LogChunkSource, save_log_shards
 
 
 class TestCountMinSketch:
@@ -219,3 +220,22 @@ class TestSketchLogger:
     def test_empty_sample_rejected(self, tiny_log, tiny_fae_config):
         with pytest.raises(ValueError):
             SketchLogger(tiny_fae_config).profile(tiny_log, np.array([], dtype=np.int64))
+
+    def test_log_source_and_shards_give_one_profile(self, tiny_log, tiny_fae_config, tmp_path):
+        # Any input as_chunk_source accepts, positions in any order.
+        picks = np.random.default_rng(4).permutation(len(tiny_log))[:1500]
+        shards = save_log_shards(tmp_path / "shards", tiny_log, chunk_size=700)
+        profiles = [
+            SketchLogger(tiny_fae_config, epsilon=1e-3).profile(source, picks)
+            for source in (tiny_log, LogChunkSource(tiny_log, chunk_size=333), str(shards))
+        ]
+        for profile in profiles[1:]:
+            assert profile.num_sampled_inputs == profiles[0].num_sampled_inputs == 1500
+            assert profile.num_total_inputs == profiles[0].num_total_inputs == len(tiny_log)
+            assert list(profile.tables) == list(profiles[0].tables)
+            for name, table in profiles[0].tables.items():
+                np.testing.assert_array_equal(profile.tables[name].counts, table.counts)
+
+    def test_positions_outside_the_source_rejected(self, tiny_log, tiny_fae_config):
+        with pytest.raises(ValueError, match="must lie in"):
+            SketchLogger(tiny_fae_config).profile(tiny_log, np.array([len(tiny_log)]))
