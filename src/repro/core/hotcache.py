@@ -631,8 +631,8 @@ class EmbeddingHotCache:
             members = self._members[name]
             # Demoted rows hand their exact counters back to the sketch,
             # so their popularity history survives the demotion.
-            demo = delta.demoted.get(name, empty)
-            gone = np.searchsorted(members, plan.demoted_order.get(name, empty))
+            demo = plan.demoted_order.get(name, empty)
+            gone = np.searchsorted(members, demo)
             if demo.size:
                 # Counters are non-negative, so truncation is the floor.
                 counts = self._freq[name][gone].astype(np.int64)

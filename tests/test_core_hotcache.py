@@ -162,6 +162,20 @@ class TestRebalance:
         # 0 was never touched after init: the LRU victim.
         assert 0 in set(delta.demoted.get("t", np.array([])).tolist())
 
+    def test_demoted_rows_hand_back_their_own_counters(self):
+        # Rows 1 and 2 hold counters 9 and 3, so LFU evicts row 2 first:
+        # eviction order [2, 1] differs from id order [1, 2].
+        cache = _cache(hot_ids=(1, 2), budget_rows=2, decay=1.0)
+        for row, hits in ((1, 8), (2, 2), (40, 20), (41, 20)):
+            for _ in range(hits):
+                cache.observe({"t": np.array([[row]])})
+        plan = cache.plan_rebalance()
+        assert plan.delta.demoted["t"].tolist() == [1, 2]
+        cache.apply_rebalance(plan)
+        sketch = CountMinSketch(width=1024, depth=4, seed=0)
+        sketch.load_state_dict(cache.state_dict()["tables"]["t"]["sketch"])
+        assert sketch.query(np.array([1, 2])).tolist() == [9, 3]
+
     def test_deterministic_across_instances(self):
         traffic = [np.array([[0, 1, 17, 40, 40]]), np.array([[2, 40, 51]])]
         outcomes = []
