@@ -31,9 +31,15 @@ Whole-table bags (small tables) are *pinned*: always resident, never
 candidates for eviction — exactly the de-facto-hot treatment the static
 classifier gives them.
 
+Every tracked row lives in one row space: with tracked tables in name
+order, row ``id`` of table ``t`` is key ``base[t] + id``.  Members are one
+sorted key array with a counter and a tick array aligned to it; each
+table keeps its own sketch over its own ids.
+
 Determinism: no wall clock anywhere.  Recency is a logical tick counter,
-ties break on ``(priority, table, id)``, and the sketch's floor-decay is
-integral — two runs with the same seed and traffic are byte-identical.
+ties break on ``(priority, table, id)`` — key order — and the sketch's
+floor-decay is integral: two runs with the same seed and traffic are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -135,6 +141,10 @@ class CacheDelta:
         return sorted(changed)
 
 
+def _no_keys() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class RebalancePlan:
     """A fully-decided turnover, not yet applied to the cache.
@@ -148,17 +158,18 @@ class RebalancePlan:
         delta: sorted promoted/demoted ids per table (the public shape).
         tick: the cache's logical clock when the plan was drawn; apply
             refuses a plan drawn at a different tick (stale plan).
-        promoted_order: admission-order promoted ids per table (the order
-            the LFU admission loop accepted them in).
+        promoted_order: promoted row keys (table base + id, see
+            :class:`EmbeddingHotCache`) in the order the LFU admission
+            loop accepted them.
         promoted_est: sketch estimates aligned with ``promoted_order``.
-        demoted_order: eviction-order demoted ids per table.
+        demoted_order: demoted row keys in eviction order.
     """
 
     delta: CacheDelta
     tick: int
-    promoted_order: dict[str, np.ndarray] = field(default_factory=dict)
-    promoted_est: dict[str, np.ndarray] = field(default_factory=dict)
-    demoted_order: dict[str, np.ndarray] = field(default_factory=dict)
+    promoted_order: np.ndarray = field(default_factory=_no_keys)
+    promoted_est: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float64))
+    demoted_order: np.ndarray = field(default_factory=_no_keys)
 
 
 def _admission_walk(
@@ -211,13 +222,6 @@ def _admission_walk(
     return np.concatenate([np.arange(stop), np.array(tail, dtype=np.int64)]), evicted
 
 
-def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
-    """``np.concatenate(parts)``, without the copy when there is one part."""
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
-
-
 def _sorted_unique(parts: list[np.ndarray]) -> np.ndarray:
     """``np.unique(np.concatenate(parts))`` for int64 ids, minus its overhead."""
     ids = np.concatenate(parts)
@@ -225,19 +229,6 @@ def _sorted_unique(parts: list[np.ndarray]) -> np.ndarray:
     first = np.ones(ids.size, dtype=bool)
     np.not_equal(ids[1:], ids[:-1], out=first[1:])
     return ids[first]
-
-
-def _by_table(names: list[str], codes: np.ndarray, *columns: np.ndarray):
-    """``(name, columns restricted to it)`` for each table in ``names`` that
-    ``codes`` (positions in ``names``) mentions; one table needs no masks."""
-    if len(names) == 1:
-        if codes.size:
-            yield names[0], columns
-        return
-    for code, name in enumerate(names):
-        mine = codes == code
-        if mine.any():
-            yield name, [column[mine] for column in columns]
 
 
 def _merged(kept: np.ndarray, new, slots: np.ndarray, old: np.ndarray) -> np.ndarray:
@@ -264,7 +255,13 @@ def _stable_argsort_head(priority: np.ndarray, count: int) -> np.ndarray:
 
 
 class EmbeddingHotCache:
-    """Bounded online cache over per-table hot-row membership.
+    """Bounded online cache over one row space of tracked tables.
+
+    Tracked tables, in name order, own consecutive key ranges: row ``id``
+    of table ``t`` is key ``base[t] + id``.  Members are one sorted key
+    array, with exact counters and last-access ticks aligned to it; a
+    table's members are the keys between its two cut points.  Key order is
+    ``(table, id)`` order, the order every tie-break uses.
 
     Args:
         bags: initial population — the classifier's hot bag specs.
@@ -285,40 +282,32 @@ class EmbeddingHotCache:
         self.config = config
         self.version = 0  # bumped on every membership change
         self.tick = 0  # logical clock: one tick per observe() call
-        self._pinned: dict[str, HotEmbeddingBagSpec] = {}
-        self._members: dict[str, np.ndarray] = {}
-        self._freq: dict[str, np.ndarray] = {}
-        self._last_tick: dict[str, np.ndarray] = {}
-        self._sketch: dict[str, CountMinSketch] = {}
-        self._pending: dict[str, list[np.ndarray]] = {}
-        self._dims: dict[str, int] = {}
-        self._num_rows: dict[str, int] = {}
-        for name in sorted(bags):
-            bag = bags[name]
-            if bag.whole_table:
-                self._pinned[name] = bag
-                continue
-            self._dims[name] = bag.dim
-            self._num_rows[name] = bag.num_rows
-            members = np.asarray(bag.hot_ids, dtype=np.int64)
-            self._members[name] = np.sort(members)
+        self._pinned = {name: bags[name] for name in sorted(bags) if bags[name].whole_table}
+        self._names = sorted(name for name in bags if name not in self._pinned)
+        self._index = {name: t for t, name in enumerate(self._names)}
+        tracked = [bags[name] for name in self._names]
+        self._base = np.zeros(len(tracked) + 1, dtype=np.int64)
+        np.cumsum([bag.num_rows for bag in tracked], out=self._base[1:])
+        self._row_bytes = np.array([bag.dim * 4 for bag in tracked], dtype=np.int64)
+        keys, freq = [_no_keys()], [np.zeros(0, dtype=np.float64)]
+        for t, (name, bag) in enumerate(zip(self._names, tracked)):
+            members = np.sort(np.asarray(bag.hot_ids, dtype=np.int64))
             counts = None
-            if profile is not None:
-                table_profile = profile.tables.get(name)
-                if table_profile is not None:
-                    counts = table_profile.counts[self._members[name]].astype(np.float64)
-            if counts is None:
-                counts = np.ones(members.size, dtype=np.float64)
-            self._freq[name] = counts
-            self._last_tick[name] = np.zeros(members.size, dtype=np.int64)
-            self._sketch[name] = CountMinSketch(
-                width=config.sketch_width, depth=config.sketch_depth, seed=config.seed
-            )
-            self._pending[name] = []
+            if profile is not None and name in profile.tables:
+                counts = profile.tables[name].counts[members].astype(np.float64)
+            keys.append(members + self._base[t])
+            freq.append(np.ones(members.size) if counts is None else counts)
+        self._keys = np.concatenate(keys)
+        self._freq = np.concatenate(freq)
+        self._last_tick = np.zeros(self._keys.size, dtype=np.int64)
+        # One sketch per table over its own ids; misses wait as (table, keys).
+        self._sketches = [
+            CountMinSketch(width=config.sketch_width, depth=config.sketch_depth, seed=config.seed)
+            for _ in self._names
+        ]
+        self._pending: list[tuple[int, np.ndarray]] = []
 
-        self._names = sorted(self._members)
-        self._row_bytes = {name: dim * 4 for name, dim in self._dims.items()}
-        self._min_row_bytes = min(self._row_bytes.values(), default=4)
+        self._min_row_bytes = int(self._row_bytes.min()) if tracked else 4
         self._pinned_rows = sum(bag.num_hot for bag in self._pinned.values())
         self._pinned_bytes = sum(bag.nbytes for bag in self._pinned.values())
         self._tracked_budget = max(0, config.budget_bytes - self._pinned_bytes)
@@ -370,6 +359,24 @@ class EmbeddingHotCache:
             )
         return cls(bags, config)
 
+    def _cuts(self) -> np.ndarray:
+        """Each tracked table's first member position, then the member count."""
+        return np.searchsorted(self._keys, self._base)
+
+    def _spans(self, keys: np.ndarray):
+        """``(table index, slice)`` for each table that sorted ``keys`` touch."""
+        cuts = np.searchsorted(keys, self._base).tolist()
+        for t, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+            if start < stop:
+                yield t, slice(start, stop)
+
+    def _by_table(self, keys: np.ndarray) -> dict[str, np.ndarray]:
+        """Sorted ``keys`` as table name -> row ids, for the tables they touch."""
+        return {self._names[t]: keys[rows] - self._base[t] for t, rows in self._spans(keys)}
+
+    def _member_bytes(self) -> int:
+        return int(np.diff(self._cuts()) @ self._row_bytes)
+
     # ------------------------------------------------------------------
     # Observation (the read path)
     # ------------------------------------------------------------------
@@ -379,11 +386,14 @@ class EmbeddingHotCache:
 
         Hits bump the member's exact counter and last-access tick; misses
         feed the uncached sketch and join the promotion-candidate window.
-        Pinned (whole-table) lookups always hit.
+        Pinned (whole-table) lookups always hit.  Every id must lie in
+        ``[0, num_rows)`` of its table (callers check it before this), or
+        its key would name another table's row.
         """
         self._settle()
         self.tick += 1
         num_inputs = 0
+        tables, parts = [], []
         for name, ids in sparse.items():
             flat = np.asarray(ids, dtype=np.int64).ravel()
             if flat.size == 0:
@@ -392,23 +402,28 @@ class EmbeddingHotCache:
             if name in self._pinned:
                 self.hits += int(flat.size)
                 self._hits_counter.inc(int(flat.size))
-                continue
-            members = self._members.get(name)
-            if members is None:
-                continue  # table not under cache management
-            positions = np.searchsorted(members, flat)
-            in_range = positions < members.size
+            elif name in self._index:  # else: not under cache management
+                tables.append(self._index[name])
+                parts.append(flat + self._base[tables[-1]])
+        if parts:
+            keys = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            positions = np.searchsorted(self._keys, keys)
+            in_range = positions < self._keys.size
             hit = in_range.copy()
-            hit[in_range] = members[positions[in_range]] == flat[in_range]
+            hit[in_range] = self._keys[positions[in_range]] == keys[in_range]
             num_hits = int(np.count_nonzero(hit))
-            num_misses = int(flat.size - num_hits)
+            num_misses = int(keys.size - num_hits)
             if num_hits:
-                np.add.at(self._freq[name], positions[hit], 1.0)
-                self._last_tick[name][positions[hit]] = self.tick
+                np.add.at(self._freq, positions[hit], 1.0)
+                self._last_tick[positions[hit]] = self.tick
             if num_misses:
-                missed = flat[~hit]
-                self._sketch[name].add(missed)
-                self._pending[name].append(missed.copy())
+                end = 0
+                for t, part in zip(tables, parts):
+                    start, end = end, end + part.size
+                    missed = part[~hit[start:end]]
+                    if missed.size:
+                        self._sketches[t].add(missed - self._base[t])
+                        self._pending.append((t, missed))
             self.hits += num_hits
             self.misses += num_misses
             self._hits_counter.inc(num_hits)
@@ -417,19 +432,6 @@ class EmbeddingHotCache:
         total = self.hits + self.misses
         if total:
             self._hit_rate_gauge.set(self.hits / total)
-
-    def contains(self, table_name: str, ids: np.ndarray) -> np.ndarray:
-        """Vectorized membership test (pinned tables are always hot)."""
-        self._settle()
-        flat = np.asarray(ids, dtype=np.int64)
-        if table_name in self._pinned:
-            return np.ones(flat.shape, dtype=bool)
-        members = self._members[table_name]
-        positions = np.searchsorted(members, flat)
-        in_range = positions < members.size
-        result = in_range.copy()
-        result[in_range] = members[positions[in_range]] == flat[in_range]
-        return result
 
     # ------------------------------------------------------------------
     # Turnover (the write path)
@@ -493,88 +495,66 @@ class EmbeddingHotCache:
 
         Pure in the cache state: two byte-identical caches produce
         byte-identical plans, which is what lets crash recovery re-derive
-        an interrupted refresh instead of persisting row payloads.  Only
-        tables with a window (candidates) or members (victims) take part.
+        an interrupted refresh instead of persisting row payloads.
         """
         self._settle()
-        plan = RebalancePlan(delta=CacheDelta(), tick=self.tick)
         with span("hotcache.plan", tick=self.tick) as sp:
-            # Window candidates: unique missed ids, scored by the sketch.
-            c_names, c_ids, c_ests = [], [], []
-            for name in self._names:
-                pending = self._pending[name]
-                if not pending:
-                    continue
-                cand = _sorted_unique(pending)
-                if cand.size == 0:
-                    continue
-                c_names.append(name)
-                c_ids.append(cand)
-                c_ests.append(self._sketch[name].query(cand).astype(np.float64))
-            if not c_names:
+            # Window candidates: unique missed keys, scored by their
+            # table's sketch.  Key order is (table, id) order.
+            c_key = _sorted_unique([keys for _, keys in self._pending] or [_no_keys()])
+            if c_key.size == 0:
                 sp.set(candidates=0, admitted=0, victims=0)
-                return plan
-            c_code = np.repeat(np.arange(len(c_names)), [ids.size for ids in c_ids])
-            c_id = _joined(c_ids, np.int64)
-            c_est = _joined(c_ests, np.float64)
-            # Admission order: best estimate first, ties by (table, id) — the
-            # order the candidates were gathered in, which a stable sort keeps.
+                return RebalancePlan(delta=CacheDelta(), tick=self.tick)
+            c_est = np.empty(c_key.size, dtype=np.float64)
+            c_bytes = np.empty(c_key.size, dtype=np.int64)
+            for t, rows in self._spans(c_key):
+                c_est[rows] = self._sketches[t].query(c_key[rows] - self._base[t])
+                c_bytes[rows] = self._row_bytes[t]
+            # Admission order: best estimate first, ties in key order, which
+            # a stable sort keeps.
             order = np.argsort(-c_est, kind="stable")
-            c_code, c_id, c_est = c_code[order], c_id[order], c_est[order]
-            c_row_bytes = np.array([self._row_bytes[name] for name in c_names], dtype=np.int64)
-            c_bytes = c_row_bytes[c_code]
-            cheapest = min(self._row_bytes[name] for name in c_names)
+            c_key, c_est, c_bytes = c_key[order], c_est[order], c_bytes[order]
 
-            # Members flattened in table order.  Victim priority is the exact
-            # counter under LFU, the last tick under LRU.  Taking the first
-            # minimum of what is left, over and over, visits members in
-            # (priority, index) order, so the head of one stable sort is the
-            # eviction sequence and a pointer walks it (DESIGN.md section 13).
-            m_names = [name for name in self._names if self._members[name].size]
-            m_ends = np.cumsum([self._members[name].size for name in m_names])
-            m_row_bytes = np.array([self._row_bytes[name] for name in m_names], dtype=np.int64)
-            m_id = _joined([self._members[name] for name in m_names], np.int64)
-            m_freq = _joined([self._freq[name] for name in m_names], np.float64)
-            priority = (
-                m_freq
-                if self.config.eviction == "lfu"
-                else _joined([self._last_tick[name] for name in m_names], np.int64)
-            )
-            member_bytes = sum(
-                self._members[name].size * self._row_bytes[name] for name in m_names
-            )
+            # Victim priority is the exact counter under LFU, the last tick
+            # under LRU.  Taking the first minimum of what is left, over and
+            # over, visits members in (priority, key) order, so the head of
+            # one stable sort is the eviction sequence and a pointer walks
+            # it (DESIGN.md section 13).
+            cuts = self._cuts()
+            spare = self._tracked_budget - int(np.diff(cuts) @ self._row_bytes)
+            priority = self._freq if self.config.eviction == "lfu" else self._last_tick
             # Evictions make room for candidates, so the walk reaches about as
             # many victims as the candidates' bytes hold of the cheapest row;
             # only that head is sorted, and widened if the walk runs off it.
             reach = int(c_bytes.sum()) // self._min_row_bytes + 1
             while True:
                 victims = _stable_argsort_head(priority, reach)
-                v_code = np.searchsorted(m_ends, victims, side="right")
+                v_table = np.searchsorted(cuts, victims, side="right") - 1
                 admitted, evicted = _admission_walk(
                     c_bytes,
                     c_est,
-                    m_row_bytes[v_code],
-                    m_freq[victims],
-                    self._tracked_budget - member_bytes,
-                    cheapest,
+                    self._row_bytes[v_table],
+                    self._freq[victims],
+                    spare,
+                    int(c_bytes.min()),
                 )
                 if evicted < victims.size or victims.size == priority.size:
                     break
                 reach *= 2
-            sp.set(candidates=int(c_id.size), admitted=len(admitted), victims=evicted)
+            sp.set(candidates=int(c_key.size), admitted=len(admitted), victims=evicted)
 
-            admitted_by_table = _by_table(
-                c_names, c_code[admitted], c_id[admitted], c_est[admitted]
-            )
-            for name, (ids, est) in admitted_by_table:
-                plan.promoted_order[name] = ids
-                plan.promoted_est[name] = est
-                plan.delta.promoted[name] = np.sort(ids)
-            evicted_by_table = _by_table(m_names, v_code[:evicted], m_id[victims[:evicted]])
-            for name, (ids,) in evicted_by_table:
-                plan.demoted_order[name] = ids
-                plan.delta.demoted[name] = np.sort(ids)
-        return plan
+        promoted = c_key[admitted]
+        demoted = self._keys[victims[:evicted]]
+        return RebalancePlan(
+            delta=CacheDelta(
+                promoted=self._by_table(np.sort(promoted)),
+                demoted=self._by_table(np.sort(demoted)),
+            ),
+            tick=self.tick,
+            promoted_order=promoted,
+            promoted_est=c_est[admitted],
+            demoted_order=demoted,
+        )
 
     def apply_rebalance(self, plan: RebalancePlan) -> CacheDelta:
         """Apply a :meth:`plan_rebalance` decision to the cache state.
@@ -619,53 +599,49 @@ class EmbeddingHotCache:
         self._demotions_counter.inc(num_demoted)
         self._evictions_counter.inc(num_demoted)
         self._rebalances_counter.inc()
-        change = {name: ids.size for name, ids in delta.promoted.items()}
-        for name, ids in delta.demoted.items():
-            change[name] = change.get(name, 0) - ids.size
-        self._update_gauges(change)
+        nbytes = sum(
+            sign * ids.size * int(self._row_bytes[self._index[name]])
+            for sign, side in ((1, delta.promoted), (-1, delta.demoted))
+            for name, ids in side.items()
+        )
+        self._update_gauges(num_promoted - num_demoted, nbytes)
 
     def _apply_rebalance(self, plan: RebalancePlan) -> None:
-        delta = plan.delta
-        empty = np.zeros(0, dtype=np.int64)
-        for name in delta.tables():
-            members = self._members[name]
-            # Demoted rows hand their exact counters back to the sketch,
-            # so their popularity history survives the demotion.
-            demo = plan.demoted_order.get(name, empty)
-            gone = np.searchsorted(members, demo)
-            if demo.size:
-                # Counters are non-negative, so truncation is the floor.
-                counts = self._freq[name][gone].astype(np.int64)
-                self._sketch[name].add(demo, counts=counts)
+        if plan.promoted_order.size or plan.demoted_order.size:
+            # Demoted rows hand their exact counters back to their table's
+            # sketch, so their popularity history survives the demotion.
+            gone = np.sort(np.searchsorted(self._keys, plan.demoted_order))
+            keys = self._keys[gone]
+            # Counters are non-negative, so truncation is the floor.
+            counts = self._freq[gone].astype(np.int64)
+            for t, rows in self._spans(keys):
+                self._sketches[t].add(keys[rows] - self._base[t], counts=counts[rows])
 
-            # Members stay sorted by id: one keep mask cuts the demoted rows,
-            # and promoted rows go after any equal kept id (what a stable
-            # sort of kept-then-promoted would give).
-            keep = np.ones(members.size, dtype=bool)
+            # Keys stay sorted: one keep mask cuts the demoted rows, and
+            # promoted rows go after any equal kept key (what a stable sort
+            # of kept-then-promoted would give).
+            keep = np.ones(self._keys.size, dtype=bool)
             keep[gone] = False
-            promo_order = plan.promoted_order.get(name, empty)
-            by_id = np.argsort(promo_order, kind="stable")
-            promoted = promo_order[by_id]
-            kept_ids = members[keep]
-            slots = np.searchsorted(kept_ids, promoted, side="right")
+            by_key = np.argsort(plan.promoted_order, kind="stable")
+            promoted = plan.promoted_order[by_key]
+            kept = self._keys[keep]
+            slots = np.searchsorted(kept, promoted, side="right")
             slots += np.arange(promoted.size)
-            old = np.ones(kept_ids.size + promoted.size, dtype=bool)
+            old = np.ones(kept.size + promoted.size, dtype=bool)
             old[slots] = False
-            promo_est = plan.promoted_est.get(name, np.zeros(0, dtype=np.float64))
-            self._members[name] = _merged(kept_ids, promoted, slots, old)
-            self._freq[name] = _merged(self._freq[name][keep], promo_est[by_id], slots, old)
-            self._last_tick[name] = _merged(self._last_tick[name][keep], self.tick, slots, old)
+            self._keys = _merged(kept, promoted, slots, old)
+            self._freq = _merged(self._freq[keep], plan.promoted_est[by_key], slots, old)
+            self._last_tick = _merged(self._last_tick[keep], self.tick, slots, old)
         self._finish_window()
 
     def _finish_window(self) -> None:
         """Age every counter and drop the observation window."""
+        self._pending = []
         decay = self.config.decay
-        for name in self._names:
-            self._pending[name] = []
-            if decay < 1.0:
-                if self._freq[name].size:
-                    self._freq[name] *= decay
-                self._sketch[name].decay(decay)
+        if decay < 1.0:
+            self._freq *= decay
+            for sketch in self._sketches:
+                sketch.decay(decay)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -681,27 +657,28 @@ class EmbeddingHotCache:
         """
         self._settle()
         bags: dict[str, HotEmbeddingBagSpec] = dict(self._pinned)
-        for name, members in self._members.items():
+        cuts = self._cuts()
+        for t, name in enumerate(self._names):
+            hot_ids = self._keys[cuts[t] : cuts[t + 1]] - self._base[t]
+            num_rows = int(self._base[t + 1] - self._base[t])
             bags[name] = HotEmbeddingBagSpec(
                 table_name=name,
-                hot_ids=members.copy(),
-                num_rows=self._num_rows[name],
-                dim=self._dims[name],
-                whole_table=members.size == self._num_rows[name],
+                hot_ids=hot_ids,
+                num_rows=num_rows,
+                dim=int(self._row_bytes[t]) // 4,
+                whole_table=hot_ids.size == num_rows,
             )
         return bags
 
     @property
     def hot_rows(self) -> int:
         self._settle()
-        return self._pinned_rows + sum(m.size for m in self._members.values())
+        return self._pinned_rows + self._keys.size
 
     @property
     def hot_bytes(self) -> int:
         self._settle()
-        return self._pinned_bytes + sum(
-            m.size * self._row_bytes[name] for name, m in self._members.items()
-        )
+        return self._pinned_bytes + self._member_bytes()
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -721,17 +698,11 @@ class EmbeddingHotCache:
             "version": self.version,
         }
 
-    def _update_gauges(self, change: dict[str, int] | None = None) -> None:
-        """Publish hot rows and bytes, plus ``change`` (table -> net rows of
-        a turnover not merged yet)."""
-        change = change or {}
-        rows, nbytes = self._pinned_rows, self._pinned_bytes
-        for name, members in self._members.items():
-            size = members.size + change.get(name, 0)
-            rows += size
-            nbytes += size * self._row_bytes[name]
-        self._rows_gauge.set(rows)
-        self._bytes_gauge.set(nbytes)
+    def _update_gauges(self, rows: int = 0, nbytes: int = 0) -> None:
+        """Publish hot rows and bytes, plus the net ``rows`` and ``nbytes``
+        of a turnover not merged yet."""
+        self._rows_gauge.set(self._pinned_rows + self._keys.size + rows)
+        self._bytes_gauge.set(self._pinned_bytes + self._member_bytes() + nbytes)
 
     # ------------------------------------------------------------------
     # Durability
@@ -743,19 +714,22 @@ class EmbeddingHotCache:
         Covers membership, exact decayed counters, last-access ticks,
         pending miss windows, per-table sketches (full depth x width
         arrays), the logical tick, and every cumulative stat — everything
-        needed for a restored cache to continue byte-identically.
-        Static construction inputs (config, pinned bags, table geometry)
-        are *not* serialized; the loader validates they match instead.
+        needed for a restored cache to continue byte-identically.  Each
+        table's entry holds its own row ids, not keys.  Static
+        construction inputs (config, pinned bags, table geometry) are
+        *not* serialized; the loader validates they match instead.
         """
         self._settle()
+        cuts = self._cuts()
         tables: dict[str, dict] = {}
-        for name in sorted(self._members):
+        for t, name in enumerate(self._names):
+            rows = slice(cuts[t], cuts[t + 1])
             tables[name] = {
-                "members": self._members[name].copy(),
-                "freq": self._freq[name].copy(),
-                "last_tick": self._last_tick[name].copy(),
-                "pending": [window.copy() for window in self._pending[name]],
-                "sketch": self._sketch[name].state_dict(),
+                "members": self._keys[rows] - self._base[t],
+                "freq": self._freq[rows].copy(),
+                "last_tick": self._last_tick[rows].copy(),
+                "pending": [keys - self._base[t] for u, keys in self._pending if u == t],
+                "sketch": self._sketches[t].state_dict(),
             }
         return {
             "schema_version": CACHE_STATE_VERSION,
@@ -779,7 +753,8 @@ class EmbeddingHotCache:
         arbitrarily — it is replaced wholesale.
 
         Raises:
-            ValueError: on schema-version or table-layout mismatch.
+            ValueError: on schema-version or table-layout mismatch, or a
+                member id outside its table.
         """
         version = state.get("schema_version")
         if version != CACHE_STATE_VERSION:
@@ -792,30 +767,32 @@ class EmbeddingHotCache:
                 f"{list(state['pinned'])}"
             )
         tables = state["tables"]
-        if sorted(tables) != sorted(self._members):
+        if sorted(tables) != self._names:
             raise ValueError(
-                f"tracked tables {sorted(self._members)} != checkpointed "
-                f"{sorted(tables)}"
+                f"tracked tables {self._names} != checkpointed {sorted(tables)}"
             )
-        self._held = None  # replaced wholesale; its counts are already in
-        for name in sorted(tables):
+        keys, freq, ticks, pending = [_no_keys()], [np.zeros(0)], [_no_keys()], []
+        for t, name in enumerate(self._names):
             entry = tables[name]
-            members = np.asarray(entry["members"], dtype=np.int64).copy()
-            if members.size and int(members.max()) >= self._num_rows[name]:
+            members = np.asarray(entry["members"], dtype=np.int64)
+            num_rows = int(self._base[t + 1] - self._base[t])
+            if members.size and (int(members.min()) < 0 or int(members.max()) >= num_rows):
                 raise ValueError(
-                    f"checkpointed member id {int(members.max())} out of range "
-                    f"for table {name!r} ({self._num_rows[name]} rows)"
+                    f"checkpointed member ids [{int(members.min())}, {int(members.max())}] "
+                    f"out of range for table {name!r} ({num_rows} rows)"
                 )
-            self._members[name] = members
-            self._freq[name] = np.asarray(entry["freq"], dtype=np.float64).copy()
-            self._last_tick[name] = np.asarray(
-                entry["last_tick"], dtype=np.int64
-            ).copy()
-            self._pending[name] = [
-                np.asarray(window, dtype=np.int64).copy()
+            keys.append(members + self._base[t])
+            freq.append(np.asarray(entry["freq"], dtype=np.float64))
+            ticks.append(np.asarray(entry["last_tick"], dtype=np.int64))
+            pending += [
+                (t, np.asarray(window, dtype=np.int64) + self._base[t])
                 for window in entry["pending"]
             ]
-            self._sketch[name].load_state_dict(entry["sketch"])
+        self._held = None  # replaced wholesale; its counts are already in
+        self._keys, self._freq, self._last_tick = map(np.concatenate, (keys, freq, ticks))
+        self._pending = pending
+        for t, name in enumerate(self._names):
+            self._sketches[t].load_state_dict(tables[name]["sketch"])
         self.version = int(state["version"])
         self.tick = int(state["tick"])
         self.hits = int(state["hits"])

@@ -34,6 +34,35 @@ def _cache(hot_ids=(0, 1, 2, 3), budget_rows=4, **knobs):
     return EmbeddingHotCache({"t": _bag("t", hot_ids)}, config)
 
 
+def _sketch(cache, entry) -> CountMinSketch:
+    """The sketch of one ``state_dict()["tables"]`` entry."""
+    config = cache.config
+    sketch = CountMinSketch(config.sketch_width, config.sketch_depth, config.seed)
+    sketch.load_state_dict(entry["sketch"])
+    return sketch
+
+
+def _miss(cache, entry, rows, weights) -> None:
+    """Queue ``rows`` in a ``state_dict()["tables"]`` entry as one window of
+    misses, fed to its sketch with ``weights``."""
+    sketch = _sketch(cache, entry)
+    sketch.add(rows, counts=weights)
+    entry["sketch"] = sketch.state_dict()
+    entry["pending"].append(np.asarray(rows, dtype=np.int64))
+
+
+def _tables(cache) -> dict:
+    """``state_dict()["tables"]``, each entry with its table's ``dim``,
+    ``rows`` and key ``base`` (tables in name order own consecutive keys)."""
+    bags = cache.bags()
+    tables = cache.state_dict()["tables"]
+    base = 0
+    for name in sorted(tables):
+        tables[name].update(dim=bags[name].dim, rows=bags[name].num_rows, base=base)
+        base += bags[name].num_rows
+    return tables
+
+
 class TestSketchAging:
     def test_decay_scales_counts(self):
         sketch = CountMinSketch(width=64, depth=3, seed=1)
@@ -91,11 +120,11 @@ class TestObserve:
         cache.observe({"small": np.array([[7, 3]]), "big": np.array([[50]])})
         assert cache.hits == 2
         assert cache.misses == 1
-        assert cache.contains("small", np.array([5]))[0]
+        assert cache.bags()["small"].hot_mask()[5]
 
     def test_contains_matches_membership(self):
         cache = _cache(hot_ids=(2, 5, 9))
-        got = cache.contains("t", np.array([1, 2, 5, 9, 60]))
+        got = cache.bags()["t"].hot_mask()[[1, 2, 5, 9, 60]]
         np.testing.assert_array_equal(got, [False, True, True, True, False])
 
 
@@ -108,8 +137,9 @@ class TestRebalance:
         delta = cache.rebalance()
         assert 40 in set(delta.promoted.get("t", np.array([])).tolist())
         assert 3 in set(delta.demoted.get("t", np.array([])).tolist())
-        assert cache.contains("t", np.array([40]))[0]
-        assert not cache.contains("t", np.array([3]))[0]
+        hot = cache.bags()["t"].hot_mask()
+        assert hot[40]
+        assert not hot[3]
 
     def test_budget_is_respected(self):
         cache = _cache(hot_ids=(0, 1, 2, 3), budget_rows=4)
@@ -126,7 +156,7 @@ class TestRebalance:
         cache.observe({"t": np.array([[50]])})
         delta = cache.rebalance()
         assert delta.is_empty
-        assert not cache.contains("t", np.array([50]))[0]
+        assert not cache.bags()["t"].hot_mask()[50]
 
     def test_empty_delta_keeps_version(self):
         cache = _cache()
@@ -172,8 +202,7 @@ class TestRebalance:
         plan = cache.plan_rebalance()
         assert plan.delta.demoted["t"].tolist() == [1, 2]
         cache.apply_rebalance(plan)
-        sketch = CountMinSketch(width=1024, depth=4, seed=0)
-        sketch.load_state_dict(cache.state_dict()["tables"]["t"]["sketch"])
+        sketch = _sketch(cache, cache.state_dict()["tables"]["t"])
         assert sketch.query(np.array([1, 2])).tolist() == [9, 3]
 
     def test_deterministic_across_instances(self):
@@ -192,32 +221,33 @@ def _reference_plan(cache: EmbeddingHotCache) -> RebalancePlan:
     """The admission loop ``plan_rebalance`` had before PR 13, kept as the
     oracle: a masked ``argmin`` over every member per eviction, outputs
     gathered by per-member Python comprehensions."""
-    names = sorted(cache._members)
+    tables = _tables(cache)
+    names = sorted(tables)
     name_code = {name: i for i, name in enumerate(names)}
 
     m_code_parts, m_id_parts, m_freq_parts, m_tick_parts = [], [], [], []
     for name in names:
-        members = cache._members[name]
+        members = tables[name]["members"]
         m_code_parts.append(np.full(members.size, name_code[name], dtype=np.int64))
         m_id_parts.append(members)
-        m_freq_parts.append(cache._freq[name])
-        m_tick_parts.append(cache._last_tick[name])
+        m_freq_parts.append(tables[name]["freq"])
+        m_tick_parts.append(tables[name]["last_tick"])
     m_code = np.concatenate(m_code_parts) if m_code_parts else np.zeros(0, np.int64)
     m_id = np.concatenate(m_id_parts) if m_id_parts else np.zeros(0, np.int64)
     m_freq = np.concatenate(m_freq_parts) if m_freq_parts else np.zeros(0, np.float64)
     m_tick = np.concatenate(m_tick_parts) if m_tick_parts else np.zeros(0, np.int64)
-    m_bytes = np.array([cache._dims[names[int(c)]] * 4 for c in m_code], dtype=np.int64)
+    m_bytes = np.array([tables[names[int(c)]]["dim"] * 4 for c in m_code], dtype=np.int64)
     alive = np.ones(m_id.size, dtype=bool)
 
     c_code_parts, c_id_parts, c_est_parts = [], [], []
     for name in names:
-        pending = cache._pending[name]
+        pending = tables[name]["pending"]
         if not pending:
             continue
         cand = np.unique(np.concatenate(pending))
         if cand.size == 0:
             continue
-        est = cache._sketch[name].query(cand).astype(np.float64)
+        est = _sketch(cache, tables[name]).query(cand).astype(np.float64)
         c_code_parts.append(np.full(cand.size, name_code[name], dtype=np.int64))
         c_id_parts.append(cand)
         c_est_parts.append(est)
@@ -236,7 +266,7 @@ def _reference_plan(cache: EmbeddingHotCache) -> RebalancePlan:
     evicted_idx: list[int] = []
     for pos in order:
         code = int(c_code[pos])
-        row_bytes = cache._dims[names[code]] * 4
+        row_bytes = tables[names[code]]["dim"] * 4
         est = float(c_est[pos])
         while spare < row_bytes and alive.any():
             masked = np.where(alive, priority, np.inf)
@@ -251,7 +281,6 @@ def _reference_plan(cache: EmbeddingHotCache) -> RebalancePlan:
             spare -= row_bytes
 
     promoted, demoted = {}, {}
-    promoted_order, promoted_est, demoted_order = {}, {}, {}
     for i, name in enumerate(names):
         promo = np.array(sorted(cid for code, cid, _ in admitted if code == i), dtype=np.int64)
         demo_idx = [j for j in evicted_idx if int(m_code[j]) == i]
@@ -262,39 +291,36 @@ def _reference_plan(cache: EmbeddingHotCache) -> RebalancePlan:
         )
         if promo.size:
             promoted[name] = promo
-            promoted_order[name] = np.array(
-                [cid for code, cid, _ in admitted if code == i], dtype=np.int64
-            )
-            promoted_est[name] = np.array(
-                [e for code, cid, e in admitted if code == i], dtype=np.float64
-            )
         if demo.size:
             demoted[name] = demo
-            demoted_order[name] = m_id[demo_idx].astype(np.int64)
+    # The orders travel as keys: table base + id.
+    base = np.array([tables[name]["base"] for name in names], dtype=np.int64)
     return RebalancePlan(
         delta=CacheDelta(promoted=promoted, demoted=demoted),
         tick=cache.tick,
-        promoted_order=promoted_order,
-        promoted_est=promoted_est,
-        demoted_order=demoted_order,
+        promoted_order=np.array([base[code] + cid for code, cid, _ in admitted], dtype=np.int64),
+        promoted_est=np.array([e for _, _, e in admitted], dtype=np.float64),
+        demoted_order=(base[m_code] + m_id)[evicted_idx].astype(np.int64),
     )
 
 
-def _reference_merge(cache: EmbeddingHotCache, plan: RebalancePlan, name: str, tick: int):
+def _reference_merge(tables: dict, plan: RebalancePlan, name: str, tick: int):
     """Table ``name``'s (members, freq, last_tick) after ``plan``, merged as
     ``_apply_rebalance`` did before it located rows by ``searchsorted``:
-    ``np.isin`` to drop the demoted, a stable argsort of kept-then-promoted."""
+    ``np.isin`` to drop the demoted, a stable argsort of kept-then-promoted.
+    ``tables`` is ``_tables`` of the cache the plan was drawn from."""
     empty = np.zeros(0, dtype=np.int64)
+    table = tables[name]
     keep = np.isin(
-        cache._members[name], plan.delta.demoted.get(name, empty), assume_unique=True, invert=True
+        table["members"], plan.delta.demoted.get(name, empty), assume_unique=True, invert=True
     )
-    promoted = plan.promoted_order.get(name, empty)
-    merged = np.concatenate([cache._members[name][keep], promoted])
-    freq = np.concatenate(
-        [cache._freq[name][keep], plan.promoted_est.get(name, np.zeros(0, dtype=np.float64))]
-    )
+    key = plan.promoted_order - table["base"]
+    mine = (key >= 0) & (key < table["rows"])
+    promoted = key[mine]
+    merged = np.concatenate([table["members"][keep], promoted])
+    freq = np.concatenate([table["freq"][keep], plan.promoted_est[mine]])
     last_tick = np.concatenate(
-        [cache._last_tick[name][keep], np.full(promoted.size, tick, dtype=np.int64)]
+        [table["last_tick"][keep], np.full(promoted.size, tick, dtype=np.int64)]
     )
     sorter = np.argsort(merged, kind="stable")
     return merged[sorter], freq[sorter], last_tick[sorter]
@@ -311,9 +337,12 @@ def _assert_same_plan(got: RebalancePlan, want: RebalancePlan) -> None:
     assert got.tick == want.tick
     _assert_arrays_identical(got.delta.promoted, want.delta.promoted, "promoted")
     _assert_arrays_identical(got.delta.demoted, want.delta.demoted, "demoted")
-    _assert_arrays_identical(got.promoted_order, want.promoted_order, "promoted_order")
-    _assert_arrays_identical(got.promoted_est, want.promoted_est, "promoted_est")
-    _assert_arrays_identical(got.demoted_order, want.demoted_order, "demoted_order")
+    orders = ("promoted_order", "promoted_est", "demoted_order")
+    _assert_arrays_identical(
+        {name: getattr(got, name) for name in orders},
+        {name: getattr(want, name) for name in orders},
+        "plan",
+    )
 
 
 _NUM_ROWS = 24
@@ -359,19 +388,20 @@ def _build_cache(tables, eviction, spare_rows, sketch_width):
         sketch_depth=2,
     )
     cache = EmbeddingHotCache(bags, config)
+    state = cache.state_dict()
     for index, table in enumerate(tables):
-        name = f"t{index}"
-        members = cache._members[name]
-        cache._freq[name] = np.asarray(table["freq"], dtype=np.float64)[members]
-        cache._last_tick[name] = np.asarray(table["tick"], dtype=np.int64)[members]
+        entry = state["tables"][f"t{index}"]
+        members = entry["members"]
+        entry["freq"] = np.asarray(table["freq"], dtype=np.float64)[members]
+        entry["last_tick"] = np.asarray(table["tick"], dtype=np.int64)[members]
         for window in table["windows"]:
             missed = [(row, w) for row, w in window if not table["member"][row]]
             if not missed:
                 continue
             rows, weights = (np.asarray(x, dtype=np.int64) for x in zip(*missed))
-            cache._sketch[name].add(rows, counts=weights)
-            cache._pending[name].append(rows)
-    cache.tick = 5
+            _miss(cache, entry, rows, weights)
+    state["tick"] = 5
+    cache.load_state_dict(state)
     return cache
 
 
@@ -393,23 +423,24 @@ class TestPlanIdentity:
         got = cache.plan_rebalance()
         _assert_same_plan(got, want)
         assert pickle.dumps(cache.state_dict()) == before  # planning is pure
-        # The plan owns its arrays: applying it must not be able to alias
-        # (and so corrupt) the state it was drawn from.
-        for arrays in (got.delta.promoted, got.delta.demoted, got.promoted_order):
-            for name, ids in arrays.items():
-                assert not np.shares_memory(ids, cache._members[name])
-        tick = cache.tick
-        want_members = {name: _reference_merge(cache, got, name, tick) for name in cache._members}
+        tables = _tables(cache)
+        want_members = {name: _reference_merge(tables, got, name, cache.tick) for name in tables}
+        drawn = pickle.dumps(got)
         cache.apply_rebalance(got)
+        after = cache.state_dict()["tables"]
         for name, (members, freq, last_tick) in want_members.items():
             _assert_arrays_identical(
-                {"members": cache._members[name], "last_tick": cache._last_tick[name]},
+                {"members": after[name]["members"], "last_tick": after[name]["last_tick"]},
                 {"members": members, "last_tick": last_tick},
                 name,
             )
             # The window's decay ages every counter after the merge.
             want_freq = freq * cache.config.decay if cache.config.decay < 1.0 else freq
-            np.testing.assert_array_equal(cache._freq[name], want_freq)
+            np.testing.assert_array_equal(after[name]["freq"], want_freq)
+        # The plan owns its arrays: applying it, and ageing the counters in
+        # place afterwards, must not alias (and so corrupt) it.
+        cache.rebalance()
+        assert pickle.dumps(got) == drawn
 
     @pytest.mark.parametrize("eviction", ["lfu", "lru"])
     def test_empty_window(self, eviction):
@@ -437,9 +468,10 @@ class TestPlanIdentity:
             "wide": _bag("wide", (), dim=8),
         }
         cache = EmbeddingHotCache(bags, HotCacheConfig(budget_bytes=2 * 2 * 4))
-        cache._freq["narrow"] = np.array([1.0, 9.0])
-        cache._sketch["wide"].add(np.array([7]), counts=np.array([5]))
-        cache._pending["wide"].append(np.array([7], dtype=np.int64))
+        state = cache.state_dict()
+        state["tables"]["narrow"]["freq"] = np.array([1.0, 9.0])
+        _miss(cache, state["tables"]["wide"], np.array([7]), np.array([5]))
+        cache.load_state_dict(state)
         plan = cache.plan_rebalance()
         _assert_same_plan(plan, _reference_plan(cache))
         assert plan.delta.demoted["narrow"].tolist() == [0]
@@ -466,10 +498,12 @@ class TestPlanIdentity:
         # 40 members in a budget of 4 rows: the one candidate's bytes
         # suggest a head of 2 victims, the walk needs 37.
         cache = _cache(hot_ids=range(40), budget_rows=4, eviction=eviction)
-        cache._freq["t"] = np.arange(40, dtype=np.float64)[::-1].copy()
-        cache._last_tick["t"] = np.arange(40, dtype=np.int64)
-        cache._sketch["t"].add(np.array([50]), counts=np.array([1000]))
-        cache._pending["t"].append(np.array([50], dtype=np.int64))
+        state = cache.state_dict()
+        table = state["tables"]["t"]
+        table["freq"] = np.arange(40, dtype=np.float64)[::-1].copy()
+        table["last_tick"] = np.arange(40, dtype=np.int64)
+        _miss(cache, table, np.array([50]), np.array([1000]))
+        cache.load_state_dict(state)
         reaches = []
         head = hotcache._stable_argsort_head
         monkeypatch.setattr(

@@ -18,7 +18,7 @@ from repro.obs import get_registry
 from repro.serve import InferenceEngine
 
 # What may run between two requests; each one reads the shared cache.
-_READERS = ("stats", "bags", "state", "mask", "health", "contains", "should")
+_READERS = ("stats", "bags", "state", "mask", "health", "should")
 
 
 def _build(schema, model, engines, eager, **knobs):
@@ -62,8 +62,6 @@ def _read(reader, cache, engines, log):
         return [engine.hot_request_mask(log, np.arange(300)).tobytes() for engine in engines]
     if reader == "health":
         return [engine.health() for engine in engines]
-    if reader == "contains":
-        return cache.contains("table_00", np.arange(600)).tobytes()
     assert reader == "should"
     return cache.should_rebalance()
 
