@@ -15,11 +15,13 @@ machine whose speed drifts by tens of percent within minutes.  A pass is
 ``prepare_pass`` (untimed) then ``run_pass`` (timed).
 
 Printed: per side, the min / p25 / median pass wall and the work per
-second of each; the pairwise wins (rounds where the change's pass was the
-faster); and whether both sides produced the same pass signature (the
-ranking digest or training signature perfbench verifies), so a speedup
-that changed the output is visible at once.  Exit status 1 means the
-signatures differed.
+second of each; per side, ``work_per_s`` and ``op_p50_ms`` as perfbench
+reads them, from per-interval floors (each interval's minimum over the
+passes, summed per operation); the pairwise wins (rounds where the
+change's pass was the faster); and whether both sides produced the same
+pass signature (the ranking digest or training signature perfbench
+verifies), so a speedup that changed the output is visible at once.
+Exit status 1 means the signatures differed.
 """
 
 from __future__ import annotations
@@ -72,11 +74,25 @@ def worker(tree: Path, workload_name: str, seed: int, smoke: bool) -> int:
             output = workload.run_pass(prepared)
             wall = time.perf_counter() - start
             digest = hashlib.sha256(repr(output.signature).encode()).hexdigest()[:16]
-            protocol.write(json.dumps({"wall": wall, "signature": digest}) + "\n")
+            reply = {"wall": wall, "signature": digest,
+                     "intervals": output.interval_seconds, "op_ends": output.op_ends}
+            protocol.write(json.dumps(reply) + "\n")
             protocol.flush()
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
     return 0
+
+
+def floor_metrics(items: int, interval_seconds: list[list[float]],
+                  op_ends: list[int] | None) -> tuple[float, float]:
+    """``(work_per_s, op_p50_ms)`` of a set of passes as perfbench's
+    ``PassWorkload.measure`` reads them: each interval's floor is its minimum
+    over the passes, an operation's time is the sum of its intervals' floors
+    (``op_ends`` counts intervals; ``None``: one interval per operation)."""
+    floors = [1e3 * min(column) for column in zip(*interval_seconds)]
+    ends = op_ends or range(1, len(floors) + 1)
+    op_ms = [sum(floors[start:end]) for start, end in zip([0, *ends[:-1]], ends)]
+    return items / (1e-3 * sum(op_ms)), statistics.median(op_ms)
 
 
 class Side:
@@ -93,6 +109,8 @@ class Side:
         )
         self.items = self._read()["items"]
         self.walls: list[float] = []
+        self.intervals: list[list[float]] = []
+        self.op_ends: list[int] | None = None
         self.signatures: set[str] = set()
 
     def _read(self) -> dict:
@@ -106,6 +124,8 @@ class Side:
         self.process.stdin.flush()
         reply = self._read()
         self.walls.append(reply["wall"])
+        self.intervals.append(reply["intervals"])
+        self.op_ends = reply["op_ends"]
         self.signatures.add(reply["signature"])
         return reply["wall"]
 
@@ -123,6 +143,10 @@ class Side:
             f"p25 {p25:.4f}  median {median:.4f}   work/s: max {self.items / walls[0]:.1f}  "
             f"p25 {self.items / p25:.1f}  median {self.items / median:.1f}"
         )
+
+    def floors(self) -> str:
+        work_per_s, op_p50_ms = floor_metrics(self.items, self.intervals, self.op_ends)
+        return f"{self.label:<7} floors: work_per_s {work_per_s:.1f}  op_p50_ms {op_p50_ms:.4f}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -154,6 +178,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.workload}, seed {args.seed}, {args.passes} alternating rounds")
     for side in sides:
         print(side.summary())
+    for side in sides:
+        print(side.floors())
     ratio = statistics.median(parent.walls) / statistics.median(change.walls)
     print(f"change faster in {wins}/{args.passes} pairs; median ratio x{ratio:.3f}")
     same = len(parent.signatures | change.signatures) == 1

@@ -18,8 +18,8 @@ stateful* cache over the same spec type:
 - **frequency state is two-tier** — cached rows keep exact decayed
   counters (bounded by the cache size), while the uncached universe is
   tracked by a decayed :class:`~repro.core.sketch.CountMinSketch`
-  (bounded by ``width x depth``), so total tracking memory never scales
-  with table cardinality;
+  (bounded by ``width x depth``); only the member slot map grows with the
+  tables, at 4 B per tracked row, 1/dim of the float32 rows it indexes;
 - **turnover is incremental** — :meth:`rebalance` returns a
   :class:`CacheDelta` of promoted/demoted row ids; the replicator ships
   only the delta and the trainers re-pack only the inputs that touch it,
@@ -33,8 +33,10 @@ classifier gives them.
 
 Every tracked row lives in one row space: with tracked tables in name
 order, row ``id`` of table ``t`` is key ``base[t] + id``.  Members are one
-sorted key array with a counter and a tick array aligned to it; each
-table keeps its own sketch over its own ids.
+sorted key array with counter and tick arrays aligned to it, an ``int32``
+slot map over the row space holds each key's member position (-1 if none),
+and each table's sketch, over its own ids, takes the window's misses once
+before it is read.
 
 Determinism: no wall clock anywhere.  Recency is a logical tick counter,
 ties break on ``(priority, table, id)`` — key order — and the sketch's
@@ -300,12 +302,15 @@ class EmbeddingHotCache:
         self._keys = np.concatenate(keys)
         self._freq = np.concatenate(freq)
         self._last_tick = np.zeros(self._keys.size, dtype=np.int64)
+        self._slot = np.empty(int(self._base[-1]), dtype=np.int32)
+        self._place(slice(None))
         # One sketch per table over its own ids; misses wait as (table, keys).
         self._sketches = [
             CountMinSketch(width=config.sketch_width, depth=config.sketch_depth, seed=config.seed)
             for _ in self._names
         ]
         self._pending: list[tuple[int, np.ndarray]] = []
+        self._unsketched = 0  # _pending[_unsketched:] is in no sketch yet
 
         self._min_row_bytes = int(self._row_bytes.min()) if tracked else 4
         self._pinned_rows = sum(bag.num_hot for bag in self._pinned.values())
@@ -377,6 +382,18 @@ class EmbeddingHotCache:
     def _member_bytes(self) -> int:
         return int(np.diff(self._cuts()) @ self._row_bytes)
 
+    def _place(self, stale: np.ndarray | slice) -> None:
+        """Point the slot map at the members; ``stale`` keys (or all) left them."""
+        self._slot[stale] = -1
+        self._slot[self._keys] = np.arange(self._keys.size, dtype=np.int32)
+
+    def _sketch_misses(self) -> None:
+        """Add the misses no sketch holds yet, one add per table.  Integer adds
+        commute: the sketches read as if each had been added when observed."""
+        fresh, self._unsketched = self._pending[self._unsketched :], len(self._pending)
+        for t in sorted({t for t, _ in fresh}):
+            self._sketches[t].add(np.concatenate([k for u, k in fresh if u == t]) - self._base[t])
+
     # ------------------------------------------------------------------
     # Observation (the read path)
     # ------------------------------------------------------------------
@@ -385,7 +402,7 @@ class EmbeddingHotCache:
         """Record one window of lookups (e.g. a mini-batch's sparse ids).
 
         Hits bump the member's exact counter and last-access tick; misses
-        feed the uncached sketch and join the promotion-candidate window.
+        join the promotion-candidate window, counted in the sketch before it is read.
         Pinned (whole-table) lookups always hit.  Every id must lie in
         ``[0, num_rows)`` of its table (callers check it before this), or
         its key would name another table's row.
@@ -407,22 +424,20 @@ class EmbeddingHotCache:
                 parts.append(flat + self._base[tables[-1]])
         if parts:
             keys = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            positions = np.searchsorted(self._keys, keys)
-            in_range = positions < self._keys.size
-            hit = in_range.copy()
-            hit[in_range] = self._keys[positions[in_range]] == keys[in_range]
+            positions = self._slot[keys]
+            hit = positions >= 0
             num_hits = int(np.count_nonzero(hit))
             num_misses = int(keys.size - num_hits)
             if num_hits:
-                np.add.at(self._freq, positions[hit], 1.0)
-                self._last_tick[positions[hit]] = self.tick
+                members = positions[hit]
+                np.add.at(self._freq, members, 1.0)
+                self._last_tick[members] = self.tick
             if num_misses:
                 end = 0
                 for t, part in zip(tables, parts):
                     start, end = end, end + part.size
                     missed = part[~hit[start:end]]
                     if missed.size:
-                        self._sketches[t].add(missed - self._base[t])
                         self._pending.append((t, missed))
             self.hits += num_hits
             self.misses += num_misses
@@ -498,6 +513,7 @@ class EmbeddingHotCache:
         an interrupted refresh instead of persisting row payloads.
         """
         self._settle()
+        self._sketch_misses()
         with span("hotcache.plan", tick=self.tick) as sp:
             # Window candidates: unique missed keys, scored by their
             # table's sketch.  Key order is (table, id) order.
@@ -610,7 +626,7 @@ class EmbeddingHotCache:
         if plan.promoted_order.size or plan.demoted_order.size:
             # Demoted rows hand their exact counters back to their table's
             # sketch, so their popularity history survives the demotion.
-            gone = np.sort(np.searchsorted(self._keys, plan.demoted_order))
+            gone = np.sort(self._slot[plan.demoted_order])
             keys = self._keys[gone]
             # Counters are non-negative, so truncation is the floor.
             counts = self._freq[gone].astype(np.int64)
@@ -632,11 +648,13 @@ class EmbeddingHotCache:
             self._keys = _merged(kept, promoted, slots, old)
             self._freq = _merged(self._freq[keep], plan.promoted_est[by_key], slots, old)
             self._last_tick = _merged(self._last_tick[keep], self.tick, slots, old)
+            self._place(keys)
         self._finish_window()
 
     def _finish_window(self) -> None:
         """Age every counter and drop the observation window."""
-        self._pending = []
+        self._sketch_misses()
+        self._pending, self._unsketched = [], 0
         decay = self.config.decay
         if decay < 1.0:
             self._freq *= decay
@@ -720,6 +738,7 @@ class EmbeddingHotCache:
         *not* serialized; the loader validates they match instead.
         """
         self._settle()
+        self._sketch_misses()
         cuts = self._cuts()
         tables: dict[str, dict] = {}
         for t, name in enumerate(self._names):
@@ -790,7 +809,8 @@ class EmbeddingHotCache:
             ]
         self._held = None  # replaced wholesale; its counts are already in
         self._keys, self._freq, self._last_tick = map(np.concatenate, (keys, freq, ticks))
-        self._pending = pending
+        self._place(slice(None))
+        self._pending, self._unsketched = pending, len(pending)  # saved sketches hold them
         for t, name in enumerate(self._names):
             self._sketches[t].load_state_dict(tables[name]["sketch"])
         self.version = int(state["version"])

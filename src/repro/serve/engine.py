@@ -255,7 +255,8 @@ class InferenceEngine:
         """
         candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
         num_rows = self.model.tables[candidate_table].num_rows
-        bad = (candidate_ids < 0) | (candidate_ids >= num_rows)
+        # One compare: a negative id is a huge uint64, so it fails it too.
+        bad = candidate_ids.view(np.uint64) >= num_rows
         if bad.any():
             offender = int(candidate_ids[bad][0])
             raise ValueError(

@@ -128,6 +128,79 @@ class TestObserve:
         np.testing.assert_array_equal(got, [False, True, True, True, False])
 
 
+def _assert_slot_map(cache) -> None:
+    """The member slot map names every member's position and nothing else."""
+    keys = cache._keys
+    np.testing.assert_array_equal(cache._slot[keys], np.arange(keys.size))
+    assert np.count_nonzero(cache._slot >= 0) == keys.size
+
+
+def _searchsorted_hits(cache, sparse) -> int:
+    """Hits of one ``observe`` window, found by binary search in the members."""
+    bags, hits = cache.bags(), 0
+    for name, ids in sparse.items():
+        members, ids = bags[name].hot_ids, np.ravel(ids)
+        if bags[name].whole_table:
+            hits += ids.size
+            continue
+        positions = np.minimum(np.searchsorted(members, ids), max(members.size - 1, 0))
+        hits += int(np.count_nonzero(members[positions] == ids)) if members.size else 0
+    return hits
+
+
+class TestSlotMap:
+    """``observe`` finds members through the slot map, which every change of
+    membership must rewrite."""
+
+    @staticmethod
+    def _three_tables(budget_rows: int):
+        bags = {
+            "a": _bag("a", [1, 3, 5], num_rows=20, dim=4),
+            "b": _bag("b", [0, 7], num_rows=9, dim=8),
+            "c": _bag("c", [], num_rows=30, dim=2),
+            "pinned": _bag("pinned", range(6), num_rows=6, dim=4, whole=True),
+        }
+        config = HotCacheConfig(budget_bytes=6 * 16 + budget_rows * 16, rebalance_every=12)
+        return EmbeddingHotCache(bags, config)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), budget_rows=st.sampled_from([2, 8, 40]))
+    def test_invariant_and_hits_over_a_stream(self, seed, budget_rows):
+        cache = self._three_tables(budget_rows)
+        _assert_slot_map(cache)  # __init__
+        rng = np.random.default_rng(seed)
+        hits = misses = 0
+        for step in range(40):
+            sparse = {
+                name: rng.zipf(1.3, size=(4, 2)) % rows
+                for name, rows in (("a", 20), ("b", 9), ("c", 30), ("pinned", 6))
+            }
+            want = _searchsorted_hits(cache, sparse)
+            cache.observe(sparse)  # applies a deferred plan first
+            _assert_slot_map(cache)
+            hits += want
+            misses += sum(ids.size for ids in sparse.values()) - want
+            assert (cache.hits, cache.misses) == (hits, misses)
+            if cache.should_rebalance():
+                if step % 2:
+                    cache.rebalance()
+                    _assert_slot_map(cache)
+                else:
+                    cache.defer_rebalance()
+        assert cache.promotions and cache.demotions and cache.rebalances >= 4
+
+    def test_load_state_dict_rewrites_the_map(self):
+        source = self._three_tables(budget_rows=4)
+        for _ in range(6):
+            source.observe({"a": np.array([[11, 12]]), "c": np.array([[29, 0, 29]])})
+        source.rebalance()
+        cache = self._three_tables(budget_rows=4)
+        cache.load_state_dict(source.state_dict())
+        _assert_slot_map(cache)
+        np.testing.assert_array_equal(cache._keys, source._keys)
+        assert cache._slot[1] == -1  # a's row 1 left the members
+
+
 class TestRebalance:
     def test_popular_miss_displaces_cold_member(self):
         cache = _cache(hot_ids=(0, 1, 2, 3), budget_rows=4)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.loader import MiniBatch
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec
-from repro.models.dlrm import DLRM, DLRMConfig
+from repro.models.dlrm import DLRM, DLRMConfig, _distinct_rows
 from repro.nn import BCEWithLogits
 from repro.nn.activations import sigmoid
 from repro.nn.gradcheck import check_gradients
@@ -209,3 +209,35 @@ def test_a_ranking_stream_returns_the_oracles_top_k():
         np.testing.assert_allclose(
             ranked.scores, [oracle[int(item)] for item in ranked.item_ids], rtol=1e-6
         )
+
+
+class TestDistinctRowsOfOneColumn:
+    """``_distinct_rows`` on one id column sorts once instead of calling
+    ``np.unique``; its first rows and inverse must be ``np.unique``'s."""
+
+    @staticmethod
+    def assert_matches_unique(ids: np.ndarray) -> None:
+        _, want_first, want_inverse = np.unique(
+            ids.reshape(len(ids)), return_index=True, return_inverse=True
+        )
+        first, inverse = _distinct_rows([ids])
+        for got, want in ((first, want_first), (inverse, want_inverse)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ids=st.lists(st.integers(-3, 2**40), min_size=1, max_size=300),
+        column=st.booleans(),
+        repeated=st.sampled_from([1, 2, 7]),
+    )
+    def test_first_rows_and_inverse_match_unique(self, ids, column, repeated):
+        values = np.repeat(np.array(ids, dtype=np.int64), repeated)  # runs of equal ids
+        values = np.random.default_rng(len(ids)).permutation(values)
+        self.assert_matches_unique(values[:, None] if column else values)
+
+    @pytest.mark.parametrize("shape", [(9,), (9, 1)])
+    def test_zero_stride_broadcast(self, shape):
+        ids = np.broadcast_to(np.array(5, dtype=np.int64), shape)
+        assert ids.strides[0] == 0
+        self.assert_matches_unique(ids)
