@@ -139,12 +139,10 @@ def _searchsorted_hits(cache, sparse) -> int:
     """Hits of one ``observe`` window, found by binary search in the members."""
     bags, hits = cache.bags(), 0
     for name, ids in sparse.items():
-        members, ids = bags[name].hot_ids, np.ravel(ids)
-        if bags[name].whole_table:
-            hits += ids.size
-            continue
-        positions = np.minimum(np.searchsorted(members, ids), max(members.size - 1, 0))
-        hits += int(np.count_nonzero(members[positions] == ids)) if members.size else 0
+        members = bags[name].hot_ids  # a pinned table's are all its rows
+        if members.size:
+            positions = np.minimum(np.searchsorted(members, np.ravel(ids)), members.size - 1)
+            hits += int(np.count_nonzero(members[positions] == np.ravel(ids)))
     return hits
 
 
