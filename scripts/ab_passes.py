@@ -17,7 +17,8 @@ machine whose speed drifts by tens of percent within minutes.  A pass is
 Printed: per side, the min / p25 / median pass wall and the work per
 second of each; per side, ``work_per_s`` and ``op_p50_ms`` as perfbench
 reads them, from per-interval floors (each interval's minimum over the
-passes, summed per operation); the pairwise wins (rounds where the
+passes, summed per operation; a pass of another interval count is dropped
+with a warning, where perfbench fails the run); the pairwise wins (rounds where the
 change's pass was the faster); and whether both sides produced the same
 pass signature (the ranking digest or training signature perfbench
 verifies), so a speedup that changed the output is visible at once.
@@ -84,15 +85,20 @@ def worker(tree: Path, workload_name: str, seed: int, smoke: bool) -> int:
 
 
 def floor_metrics(items: int, interval_seconds: list[list[float]],
-                  op_ends: list[int] | None) -> tuple[float, float]:
-    """``(work_per_s, op_p50_ms)`` of a set of passes as perfbench's
-    ``PassWorkload.measure`` reads them: each interval's floor is its minimum
-    over the passes, an operation's time is the sum of its intervals' floors
-    (``op_ends`` counts intervals; ``None``: one interval per operation)."""
-    floors = [1e3 * min(column) for column in zip(*interval_seconds)]
+                  op_ends: list[int] | None) -> tuple[float, float, int]:
+    """``(work_per_s, op_p50_ms, dropped)`` of a set of passes as perfbench's
+    ``PassWorkload.measure`` reads them, and a copy of its rule that must
+    follow it: only the passes with the last pass's interval count are kept
+    (``dropped`` counts the others; perfbench fails a run that has any),
+    each interval's floor is its minimum over those passes, and an
+    operation's time is the sum of its intervals' floors (``op_ends`` counts
+    intervals; ``None``: one interval per operation)."""
+    count = len(interval_seconds[-1])
+    kept = [intervals for intervals in interval_seconds if len(intervals) == count]
+    floors = [1e3 * min(column) for column in zip(*kept)]
     ends = op_ends or range(1, len(floors) + 1)
     op_ms = [sum(floors[start:end]) for start, end in zip([0, *ends[:-1]], ends)]
-    return items / (1e-3 * sum(op_ms)), statistics.median(op_ms)
+    return items / (1e-3 * sum(op_ms)), statistics.median(op_ms), len(interval_seconds) - len(kept)
 
 
 class Side:
@@ -145,8 +151,11 @@ class Side:
         )
 
     def floors(self) -> str:
-        work_per_s, op_p50_ms = floor_metrics(self.items, self.intervals, self.op_ends)
-        return f"{self.label:<7} floors: work_per_s {work_per_s:.1f}  op_p50_ms {op_p50_ms:.4f}"
+        work_per_s, op_p50_ms, dropped = floor_metrics(self.items, self.intervals, self.op_ends)
+        line = f"{self.label:<7} floors: work_per_s {work_per_s:.1f}  op_p50_ms {op_p50_ms:.4f}"
+        if dropped:  # perfbench would report such a run as failed
+            line += f"  WARNING: {dropped} passes dropped, their interval count differs"
+        return line
 
 
 def main(argv: list[str] | None = None) -> int:

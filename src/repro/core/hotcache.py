@@ -33,10 +33,9 @@ classifier gives them.
 
 Every tracked row lives in one row space: with tracked tables in name
 order, row ``id`` of table ``t`` is key ``base[t] + id``.  Members are one
-sorted key array with counter and tick arrays aligned to it, an ``int32``
-slot map over the row space holds each key's member position (-1 if none),
-and each table's sketch, over its own ids, takes the window's misses once
-before it is read.
+sorted key array with counter and tick arrays and an ``int32`` slot map
+(each key's member position, -1 if none); each table's sketch, over its
+own ids, takes the window's misses once, before it is read.
 
 Determinism: no wall clock anywhere.  Recency is a logical tick counter,
 ties break on ``(priority, table, id)`` — key order — and the sketch's
@@ -382,14 +381,19 @@ class EmbeddingHotCache:
     def _member_bytes(self) -> int:
         return int(np.diff(self._cuts()) @ self._row_bytes)
 
+    def _check_ids(self, t: int, ids: np.ndarray, what: str) -> None:
+        """Refuse ids outside table ``t``'s rows: their keys name another table's."""
+        num_rows = int(self._base[t + 1] - self._base[t])
+        if ids.size and int(ids.view(np.uint64).max()) >= num_rows:  # a negative id wraps high
+            raise ValueError(f"{what} ids of table {self._names[t]!r} out of range [0, {num_rows})")
+
     def _place(self, stale: np.ndarray | slice) -> None:
         """Point the slot map at the members; ``stale`` keys (or all) left them."""
         self._slot[stale] = -1
         self._slot[self._keys] = np.arange(self._keys.size, dtype=np.int32)
 
     def _sketch_misses(self) -> None:
-        """Add the misses no sketch holds yet, one add per table.  Integer adds
-        commute: the sketches read as if each had been added when observed."""
+        """Add the misses no sketch holds yet, one add per table (integer adds commute)."""
         fresh, self._unsketched = self._pending[self._unsketched :], len(self._pending)
         for t in sorted({t for t, _ in fresh}):
             self._sketches[t].add(np.concatenate([k for u, k in fresh if u == t]) - self._base[t])
@@ -403,25 +407,26 @@ class EmbeddingHotCache:
 
         Hits bump the member's exact counter and last-access tick; misses
         join the promotion-candidate window, counted in the sketch before it is read.
-        Pinned (whole-table) lookups always hit.  Every id must lie in
-        ``[0, num_rows)`` of its table (callers check it before this), or
-        its key would name another table's row.
+        Pinned (whole-table) lookups always hit.  An id outside ``[0, num_rows)``
+        of a tracked table raises ValueError, and the call records nothing.
         """
         self._settle()
-        self.tick += 1
-        num_inputs = 0
-        tables, parts = [], []
+        num_inputs, pinned, tables, parts = 0, [], [], []
         for name, ids in sparse.items():
             flat = np.asarray(ids, dtype=np.int64).ravel()
             if flat.size == 0:
                 continue
             num_inputs = max(num_inputs, np.asarray(ids).shape[0])
             if name in self._pinned:
-                self.hits += int(flat.size)
-                self._hits_counter.inc(int(flat.size))
+                pinned.append(int(flat.size))
             elif name in self._index:  # else: not under cache management
                 tables.append(self._index[name])
+                self._check_ids(tables[-1], flat, "observed")
                 parts.append(flat + self._base[tables[-1]])
+        self.tick += 1
+        for count in pinned:
+            self.hits += count
+            self._hits_counter.inc(count)
         if parts:
             keys = np.concatenate(parts) if len(parts) > 1 else parts[0]
             positions = self._slot[keys]
@@ -506,11 +511,11 @@ class EmbeddingHotCache:
             self.apply_rebalance(self._held)
 
     def plan_rebalance(self) -> RebalancePlan:
-        """Decide the next turnover without mutating any cache state.
+        """Decide the next turnover without changing the serialized state.
 
-        Pure in the cache state: two byte-identical caches produce
-        byte-identical plans, which is what lets crash recovery re-derive
-        an interrupted refresh instead of persisting row payloads.
+        Pure in :meth:`state_dict` (queued misses may reach the sketches):
+        byte-identical caches give byte-identical plans, so crash recovery
+        re-derives an interrupted refresh instead of persisting row payloads.
         """
         self._settle()
         self._sketch_misses()
@@ -794,12 +799,7 @@ class EmbeddingHotCache:
         for t, name in enumerate(self._names):
             entry = tables[name]
             members = np.asarray(entry["members"], dtype=np.int64)
-            num_rows = int(self._base[t + 1] - self._base[t])
-            if members.size and (int(members.min()) < 0 or int(members.max()) >= num_rows):
-                raise ValueError(
-                    f"checkpointed member ids [{int(members.min())}, {int(members.max())}] "
-                    f"out of range for table {name!r} ({num_rows} rows)"
-                )
+            self._check_ids(t, members, "checkpointed member")
             keys.append(members + self._base[t])
             freq.append(np.asarray(entry["freq"], dtype=np.float64))
             ticks.append(np.asarray(entry["last_tick"], dtype=np.int64))

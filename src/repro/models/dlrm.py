@@ -259,19 +259,17 @@ def _distinct_rows(ids: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     Returns the first row of each distinct key, in sorted key order, and
     every row's position among those keys."""
     keys = np.concatenate([values.reshape(len(values), -1) for values in ids], axis=1)
-    if keys.shape[1] > 1:  # one opaque key of the row's bytes
-        keys = keys.view(f"V{keys.shape[1] * keys.itemsize}")[:, 0]
-        _, first_rows, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        return first_rows, inverse
-    # One id column: np.unique's steps without its overhead.  A stable sort
-    # puts each key's first row first in its run of equal keys, and the runs
-    # begun up to a row count its position among the distinct keys.
-    keys = keys[:, 0]
+    # One id column is its own key; several are one opaque key of the row's bytes.
+    width = keys.shape[1]
+    keys = (keys if width == 1 else keys.view(f"V{width * keys.itemsize}"))[:, 0]
+    # np.unique's steps without its overhead.  A stable sort puts each key's
+    # first row first in its run of equal keys, and the runs begun up to a
+    # row count its position among the distinct keys.
     order = keys.argsort(kind="stable")
     ordered = keys[order]
     first = np.empty(keys.size, dtype=bool)  # a run begins at this row
     first[0] = False  # not counted, so positions start at 0
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    first[1:] = ordered[1:] != ordered[:-1]
     inverse = np.empty(keys.size, dtype=np.intp)
     inverse[order] = np.cumsum(first)
     first[0] = True

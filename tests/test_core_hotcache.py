@@ -198,6 +198,33 @@ class TestSlotMap:
         np.testing.assert_array_equal(cache._keys, source._keys)
         assert cache._slot[1] == -1  # a's row 1 left the members
 
+    @pytest.mark.parametrize(
+        "table, ids",
+        [
+            ("b", [2, -15]),  # key base_b - 15 is a's member 5
+            ("a", [20]),  # key 20 is b's member 0
+            ("c", [30]),  # past the last table's rows
+        ],
+    )
+    def test_out_of_range_ids_are_refused_and_record_nothing(self, table, ids):
+        cache = self._three_tables(budget_rows=4)
+        cache.observe({"a": np.array([[11, 5]])})
+        before = (cache.tick, cache.hits, cache.misses, len(cache._pending))
+        freq, ticks = cache._freq.copy(), cache._last_tick.copy()
+        sparse = {"pinned": np.array([[1]]), table: np.array([ids])}
+        with pytest.raises(ValueError, match=rf"ids of table '{table}' out of range \[0, "):
+            cache.observe(sparse)
+        assert (cache.tick, cache.hits, cache.misses, len(cache._pending)) == before
+        np.testing.assert_array_equal(cache._freq, freq)
+        np.testing.assert_array_equal(cache._last_tick, ticks)
+
+    def test_load_refuses_out_of_range_members(self):
+        cache = self._three_tables(budget_rows=4)
+        state = cache.state_dict()
+        state["tables"]["b"]["members"] = np.array([-1, 7], dtype=np.int64)
+        with pytest.raises(ValueError, match=r"member ids of table 'b' out of range \[0, 9\)"):
+            cache.load_state_dict(state)
+
 
 class TestRebalance:
     def test_popular_miss_displaces_cold_member(self):

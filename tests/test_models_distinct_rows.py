@@ -211,16 +211,17 @@ def test_a_ranking_stream_returns_the_oracles_top_k():
         )
 
 
-class TestDistinctRowsOfOneColumn:
-    """``_distinct_rows`` on one id column sorts once instead of calling
-    ``np.unique``; its first rows and inverse must be ``np.unique``'s."""
+class TestDistinctRowsMatchUnique:
+    """``_distinct_rows`` sorts once instead of calling ``np.unique``; its
+    first rows and inverse must be ``np.unique``'s over the same key: the
+    id itself for one column, the row's bytes for several."""
 
     @staticmethod
-    def assert_matches_unique(ids: np.ndarray) -> None:
-        _, want_first, want_inverse = np.unique(
-            ids.reshape(len(ids)), return_index=True, return_inverse=True
-        )
-        first, inverse = _distinct_rows([ids])
+    def assert_matches_unique(ids: list[np.ndarray]) -> None:
+        keys = np.concatenate([values.reshape(len(values), -1) for values in ids], axis=1)
+        keys = keys[:, 0] if keys.shape[1] == 1 else keys.view(f"V{keys.shape[1] * 8}")[:, 0]
+        _, want_first, want_inverse = np.unique(keys, return_index=True, return_inverse=True)
+        first, inverse = _distinct_rows(ids)
         for got, want in ((first, want_first), (inverse, want_inverse)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
@@ -231,13 +232,24 @@ class TestDistinctRowsOfOneColumn:
         column=st.booleans(),
         repeated=st.sampled_from([1, 2, 7]),
     )
-    def test_first_rows_and_inverse_match_unique(self, ids, column, repeated):
+    def test_one_column(self, ids, column, repeated):
         values = np.repeat(np.array(ids, dtype=np.int64), repeated)  # runs of equal ids
         values = np.random.default_rng(len(ids)).permutation(values)
-        self.assert_matches_unique(values[:, None] if column else values)
+        self.assert_matches_unique([values[:, None] if column else values])
 
-    @pytest.mark.parametrize("shape", [(9,), (9, 1)])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        count=st.integers(1, 80),
+        widths=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_several_columns(self, count, widths, seed):
+        """``(B, k)`` arrays side by side, ids drawn small so rows repeat."""
+        rows = np.random.default_rng(seed).integers(-2, 4, size=(count, sum(widths)))
+        self.assert_matches_unique(np.split(rows, np.cumsum(widths)[:-1], axis=1))
+
+    @pytest.mark.parametrize("shape", [(9,), (9, 1), (9, 2)])
     def test_zero_stride_broadcast(self, shape):
         ids = np.broadcast_to(np.array(5, dtype=np.int64), shape)
         assert ids.strides[0] == 0
-        self.assert_matches_unique(ids)
+        self.assert_matches_unique([ids])

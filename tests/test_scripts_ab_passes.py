@@ -71,9 +71,22 @@ def test_floor_metrics_read_like_perfbench(op_ends):
     """Per-interval floors, summed per operation, as ``PassWorkload.measure``
     reads them: the minimum over passes is taken per interval, not per pass."""
     passes = [[0.004, 0.001, 0.002, 0.003, 0.001], [0.002, 0.003, 0.002, 0.001, 0.004]]
-    work_per_s, op_p50_ms = _load_script().floor_metrics(10, passes, op_ends)
+    work_per_s, op_p50_ms, dropped = _load_script().floor_metrics(10, passes, op_ends)
     floors = 1e3 * np.min(np.asarray(passes), axis=0)  # 2, 1, 2, 1, 1 ms
     op_ms = np.add.reduceat(floors, [0, *(op_ends or range(1, 6))[:-1]])
     assert work_per_s == pytest.approx(10 / (1e-3 * op_ms.sum()))  # 7 ms, below either pass
     assert op_p50_ms == pytest.approx(np.median(op_ms))
     assert op_p50_ms == (1.0 if op_ends is None else 2.0)
+    assert dropped == 0
+
+
+def test_floor_metrics_drop_passes_of_another_interval_count():
+    """As in ``PassWorkload.measure``, a pass whose interval count differs
+    from the last pass's is dropped and counted, never cut to fit."""
+    passes = [[0.0005, 0.0005, 0.0005], [0.004, 0.001], [0.002, 0.003]]
+    script = _load_script()
+    assert script.floor_metrics(10, passes, None) == (
+        *script.floor_metrics(10, passes[1:], None)[:2],
+        1,
+    )
+    assert script.floor_metrics(10, passes, None)[0] == pytest.approx(10 / 3e-3)  # 2 + 1 ms
