@@ -4,7 +4,7 @@ Every benchmark writes its rendered table/figure to
 ``benchmarks/out/<name>.txt``; :func:`generate_report` stitches those
 artifacts into one markdown document ordered like the paper's evaluation
 (figures, tables, text claims, ablations/extensions), ready to attach to
-a reproduction writeup.  Exposed on the CLI as ``python -m repro report``.
+a reproduction writeup.  Exposed on the CLI as ``python -m repro bench-report``.
 """
 
 from __future__ import annotations

@@ -141,25 +141,3 @@ class AccessProfile:
         """
         multiplicity = self.schema.table(table_name).multiplicity
         return threshold * self.num_sampled_inputs * multiplicity
-
-    def hot_bytes_for_threshold(self, threshold: float) -> int:
-        """Exact hot-embedding bytes at ``threshold`` across all tables.
-
-        Large tables contribute their above-threshold rows; small tables
-        contribute their full size (they are always resident on GPU).
-        """
-        total = 0
-        for spec in self.schema.tables:
-            profile = self.tables.get(spec.name)
-            if profile is None:
-                total += spec.size_bytes
-            else:
-                total += profile.hot_bytes(self.min_count_for_threshold(threshold, spec.name))
-        return total
-
-    def hot_row_counts_for_threshold(self, threshold: float) -> dict[str, int]:
-        """Per-table hot row counts at ``threshold`` (large tables only)."""
-        return {
-            name: profile.hot_row_count(self.min_count_for_threshold(threshold, name))
-            for name, profile in self.tables.items()
-        }

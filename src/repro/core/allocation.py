@@ -54,9 +54,6 @@ class Allocation:
     bytes_used: int
     log_hot_fraction: float
 
-    def predicted_hot_fraction(self) -> float:
-        return float(np.exp(self.log_hot_fraction))
-
     def to_bag_specs(self, profile: AccessProfile) -> dict[str, HotEmbeddingBagSpec]:
         """Materialize bag specs: the top-k rows by sampled count per table.
 

@@ -8,7 +8,7 @@ footprint of the chosen batch size, and the framework's fixed overheads.
 :func:`plan_memory_budget` does that arithmetic and returns a
 :class:`MemoryPlan` whose ``recommended_budget`` can be handed directly
 to :class:`~repro.core.config.FAEConfig`.  Caller: ``repro simulate
---auto-budget`` (:func:`repro.cli.cmd_simulate`).
+--auto-budget`` (:mod:`repro.commands.simulate`).
 """
 
 from __future__ import annotations

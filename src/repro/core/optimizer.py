@@ -58,14 +58,6 @@ class CalibrationResult:
     gpu_memory_budget: int
 
     @property
-    def chosen(self) -> ThresholdEvaluation:
-        """The evaluation of the final threshold."""
-        for ev in self.evaluations:
-            if ev.threshold == self.threshold:
-                return ev
-        raise RuntimeError("calibration result lost its chosen evaluation")
-
-    @property
     def iterations(self) -> int:
         return len(self.evaluations)
 

@@ -256,10 +256,6 @@ class ShuffleScheduler:
     # Introspection
     # ------------------------------------------------------------------
 
-    @property
-    def exhausted(self) -> bool:
-        return self.remaining_hot == 0 and self.remaining_cold == 0
-
     def reset_epoch(self, num_hot_batches: int, num_cold_batches: int) -> None:
         """Fill both pools with the next epoch's batches; rate and history
         persist."""

@@ -19,6 +19,7 @@ are scale-free, so the rank-frequency *shape* survives shrinking.
 
 from __future__ import annotations
 
+import math
 
 from repro.data.schema import DatasetSchema, EmbeddingTableSpec, scaled_schema
 
@@ -63,16 +64,18 @@ _TAOBAO_SEQ_LEN = 21
 
 
 def _resolve_scale(scale: str | float) -> float:
-    if isinstance(scale, str):
-        try:
-            return SCALE_FACTORS[scale]
-        except KeyError:
-            raise ValueError(
-                f"unknown scale {scale!r}; expected one of {sorted(SCALE_FACTORS)}"
-            ) from None
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    return float(scale)
+    """A named scale's factor, or a number (or numeric string) taken as one."""
+    if scale in SCALE_FACTORS:
+        return SCALE_FACTORS[scale]
+    try:
+        factor = float(scale)
+    except ValueError:
+        raise ValueError(
+            f"unknown scale {scale!r}; expected one of {sorted(SCALE_FACTORS)} or a number"
+        ) from None
+    if not (math.isfinite(factor) and factor > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    return factor
 
 
 def _skewed_exponent(num_rows: int, base: float) -> float:

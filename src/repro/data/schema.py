@@ -119,10 +119,6 @@ class DatasetSchema:
         """
         return tuple(t for t in self.tables if t.size_bytes >= min_bytes)
 
-    def small_tables(self, min_bytes: int = 1 << 20) -> tuple[EmbeddingTableSpec, ...]:
-        """Complement of :meth:`large_tables`."""
-        return tuple(t for t in self.tables if t.size_bytes < min_bytes)
-
     def lookups_per_sample(self) -> int:
         """Total embedding lookups a single sample performs."""
         return int(sum(t.multiplicity for t in self.tables))

@@ -156,7 +156,6 @@ def popularity_shift_days(
         log.sparse = sparse
         log.labels = labels
         log._logits = logit
-        log._samplers = dict(samplers)
         days.append(log)
     return days
 

@@ -77,7 +77,6 @@ class SyntheticClickLog(ClickLog):
         )
 
         self.sparse: dict[str, np.ndarray] = {}
-        self._samplers: dict[str, ZipfSampler] = {}
         logit = np.zeros(n, dtype=np.float64)
 
         # Dense contribution to the planted logit.
@@ -94,7 +93,6 @@ class SyntheticClickLog(ClickLog):
                 exponent=spec.zipf_exponent,
                 seed=config.seed * 7919 + t_index,
             )
-            self._samplers[spec.name] = sampler
             ids = sampler.sample(n * spec.multiplicity).reshape(n, spec.multiplicity)
             self.sparse[spec.name] = ids
             affinity_rng = np.random.default_rng(config.seed * 104729 + t_index)
@@ -105,10 +103,6 @@ class SyntheticClickLog(ClickLog):
         probs = 1.0 / (1.0 + np.exp(-logit))
         self.labels = (rng.random(n) < probs).astype(np.float32)
         self._logits = logit
-
-    def sampler(self, table_name: str) -> ZipfSampler:
-        """Ground-truth sampler for a table (tests use this as an oracle)."""
-        return self._samplers[table_name]
 
     def bayes_accuracy(self) -> float:
         """Accuracy of the planted model itself — an upper bound for training."""
@@ -125,5 +119,4 @@ class SyntheticClickLog(ClickLog):
         clone.sparse = {name: ids[indices] for name, ids in self.sparse.items()}
         clone.labels = self.labels[indices]
         clone._logits = self._logits[indices]
-        clone._samplers = self._samplers
         return clone

@@ -83,31 +83,6 @@ class PipelineSchedule:
     def critical_resource(self) -> str:
         return max(self.utilization, key=self.utilization.get)
 
-    def to_chrome_trace(self) -> list[dict]:
-        """Export as Chrome tracing events (``chrome://tracing`` format).
-
-        Each task becomes a complete ("X") event on its resource's row;
-        dump with ``json.dump({"traceEvents": schedule.to_chrome_trace()},
-        fh)`` and load the file in chrome://tracing or Perfetto.
-        """
-        events = []
-        resource_rows = {name: i for i, name in enumerate(sorted(self.utilization))}
-        for task in self.tasks:
-            if task.start is None or task.end is None:
-                continue
-            events.append(
-                {
-                    "name": task.name,
-                    "cat": task.resource,
-                    "ph": "X",
-                    "ts": task.start * 1e6,  # microseconds
-                    "dur": (task.end - task.start) * 1e6,
-                    "pid": 0,
-                    "tid": resource_rows[task.resource],
-                }
-            )
-        return events
-
 
 def schedule(tasks: list[Task], resources: dict[str, Resource]) -> PipelineSchedule:
     """List-schedule ``tasks`` in dependency order on their resources.
@@ -239,25 +214,3 @@ class PipelinedSimulator:
             utilization=sched.utilization,
             tasks=sched.tasks,
         )
-
-    def overlap_factor(self, mode: str = "baseline", max_batches: int = 64) -> float:
-        """Serial time / pipelined makespan for the first ``max_batches``.
-
-        1.0 means no overlap was available; the theoretical ceiling is the
-        serial time divided by the busiest resource's demand.
-        """
-        from repro.hw.simulator import TrainingSimulator
-
-        serial_sim = TrainingSimulator(self.cluster, self.workload)
-        if mode == "baseline":
-            serial = serial_sim.baseline_batch().total * max_batches
-            pipelined = self.baseline_epoch(max_batches=max_batches).makespan
-        elif mode == "fae":
-            per_hot = serial_sim.hot_batch().total
-            per_cold = serial_sim.baseline_batch().total
-            num_hot = round(max_batches * self.workload.hot_fraction)
-            serial = per_hot * num_hot + per_cold * (max_batches - num_hot)
-            pipelined = self.fae_epoch(max_batches=max_batches).makespan
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        return serial / pipelined if pipelined else 1.0

@@ -67,6 +67,3 @@ class RecModel(abc.ABC):
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
-
-    def embedding_bytes(self) -> int:
-        return sum(t.nbytes for t in self.tables.values())

@@ -22,7 +22,7 @@ Timing claims are measured from outside by ``perfbench/`` (the repo's
 only timing benchmark), not by this package.
 
 Enable tracing with :func:`tracing` (a context manager), ``REPRO_TRACE=1``,
-the ``--trace`` CLI flag, or the ``repro trace`` subcommand.
+or the ``--trace [PATH]`` flag of ``repro preprocess`` / ``repro train``.
 """
 
 from repro.obs.analyze import (

@@ -5,7 +5,7 @@ Two consumers, two formats:
 - :func:`export_jsonl` — one JSON record per finished span and one per
   metric snapshot, machine-parseable (benchmarks regress against this);
 - :func:`summary_tree` — the human-readable breakdown printed by
-  ``repro trace``: span tree with total / self time and call counts,
+  ``--trace``: span tree with total / self time and call counts,
   followed by a metrics section.
 
 :func:`load_jsonl` round-trips either JSONL file back into dicts.

@@ -60,12 +60,6 @@ class Counter:
         with self._lock:
             return self._value
 
-    @property
-    def increments(self) -> int:
-        """How many times :meth:`inc` was called."""
-        with self._lock:
-            return self._count
-
     def summary(self) -> dict:
         with self._lock:
             return {"kind": "counter", "value": self._value, "increments": self._count}

@@ -160,12 +160,6 @@ class Tracer:
 
     # -- span lifecycle -------------------------------------------------
 
-    def span(self, name: str, **attributes) -> Span | _NoopSpan:
-        """Open a span (no-op object when the tracer is disabled)."""
-        if not self.enabled:
-            return _NOOP_SPAN
-        return Span(self, name, attributes)
-
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)
         if stack is None:

@@ -64,13 +64,6 @@ class SupervisorEventLog:
         """Occurrences of one event kind."""
         return sum(1 for record in self.events if record["event"] == event)
 
-    def kinds(self) -> list[str]:
-        """Distinct event kinds, in first-seen order."""
-        seen: dict[str, None] = {}
-        for record in self.events:
-            seen.setdefault(record["event"], None)
-        return list(seen)
-
     def flush(self) -> Path | None:
         """Atomically (re)write the log file; returns its path (or None)."""
         if self.path is None:

@@ -66,6 +66,6 @@ class TestWriteReport:
         from repro.cli import main
 
         out = tmp_path / "R.md"
-        assert main(["report", "--artifacts", str(artifact_dir), "--out", str(out)]) == 0
+        assert main(["bench-report", "--artifacts", str(artifact_dir), "--out", str(out)]) == 0
         assert out.exists()
         assert "wrote" in capsys.readouterr().out

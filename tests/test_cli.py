@@ -1,14 +1,18 @@
 """Tests for the command-line interface."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.commands.common import config_from
 from repro.dist import DistributedFAETrainer
 from repro.resilience import FaultPlan, GuardAbort, SupervisorEventLog
 from repro.train import roc_auc
+from repro.train.popshift import PopShiftConfig
 
 
 class TestParser:
@@ -70,6 +74,13 @@ class TestPreprocess:
         dataset, _bags, _threshold = load_fae_dataset(out_file)
         total = sum(len(b) for b in dataset.hot_batches + dataset.cold_batches)
         assert total == 5000
+
+
+class TestPreprocessUsage:
+    def test_shard_size_without_out_is_a_usage_error(self, capsys):
+        argv = ["preprocess", "criteo-kaggle", "--samples", "2000", "--shard-size", "4"]
+        assert main(argv) == 2
+        assert "--shard-size requires --out" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -229,6 +240,64 @@ class TestRemovedSpellings:
             main(argv)
         assert excinfo.value.code == 2
         assert f"error: unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err
+
+
+class TestRemovedCommands:
+    """``trace run`` folded into ``--trace PATH``; ``report`` is ``bench-report``."""
+
+    @pytest.mark.parametrize(
+        "argv, choice",
+        [(["trace", "run", "--rows", "2048"], "run"), (["report", "--out", "R.md"], "report")],
+        ids=["trace_run", "report"],
+    )
+    def test_is_a_usage_error(self, capsys, argv, choice):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{choice}'" in capsys.readouterr().err
+
+
+class TestScale:
+    """``--scale`` is a named scale or a finite positive number, on every command."""
+
+    @staticmethod
+    def argv(command, tmp_path):
+        out = ["--out", str(tmp_path / "report.json")]
+        return {
+            "info": ["info", "criteo-kaggle"],
+            "drift": ["drift", "--days", "3", "--shift-day", "1", "--samples-per-day", "600"] + out,
+            "serve-bench": ["serve-bench", "--requests", "48", "--candidates", "64"] + out,
+        }[command]
+
+    @pytest.mark.parametrize("command", ["info", "drift", "serve-bench"])
+    def test_numeric_scale(self, capsys, tmp_path, command):
+        assert main(self.argv(command, tmp_path) + ["--scale", "0.0005"]) == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["info", "drift", "serve-bench"])
+    def test_non_finite_or_negative_scale_exits_1(self, capsys, tmp_path, command, value):
+        assert main(self.argv(command, tmp_path) + ["--scale", value]) == 1
+        assert "scale must be finite and positive" in capsys.readouterr().err
+
+
+class TestDocumentedCommandLines:
+    def test_every_documented_command_line_parses(self, capsys):
+        """Each ``python -m repro`` line of README and TUTORIAL, continuations
+        joined and comments dropped, is a valid command line."""
+        root = Path(__file__).resolve().parents[1]
+        lines = []
+        for rel in ("README.md", "docs/TUTORIAL.md"):
+            text = (root / rel).read_text(encoding="utf-8").replace("\\\n", " ")
+            lines += [(rel, ln) for ln in text.splitlines() if ln.startswith("python -m repro ")]
+        assert len(lines) > 20
+        rejected = []
+        for rel, line in lines:
+            try:
+                build_parser().parse_args(shlex.split(line, comments=True)[3:])
+            except SystemExit:
+                rejected.append(f"{rel}: {line}")
+        capsys.readouterr()
+        assert not rejected, rejected
 
 
 class TestTrainGuards:
@@ -402,14 +471,19 @@ class TestTraceCli:
     def _run_trace(self, tmp_path, *extra):
         out = tmp_path / "trace.jsonl"
         argv = [
-            "trace",
-            "run",
+            "train",
             "criteo-kaggle",
+            "--mode",
+            "fae",
             "--scale",
             "tiny",
-            "--rows",
+            "--samples",
             "512",
-            "--out",
+            "--epochs",
+            "1",
+            "--batch-size",
+            "128",
+            "--trace",
             str(out),
         ]
         assert main(argv + list(extra)) == 0
@@ -463,8 +537,9 @@ class TestDriftCli:
     def test_parser_accepts_drift(self):
         args = build_parser().parse_args(self.ARGS)
         assert args.command == "drift"
-        assert args.dataset == "criteo-kaggle"
-        assert args.days == 3
+        config = config_from(args, PopShiftConfig)
+        assert config.dataset == "criteo-kaggle"
+        assert config.num_days == 3
 
     def test_prints_summary_and_writes_report(self, tmp_path, capsys):
         out = tmp_path / "popshift.json"

@@ -97,7 +97,7 @@ class TestGreedyProductAllocation:
         mask = InputProcessor(allocation.to_bag_specs(profile)).classify_inputs(log)
         # The product model assumes per-table independence; the planted
         # generator draws tables independently, so it should be close.
-        assert allocation.predicted_hot_fraction() == pytest.approx(
+        assert np.exp(allocation.log_hot_fraction) == pytest.approx(
             mask.mean(), abs=0.1
         )
 
@@ -129,4 +129,4 @@ class TestGreedyProductAllocation:
         for name, table_profile in profile.tables.items():
             accessed = int(np.count_nonzero(table_profile.counts))
             assert allocation.hot_rows[name] >= accessed
-        assert allocation.predicted_hot_fraction() == pytest.approx(1.0)
+        assert np.exp(allocation.log_hot_fraction) == pytest.approx(1.0)

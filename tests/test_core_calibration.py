@@ -182,21 +182,6 @@ class TestAccessProfile:
         base = profile.min_count_for_threshold(0.01, "table_00")
         assert base == pytest.approx(0.01 * 100 * 1)
 
-    def test_hot_bytes_monotone_in_threshold(self, tiny_log, tiny_fae_config):
-        profile = EmbeddingLogger(tiny_fae_config).profile(
-            tiny_log, np.arange(len(tiny_log))
-        )
-        sizes = [profile.hot_bytes_for_threshold(t) for t in (1e-1, 1e-2, 1e-3, 1e-4)]
-        assert sizes == sorted(sizes)
-
-    def test_small_tables_always_counted(self, tiny_log, tiny_fae_config, tiny_schema):
-        profile = EmbeddingLogger(tiny_fae_config).profile(
-            tiny_log, np.arange(len(tiny_log))
-        )
-        small_bytes = tiny_schema.table("table_02").size_bytes
-        huge_threshold = profile.hot_bytes_for_threshold(1.0)
-        assert huge_threshold >= small_bytes
-
     def test_validation(self, tiny_schema):
         with pytest.raises(ValueError):
             AccessProfile(tiny_schema, {}, num_sampled_inputs=0, num_total_inputs=10)
@@ -499,8 +484,9 @@ class TestStatisticalOptimizer:
             tiny_log, np.arange(len(tiny_log))
         )
         result = StatisticalOptimizer(tiny_fae_config).converge(profile)
-        assert result.chosen.fits
-        assert result.chosen.estimated_bytes_upper <= tiny_fae_config.gpu_memory_budget
+        (chosen,) = [e for e in result.evaluations if e.threshold == result.threshold]
+        assert chosen.fits
+        assert chosen.estimated_bytes_upper <= tiny_fae_config.gpu_memory_budget
 
     def test_picks_smallest_feasible_threshold(self, tiny_log, tiny_fae_config):
         optimizer = StatisticalOptimizer(tiny_fae_config)

@@ -51,19 +51,19 @@ class TestPlanning:
     def test_exhausted_flag(self):
         scheduler = ShuffleScheduler(4, 4, initial_rate=100)
         drain(scheduler)
-        assert scheduler.exhausted
+        assert scheduler.remaining_hot == scheduler.remaining_cold == 0
         assert scheduler.next_segment() is None
 
     def test_reset_epoch_refills(self):
         scheduler = ShuffleScheduler(4, 4, initial_rate=100)
         drain(scheduler)
         scheduler.reset_epoch(4, 4)
-        assert not scheduler.exhausted
+        assert (scheduler.remaining_hot, scheduler.remaining_cold) == (4, 4)
         assert sum(s.num_batches for s in drain(scheduler)) == 8
 
     def test_reset_epoch_takes_the_new_epochs_pools(self):
         scheduler = ShuffleScheduler(0, 0, initial_rate=50)
-        assert scheduler.exhausted
+        assert scheduler.next_segment() is None
         scheduler.reset_epoch(0, 6)
         assert [(s.kind, s.num_batches) for s in drain(scheduler)] == [("cold", 3)] * 2
 

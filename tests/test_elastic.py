@@ -36,7 +36,6 @@ class TestSupervisorEventLog:
         assert log.count("spawn") == 2
         assert log.count("dispatch") == 1
         assert log.count("death") == 0
-        assert log.kinds() == ["spawn", "dispatch"]
 
     def test_flush_and_load_roundtrip(self, tmp_path):
         path = tmp_path / "events.jsonl"

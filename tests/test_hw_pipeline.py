@@ -73,12 +73,6 @@ class TestPipelinedSimulator:
         serial_time = serial.baseline_batch().total * n
         assert pipelined <= serial_time * 1.001
 
-    def test_overlap_factor_bounds(self, rmc2):
-        pipe = PipelinedSimulator(Cluster(num_gpus=1), rmc2)
-        factor = pipe.overlap_factor("baseline", max_batches=32)
-        # Overlap helps but cannot exceed the number of resources.
-        assert 1.0 <= factor <= 4.0
-
     def test_cpu_is_baseline_critical_resource(self, rmc2):
         pipe = PipelinedSimulator(Cluster(num_gpus=1), rmc2)
         result = pipe.baseline_epoch(max_batches=32)

@@ -56,31 +56,3 @@ class TestPlanMemoryBudget:
     def test_rejects_bad_batch(self, rmc2):
         with pytest.raises(ValueError):
             plan_memory_budget(rmc2, per_gpu_batch=0)
-
-
-class TestChromeTrace:
-    def test_trace_events_valid(self, rmc2):
-        import json
-
-        from repro.hw import Cluster, PipelinedSimulator
-
-        schedule = PipelinedSimulator(Cluster(num_gpus=1), rmc2).baseline_epoch(
-            max_batches=4
-        )
-        events = schedule.to_chrome_trace()
-        assert len(events) == len(schedule.tasks)
-        for event in events:
-            assert event["ph"] == "X"
-            assert event["dur"] >= 0
-            assert event["ts"] >= 0
-        json.dumps({"traceEvents": events})  # serializable
-
-    def test_rows_map_resources(self, rmc2):
-        from repro.hw import Cluster, PipelinedSimulator
-
-        schedule = PipelinedSimulator(Cluster(num_gpus=1), rmc2).baseline_epoch(
-            max_batches=2
-        )
-        events = schedule.to_chrome_trace()
-        by_cat = {e["cat"]: e["tid"] for e in events}
-        assert len(set(by_cat.values())) == len(by_cat)  # one row per resource

@@ -123,7 +123,7 @@ class TestDLRM:
         model = DLRM(dlrm_schema, DLRMConfig("3-8-4", "8-1"))
         assert model.mlp_flops_per_sample() > 0
         assert model.lookups_per_sample() == 3
-        assert model.embedding_bytes() == dlrm_schema.total_embedding_bytes
+        assert sum(t.nbytes for t in model.tables.values()) == dlrm_schema.total_embedding_bytes
 
     def test_backward_before_forward(self, dlrm_schema):
         model = DLRM(dlrm_schema, DLRMConfig("3-8-4", "8-1"))

@@ -12,6 +12,14 @@ is not a package ``__init__`` (a re-export is not a use) imports it or
 reads it through an alias, when its own module uses it beyond defining
 it, or when an ``ENTRY_POINTS`` target of ``perfbench/tracer.py`` names
 it.  Names in allowlisted modules are not checked.
+
+A public method or property of a class in a module's ``__all__`` counts as
+called when some caller file reads an attribute of that name (``x.name``;
+the scan goes by name, not by type), or when an ``ENTRY_POINTS`` target
+names it as ``Class.method``.  A method that only tests read stays only
+when a test uses it as a reference oracle for other code
+(``ORACLE_METHODS``), or while it waits for its own deletion
+(``TEST_ONLY_METHODS``).
 """
 
 import ast
@@ -23,6 +31,43 @@ CALLER_DIRS = ("src", "benchmarks", "examples", "perfbench", "scripts")
 
 ALLOWED_ORPHANS = {
     "repro.nn.gradcheck": "numerical-gradient oracle for tests/test_nn_gradcheck.py",
+}
+
+ORACLE_METHODS = {
+    "repro.data.log.ClickLog.access_counts": (
+        "exact per-row counts the profiler and the streaming counts are checked against"
+    ),
+    "repro.data.synthetic.SyntheticClickLog.bayes_accuracy": (
+        "accuracy of the planted model: the bound that says generated labels are learnable"
+    ),
+    "repro.core.optimizer.StatisticalOptimizer.evaluate": (
+        "one-cutoff evaluation the whole-grid sweep of converge() is checked against"
+    ),
+    "repro.nn.parameter.SparseGrad.coalesced": (
+        "merged sparse rows that embedding backward records are compared with"
+    ),
+    "repro.obs.sampler.ResourceSampler.running": (
+        "the sampling thread's liveness, which the no-leaked-thread tests observe"
+    ),
+}
+
+#: Methods only their own tests read.  Each is due for deletion together
+#: with the tests that check nothing else; deleting them all at once would
+#: drop ~12 more tests in one change.
+TEST_ONLY_METHODS = {
+    "repro.core.access_profile.TableProfile.hot_access_share",
+    "repro.core.access_profile.TableProfile.top_fraction_share",
+    "repro.data.schema.EmbeddingTableSpec.rows_for_bytes",
+    "repro.data.zipf.ZipfSampler.probability_of_id",
+    "repro.dist.collectives.ProcessGroup.all_gather",
+    "repro.dist.collectives.ProcessGroup.barrier",
+    "repro.dist.collectives.ProcessGroup.broadcast",
+    "repro.dist.collectives.ProcessGroup.reduce_scatter",
+    "repro.hw.cluster.Cluster.with_gpus",
+    "repro.models.zoo.ModelSpec.batch_size_for",
+    "repro.nn.losses.BCEWithLogits.predictions",
+    "repro.serve.replay.VirtualClock.advance",
+    "repro.train.history.TrainingHistory.converged",
 }
 
 
@@ -57,7 +102,7 @@ def _exported_names(path: Path) -> set[str]:
 
 
 def _entry_points() -> set[tuple[str, str]]:
-    """``(module, name)`` for every ``"module:name.attr"`` tracer target."""
+    """``(module, "name.attr")`` for every ``"module:name.attr"`` tracer target."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
     targets = set()
     for node in tree.body:
@@ -66,7 +111,7 @@ def _entry_points() -> set[tuple[str, str]]:
             for leaf in ast.walk(node.value):
                 if isinstance(leaf, ast.Constant) and ":" in str(leaf.value):
                     module, _, attribute = leaf.value.partition(":")
-                    targets.add((module, attribute.split(".")[0]))
+                    targets.add((module, attribute))
     return targets
 
 
@@ -121,7 +166,7 @@ def _orphan_names() -> set[str]:
             if path.name != "__init__.py"
         )
     )
-    entry_points = _entry_points()
+    entry_points = {(module, target.split(".")[0]) for module, target in _entry_points()}
     orphans = set()
     for path, module in _modules():
         if module in ALLOWED_ORPHANS:
@@ -152,3 +197,42 @@ def test_every_exported_name_has_a_caller():
         f"exported names nothing outside tests uses: {orphans}; delete them (and "
         f"their package re-exports), or wire them to a caller"
     )
+
+
+def _orphan_methods() -> set[str]:
+    reads = {
+        node.attr
+        for directory in CALLER_DIRS
+        for path in (ROOT / directory).rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+    }
+    entry_points = _entry_points()
+    orphans = set()
+    for path, module in _modules():
+        exported = _exported_names(path)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not (isinstance(node, ast.ClassDef) and node.name in exported):
+                continue
+            for item in node.body:
+                if (
+                    isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")
+                    and item.name not in reads
+                    and (module, f"{node.name}.{item.name}") not in entry_points
+                ):
+                    orphans.add(f"{module}.{node.name}.{item.name}")
+    return orphans
+
+
+def test_every_public_method_has_a_caller():
+    orphans = _orphan_methods()
+    allowed = set(ORACLE_METHODS) | TEST_ONLY_METHODS
+    unexpected = sorted(orphans - allowed)
+    assert not unexpected, (
+        f"public methods or properties of exported classes that nothing outside "
+        f"tests reads: {unexpected}; delete them (and the tests that check nothing "
+        f"else), or allowlist a test's reference oracle with the reason it stays"
+    )
+    stale = sorted(allowed - orphans)
+    assert not stale, f"allowlisted methods that gained a caller or are gone: {stale}"

@@ -164,7 +164,7 @@ class TestMetrics:
         counter.inc()
         counter.inc(2.5)
         assert counter.value == 3.5
-        assert counter.increments == 2
+        assert counter.summary()["increments"] == 2
 
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -178,9 +178,12 @@ class TestPipelineSpans:
         assert plan.classify_seconds > 0
 
 
+TRAIN_FAE = ["train", "criteo-kaggle", "--mode", "fae", "--epochs", "1", "--batch-size", "128"]
+
+
 class TestTraceCommand:
     def test_prints_span_tree(self, capsys):
-        assert main(["trace", "run", "--rows", "4096", "--epochs", "1"]) == 0
+        assert main(TRAIN_FAE + ["--samples", "4096", "--trace"]) == 0
         out = capsys.readouterr().out
         for token in ("calibrate", "classify", "replicate", "train.segment"):
             assert token in out, f"summary tree missing {token}"
@@ -189,7 +192,7 @@ class TestTraceCommand:
 
     def test_out_writes_jsonl(self, capsys, tmp_path):
         out_file = tmp_path / "trace.jsonl"
-        assert main(["trace", "run", "--rows", "2048", "--out", str(out_file)]) == 0
+        assert main(TRAIN_FAE + ["--samples", "2048", "--trace", str(out_file)]) == 0
         records = load_jsonl(out_file)
         span_names = {r["name"] for r in records if r["type"] == "span"}
         metric_names = {r["name"] for r in records if r["type"] == "metric"}
@@ -199,7 +202,7 @@ class TestTraceCommand:
 
     def test_trace_does_not_leak_enabled_state(self):
         previous = get_tracer().enabled
-        main(["trace", "run", "--rows", "1024"])
+        main(TRAIN_FAE + ["--samples", "1024", "--trace"])
         assert get_tracer().enabled == previous
 
     def test_train_trace_flag(self, capsys):
