@@ -20,7 +20,7 @@ from repro.resilience.atomic import atomic_write_text
 from repro.serve import ReplayConfig, format_slo_report, run_slo_replay
 
 
-def _seconds_or_none(ms: str) -> float | None:
+def milliseconds(ms: str) -> float | None:
     """A millisecond budget in seconds; ``<= 0`` disables it (``None``)."""
     value = float(ms)
     return value / 1e3 if value > 0 else None
@@ -42,7 +42,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     config.add_argument(
         "--deadline-ms",
         dest="deadline_s",
-        type=_seconds_or_none,
+        type=milliseconds,
         metavar="MS",
         help="per-request ranking deadline; <= 0 disables",
     )
@@ -55,7 +55,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     config.add_argument(
         "--hedge-after",
         dest="hedge_after_s",
-        type=_seconds_or_none,
+        type=milliseconds,
         metavar="MS",
         help="hedge requests slower than this budget on a second replica; <= 0 disables",
     )

@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from repro import obs
 from repro.commands.common import (
     add_data_args,
@@ -29,6 +31,7 @@ from repro.commands.common import (
 )
 from repro.core import fae_preprocess
 from repro.data import train_test_split
+from repro.data.loader import batch_from_log
 from repro.dist import DistributedFAETrainer
 from repro.models import build_model, workload_for_dataset
 from repro.resilience import (
@@ -136,10 +139,6 @@ def run(args: argparse.Namespace) -> int:
 
             def report(label: str, model) -> None:
                 loss, accuracy = evaluate_model(model, test)
-                import numpy as np
-
-                from repro.data.loader import batch_from_log
-
                 batch = batch_from_log(test, np.arange(min(len(test), 8192)))
                 auc = roc_auc(model.forward(batch), batch.labels)
                 print(f"{label}: test loss {loss:.4f}  accuracy {accuracy:.4f}  AUC {auc:.4f}")
